@@ -8,29 +8,22 @@
 //! other.
 //!
 //! [`LocalService`] wraps a [`SharedSession`] (so one instance serves
-//! concurrent callers — the TCP server hands it to every connection worker)
-//! and optionally binds to an on-disk catalog document + `.memo` sidecar.
-//! Durability after a state-changing request comes in two flavours
-//! ([`PersistMode`]):
+//! concurrent callers — the TCP server hands it to every CPU worker) and
+//! optionally binds to an on-disk catalog document + `.memo` sidecar.
+//! A state-changing request is made durable incrementally: it appends delta
+//! records — changed catalog declarations, new memo entries, evictions,
+//! statistics increments — through the sidecar's single-writer append
+//! protocol, so the I/O cost is proportional to the change, not to the
+//! catalog. The log is folded back into snapshot form by *compaction*: at
+//! shutdown, when a configurable append-count or byte threshold is crossed
+//! ([`PersistPolicy`]), or on an explicit [`Request::Compact`]. Recovery
+//! replays the delta tail over the last snapshot and tolerates a torn final
+//! line from a crash mid-append. Cache hits are not journaled, so restored
+//! LRU recency is exact from a compacted snapshot but approximate
+//! (insertion-ordered) across the delta tail — a performance nuance, never
+//! a correctness one.
 //!
-//! * **Incremental** (the default): the request appends delta records —
-//!   changed catalog declarations, new memo entries, evictions,
-//!   statistics increments — through the sidecar's single-writer append
-//!   protocol, so the I/O cost is proportional to the change, not to the
-//!   catalog. The log is folded back into snapshot form by *compaction*:
-//!   at shutdown, when a configurable append-count or byte threshold is
-//!   crossed ([`PersistPolicy`]), or on an explicit [`Request::Compact`].
-//!   Recovery replays the delta tail over the last snapshot and tolerates
-//!   a torn final line from a crash mid-append. Cache hits are not
-//!   journaled, so restored LRU recency is exact from a compacted
-//!   snapshot but approximate (insertion-ordered) across the delta tail —
-//!   a performance nuance, never a correctness one.
-//! * **FullRewrite** (the legacy behaviour, kept for comparison — see the
-//!   `fig12_persistence` bench): every state-changing request rewrites the
-//!   whole document + sidecar atomically, which is O(catalog + cache) I/O
-//!   per request.
-//!
-//! Either way, writes go through [`SidecarWriter`], which takes the
+//! Writes go through [`SidecarWriter`], which takes the
 //! cross-process `.lock` file, so a server and stray CLI invocations on the
 //! same catalog cannot tear each other's state. The on-disk grammar is
 //! specified in `docs/PERSISTENCE.md`.
@@ -62,7 +55,7 @@ pub const MAX_REQUEST_WORKERS: usize = 64;
 /// The transport-agnostic service interface: one call, one typed reply.
 ///
 /// Implementations must be callable through a shared reference — the TCP
-/// server shares one backend across its connection workers, and clients are
+/// server shares one backend across its CPU workers, and clients are
 /// shared across threads in the equivalence tests.
 pub trait MapcompService {
     /// Execute one request.
@@ -105,27 +98,11 @@ pub trait MapcompService {
     }
 }
 
-/// How a persistent [`LocalService`] makes a state-changing request
-/// durable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PersistMode {
-    /// Append delta records to the sidecar; compact on thresholds, at
-    /// shutdown, and on request. Durability cost is proportional to the
-    /// change.
-    #[default]
-    Incremental,
-    /// Rewrite the whole document + sidecar per state-changing request (the
-    /// pre-incremental behaviour, O(catalog + cache) I/O per request). Kept
-    /// behind this flag for the `fig12_persistence` comparison and for
-    /// operators who want every request to leave a fresh snapshot.
-    FullRewrite,
-}
-
-/// Durability policy of a persistent [`LocalService`].
+/// Compaction policy of a persistent [`LocalService`]: when the delta log
+/// is folded back into snapshot form (besides shutdown and an explicit
+/// [`Request::Compact`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PersistPolicy {
-    /// Incremental append vs. legacy full rewrite.
-    pub mode: PersistMode,
     /// Compact once this many delta appends have accumulated since the last
     /// compaction (`None` = no append-count trigger).
     pub compact_appends: Option<usize>,
@@ -136,19 +113,7 @@ pub struct PersistPolicy {
 
 impl Default for PersistPolicy {
     fn default() -> Self {
-        PersistPolicy {
-            mode: PersistMode::Incremental,
-            compact_appends: Some(4096),
-            compact_bytes: Some(16 * 1024 * 1024),
-        }
-    }
-}
-
-impl PersistPolicy {
-    /// The legacy rewrite-everything policy (thresholds are irrelevant:
-    /// every request is already a full snapshot).
-    pub fn full_rewrite() -> Self {
-        PersistPolicy { mode: PersistMode::FullRewrite, compact_appends: None, compact_bytes: None }
+        PersistPolicy { compact_appends: Some(4096), compact_bytes: Some(16 * 1024 * 1024) }
     }
 }
 
@@ -167,7 +132,7 @@ struct PersistState {
 }
 
 /// On-disk binding of a [`LocalService`]: the catalog document plus its
-/// version/cache sidecar, and the durability policy.
+/// version/cache sidecar, and the compaction policy.
 struct Persistence {
     catalog_file: PathBuf,
     sidecar: SidecarWriter,
@@ -364,7 +329,7 @@ impl LocalService {
     }
 
     /// Open a service bound to an on-disk catalog with the default
-    /// (incremental) [`PersistPolicy`]. See
+    /// [`PersistPolicy`]. See
     /// [`LocalService::open_with_policy`].
     pub fn open(
         catalog_file: impl Into<PathBuf>,
@@ -392,7 +357,7 @@ impl LocalService {
     /// happened). A missing document file is an empty catalog when
     /// `allow_missing` *or* when a sidecar exists (an incremental session
     /// may not have compacted its first snapshot yet). Every state-changing
-    /// request then persists according to `policy`.
+    /// request then appends its deltas, compacting according to `policy`.
     pub fn open_with_policy(
         catalog_file: impl Into<PathBuf>,
         registry: Registry,
@@ -450,11 +415,8 @@ impl LocalService {
         let workers = workers.max(1);
         let mut session = SharedSession::with_config(catalog, registry, config, workers);
         session.restore_cache(state.cache);
-        if policy.mode == PersistMode::Incremental {
-            // The journal feeds the append path; it stays disabled in
-            // FullRewrite mode (nothing would drain it).
-            session.cache().enable_journal();
-        }
+        // The journal feeds the append path.
+        session.cache().enable_journal();
         let last_stats = session.cache().stats();
         Ok(LocalService {
             session,
@@ -569,29 +531,25 @@ impl LocalService {
     }
 
     /// Write the full catalog document and sidecar snapshot back to disk; a
-    /// no-op for in-memory services. (Compaction and the legacy
-    /// [`PersistMode::FullRewrite`] per-request persistence are the same
-    /// operation.)
+    /// no-op for in-memory services. (The same operation as
+    /// [`LocalService::compact`].)
     pub fn persist(&self) -> Result<(), ServiceError> {
         self.compact().map(|_| ())
     }
 
-    /// Make one state-changing request durable according to the configured
-    /// [`PersistPolicy`]: in incremental mode, append the request's catalog
+    /// Make one state-changing request durable: append the request's catalog
     /// `deltas` and version `manifest` lines plus everything the cache
     /// journal accumulated — new memo entries, evictions, a statistics
-    /// increment — as one contiguous chunk; in full-rewrite mode, snapshot
-    /// everything. Every `delta` line is stamped with the next `(generation,
+    /// increment — as one contiguous chunk. Every `delta` line is stamped with the next `(generation,
     /// seq)` position, and when replication is enabled the byte-exact chunk
     /// is published to the hub inside the same critical section, so the
     /// stream order is the file order. An append that pushes the log over a
-    /// compaction threshold triggers compaction; a missing document file
+    /// [`PersistPolicy`] threshold triggers compaction; a missing document file
     /// makes the first persist a compaction too, so the snapshot the deltas
     /// replay over always exists.
     fn persist_change(&self, deltas: Vec<DeltaRecord>, manifest: &str) -> Result<(), ServiceError> {
         let Some(persistence) = &self.persistence else { return Ok(()) };
-        if persistence.policy.mode == PersistMode::FullRewrite || !persistence.catalog_file.exists()
-        {
+        if !persistence.catalog_file.exists() {
             return self.persist();
         }
         let _span = mapcomp_telemetry::trace::start_span("persist/append");
@@ -707,19 +665,13 @@ impl LocalService {
     /// starts empty at an exact on-disk boundary) and return the hub that
     /// [`Request::Subscribe`] streams and the persistence path publishes
     /// into. Idempotent — a second call returns the same hub without
-    /// recompacting. Requires incremental persistence: in-memory services
-    /// have no log to stream, and full-rewrite mode never appends deltas.
+    /// recompacting. Requires a persistent catalog: in-memory services have
+    /// no log to stream.
     pub fn enable_replication(&self) -> Result<Arc<ReplicationHub>, ServiceError> {
-        let Some(persistence) = &self.persistence else {
+        if self.persistence.is_none() {
             return Err(ServiceError::new(
                 ErrorCode::Unavailable,
                 "replication requires a persistent catalog (serve with a catalog file)",
-            ));
-        };
-        if persistence.policy.mode == PersistMode::FullRewrite {
-            return Err(ServiceError::new(
-                ErrorCode::Unavailable,
-                "replication requires incremental persistence; full-rewrite mode keeps no delta log",
             ));
         }
         if let Some(existing) = self.hub.get() {
@@ -1125,7 +1077,7 @@ impl LocalService {
                 // The backend's part of a shutdown is durability — a final
                 // compaction folding the delta log into snapshot form;
                 // stopping the accept loop is the transport's job (see
-                // [`crate::server::Server`]).
+                // [`crate::EventServer`]).
                 self.persist()?;
                 Ok(Response::ShuttingDown)
             }
@@ -1280,11 +1232,7 @@ mod tests {
     #[test]
     fn incremental_requests_append_deltas_without_touching_the_snapshot() {
         let file = temp_catalog("incr");
-        let policy = PersistPolicy {
-            mode: PersistMode::Incremental,
-            compact_appends: None,
-            compact_bytes: None,
-        };
+        let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
         let service = open_with(&file, policy);
         // The first persist (no snapshot on disk yet) compacts, creating it.
         service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
@@ -1337,11 +1285,7 @@ mod tests {
     #[test]
     fn idempotent_re_add_appends_nothing() {
         let file = temp_catalog("noop_add");
-        let policy = PersistPolicy {
-            mode: PersistMode::Incremental,
-            compact_appends: None,
-            compact_bytes: None,
-        };
+        let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
         let service = open_with(&file, policy);
         service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
         let sidecar_len = std::fs::metadata(sidecar_path(&file)).unwrap().len();
@@ -1359,11 +1303,7 @@ mod tests {
     #[test]
     fn compact_folds_the_delta_log_into_the_snapshot() {
         let file = temp_catalog("compactreq");
-        let policy = PersistPolicy {
-            mode: PersistMode::Incremental,
-            compact_appends: None,
-            compact_bytes: None,
-        };
+        let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
         let service = open_with(&file, policy);
         service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
         service.call(Request::ComposePath { from: "v0".into(), to: "v4".into() }).unwrap();
@@ -1388,11 +1328,7 @@ mod tests {
     #[test]
     fn append_threshold_triggers_compaction() {
         let file = temp_catalog("threshold");
-        let policy = PersistPolicy {
-            mode: PersistMode::Incremental,
-            compact_appends: Some(2),
-            compact_bytes: None,
-        };
+        let policy = PersistPolicy { compact_appends: Some(2), compact_bytes: None };
         let service = open_with(&file, policy);
         service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
         // First append.
@@ -1405,18 +1341,6 @@ mod tests {
             !compacted.contains("delta "),
             "the threshold append must fold the log:\n{compacted}"
         );
-        cleanup(&file);
-    }
-
-    #[test]
-    fn full_rewrite_mode_keeps_the_legacy_per_request_snapshot() {
-        let file = temp_catalog("legacy");
-        let service = open_with(&file, PersistPolicy::full_rewrite());
-        service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
-        service.call(Request::ComposePath { from: "v0".into(), to: "v3".into() }).unwrap();
-        let sidecar = std::fs::read_to_string(sidecar_path(&file)).unwrap();
-        assert!(!sidecar.contains("delta "), "full rewrite never appends deltas:\n{sidecar}");
-        assert!(sidecar.contains("entry "), "the snapshot carries the memo entries");
         cleanup(&file);
     }
 

@@ -259,12 +259,19 @@ mod backend {
             Ok(())
         }
 
+        /// Consume the pending wake-up. The eventfd is read *before* the
+        /// flag is cleared: clearing first would let a `notify` land in
+        /// between, write the eventfd and have this read swallow it,
+        /// leaving the flag set over an empty eventfd so that every later
+        /// `notify` returns early and no wake-up is delivered again. In
+        /// this order a `notify` racing the clear may return early, but
+        /// the waiter is already awake and re-checks its work on return.
         fn drain_notifications(&self) {
-            self.notified.store(false, Ordering::Release);
             let mut buf = [0u8; 8];
             // SAFETY: reads at most 8 bytes into a live buffer; the eventfd
             // is non-blocking so this never hangs.
             unsafe { read(self.event_fd, buf.as_mut_ptr(), buf.len()) };
+            self.notified.store(false, Ordering::Release);
         }
     }
 
@@ -467,11 +474,13 @@ mod backend {
             Ok(())
         }
 
+        /// Consume the pending wake-up: drain the pipe, *then* clear the
+        /// flag (see the epoll backend for why the order matters).
         fn drain_notifications(&self) {
-            self.notified.store(false, Ordering::Release);
             let mut buf = [0u8; 64];
             // SAFETY: non-blocking read into a live buffer.
             while unsafe { read(self.pipe_read, buf.as_mut_ptr(), buf.len()) } > 0 {}
+            self.notified.store(false, Ordering::Release);
         }
     }
 
@@ -619,5 +628,39 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(&mut events, Some(Duration::from_millis(20))).unwrap();
         assert!(events.is_empty());
+    }
+
+    #[test]
+    fn a_notify_racing_the_drain_is_never_lost() {
+        // One thread notifies in a tight loop while this one waits: every
+        // wait must be woken promptly. A drain that cleared the pending
+        // flag before consuming the wake-up could swallow a racing
+        // notification and leave the flag set, after which no notify
+        // would ever wake a wait again.
+        let poller = Poller::new().unwrap();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (poller, stop) = (&poller, &stop);
+            scope.spawn(move || {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    poller.notify().unwrap();
+                }
+            });
+            let mut events = Vec::new();
+            let started = Instant::now();
+            let mut waits = 0u64;
+            while started.elapsed() < Duration::from_secs(2) {
+                let waited = Instant::now();
+                poller.wait(&mut events, Some(Duration::from_secs(1))).unwrap();
+                let blocked = waited.elapsed();
+                if blocked >= Duration::from_millis(900) {
+                    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+                    panic!("wait {waits} blocked {blocked:?} despite a notifying thread");
+                }
+                waits += 1;
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            assert!(events.is_empty(), "notify must not surface as a user event");
+        });
     }
 }

@@ -37,7 +37,7 @@
 //!   [`service::ServiceError`] (stable error codes), a hand-rolled
 //!   line-oriented wire codec, an in-process backend over the concurrent
 //!   shared session with incremental append-only persistence, and a
-//!   threaded TCP server + blocking client — the `mapcomp serve` /
+//!   readiness-driven TCP server + blocking client — the `mapcomp serve` /
 //!   `mapcomp client` front ends.
 //! * [`telemetry`] — the offline observability substrate: a lock-free
 //!   metrics registry (counters, gauges, fixed-bucket histograms) rendered
@@ -118,9 +118,10 @@
 //!
 //! ```
 //! use mapping_composition::prelude::*;
+//! use mapping_composition::service::EventServer;
 //!
 //! let backend = LocalService::new(Catalog::new(), 2);
-//! let server = Server::bind("127.0.0.1:0").unwrap();
+//! let server = EventServer::bind("127.0.0.1:0").unwrap();
 //! let addr = server.local_addr().unwrap().to_string();
 //! std::thread::scope(|scope| {
 //!     scope.spawn(|| server.run(&backend, 2).unwrap());
@@ -180,6 +181,6 @@ pub mod prelude {
         ReconcileConfig, ScenarioConfig,
     };
     pub use mapcomp_service::{
-        Client, ErrorCode, LocalService, MapcompService, Request, Response, Server, ServiceError,
+        Client, ErrorCode, LocalService, MapcompService, Request, Response, ServiceError,
     };
 }

@@ -457,7 +457,7 @@ fn observability_doc_metric_catalog_matches_the_registry() {
     use mapping_composition::catalog::{Catalog, SessionConfig, SidecarWriter};
     use mapping_composition::compose::{exchange, ExchangeConfig, Registry};
     use mapping_composition::replication::ReplicationHub;
-    use mapping_composition::service::{Follower, LocalService, Server};
+    use mapping_composition::service::{EventServer, Follower, LocalService};
     use mapping_composition::telemetry::metrics::global;
 
     let doc = read_doc("OBSERVABILITY.md");
@@ -483,7 +483,7 @@ fn observability_doc_metric_catalog_matches_the_registry() {
     // catalog registers on the global registry (registration is eager at
     // component construction; the chase registers on first run).
     let _service = LocalService::new(Catalog::new(), 2);
-    let _server = Server::bind("127.0.0.1:0").expect("loopback bind");
+    let _server = EventServer::bind("127.0.0.1:0").expect("loopback bind");
     let _sidecar = SidecarWriter::new(std::env::temp_dir().join("mapcomp-docs-metrics.sidecar"));
     // The leader-side replication families register on hub construction,
     // the lag gauge on follower construction (no connection is dialled).

@@ -3,10 +3,8 @@
 //! invalidations, and batch composes — produces byte-identical composed
 //! chains and consistent session statistics whether it is driven through
 //! the in-process [`LocalService`] backend or over a loopback TCP server
-//! with four concurrent client connections — and for *both* TCP engines,
-//! the thread-per-connection [`Server`] and the readiness-driven
-//! [`EventServer`], which must be byte-for-byte interchangeable on the
-//! wire.
+//! with four concurrent client connections against the readiness-driven
+//! [`EventServer`].
 //!
 //! Determinism boundary: mutations are applied by one client between
 //! compose phases (a barrier separates phases), so both runs compose over
@@ -238,23 +236,6 @@ fn drive_clients(addr: &str, workload: &[Phase]) -> (Vec<String>, StatsPayload) 
     (outcomes, stats)
 }
 
-/// Execute the workload over a loopback TCP server running the threaded
-/// (thread-per-connection) engine.
-fn run_remote_threaded(workload: &[Phase]) -> (Vec<String>, StatsPayload) {
-    let backend = LocalService::new(Catalog::new(), THREADS);
-    let server = Server::bind("127.0.0.1:0").expect("bind a loopback port");
-    let addr = server.local_addr().expect("bound address").to_string();
-    let mut result = None;
-    std::thread::scope(|scope| {
-        let (server_ref, backend_ref) = (&server, &backend);
-        scope.spawn(move || {
-            server_ref.run(backend_ref, THREADS).expect("server run");
-        });
-        result = Some(drive_clients(&addr, workload));
-    });
-    result.expect("clients drove the workload")
-}
-
 /// Execute the workload over a loopback TCP server running the
 /// readiness-driven event-loop engine.
 fn run_remote_event(workload: &[Phase]) -> (Vec<String>, StatsPayload) {
@@ -276,42 +257,27 @@ fn run_remote_event(workload: &[Phase]) -> (Vec<String>, StatsPayload) {
 fn mixed_workload_is_transport_equivalent() {
     let workload = build_workload(0x5EEDA21);
     let (local_outcomes, local_stats) = run_local(&workload);
-    let runs = [
-        ("threaded TCP", run_remote_threaded(&workload)),
-        ("event-loop TCP", run_remote_event(&workload)),
-    ];
+    let (remote_outcomes, remote_stats) = run_remote_event(&workload);
 
-    for (engine, (remote_outcomes, remote_stats)) in &runs {
-        assert_eq!(local_outcomes.len(), remote_outcomes.len());
-        for (index, (local, remote)) in local_outcomes.iter().zip(remote_outcomes).enumerate() {
-            assert_eq!(
-                local, remote,
-                "outcome {index} diverged between in-process and {engine} transports"
-            );
-        }
+    assert_eq!(local_outcomes.len(), remote_outcomes.len());
+    for (index, (local, remote)) in local_outcomes.iter().zip(&remote_outcomes).enumerate() {
+        assert_eq!(local, remote, "outcome {index} diverged between in-process and TCP transports");
+    }
 
-        // Catalog state is identical: counts, names, versions, content
-        // hashes.
-        assert_eq!(local_stats.schemas, remote_stats.schemas, "{engine}");
-        assert_eq!(local_stats.mappings, remote_stats.mappings, "{engine}");
-        assert_eq!(local_stats.entries, remote_stats.entries, "{engine}");
+    // Catalog state is identical: counts, names, versions, content hashes.
+    assert_eq!(local_stats.schemas, remote_stats.schemas);
+    assert_eq!(local_stats.mappings, remote_stats.mappings);
+    assert_eq!(local_stats.entries, remote_stats.entries);
 
-        // Deterministic session counters agree; scheduling-dependent cache
-        // counters must still be coherent.
-        assert_eq!(
-            local_stats.session.chains_composed, remote_stats.session.chains_composed,
-            "{engine}"
-        );
-        assert_eq!(
-            local_stats.session.paths_resolved, remote_stats.session.paths_resolved,
-            "{engine}"
-        );
-        for stats in [&local_stats, remote_stats] {
-            assert!(stats.session.compose_calls > 0);
-            assert!(stats.session.cache.insertions > 0);
-            assert!(stats.session.cache.hits + stats.session.cache.misses > 0);
-            assert!(stats.session.cache_entries <= stats.session.cache.insertions);
-        }
+    // Deterministic session counters agree; scheduling-dependent cache
+    // counters must still be coherent.
+    assert_eq!(local_stats.session.chains_composed, remote_stats.session.chains_composed);
+    assert_eq!(local_stats.session.paths_resolved, remote_stats.session.paths_resolved);
+    for stats in [&local_stats, &remote_stats] {
+        assert!(stats.session.compose_calls > 0);
+        assert!(stats.session.cache.insertions > 0);
+        assert!(stats.session.cache.hits + stats.session.cache.misses > 0);
+        assert!(stats.session.cache_entries <= stats.session.cache.insertions);
     }
 }
 

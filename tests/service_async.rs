@@ -1,8 +1,9 @@
 //! End-to-end suite for the readiness-driven event engine: pipelining
 //! byte-equivalence, slow-loris resilience (a thousand idle connections
 //! must not starve compose traffic), deterministic `busy` backpressure,
-//! wire auth, idle-reaping that spares mid-frame peers, and gauges that
-//! return to zero after shutdown.
+//! wire auth, idle-reaping that spares mid-frame peers, malformed frames
+//! that leave the connection usable, and gauges that return to zero after
+//! shutdown.
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
@@ -106,10 +107,9 @@ fn send_shutdown(addr: &str) {
 
 #[test]
 fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
-    // Three identically seeded servers, so per-request cache counters in
-    // the payloads evolve identically: sequential over the event engine,
-    // pipelined over the event engine, pipelined over the threaded engine.
-    // All three reply streams must match byte for byte.
+    // Two identically seeded servers, so per-request cache counters in the
+    // payloads evolve identically: one driven sequentially, one pipelined.
+    // The two reply streams must match byte for byte.
     let requests = pipeline_requests();
 
     let sequential = {
@@ -125,7 +125,7 @@ fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
         frames.unwrap()
     };
 
-    let pipelined_event = {
+    let pipelined = {
         let backend = chain_backend(4);
         let server = EventServer::bind("127.0.0.1:0").unwrap();
         let addr = server.local_addr().unwrap().to_string();
@@ -138,34 +138,19 @@ fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
         frames.unwrap()
     };
 
-    let pipelined_threaded = {
-        let backend = chain_backend(4);
-        let server = Server::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let mut frames = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| server.run(&backend, 2).unwrap());
-            frames = Some(run_pipelined(&addr, &requests));
-            send_shutdown(&addr);
-        });
-        frames.unwrap()
-    };
-
     assert_eq!(sequential.len(), requests.len());
-    for (index, (seq, pipe)) in sequential.iter().zip(&pipelined_event).enumerate() {
-        assert_eq!(seq, pipe, "reply {index}: event-engine pipeline diverged from sequential");
-    }
-    for (index, (seq, pipe)) in sequential.iter().zip(&pipelined_threaded).enumerate() {
-        assert_eq!(seq, pipe, "reply {index}: threaded-engine pipeline diverged from sequential");
+    assert_eq!(pipelined.len(), requests.len());
+    for (index, (seq, pipe)) in sequential.iter().zip(&pipelined).enumerate() {
+        assert_eq!(seq, pipe, "reply {index}: pipeline diverged from sequential");
     }
 }
 
 #[test]
 fn a_thousand_idle_connections_do_not_starve_compose_traffic() {
-    // Slow loris: 1024 connections held open without sending a byte. The
-    // threaded engine would pin a worker per connection and deadlock at
-    // `workers` of them; the event engine must keep serving composes with
-    // a 4-thread CPU pool.
+    // Slow loris: 1024 connections held open without sending a byte. A
+    // thread-per-connection server would pin a worker per connection and
+    // deadlock at `workers` of them; the event engine must keep serving
+    // composes with a 4-thread CPU pool.
     const IDLE: usize = 1024;
     let backend = chain_backend(6);
     let server = EventServer::bind("127.0.0.1:0").unwrap();
@@ -294,6 +279,40 @@ fn the_event_engine_enforces_wire_auth() {
 }
 
 #[test]
+fn malformed_frames_get_protocol_errors_without_killing_the_connection() {
+    let backend = LocalService::new(Catalog::new(), 1);
+    let server = EventServer::bind("127.0.0.1:0").unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.run(&backend, 1).unwrap());
+
+        let stream = connect_patiently(&addr);
+        stream.set_nodelay(true).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        writer.write_all(b"garbage frame\nend\n").unwrap();
+        writer.flush().unwrap();
+        let frame = read_frame(&mut reader).unwrap().expect("reply to a malformed frame");
+        let reply = mapping_composition::service::decode_reply(&frame).unwrap();
+        assert_eq!(reply.unwrap_err().code, ErrorCode::Protocol);
+
+        // The same connection still serves well-formed frames.
+        writer.write_all(encode(&Request::Ping).as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let frame = read_frame(&mut reader).unwrap().expect("reply after the malformed frame");
+        assert_eq!(mapping_composition::service::decode_reply(&frame).unwrap(), Ok(Response::Pong));
+
+        writer.write_all(encode(&Request::Shutdown).as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let frame = read_frame(&mut reader).unwrap().expect("shutdown reply");
+        assert_eq!(
+            mapping_composition::service::decode_reply(&frame).unwrap(),
+            Ok(Response::ShuttingDown)
+        );
+    });
+}
+
+#[test]
 fn a_stalling_half_frame_client_survives_the_event_engines_idle_reaper() {
     let backend = chain_backend(2);
     let mut server = EventServer::bind("127.0.0.1:0").unwrap();
@@ -358,7 +377,7 @@ fn gauges_return_to_zero_after_event_engine_shutdown() {
 
     // The registry is process-global and other tests in this binary run
     // concurrently, so poll: once *their* servers also quiesce, the active
-    // and queue-depth gauges must read zero.
+    // and CPU-queue gauges must read zero.
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let text = mapping_composition::telemetry::metrics::global().render();

@@ -12,7 +12,7 @@ use std::thread;
 
 use mapping_composition::catalog::Catalog;
 use mapping_composition::service::{
-    Client, LocalService, MapcompService, Request, Response, Server,
+    Client, EventServer, LocalService, MapcompService, Request, Response,
 };
 use mapping_composition::telemetry::metrics::{MetricsRegistry, LATENCY_BOUNDS_US};
 
@@ -113,7 +113,7 @@ fn in_process_and_tcp_transports_report_the_same_request_counters() {
     }
 
     // Drive the other backend through a real TCP server.
-    let server = Server::bind("127.0.0.1:0").unwrap();
+    let server = EventServer::bind("127.0.0.1:0").unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let mut remote_metrics = String::new();
     thread::scope(|scope| {
