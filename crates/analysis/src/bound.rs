@@ -81,18 +81,18 @@ impl PolynomialBound {
             let width = match &rule.premise {
                 Some(premise) => premise.body_vars().len().max(premise.head.len()),
                 None => rule
-                    .premise_relations
+                    .premise_relations()
                     .iter()
                     .filter_map(|name| full_sig.arity(name).ok())
                     .sum::<usize>()
                     .max(rule.conclusion.head.len()),
             };
             max_premise_width = max_premise_width.max(width);
-            max_existentials = max_existentials.max(rule.existential_vars().len());
+            max_existentials = max_existentials.max(rule.existentials.len());
             let atoms = rule
                 .premise
                 .as_ref()
-                .map_or(rule.premise_relations.len().max(1), |p| p.atoms.len().max(1));
+                .map_or(rule.premise_relations().len().max(1), |p| p.atoms.len().max(1));
             max_premise_atoms = max_premise_atoms.max(atoms);
             for premise in rule.premise.iter() {
                 constants.extend(premise.const_of.values().cloned());

@@ -123,7 +123,7 @@ pub fn build(rule_set: &RuleSet, full_sig: &Signature, target_sig: &Signature) -
         // Every position of every relation the rule touches is a node, so
         // the bound's `positions` parameter counts the live part of the
         // schema even where no edge lands.
-        nodes.extend(all_positions(full_sig, Some(&rule.premise_relations)));
+        nodes.extend(all_positions(full_sig, Some(&rule.premise_relations())));
         let conclusion_rels: Vec<String> =
             rule.conclusion.atoms.iter().map(|atom| atom.rel.clone()).collect();
         nodes.extend(all_positions(full_sig, Some(&conclusion_rels)));
@@ -174,10 +174,10 @@ pub fn build(rule_set: &RuleSet, full_sig: &Signature, target_sig: &Signature) -
                     }
                 },
                 None => {
-                    if premise_mentions_domain(&rule.constraint.lhs) {
+                    if rule.origin.lhs.mentions_domain() {
                         Sources::Domain
                     } else {
-                        Sources::Positions(all_positions(full_sig, Some(&rule.premise_relations)))
+                        Sources::Positions(all_positions(full_sig, Some(&rule.premise_relations())))
                     }
                 }
             }
@@ -231,7 +231,7 @@ pub fn build(rule_set: &RuleSet, full_sig: &Signature, target_sig: &Signature) -
         // every position a fresh null lands in.
         let existential_positions: Vec<Position> = {
             let mut out: Vec<Position> =
-                rule.existential_vars().into_iter().flat_map(&targets_of).collect();
+                rule.existentials.iter().copied().flat_map(&targets_of).collect();
             out.sort();
             out.dedup();
             out
@@ -276,21 +276,6 @@ fn premise_positions(premise: &mapcomp_compose::cq::Conjunctive, var: usize) -> 
                 .map(move |(col, _)| Position::new(&atom.rel, col))
         })
         .collect()
-}
-
-/// Does an opaque premise expression read the active domain anywhere?
-fn premise_mentions_domain(expr: &mapcomp_algebra::Expr) -> bool {
-    use mapcomp_algebra::Expr;
-    match expr {
-        Expr::Domain(_) => true,
-        Expr::Rel(_) | Expr::Empty(_) => false,
-        Expr::Union(a, b)
-        | Expr::Intersect(a, b)
-        | Expr::Product(a, b)
-        | Expr::Difference(a, b) => premise_mentions_domain(a) || premise_mentions_domain(b),
-        Expr::Project(_, e) | Expr::Select(_, e) | Expr::Skolem(_, e) => premise_mentions_domain(e),
-        Expr::Apply(_, args) => args.iter().any(premise_mentions_domain),
-    }
 }
 
 impl DepGraph {

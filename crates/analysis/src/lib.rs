@@ -47,12 +47,12 @@ pub mod rules;
 
 use mapcomp_algebra::{Constraint, Instance, Mapping, Signature};
 use mapcomp_compose::exchange::TerminationVerdict;
-use mapcomp_compose::ExchangeConfig;
+use mapcomp_compose::{ChaseRule, ExchangeConfig};
 
 pub use bound::PolynomialBound;
 pub use graph::{CycleWitness, DepGraph, Position};
 pub use lint::{Diagnostic, LintCode};
-pub use rules::{extract_rules, AnalyzedRule, RuleSet};
+pub use rules::{extract_rules, RuleSet};
 
 /// The termination verdict of the analyzer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +202,7 @@ pub fn analyze_exchange(
 /// the chase may populate. Anything else — a repeated head variable (column
 /// equality), a head column fixed to a constant, an atom over a source
 /// relation — can leave the fired tuple unsatisfied forever.
-fn firing_satisfies(rule: &AnalyzedRule, target_sig: &Signature) -> Result<(), String> {
+fn firing_satisfies(rule: &ChaseRule, target_sig: &Signature) -> Result<(), String> {
     for atom in &rule.conclusion.atoms {
         if !target_sig.contains(&atom.rel) {
             return Err(format!("concludes into `{}`, which the chase cannot populate", atom.rel));

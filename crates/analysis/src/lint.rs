@@ -247,9 +247,9 @@ fn lint_cartesian_join(index: usize, premise: &Conjunctive, out: &mut Vec<Diagno
 /// earlier rule.
 fn lint_repeats(index: usize, rule_set: &RuleSet, out: &mut Vec<Diagnostic>) {
     let rule = &rule_set.rules[index];
-    let text = rule.constraint.to_string();
+    let text = rule.origin.to_string();
     for (earlier_index, earlier) in rule_set.rules[..index].iter().enumerate() {
-        if earlier.constraint.to_string() == text {
+        if earlier.origin.to_string() == text {
             out.push(Diagnostic {
                 rule: Some(index),
                 code: LintCode::DuplicateRule,
@@ -261,7 +261,7 @@ fn lint_repeats(index: usize, rule_set: &RuleSet, out: &mut Vec<Diagnostic>) {
         let same_structure = earlier.conclusion == rule.conclusion
             && match (&earlier.premise, &rule.premise) {
                 (Some(a), Some(b)) => a == b,
-                (None, None) => earlier.premise_relations == rule.premise_relations,
+                (None, None) => earlier.premise_relations() == rule.premise_relations(),
                 _ => false,
             };
         if same_structure {

@@ -1,102 +1,33 @@
-//! Chase-rule extraction for analysis, mirroring `exchange()` exactly.
+//! Chase-rule extraction for analysis: exactly the rules `exchange()` runs.
 //!
 //! The analyzer must speak about the rules the chase will actually run, so
-//! this module replays the rule-construction loop of
-//! `mapcomp_compose::exchange::exchange` constraint for constraint: split
-//! equalities into containments, keep only directions whose conclusion
-//! mentions a target relation and converts to conjunctive form, and record
-//! the rest in a skip list with the chase's own reasons. On top of that the
-//! analyzer additionally converts each premise to conjunctive form where
-//! possible — the chase evaluates premises as opaque expressions, but the
-//! dependency graph and the linter want their atom structure.
+//! it reads the chase core's own compiler
+//! ([`mapcomp_compose::compile_rules`]) under the restricted rule selection
+//! `exchange()` uses: rule indices, premise and conclusion conjunctive
+//! forms, and the skip list (with the chase's own reasons) are the chase's.
 
 use mapcomp_algebra::{Constraint, Signature};
-use mapcomp_compose::cq::{expr_to_conjunctive, Conjunctive, Term};
-
-/// One chase rule as seen by the analyzer.
-#[derive(Debug, Clone)]
-pub struct AnalyzedRule {
-    /// The containment this rule was built from.
-    pub constraint: Constraint,
-    /// The premise in conjunctive form, when it is in the fragment; `None`
-    /// for premises the chase evaluates as opaque expressions (unions,
-    /// differences, user-defined operators). The dependency graph treats
-    /// those conservatively.
-    pub premise: Option<Conjunctive>,
-    /// Relations the premise reads (used for the conservative edge set when
-    /// `premise` is `None`).
-    pub premise_relations: Vec<String>,
-    /// The conclusion in conjunctive form (always present: rules without a
-    /// conjunctive conclusion never become chase rules).
-    pub conclusion: Conjunctive,
-}
-
-impl AnalyzedRule {
-    /// Conclusion body variables that receive fresh labelled nulls when the
-    /// rule fires: not bound by a head variable, not fixed to a constant —
-    /// exactly the variables `fire()` fills with `_nullN` values.
-    pub fn existential_vars(&self) -> Vec<usize> {
-        let head: std::collections::BTreeSet<usize> = self.conclusion.head_universal_vars();
-        self.conclusion
-            .body_vars()
-            .into_iter()
-            .filter(|v| !head.contains(v) && !self.conclusion.const_of.contains_key(v))
-            .collect()
-    }
-}
+use mapcomp_compose::{compile_rules, restricted_rules, ChaseRule};
 
 /// The full extraction result: rules in chase order plus the skip list.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     /// Rules in the order the chase would run them (rule index = position).
-    pub rules: Vec<AnalyzedRule>,
+    pub rules: Vec<ChaseRule>,
     /// Constraints the chase would skip before round one, with the reason.
     pub skipped: Vec<(Constraint, String)>,
 }
 
-/// Extract the chase rules for `(constraints, full_sig, target_sig)`,
-/// following `exchange()`'s selection logic exactly.
+/// Extract the chase rules `exchange()` would run for `(constraints,
+/// full_sig, target_sig)`.
 pub fn extract_rules(
     constraints: &[Constraint],
     full_sig: &Signature,
     target_sig: &Signature,
 ) -> RuleSet {
-    let mut set = RuleSet::default();
-    for constraint in constraints {
-        for containment in constraint.as_containments() {
-            let mentions_target =
-                containment.rhs.relations().iter().any(|name| target_sig.contains(name));
-            if !mentions_target {
-                continue;
-            }
-            match expr_to_conjunctive(&containment.rhs, full_sig) {
-                Ok(conclusion) => {
-                    if conclusion.head.iter().any(Term::has_func) {
-                        set.skipped.push((
-                            containment.clone(),
-                            "conclusion contains Skolem functions".to_string(),
-                        ));
-                        continue;
-                    }
-                    if let Err(reason) = conclusion.to_expr() {
-                        set.skipped.push((containment.clone(), reason));
-                        continue;
-                    }
-                    let premise = expr_to_conjunctive(&containment.lhs, full_sig).ok();
-                    let premise_relations =
-                        containment.lhs.relations().into_iter().collect::<Vec<String>>();
-                    set.rules.push(AnalyzedRule {
-                        constraint: containment,
-                        premise,
-                        premise_relations,
-                        conclusion,
-                    });
-                }
-                Err(reason) => set.skipped.push((containment.clone(), reason)),
-            }
-        }
-    }
-    set
+    let (rules, mut skipped) = compile_rules(constraints, full_sig, target_sig);
+    let rules = restricted_rules(rules, &mut skipped);
+    RuleSet { rules, skipped }
 }
 
 #[cfg(test)]
@@ -132,7 +63,7 @@ mod tests {
     fn existential_vars_match_fire_semantics() {
         let set = extract("R <= project[0](S)", &[("R", 1), ("S", 2)], &[("S", 2)]);
         assert_eq!(set.rules.len(), 1);
-        assert_eq!(set.rules[0].existential_vars().len(), 1);
+        assert_eq!(set.rules[0].existentials.len(), 1);
     }
 
     #[test]
@@ -140,6 +71,6 @@ mod tests {
         let set = extract("(R + T) <= S", &[("R", 1), ("T", 1), ("S", 1)], &[("S", 1)]);
         assert_eq!(set.rules.len(), 1);
         assert!(set.rules[0].premise.is_none(), "union premises are outside the fragment");
-        assert_eq!(set.rules[0].premise_relations, vec!["R".to_string(), "T".to_string()]);
+        assert_eq!(set.rules[0].premise_relations(), vec!["R".to_string(), "T".to_string()]);
     }
 }

@@ -414,10 +414,10 @@ fn figure_8(scale: Scale) -> BenchDoc {
 }
 
 fn figure_9(scale: Scale) -> BenchDoc {
-    println!("\n[Figure 9] chase scaling: naive vs. semi-naive data exchange");
+    println!("\n[Figure 9] chase scaling: textbook naive reference vs. the chase core");
     let mut doc = BenchDoc::new("fig9", scale);
     let points = chase_scaling_experiment(scale);
-    let widths = vec![7, 7, 8, 12, 12, 9, 7];
+    let widths = vec![7, 7, 8, 10, 7, 12, 12, 9, 7];
     println!(
         "{}",
         format_row(
@@ -425,8 +425,10 @@ fn figure_9(scale: Scale) -> BenchDoc {
                 "tuples".to_string(),
                 "depth".to_string(),
                 "rounds".to_string(),
+                "frontier".to_string(),
+                "nulls".to_string(),
                 "naive (ms)".to_string(),
-                "semi (ms)".to_string(),
+                "core (ms)".to_string(),
                 "speedup".to_string(),
                 "equal".to_string(),
             ],
@@ -441,6 +443,8 @@ fn figure_9(scale: Scale) -> BenchDoc {
                     point.size.to_string(),
                     point.depth.to_string(),
                     point.rounds.to_string(),
+                    point.frontier_rows.to_string(),
+                    point.nulls.to_string(),
                     format!("{:.2}", point.naive_time.as_secs_f64() * 1000.0),
                     format!("{:.2}", point.semi_time.as_secs_f64() * 1000.0),
                     format!("{:.1}x", point.speedup()),
@@ -453,6 +457,8 @@ fn figure_9(scale: Scale) -> BenchDoc {
             ("tuples", BenchValue::U64(point.size as u64)),
             ("depth", BenchValue::U64(point.depth as u64)),
             ("rounds", BenchValue::U64(point.rounds as u64)),
+            ("frontier_rows", BenchValue::U64(point.frontier_rows as u64)),
+            ("nulls", BenchValue::U64(point.nulls as u64)),
             ("naive_ms", BenchValue::F64(point.naive_time.as_secs_f64() * 1000.0)),
             ("semi_ms", BenchValue::F64(point.semi_time.as_secs_f64() * 1000.0)),
             ("results_agree", BenchValue::Bool(point.results_agree)),

@@ -6,9 +6,8 @@
 //! The `figures` binary prints, for each figure, the same series the paper
 //! plots; it is the crate's one measurement path. Two post-paper
 //! experiments ride along: Figure 8
-//! (incremental vs. cold catalog-chain recomposition) and Figure 9 (naive
-//! vs. semi-naive chase scaling in the data-exchange engine, the
-//! `ExchangeConfig::strategy` comparison).
+//! (incremental vs. cold catalog-chain recomposition) and Figure 9 (the
+//! chase core vs. the textbook naive chase of [`reference`](mod@reference)).
 //!
 //! Scale factors control how many runs/edits are simulated: `Scale::Paper`
 //! is the paper's full scale (100 runs × 100 edits per configuration, 500
@@ -25,6 +24,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod reference;
 pub mod trajectory;
 
 pub use trajectory::{BenchDoc, BenchValue};
@@ -32,7 +32,7 @@ pub use trajectory::{BenchDoc, BenchValue};
 use std::collections::BTreeMap;
 use std::time::Duration;
 
-use mapcomp_compose::{ChaseStrategy, ComposeConfig, ExchangeConfig, Registry};
+use mapcomp_compose::{ComposeConfig, ExchangeConfig, Registry};
 use mapcomp_corpus::problems;
 use mapcomp_evolution::{
     run_editing, EditingRun, EventVector, PrimitiveKind, PrimitiveOptions, ReconcileConfig,
@@ -510,31 +510,35 @@ pub fn chain_cache_experiment(scale: Scale, base_seed: u64) -> Vec<ChainCachePoi
 }
 
 // ---------------------------------------------------------------------------
-// Figure 9 (new experiment): naive vs. semi-naive chase scaling
+// Figure 9 (new experiment): chase core vs. textbook naive chase scaling
 // ---------------------------------------------------------------------------
 
 /// One point of the Figure 9 chase-scaling experiment: the same
-/// data-exchange scenario chased under both strategies of
-/// [`mapcomp_compose::ChaseStrategy`].
+/// data-exchange scenario chased by [`mapcomp_compose::exchange()`] (the
+/// semi-naive chase core) and by the naive [`reference::naive_exchange`].
 #[derive(Debug, Clone)]
 pub struct ChaseScalingPoint {
     /// Tuples per source relation.
     pub size: usize,
     /// Length of the target-to-target copy chain (≈ chase rounds).
     pub depth: usize,
-    /// Wall-clock time of the naive chase.
+    /// Wall-clock time of the naive reference chase.
     pub naive_time: Duration,
-    /// Wall-clock time of the semi-naive chase.
+    /// Wall-clock time of the chase core.
     pub semi_time: Duration,
-    /// Rounds until fixpoint (identical across strategies by construction).
+    /// Rounds until fixpoint (identical across both chases by construction).
     pub rounds: usize,
-    /// Did the two strategies produce identical targets, skip sets and
+    /// Rows the core indexed into its live frontier over the whole run.
+    pub frontier_rows: usize,
+    /// Labelled nulls the core invented.
+    pub nulls: usize,
+    /// Did the two chases produce identical targets, skip sets and
     /// convergence flags?
     pub results_agree: bool,
 }
 
 impl ChaseScalingPoint {
-    /// Naive time over semi-naive time.
+    /// Naive reference time over chase-core time.
     pub fn speedup(&self) -> f64 {
         let semi = self.semi_time.as_secs_f64();
         if semi > 0.0 {
@@ -592,8 +596,8 @@ pub fn chase_scenario(
 
     // Rules are listed against the data-flow direction (join first, chain
     // reversed, the source rule last), so each round unlocks exactly one
-    // link: the worst case for a strategy that re-evaluates every rule's
-    // full premise every round.
+    // link: the worst case for a chase that re-evaluates every rule's full
+    // premise every round.
     let mut text = format!("project[0,3](select[#1 = #2](T{depth} * S)) <= J; ");
     for link in (0..depth).rev() {
         text.push_str(&format!("T{link} <= T{}; ", link + 1));
@@ -611,7 +615,7 @@ pub fn chase_scenario(
 }
 
 /// Exchange configuration sized for the Figure 9 scenario (enough rounds for
-/// the chain plus the join, and a budget admitting the naive strategy's full
+/// the chain plus the join, and a budget admitting the naive reference's full
 /// `T × S` product at every measured size).
 pub fn chase_scaling_config(depth: usize) -> ExchangeConfig {
     ExchangeConfig {
@@ -622,8 +626,8 @@ pub fn chase_scaling_config(depth: usize) -> ExchangeConfig {
     }
 }
 
-/// Run the Figure 9 experiment: chase each scenario under both strategies,
-/// timing them and checking the results coincide.
+/// Run the Figure 9 experiment: chase each scenario with the core and the
+/// naive reference, timing both and checking the results coincide.
 pub fn chase_scaling_experiment(scale: Scale) -> Vec<ChaseScalingPoint> {
     let registry = Registry::standard();
     let depth = chase_depth(scale);
@@ -633,13 +637,13 @@ pub fn chase_scaling_experiment(scale: Scale) -> Vec<ChaseScalingPoint> {
             let (constraints, full, target, source) = chase_scenario(size, depth);
             let config = chase_scaling_config(depth);
             let started = std::time::Instant::now();
-            let naive = mapcomp_compose::exchange(
+            let naive = reference::naive_exchange(
                 &constraints,
                 &full,
                 &target,
                 &source,
                 &registry,
-                &config.clone().with_strategy(ChaseStrategy::Naive),
+                &config,
             );
             let naive_time = started.elapsed();
             let started = std::time::Instant::now();
@@ -649,7 +653,7 @@ pub fn chase_scaling_experiment(scale: Scale) -> Vec<ChaseScalingPoint> {
                 &target,
                 &source,
                 &registry,
-                &config.with_strategy(ChaseStrategy::SemiNaive),
+                &config,
             );
             let semi_time = started.elapsed();
             let results_agree = naive.target == semi.target
@@ -664,6 +668,8 @@ pub fn chase_scaling_experiment(scale: Scale) -> Vec<ChaseScalingPoint> {
                 naive_time,
                 semi_time,
                 rounds: semi.rounds,
+                frontier_rows: semi.frontier_rows,
+                nulls: semi.nulls_created,
                 results_agree,
             }
         })
@@ -1897,11 +1903,11 @@ mod tests {
         let points = chase_scaling_experiment(Scale::Quick);
         assert_eq!(points.len(), chase_sizes(Scale::Quick).len());
         for point in &points {
-            assert!(point.results_agree, "strategies disagree at size {}: {point:?}", point.size);
+            assert!(point.results_agree, "chases disagree at size {}: {point:?}", point.size);
             assert_eq!(point.rounds, point.depth + 3, "chain + join + fixpoint rounds");
         }
         // The acceptance criterion: ≥ 3x on the largest scenario. The gap is
-        // structural (the naive strategy re-materialises every premise and
+        // structural (the naive reference re-materialises every premise and
         // the full T × S product every round), so the margin is wide.
         let largest = points.last().expect("non-empty");
         assert!(
@@ -1926,7 +1932,7 @@ mod tests {
         let depth = chase_depth(Scale::Quick);
         for size in chase_sizes(Scale::Quick) {
             let (constraints, full, target, source) = chase_scenario(size, depth);
-            let config = chase_scaling_config(depth).with_strategy(ChaseStrategy::SemiNaive);
+            let config = chase_scaling_config(depth);
             let result = mapcomp_compose::exchange(
                 &constraints,
                 &full,

@@ -2,10 +2,11 @@
 //! instance under signed source updates.
 //!
 //! [`crate::exchange`](mod@crate::exchange) materialises a target once; this module keeps that
-//! materialisation live as the source changes. A batch of `+tuple`/`-tuple`
-//! edits ([`Update`]) is normalised into net effective inserts and deletes
-//! and propagated through the same compiled premise plans
-//! ([`crate::plan::PremisePlan`]) the semi-naive chase uses:
+//! materialisation live as the source changes. The initial build and every
+//! full rebuild run the shared chase core ([`crate::chase`]); a batch of
+//! `+tuple`/`-tuple` edits ([`Update`]) is then normalised into net
+//! effective inserts and deletes and propagated through the same compiled
+//! premise plans ([`crate::plan::PremisePlan`]):
 //!
 //! * **Insertions** run the semi-naive path — delta joins anchored at the
 //!   new rows, firing premise tuples not yet fired.
@@ -21,19 +22,21 @@
 //! Incremental maintenance can only be proven *byte-identical* to a cold
 //! re-chase if the chase itself is confluent — the result must not depend
 //! on firing order, or on which rows arrived first. The engine therefore
-//! runs the *oblivious Skolem chase*: every derivable premise tuple fires
-//! exactly once (no satisfaction check), and each existential variable is
-//! named content-addressably from the firing that invents it — a hash of
-//! (rule index, variable, premise tuple) rather than a sequence number.
-//! The final state is then the least fixpoint of a monotone operator: a
-//! pure function of the source instance, reached in any order. A fresh
-//! [`DifferentialChase::new`] over the updated source *is* the oracle, and
-//! `tests/differential_chase.rs` holds every batch to that standard.
+//! runs the core under the *oblivious* firing test: every derivable premise
+//! tuple fires exactly once (no satisfaction check), and each existential
+//! variable is named content-addressably from the firing that invents it —
+//! a hash of (rule index, variable, premise tuple) rather than a sequence
+//! number. The final state is then the least fixpoint of a monotone
+//! operator: a pure function of the source instance, reached in any order.
+//! A fresh [`DifferentialChase::new`] over the updated source *is* the
+//! oracle, and `tests/differential_chase.rs` holds every batch to that
+//! standard.
 //!
-//! This canonical solution is homomorphically equivalent to
-//! [`crate::exchange`](crate::exchange())'s (which numbers nulls sequentially and skips
-//! already-satisfied premises) but not byte-equal to it; the two engines
-//! serve different workloads and are tested against their own oracles.
+//! This canonical solution is homomorphically equivalent to the one
+//! [`crate::exchange`](crate::exchange()) computes under the *restricted*
+//! firing test (sequential nulls, already-satisfied premises skipped) but
+//! not byte-equal to it: the firing test is the only difference between
+//! the two.
 //!
 //! On any evaluation error — budget exhaustion, an unplannable premise, a
 //! diverging existential cycle hitting `max_nulls` — the engine falls back
@@ -42,13 +45,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use mapcomp_algebra::{
-    AlgebraError, Constraint, DeltaInstance, Evaluator, Expr, Instance, Signature, Tuple, Value,
-};
+use mapcomp_algebra::{AlgebraError, Constraint, Instance, Signature, Tuple, Value};
 
-use crate::cq::{expr_to_conjunctive, Conjunctive, Term};
+use crate::chase::{
+    chase, compile_rules, fire, index_rows, plan_relations, ChaseRule, ChaseState, Firing,
+};
 use crate::exchange::ExchangeConfig;
-use crate::plan::{PremisePlan, TupleIndex, WorkBudget};
+use crate::plan::WorkBudget;
 use crate::registry::Registry;
 
 /// Direction of a signed source update.
@@ -220,65 +223,17 @@ pub struct DeltaReport {
     pub work: usize,
 }
 
-/// A chase rule: compiled premise plan plus conjunctive conclusion.
-struct DiffRule {
-    premise: Expr,
-    conclusion: Conjunctive,
-    /// `None` when the premise is outside the plannable fragment; such a
-    /// rule forces full-recompute mode.
-    plan: Option<PremisePlan>,
-}
-
-/// The maintained chase state: target, live frontier index, per-rule fired
-/// sets, and per-target-tuple support counts.
-struct ChaseState {
-    target: Instance,
-    /// Hash-indexed live rows of every plan-read relation (source ∪
-    /// target), updated in place.
-    live: TupleIndex,
-    /// Premise tuples fired, per rule. A firing is active while its premise
-    /// tuple is derivable; DRed retracts and rederives entries here.
-    fired: Vec<BTreeSet<Tuple>>,
-    /// Active derivation count per target tuple, counting one per
-    /// (rule, premise tuple, conclusion atom) occurrence. A tuple lives in
-    /// the target iff its support is positive.
-    support: BTreeMap<(String, Tuple), usize>,
-    /// Labelled nulls currently alive (minted minus retracted).
-    nulls: usize,
-    /// Binding rows charged building this state.
-    work: usize,
-    /// Did the build reach a fixpoint (as opposed to a limit)?
-    converged: bool,
-    /// Was any rule dropped (evaluation error) while building?
-    degraded: bool,
-}
-
-impl ChaseState {
-    fn empty(source: &Instance, read_rels: &BTreeSet<String>) -> ChaseState {
-        ChaseState {
-            target: Instance::new(),
-            live: TupleIndex::from_layers(&[source], read_rels.iter()),
-            fired: Vec::new(),
-            support: BTreeMap::new(),
-            nulls: 0,
-            work: 0,
-            converged: false,
-            degraded: false,
-        }
-    }
-}
-
 /// An incrementally-maintained data-exchange target.
 ///
-/// Built once from constraints and an initial source instance (the build is
-/// itself a full Skolem chase), then kept current by [`apply`]-ing signed
-/// update batches. A fresh `DifferentialChase` over the same constraints
+/// Built once from constraints and an initial source instance (the build
+/// runs the chase core under the oblivious firing test), then kept current
+/// by [`apply`]-ing signed update batches. A fresh `DifferentialChase` over the same constraints
 /// and the current source always reproduces the maintained state exactly —
 /// the oracle property the differential test suite enforces.
 ///
 /// [`apply`]: DifferentialChase::apply
 pub struct DifferentialChase {
-    rules: Vec<DiffRule>,
+    rules: Vec<ChaseRule>,
     full_sig: Signature,
     target_sig: Signature,
     registry: Registry,
@@ -312,37 +267,8 @@ impl DifferentialChase {
         registry: &Registry,
         config: &ExchangeConfig,
     ) -> Self {
-        let mut rules = Vec::new();
-        let mut skipped = Vec::new();
-        for constraint in constraints {
-            for containment in constraint.as_containments() {
-                let mentions_target =
-                    containment.rhs.relations().iter().any(|name| target_sig.contains(name));
-                if !mentions_target {
-                    continue;
-                }
-                match expr_to_conjunctive(&containment.rhs, full_sig) {
-                    Ok(conclusion) => {
-                        if conclusion.head.iter().any(Term::has_func) {
-                            skipped.push((
-                                containment.clone(),
-                                "conclusion contains Skolem functions".to_string(),
-                            ));
-                            continue;
-                        }
-                        let plan = PremisePlan::compile(&containment.lhs, full_sig)
-                            .map(|plan| plan.with_order(config.join_order));
-                        rules.push(DiffRule { premise: containment.lhs.clone(), conclusion, plan });
-                    }
-                    Err(reason) => skipped.push((containment.clone(), reason)),
-                }
-            }
-        }
-        let read_rels: BTreeSet<String> = rules
-            .iter()
-            .filter_map(|rule| rule.plan.as_ref())
-            .flat_map(|plan| plan.relations().iter().cloned())
-            .collect();
+        let (rules, skipped) = compile_rules(constraints, full_sig, target_sig);
+        let read_rels = plan_relations(&rules);
         let unplannable = rules.iter().any(|rule| rule.plan.is_none());
         // Relation-level dependency graph: an edge from every relation a
         // rule reads to every relation its conclusion writes. A cycle means
@@ -350,25 +276,17 @@ impl DifferentialChase {
         // mutually-containing `S1 <= S2; S2 <= S1`), which is exactly the
         // shape support counting cannot retract.
         let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        let mut recursive = false;
         for rule in &rules {
             let writes: BTreeSet<String> =
                 rule.conclusion.atoms.iter().map(|atom| atom.rel.clone()).collect();
-            let reads = match &rule.plan {
-                Some(plan) => plan.relations().clone(),
-                None => rule.premise.relations(),
-            };
-            for read in reads {
+            for read in rule.origin.lhs.relations() {
                 edges.entry(read).or_default().extend(writes.iter().cloned());
             }
         }
-        for start in edges.keys() {
-            if reaches(&edges, start, start) {
-                recursive = true;
-                break;
-            }
-        }
-        let mut engine = DifferentialChase {
+        let recursive = edges.keys().any(|start| reaches(&edges, start, start));
+        let state =
+            chase(&rules, full_sig, target_sig, &source, registry, config, Firing::Oblivious);
+        DifferentialChase {
             rules,
             full_sig: full_sig.clone(),
             target_sig: target_sig.clone(),
@@ -379,10 +297,8 @@ impl DifferentialChase {
             unplannable,
             recursive,
             source,
-            state: ChaseState::empty(&Instance::new(), &BTreeSet::new()),
-        };
-        engine.rebuild();
-        engine
+            state,
+        }
     }
 
     /// The current source instance (initial source plus every applied
@@ -433,7 +349,7 @@ impl DifferentialChase {
     /// Will the next batch take the incremental path (as opposed to a
     /// forced full recompute)?
     pub fn incremental_ready(&self) -> bool {
-        !self.unplannable && !self.state.degraded && self.state.converged
+        !self.unplannable && self.state.dropped.is_empty() && self.state.converged
     }
 
     /// Can some target relation transitively derive itself? Deletion
@@ -447,14 +363,14 @@ impl DifferentialChase {
     /// deterministic fallback for every error path, and the oracle the
     /// incremental path is tested against.
     pub fn rebuild(&mut self) {
-        self.state = full_chase(
+        self.state = chase(
             &self.rules,
             &self.full_sig,
             &self.target_sig,
-            &self.read_rels,
             &self.source,
             &self.registry,
             &self.config,
+            Firing::Oblivious,
         );
     }
 
@@ -573,6 +489,7 @@ impl DifferentialChase {
     ) -> Result<(), AlgebraError> {
         let mut work = WorkBudget::new(self.config.eval_budget);
         let state = &mut self.state;
+        let max_nulls = self.config.max_nulls;
         // ---- Overdeletion cascade -------------------------------------
         // Wave 0 is the deleted source rows; each later wave is the target
         // rows whose support reached zero in the previous one. Lost firings
@@ -589,7 +506,7 @@ impl DifferentialChase {
                 if !wave.iter().any(|(rel, _)| plan.relations().contains(rel)) {
                     continue;
                 }
-                for tuple in plan.eval_delta(&state.live, None, &delta, &mut work)? {
+                for tuple in plan.eval_delta(&state.live, &delta, &mut work)? {
                     if state.fired[index].contains(&tuple) {
                         wave_lost.push((index, tuple));
                     }
@@ -603,9 +520,16 @@ impl DifferentialChase {
                 if !state.fired[index].remove(&tuple) {
                     continue;
                 }
-                lost.insert((index, tuple.clone()));
-                let (rows, minted) =
-                    fire_skolem(index, &self.rules[index], &tuple, &self.target_sig);
+                let mut minted = 0;
+                let rows = fire(
+                    &self.rules[index],
+                    index,
+                    &tuple,
+                    &self.target_sig,
+                    Firing::Oblivious,
+                    &mut minted,
+                );
+                lost.insert((index, tuple));
                 state.nulls = state.nulls.saturating_sub(minted);
                 for (rel, row) in rows {
                     let key = (rel, row);
@@ -645,14 +569,14 @@ impl DifferentialChase {
             let plan = self.rules[*index].plan.as_ref().expect("planned rule");
             if plan.supports(&state.live, tuple, &mut work)? {
                 report.rederived += 1;
-                refire(
-                    *index,
-                    &self.rules[*index],
+                // Past the null cap (a possibly diverging existential
+                // cascade) the full fallback truncates deterministically.
+                state.fire_oblivious(
+                    (*index, &self.rules[*index]),
                     tuple,
                     &self.target_sig,
+                    max_nulls,
                     &self.read_rels,
-                    &self.config,
-                    state,
                     &mut seeds,
                 )?;
             }
@@ -672,19 +596,17 @@ impl DifferentialChase {
                 if !delta_rows.iter().any(|(rel, _)| plan.relations().contains(rel)) {
                     continue;
                 }
-                for tuple in plan.eval_delta(&state.live, None, &delta, &mut work)? {
+                for tuple in plan.eval_delta(&state.live, &delta, &mut work)? {
                     if state.fired[index].contains(&tuple) {
                         continue;
                     }
                     report.fired += 1;
-                    refire(
-                        index,
-                        rule,
+                    state.fire_oblivious(
+                        (index, rule),
                         &tuple,
                         &self.target_sig,
+                        max_nulls,
                         &self.read_rels,
-                        &self.config,
-                        state,
                         &mut next,
                     )?;
                 }
@@ -717,213 +639,6 @@ fn reaches(edges: &BTreeMap<String, BTreeSet<String>>, start: &str, goal: &str) 
         }
     }
     false
-}
-
-/// Fire one rule on one premise tuple under Skolem-null semantics: head
-/// variables take the premise values, constants bind from the conclusion,
-/// and every remaining (existential) variable takes a content-addressed
-/// labelled null. Returns the target rows (one entry per conclusion atom
-/// occurrence — support counts one each) and the number of nulls minted.
-fn fire_skolem(
-    rule_index: usize,
-    rule: &DiffRule,
-    premise_tuple: &Tuple,
-    target_sig: &Signature,
-) -> (Vec<(String, Tuple)>, usize) {
-    let mut binding: BTreeMap<usize, Value> = BTreeMap::new();
-    for (term, value) in rule.conclusion.head.iter().zip(premise_tuple) {
-        if let Term::Var(var) = term {
-            binding.insert(*var, value.clone());
-        }
-    }
-    for (var, constant) in &rule.conclusion.const_of {
-        binding.entry(*var).or_insert_with(|| constant.clone());
-    }
-    let mut minted = 0usize;
-    for var in rule.conclusion.body_vars() {
-        binding.entry(var).or_insert_with(|| {
-            minted += 1;
-            Value::Str(skolem_null(rule_index, var, premise_tuple))
-        });
-    }
-    let mut out = Vec::new();
-    for atom in &rule.conclusion.atoms {
-        if !target_sig.contains(&atom.rel) {
-            // Conclusion atoms over source relations cannot be chased into.
-            continue;
-        }
-        let tuple: Tuple =
-            atom.args.iter().map(|var| binding.get(var).cloned().unwrap_or(Value::Null)).collect();
-        out.push((atom.rel.clone(), tuple));
-    }
-    (out, minted)
-}
-
-/// The content-addressed labelled-null name for (rule, existential
-/// variable, premise tuple): two chained FNV-1a hashes over the rendered
-/// firing identity. Stable across engine instances, so a rebuilt or
-/// re-chased state names every null identically.
-fn skolem_null(rule_index: usize, var: usize, premise_tuple: &Tuple) -> String {
-    let mut payload = format!("{rule_index}\u{1f}{var}");
-    for value in premise_tuple {
-        payload.push('\u{1f}');
-        payload.push_str(&value.to_string());
-    }
-    let h1 = fnv1a(0xcbf2_9ce4_8422_2325, payload.as_bytes());
-    let h2 = fnv1a(h1 ^ 0x9e37_79b9_7f4a_7c15, payload.as_bytes());
-    format!("_null{h1:016x}{h2:016x}")
-}
-
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Register a firing as active: record it in the fired set, mint its
-/// nulls, bump supports, and materialise newly-supported rows (into the
-/// target, the live index, and the caller's delta seed list).
-#[allow(clippy::too_many_arguments)]
-fn refire(
-    rule_index: usize,
-    rule: &DiffRule,
-    premise_tuple: &Tuple,
-    target_sig: &Signature,
-    read_rels: &BTreeSet<String>,
-    config: &ExchangeConfig,
-    state: &mut ChaseState,
-    seeds: &mut Vec<(String, Tuple)>,
-) -> Result<(), AlgebraError> {
-    let (rows, minted) = fire_skolem(rule_index, rule, premise_tuple, target_sig);
-    if state.nulls + minted > config.max_nulls {
-        // A (possibly diverging) existential cascade: hand the batch to the
-        // full fallback, which truncates deterministically.
-        return Err(AlgebraError::EvalBudgetExceeded { budget: config.max_nulls });
-    }
-    state.fired[rule_index].insert(premise_tuple.clone());
-    state.nulls += minted;
-    for (rel, row) in rows {
-        let count = state.support.entry((rel.clone(), row.clone())).or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            state.target.insert(&rel, row.clone());
-            if read_rels.contains(&rel) && state.live.insert_row(&rel, row.clone()) {
-                seeds.push((rel, row));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Index a row list by relation.
-fn index_rows(rows: &[(String, Tuple)]) -> TupleIndex {
-    let mut grouped: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
-    for (rel, tuple) in rows {
-        grouped.entry(rel.clone()).or_default().push(tuple.clone());
-    }
-    TupleIndex::from_rows(grouped)
-}
-
-/// The full Skolem chase from scratch: the initial build, the error
-/// fallback, and the oracle. Semi-naive internally, but the result is the
-/// order-independent least fixpoint, so only determinism (not order)
-/// matters here.
-fn full_chase(
-    rules: &[DiffRule],
-    full_sig: &Signature,
-    target_sig: &Signature,
-    read_rels: &BTreeSet<String>,
-    source: &Instance,
-    registry: &Registry,
-    config: &ExchangeConfig,
-) -> ChaseState {
-    let mut state = ChaseState::empty(source, read_rels);
-    state.fired = vec![BTreeSet::new(); rules.len()];
-    let mut dropped = vec![false; rules.len()];
-    let mut rounds = 0usize;
-    // Rows inserted in the previous round (planned rules join only these);
-    // `None` forces the initial full evaluation.
-    let mut delta_rows: Option<Vec<(String, Tuple)>> = None;
-    while rounds < config.max_rounds {
-        rounds += 1;
-        let mut seeds: Vec<(String, Tuple)> = Vec::new();
-        let mut fired_any = false;
-        let delta = delta_rows.as_deref().map(index_rows);
-        for (index, rule) in rules.iter().enumerate() {
-            if dropped[index] {
-                continue;
-            }
-            let mut work = WorkBudget::new(config.eval_budget);
-            let candidates: BTreeSet<Tuple> = match &rule.plan {
-                Some(plan) => {
-                    let evaluated = match (&delta, &delta_rows) {
-                        (Some(delta), Some(rows)) => {
-                            if rows.iter().any(|(rel, _)| plan.relations().contains(rel)) {
-                                plan.eval_delta(&state.live, None, delta, &mut work)
-                            } else {
-                                Ok(BTreeSet::new())
-                            }
-                        }
-                        _ => plan.eval_full(&state.live, None, &mut work),
-                    };
-                    state.work += work.used();
-                    match evaluated {
-                        Ok(candidates) => candidates,
-                        Err(_) => {
-                            dropped[index] = true;
-                            state.degraded = true;
-                            continue;
-                        }
-                    }
-                }
-                None => {
-                    // Unplannable premise: full expression evaluation over
-                    // the layered source-plus-target view, every round.
-                    let view = DeltaInstance::new(source, &state.target);
-                    let mut domain: BTreeSet<Value> = source.active_domain();
-                    domain.extend(state.target.active_domain());
-                    let evaluator = Evaluator::with_parts(
-                        full_sig,
-                        registry.operators(),
-                        &view,
-                        domain.into_iter().collect(),
-                        Some(config.eval_budget),
-                    );
-                    match evaluator.eval(&rule.premise) {
-                        Ok(relation) => relation.iter().cloned().collect(),
-                        Err(_) => {
-                            dropped[index] = true;
-                            state.degraded = true;
-                            continue;
-                        }
-                    }
-                }
-            };
-            for tuple in candidates {
-                if state.fired[index].contains(&tuple) {
-                    continue;
-                }
-                if refire(
-                    index, rule, &tuple, target_sig, read_rels, config, &mut state, &mut seeds,
-                )
-                .is_err()
-                {
-                    // Null budget exhausted: deterministic truncation.
-                    return state;
-                }
-                fired_any = true;
-            }
-        }
-        if !fired_any {
-            state.converged = true;
-            break;
-        }
-        delta_rows = Some(seeds);
-    }
-    state
 }
 
 /// The `chase_delta_*` metrics, registered on the global registry.

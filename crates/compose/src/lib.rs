@@ -23,15 +23,18 @@
 //! the test suite.
 //!
 //! Downstream of composition, [`exchange()`] materialises target instances
-//! (data migration, paper Example 1) with a chase engine that defaults to
-//! semi-naive, delta-driven evaluation over indexed conjunctive premise
-//! plans ([`plan`]); the textbook naive loop is kept behind
-//! [`ExchangeConfig::strategy`] as the equivalence reference.
+//! (data migration, paper Example 1) and [`DifferentialChase`] keeps one
+//! live under source updates. Both run one chase core ([`chase`]): one rule
+//! compiler, one firing function and one semi-naive fixpoint driver over
+//! indexed conjunctive premise plans ([`plan`]), where the firing test —
+//! restricted for `exchange()`, oblivious for maintained sessions — is the
+//! only switch.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod builtins;
+pub mod chase;
 pub mod compose;
 pub mod cq;
 pub mod deskolem;
@@ -49,6 +52,7 @@ pub mod simplify;
 pub mod verify;
 pub mod view_unfold;
 
+pub use chase::{compile_rules, restricted_rules, ChaseRule};
 pub use compose::{
     compose, compose_constraints, ComposeConfig, ComposeResult, ComposeStats, SymbolOutcome,
     SymbolReport,
@@ -57,10 +61,9 @@ pub use differential::{
     parse_update, parse_updates, render_instance, DeltaReport, DifferentialChase, Sign, Update,
 };
 pub use eliminate::eliminate;
-pub use exchange::{exchange, ChaseStrategy, ExchangeConfig, ExchangeResult, TerminationVerdict};
+pub use exchange::{exchange, ExchangeConfig, ExchangeResult, TerminationVerdict};
 pub use minimize::{minimize_expr, minimize_mapping, remove_implied};
 pub use monotone::{is_monotone, monotonicity};
 pub use outcome::{EliminateFailure, EliminateStep, EliminateSuccess, FailureReason};
-pub use plan::JoinOrder;
 pub use registry::{Monotonicity, OperatorRules, Registry};
 pub use verify::{check_equivalence, EquivalenceReport, VerifyConfig};

@@ -344,6 +344,9 @@ pub struct MigratePayload {
     pub rederived: usize,
     /// Did the batch fall back to a full recompute?
     pub fallback: bool,
+    /// Is the maintained target a true fixpoint? `false` means the chase
+    /// stopped at a round or null limit and the target is truncated.
+    pub converged: bool,
     /// Source rows in the session after the batch.
     pub source_rows: usize,
     /// Target rows in the maintained instance.

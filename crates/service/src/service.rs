@@ -998,6 +998,7 @@ impl LocalService {
                         retracted: report.retracted,
                         rederived: report.rederived,
                         fallback: report.fallback,
+                        converged: engine.converged(),
                         source_rows: engine.source().total_tuples(),
                         target_rows: engine.target().total_tuples(),
                         support_entries: engine.support().len(),

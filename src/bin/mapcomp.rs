@@ -689,6 +689,14 @@ fn run_command(service: &dyn MapcompService, args: &ServiceArgs) -> Result<(), S
                 "instance    : {} source rows -> {} target rows ({} support entries)",
                 payload.source_rows, payload.target_rows, payload.support_entries
             );
+            eprintln!(
+                "fixpoint    : {}",
+                if payload.converged {
+                    "converged"
+                } else {
+                    "truncated (the chase hit its round or null limit)"
+                }
+            );
             Ok(())
         }
         "invalidate" => {

@@ -173,7 +173,7 @@ pub mod prelude {
     };
     pub use mapcomp_compose::{
         compose, compose_constraints, eliminate, ComposeConfig, ComposeResult, EliminateStep,
-        JoinOrder, Monotonicity, Registry,
+        Monotonicity, Registry,
     };
     pub use mapcomp_corpus::{problem, problems};
     pub use mapcomp_evolution::{

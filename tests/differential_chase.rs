@@ -9,6 +9,8 @@
 //! Coverage: the paper's worked examples (composed Example 1 included), all
 //! literature-corpus problems, evolution-simulator scenarios, seeded random
 //! ±update streams, delete-then-reinsert round trips, and net-zero batches.
+//! Every scenario's cold build is also checked against an empty build plus
+//! one insert batch of the same source (the build-vs-replay oracle).
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
@@ -85,6 +87,45 @@ impl Harness {
             oracle.converged(),
             "{label}: convergence flag diverged from a cold re-chase"
         );
+    }
+
+    /// The build-vs-replay oracle: a cold build over the current source
+    /// must equal an engine built over the empty source that then inserts
+    /// the same rows in one batch. Checks the chase core's from-scratch
+    /// driver against the incremental insertion path it does not share.
+    /// Source rows of target relations cannot be updated, so they seed the
+    /// otherwise empty build.
+    fn assert_build_matches_replay(&self, label: &str) {
+        let cold = self.oracle();
+        let source = self.engine.source();
+        let mut seeded = Instance::new();
+        let mut batch: Vec<Update> = Vec::new();
+        for rel in source.names() {
+            for row in source.get(&rel).iter() {
+                if self.target.contains(&rel) {
+                    seeded.insert(&rel, row.clone());
+                } else {
+                    batch.push(Update::insert(rel.clone(), row.clone()));
+                }
+            }
+        }
+        let mut replayed = DifferentialChase::new(
+            &self.constraints,
+            &self.full,
+            &self.target,
+            seeded,
+            &registry(),
+            &self.config,
+        );
+        replayed.apply(&batch).unwrap_or_else(|error| panic!("{label}: batch rejected: {error}"));
+        assert_eq!(
+            cold.rendered_target(),
+            replayed.rendered_target(),
+            "{label}: cold build and empty build + insert batch disagree on the target"
+        );
+        assert_eq!(cold.support(), replayed.support(), "{label}: support tables disagree");
+        assert_eq!(cold.nulls(), replayed.nulls(), "{label}: null counters disagree");
+        assert_eq!(cold.converged(), replayed.converged(), "{label}: convergence disagrees");
     }
 
     fn apply_checked(&mut self, label: &str, updates: &[Update]) {
@@ -198,6 +239,7 @@ fn example_1_composed_migration_stays_live_under_updates() {
         ExchangeConfig::default(),
     );
     assert_eq!(harness.engine.target().get("Names").len(), 1);
+    harness.assert_build_matches_replay("example 1");
 
     // A new five-star movie lands in the target incrementally.
     harness.apply_checked("insert 5-star", &[Update::insert("Movies", movie(3, 33, 1993, 5))]);
@@ -281,6 +323,7 @@ fn paper_example_scenarios_survive_random_update_streams() {
             source,
             ExchangeConfig::default(),
         );
+        harness.assert_build_matches_replay(label);
         harness.run_random_stream(label, 0x5EED, 16);
     }
 }
@@ -301,6 +344,7 @@ fn corpus_problems_survive_random_update_streams() {
             ExchangeConfig { max_rounds: 24, max_nulls: 20_000, ..ExchangeConfig::default() };
         let mut harness =
             Harness::new(task.combined_constraints().into_vec(), full, target, source, config);
+        harness.assert_build_matches_replay(problem.id);
         harness.run_random_stream(problem.id, 0xC0FFEE, 8);
     }
 }
@@ -330,6 +374,7 @@ fn evolution_scenarios_survive_random_update_streams() {
             source,
             ExchangeConfig { max_rounds: 32, max_nulls: 50_000, ..ExchangeConfig::default() },
         );
+        harness.assert_build_matches_replay(&format!("evolution seed {seed}"));
         harness.run_random_stream(&format!("evolution seed {seed}"), seed, 10);
     }
 }

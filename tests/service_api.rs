@@ -295,3 +295,45 @@ fn workload_construction_is_deterministic() {
     assert_eq!(first.len(), PHASES);
     assert!(first.iter().all(|phase| phase.per_thread.len() == THREADS));
 }
+
+#[test]
+fn truncated_migration_is_never_served_as_complete() {
+    // A single-link existential cycle: every `T` row's second column starts
+    // a new `T` row whose second column is a fresh null, so the chase never
+    // reaches a fixpoint and stops at its limits. The reply must say so,
+    // in the payload and on the wire.
+    use mapping_composition::service::{decode_reply, encode_reply};
+
+    let service = LocalService::new(Catalog::new(), 2);
+    let document = "schema src { R/1; } schema dst { T/2; } \
+                    mapping m : src -> dst { R <= project[0](T); project[1](T) <= project[0](T); }";
+    service.call(Request::AddDocument { text: document.into() }).unwrap();
+    let reply = service
+        .call(Request::MigrateDelta {
+            from: "src".into(),
+            to: "dst".into(),
+            updates: vec!["+R(1)".into()],
+        })
+        .unwrap();
+    let Response::Migrated(payload) = &reply else {
+        panic!("expected a migrated reply: {reply:?}")
+    };
+    assert!(!payload.converged, "a non-terminating chase must not report a fixpoint");
+    let frame = encode_reply(&Ok(reply.clone()));
+    let state = frame.lines().find(|line| line.starts_with("state ")).unwrap();
+    assert_eq!(state.split(' ').nth(2), Some("truncated"), "{state}");
+    assert_eq!(decode_reply(&frame).unwrap(), Ok(reply));
+
+    // A terminating chain on the same service replies `converged`.
+    let document = "schema a { A/1; } schema b { B/2; } mapping n : a -> b { A <= project[0](B); }";
+    service.call(Request::AddDocument { text: document.into() }).unwrap();
+    let reply = service
+        .call(Request::MigrateDelta {
+            from: "a".into(),
+            to: "b".into(),
+            updates: vec!["+A(1)".into()],
+        })
+        .unwrap();
+    let Response::Migrated(payload) = reply else { panic!("expected a migrated reply") };
+    assert!(payload.converged);
+}
