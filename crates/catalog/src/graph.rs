@@ -10,6 +10,13 @@
 //! path of cheap copy mappings beats a short path through operator-heavy
 //! mappings. Ties are broken deterministically (fewest hops, then
 //! mapping-name order), so the same catalog always resolves the same path.
+//!
+//! Both searches (and [`reachable`]) run over one structure, the graph
+//! index. [`crate::SharedCatalog`] maintains its index under the same write
+//! locks that edit its shards, so a served resolution costs in
+//! proportion to the part of the graph it explores, never to the catalog.
+//! The single-threaded [`Catalog`] keeps no index: the free functions here
+//! build one from it on each call.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -37,65 +44,234 @@ pub fn edge_cost(constraints: &ConstraintSet) -> u64 {
     1 + constraints.op_count() as u64
 }
 
-/// A weighted composition-graph edge: `(mapping, source schema, target
-/// schema, weight)` — the snapshot form consumed by
-/// [`resolve_path_costed_in`].
-pub type WeightedEdge = (String, String, String, u64);
+/// The composition graph as a maintained adjacency index: every schema
+/// name, and for each source schema its outgoing mappings in name order
+/// (`source → mapping → (target, weight)`), where the weight is the
+/// mapping's [`edge_cost`]. Name order is what breaks ties between equal
+/// paths. Self-loops are indexed (so [`GraphIndex::mapping_names`] lists
+/// every mapping) but never searched.
+///
+/// [`crate::SharedCatalog`] keeps one index up to date under its write
+/// locks; [`resolve_path`], [`resolve_path_with`] and [`reachable`] build
+/// one from a [`Catalog`] on each call.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct GraphIndex {
+    schemas: BTreeSet<String>,
+    /// mapping → source schema, for re-pointing and removal by name.
+    sources: BTreeMap<String, String>,
+    adjacency: BTreeMap<String, BTreeMap<String, (String, u64)>>,
+}
+
+impl GraphIndex {
+    /// Index every schema and mapping of a catalog.
+    pub(crate) fn of(catalog: &Catalog) -> Self {
+        let mut index = GraphIndex::default();
+        for entry in catalog.schemas() {
+            index.add_schema(&entry.name);
+        }
+        for entry in catalog.mappings() {
+            index.insert_mapping(
+                &entry.name,
+                &entry.source,
+                &entry.target,
+                edge_cost(&entry.constraints),
+            );
+        }
+        index
+    }
+
+    /// Record a schema name (idempotent).
+    pub(crate) fn add_schema(&mut self, name: &str) {
+        if !self.schemas.contains(name) {
+            self.schemas.insert(name.to_string());
+        }
+    }
+
+    /// Insert or re-point the edge of mapping `name`: any earlier edge of
+    /// the same name is replaced.
+    pub(crate) fn insert_mapping(&mut self, name: &str, source: &str, target: &str, weight: u64) {
+        self.remove_mapping(name);
+        self.sources.insert(name.to_string(), source.to_string());
+        self.adjacency
+            .entry(source.to_string())
+            .or_default()
+            .insert(name.to_string(), (target.to_string(), weight));
+    }
+
+    /// Drop the edge of mapping `name`, if indexed.
+    pub(crate) fn remove_mapping(&mut self, name: &str) {
+        let Some(source) = self.sources.remove(name) else { return };
+        if let Some(edges) = self.adjacency.get_mut(&source) {
+            edges.remove(name);
+            if edges.is_empty() {
+                self.adjacency.remove(&source);
+            }
+        }
+    }
+
+    /// Every indexed mapping name, in name order.
+    pub(crate) fn mapping_names(&self) -> Vec<String> {
+        self.sources.keys().cloned().collect()
+    }
+
+    fn require_schema(&self, name: &str) -> Result<(), CatalogError> {
+        if self.schemas.contains(name) {
+            Ok(())
+        } else {
+            Err(CatalogError::UnknownSchema(name.to_string()))
+        }
+    }
+
+    /// The searched out-edges of `node` as `(mapping, target, weight)`, in
+    /// mapping-name order; self-loops never shorten or cheapen a path.
+    fn out_edges<'a>(&'a self, node: &str) -> impl Iterator<Item = (&'a str, &'a str, u64)> {
+        self.adjacency.get_key_value(node).into_iter().flat_map(|(source, edges)| {
+            edges
+                .iter()
+                .filter(move |(_, (target, _))| target != source)
+                .map(|(name, (target, weight))| (name.as_str(), target.as_str(), *weight))
+        })
+    }
+
+    /// Resolve a path under `cost`: [`PathCost::Hops`] runs a breadth-first
+    /// search, [`PathCost::OpCount`] a deterministic Dijkstra search.
+    ///
+    /// Returns [`CatalogError::UnknownSchema`] for an unregistered endpoint
+    /// (`from` checked first), [`CatalogError::EmptyPath`] when
+    /// `from == to` (there is nothing to compose) and
+    /// [`CatalogError::NoPath`] when the target is unreachable.
+    pub(crate) fn resolve(
+        &self,
+        from: &str,
+        to: &str,
+        cost: PathCost,
+    ) -> Result<Vec<String>, CatalogError> {
+        self.require_schema(from)?;
+        self.require_schema(to)?;
+        if from == to {
+            return Err(CatalogError::EmptyPath { schema: from.to_string() });
+        }
+        match cost {
+            PathCost::Hops => self.bfs(from, to),
+            PathCost::OpCount => self.dijkstra(from, to),
+        }
+    }
+
+    /// Breadth-first fewest-hops search; edges are visited in mapping-name
+    /// order (deterministic tie-breaking).
+    fn bfs(&self, from: &str, to: &str) -> Result<Vec<String>, CatalogError> {
+        let mut predecessor: BTreeMap<&str, (&str, &str)> = BTreeMap::new(); // schema → (via mapping, from schema)
+        let mut queue: VecDeque<&str> = VecDeque::new();
+        queue.push_back(from);
+        while let Some(node) = queue.pop_front() {
+            if node == to {
+                break;
+            }
+            for (mapping, next, _) in self.out_edges(node) {
+                if next == from || predecessor.contains_key(next) {
+                    continue;
+                }
+                predecessor.insert(next, (mapping, node));
+                queue.push_back(next);
+            }
+        }
+
+        if !predecessor.contains_key(to) {
+            return Err(CatalogError::NoPath { from: from.to_string(), to: to.to_string() });
+        }
+        let mut path = Vec::new();
+        let mut node = to;
+        while node != from {
+            let (mapping, previous) = predecessor[node];
+            path.push(mapping.to_string());
+            node = previous;
+        }
+        path.reverse();
+        Ok(path)
+    }
+
+    /// Deterministic Dijkstra search: the frontier is a `BTreeSet` keyed
+    /// `(cost, hops, node)`, and an equal-cost relaxation only replaces a
+    /// recorded predecessor when its `(hops, mapping, previous)` tuple is
+    /// lexicographically smaller, so resolution never depends on edge
+    /// insertion order.
+    fn dijkstra(&self, from: &str, to: &str) -> Result<Vec<String>, CatalogError> {
+        // node → (cost, hops, via mapping, previous node)
+        let mut best: BTreeMap<&str, (u64, usize, &str, &str)> = BTreeMap::new();
+        let mut frontier: BTreeSet<(u64, usize, &str)> = BTreeSet::new();
+        let mut settled: BTreeSet<&str> = BTreeSet::new();
+        frontier.insert((0, 0, from));
+        while let Some((cost, hops, node)) = frontier.pop_first() {
+            if !settled.insert(node) {
+                continue;
+            }
+            if node == to {
+                break;
+            }
+            for (mapping, next, weight) in self.out_edges(node) {
+                if next == from || settled.contains(next) {
+                    continue;
+                }
+                let candidate = (cost + weight, hops + 1, mapping, node);
+                let improves = match best.get(next) {
+                    None => true,
+                    Some(recorded) => candidate < *recorded,
+                };
+                if improves {
+                    if let Some(&(old_cost, old_hops, _, _)) = best.get(next) {
+                        frontier.remove(&(old_cost, old_hops, next));
+                    }
+                    best.insert(next, candidate);
+                    frontier.insert((candidate.0, candidate.1, next));
+                }
+            }
+        }
+        if !settled.contains(to) {
+            return Err(CatalogError::NoPath { from: from.to_string(), to: to.to_string() });
+        }
+        let mut path = Vec::new();
+        let mut node = to;
+        while node != from {
+            let (_, _, mapping, previous) = best[node];
+            path.push(mapping.to_string());
+            node = previous;
+        }
+        path.reverse();
+        Ok(path)
+    }
+
+    /// All schemas reachable from `from` (excluding `from` itself), with
+    /// the fewest-hops distance.
+    pub(crate) fn reachable(&self, from: &str) -> Result<BTreeMap<String, usize>, CatalogError> {
+        self.require_schema(from)?;
+        let mut distance: BTreeMap<String, usize> = BTreeMap::new();
+        let mut queue: VecDeque<(&str, usize)> = VecDeque::new();
+        queue.push_back((from, 0));
+        while let Some((node, hops)) = queue.pop_front() {
+            for (_, next, _) in self.out_edges(node) {
+                if next == from || distance.contains_key(next) {
+                    continue;
+                }
+                distance.insert(next.to_string(), hops + 1);
+                queue.push_back((next, hops + 1));
+            }
+        }
+        Ok(distance)
+    }
+}
 
 /// Resolve a fewest-hops path of mapping names from `from` to `to`.
 ///
-/// Returns [`CatalogError::EmptyPath`] when `from == to` (there is nothing to
-/// compose) and [`CatalogError::NoPath`] when the target is unreachable.
-/// Borrows straight out of the catalog — no per-call snapshot allocation on
-/// this hot path.
+/// Returns [`CatalogError::UnknownSchema`] for an unregistered endpoint
+/// (`from` checked first), [`CatalogError::EmptyPath`] when `from == to`
+/// (there is nothing to compose) and [`CatalogError::NoPath`] when the
+/// target is unreachable.
 pub fn resolve_path(catalog: &Catalog, from: &str, to: &str) -> Result<Vec<String>, CatalogError> {
-    catalog.schema(from)?;
-    catalog.schema(to)?;
-    // Adjacency: source schema → [(mapping name, target schema)], name-sorted
-    // (BTreeMap iteration order) for deterministic tie-breaking.
-    let mut adjacency: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-    for entry in catalog.mappings() {
-        if entry.source == entry.target {
-            continue; // self-loops never shorten a path
-        }
-        adjacency.entry(&entry.source).or_default().push((&entry.name, &entry.target));
-    }
-    bfs(&adjacency, from, to)
+    resolve_path_with(catalog, from, to, PathCost::Hops)
 }
 
-/// Resolve a fewest-hops path over an explicit edge snapshot — the form the
-/// concurrent shared catalog uses, where the graph is captured once under
-/// the shard read locks and then searched without holding any lock.
-///
-/// `schemas` must list every registered schema name (for existence checks);
-/// `edges` holds `(mapping, source schema, target schema)` triples in any
-/// order (ties are broken by mapping name, as in [`resolve_path`]).
-pub fn resolve_path_in(
-    schemas: &BTreeSet<String>,
-    edges: &[(String, String, String)],
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    for name in [from, to] {
-        if !schemas.contains(name) {
-            return Err(CatalogError::UnknownSchema(name.to_string()));
-        }
-    }
-    let mut adjacency: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-    for (name, source, target) in edges {
-        if source == target {
-            continue; // self-loops never shorten a path
-        }
-        adjacency.entry(source.as_str()).or_default().push((name.as_str(), target.as_str()));
-    }
-    for targets in adjacency.values_mut() {
-        targets.sort();
-    }
-    bfs(&adjacency, from, to)
-}
-
-/// Resolve a path under an explicit cost model: [`PathCost::Hops`] delegates
-/// to [`resolve_path`]; [`PathCost::OpCount`] runs a deterministic Dijkstra
+/// Resolve a path under an explicit cost model: [`PathCost::Hops`] runs a
+/// breadth-first search; [`PathCost::OpCount`] runs a deterministic Dijkstra
 /// search weighted by [`edge_cost`].
 pub fn resolve_path_with(
     catalog: &Catalog,
@@ -103,187 +279,18 @@ pub fn resolve_path_with(
     to: &str,
     cost: PathCost,
 ) -> Result<Vec<String>, CatalogError> {
-    match cost {
-        PathCost::Hops => resolve_path(catalog, from, to),
-        PathCost::OpCount => {
-            catalog.schema(from)?;
-            catalog.schema(to)?;
-            let mut adjacency: BTreeMap<&str, Vec<(&str, &str, u64)>> = BTreeMap::new();
-            for entry in catalog.mappings() {
-                if entry.source == entry.target {
-                    continue; // self-loops never cheapen a path
-                }
-                adjacency.entry(&entry.source).or_default().push((
-                    &entry.name,
-                    &entry.target,
-                    edge_cost(&entry.constraints),
-                ));
-            }
-            dijkstra(&adjacency, from, to)
-        }
-    }
-}
-
-/// Resolve a cheapest path over an explicit weighted edge snapshot — the
-/// form the concurrent shared catalog uses for [`PathCost::OpCount`].
-/// `edges` holds `(mapping, source schema, target schema, weight)` tuples in
-/// any order; ties are broken by fewest hops, then mapping name.
-pub fn resolve_path_costed_in(
-    schemas: &BTreeSet<String>,
-    edges: &[WeightedEdge],
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    for name in [from, to] {
-        if !schemas.contains(name) {
-            return Err(CatalogError::UnknownSchema(name.to_string()));
-        }
-    }
-    let mut adjacency: BTreeMap<&str, Vec<(&str, &str, u64)>> = BTreeMap::new();
-    for (name, source, target, weight) in edges {
-        if source == target {
-            continue; // self-loops never cheapen a path
-        }
-        adjacency.entry(source.as_str()).or_default().push((
-            name.as_str(),
-            target.as_str(),
-            *weight,
-        ));
-    }
-    for targets in adjacency.values_mut() {
-        targets.sort();
-    }
-    dijkstra(&adjacency, from, to)
-}
-
-/// Deterministic Dijkstra over a weighted adjacency map: the frontier is a
-/// `BTreeSet` keyed `(cost, hops, node)`, and an equal-cost relaxation only
-/// replaces a recorded predecessor when its `(hops, mapping, previous)`
-/// tuple is lexicographically smaller, so resolution never depends on edge
-/// insertion order.
-fn dijkstra(
-    adjacency: &BTreeMap<&str, Vec<(&str, &str, u64)>>,
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    if from == to {
-        return Err(CatalogError::EmptyPath { schema: from.to_string() });
-    }
-    // node → (cost, hops, via mapping, previous node)
-    let mut best: BTreeMap<&str, (u64, usize, &str, &str)> = BTreeMap::new();
-    let mut frontier: BTreeSet<(u64, usize, &str)> = BTreeSet::new();
-    let mut settled: BTreeSet<&str> = BTreeSet::new();
-    frontier.insert((0, 0, from));
-    while let Some(&(cost, hops, node)) = frontier.iter().next() {
-        frontier.remove(&(cost, hops, node));
-        if !settled.insert(node) {
-            continue;
-        }
-        if node == to {
-            break;
-        }
-        let Some(edges) = adjacency.get(node) else { continue };
-        for &(mapping, next, weight) in edges {
-            if next == from || settled.contains(next) {
-                continue;
-            }
-            let candidate = (cost + weight, hops + 1, mapping, node);
-            let improves = match best.get(next) {
-                None => true,
-                Some(recorded) => candidate < *recorded,
-            };
-            if improves {
-                if let Some(&(old_cost, old_hops, _, _)) = best.get(next) {
-                    frontier.remove(&(old_cost, old_hops, next));
-                }
-                best.insert(next, candidate);
-                frontier.insert((candidate.0, candidate.1, next));
-            }
-        }
-    }
-    if !settled.contains(to) {
-        return Err(CatalogError::NoPath { from: from.to_string(), to: to.to_string() });
-    }
-    let mut path = Vec::new();
-    let mut node = to;
-    while node != from {
-        let (_, _, mapping, previous) = best[node];
-        path.push(mapping.to_string());
-        node = previous;
-    }
-    path.reverse();
-    Ok(path)
-}
-
-/// Breadth-first fewest-hops search over a prebuilt adjacency map whose edge
-/// lists are sorted by mapping name (deterministic tie-breaking).
-fn bfs(
-    adjacency: &BTreeMap<&str, Vec<(&str, &str)>>,
-    from: &str,
-    to: &str,
-) -> Result<Vec<String>, CatalogError> {
-    if from == to {
-        return Err(CatalogError::EmptyPath { schema: from.to_string() });
-    }
-    let mut predecessor: BTreeMap<&str, (&str, &str)> = BTreeMap::new(); // schema → (via mapping, from schema)
-    let mut queue: VecDeque<&str> = VecDeque::new();
-    queue.push_back(from);
-    while let Some(node) = queue.pop_front() {
-        if node == to {
-            break;
-        }
-        let Some(edges) = adjacency.get(node) else { continue };
-        for (mapping, next) in edges {
-            if *next == from || predecessor.contains_key(next) {
-                continue;
-            }
-            predecessor.insert(next, (mapping, node));
-            queue.push_back(next);
-        }
-    }
-
-    if !predecessor.contains_key(to) {
-        return Err(CatalogError::NoPath { from: from.to_string(), to: to.to_string() });
-    }
-    let mut path = Vec::new();
-    let mut node = to;
-    while node != from {
-        let (mapping, previous) = predecessor[node];
-        path.push(mapping.to_string());
-        node = previous;
-    }
-    path.reverse();
-    Ok(path)
+    GraphIndex::of(catalog).resolve(from, to, cost)
 }
 
 /// All schemas reachable from `from` (excluding `from` itself), with the
 /// fewest-hops distance — the catalog's "what can I compose to?" query.
 pub fn reachable(catalog: &Catalog, from: &str) -> Result<BTreeMap<String, usize>, CatalogError> {
-    catalog.schema(from)?;
-    let mut adjacency: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for entry in catalog.mappings() {
-        adjacency.entry(&entry.source).or_default().push(&entry.target);
-    }
-    let mut distance: BTreeMap<String, usize> = BTreeMap::new();
-    let mut queue: VecDeque<(&str, usize)> = VecDeque::new();
-    queue.push_back((from, 0));
-    while let Some((node, hops)) = queue.pop_front() {
-        let Some(edges) = adjacency.get(node) else { continue };
-        for next in edges {
-            if *next == from || distance.contains_key(*next) {
-                continue;
-            }
-            distance.insert(next.to_string(), hops + 1);
-            queue.push_back((next, hops + 1));
-        }
-    }
-    Ok(distance)
+    GraphIndex::of(catalog).reachable(from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapcomp_algebra::ConstraintSet;
     use mapcomp_algebra::Signature;
 
     fn chain_catalog(n: usize) -> Catalog {
@@ -393,28 +400,36 @@ mod tests {
         );
     }
 
+    /// An index of `catalog` with every edge weighted 1 (uniform cost).
+    fn unit_index(catalog: &Catalog) -> GraphIndex {
+        let mut index = GraphIndex::default();
+        for entry in catalog.schemas() {
+            index.add_schema(&entry.name);
+        }
+        for entry in catalog.mappings() {
+            index.insert_mapping(&entry.name, &entry.source, &entry.target, 1);
+        }
+        index
+    }
+
     #[test]
     fn costed_resolution_matches_bfs_on_uniform_weights() {
         let catalog = chain_catalog(5);
-        let schemas: BTreeSet<String> = catalog.schemas().map(|entry| entry.name.clone()).collect();
-        let edges: Vec<(String, String, String, u64)> = catalog
-            .mappings()
-            .map(|entry| (entry.name.clone(), entry.source.clone(), entry.target.clone(), 1))
-            .collect();
+        let index = unit_index(&catalog);
         assert_eq!(
-            resolve_path_costed_in(&schemas, &edges, "s0", "s4").unwrap(),
+            index.resolve("s0", "s4", PathCost::OpCount).unwrap(),
             resolve_path(&catalog, "s0", "s4").unwrap()
         );
         assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s4", "s0"),
+            index.resolve("s4", "s0", PathCost::OpCount),
             Err(CatalogError::NoPath { .. })
         ));
         assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s1", "s1"),
+            index.resolve("s1", "s1", PathCost::OpCount),
             Err(CatalogError::EmptyPath { .. })
         ));
         assert!(matches!(
-            resolve_path_costed_in(&schemas, &edges, "s0", "nope"),
+            index.resolve("s0", "nope", PathCost::OpCount),
             Err(CatalogError::UnknownSchema(_))
         ));
     }
@@ -425,20 +440,33 @@ mod tests {
         // A direct edge whose weight equals the 2-hop chain's total: fewer
         // hops wins the tie.
         catalog.add_mapping("direct", "s0", "s2", ConstraintSet::new()).unwrap();
-        let schemas: BTreeSet<String> = catalog.schemas().map(|entry| entry.name.clone()).collect();
-        let mut edges: Vec<(String, String, String, u64)> = catalog
-            .mappings()
-            .map(|entry| (entry.name.clone(), entry.source.clone(), entry.target.clone(), 1))
-            .collect();
-        for edge in &mut edges {
-            if edge.0 == "direct" {
-                edge.3 = 2;
-            }
-        }
-        assert_eq!(resolve_path_costed_in(&schemas, &edges, "s0", "s2").unwrap(), vec!["direct"]);
+        let mut index = unit_index(&catalog);
+        index.insert_mapping("direct", "s0", "s2", 2);
+        assert_eq!(index.resolve("s0", "s2", PathCost::OpCount).unwrap(), vec!["direct"]);
         // An equal-cost, equal-hops alternative with an earlier name wins.
-        edges.push(("adirect".to_string(), "s0".to_string(), "s2".to_string(), 2));
-        assert_eq!(resolve_path_costed_in(&schemas, &edges, "s0", "s2").unwrap(), vec!["adirect"]);
+        index.insert_mapping("adirect", "s0", "s2", 2);
+        assert_eq!(index.resolve("s0", "s2", PathCost::OpCount).unwrap(), vec!["adirect"]);
+    }
+
+    #[test]
+    fn index_edits_re_point_and_remove_edges() {
+        let mut index = GraphIndex::of(&chain_catalog(3));
+        index.add_schema("s9");
+        // Re-pointing m0 from s0 → s1 to s0 → s9 moves the edge.
+        index.insert_mapping("m0", "s0", "s9", 1);
+        assert_eq!(index.resolve("s0", "s9", PathCost::Hops).unwrap(), vec!["m0"]);
+        assert!(matches!(
+            index.resolve("s0", "s1", PathCost::Hops),
+            Err(CatalogError::NoPath { .. })
+        ));
+        // Self-loops are listed but never searched.
+        index.insert_mapping("loop", "s1", "s1", 1);
+        assert_eq!(index.mapping_names(), vec!["loop", "m0", "m1"]);
+        assert_eq!(index.reachable("s1").unwrap().len(), 1);
+        index.remove_mapping("m1");
+        index.remove_mapping("missing");
+        assert!(index.reachable("s1").unwrap().is_empty());
+        assert_eq!(index.mapping_names(), vec!["loop", "m0"]);
     }
 
     #[test]

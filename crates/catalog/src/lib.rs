@@ -46,7 +46,9 @@
 //!   of the entry name — the compose read path (path resolution, chain
 //!   materialisation) takes only read locks and never serialises readers;
 //!   multi-shard writers acquire locks in ascending shard order, so
-//!   deadlock is impossible;
+//!   deadlock is impossible; path resolution searches a composition-graph
+//!   index that writers update while still holding their shard locks (lock
+//!   order: shards, then index);
 //! * the **memo cache** is striped into per-segment mutex-guarded LRU
 //!   segments keyed by memo-key hash ([`cache::ShardedMemoCache`]), with
 //!   cumulative statistics merged atomically across segments;
@@ -103,10 +105,7 @@ pub use chain::{
     LinkSource,
 };
 pub use error::CatalogError;
-pub use graph::{
-    edge_cost, reachable, resolve_path, resolve_path_costed_in, resolve_path_in, resolve_path_with,
-    PathCost,
-};
+pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};
 pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
 pub use lock::{pid_alive, FileLock, FileLockGuard};
 pub use persist::{

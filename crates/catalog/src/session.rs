@@ -20,7 +20,7 @@ use crate::chain::{compose_chain, compose_chain_with, ChainOptions, ChainResult}
 use crate::error::CatalogError;
 use crate::graph::{resolve_path_with, PathCost};
 use crate::hash::ContentHash;
-use crate::store::Catalog;
+use crate::store::{Catalog, MappingEntry};
 
 /// Configuration of a session.
 #[derive(Debug, Clone, Default)]
@@ -191,9 +191,9 @@ impl Session {
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
         let name = name.into();
-        let before = self.catalog.mapping(&name).ok().map(|entry| entry.hash);
+        let before = self.catalog.mapping(&name).ok().map(MappingEntry::edge);
         let version = self.catalog.add_mapping(name.clone(), source, target, constraints)?;
-        let after = self.catalog.mapping(&name)?.hash;
+        let after = self.catalog.mapping(&name)?.edge();
         if before.is_some() && before != Some(after) {
             self.cache.invalidate(&name);
             self.analysis.remove(&name);

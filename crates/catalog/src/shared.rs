@@ -11,12 +11,19 @@
 //!   ascending shard order — the global lock discipline that makes deadlock
 //!   impossible); schema updates write-lock every shard because they rehash
 //!   the mappings that mention the schema, wherever those live.
-//! * **Snapshots** — path resolution captures the composition graph under
-//!   all shard read locks at once (readers still proceed concurrently) and
-//!   then searches without holding any lock. Chain materialisation re-checks
-//!   the entry's content hash after reading its schemas and retries on a
-//!   mismatch, so a torn read across an interleaved schema edit can never
-//!   produce a segment whose hash disagrees with its content.
+//! * **Graph index** — path resolution searches a composition-graph index
+//!   the store maintains behind its own [`RwLock`]. Every writer updates it inside
+//!   the same critical section as its shard write (lock order: shards, then
+//!   index), and a resolution holds only the index read lock, so it always
+//!   searches a consistent graph without copying it. Chain materialisation
+//!   re-checks the entry's content hash after reading its schemas and
+//!   retries on a mismatch, so a torn read across an interleaved schema
+//!   edit can never produce a segment whose hash disagrees with its
+//!   content.
+//! * **Dry runs** — [`SharedCatalog::validate_document`] checks a document
+//!   against the live shards, reading only the schemas its mappings name;
+//!   no request copies the whole store ([`SharedCatalog::snapshot`] is for
+//!   persistence and replication).
 //! * **Versions** — version counters live inside the entries and are only
 //!   advanced under the shard write locks, so concurrent writers cannot
 //!   lose increments.
@@ -44,10 +51,10 @@ use mapcomp_compose::Registry;
 use crate::cache::ShardedMemoCache;
 use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
 use crate::error::CatalogError;
-use crate::graph::{edge_cost, resolve_path_costed_in, resolve_path_in, PathCost};
+use crate::graph::{edge_cost, GraphIndex, PathCost};
 use crate::hash::{hash_mapping, hash_signature, hash_str, ContentHash};
 use crate::session::{render_analysis_text, SessionConfig, SessionStats};
-use crate::store::{Catalog, MappingEntry, SchemaEntry};
+use crate::store::{check_endpoints, validate_document, Catalog, MappingEntry, SchemaEntry};
 
 /// One stripe of the shared store.
 #[derive(Debug, Default)]
@@ -70,6 +77,8 @@ fn write(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
 #[derive(Debug)]
 pub struct SharedCatalog {
     shards: Vec<RwLock<Shard>>,
+    /// The composition graph, updated under the shard write locks.
+    index: RwLock<GraphIndex>,
 }
 
 impl SharedCatalog {
@@ -85,7 +94,10 @@ impl SharedCatalog {
             let shard = shard_index(&entry.name, shard_count);
             shards[shard].mappings.insert(entry.name.clone(), entry.clone());
         }
-        SharedCatalog { shards: shards.into_iter().map(RwLock::new).collect() }
+        SharedCatalog {
+            shards: shards.into_iter().map(RwLock::new).collect(),
+            index: RwLock::new(GraphIndex::of(catalog)),
+        }
     }
 
     /// Number of shards.
@@ -95,6 +107,17 @@ impl SharedCatalog {
 
     fn shard_of(&self, name: &str) -> &RwLock<Shard> {
         &self.shards[shard_index(name, self.shards.len())]
+    }
+
+    /// The index read lock; taken on its own, never under a shard lock.
+    fn index(&self) -> RwLockReadGuard<'_, GraphIndex> {
+        self.index.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The index write lock; callers hold their shard write locks already
+    /// (lock order: shards, then index).
+    fn index_mut(&self) -> RwLockWriteGuard<'_, GraphIndex> {
+        self.index.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Number of registered schemas.
@@ -125,6 +148,30 @@ impl SharedCatalog {
             .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
     }
 
+    /// A schema's content hash, read under its shard lock without cloning
+    /// the entry.
+    pub fn schema_hash(&self, name: &str) -> Option<ContentHash> {
+        read(self.shard_of(name)).schemas.get(name).map(|entry| entry.hash)
+    }
+
+    /// A mapping's [`MappingEntry::edge`] — content hash and endpoints —
+    /// read under its shard lock without cloning constraints or history.
+    pub fn mapping_edge(&self, name: &str) -> Option<(ContentHash, String, String)> {
+        read(self.shard_of(name)).mappings.get(name).map(MappingEntry::edge)
+    }
+
+    /// The dry run of [`Catalog::from_document`] against the live store:
+    /// returns the error ingesting `document` would fail with — an unknown
+    /// endpoint schema or an arity conflict between a mapping's endpoints,
+    /// for the first failing mapping in document order — reading only the
+    /// schemas its mappings name. Callers that need the verdict to still
+    /// hold at ingest serialise their writers around both steps.
+    pub fn validate_document(&self, document: &Document) -> Result<(), CatalogError> {
+        validate_document(document, |name| {
+            read(self.shard_of(name)).schemas.get(name).map(|entry| entry.signature.clone())
+        })
+    }
+
     /// Register or update a schema; returns the new version and the names of
     /// mappings whose content hash changed with it (the caller invalidates
     /// their cache entries). Holds every shard write lock for the duration:
@@ -145,6 +192,9 @@ impl SharedCatalog {
         guards[home]
             .schemas
             .insert(name.clone(), SchemaEntry { name: name.clone(), signature, version, hash });
+        if version == 1 {
+            self.index_mut().add_schema(&name);
+        }
         // Rehash affected mappings across every shard.
         let schema_sigs: BTreeMap<String, Signature> = guards
             .iter()
@@ -175,7 +225,8 @@ impl SharedCatalog {
     }
 
     /// Register or update a mapping between two registered schemas; returns
-    /// the new version (re-registering identical content is a no-op).
+    /// the new version (re-registering identical content and endpoints is a
+    /// no-op; a re-point moves the mapping's graph edge).
     /// Write-locks only the shards of the mapping and its two schemas, in
     /// ascending shard order.
     pub fn add_mapping(
@@ -202,17 +253,24 @@ impl SharedCatalog {
         };
         let source_sig = schema_sig(source)?;
         let target_sig = schema_sig(target)?;
-        let _combined = source_sig.union(&target_sig)?;
+        check_endpoints(&source_sig, &target_sig)?;
         let hash = hash_mapping(&source_sig, &target_sig, &constraints);
         let home = shard_index(&name, shard_count);
         let mut guards = guards;
         let shard = guards.get_mut(&home).expect("home shard locked");
         let (version, mut history) = match shard.mappings.get(&name) {
-            Some(existing) if existing.hash == hash => return Ok(existing.version),
+            Some(existing)
+                if existing.hash == hash
+                    && existing.source == source
+                    && existing.target == target =>
+            {
+                return Ok(existing.version)
+            }
             Some(existing) => (existing.version + 1, existing.history.clone()),
             None => (1, Vec::new()),
         };
         history.push((version, hash));
+        self.index_mut().insert_mapping(&name, source, target, edge_cost(&constraints));
         shard.mappings.insert(
             name.clone(),
             MappingEntry {
@@ -235,74 +293,39 @@ impl SharedCatalog {
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let entry = self.mapping(name)?;
-        self.add_mapping(name.to_string(), &entry.source, &entry.target, constraints)
+        let (_, source, target) = self
+            .mapping_edge(name)
+            .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
+        self.add_mapping(name.to_string(), &source, &target, constraints)
     }
 
     /// Remove a mapping; returns its entry if it existed.
     pub fn remove_mapping(&self, name: &str) -> Option<MappingEntry> {
-        write(self.shard_of(name)).mappings.remove(name)
+        let mut shard = write(self.shard_of(name));
+        let removed = shard.mappings.remove(name)?;
+        self.index_mut().remove_mapping(name);
+        Some(removed)
     }
 
-    /// Capture the composition graph — every schema name and every
-    /// `(mapping, source, target)` edge — under all shard read locks at
-    /// once, so the snapshot is consistent; the search then runs lock-free.
-    pub fn graph_snapshot(&self) -> (BTreeSet<String>, Vec<(String, String, String)>) {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut schemas = BTreeSet::new();
-        let mut edges = Vec::new();
-        for guard in &guards {
-            schemas.extend(guard.schemas.keys().cloned());
-            for entry in guard.mappings.values() {
-                edges.push((entry.name.clone(), entry.source.clone(), entry.target.clone()));
-            }
-        }
-        edges.sort();
-        (schemas, edges)
-    }
-
-    /// Resolve a fewest-hops path over a consistent graph snapshot.
+    /// Resolve a fewest-hops path over the maintained graph index.
     pub fn resolve_path(&self, from: &str, to: &str) -> Result<Vec<String>, CatalogError> {
-        let (schemas, edges) = self.graph_snapshot();
-        resolve_path_in(&schemas, &edges, from, to)
+        self.resolve_path_with(from, to, PathCost::Hops)
     }
 
-    /// Capture the composition graph with per-edge operator-count weights
-    /// (see [`edge_cost`]), under all shard read locks at once.
-    pub fn graph_snapshot_costed(&self) -> (BTreeSet<String>, Vec<crate::graph::WeightedEdge>) {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut schemas = BTreeSet::new();
-        let mut edges = Vec::new();
-        for guard in &guards {
-            schemas.extend(guard.schemas.keys().cloned());
-            for entry in guard.mappings.values() {
-                edges.push((
-                    entry.name.clone(),
-                    entry.source.clone(),
-                    entry.target.clone(),
-                    edge_cost(&entry.constraints),
-                ));
-            }
-        }
-        edges.sort();
-        (schemas, edges)
-    }
-
-    /// Resolve a path under an explicit [`PathCost`] over a consistent graph
-    /// snapshot.
+    /// Resolve a path under an explicit [`PathCost`] over the maintained
+    /// graph index, holding only its read lock.
     pub fn resolve_path_with(
         &self,
         from: &str,
         to: &str,
         cost: PathCost,
     ) -> Result<Vec<String>, CatalogError> {
-        match cost {
-            PathCost::Hops => self.resolve_path(from, to),
-            PathCost::OpCount => {
-                let (schemas, edges) = self.graph_snapshot_costed();
-                resolve_path_costed_in(&schemas, &edges, from, to)
-            }
-        }
+        self.index().resolve(from, to, cost)
+    }
+
+    /// Every mapping name, in name order (from the graph index).
+    pub(crate) fn mapping_names(&self) -> Vec<String> {
+        self.index().mapping_names()
     }
 
     /// Replace the entire store content with `catalog` — entries, versions
@@ -313,6 +336,7 @@ impl SharedCatalog {
     /// history its own state has diverged from (version counters must be
     /// taken verbatim, not re-derived by incremental upserts).
     pub fn restore(&self, catalog: &Catalog) {
+        let index = GraphIndex::of(catalog);
         let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
         for guard in &mut guards {
             guard.schemas.clear();
@@ -327,6 +351,7 @@ impl SharedCatalog {
             let shard = shard_index(&entry.name, shard_count);
             guards[shard].mappings.insert(entry.name.clone(), entry.clone());
         }
+        *self.index_mut() = index;
     }
 
     /// Clone the whole store back into a single-threaded [`Catalog`]
@@ -497,10 +522,10 @@ impl SharedSession {
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
         let name = name.into();
-        let before = self.catalog.mapping(&name).ok().map(|entry| entry.hash);
+        let before = self.catalog.mapping_edge(&name);
         let version = self.catalog.add_mapping(name.clone(), source, target, constraints)?;
-        let after = self.catalog.mapping(&name)?.hash;
-        if before.is_some() && before != Some(after) {
+        let after = self.catalog.mapping_edge(&name);
+        if before.is_some() && before != after {
             self.cache.invalidate(&name);
             self.drop_analysis(&name);
         }
@@ -514,9 +539,9 @@ impl SharedSession {
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<(u64, usize), CatalogError> {
-        let before = self.catalog.mapping(name)?.hash;
+        let before = self.catalog.mapping_edge(name);
         let version = self.catalog.update_mapping(name, constraints)?;
-        let dropped = if self.catalog.mapping(name)?.hash != before {
+        let dropped = if self.catalog.mapping_edge(name) != before {
             self.drop_analysis(name);
             self.cache.invalidate(name)
         } else {
@@ -540,9 +565,9 @@ impl SharedSession {
     /// [`crate::session::Session::ingest_document`]. Entries are applied
     /// and invalidated one at a time, so even if a later entry fails (and
     /// the error propagates with the earlier ones already applied — callers
-    /// wanting all-or-nothing should validate against a snapshot first, as
-    /// the service layer does), no applied change ever escapes cache
-    /// invalidation.
+    /// wanting all-or-nothing call [`SharedCatalog::validate_document`]
+    /// first under their own writer lock, as the service layer does), no
+    /// applied change ever escapes cache invalidation.
     pub fn ingest_document(&self, document: &Document) -> Result<Vec<String>, CatalogError> {
         let mut touched = Vec::new();
         for (name, signature) in &document.schemas {
@@ -553,11 +578,11 @@ impl SharedSession {
             }
         }
         for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.catalog.mapping(name).ok().map(|entry| entry.hash);
+            let before = self.catalog.mapping_edge(name);
             let version =
                 self.catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
-            let after = self.catalog.mapping(name)?.hash;
-            if before != Some(after) || version == 1 {
+            let after = self.catalog.mapping_edge(name);
+            if before != after || version == 1 {
                 self.cache.invalidate(name);
                 self.drop_analysis(name);
                 touched.push(name.clone());
@@ -586,7 +611,10 @@ impl SharedSession {
         &self,
         name: &str,
     ) -> Result<(ContentHash, Arc<AnalysisReport>), CatalogError> {
-        let hash = self.catalog.mapping(name)?.hash;
+        let (hash, _, _) = self
+            .catalog
+            .mapping_edge(name)
+            .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
         {
             let cache = self.analysis.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some((cached_hash, report)) = cache.get(name) {
@@ -606,13 +634,13 @@ impl SharedSession {
         Ok((hash, report))
     }
 
-    /// Analyze every mapping in the catalog, in name order (over a graph
-    /// snapshot; mappings racing removal are skipped).
+    /// Analyze every mapping in the catalog, in name order (listed from the
+    /// graph index; mappings racing removal are skipped).
     pub fn analyze_all(&self) -> Vec<(String, Arc<AnalysisReport>)> {
-        let (_, edges) = self.catalog.graph_snapshot();
-        edges
+        self.catalog
+            .mapping_names()
             .into_iter()
-            .filter_map(|(name, _, _)| {
+            .filter_map(|name| {
                 let report = self.analyze_mapping(&name).ok()?.1;
                 Some((name, report))
             })
@@ -782,6 +810,81 @@ mod tests {
         );
         assert!(matches!(shared.resolve_path("v5", "v0"), Err(CatalogError::NoPath { .. })));
         assert!(matches!(shared.resolve_path("v1", "v1"), Err(CatalogError::EmptyPath { .. })));
+    }
+
+    #[test]
+    fn shared_re_point_moves_the_indexed_edge() {
+        let session = chain_catalog(3).with_workers(2);
+        session.add_schema("w", Signature::from_arities([("R2", 1)]));
+        let shared = session.catalog();
+        assert_eq!(shared.resolve_path("v0", "v3").unwrap(), vec!["m0", "m1", "m2"]);
+        let hash = shared.mapping("m1").unwrap().hash;
+        // `w` has v2's signature, so the re-point keeps m1's content hash.
+        let version =
+            session.add_mapping("m1", "v1", "w", parse_constraints("R1 <= R2").unwrap()).unwrap();
+        assert_eq!(version, 2);
+        assert_eq!(shared.mapping("m1").unwrap().hash, hash);
+        assert_eq!(shared.resolve_path("v0", "w").unwrap(), vec!["m0", "m1"]);
+        assert!(matches!(shared.resolve_path("v0", "v3"), Err(CatalogError::NoPath { .. })));
+        assert_eq!(
+            shared.resolve_path_with("v0", "w", PathCost::OpCount).unwrap(),
+            vec!["m0", "m1"]
+        );
+        // The index agrees with a catalog rebuilt from a snapshot.
+        let snapshot = shared.snapshot();
+        assert_eq!(*shared.index(), GraphIndex::of(&snapshot));
+        shared.remove_mapping("m1");
+        assert!(matches!(shared.resolve_path("v0", "w"), Err(CatalogError::NoPath { .. })));
+        assert_eq!(shared.mapping_names(), vec!["m0", "m2"]);
+    }
+
+    #[test]
+    fn shared_validation_matches_a_snapshot_ingest() {
+        use mapcomp_algebra::parse_document;
+        let shared = SharedCatalog::from_catalog(&chain_catalog(3), 4);
+        // The reference: ingest entry by entry with no dry run, the way
+        // `from_document` applies a document, and keep the first error.
+        let apply_in_order = |document: &Document| -> Result<(), CatalogError> {
+            let mut catalog = shared.snapshot();
+            for (name, signature) in &document.schemas {
+                catalog.add_schema(name.clone(), signature.clone());
+            }
+            for (name, (source, target, constraints)) in &document.mappings {
+                catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
+            }
+            Ok(())
+        };
+        for (text, valid) in [
+            // Valid: an edit, a new mapping between existing schemas, and a
+            // mapping whose endpoints are declared only in the document.
+            ("mapping m1 : v1 -> v2 { project[0](R1) <= R2; }", true),
+            ("mapping x : v0 -> v3 { R0 <= R3; }", true),
+            ("schema p { P/1; } schema q { Q/2; } mapping pq : p -> q { P <= project[0](Q); }", true),
+            // Unknown source, unknown target.
+            ("mapping bad : nope -> v1 { R1 <= R1; }", false),
+            ("mapping bad : v0 -> nope { R0 <= R0; }", false),
+            // An arity conflict introduced by a schema redefined in the
+            // same document.
+            ("schema v1 { R0/2; R1/1; } mapping bad : v0 -> v1 { R0 <= R1; }", false),
+            // The second mapping (in document order) fails.
+            ("schema p { P/1; } mapping a1 : v0 -> p { R0 <= P; } mapping a2 : p -> q { P <= P; }", false),
+            // Both endpoints unknown: the source is reported.
+            ("mapping bad : nope1 -> nope2 { R <= R; }", false),
+        ] {
+            let document = parse_document(text).unwrap();
+            let actual = shared.validate_document(&document);
+            assert_eq!(actual.is_ok(), valid, "{text}: {actual:?}");
+            for expected in
+                [shared.snapshot().from_document(&document).map(|_| ()), apply_in_order(&document)]
+            {
+                assert_eq!(actual, expected, "{text}");
+                assert_eq!(
+                    actual.as_ref().map_err(ToString::to_string),
+                    expected.as_ref().map_err(ToString::to_string),
+                    "{text}"
+                );
+            }
+        }
     }
 
     #[test]

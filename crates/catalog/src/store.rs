@@ -55,6 +55,14 @@ pub struct MappingEntry {
 }
 
 impl MappingEntry {
+    /// `(content hash, source, target)`: what decides whether a
+    /// re-declaration changed the mapping. Equal content re-pointed to
+    /// other schemas of the same signatures keeps its hash, so the hash
+    /// alone is not enough.
+    pub fn edge(&self) -> (ContentHash, String, String) {
+        (self.hash, self.source.clone(), self.target.clone())
+    }
+
     /// Materialise the mapping `(σ_in, σ_out, Σ)` against the given schemas.
     fn to_mapping(&self, source: &Signature, target: &Signature) -> Mapping {
         Mapping::new(source.clone(), target.clone(), self.constraints.clone())
@@ -170,7 +178,9 @@ impl Catalog {
     }
 
     /// Register or update a mapping between two registered schemas; returns
-    /// the new version. Re-registering with identical content is a no-op.
+    /// the new version. Re-registering with identical content and endpoints
+    /// is a no-op; re-pointing a mapping to other schemas is an edit even
+    /// when its content hash stays the same.
     pub fn add_mapping(
         &mut self,
         name: impl Into<String>,
@@ -181,12 +191,16 @@ impl Catalog {
         let name = name.into();
         let source_sig = self.schema(source)?.signature.clone();
         let target_sig = self.schema(target)?.signature.clone();
-        // Shared symbols must agree on arity (overlapping schemas are allowed:
-        // schema-evolution chains share every unchanged relation).
-        let _combined = source_sig.union(&target_sig)?;
+        check_endpoints(&source_sig, &target_sig)?;
         let hash = hash_mapping(&source_sig, &target_sig, &constraints);
         let (version, mut history) = match self.mappings.get(&name) {
-            Some(existing) if existing.hash == hash => return Ok(existing.version),
+            Some(existing)
+                if existing.hash == hash
+                    && existing.source == source
+                    && existing.target == target =>
+            {
+                return Ok(existing.version)
+            }
             Some(existing) => (existing.version + 1, existing.history.clone()),
             None => (1, Vec::new()),
         };
@@ -227,16 +241,23 @@ impl Catalog {
     /// Ingest every schema and mapping of a parsed document. Existing entries
     /// with the same names are updated (and their versions bumped if the
     /// content changed). Returns the names of added-or-updated mappings.
+    ///
+    /// The document is checked first (the same dry run as
+    /// [`crate::SharedCatalog::validate_document`]), so a rejected document
+    /// leaves the catalog untouched.
     pub fn from_document(&mut self, document: &Document) -> Result<Vec<String>, CatalogError> {
+        validate_document(document, |name| {
+            self.schemas.get(name).map(|entry| entry.signature.clone())
+        })?;
         let mut touched = Vec::new();
         for (name, signature) in &document.schemas {
             let (_, rehashed) = self.add_schema(name.clone(), signature.clone());
             touched.extend(rehashed);
         }
         for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.mappings.get(name).map(|e| e.hash);
+            let before = self.mappings.get(name).map(MappingEntry::edge);
             let version = self.add_mapping(name.clone(), source, target, constraints.clone())?;
-            let after = self.mapping(name)?.hash;
+            let after = self.mapping(name)?.edge();
             if before != Some(after) || version == 1 {
                 touched.push(name.clone());
             }
@@ -308,6 +329,38 @@ impl Catalog {
     }
 }
 
+/// The endpoint check of a mapping: symbols its source and target schemas
+/// share must agree on arity (overlapping schemas are allowed:
+/// schema-evolution chains share every unchanged relation).
+pub(crate) fn check_endpoints(source: &Signature, target: &Signature) -> Result<(), CatalogError> {
+    source.union(target)?;
+    Ok(())
+}
+
+/// The dry run of [`Catalog::from_document`] against the schemas `lookup`
+/// returns. Ingesting a document can fail in only one way: a mapping whose
+/// source or target schema is unknown, or whose endpoints disagree on the
+/// arity of a shared symbol. Mappings are checked in document order, each
+/// endpoint resolving from the document's own schemas first (ingest applies
+/// them before any mapping), and the first failure is returned — the same
+/// error `from_document` would fail with. The cost is proportional to the
+/// document, not to the catalog behind `lookup`.
+pub(crate) fn validate_document(
+    document: &Document,
+    lookup: impl Fn(&str) -> Option<Signature>,
+) -> Result<(), CatalogError> {
+    let resolve = |name: &str| -> Result<Signature, CatalogError> {
+        match document.schemas.get(name) {
+            Some(signature) => Ok(signature.clone()),
+            None => lookup(name).ok_or_else(|| CatalogError::UnknownSchema(name.to_string())),
+        }
+    };
+    for (source, target, _) in document.mappings.values() {
+        check_endpoints(&resolve(source)?, &resolve(target)?)?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +402,47 @@ mod tests {
         // Unrelated schema: nothing rehashed.
         let (_, touched) = catalog.add_schema("s9", Signature::from_arities([("Z", 1)]));
         assert!(touched.is_empty());
+    }
+
+    /// Three schemas where `b` and `c` share a signature, so re-pointing
+    /// `m : a -> b` at `c` keeps its content hash.
+    const REPOINT_BASE: &str =
+        "schema a { R/1; } schema b { S/1; } schema c { S/1; } mapping m : a -> b { R <= S; }";
+    const REPOINT_EDIT: &str = "mapping m : a -> c { R <= S; }";
+
+    #[test]
+    fn re_pointed_mapping_moves_even_with_an_unchanged_hash() {
+        let mut catalog = Catalog::new();
+        catalog.from_document(&parse_document(REPOINT_BASE).unwrap()).unwrap();
+        let hash = catalog.mapping("m").unwrap().hash;
+        let touched = catalog.from_document(&parse_document(REPOINT_EDIT).unwrap()).unwrap();
+        assert_eq!(touched, vec!["m".to_string()]);
+        let entry = catalog.mapping("m").unwrap();
+        assert_eq!((entry.source.as_str(), entry.target.as_str()), ("a", "c"));
+        assert_eq!(entry.hash, hash);
+        assert_eq!(entry.version, 2);
+        assert_eq!(entry.history, vec![(1, hash), (2, hash)]);
+        assert_eq!(crate::graph::resolve_path(&catalog, "a", "c").unwrap(), vec!["m"]);
+        assert!(matches!(
+            crate::graph::resolve_path(&catalog, "a", "b"),
+            Err(CatalogError::NoPath { .. })
+        ));
+        // Re-declaring the re-pointed mapping again is a no-op.
+        assert_eq!(catalog.add_mapping("m", "a", "c", parse_constraints("R <= S").unwrap()), Ok(2));
+    }
+
+    #[test]
+    fn rejected_documents_leave_the_catalog_untouched() {
+        let mut catalog = sample();
+        let before = catalog.to_document_string();
+        // The schema redefinition would apply before the failing mapping.
+        let document =
+            parse_document("schema s2 { S/1; T/1; } mapping bad : s1 -> nope { R <= S; }").unwrap();
+        assert_eq!(
+            catalog.from_document(&document),
+            Err(CatalogError::UnknownSchema("nope".to_string()))
+        );
+        assert_eq!(catalog.to_document_string(), before);
     }
 
     #[test]

@@ -255,12 +255,13 @@ pub struct LocalService {
     /// subscribers observe appends and compaction boundaries in exactly the
     /// on-disk order.
     hub: OnceLock<Arc<ReplicationHub>>,
-    /// Serialises `AddDocument` handling: the dry-run validation against a
-    /// snapshot and the subsequent ingest must be one atomic step, or a
-    /// concurrent ingest could invalidate the validation (e.g. redefine a
-    /// schema arity between the check and the apply) and leave the shared
-    /// catalog half-applied after an error. Compose and invalidate traffic
-    /// is unaffected — it never takes this lock.
+    /// Serialises `AddDocument` handling: the dry-run validation against the
+    /// live catalog ([`mapcomp_catalog::SharedCatalog::validate_document`])
+    /// and the subsequent ingest must be one atomic step, or a concurrent
+    /// ingest could invalidate the validation (e.g. redefine a schema arity
+    /// between the check and the apply) and leave the shared catalog
+    /// half-applied after an error. Compose and invalidate traffic is
+    /// unaffected — it never takes this lock.
     ingest: std::sync::Mutex<()>,
     /// Live migration sessions keyed `(from, to)`. This mutex is a *leaf*
     /// lock: compaction and snapshot serving take it briefly (to render the
@@ -829,41 +830,40 @@ impl LocalService {
             Request::AddDocument { text } => {
                 let document = parse_document(&text)
                     .map_err(|error| ServiceError::parse(format!("parse error: {error}")))?;
-                // Dry-run against a snapshot first, under the ingest lock
-                // so no concurrent ingest can invalidate the validation: a
-                // rejected document (unknown schema, arity conflict) leaves
-                // the shared catalog untouched instead of half-applied.
+                // Dry-run against the live catalog first, under the ingest
+                // lock so no concurrent ingest can invalidate the
+                // validation: a rejected document (unknown schema, arity
+                // conflict) leaves the shared catalog untouched instead of
+                // half-applied. The check reads only the schemas the
+                // document's mappings name.
                 let _ingest = self.ingest.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                self.session.catalog().snapshot().from_document(&document)?;
                 let catalog = self.session.catalog();
-                // Pre-ingest hashes of the declared schemas (under the
-                // ingest lock, so nothing else can move them): an idempotent
-                // re-add must not grow the delta log.
-                let schema_hash_before: std::collections::BTreeMap<&String, Option<u64>> = document
-                    .schemas
+                catalog.validate_document(&document)?;
+                // Pre-ingest hashes of the declared schemas and edges of the
+                // declared mappings (under the ingest lock, so nothing else
+                // can move them): an idempotent re-add must not grow the
+                // delta log, and a re-pointed mapping must.
+                let schema_hash_before: std::collections::BTreeMap<&String, _> =
+                    document.schemas.keys().map(|name| (name, catalog.schema_hash(name))).collect();
+                let mapping_before: std::collections::BTreeMap<&String, _> = document
+                    .mappings
                     .keys()
-                    .map(|name| (name, catalog.schema(name).ok().map(|entry| entry.hash.0)))
+                    .map(|name| (name, catalog.mapping_edge(name)))
                     .collect();
-                let mapping_hash_before: std::collections::BTreeMap<&String, Option<u64>> =
-                    document
-                        .mappings
-                        .keys()
-                        .map(|name| (name, catalog.mapping(name).ok().map(|entry| entry.hash.0)))
-                        .collect();
                 let touched = self.session.ingest_document(&document)?;
                 // Delta rendering covers exactly what the request actually
                 // changed: every schema whose content hash moved (or is
-                // new), every mapping it added or edited (with an
-                // invalidation for each edit's stale cached compositions),
-                // and their version lines — cost proportional to the
-                // change, never to the catalog.
+                // new), every mapping it added, edited or re-pointed (with
+                // an invalidation for each edit's stale cached
+                // compositions), and their version lines — cost
+                // proportional to the change, never to the catalog.
                 let mut deltas = Vec::new();
                 let mut manifest = VersionManifest::default();
                 for name in document.schemas.keys() {
-                    let Ok(entry) = catalog.schema(name) else { continue };
-                    if schema_hash_before[name] == Some(entry.hash.0) {
+                    if schema_hash_before[name] == catalog.schema_hash(name) {
                         continue;
                     }
+                    let Ok(entry) = catalog.schema(name) else { continue };
                     let decl = render_schema_decl(&entry.name, &entry.signature);
                     deltas.push(DeltaRecord::Schema { decl });
                     manifest.absorb(VersionManifest::of_schema(&entry));
@@ -872,8 +872,9 @@ impl LocalService {
                     let Ok(entry) = catalog.mapping(name) else { continue };
                     // `touched` reports unchanged version-1 mappings on an
                     // idempotent re-add (the pre-existing contract); only a
-                    // provably unchanged hash skips the delta.
-                    if mapping_hash_before.get(name) == Some(&Some(entry.hash.0)) {
+                    // provably unchanged (hash, source, target) skips the
+                    // delta.
+                    if mapping_before.get(name) == Some(&Some(entry.edge())) {
                         continue;
                     }
                     let decl = render_mapping_decl(

@@ -11,14 +11,23 @@
 //! could reuse, not what was computed. Everything semantically observable
 //! (composed constraints, paths, completeness, version counters, hashes) is
 //! compared exactly.
+//!
+//! The shared catalog's maintained graph index has two oracles here: a
+//! resolution over a freshly rebuilt snapshot after every step of a seeded
+//! mutation sequence, and a recorded mutation log that every resolution
+//! racing concurrent writers must match one state of.
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use mapping_composition::catalog::{
-    save_state, Session, SharedSession, SidecarWriter, VersionManifest,
+    graph, save_state, Session, SharedSession, SidecarWriter, VersionManifest,
 };
 use mapping_composition::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -313,4 +322,230 @@ fn parallel_batch_is_deterministic_across_worker_counts() {
             .collect();
         assert_eq!(rendered, reference, "{workers} workers diverged from the 1-worker batch");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The maintained graph index: `SharedCatalog` updates its composition-graph
+// index under the same write locks as its shards. A rebuilt-from-snapshot
+// resolution is the oracle for every sequential mutation, and a recorded
+// mutation log is the oracle for resolutions racing writers.
+// ---------------------------------------------------------------------------
+
+const INDEX_SCHEMAS: usize = 7;
+const INDEX_MAPPINGS: usize = 9;
+
+/// Mapping contents of different operator counts, so `PathCost::OpCount`
+/// weighs edges differently from hops.
+fn index_constraints(variant: usize) -> ConstraintSet {
+    let text = match variant % 3 {
+        0 => "R <= R",
+        1 => "project[0](R) <= R",
+        _ => "project[0](select[#0 = #1](R * R)) <= R",
+    };
+    parse_constraints(text).unwrap()
+}
+
+/// Every `(from, to)` pair over the schema pool plus one name never
+/// registered, under both costs: the shared catalog must answer exactly as
+/// a resolution over a fresh snapshot does, errors included.
+fn assert_index_matches_snapshot(shared: &SharedCatalog, context: &str) {
+    let snapshot = shared.snapshot();
+    let names: Vec<String> =
+        (0..=INDEX_SCHEMAS).map(|i| format!("s{i}")).chain(["ghost".to_string()]).collect();
+    for from in &names {
+        for to in &names {
+            for cost in [PathCost::Hops, PathCost::OpCount] {
+                assert_eq!(
+                    shared.resolve_path_with(from, to, cost),
+                    graph::resolve_path_with(&snapshot, from, to, cost),
+                    "{context}: {from} -> {to} under {cost:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(0x1DE5 + seed);
+        // Start with part of the schema pool registered; later steps add
+        // the rest, so unknown-schema errors come and go.
+        let mut catalog = Catalog::new();
+        for i in 0..4 {
+            catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
+        }
+        let shared = SharedCatalog::from_catalog(&catalog, 4);
+        let mut checkpoint = shared.snapshot();
+        assert_index_matches_snapshot(&shared, &format!("seed {seed} initial"));
+        for step in 0..120 {
+            let schema = format!("s{}", rng.gen_range(0..=INDEX_SCHEMAS));
+            let mapping = format!("m{}", rng.gen_range(0..INDEX_MAPPINGS));
+            let op = match rng.gen_range(0..10u32) {
+                // Add, edit or re-point a mapping (endpoints may be
+                // unregistered or clash on arity: the error is the oracle's
+                // too).
+                0..=4 => {
+                    let target = format!("s{}", rng.gen_range(0..=INDEX_SCHEMAS));
+                    let constraints = index_constraints(rng.gen_range(0..3));
+                    let outcome =
+                        shared.add_mapping(mapping.clone(), &schema, &target, constraints);
+                    format!("add {mapping} : {schema} -> {target} = {outcome:?}")
+                }
+                5 | 6 => {
+                    let removed = shared.remove_mapping(&mapping).is_some();
+                    format!("remove {mapping} = {removed}")
+                }
+                // Add or redefine a schema; a binary `X` in some schemas
+                // makes mappings between them and unary-`X` ones clash.
+                7 | 8 => {
+                    let mut signature = Signature::from_arities([("R", 1)]);
+                    if rng.gen_range(0..3u32) == 0 {
+                        signature = Signature::from_arities([("R", 1), ("X", rng.gen_range(1..3))]);
+                    }
+                    let (version, touched) = shared.add_schema(schema.clone(), signature);
+                    format!("schema {schema} = v{version} {touched:?}")
+                }
+                // Wholesale replacement by an earlier state.
+                _ => {
+                    let previous = std::mem::replace(&mut checkpoint, shared.snapshot());
+                    shared.restore(&previous);
+                    "restore".to_string()
+                }
+            };
+            assert_index_matches_snapshot(&shared, &format!("seed {seed} step {step} ({op})"));
+        }
+    }
+}
+
+/// `name → (source, target)`: one state of the composition graph.
+type Edges = BTreeMap<String, (String, String)>;
+
+fn connects(edges: &Edges, path: &[String], from: &str, to: &str) -> bool {
+    let mut at = from;
+    for name in path {
+        match edges.get(name) {
+            Some((source, target)) if source == at => at = target,
+            _ => return false,
+        }
+    }
+    at == to && !path.is_empty()
+}
+
+fn reaches(edges: &Edges, from: &str, to: &str) -> bool {
+    let mut seen = vec![from.to_string()];
+    let mut frontier = vec![from.to_string()];
+    while let Some(node) = frontier.pop() {
+        for (source, target) in edges.values() {
+            if *source == node && !seen.contains(target) {
+                seen.push(target.clone());
+                frontier.push(target.clone());
+            }
+        }
+    }
+    seen.iter().skip(1).any(|node| node == to)
+}
+
+/// One racing resolution: the mutation counts recorded before and after it,
+/// the request, and the answer.
+struct Observation {
+    before: usize,
+    after: usize,
+    from: String,
+    to: String,
+    result: Result<Vec<String>, CatalogError>,
+}
+
+#[test]
+fn resolutions_racing_re_points_and_removals_see_one_consistent_graph() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    const WRITES: usize = 150;
+    const READS: usize = 300;
+    let mut catalog = Catalog::new();
+    for i in 0..INDEX_SCHEMAS {
+        catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
+    }
+    let mut initial = Edges::new();
+    for k in 0..INDEX_MAPPINGS {
+        let (source, target) =
+            (format!("s{}", k % INDEX_SCHEMAS), format!("s{}", (k + 1) % INDEX_SCHEMAS));
+        catalog.add_mapping(format!("m{k}"), &source, &target, index_constraints(k)).unwrap();
+        initial.insert(format!("m{k}"), (source, target));
+    }
+    let shared = SharedCatalog::from_catalog(&catalog, 4);
+    // states[k] is the graph after k mutations. Writers mutate and record
+    // under `log`, so the states are totally ordered; `applied` is the
+    // number of recorded states past the initial one.
+    let log = Mutex::new(vec![initial]);
+    let applied = AtomicUsize::new(0);
+    let observations: Vec<Vec<Observation>> = std::thread::scope(|scope| {
+        for writer in 0..WRITERS {
+            let (shared, log, applied) = (&shared, &log, &applied);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0x5EED + writer as u64);
+                for _ in 0..WRITES {
+                    let mapping = format!("m{}", rng.gen_range(0..INDEX_MAPPINGS));
+                    let mut states = log.lock().unwrap();
+                    let mut edges = states.last().unwrap().clone();
+                    if rng.gen_range(0..4u32) == 0 {
+                        shared.remove_mapping(&mapping);
+                        edges.remove(&mapping);
+                    } else {
+                        let source = format!("s{}", rng.gen_range(0..INDEX_SCHEMAS));
+                        let target = format!("s{}", rng.gen_range(0..INDEX_SCHEMAS));
+                        let constraints = index_constraints(rng.gen_range(0..3));
+                        shared.add_mapping(mapping.clone(), &source, &target, constraints).unwrap();
+                        edges.insert(mapping, (source, target));
+                    }
+                    states.push(edges);
+                    applied.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        let readers: Vec<_> = (0..READERS)
+            .map(|reader| {
+                let (shared, applied) = (&shared, &applied);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0x4EAD + reader as u64);
+                    (0..READS)
+                        .map(|round| {
+                            let from = format!("s{}", rng.gen_range(0..INDEX_SCHEMAS));
+                            let to = format!("s{}", rng.gen_range(0..INDEX_SCHEMAS));
+                            let cost =
+                                if round % 2 == 0 { PathCost::Hops } else { PathCost::OpCount };
+                            let before = applied.load(Ordering::SeqCst);
+                            let result = shared.resolve_path_with(&from, &to, cost);
+                            let after = applied.load(Ordering::SeqCst);
+                            Observation { before, after, from, to, result }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        readers.into_iter().map(|reader| reader.join().unwrap()).collect()
+    });
+    // A resolution that started after `before` recorded mutations and ended
+    // by `after` searched one of states[before..=after + 1]: at most one
+    // mutation is in flight (applied, not yet recorded) at any time.
+    let states = log.into_inner().unwrap();
+    for (reader, results) in observations.iter().enumerate() {
+        for Observation { before, after, from, to, result } in results {
+            let window = &states[*before..=(*after + 1).min(states.len() - 1)];
+            let consistent = match result {
+                Ok(path) => window.iter().any(|edges| connects(edges, path, from, to)),
+                Err(CatalogError::NoPath { .. }) => {
+                    window.iter().any(|edges| !reaches(edges, from, to))
+                }
+                Err(CatalogError::EmptyPath { .. }) => from == to,
+                Err(other) => panic!("reader {reader}: {from} -> {to} failed with {other}"),
+            };
+            assert!(
+                consistent,
+                "reader {reader}: {from} -> {to} = {result:?} matches no graph state in \
+                 mutations {before}..={after}"
+            );
+        }
+    }
+    assert_index_matches_snapshot(&shared, "after the race");
 }

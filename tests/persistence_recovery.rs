@@ -347,6 +347,73 @@ fn kill_and_restart_replays_to_byte_identical_state() {
     cleanup(&file);
 }
 
+#[test]
+fn repointed_mapping_is_logged_and_survives_restart() {
+    let file = temp_catalog("repoint");
+    let service = open(&file);
+    let base = "schema a { R/1; } schema b { S/1; } schema c { S/1; } schema d { T/1; } \
+                mapping m : a -> b { R <= S; } mapping n : c -> d { S <= T; }";
+    service.call(Request::AddDocument { text: base.into() }).unwrap();
+    assert!(service.call(Request::ComposePath { from: "a".into(), to: "d".into() }).is_err());
+    // Same constraints, same signatures, new target: the content hash is
+    // unchanged, yet the mapping must move.
+    let touched = match service
+        .call(Request::AddDocument { text: "mapping m : a -> c { R <= S; }".into() })
+        .unwrap()
+    {
+        Response::Added { touched, .. } => touched,
+        other => panic!("unexpected reply {other:?}"),
+    };
+    assert_eq!(touched, vec!["m".to_string()]);
+    let entry = service.session().catalog().mapping("m").unwrap();
+    assert_eq!((entry.target.as_str(), entry.version), ("c", 2));
+    assert_eq!(compose(&service, "a", "d"), 1, "m and n now form a chain");
+    let repointed = committed_state(&service);
+    drop(service); // kill: the re-point must come back from the delta log
+
+    let reopened = open(&file);
+    assert_eq!(committed_state(&reopened), repointed);
+    assert_eq!(reopened.session().catalog().mapping("m").unwrap().target, "c");
+    assert!(reopened.call(Request::ComposePath { from: "a".into(), to: "b".into() }).is_err());
+    assert_eq!(compose(&reopened, "a", "d"), 0, "the re-pointed chain is warm after restart");
+    cleanup(&file);
+}
+
+#[test]
+fn rejected_add_document_leaves_catalog_and_sidecar_unchanged() {
+    let file = temp_catalog("rejected_add");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file);
+    service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+    compose(&service, "v0", "v3");
+    let document_before = service.session().catalog().snapshot().to_document_string();
+    let sidecar_before = std::fs::read(&sidecar).unwrap();
+    for (text, message) in [
+        ("mapping bad : v0 -> nowhere { R0 <= R0; }", "unknown schema `nowhere`"),
+        ("mapping bad : nowhere -> v1 { R1 <= R1; }", "unknown schema `nowhere`"),
+        // Redefining v1 with a binary R0 conflicts with v0's unary R0; the
+        // schema edit that precedes the failing mapping must not land.
+        ("schema v1 { R0/2; R1/1; } mapping bad : v0 -> v1 { R0 <= R1; }", "arity"),
+        // The first mapping is fine, the second fails: neither lands.
+        (
+            "schema fresh { F/1; } mapping a1 : v0 -> fresh { R0 <= F; } \
+             mapping a2 : fresh -> nowhere { F <= F; }",
+            "unknown schema `nowhere`",
+        ),
+    ] {
+        let error = service.call(Request::AddDocument { text: text.into() }).unwrap_err();
+        assert!(error.to_string().contains(message), "{text}: {error}");
+        assert_eq!(
+            service.session().catalog().snapshot().to_document_string(),
+            document_before,
+            "{text}: a rejected document must not touch the catalog"
+        );
+        assert_eq!(std::fs::read(&sidecar).unwrap(), sidecar_before, "{text}: sidecar moved");
+    }
+    assert_eq!(compose(&service, "v0", "v3"), 0, "the cache survives rejected documents");
+    cleanup(&file);
+}
+
 // ---------------------------------------------------------------------------
 // Migrate-delta fault injection: a crash mid-`MigrateDelta` must leave the
 // migration session replayable — recovery folds the surviving committed
