@@ -435,7 +435,7 @@ pub fn chain_lengths(scale: Scale) -> Vec<usize> {
 /// Build an evolution-derived catalog chain of (up to) `edits` links and
 /// return the replayed session plus the chain's mapping names. Exposed for
 /// the service benchmark under `perfbench/`, which needs the same setup.
-pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::Session, Vec<String>) {
+pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::SharedSession, Vec<String>) {
     let scenario = ScenarioConfig {
         schema_size: 8,
         edits,
@@ -454,7 +454,7 @@ pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::Session, Vec<
 /// trivially-true constraint over a relation of its source schema, so the
 /// content hash changes while the mapping stays semantically equivalent.
 pub fn edited_variant(
-    session: &mapcomp_catalog::Session,
+    session: &mapcomp_catalog::SharedSession,
     mapping: &str,
 ) -> mapcomp_algebra::ConstraintSet {
     let entry = session.catalog().mapping(mapping).expect("mapping exists");
@@ -475,13 +475,12 @@ pub fn chain_cache_experiment(scale: Scale, base_seed: u64) -> Vec<ChainCachePoi
         .into_iter()
         .enumerate()
         .filter_map(|(index, edits)| {
-            let (mut session, path) = chain_fixture(edits, base_seed + index as u64);
+            let (session, path) = chain_fixture(edits, base_seed + index as u64);
             if path.len() < 2 {
                 return None;
             }
             // Cold: a fresh session over the same catalog.
-            let catalog = session.catalog().clone();
-            let mut cold_session = mapcomp_catalog::Session::new(catalog);
+            let cold_session = mapcomp_catalog::SharedSession::new(session.catalog().snapshot());
             let started = std::time::Instant::now();
             let cold = cold_session.compose_names(&path).expect("cold chain composes");
             let cold_time = started.elapsed();
@@ -788,7 +787,7 @@ pub fn concurrent_sessions_experiment(scale: Scale) -> Vec<ConcurrentSessionsPoi
     concurrent_workers(scale)
         .into_iter()
         .map(|workers| {
-            let session = mapcomp_catalog::SharedSession::new(catalog.clone(), workers);
+            let session = catalog.clone().with_workers(workers);
             let started = std::time::Instant::now();
             let results = session.compose_batch_parallel(&requests);
             let elapsed = started.elapsed();

@@ -30,10 +30,9 @@
 //! across per-segment mutexes (segment = hash of the memo key), so parallel
 //! workers composing disjoint chains rarely contend; [`ShardedMemoCache::stats`]
 //! merges the per-segment counters while holding every segment lock, so the
-//! merged snapshot is atomic. The chain driver reaches either shape through
-//! the [`ChainCache`] shared-reference trait.
+//! merged snapshot is atomic. The chain driver reaches it through the
+//! [`ChainCache`] shared-reference trait.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -121,8 +120,7 @@ pub enum CacheEvent {
 }
 
 /// The cache interface of the chain driver, through a shared reference so a
-/// cache can be consulted concurrently (or through a [`RefCell`] when single
-/// threaded). Implementations may decline to retain an insertion and may
+/// cache can be consulted concurrently. Implementations may decline to retain an insertion and may
 /// drop entries at any time — the driver treats every lookup miss as "pay
 /// one pairwise composition", never as an error.
 pub trait ChainCache {
@@ -132,20 +130,6 @@ pub trait ChainCache {
     fn cache_contains(&self, key: &MemoKey) -> bool;
     /// Insert a composed segment under its key.
     fn cache_insert(&self, key: MemoKey, chain: ComposedChain);
-}
-
-impl ChainCache for RefCell<MemoCache> {
-    fn cache_lookup(&self, key: MemoKey) -> Option<ComposedChain> {
-        self.borrow_mut().lookup(key)
-    }
-
-    fn cache_contains(&self, key: &MemoKey) -> bool {
-        self.borrow().contains(key)
-    }
-
-    fn cache_insert(&self, key: MemoKey, chain: ComposedChain) {
-        self.borrow_mut().insert(key, chain);
-    }
 }
 
 /// Content-addressed memo cache with dependency-tracked invalidation and
@@ -185,13 +169,6 @@ impl MemoCache {
     /// The configured capacity, if any.
     pub fn capacity(&self) -> Option<usize> {
         self.capacity
-    }
-
-    /// Change the capacity, evicting least-recently-used entries if the
-    /// cache is over the new bound. Returns how many entries were evicted.
-    pub fn set_capacity(&mut self, capacity: Option<usize>) -> usize {
-        self.capacity = capacity;
-        self.enforce_capacity(0)
     }
 
     /// Number of live entries.
@@ -267,11 +244,11 @@ impl MemoCache {
         }
     }
 
-    /// Evict least-recently-used entries until at most `capacity - headroom`
-    /// entries remain; returns how many were evicted.
-    fn enforce_capacity(&mut self, headroom: usize) -> usize {
-        let Some(capacity) = self.capacity else { return 0 };
-        let limit = capacity.saturating_sub(headroom);
+    /// Evict least-recently-used entries until one more fits within the
+    /// capacity.
+    fn make_room(&mut self) {
+        let Some(capacity) = self.capacity else { return };
+        let limit = capacity.saturating_sub(1);
         let mut evicted = 0;
         while self.entries.len() > limit {
             let Some((&stamp, &key)) = self.recency.iter().next() else { break };
@@ -287,7 +264,6 @@ impl MemoCache {
             }
         }
         self.stats.evictions += evicted;
-        evicted
     }
 
     /// Look up a pairwise composition; counts a hit or miss and refreshes
@@ -351,7 +327,7 @@ impl MemoCache {
                 }
             }
         }
-        self.enforce_capacity(1);
+        self.make_room();
         for dependency in &chain.deps {
             self.by_dependency.entry(dependency.clone()).or_default().insert(key);
         }
@@ -667,23 +643,6 @@ impl ShardedMemoCache {
         merged.restore_stats(stats);
         merged
     }
-
-    /// Merge the segments back into a single-threaded cache with the given
-    /// capacity, consuming the sharded cache. Per-segment recency orders are
-    /// preserved within each segment; cumulative statistics carry over
-    /// exactly (the merge replays are not re-counted).
-    pub fn into_cache(self, capacity: Option<usize>) -> MemoCache {
-        let stats = self.stats();
-        let mut merged = MemoCache::with_capacity(capacity);
-        for segment in &self.segments {
-            let guard = lock_segment(segment);
-            for (key, entry) in guard.iter_lru() {
-                merged.insert(*key, entry.chain.clone());
-            }
-        }
-        merged.restore_stats(stats);
-        merged
-    }
 }
 
 impl ChainCache for ShardedMemoCache {
@@ -813,20 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn shrinking_capacity_evicts_down() {
-        let mut cache = MemoCache::new();
-        for i in 0..5u64 {
-            cache.insert((i, 0, 0), segment(&format!("m{i}"), &["m"], i));
-        }
-        assert_eq!(cache.set_capacity(Some(2)), 3);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 3);
-        // The two most recently inserted entries survive.
-        assert!(cache.contains(&(3, 0, 0)));
-        assert!(cache.contains(&(4, 0, 0)));
-    }
-
-    #[test]
     fn restored_stats_accumulate() {
         let mut cache = MemoCache::new();
         cache.restore_stats(CacheStats {
@@ -918,7 +863,7 @@ mod tests {
         assert!(sharded.cache_lookup((99, 0, 0)).is_none());
         assert_eq!(sharded.stats().hits, before.hits + 1);
         assert_eq!(sharded.stats().misses, before.misses + 1);
-        let merged = sharded.into_cache(None);
+        let merged = sharded.collect();
         assert_eq!(merged.len(), 6);
         assert_eq!(merged.stats().hits, before.hits + 1);
         assert!(merged.contains(&(5, 0, 0)));

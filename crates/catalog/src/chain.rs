@@ -18,13 +18,12 @@
 //! step, mirroring how the paper's editing scenario recovers leftover
 //! symbols in later compositions.
 
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 
-use mapcomp_algebra::{ConstraintSet, Mapping, Signature};
+use mapcomp_algebra::{AlgebraError, ConstraintSet, Mapping, Signature};
 use mapcomp_compose::{compose_constraints, ComposeConfig, Registry};
 
-use crate::cache::{ChainCache, MemoCache};
+use crate::cache::ChainCache;
 use crate::error::CatalogError;
 use crate::hash::{combine, hash_config};
 use crate::store::Catalog;
@@ -71,6 +70,19 @@ impl ComposedChain {
     /// Did every intermediate symbol get eliminated?
     pub fn is_complete(&self) -> bool {
         self.residual.is_empty()
+    }
+
+    /// The signatures a chase through this segment runs over: the full
+    /// signature (source ∪ target ∪ residual) and the target, where
+    /// residual symbols are chased as auxiliary target relations (paper
+    /// §1.3). Fails when two of them disagree on a symbol's arity.
+    pub fn chase_signatures(&self) -> Result<(Signature, Signature), AlgebraError> {
+        let full = self.mapping.input.union(&self.mapping.output)?.union(&self.residual)?;
+        let mut target = self.mapping.output.clone();
+        for (name, info) in self.residual.iter() {
+            target.add(name.to_string(), info.clone());
+        }
+        Ok((full, target))
     }
 
     /// Lift a single catalog mapping into a one-link chain.
@@ -202,31 +214,9 @@ pub fn compose_pair(
 }
 
 /// Compose a chain of catalog mappings (given by name, adjacent pairs must
-/// share a schema), reusing and populating the memo cache.
-///
-/// Convenience wrapper over [`compose_chain_with`] for the single-threaded
-/// catalog + exclusive cache pairing.
-pub fn compose_chain(
-    catalog: &Catalog,
-    cache: &mut MemoCache,
-    names: &[String],
-    registry: &Registry,
-    config: &ComposeConfig,
-    options: &ChainOptions,
-) -> Result<ChainResult, CatalogError> {
-    // Validate before borrowing the cache: an unwind between the take and
-    // the put-back would silently replace the caller's warm cache with an
-    // empty default.
-    assert!(!names.is_empty(), "compose_chain requires at least one mapping");
-    let cell = RefCell::new(std::mem::take(cache));
-    let result = compose_chain_with(catalog, &cell, names, registry, config, options);
-    *cache = cell.into_inner();
-    result
-}
-
-/// Compose a chain through any [`LinkSource`] and shared [`ChainCache`] —
-/// the form concurrent sessions use, where several workers fold chains over
-/// one lock-striped store and one sharded cache at the same time. Cache
+/// share a schema) through any [`LinkSource`], reusing and populating a
+/// shared [`ChainCache`]. Several workers may fold chains over one
+/// lock-striped store and one sharded cache at the same time. Cache
 /// entries may be evicted or invalidated by other workers between the probe
 /// and the fetch; the driver degrades to recomposing the affected run.
 pub fn compose_chain_with<S, C>(
@@ -241,7 +231,7 @@ where
     S: LinkSource + ?Sized,
     C: ChainCache + ?Sized,
 {
-    assert!(!names.is_empty(), "compose_chain requires at least one mapping");
+    assert!(!names.is_empty(), "compose_chain_with requires at least one mapping");
     let segments: Vec<ComposedChain> =
         names.iter().map(|name| store.link(name)).collect::<Result<_, _>>()?;
     for pair in segments.windows(2) {
@@ -366,6 +356,7 @@ fn fold_step<C: ChainCache + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::ShardedMemoCache;
     use mapcomp_algebra::parse_constraints;
 
     /// s0 --m0--> s1 --m1--> s2 --m2--> s3: unary copies, fully eliminable.
@@ -394,11 +385,11 @@ mod tests {
     #[test]
     fn cold_chain_performs_n_minus_one_compositions() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
-        let result = compose_chain(
+        let result = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &names("m", 3),
             &registry,
             &ComposeConfig::default(),
@@ -418,24 +409,24 @@ mod tests {
     #[test]
     fn warm_chain_is_free_and_extension_costs_one() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let config = ComposeConfig::default();
         let options = ChainOptions::default();
         let cold =
-            compose_chain(&catalog, &mut cache, &names("m", 2), &registry, &config, &options)
+            compose_chain_with(&catalog, &cache, &names("m", 2), &registry, &config, &options)
                 .unwrap();
         assert_eq!(cold.compose_calls, 1);
         // Same chain again: all hits.
         let warm =
-            compose_chain(&catalog, &mut cache, &names("m", 2), &registry, &config, &options)
+            compose_chain_with(&catalog, &cache, &names("m", 2), &registry, &config, &options)
                 .unwrap();
         assert_eq!(warm.compose_calls, 0);
         assert_eq!(warm.cache_hits, 1);
         assert_eq!(warm.chain.hash, cold.chain.hash);
         // Extending by one link only pays for the new link.
         let extended =
-            compose_chain(&catalog, &mut cache, &names("m", 3), &registry, &config, &options)
+            compose_chain_with(&catalog, &cache, &names("m", 3), &registry, &config, &options)
                 .unwrap();
         assert_eq!(extended.compose_calls, 1);
         assert_eq!(extended.cache_hits, 1);
@@ -444,21 +435,21 @@ mod tests {
     #[test]
     fn different_configs_do_not_share_cache_entries() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let options = ChainOptions::default();
-        compose_chain(
+        compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &names("m", 3),
             &registry,
             &ComposeConfig::default(),
             &options,
         )
         .unwrap();
-        let ablated = compose_chain(
+        let ablated = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &names("m", 3),
             &registry,
             &ComposeConfig::without_right_compose(),
@@ -471,11 +462,11 @@ mod tests {
     #[test]
     fn mismatched_chain_is_rejected() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
-        let err = compose_chain(
+        let err = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &["m0".to_string(), "m2".to_string()],
             &registry,
             &ComposeConfig::default(),
@@ -495,13 +486,13 @@ mod tests {
             .add_mapping("m1", "a", "b", parse_constraints("R <= S; S = tc(S)").unwrap())
             .unwrap();
         catalog.add_mapping("m2", "b", "c", parse_constraints("S <= T").unwrap()).unwrap();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let chain = vec!["m1".to_string(), "m2".to_string()];
         // Best effort: succeeds with a residual.
-        let best = compose_chain(
+        let best = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &chain,
             &registry,
             &ComposeConfig::default(),
@@ -511,10 +502,10 @@ mod tests {
         assert!(!best.is_complete());
         assert!(best.chain.residual.contains("S"));
         // Strict: the same chain errors.
-        let mut cache = MemoCache::new();
-        let err = compose_chain(
+        let cache = ShardedMemoCache::new(4, None);
+        let err = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &chain,
             &registry,
             &ComposeConfig::default(),
@@ -534,11 +525,11 @@ mod tests {
         catalog.add_schema("v2", Signature::from_arities([("Keep", 1), ("New", 1)]));
         catalog.add_mapping("e1", "v0", "v1", parse_constraints("Old <= Mid").unwrap()).unwrap();
         catalog.add_mapping("e2", "v1", "v2", parse_constraints("Mid <= New").unwrap()).unwrap();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
-        let result = compose_chain(
+        let result = compose_chain_with(
             &catalog,
-            &mut cache,
+            &cache,
             &["e1".to_string(), "e2".to_string()],
             &registry,
             &ComposeConfig::default(),
@@ -555,17 +546,17 @@ mod tests {
     #[test]
     fn mid_chain_cached_runs_are_absorbed() {
         let catalog = chain_catalog();
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let config = ComposeConfig::default();
         let options = ChainOptions::default();
         // Warm the sub-chain m1 ∘ m2 explicitly.
-        compose_chain(&catalog, &mut cache, &names("m", 3)[1..], &registry, &config, &options)
+        compose_chain_with(&catalog, &cache, &names("m", 3)[1..], &registry, &config, &options)
             .unwrap();
         // The full chain absorbs the cached run: one lookup, one new
         // composition joining m0 to it.
         let result =
-            compose_chain(&catalog, &mut cache, &names("m", 3), &registry, &config, &options)
+            compose_chain_with(&catalog, &cache, &names("m", 3), &registry, &config, &options)
                 .unwrap();
         assert_eq!(result.plan, vec![1, 2], "m0 alone, then the cached m1∘m2 run");
         assert_eq!(result.compose_calls, 1);

@@ -22,13 +22,15 @@
 //!   `(left-hash, right-hash, config-hash)`, with provenance-tracked
 //!   invalidation: editing one mapping drops exactly the cached segments
 //!   that depend on it.
-//! * [`session`] — the batch/session API tying the pieces together, with the
-//!   instrumented pairwise-composition counter.
+//! * [`shared`] — the session tying the pieces together: the lock-striped
+//!   [`SharedCatalog`] and the [`SharedSession`] over it, safe to share
+//!   across threads, with the parallel batch API and the instrumented
+//!   pairwise-composition counter.
+//! * [`session`] — what every session shares: [`SessionConfig`],
+//!   [`SessionStats`] and the analysis-report renderers.
 //! * [`replay`] — the schema-evolution simulator hooked into the catalog:
 //!   the Figure-2-style editing scenario re-expressed as incremental
 //!   recomposition (one pairwise composition per edit, not a full re-fold).
-//! * [`shared`] — concurrent sessions over one catalog: the lock-striped
-//!   [`SharedCatalog`] and the [`SharedSession`] parallel batch API.
 //!
 //! An architecture overview of the whole workspace (crate map, data flow,
 //! diagrams) lives in `docs/ARCHITECTURE.md`; the complete on-disk grammar
@@ -62,7 +64,7 @@
 //!
 //! ```
 //! use mapcomp_algebra::{parse_constraints, Signature};
-//! use mapcomp_catalog::{Catalog, Session};
+//! use mapcomp_catalog::{Catalog, SharedSession};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.add_schema("s1", Signature::from_arities([("R", 1)]));
@@ -71,7 +73,7 @@
 //! catalog.add_mapping("m12", "s1", "s2", parse_constraints("R <= S").unwrap()).unwrap();
 //! catalog.add_mapping("m23", "s2", "s3", parse_constraints("S <= T").unwrap()).unwrap();
 //!
-//! let mut session = Session::new(catalog);
+//! let session = SharedSession::new(catalog);
 //! let result = session.compose_path("s1", "s3").unwrap();
 //! assert!(result.is_complete());
 //! assert_eq!(result.compose_calls, 1);
@@ -101,8 +103,7 @@ pub use cache::{
     CacheEvent, CacheStats, ChainCache, MemoCache, MemoEntry, MemoKey, ShardedMemoCache,
 };
 pub use chain::{
-    compose_chain, compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain,
-    LinkSource,
+    compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain, LinkSource,
 };
 pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::chain::ChainResult;
 use crate::error::CatalogError;
-use crate::session::Session;
+use crate::shared::SharedSession;
 use crate::store::Catalog;
 
 /// Per-edit record of the replay.
@@ -42,7 +42,7 @@ pub struct ReplayRecord {
 /// Result of replaying an editing scenario through the catalog.
 pub struct CatalogReplay {
     /// The session, holding the catalog of all versions and the warm cache.
-    pub session: Session,
+    pub session: SharedSession,
     /// Number of edits applied (schema versions `v0 … v{edits}`).
     pub edits: usize,
     /// Per-edit records.
@@ -70,12 +70,7 @@ impl CatalogReplay {
     /// [`CatalogReplay::migrate_analyzed`] derives it from static analysis.
     pub fn migrate(&self, source: &Instance, config: &ExchangeConfig) -> Option<ExchangeResult> {
         let chain = &self.final_result.as_ref()?.chain;
-        let full =
-            chain.mapping.input.union(&chain.mapping.output).ok()?.union(&chain.residual).ok()?;
-        let mut target_sig = chain.mapping.output.clone();
-        for (name, info) in chain.residual.iter() {
-            target_sig.add(name.to_string(), info.clone());
-        }
+        let (full, target_sig) = chain.chase_signatures().ok()?;
         Some(exchange(
             chain.mapping.constraints.as_slice(),
             &full,
@@ -98,12 +93,7 @@ impl CatalogReplay {
         source: &Instance,
     ) -> Option<(ExchangeResult, mapcomp_analysis::AnalysisReport)> {
         let chain = &self.final_result.as_ref()?.chain;
-        let full =
-            chain.mapping.input.union(&chain.mapping.output).ok()?.union(&chain.residual).ok()?;
-        let mut target_sig = chain.mapping.output.clone();
-        for (name, info) in chain.residual.iter() {
-            target_sig.add(name.to_string(), info.clone());
-        }
+        let (full, target_sig) = chain.chase_signatures().ok()?;
         let report = mapcomp_analysis::analyze_exchange(
             chain.mapping.constraints.as_slice(),
             &full,
@@ -132,7 +122,7 @@ pub fn replay_editing(config: &ScenarioConfig) -> Result<CatalogReplay, CatalogE
     let mut names = NameSource::new();
     let original = random_schema(config.schema_size, &config.options, &mut names, &mut rng);
 
-    let mut session = Session::new(Catalog::new());
+    let session = SharedSession::new(Catalog::new());
     session.add_schema("v0", original.clone());
 
     let mut current = original;

@@ -26,7 +26,8 @@
 //!   persistence and replication).
 //! * **Versions** — version counters live inside the entries and are only
 //!   advanced under the shard write locks, so concurrent writers cannot
-//!   lose increments.
+//!   lose increments. The rules that advance them are the single-threaded
+//!   store's, from [`crate::store`].
 //! * **Cache** — the memo cache is a [`ShardedMemoCache`]: per-segment
 //!   mutexes keyed by memo-key hash, merged statistics (see
 //!   [`crate::cache`]).
@@ -52,9 +53,12 @@ use crate::cache::ShardedMemoCache;
 use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, GraphIndex, PathCost};
-use crate::hash::{hash_mapping, hash_signature, hash_str, ContentHash};
+use crate::hash::{hash_mapping, hash_str, ContentHash};
 use crate::session::{render_analysis_text, SessionConfig, SessionStats};
-use crate::store::{check_endpoints, validate_document, Catalog, MappingEntry, SchemaEntry};
+use crate::store::{
+    rehash_touching, upsert_mapping, upsert_schema, validate_document, Catalog, MappingEntry,
+    SchemaEntry,
+};
 
 /// One stripe of the shared store.
 #[derive(Debug, Default)]
@@ -181,46 +185,29 @@ impl SharedCatalog {
     /// error.
     pub fn add_schema(&self, name: impl Into<String>, signature: Signature) -> (u64, Vec<String>) {
         let name = name.into();
-        let hash = hash_signature(&signature);
         let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
-        let home = shard_index(&name, guards.len());
-        let version = match guards[home].schemas.get(&name) {
-            Some(existing) if existing.hash == hash => return (existing.version, Vec::new()),
-            Some(existing) => existing.version + 1,
-            None => 1,
-        };
-        guards[home]
-            .schemas
-            .insert(name.clone(), SchemaEntry { name: name.clone(), signature, version, hash });
+        let shard_count = guards.len();
+        let home = shard_index(&name, shard_count);
+        let (version, changed) = upsert_schema(&mut guards[home].schemas, &name, signature);
+        if !changed {
+            return (version, Vec::new());
+        }
         if version == 1 {
             self.index_mut().add_schema(&name);
         }
         // Rehash affected mappings across every shard.
-        let schema_sigs: BTreeMap<String, Signature> = guards
-            .iter()
-            .flat_map(|guard| guard.schemas.iter().map(|(n, e)| (n.clone(), e.signature.clone())))
-            .collect();
-        let mut touched = Vec::new();
-        for guard in &mut guards {
-            for entry in guard.mappings.values_mut() {
-                if entry.source != name && entry.target != name {
-                    continue;
-                }
-                let (Some(source), Some(target)) =
-                    (schema_sigs.get(&entry.source), schema_sigs.get(&entry.target))
-                else {
-                    continue;
-                };
-                let new_hash = hash_mapping(source, target, &entry.constraints);
-                if new_hash != entry.hash {
-                    entry.version += 1;
-                    entry.hash = new_hash;
-                    entry.history.push((entry.version, new_hash));
-                    touched.push(entry.name.clone());
-                }
-            }
-        }
-        touched.sort();
+        let (schemas, mappings): (Vec<_>, Vec<_>) = guards
+            .iter_mut()
+            .map(|guard| {
+                let shard = &mut **guard;
+                (&shard.schemas, &mut shard.mappings)
+            })
+            .unzip();
+        let touched = rehash_touching(
+            mappings.into_iter().flat_map(|shard| shard.values_mut()),
+            &name,
+            |schema| schemas[shard_index(schema, shard_count)].get(schema).map(|e| &e.signature),
+        );
         (version, touched)
     }
 
@@ -242,47 +229,23 @@ impl SharedCatalog {
             [name.as_str(), source, target].iter().map(|n| shard_index(n, shard_count)).collect();
         involved.sort_unstable();
         involved.dedup();
-        let guards: BTreeMap<usize, RwLockWriteGuard<'_, Shard>> =
+        let mut guards: BTreeMap<usize, RwLockWriteGuard<'_, Shard>> =
             involved.iter().map(|&index| (index, write(&self.shards[index]))).collect();
-        let schema_sig = |schema: &str| -> Result<Signature, CatalogError> {
+        let signature = |schema: &str| -> Result<&Signature, CatalogError> {
             guards[&shard_index(schema, shard_count)]
                 .schemas
                 .get(schema)
-                .map(|entry| entry.signature.clone())
+                .map(|entry| &entry.signature)
                 .ok_or_else(|| CatalogError::UnknownSchema(schema.to_string()))
         };
-        let source_sig = schema_sig(source)?;
-        let target_sig = schema_sig(target)?;
-        check_endpoints(&source_sig, &target_sig)?;
-        let hash = hash_mapping(&source_sig, &target_sig, &constraints);
-        let home = shard_index(&name, shard_count);
-        let mut guards = guards;
-        let shard = guards.get_mut(&home).expect("home shard locked");
-        let (version, mut history) = match shard.mappings.get(&name) {
-            Some(existing)
-                if existing.hash == hash
-                    && existing.source == source
-                    && existing.target == target =>
-            {
-                return Ok(existing.version)
-            }
-            Some(existing) => (existing.version + 1, existing.history.clone()),
-            None => (1, Vec::new()),
-        };
-        history.push((version, hash));
-        self.index_mut().insert_mapping(&name, source, target, edge_cost(&constraints));
-        shard.mappings.insert(
-            name.clone(),
-            MappingEntry {
-                name,
-                source: source.to_string(),
-                target: target.to_string(),
-                constraints,
-                version,
-                hash,
-                history,
-            },
-        );
+        let endpoints = (signature(source)?, signature(target)?);
+        let entry = MappingEntry::new(name.clone(), source, target, endpoints, constraints)?;
+        let home = guards.get_mut(&shard_index(&name, shard_count)).expect("home shard locked");
+        let (version, changed) = upsert_mapping(&mut home.mappings, entry);
+        if changed {
+            let cost = edge_cost(&home.mappings[&name].constraints);
+            self.index_mut().insert_mapping(&name, source, target, cost);
+        }
         Ok(version)
     }
 
@@ -404,18 +367,20 @@ fn shard_index(name: &str, shard_count: usize) -> usize {
     (hash_str(name) % shard_count as u64) as usize
 }
 
-/// A concurrent catalog session: every method takes `&self`, so one session
-/// can be shared by reference across threads (it is `Sync`). Mutations
-/// invalidate dependent cache entries exactly like the single-threaded
-/// [`crate::session::Session`]; instrumentation counters are atomics.
+/// A catalog session: store + graph + chain driver + memo cache. Every
+/// method takes `&self`, so one session can be shared by reference across
+/// threads (it is `Sync`). All catalog mutation should go through the
+/// session: editing a mapping drops exactly the cached compositions (and
+/// the analysis report) whose provenance mentions it. Instrumentation
+/// counters are atomics.
 pub struct SharedSession {
     catalog: SharedCatalog,
     registry: Registry,
     config: SessionConfig,
     cache: ShardedMemoCache,
-    /// Mutex-guarded mirror of [`crate::session::Session`]'s per-mapping
-    /// analysis cache: name → (content hash at analysis time, report).
-    /// Hash-checked on read, cleared at every invalidation site.
+    /// Per-mapping static-analysis reports: name → (content hash of the
+    /// analyzed mapping, report). Hash-checked on read, cleared at every
+    /// invalidation site.
     analysis: Mutex<BTreeMap<String, (ContentHash, Arc<AnalysisReport>)>>,
     workers: usize,
     compose_calls: AtomicUsize,
@@ -424,10 +389,11 @@ pub struct SharedSession {
 }
 
 impl SharedSession {
-    /// Share `catalog` for parallel batches over `workers` worker threads,
-    /// with the standard registry and default configuration.
-    pub fn new(catalog: Catalog, workers: usize) -> Self {
-        SharedSession::with_config(catalog, Registry::standard(), SessionConfig::default(), workers)
+    /// Create a one-worker session over a catalog with the standard registry
+    /// and default configuration. For parallel batches use
+    /// [`Catalog::with_workers`] or [`SharedSession::with_config`].
+    pub fn new(catalog: Catalog) -> Self {
+        catalog.with_workers(1)
     }
 
     /// Create a shared session with an explicit registry and configuration.
@@ -561,13 +527,12 @@ impl SharedSession {
 
     /// Ingest a parsed document (schemas + mappings), invalidating cache
     /// entries for every mapping that was added or changed. Returns the
-    /// touched mapping names — the same contract as
-    /// [`crate::session::Session::ingest_document`]. Entries are applied
-    /// and invalidated one at a time, so even if a later entry fails (and
-    /// the error propagates with the earlier ones already applied — callers
-    /// wanting all-or-nothing call [`SharedCatalog::validate_document`]
-    /// first under their own writer lock, as the service layer does), no
-    /// applied change ever escapes cache invalidation.
+    /// touched mapping names. Entries are applied and invalidated one at a
+    /// time, so even if a later entry fails (and the error propagates with
+    /// the earlier ones already applied — callers wanting all-or-nothing
+    /// call [`SharedCatalog::validate_document`] first under their own
+    /// writer lock, as the service layer does), no applied change ever
+    /// escapes cache invalidation.
     pub fn ingest_document(&self, document: &Document) -> Result<Vec<String>, CatalogError> {
         let mut touched = Vec::new();
         for (name, signature) in &document.schemas {
@@ -604,9 +569,10 @@ impl SharedSession {
         self.analysis.lock().unwrap_or_else(PoisonError::into_inner).remove(mapping);
     }
 
-    /// Statically analyze one mapping, mirroring
-    /// [`crate::session::Session::analyze_mapping`]: the cached report is
-    /// returned only while the mapping's content hash still matches.
+    /// Statically analyze one mapping: weak-acyclicity termination verdict
+    /// plus lint diagnostics. The cached report is returned only while the
+    /// mapping's content hash still matches; the returned hash is always the
+    /// hash of the content the report describes.
     pub fn analyze_mapping(
         &self,
         name: &str,
@@ -623,9 +589,12 @@ impl SharedSession {
                 }
             }
         }
-        // `link` retries torn reads, so the materialised mapping is
-        // hash-consistent even against concurrent schema edits.
+        // `link` retries torn reads, so the materialised mapping matches
+        // its hash even against concurrent edits; an edit racing this call
+        // may have replaced the content read above, so the report is keyed
+        // by the hash of what was analyzed.
         let chain = self.catalog.link(name)?;
+        let hash = ContentHash(chain.hash);
         let report = Arc::new(mapcomp_analysis::analyze_mapping(&chain.mapping));
         self.analysis
             .lock()
@@ -647,15 +616,40 @@ impl SharedSession {
             .collect()
     }
 
-    /// Byte-stable catalog-wide analysis text, identical to
-    /// [`crate::session::Session::analysis_text`] for the same catalog
-    /// content.
+    /// Byte-stable catalog-wide analysis text: one `mapping <name>: <verdict>`
+    /// line per mapping (name-sorted), with diagnostics and chase skips
+    /// indented underneath. This is the payload of the wire `analyze` frame
+    /// and the `lint` CLI subcommand.
     pub fn analysis_text(&self, only: Option<&str>) -> Result<String, CatalogError> {
         let reports = match only {
             Some(name) => vec![(name.to_string(), self.analyze_mapping(name)?.1)],
             None => self.analyze_all(),
         };
         Ok(render_analysis_text(&reports))
+    }
+
+    /// Run data exchange for a mapping under an analysis-guided chase
+    /// configuration (see [`SessionConfig::chase_config`]): proven mappings
+    /// chase under their derived budget, unknown ones under runtime limits,
+    /// and the result records the verdict it executed under.
+    pub fn exchange_analyzed(
+        &self,
+        name: &str,
+        source: &mapcomp_algebra::Instance,
+    ) -> Result<mapcomp_compose::ExchangeResult, CatalogError> {
+        let report = self.analyze_mapping(name)?.1;
+        let mapping = self.catalog.link(name)?.mapping;
+        let full = mapping.combined_signature().map_err(CatalogError::Algebra)?;
+        let config =
+            self.config.chase_config(Some((&report, mapcomp_analysis::domain_size(source))));
+        Ok(mapcomp_compose::exchange(
+            mapping.constraints.as_slice(),
+            &full,
+            &mapping.output,
+            source,
+            &self.registry,
+            &config,
+        ))
     }
 
     /// Resolve a path under the configured [`PathCost`] and compose it.
@@ -744,15 +738,6 @@ impl SharedSession {
             cache_entries: self.cache.len(),
         }
     }
-
-    /// Tear the session apart into a single-threaded catalog snapshot and a
-    /// merged memo cache — e.g. to hand back to a plain
-    /// [`crate::session::Session`] or to persist.
-    pub fn into_parts(self) -> (Catalog, crate::cache::MemoCache) {
-        let catalog = self.catalog.snapshot();
-        let capacity = self.config.cache_capacity;
-        (catalog, self.cache.into_cache(capacity))
-    }
 }
 
 impl Catalog {
@@ -761,7 +746,7 @@ impl Catalog {
     /// `workers` scoped threads. See the [`crate::shared`] module docs for
     /// the concurrency model.
     pub fn with_workers(self, workers: usize) -> SharedSession {
-        SharedSession::new(self, workers)
+        SharedSession::with_config(self, Registry::standard(), SessionConfig::default(), workers)
     }
 }
 
@@ -960,8 +945,8 @@ mod tests {
             .collect();
         let parallel = chain_catalog(5).with_workers(4);
         let parallel_results = parallel.compose_batch_parallel(&requests);
-        let mut sequential = crate::session::Session::new(chain_catalog(5));
-        let sequential_results = sequential.compose_batch(&requests);
+        let sequential = SharedSession::new(chain_catalog(5));
+        let sequential_results = sequential.compose_batch_parallel(&requests);
         for (index, (p, s)) in parallel_results.iter().zip(&sequential_results).enumerate() {
             let (p, s) = (p.as_ref().unwrap(), s.as_ref().unwrap());
             assert_eq!(
@@ -970,6 +955,12 @@ mod tests {
                 "request {index} diverged"
             );
             assert_eq!(p.chain.path, s.chain.path);
+            // Not compared: `chain.hash`, which encodes the fold association
+            // actually used and so legitimately varies with cache warmth
+            // (scheduling) even for equal content.
+        }
+        for session in [&parallel, &sequential] {
+            assert_eq!(session.stats().chains_composed, requests.len());
         }
     }
 
@@ -1007,12 +998,7 @@ mod tests {
                 });
             }
         });
-        let (catalog, cache) = {
-            let session = chain_catalog(6).with_workers(1);
-            session.compose_path("v0", "v6").unwrap();
-            session.into_parts()
-        };
-        assert_eq!(catalog.mapping_count(), 6);
-        assert!(!cache.is_empty());
+        assert_eq!(session.catalog().snapshot().mapping_count(), 6);
+        assert!(session.compose_path("v0", "v6").unwrap().is_complete());
     }
 }

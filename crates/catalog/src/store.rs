@@ -5,7 +5,10 @@
 //! constraint set over their union. Every entry carries a monotonically
 //! increasing version and a content hash ([`crate::hash`]); edits bump the
 //! version and change the hash, which is what drives memo-cache
-//! invalidation upstream.
+//! invalidation upstream. The versioning rules (`upsert_schema`,
+//! `rehash_touching`, `upsert_mapping`) are functions over entry maps, so
+//! the lock-striped [`crate::SharedCatalog`] applies exactly these rules to
+//! its shards.
 //!
 //! Catalogs round-trip through the plain-text document format of paper §4:
 //! [`Catalog::from_document`] ingests a parsed [`Document`], and
@@ -61,6 +64,29 @@ impl MappingEntry {
     /// alone is not enough.
     pub fn edge(&self) -> (ContentHash, String, String) {
         (self.hash, self.source.clone(), self.target.clone())
+    }
+
+    /// A mapping declaration, checked against its endpoint signatures and
+    /// hashed. Its version and history are assigned when it is stored (see
+    /// [`upsert_mapping`]).
+    pub(crate) fn new(
+        name: String,
+        source: &str,
+        target: &str,
+        (source_sig, target_sig): (&Signature, &Signature),
+        constraints: ConstraintSet,
+    ) -> Result<MappingEntry, CatalogError> {
+        check_endpoints(source_sig, target_sig)?;
+        let hash = hash_mapping(source_sig, target_sig, &constraints);
+        Ok(MappingEntry {
+            name,
+            source: source.to_string(),
+            target: target.to_string(),
+            constraints,
+            version: 0,
+            hash,
+            history: Vec::new(),
+        })
     }
 
     /// Materialise the mapping `(σ_in, σ_out, Σ)` against the given schemas.
@@ -145,35 +171,14 @@ impl Catalog {
         signature: Signature,
     ) -> (u64, Vec<String>) {
         let name = name.into();
-        let hash = hash_signature(&signature);
-        let version = match self.schemas.get(&name) {
-            Some(existing) if existing.hash == hash => return (existing.version, Vec::new()),
-            Some(existing) => existing.version + 1,
-            None => 1,
-        };
-        self.schemas
-            .insert(name.clone(), SchemaEntry { name: name.clone(), signature, version, hash });
-        // Rehash affected mappings.
-        let mut touched = Vec::new();
-        let schema_sigs: BTreeMap<String, Signature> =
-            self.schemas.iter().map(|(n, e)| (n.clone(), e.signature.clone())).collect();
-        for entry in self.mappings.values_mut() {
-            if entry.source != name && entry.target != name {
-                continue;
-            }
-            let (Some(source), Some(target)) =
-                (schema_sigs.get(&entry.source), schema_sigs.get(&entry.target))
-            else {
-                continue;
-            };
-            let new_hash = hash_mapping(source, target, &entry.constraints);
-            if new_hash != entry.hash {
-                entry.version += 1;
-                entry.hash = new_hash;
-                entry.history.push((entry.version, new_hash));
-                touched.push(entry.name.clone());
-            }
+        let (version, changed) = upsert_schema(&mut self.schemas, &name, signature);
+        if !changed {
+            return (version, Vec::new());
         }
+        let schemas = &self.schemas;
+        let touched = rehash_touching(self.mappings.values_mut(), &name, |schema| {
+            schemas.get(schema).map(|entry| &entry.signature)
+        });
         (version, touched)
     }
 
@@ -188,36 +193,9 @@ impl Catalog {
         target: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let name = name.into();
-        let source_sig = self.schema(source)?.signature.clone();
-        let target_sig = self.schema(target)?.signature.clone();
-        check_endpoints(&source_sig, &target_sig)?;
-        let hash = hash_mapping(&source_sig, &target_sig, &constraints);
-        let (version, mut history) = match self.mappings.get(&name) {
-            Some(existing)
-                if existing.hash == hash
-                    && existing.source == source
-                    && existing.target == target =>
-            {
-                return Ok(existing.version)
-            }
-            Some(existing) => (existing.version + 1, existing.history.clone()),
-            None => (1, Vec::new()),
-        };
-        history.push((version, hash));
-        self.mappings.insert(
-            name.clone(),
-            MappingEntry {
-                name,
-                source: source.to_string(),
-                target: target.to_string(),
-                constraints,
-                version,
-                hash,
-                history,
-            },
-        );
-        Ok(version)
+        let endpoints = (&self.schema(source)?.signature, &self.schema(target)?.signature);
+        let entry = MappingEntry::new(name.into(), source, target, endpoints, constraints)?;
+        Ok(upsert_mapping(&mut self.mappings, entry).0)
     }
 
     /// Replace the constraints of an existing mapping (the "edit one link"
@@ -327,6 +305,84 @@ impl Catalog {
         }
         out
     }
+}
+
+/// The schema version step: stores `signature` under `name` at version 1,
+/// or at the next version when it differs from the registered one; an
+/// unchanged signature is a no-op. Returns the stored version and whether
+/// anything changed.
+pub(crate) fn upsert_schema(
+    schemas: &mut BTreeMap<String, SchemaEntry>,
+    name: &str,
+    signature: Signature,
+) -> (u64, bool) {
+    let hash = hash_signature(&signature);
+    let version = match schemas.get(name) {
+        Some(existing) if existing.hash == hash => return (existing.version, false),
+        Some(existing) => existing.version + 1,
+        None => 1,
+    };
+    let entry = SchemaEntry { name: name.to_string(), signature, version, hash };
+    schemas.insert(name.to_string(), entry);
+    (version, true)
+}
+
+/// The rehash after a schema edit: every mapping with `schema` as an
+/// endpoint is rehashed against the signatures `signature_of` returns
+/// (mappings with an unregistered endpoint are skipped). A changed hash
+/// bumps the mapping's version and appends to its history. Returns the
+/// rehashed mapping names, sorted.
+pub(crate) fn rehash_touching<'s, 'm>(
+    mappings: impl Iterator<Item = &'m mut MappingEntry>,
+    schema: &str,
+    signature_of: impl Fn(&str) -> Option<&'s Signature>,
+) -> Vec<String> {
+    let mut touched = Vec::new();
+    for entry in mappings.filter(|entry| entry.source == schema || entry.target == schema) {
+        let (Some(source), Some(target)) =
+            (signature_of(&entry.source), signature_of(&entry.target))
+        else {
+            continue;
+        };
+        let hash = hash_mapping(source, target, &entry.constraints);
+        if hash != entry.hash {
+            entry.version += 1;
+            entry.hash = hash;
+            entry.history.push((entry.version, hash));
+            touched.push(entry.name.clone());
+        }
+    }
+    touched.sort();
+    touched
+}
+
+/// The mapping upsert: stores a [`MappingEntry::new`] declaration unless the
+/// registered entry has the same [`MappingEntry::edge`], which makes it a
+/// no-op. A new mapping starts at version 1 and an edit bumps the version;
+/// either way the stored `(version, hash)` is appended to the history.
+/// Returns the stored version and whether anything changed.
+pub(crate) fn upsert_mapping(
+    mappings: &mut BTreeMap<String, MappingEntry>,
+    mut declared: MappingEntry,
+) -> (u64, bool) {
+    match mappings.get_mut(&declared.name) {
+        Some(existing)
+            if existing.hash == declared.hash
+                && existing.source == declared.source
+                && existing.target == declared.target =>
+        {
+            return (existing.version, false)
+        }
+        Some(existing) => {
+            declared.version = existing.version + 1;
+            declared.history = std::mem::take(&mut existing.history);
+        }
+        None => declared.version = 1,
+    }
+    declared.history.push((declared.version, declared.hash));
+    let version = declared.version;
+    mappings.insert(declared.name.clone(), declared);
+    (version, true)
 }
 
 /// The endpoint check of a mapping: symbols its source and target schemas

@@ -952,20 +952,9 @@ impl LocalService {
                 // must replay through `parse_update` byte-for-byte.
                 let tokens: Vec<String> =
                     parsed.iter().map(mapcomp_compose::Update::render).collect();
-                let full = chain
-                    .mapping
-                    .input
-                    .union(&chain.mapping.output)
-                    .and_then(|sig| sig.union(&chain.residual))
-                    .map_err(|error| {
-                        ServiceError::protocol(format!("conflicting chain signatures: {error}"))
-                    })?;
-                // Residual symbols are chased as auxiliary target relations,
-                // exactly as CatalogReplay::migrate treats them (paper §1.3).
-                let mut target_sig = chain.mapping.output.clone();
-                for (name, info) in chain.residual.iter() {
-                    target_sig.add(name.to_string(), info.clone());
-                }
+                let (full, target_sig) = chain.chase_signatures().map_err(|error| {
+                    ServiceError::protocol(format!("conflicting chain signatures: {error}"))
+                })?;
                 let config = self.session.config().chase_config(None);
                 let payload = {
                     let mut sessions =

@@ -92,7 +92,7 @@
 //!     mapping m23 : sigma2 -> sigma3 { S <= T; }
 //! ").unwrap();
 //!
-//! let mut session = Session::new(Catalog::new());
+//! let session = SharedSession::new(Catalog::new());
 //! session.ingest_document(&doc).unwrap();
 //!
 //! // Multi-hop: resolve the path sigma1 → sigma3 and fold it.
@@ -168,8 +168,7 @@ pub mod prelude {
     };
     pub use mapcomp_catalog::{
         replay_editing, Catalog, CatalogError, ChainOptions, ChainResult, ContentHash, MemoCache,
-        PathCost, Session, SessionConfig, SessionStats, SharedCatalog, SharedSession,
-        SidecarWriter,
+        PathCost, SessionConfig, SessionStats, SharedCatalog, SharedSession, SidecarWriter,
     };
     pub use mapcomp_compose::{
         compose, compose_constraints, eliminate, ComposeConfig, ComposeResult, EliminateStep,

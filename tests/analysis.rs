@@ -276,7 +276,7 @@ fn catalog_mappings_get_cached_verdicts_and_lint_reports() {
         ",
     )
     .unwrap();
-    let mut session = Session::new(Catalog::new());
+    let session = SharedSession::new(Catalog::new());
     session.ingest_document(&doc).unwrap();
 
     let text = session.analysis_text(None).unwrap();
@@ -306,7 +306,7 @@ fn analyzed_migration_uses_the_proven_budget_end_to_end() {
         ",
     )
     .unwrap();
-    let mut session = Session::new(Catalog::new());
+    let session = SharedSession::new(Catalog::new());
     session.ingest_document(&doc).unwrap();
     let (_, report) = session.analyze_mapping("step").unwrap();
     assert!(report.proven());
@@ -333,10 +333,11 @@ fn operator_budget_override_beats_the_proven_bound() {
         ",
     )
     .unwrap();
-    let mut session = Session::with_config(
+    let session = SharedSession::with_config(
         Catalog::new(),
         Registry::standard(),
         SessionConfig { eval_budget: Some(7), ..SessionConfig::default() },
+        1,
     );
     session.ingest_document(&doc).unwrap();
     let (_, report) = session.analyze_mapping("step").unwrap();

@@ -13,7 +13,7 @@ use mapping_composition::prelude::*;
 
 /// A linear catalog v0 → v1 → … → v{hops} of unary copy mappings
 /// `R{i} <= R{i+1}`.
-fn chain_session(hops: usize) -> Session {
+fn chain_session(hops: usize) -> SharedSession {
     let mut catalog = Catalog::new();
     for i in 0..=hops {
         catalog.add_schema(format!("v{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
@@ -28,12 +28,12 @@ fn chain_session(hops: usize) -> Session {
             )
             .unwrap();
     }
-    Session::new(catalog)
+    SharedSession::new(catalog)
 }
 
 #[test]
 fn five_hop_chain_composes_end_to_end() {
-    let mut session = chain_session(5);
+    let session = chain_session(5);
     let result = session.compose_path("v0", "v5").unwrap();
     assert!(result.is_complete());
     assert_eq!(result.chain.path, vec!["m0", "m1", "m2", "m3", "m4"]);
@@ -49,7 +49,7 @@ fn five_hop_chain_composes_end_to_end() {
 
 #[test]
 fn cache_hits_make_recomposition_and_subchains_cheap() {
-    let mut session = chain_session(5);
+    let session = chain_session(5);
     session.compose_path("v0", "v5").unwrap();
     let stats = session.stats();
     assert_eq!(stats.compose_calls, 4);
@@ -78,7 +78,7 @@ fn editing_one_middle_mapping_recomposes_strictly_less_than_cold() {
     // The acceptance-criterion scenario, end to end: 5-hop chain, edit one
     // middle link, recompose. The instrumented counter must show strictly
     // fewer pairwise compose() calls than the from-scratch run.
-    let mut session = chain_session(5);
+    let session = chain_session(5);
     let cold = session.compose_path("v0", "v5").unwrap();
     assert_eq!(cold.compose_calls, 4);
 
@@ -111,7 +111,7 @@ fn editing_one_middle_mapping_recomposes_strictly_less_than_cold() {
 
 #[test]
 fn editing_the_last_mapping_keeps_the_longest_prefix() {
-    let mut session = chain_session(5);
+    let session = chain_session(5);
     session.compose_path("v0", "v5").unwrap();
     session.update_mapping("m4", parse_constraints("project[0](R4) <= R5").unwrap()).unwrap();
     let incremental = session.compose_path("v0", "v5").unwrap();
@@ -122,7 +122,7 @@ fn editing_the_last_mapping_keeps_the_longest_prefix() {
 
 #[test]
 fn editing_the_first_mapping_falls_back_to_the_cached_suffix() {
-    let mut session = chain_session(5);
+    let session = chain_session(5);
     // Warm the v1 → v5 sub-chain, then the full chain.
     session.compose_path("v1", "v5").unwrap();
     let full = session.compose_path("v0", "v5").unwrap();
@@ -142,7 +142,7 @@ fn editing_the_first_mapping_falls_back_to_the_cached_suffix() {
 
 #[test]
 fn no_path_and_unknown_names_error() {
-    let mut session = chain_session(3);
+    let session = chain_session(3);
     // Directed graph: backwards is unreachable.
     assert!(matches!(session.compose_path("v3", "v0"), Err(CatalogError::NoPath { .. })));
     assert!(matches!(session.compose_path("v0", "v0"), Err(CatalogError::EmptyPath { .. })));
@@ -167,7 +167,7 @@ fn incomplete_elimination_mid_chain_best_effort_and_strict() {
 
     // Best effort: the chain composes, the blocked symbol rides along as a
     // residual and is reported.
-    let mut session = Session::new(catalog.clone());
+    let session = SharedSession::new(catalog.clone());
     let result = session.compose_path("v0", "v3").unwrap();
     assert!(!result.is_complete());
     assert_eq!(result.chain.residual.names(), vec!["B".to_string()]);
@@ -180,7 +180,7 @@ fn incomplete_elimination_mid_chain_best_effort_and_strict() {
         chain: ChainOptions { require_complete: true },
         ..SessionConfig::default()
     };
-    let mut session = Session::with_config(catalog, Registry::standard(), strict);
+    let session = SharedSession::with_config(catalog, Registry::standard(), strict, 1);
     let err = session.compose_path("v0", "v3").unwrap_err();
     assert!(matches!(err, CatalogError::Incomplete { .. }));
     if let CatalogError::Incomplete { remaining, .. } = err {
@@ -201,15 +201,15 @@ fn strict_sessions_reject_cached_incomplete_segments() {
     catalog.add_mapping("r1", "a", "b", parse_constraints("P <= Q; Q = tc(Q)").unwrap()).unwrap();
     catalog.add_mapping("r2", "b", "c", parse_constraints("Q <= Z").unwrap()).unwrap();
 
-    let mut lenient = Session::new(catalog.clone());
+    let lenient = SharedSession::new(catalog.clone());
     assert!(!lenient.compose_path("a", "c").unwrap().is_complete());
-    let sidecar = save_cache(lenient.cache());
+    let sidecar = save_cache(&lenient.cache().collect());
 
     let strict_config = SessionConfig {
         chain: ChainOptions { require_complete: true },
         ..SessionConfig::default()
     };
-    let mut strict = Session::with_config(catalog, Registry::standard(), strict_config);
+    let mut strict = SharedSession::with_config(catalog, Registry::standard(), strict_config, 1);
     strict.restore_cache(load_cache(&sidecar));
     let err = strict.compose_path("a", "c").unwrap_err();
     assert!(matches!(err, CatalogError::Incomplete { .. }), "got {err:?}");
@@ -217,8 +217,9 @@ fn strict_sessions_reject_cached_incomplete_segments() {
 
 #[test]
 fn batch_requests_share_the_cache() {
-    let mut session = chain_session(4);
-    let results = session.compose_batch(&[
+    let session = chain_session(4);
+    // One worker: the batch runs in request order.
+    let results = session.compose_batch_parallel(&[
         ("v0".to_string(), "v2".to_string()),
         ("v0".to_string(), "v3".to_string()),
         ("v0".to_string(), "v4".to_string()),
@@ -234,15 +235,15 @@ fn batch_requests_share_the_cache() {
 fn memo_sidecar_round_trip_preserves_incrementality() {
     // Simulate the CLI's cross-invocation flow: compose, save the cache,
     // restore it into a fresh session over the same catalog text.
-    let mut session = chain_session(4);
+    let session = chain_session(4);
     session.compose_path("v0", "v4").unwrap();
-    let catalog_text = session.catalog().to_document_string();
-    let sidecar = save_cache(session.cache());
+    let catalog_text = session.catalog().snapshot().to_document_string();
+    let sidecar = save_cache(&session.cache().collect());
 
     let document = parse_document(&catalog_text).unwrap();
     let mut rebuilt = Catalog::new();
     rebuilt.from_document(&document).unwrap();
-    let mut fresh = Session::new(rebuilt);
+    let mut fresh = SharedSession::new(rebuilt);
     fresh.restore_cache(load_cache(&sidecar));
     let warm = fresh.compose_path("v0", "v4").unwrap();
     assert_eq!(warm.compose_calls, 0, "restored sidecar must serve the whole chain");
@@ -262,7 +263,7 @@ fn evolution_replay_runs_incrementally_through_the_catalog() {
     // strictly more than any single incremental step for chains ≥ 3 links.
     let final_result = replay.final_result.as_ref().unwrap();
     let path = final_result.chain.path.clone();
-    let mut cold_session = Session::new(replay.session.catalog().clone());
+    let cold_session = SharedSession::new(replay.session.catalog().snapshot());
     let cold = cold_session.compose_names(&path).unwrap();
     assert_eq!(cold.compose_calls, path.len() - 1);
     assert!(replay.records.last().unwrap().compose_calls < cold.compose_calls);
@@ -275,7 +276,7 @@ fn evolution_replay_runs_incrementally_through_the_catalog() {
 
 #[test]
 fn content_addressing_survives_no_op_edits() {
-    let mut session = chain_session(3);
+    let session = chain_session(3);
     session.compose_path("v0", "v3").unwrap();
     // Re-register an identical mapping: hash unchanged, cache stays warm.
     let (version, dropped) =

@@ -2,7 +2,7 @@
 //! mix of compose / invalidate / re-register / edit operations at one
 //! [`SharedSession`], and every observable outcome must be byte-identical
 //! to a single-threaded replay of the same per-thread operation sequences
-//! on a plain [`Session`]. The generator runs on the deterministic `rand`
+//! on a one-worker session. The generator runs on the deterministic `rand`
 //! shim, so a failing interleaving reproduces from its printed thread seed.
 //!
 //! Deliberately *not* compared: schedule-dependent instrumentation such as
@@ -15,7 +15,11 @@
 //! The shared catalog's maintained graph index has two oracles here: a
 //! resolution over a freshly rebuilt snapshot after every step of a seeded
 //! mutation sequence, and a recorded mutation log that every resolution
-//! racing concurrent writers must match one state of.
+//! racing concurrent writers must match one state of. The same seeded
+//! sequence drives a single-threaded `Catalog` alongside, which must agree
+//! entry by entry (versions, hashes, history) after every step. Finally,
+//! analysis reports racing edits must always come back with the hash of the
+//! content they describe.
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
@@ -27,7 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mapping_composition::catalog::{
-    graph, save_state, Session, SharedSession, SidecarWriter, VersionManifest,
+    graph, save_state, SharedSession, SidecarWriter, VersionManifest,
 };
 use mapping_composition::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -124,42 +128,9 @@ fn render_compose(result: &mapping_composition::catalog::ChainResult) -> String 
     )
 }
 
-/// Apply one op through the concurrent session; returns the outcome line.
-fn apply_shared(session: &SharedSession, thread: usize, op: &Op, edits: &mut usize) -> String {
-    match op {
-        Op::ComposeSpan(i, j) => {
-            let result = session.compose_path(&format!("v{i}"), &format!("v{j}")).unwrap();
-            format!("compose v{i}->v{j} {}", render_compose(&result))
-        }
-        Op::Invalidate(k) => {
-            session.invalidate(&format!("m{k}"));
-            format!("invalidate m{k}")
-        }
-        Op::ReAdd(k) => {
-            let version = session
-                .add_mapping(
-                    format!("m{k}"),
-                    &format!("v{k}"),
-                    &format!("v{}", k + 1),
-                    parse_constraints(&format!("R{k} <= R{}", k + 1)).unwrap(),
-                )
-                .unwrap();
-            format!("readd m{k} v{version}")
-        }
-        Op::PrivateEdit => {
-            let constraints = private_variant(thread, *edits);
-            *edits += 1;
-            let (version, _) = session.update_mapping(&format!("tm{thread}"), constraints).unwrap();
-            let result =
-                session.compose_path(&format!("t{thread}a"), &format!("t{thread}b")).unwrap();
-            format!("edit tm{thread} v{version} {}", render_compose(&result))
-        }
-    }
-}
-
-/// Apply one op through the single-threaded replay session; must produce
-/// the identical outcome line.
-fn apply_replay(session: &mut Session, thread: usize, op: &Op, edits: &mut usize) -> String {
+/// Apply one op through a session; returns the outcome line. The concurrent
+/// run and the single-threaded replay must produce identical lines.
+fn apply(session: &SharedSession, thread: usize, op: &Op, edits: &mut usize) -> String {
     match op {
         Op::ComposeSpan(i, j) => {
             let result = session.compose_path(&format!("v{i}"), &format!("v{j}")).unwrap();
@@ -201,7 +172,7 @@ fn temp_sidecar(tag: &str) -> std::path::PathBuf {
 #[test]
 fn concurrent_stress_matches_single_threaded_replay() {
     let catalog = stress_catalog();
-    let shared = SharedSession::new(catalog.clone(), THREADS);
+    let shared = catalog.clone().with_workers(THREADS);
     let writer = SidecarWriter::new(temp_sidecar("stress"));
 
     // Concurrent phase: every thread runs its seeded op sequence against the
@@ -217,7 +188,7 @@ fn concurrent_stress_matches_single_threaded_replay() {
                     thread_ops(thread)
                         .iter()
                         .map(|op| {
-                            let outcome = apply_shared(shared, thread, op, &mut edits);
+                            let outcome = apply(shared, thread, op, &mut edits);
                             if matches!(op, Op::PrivateEdit) {
                                 let entry =
                                     shared.catalog().mapping(&format!("tm{thread}")).unwrap();
@@ -236,11 +207,11 @@ fn concurrent_stress_matches_single_threaded_replay() {
 
     // (a) Byte-identical outcomes under a single-threaded replay of the same
     // per-thread sequences.
-    let mut replay = Session::new(catalog);
+    let replay = SharedSession::new(catalog);
     for (thread, thread_outcomes) in outcomes.iter().enumerate() {
         let mut edits = 0usize;
         for (index, op) in thread_ops(thread).iter().enumerate() {
-            let expected = apply_replay(&mut replay, thread, op, &mut edits);
+            let expected = apply(&replay, thread, op, &mut edits);
             assert_eq!(
                 thread_outcomes[index],
                 expected,
@@ -253,13 +224,14 @@ fn concurrent_stress_matches_single_threaded_replay() {
     // (b) Version counters agree entry-for-entry, and the merged cache
     // statistics are self-consistent (no lost increments).
     let snapshot = shared.catalog().snapshot();
-    for entry in replay.catalog().mappings() {
+    let replayed = replay.catalog().snapshot();
+    for entry in replayed.mappings() {
         let concurrent = snapshot.mapping(&entry.name).unwrap();
         assert_eq!(concurrent.version, entry.version, "version mismatch on {}", entry.name);
         assert_eq!(concurrent.hash, entry.hash, "hash mismatch on {}", entry.name);
         assert_eq!(concurrent.history, entry.history, "history mismatch on {}", entry.name);
     }
-    assert_eq!(snapshot.mapping_count(), replay.catalog().mapping_count());
+    assert_eq!(snapshot.mapping_count(), replayed.mapping_count());
     let stats = shared.stats();
     assert_eq!(stats.chains_composed, stats.paths_resolved, "every resolved path was composed");
     let cache = stats.cache;
@@ -308,13 +280,13 @@ fn parallel_batch_is_deterministic_across_worker_counts() {
     let requests: Vec<(String, String)> = (0..HOPS)
         .flat_map(|i| ((i + 1)..=HOPS).map(move |j| (format!("v{i}"), format!("v{j}"))))
         .collect();
-    let reference: Vec<String> = SharedSession::new(catalog.clone(), 1)
+    let reference: Vec<String> = SharedSession::new(catalog.clone())
         .compose_batch_parallel(&requests)
         .into_iter()
         .map(|result| render_compose(&result.unwrap()))
         .collect();
     for workers in [2, 4] {
-        let session = SharedSession::new(catalog.clone(), workers);
+        let session = catalog.clone().with_workers(workers);
         let rendered: Vec<String> = session
             .compose_batch_parallel(&requests)
             .into_iter()
@@ -377,6 +349,9 @@ fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
         }
         let shared = SharedCatalog::from_catalog(&catalog, 4);
         let mut checkpoint = shared.snapshot();
+        // The single-threaded store takes every mutation too: both must
+        // apply the same versioning rules.
+        let mut mirror = catalog;
         assert_index_matches_snapshot(&shared, &format!("seed {seed} initial"));
         for step in 0..120 {
             let schema = format!("s{}", rng.gen_range(0..=INDEX_SCHEMAS));
@@ -389,12 +364,16 @@ fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
                     let target = format!("s{}", rng.gen_range(0..=INDEX_SCHEMAS));
                     let constraints = index_constraints(rng.gen_range(0..3));
                     let outcome =
-                        shared.add_mapping(mapping.clone(), &schema, &target, constraints);
+                        shared.add_mapping(mapping.clone(), &schema, &target, constraints.clone());
+                    let expected =
+                        mirror.add_mapping(mapping.clone(), &schema, &target, constraints);
+                    assert_eq!(outcome, expected, "seed {seed} step {step}: add {mapping}");
                     format!("add {mapping} : {schema} -> {target} = {outcome:?}")
                 }
                 5 | 6 => {
-                    let removed = shared.remove_mapping(&mapping).is_some();
-                    format!("remove {mapping} = {removed}")
+                    let removed = shared.remove_mapping(&mapping);
+                    assert_eq!(removed, mirror.remove_mapping(&mapping), "seed {seed} step {step}");
+                    format!("remove {mapping} = {}", removed.is_some())
                 }
                 // Add or redefine a schema; a binary `X` in some schemas
                 // makes mappings between them and unary-`X` ones clash.
@@ -403,17 +382,36 @@ fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
                     if rng.gen_range(0..3u32) == 0 {
                         signature = Signature::from_arities([("R", 1), ("X", rng.gen_range(1..3))]);
                     }
-                    let (version, touched) = shared.add_schema(schema.clone(), signature);
+                    let (version, touched) = shared.add_schema(schema.clone(), signature.clone());
+                    let expected = mirror.add_schema(schema.clone(), signature);
+                    assert_eq!(
+                        (version, &touched),
+                        (expected.0, &expected.1),
+                        "seed {seed} step {step}"
+                    );
                     format!("schema {schema} = v{version} {touched:?}")
                 }
                 // Wholesale replacement by an earlier state.
                 _ => {
                     let previous = std::mem::replace(&mut checkpoint, shared.snapshot());
                     shared.restore(&previous);
+                    mirror = previous;
                     "restore".to_string()
                 }
             };
-            assert_index_matches_snapshot(&shared, &format!("seed {seed} step {step} ({op})"));
+            let context = format!("seed {seed} step {step} ({op})");
+            assert_index_matches_snapshot(&shared, &context);
+            let snapshot = shared.snapshot();
+            assert_eq!(
+                snapshot.schemas().collect::<Vec<_>>(),
+                mirror.schemas().collect::<Vec<_>>(),
+                "{context}: schema entries diverged"
+            );
+            assert_eq!(
+                snapshot.mappings().collect::<Vec<_>>(),
+                mirror.mappings().collect::<Vec<_>>(),
+                "{context}: mapping entries (version, hash, history) diverged"
+            );
         }
     }
 }
@@ -548,4 +546,64 @@ fn resolutions_racing_re_points_and_removals_see_one_consistent_graph() {
         }
     }
     assert_index_matches_snapshot(&shared, "after the race");
+}
+
+// ---------------------------------------------------------------------------
+// The analysis cache: a report is cached and returned under the content hash
+// of the mapping it analyzed, even while edits race the analysis.
+// ---------------------------------------------------------------------------
+
+/// Two contents of one mapping `m : a -> b` whose analysis reports differ
+/// (the second repeats a rule, which the linter flags).
+const ANALYSIS_VARIANTS: [&str; 2] = ["R <= S", "project[0,0](R) <= S; project[0,0](R) <= S"];
+
+fn analysis_session(variant: usize, workers: usize) -> SharedSession {
+    let mut catalog = Catalog::new();
+    catalog.add_schema("a", Signature::from_arities([("R", 2)]));
+    catalog.add_schema("b", Signature::from_arities([("S", 2)]));
+    let constraints = parse_constraints(ANALYSIS_VARIANTS[variant]).unwrap();
+    catalog.add_mapping("m", "a", "b", constraints).unwrap();
+    catalog.with_workers(workers)
+}
+
+#[test]
+fn analysis_reports_match_their_hash_while_edits_race() {
+    const WRITERS: usize = 2;
+    const ANALYZERS: usize = 2;
+    const ROUNDS: usize = 10_000;
+    // The oracle: each content's hash and report, analyzed on its own.
+    let expected: BTreeMap<ContentHash, AnalysisReport> = (0..ANALYSIS_VARIANTS.len())
+        .map(|variant| {
+            let (hash, report) = analysis_session(variant, 1).analyze_mapping("m").unwrap();
+            (hash, (*report).clone())
+        })
+        .collect();
+    assert_eq!(expected.len(), 2, "the variants must hash apart");
+    assert!(expected.values().next() != expected.values().nth(1), "the reports must differ");
+
+    let session = analysis_session(0, WRITERS + ANALYZERS);
+    std::thread::scope(|scope| {
+        for writer in 0..WRITERS {
+            let session = &session;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let text = ANALYSIS_VARIANTS[(writer + round) % ANALYSIS_VARIANTS.len()];
+                    session.update_mapping("m", parse_constraints(text).unwrap()).unwrap();
+                }
+            });
+        }
+        for analyzer in 0..ANALYZERS {
+            let (session, expected) = (&session, &expected);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let (hash, report) = session.analyze_mapping("m").unwrap();
+                    assert_eq!(
+                        Some(&*report),
+                        expected.get(&hash),
+                        "analyzer {analyzer} round {round}: report does not describe {hash:?}"
+                    );
+                }
+            });
+        }
+    });
 }

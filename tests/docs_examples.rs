@@ -332,7 +332,7 @@ fn replication_doc_state_table_matches_the_api() {
 
 #[test]
 fn analysis_doc_reports_render_identically() {
-    use mapping_composition::catalog::{Catalog, Session};
+    use mapping_composition::catalog::{Catalog, SharedSession};
 
     let doc = read_doc("ANALYSIS.md");
     let documents = marked_blocks(&doc, "analysis:document");
@@ -341,7 +341,7 @@ fn analysis_doc_reports_render_identically() {
     assert!(documents.len() >= 2, "ANALYSIS.md must keep its proven and unknown examples");
     for (document, expected) in documents.iter().zip(&reports) {
         let parsed = parse_document(document).expect("documented catalog document parses");
-        let mut session = Session::new(Catalog::new());
+        let session = SharedSession::new(Catalog::new());
         session.ingest_document(&parsed).expect("documented catalog document ingests");
         let rendered = session.analysis_text(None).expect("analysis renders");
         assert_eq!(&rendered, expected, "documented analysis report must match the renderer");
