@@ -617,12 +617,7 @@ pub fn chase_scenario(
 /// the chain plus the join, and a budget admitting the naive reference's full
 /// `T × S` product at every measured size).
 pub fn chase_scaling_config(depth: usize) -> ExchangeConfig {
-    ExchangeConfig {
-        max_rounds: depth + 5,
-        max_nulls: 10_000,
-        eval_budget: 5_000_000,
-        ..ExchangeConfig::default()
-    }
+    ExchangeConfig { max_rounds: depth + 5, max_nulls: 10_000, eval_budget: 5_000_000 }
 }
 
 /// Run the Figure 9 experiment: chase each scenario with the core and the

@@ -88,15 +88,7 @@ pub fn naive_exchange(
             break;
         }
     }
-    ExchangeResult {
-        target,
-        nulls_created: nulls,
-        rounds,
-        skipped,
-        converged,
-        verdict: config.verdict,
-        frontier_rows: 0,
-    }
+    ExchangeResult { target, nulls_created: nulls, rounds, skipped, converged, frontier_rows: 0 }
 }
 
 /// The tuples one firing requires: head variables take the premise values,

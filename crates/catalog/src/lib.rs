@@ -109,6 +109,7 @@ pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};
 pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
 pub use lock::{pid_alive, FileLock, FileLockGuard};
+pub use mapcomp_analysis::{analyze_exchange, AnalysisReport};
 pub use persist::{
     escape_field, load_cache, load_sidecar, load_state, load_versions, parse_chain_document,
     parse_delta, parse_positioned_delta, render_cache_entry, render_chain_document, render_delta,

@@ -12,8 +12,7 @@
 //! simulator achieves, but produced by the generic chain driver, with
 //! content-hashed provenance on every cached segment.
 
-use mapcomp_algebra::{ConstraintSet, Instance, Signature};
-use mapcomp_compose::{exchange, ExchangeConfig, ExchangeResult};
+use mapcomp_algebra::{ConstraintSet, Signature};
 use mapcomp_evolution::editing::random_schema;
 use mapcomp_evolution::{apply_primitive, NameSource, PrimitiveKind, ScenarioConfig};
 use rand::rngs::StdRng;
@@ -56,62 +55,6 @@ impl CatalogReplay {
     /// Total pairwise compositions across the whole replay.
     pub fn total_compose_calls(&self) -> usize {
         self.records.iter().map(|r| r.compose_calls).sum()
-    }
-
-    /// Chase a concrete `v0` instance through the final composed mapping
-    /// (paper Example 1's "migrate data from the old schema to the new
-    /// schema", applied to the whole evolution chain). Residual symbols are
-    /// chased as auxiliary target relations, exactly as §1.3 prescribes for
-    /// symbols that resisted elimination. Returns `None` when the replay
-    /// applied no edits.
-    ///
-    /// The exchange configuration (round, null and evaluation limits, and
-    /// the verdict to record) is the caller's to choose;
-    /// [`CatalogReplay::migrate_analyzed`] derives it from static analysis.
-    pub fn migrate(&self, source: &Instance, config: &ExchangeConfig) -> Option<ExchangeResult> {
-        let chain = &self.final_result.as_ref()?.chain;
-        let (full, target_sig) = chain.chase_signatures().ok()?;
-        Some(exchange(
-            chain.mapping.constraints.as_slice(),
-            &full,
-            &target_sig,
-            source,
-            self.session.registry(),
-            config,
-        ))
-    }
-
-    /// [`CatalogReplay::migrate`] with the chase configuration chosen by
-    /// static analysis: the final composed chain (residuals included, exactly
-    /// as `migrate` chases them) is analyzed for weak acyclicity, and a
-    /// proven verdict swaps the hardcoded evaluation budget for the derived
-    /// polynomial bound — the chase-consults-analysis path end to end. The
-    /// analysis report is returned alongside the exchange result so callers
-    /// can inspect the verdict that drove the run.
-    pub fn migrate_analyzed(
-        &self,
-        source: &Instance,
-    ) -> Option<(ExchangeResult, mapcomp_analysis::AnalysisReport)> {
-        let chain = &self.final_result.as_ref()?.chain;
-        let (full, target_sig) = chain.chase_signatures().ok()?;
-        let report = mapcomp_analysis::analyze_exchange(
-            chain.mapping.constraints.as_slice(),
-            &full,
-            &target_sig,
-        );
-        let config = self
-            .session
-            .config()
-            .chase_config(Some((&report, mapcomp_analysis::domain_size(source))));
-        let result = exchange(
-            chain.mapping.constraints.as_slice(),
-            &full,
-            &target_sig,
-            source,
-            self.session.registry(),
-            &config,
-        );
-        Some((result, report))
     }
 }
 
@@ -266,9 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn analyzed_migration_records_its_verdict_and_agrees_with_plain() {
-        use mapcomp_algebra::Value;
-        use mapcomp_compose::TerminationVerdict;
+    fn analysis_budgeted_migration_agrees_with_plain() {
+        use mapcomp_algebra::{Instance, Value};
+        use mapcomp_compose::{exchange, ExchangeConfig};
 
         let config = small_config();
         let replay = replay_editing(&config).unwrap();
@@ -280,14 +223,21 @@ mod tests {
                 source.insert(name, tuple);
             }
         }
-        let (analyzed, report) = replay.migrate_analyzed(&source).expect("replay applied edits");
-        assert_ne!(analyzed.verdict, TerminationVerdict::Unanalyzed, "verdict must be recorded");
+        // Chase a v0 instance through the final chain, residuals chased as
+        // auxiliary targets (paper §1.3), once under the analysis-derived
+        // configuration and once under the engine default.
+        let chain = &replay.final_result.as_ref().expect("replay applied edits").chain;
+        let (full, target) = chain.chase_signatures().unwrap();
+        let constraints = chain.mapping.constraints.as_slice();
+        let report = mapcomp_analysis::analyze_exchange(constraints, &full, &target);
+        let default = ExchangeConfig::default();
+        let derived = report.exchange_config(mapcomp_analysis::domain_size(&source), &default);
+        let registry = replay.session.registry();
+        let analyzed = exchange(constraints, &full, &target, &source, registry, &derived);
         if report.proven() {
-            assert!(matches!(analyzed.verdict, TerminationVerdict::Proven { .. }));
             assert!(analyzed.converged, "a proven chase must converge within its derived budget");
         }
-        let plain =
-            replay.migrate(&source, &ExchangeConfig::default()).expect("replay applied edits");
+        let plain = exchange(constraints, &full, &target, &source, registry, &default);
         assert_eq!(analyzed.target, plain.target, "analysis must not change the chased target");
     }
 

@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use mapcomp_analysis::{AnalysisReport, Termination};
+use mapcomp_analysis::{AnalysisReport, Termination, UNKNOWN_MAX_NULLS};
 use mapcomp_compose::{ComposeConfig, ExchangeConfig};
 
 use crate::cache::CacheStats;
@@ -32,25 +32,24 @@ pub struct SessionConfig {
     /// cheapest estimated operator-count growth (see [`PathCost`]).
     pub path_cost: PathCost,
     /// Operator override for the chase's per-evaluation tuple budget
-    /// (`--eval-budget` on the CLI). `None` lets the static analyzer pick a
-    /// proven bound when it can, falling back to the engine default; `Some`
-    /// always wins, including over analysis-derived budgets. Not part of the
-    /// memo key — the budget shapes data exchange, not composition.
+    /// (`--eval-budget` on the CLI). `None` keeps the engine default; `Some`
+    /// always wins. Served chases never take an analysis-derived budget:
+    /// a migration session's source changes with every batch, so no one
+    /// domain size holds for its lifetime. Not part of the memo key — the
+    /// budget shapes data exchange, not composition.
     pub eval_budget: Option<usize>,
 }
 
 impl SessionConfig {
-    /// Build the chase configuration this session would run data exchange
-    /// under, optionally consulting an analysis report for a source domain
-    /// of the given size. Precedence: engine default, then analysis-derived
-    /// proven budget, then the operator's [`SessionConfig::eval_budget`]
-    /// override.
-    pub fn chase_config(&self, analysis: Option<(&AnalysisReport, usize)>) -> ExchangeConfig {
-        let base = ExchangeConfig::default();
-        let mut config = match analysis {
-            Some((report, domain)) => report.exchange_config(domain, &base),
-            None => base,
-        };
+    /// The chase configuration every served chase runs under: the engine
+    /// defaults, with the null cap lowered to [`UNKNOWN_MAX_NULLS`] when the
+    /// chain's termination is [`Termination::Unknown`], and the operator's
+    /// [`SessionConfig::eval_budget`] override on top.
+    pub fn chase_config(&self, analysis: Option<&AnalysisReport>) -> ExchangeConfig {
+        let mut config = ExchangeConfig::default();
+        if analysis.is_some_and(|report| !report.proven()) {
+            config.max_nulls = UNKNOWN_MAX_NULLS;
+        }
         if let Some(budget) = self.eval_budget {
             config.eval_budget = budget;
         }

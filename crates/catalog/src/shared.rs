@@ -628,30 +628,6 @@ impl SharedSession {
         Ok(render_analysis_text(&reports))
     }
 
-    /// Run data exchange for a mapping under an analysis-guided chase
-    /// configuration (see [`SessionConfig::chase_config`]): proven mappings
-    /// chase under their derived budget, unknown ones under runtime limits,
-    /// and the result records the verdict it executed under.
-    pub fn exchange_analyzed(
-        &self,
-        name: &str,
-        source: &mapcomp_algebra::Instance,
-    ) -> Result<mapcomp_compose::ExchangeResult, CatalogError> {
-        let report = self.analyze_mapping(name)?.1;
-        let mapping = self.catalog.link(name)?.mapping;
-        let full = mapping.combined_signature().map_err(CatalogError::Algebra)?;
-        let config =
-            self.config.chase_config(Some((&report, mapcomp_analysis::domain_size(source))));
-        Ok(mapcomp_compose::exchange(
-            mapping.constraints.as_slice(),
-            &full,
-            &mapping.output,
-            source,
-            &self.registry,
-            &config,
-        ))
-    }
-
     /// Resolve a path under the configured [`PathCost`] and compose it.
     pub fn compose_path(&self, from: &str, to: &str) -> Result<ChainResult, CatalogError> {
         let path = self.catalog.resolve_path_with(from, to, self.config.path_cost)?;

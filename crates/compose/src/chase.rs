@@ -13,12 +13,12 @@
 //! * **restricted** (one-shot `exchange()`): a premise tuple fires only
 //!   while the conclusion is not yet satisfied for it, and labelled nulls
 //!   are numbered sequentially (`_null1`, `_null2`, …);
-//! * **oblivious** (maintained `DifferentialChase` sessions): every
-//!   derivable premise tuple fires exactly once, each null is named from the
-//!   firing that invents it (a hash of rule, variable and premise tuple),
-//!   and every target tuple counts its derivations. The result is the least
-//!   fixpoint of a monotone operator — a pure function of the source,
-//!   reached in any order.
+//! * **oblivious** (maintained `DifferentialChase` sessions, the one chase
+//!   the service serves): every derivable premise tuple fires exactly
+//!   once, each null is named from the firing that invents it (a hash of
+//!   rule, variable and premise tuple), and every target tuple counts its
+//!   derivations. The result is the least fixpoint of a monotone operator
+//!   — a pure function of the source, reached in any order.
 //!
 //! Evaluation is semi-naive with per-rule cursors. One persistent
 //! hash-indexed frontier (source ∪ target, [`TupleIndex`]) is updated in

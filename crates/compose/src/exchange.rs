@@ -19,36 +19,18 @@
 //! The chase itself lives in [`crate::chase`]: `exchange()` runs its
 //! driver under the *restricted* firing test — a premise tuple fires only
 //! while its conclusion is unsatisfied, and labelled nulls are numbered
-//! sequentially (`_null1`, `_null2`, …) in firing order.
+//! sequentially (`_null1`, `_null2`, …) in firing order. It is the
+//! one-shot, in-process entry point; the catalog and service layers serve
+//! only the oblivious [`crate::DifferentialChase`] behind `migrate-delta`,
+//! gated by the static termination verdict. Neither firing test subsumes
+//! the other: some rule sets reach a fixpoint only under the restricted
+//! test (a satisfied conclusion stops refiring), others only under the
+//! oblivious one (each premise tuple fires once, whatever it concludes).
 
 use mapcomp_algebra::{Constraint, Instance, Signature};
 
 use crate::chase::{chase, compile_rules, restricted_rules, Firing};
 use crate::registry::Registry;
-
-/// A static chase-termination verdict attached to a run by the caller.
-///
-/// The chase itself does no analysis — `mapcomp-analysis` (which depends on
-/// this crate) proves weak acyclicity and derives budgets; catalog-level
-/// callers record the verdict here so [`ExchangeResult`] can report which
-/// guarantee the run executed under. Plain data by design: compose must not
-/// depend on the analyzer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TerminationVerdict {
-    /// No static analysis was consulted; the run relies on runtime limits.
-    #[default]
-    Unanalyzed,
-    /// Weak acyclicity was proven and `eval_budget` was derived from the
-    /// polynomial bound (the same value stored in
-    /// [`ExchangeConfig::eval_budget`]).
-    Proven {
-        /// The analysis-derived per-evaluation budget.
-        eval_budget: usize,
-    },
-    /// Analysis ran but could not prove termination; runtime limits guard
-    /// the run.
-    Unknown,
-}
 
 /// Configuration of the chase.
 #[derive(Debug, Clone)]
@@ -65,20 +47,11 @@ pub struct ExchangeConfig {
     /// invents nulls; rules whose evaluation exceeds this budget are skipped
     /// (and reported) instead of exhausting memory.
     pub eval_budget: usize,
-    /// The static termination verdict this run executes under, set by the
-    /// caller (typically from `mapcomp-analysis`); copied verbatim into
-    /// [`ExchangeResult::verdict`]. Purely informational to the engine.
-    pub verdict: TerminationVerdict,
 }
 
 impl Default for ExchangeConfig {
     fn default() -> Self {
-        ExchangeConfig {
-            max_rounds: 16,
-            max_nulls: 10_000,
-            eval_budget: 1_000_000,
-            verdict: TerminationVerdict::default(),
-        }
+        ExchangeConfig { max_rounds: 16, max_nulls: 10_000, eval_budget: 1_000_000 }
     }
 }
 
@@ -95,9 +68,6 @@ pub struct ExchangeResult {
     pub skipped: Vec<(Constraint, String)>,
     /// Did the chase reach a fixpoint (as opposed to hitting a limit)?
     pub converged: bool,
-    /// The static termination verdict the run executed under, copied from
-    /// [`ExchangeConfig::verdict`].
-    pub verdict: TerminationVerdict,
     /// Rows materialised into the chase's persistent frontier index: the
     /// one-time source snapshot of every plan-read relation plus one
     /// in-place insert per novel target tuple. Each live tuple is indexed
@@ -129,7 +99,6 @@ pub fn exchange(
         rounds: state.rounds,
         skipped,
         converged: state.converged,
-        verdict: config.verdict,
         frontier_rows: state.frontier_rows,
     }
 }

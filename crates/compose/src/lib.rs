@@ -61,7 +61,7 @@ pub use differential::{
     parse_update, parse_updates, render_instance, DeltaReport, DifferentialChase, Sign, Update,
 };
 pub use eliminate::eliminate;
-pub use exchange::{exchange, ExchangeConfig, ExchangeResult, TerminationVerdict};
+pub use exchange::{exchange, ExchangeConfig, ExchangeResult};
 pub use minimize::{minimize_expr, minimize_mapping, remove_implied};
 pub use monotone::{is_monotone, monotonicity};
 pub use outcome::{EliminateFailure, EliminateStep, EliminateSuccess, FailureReason};

@@ -344,9 +344,6 @@ pub struct MigratePayload {
     pub rederived: usize,
     /// Did the batch fall back to a full recompute?
     pub fallback: bool,
-    /// Is the maintained target a true fixpoint? `false` means the chase
-    /// stopped at a round or null limit and the target is truncated.
-    pub converged: bool,
     /// Source rows in the session after the batch.
     pub source_rows: usize,
     /// Target rows in the maintained instance.
@@ -515,11 +512,15 @@ pub enum ErrorCode {
     /// A `Subscribe` position predates the oldest retained generation
     /// (compaction discarded those records); bootstrap from `Snapshot`.
     Stale,
+    /// A `migrate-delta` batch would leave a chase that did not reach a
+    /// fixpoint; nothing was applied. The message carries the static
+    /// termination verdict (the existential cycle, when one was found).
+    Nonterminating,
 }
 
 impl ErrorCode {
     /// Every code, for exhaustive codec tests.
-    pub const ALL: [ErrorCode; 14] = [
+    pub const ALL: [ErrorCode; 15] = [
         ErrorCode::UnknownSchema,
         ErrorCode::UnknownMapping,
         ErrorCode::NoPath,
@@ -534,6 +535,7 @@ impl ErrorCode {
         ErrorCode::Busy,
         ErrorCode::Readonly,
         ErrorCode::Stale,
+        ErrorCode::Nonterminating,
     ];
 
     /// The stable wire string of this code.
@@ -553,6 +555,7 @@ impl ErrorCode {
             ErrorCode::Busy => "busy",
             ErrorCode::Readonly => "readonly",
             ErrorCode::Stale => "stale",
+            ErrorCode::Nonterminating => "nonterminating",
         }
     }
 

@@ -34,8 +34,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use mapcomp_algebra::{parse_document, Instance};
 use mapcomp_catalog::{
     render_cache_entry, render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, save_state, CacheEvent, CacheStats, Catalog,
-    DeltaRecord, MemoKey, Position, SessionConfig, SharedSession, SidecarWriter, VersionManifest,
+    render_positioned_delta, render_schema_decl, save_state, AnalysisReport, CacheEvent,
+    CacheStats, Catalog, DeltaRecord, MemoKey, Position, SessionConfig, SharedSession,
+    SidecarWriter, VersionManifest,
 };
 use mapcomp_compose::{parse_update, parse_updates, DifferentialChase, Registry, Sign};
 use mapcomp_replication::{LogChunk, ReplicationHub, SubscribeError, Subscription};
@@ -158,6 +159,10 @@ struct MigrationSession {
     /// a recomposition with a different hash (mapping edited upstream)
     /// forces a rebuild from the folded history.
     chain_hash: u64,
+    /// The termination analysis of that chain, taken when the engine was
+    /// built: it picks the chase configuration and names the witness when a
+    /// batch is refused for not converging.
+    analysis: Option<AnalysisReport>,
     /// The maintained engine. `None` until first use and after restart —
     /// recovery replays `history` through a fresh full chase rather than
     /// persisting derived state, so the oblivious chase's confluence makes
@@ -955,7 +960,6 @@ impl LocalService {
                 let (full, target_sig) = chain.chase_signatures().map_err(|error| {
                     ServiceError::protocol(format!("conflicting chain signatures: {error}"))
                 })?;
-                let config = self.session.config().chase_config(None);
                 let payload = {
                     let mut sessions =
                         self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
@@ -966,18 +970,38 @@ impl LocalService {
                         // accumulated source and chase it cold. Confluence
                         // makes the rebuilt engine byte-identical to the
                         // incrementally maintained one it replaces.
+                        let constraints = chain.mapping.constraints.as_slice();
+                        let analysis =
+                            mapcomp_catalog::analyze_exchange(constraints, &full, &target_sig);
                         migration.engine = Some(DifferentialChase::new(
-                            chain.mapping.constraints.as_slice(),
+                            constraints,
                             &full,
                             &target_sig,
                             fold_history(&migration.history),
                             self.session.registry(),
-                            &config,
+                            &self.session.config().chase_config(Some(&analysis)),
                         ));
+                        migration.analysis = Some(analysis);
                         migration.chain_hash = chain.hash;
                     }
                     let engine = migration.engine.as_mut().expect("engine was just built");
                     let report = engine.apply(&parsed).map_err(ServiceError::protocol)?;
+                    if !engine.converged() {
+                        // Never apply, persist or serve a truncated chase:
+                        // drop the engine so the next request rebuilds it
+                        // from the unchanged history.
+                        migration.engine = None;
+                        let verdict =
+                            migration.analysis.as_ref().expect("analyzed with the engine");
+                        return Err(ServiceError::new(
+                            ErrorCode::Nonterminating,
+                            format!(
+                                "the chase from `{from}` to `{to}` did not reach a fixpoint \
+                                 within its limits; batch refused ({})",
+                                verdict.termination.summary()
+                            ),
+                        ));
+                    }
                     migration.history.extend(tokens.iter().cloned());
                     MigratePayload {
                         from: from.clone(),
@@ -988,7 +1012,6 @@ impl LocalService {
                         retracted: report.retracted,
                         rederived: report.rederived,
                         fallback: report.fallback,
-                        converged: engine.converged(),
                         source_rows: engine.source().total_tuples(),
                         target_rows: engine.target().total_tuples(),
                         support_entries: engine.support().len(),

@@ -611,9 +611,8 @@ pub fn encode_reply(reply: &Result<Response, ServiceError>) -> String {
                         payload.rederived
                     ));
                     out.push_str(&format!(
-                        "state {} {} {} {} {}\n",
+                        "state {} {} {} {}\n",
                         if payload.fallback { "fallback" } else { "incremental" },
-                        if payload.converged { "converged" } else { "truncated" },
                         payload.source_rows,
                         payload.target_rows,
                         payload.support_entries
@@ -860,11 +859,10 @@ pub fn decode_reply(text: &str) -> Result<Result<Response, ServiceError>, Servic
                     }
                     ("state", value) if state.is_none() => {
                         let parts: Vec<&str> = value.split(' ').collect();
-                        let [mode, fixpoint, source_rows, target_rows, support_entries] =
-                            parts.as_slice()
+                        let [mode, source_rows, target_rows, support_entries] = parts.as_slice()
                         else {
                             return Err(ServiceError::protocol(format!(
-                                "state line `{line}` does not hold five fields"
+                                "state line `{line}` does not hold four fields"
                             )));
                         };
                         let fallback = match *mode {
@@ -876,18 +874,8 @@ pub fn decode_reply(text: &str) -> Result<Result<Response, ServiceError>, Servic
                                 )))
                             }
                         };
-                        let converged = match *fixpoint {
-                            "converged" => true,
-                            "truncated" => false,
-                            other => {
-                                return Err(ServiceError::protocol(format!(
-                                    "unknown migrate fixpoint `{other}`"
-                                )))
-                            }
-                        };
                         state = Some((
                             fallback,
-                            converged,
                             parse_usize(source_rows, "source-rows")?,
                             parse_usize(target_rows, "target-rows")?,
                             parse_usize(support_entries, "support-entries")?,
@@ -899,7 +887,7 @@ pub fn decode_reply(text: &str) -> Result<Result<Response, ServiceError>, Servic
             }
             let (applied, inserted, deleted, retracted, rederived) =
                 batch.ok_or_else(|| missing("batch"))?;
-            let (fallback, converged, source_rows, target_rows, support_entries) =
+            let (fallback, source_rows, target_rows, support_entries) =
                 state.ok_or_else(|| missing("state"))?;
             Ok(Ok(Response::Migrated(MigratePayload {
                 from: from.ok_or_else(|| missing("from"))?,
@@ -910,7 +898,6 @@ pub fn decode_reply(text: &str) -> Result<Result<Response, ServiceError>, Servic
                 retracted,
                 rederived,
                 fallback,
-                converged,
                 source_rows,
                 target_rows,
                 support_entries,

@@ -43,8 +43,10 @@
 //! that blocks the proof — plus style diagnostics with stable codes
 //! (unbound head variables, cartesian-product joins, duplicate rules, …).
 //! Output is deterministic byte-for-byte; the report grammar is specified
-//! in `docs/ANALYSIS.md`. Proven budgets are applied automatically when the
-//! serving side chases (`--eval-budget N` overrides them by hand; 0 is
+//! in `docs/ANALYSIS.md`. `migrate-delta` consults the verdict: an
+//! `unknown` chain chases under a lowered null cap, and a batch whose chase
+//! does not reach a fixpoint is refused (`nonterminating`) and not applied.
+//! `--eval-budget N` overrides the engine's evaluation budget (0 is
 //! rejected).
 //!
 //! Catalog commands also accept `--cache-capacity N` (bound the memo cache;
@@ -257,8 +259,8 @@ struct ServiceArgs {
     stats: bool,
     cache_capacity: Option<usize>,
     path_cost: PathCost,
-    /// `--eval-budget N`: operator override for the chase evaluation budget.
-    /// Always wins over analysis-derived bounds; 0 is rejected at parse time.
+    /// `--eval-budget N`: operator override for the engine's chase
+    /// evaluation budget; 0 is rejected at parse time.
     eval_budget: Option<usize>,
     /// `--workers N`; `None` when the flag was not given — the serving side
     /// then uses its own default (1 locally, the `serve`-time count
@@ -689,14 +691,6 @@ fn run_command(service: &dyn MapcompService, args: &ServiceArgs) -> Result<(), S
                 "instance    : {} source rows -> {} target rows ({} support entries)",
                 payload.source_rows, payload.target_rows, payload.support_entries
             );
-            eprintln!(
-                "fixpoint    : {}",
-                if payload.converged {
-                    "converged"
-                } else {
-                    "truncated (the chase hit its round or null limit)"
-                }
-            );
             Ok(())
         }
         "invalidate" => {
@@ -1109,7 +1103,7 @@ fn main() -> ExitCode {
              \n\
              \x20      catalog/serve also accept --cache-capacity N (0 = unbounded),\n\
              \x20      --path-cost hops|op-count, --eval-budget N (chase step budget;\n\
-             \x20      must be positive, overrides analyzer-proven bounds),\n\
+             \x20      must be positive, overrides the engine default),\n\
              \x20      the compose flags, and the compaction policy: state-changing\n\
              \x20      commands append delta records, folded into a snapshot at\n\
              \x20      shutdown, on `compact`, and past --compact-appends N or\n\

@@ -352,7 +352,12 @@ fn corpus_problems_survive_random_update_streams() {
 #[test]
 fn evolution_scenarios_survive_random_update_streams() {
     // Simulator-generated mapping chains over several seeds, the same
-    // scenario shape as the end-to-end migration test.
+    // scenario shape as the end-to-end migration test, each chased under
+    // the configuration the service would serve it with. Seed 7 is proven
+    // terminating; seeds 42 and 77 are `unknown` and run under the lowered
+    // null cap, where 42 still converges and 77 diverges (the service
+    // refuses its batches; the oracle must hold for the truncated state
+    // all the same).
     for seed in [7, 42, 77] {
         let run = run_editing(&ScenarioConfig {
             schema_size: 6,
@@ -367,13 +372,25 @@ fn evolution_scenarios_survive_random_update_streams() {
             }
         }
         let source = seed_source(&run.original, 2);
-        let mut harness = Harness::new(
-            run.constraints.clone(),
-            run.universe.clone(),
-            target_sig,
-            source,
-            ExchangeConfig { max_rounds: 32, max_nulls: 50_000, ..ExchangeConfig::default() },
-        );
+        let report = analyze_exchange(&run.constraints, &run.universe, &target_sig);
+        let config = SessionConfig::default().chase_config(Some(&report));
+        let mut harness =
+            Harness::new(run.constraints.clone(), run.universe.clone(), target_sig, source, config);
+        match seed {
+            7 => assert!(report.proven(), "seed 7 is weakly acyclic"),
+            42 => assert!(
+                !report.proven() && harness.engine.converged(),
+                "seed 42 is unknown yet converges under the served cap"
+            ),
+            _ => {
+                let Termination::Unknown { cycle_witness: Some(cycle), .. } = &report.termination
+                else {
+                    panic!("seed {seed} must be unknown with a witness");
+                };
+                assert!(cycle.to_string().contains("->*"), "witness shows its existential edge");
+                assert!(!harness.engine.converged(), "seed {seed} must diverge under the cap");
+            }
+        }
         harness.assert_build_matches_replay(&format!("evolution seed {seed}"));
         harness.run_random_stream(&format!("evolution seed {seed}"), seed, 10);
     }

@@ -296,44 +296,108 @@ fn workload_construction_is_deterministic() {
     assert!(first.iter().all(|phase| phase.per_thread.len() == THREADS));
 }
 
+/// A single-link existential cycle: every `T` row's second column starts a
+/// new `T` row whose second column is a fresh null, so chasing any `R` row
+/// never reaches a fixpoint. `Q <= U` is independent of the cycle, so
+/// batches of `Q` rows converge on the same (`unknown`) chain.
+const CYCLE_DOCUMENT: &str = "schema src { R/1; Q/1; } schema dst { T/2; U/1; } \
+     mapping m : src -> dst { R <= project[0](T); project[1](T) <= project[0](T); Q <= U; }";
+
+fn migrate(
+    service: &LocalService,
+    from: &str,
+    to: &str,
+    updates: &[&str],
+) -> Result<mapping_composition::service::MigratePayload, ServiceError> {
+    let updates = updates.iter().map(ToString::to_string).collect();
+    match service.call(Request::MigrateDelta { from: from.into(), to: to.into(), updates })? {
+        Response::Migrated(payload) => Ok(payload),
+        other => panic!("expected a migrated reply: {other:?}"),
+    }
+}
+
 #[test]
 fn truncated_migration_is_never_served_as_complete() {
-    // A single-link existential cycle: every `T` row's second column starts
-    // a new `T` row whose second column is a fresh null, so the chase never
-    // reaches a fixpoint and stops at its limits. The reply must say so,
-    // in the payload and on the wire.
-    use mapping_composition::service::{decode_reply, encode_reply};
+    use mapping_composition::compose::DifferentialChase;
+    use mapping_composition::service::{decode_reply, encode_reply, ErrorCode};
 
     let service = LocalService::new(Catalog::new(), 2);
-    let document = "schema src { R/1; } schema dst { T/2; } \
-                    mapping m : src -> dst { R <= project[0](T); project[1](T) <= project[0](T); }";
-    service.call(Request::AddDocument { text: document.into() }).unwrap();
-    let reply = service
-        .call(Request::MigrateDelta {
-            from: "src".into(),
-            to: "dst".into(),
-            updates: vec!["+R(1)".into()],
-        })
-        .unwrap();
-    let Response::Migrated(payload) = &reply else {
-        panic!("expected a migrated reply: {reply:?}")
+    service.call(Request::AddDocument { text: CYCLE_DOCUMENT.into() }).unwrap();
+    let Ok(Response::Analysis(analysis)) =
+        service.call(Request::Analyze { mapping: Some("m".into()) })
+    else {
+        panic!("analyze failed");
     };
-    assert!(!payload.converged, "a non-terminating chase must not report a fixpoint");
-    let frame = encode_reply(&Ok(reply.clone()));
-    let state = frame.lines().find(|line| line.starts_with("state ")).unwrap();
-    assert_eq!(state.split(' ').nth(2), Some("truncated"), "{state}");
-    assert_eq!(decode_reply(&frame).unwrap(), Ok(reply));
+    assert_eq!(analysis.unknown, 1, "{}", analysis.text);
+    assert!(analysis.text.contains("unknown cycle: T.1 ->* T.1"), "{}", analysis.text);
 
-    // A terminating chain on the same service replies `converged`.
+    // An `unknown` chain whose chase converges is served.
+    let before = migrate(&service, "src", "dst", &["+Q(5)"]).unwrap();
+    assert_eq!(before.target, "U(5);\n");
+
+    // A batch whose chase diverges is refused with the witness...
+    let error = migrate(&service, "src", "dst", &["+R(1)"]).unwrap_err();
+    assert_eq!(error.code, ErrorCode::Nonterminating, "{error}");
+    assert!(error.message.contains("unknown cycle"), "{error}");
+    let frame = encode_reply(&Err(error.clone()));
+    assert_eq!(decode_reply(&frame).unwrap(), Err(error));
+    // ...and nothing of it was applied.
+    let after = migrate(&service, "src", "dst", &[]).unwrap();
+    assert_eq!(after.target, before.target);
+    assert_eq!(after.source_rows, 1);
+
+    // A terminating chain is served byte-identically to a cold engine
+    // under the served configuration.
     let document = "schema a { A/1; } schema b { B/2; } mapping n : a -> b { A <= project[0](B); }";
     service.call(Request::AddDocument { text: document.into() }).unwrap();
-    let reply = service
-        .call(Request::MigrateDelta {
-            from: "a".into(),
-            to: "b".into(),
-            updates: vec!["+A(1)".into()],
-        })
-        .unwrap();
-    let Response::Migrated(payload) = reply else { panic!("expected a migrated reply") };
-    assert!(payload.converged);
+    let served = migrate(&service, "a", "b", &["+A(1)", "+A(2)"]).unwrap();
+    let chain = service.session().compose_path("a", "b").unwrap().chain;
+    let (full, target) = chain.chase_signatures().unwrap();
+    let mut source = Instance::new();
+    source.insert("A", vec![Value::Int(1)]);
+    source.insert("A", vec![Value::Int(2)]);
+    let cold = DifferentialChase::new(
+        chain.mapping.constraints.as_slice(),
+        &full,
+        &target,
+        source,
+        service.session().registry(),
+        &SessionConfig::default().chase_config(None),
+    );
+    assert!(cold.converged());
+    assert_eq!(served.target, cold.rendered_target());
+}
+
+#[test]
+fn refused_migration_reaches_neither_the_sidecar_nor_replication() {
+    let file =
+        std::env::temp_dir().join(format!("mapcomp_service_refused_{}.doc", std::process::id()));
+    let sidecar = mapping_composition::service::sidecar_path(&file);
+    let cleanup = || {
+        for path in [&file, &sidecar] {
+            let _ = std::fs::remove_file(path);
+        }
+    };
+    cleanup();
+    let open = || {
+        LocalService::open(&file, Registry::standard(), SessionConfig::default(), 1, true).unwrap()
+    };
+    let service = open();
+    service.call(Request::AddDocument { text: CYCLE_DOCUMENT.into() }).unwrap();
+    migrate(&service, "src", "dst", &["+Q(5)"]).unwrap();
+    let hub = service.enable_replication().unwrap();
+    let position = hub.position();
+    let bytes = std::fs::read(&sidecar).unwrap();
+
+    migrate(&service, "src", "dst", &["+R(1)"]).unwrap_err();
+    assert_eq!(std::fs::read(&sidecar).unwrap(), bytes, "a refused batch must not append");
+    assert_eq!(hub.position(), position, "a refused batch must not be published");
+    drop(service);
+
+    // After a restart the session holds exactly the acknowledged history.
+    let text = std::fs::read_to_string(&sidecar).unwrap();
+    assert!(text.contains("+Q(5)") && !text.contains("+R(1)"), "{text}");
+    let restarted = migrate(&open(), "src", "dst", &[]).unwrap();
+    assert_eq!(restarted.target, "U(5);\n");
+    cleanup();
 }
