@@ -7,6 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 
 use crate::signature::Signature;
 use crate::value::{Tuple, Value};
@@ -56,6 +57,17 @@ impl Relation {
     /// Iterate over tuples in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
+    }
+
+    /// Iterate, in order, over the tuples from `start` (inclusive) up to
+    /// `end` (exclusive; `None` for no upper bound).
+    pub fn range<'a>(
+        &'a self,
+        start: &'a Tuple,
+        end: Option<&'a Tuple>,
+    ) -> impl Iterator<Item = &'a Tuple> + 'a {
+        let end = end.map_or(Bound::Unbounded, Bound::Excluded);
+        self.tuples.range::<Tuple, _>((Bound::Included(start), end))
     }
 
     /// Is every tuple of `self` also in `other`?

@@ -1732,6 +1732,9 @@ pub struct DifferentialUpdatePoint {
     pub delta_work: usize,
     /// Binding rows charged by the full re-chase over the updated source.
     pub rebuild_work: usize,
+    /// Target rows rendered to bring the maintained target text up to date
+    /// after the batch (flat in instance size: only the touched chunks).
+    pub render_rows: usize,
     /// Wall-clock time of the incremental batch.
     pub delta_time: Duration,
     /// Wall-clock time of the full re-chase.
@@ -1739,7 +1742,8 @@ pub struct DifferentialUpdatePoint {
     /// Did the batch fall back to a full recompute? (Must be false: the
     /// scenario is plannable and non-recursive.)
     pub fallback: bool,
-    /// Does the maintained target render byte-identically to the re-chase?
+    /// Is the maintained target text byte-identical to a fresh rendering of
+    /// the re-chased target?
     pub results_identical: bool,
 }
 
@@ -1795,7 +1799,7 @@ pub fn differential_scenario(
 /// source. The work counters are deterministic; the timings are volatile.
 pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoint> {
     use mapcomp_algebra::Value;
-    use mapcomp_compose::{DifferentialChase, Update};
+    use mapcomp_compose::{render_instance, DifferentialChase, Update};
 
     let registry = Registry::standard();
     let depth = chase_depth(scale);
@@ -1830,10 +1834,11 @@ pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoi
                 batch,
                 delta_work: report.work,
                 rebuild_work: engine.chase_work(),
+                render_rows: report.render_rows,
                 delta_time,
                 rebuild_time,
                 fallback: report.fallback,
-                results_identical: maintained == engine.rendered_target(),
+                results_identical: maintained == render_instance(engine.target()),
             }
         })
         .collect()
@@ -1981,6 +1986,15 @@ mod tests {
             last.size,
             last.work_ratio()
         );
+        // Bringing the reply text up to date re-renders only the chunks the
+        // batch touched, however large the target is.
+        assert!(
+            points.iter().all(|point| point.render_rows == first.render_rows),
+            "render rows must be flat in instance size: {:?}",
+            points.iter().map(|point| point.render_rows).collect::<Vec<_>>()
+        );
+        let target_rows = (first.depth + 1) * first.size;
+        assert!(first.render_rows < target_rows, "a batch must not re-render the whole target");
     }
 
     #[test]

@@ -111,12 +111,12 @@ pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
 pub use lock::{pid_alive, FileLock, FileLockGuard};
 pub use mapcomp_analysis::{analyze_exchange, AnalysisReport};
 pub use persist::{
-    escape_field, load_cache, load_sidecar, load_state, load_versions, parse_chain_document,
-    parse_delta, parse_positioned_delta, render_cache_entry, render_chain_document, render_delta,
-    render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, save_cache, save_state, save_versions,
-    strip_torn_tail, unescape_field, DeltaRecord, Position, SidecarState, SidecarWriter,
-    VersionManifest,
+    escape_field, escape_field_into, load_cache, load_sidecar, load_state, load_versions,
+    parse_chain_document, parse_delta, parse_positioned_delta, render_cache_entry,
+    render_chain_document, render_delta, render_generation_marker, render_mapping_decl,
+    render_migration_snapshot, render_positioned_delta, render_schema_decl, save_cache, save_state,
+    save_versions, strip_torn_tail, unescape_field, DeltaRecord, Position, SidecarState,
+    SidecarWriter, VersionManifest,
 };
 pub use replay::{replay_editing, CatalogReplay, ReplayRecord};
 pub use session::{analysis_counts, render_analysis_text, Session, SessionConfig, SessionStats};

@@ -38,6 +38,7 @@ use mapcomp_algebra::{
 };
 
 use crate::cq::{expr_to_conjunctive, Conjunctive, Term};
+use crate::differential::TargetText;
 use crate::exchange::ExchangeConfig;
 use crate::plan::{PremisePlan, TupleIndex, WorkBudget};
 use crate::registry::Registry;
@@ -272,12 +273,17 @@ pub(crate) struct ChaseState {
     pub(crate) dropped: Vec<(Constraint, String)>,
     /// Active domain of source ∪ target; `None` when no evaluation needs it.
     domain: Option<BTreeSet<Value>>,
+    /// The differential engine's maintained target text, whose chunks the
+    /// rows landing in the target mark dirty; `None` in from-scratch runs,
+    /// whose text (if any) is rendered in full afterwards.
+    pub(crate) text: Option<TargetText>,
 }
 
 impl ChaseState {
     /// Add one derived row: count its support (oblivious), and if it is new
     /// to the target, materialise it into the target, the domain and the
-    /// live frontier — appending it to `log` when the frontier gained it.
+    /// live frontier — appending it to `log` when the frontier gained it —
+    /// and mark its chunk of the maintained text dirty.
     pub(crate) fn land(
         &mut self,
         rel: String,
@@ -305,6 +311,9 @@ impl ChaseState {
         if read_rels.contains(&rel) && self.live.insert_row(&rel, row.clone()) {
             self.frontier_rows += 1;
             log.push((rel.clone(), row.clone()));
+        }
+        if let Some(text) = &mut self.text {
+            text.mark(&rel, &row);
         }
         self.target.insert(&rel, row);
     }
@@ -381,6 +390,7 @@ pub(crate) fn chase(
         converged: false,
         dropped: Vec::new(),
         domain: needs_domain.then(|| source.active_domain()),
+        text: None,
     };
     // Append-only record of rows novel to the live frontier; each rule's
     // delta is the suffix after its own cursor.

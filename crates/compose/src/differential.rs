@@ -44,8 +44,10 @@
 //! oracle obligation holds even off the fast path.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
+use std::ops::Bound;
 
-use mapcomp_algebra::{AlgebraError, Constraint, Instance, Signature, Tuple, Value};
+use mapcomp_algebra::{AlgebraError, Constraint, Instance, Relation, Signature, Tuple, Value};
 
 use crate::chase::{
     chase, compile_rules, fire, index_rows, plan_relations, ChaseRule, ChaseState, Firing,
@@ -89,12 +91,12 @@ impl Update {
     /// Render in the signed-update grammar (`+R(1,'a',null)`), the inverse
     /// of [`parse_update`].
     pub fn render(&self) -> String {
-        let sign = match self.sign {
+        let mut out = String::from(match self.sign {
             Sign::Insert => '+',
             Sign::Delete => '-',
-        };
-        let values: Vec<String> = self.tuple.iter().map(std::string::ToString::to_string).collect();
-        format!("{sign}{}({})", self.rel, values.join(","))
+        });
+        write_row(&mut out, &self.rel, &self.tuple);
+        out
     }
 }
 
@@ -180,6 +182,22 @@ fn parse_value(field: &str, context: &str) -> Result<Value, String> {
         .map_err(|_| format!("update `{context}` has an unparsable value `{field}`"))
 }
 
+/// Append `rel(v1,...,vn)` to `out`: the one spelling of a row, shared by
+/// [`render_instance`], the maintained target text and [`Update::render`].
+/// Values are written in place through their `Display`, with no
+/// intermediate `String`.
+fn write_row(out: &mut String, rel: &str, tuple: &Tuple) {
+    out.push_str(rel);
+    out.push('(');
+    for (index, value) in tuple.iter().enumerate() {
+        if index > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{value}");
+    }
+    out.push(')');
+}
+
 /// Render an instance as canonical text: one `rel(v1,...,vn);` line per
 /// tuple, relations and tuples in sorted order, empty relations omitted.
 /// Byte-identity of two instances is byte-identity of this rendering.
@@ -188,11 +206,119 @@ pub fn render_instance(instance: &Instance) -> String {
     for name in instance.names() {
         let Some(relation) = instance.get_ref(&name) else { continue };
         for tuple in relation.iter() {
-            let values: Vec<String> = tuple.iter().map(std::string::ToString::to_string).collect();
-            out.push_str(&format!("{name}({});\n", values.join(",")));
+            write_row(&mut out, &name, tuple);
+            out.push_str(";\n");
         }
     }
     out
+}
+
+/// Most rows one chunk of the maintained target text holds once it is
+/// rendered, so a dirty chunk re-renders at most this many rows plus those
+/// the batch added to it. A chunk that outgrows it is split as it renders.
+const CHUNK_ROWS: usize = 16;
+
+/// The canonical text of a maintained target, kept byte-identical to
+/// [`render_instance`] of it. Each relation's rows are split into sorted
+/// runs ("chunks") with their own text, so a batch re-renders only the
+/// chunks its added and removed rows fall in.
+#[derive(Default)]
+pub(crate) struct TargetText {
+    /// Per relation in name order, its chunks keyed by lower bound: a chunk
+    /// holds the rows from its key up to the next chunk's key. A relation's
+    /// first key is the empty tuple, which sorts below every row.
+    relations: BTreeMap<String, BTreeMap<Tuple, String>>,
+    /// Keys of the chunks marked since the last [`refresh`](Self::refresh),
+    /// per relation: at most one entry per chunk, however many rows a
+    /// batch touches.
+    dirty: BTreeMap<String, BTreeSet<Tuple>>,
+}
+
+impl TargetText {
+    /// Render `target` in full.
+    fn render(target: &Instance) -> TargetText {
+        let mut text = TargetText::default();
+        for name in target.names() {
+            let chunks = text.relations.entry(name.clone()).or_default();
+            render_chunk(chunks, target.get_ref(&name), &name, &Tuple::new());
+        }
+        text
+    }
+
+    /// Mark dirty the chunk that `row` of relation `rel` falls in: the row
+    /// was just added to or removed from the target.
+    pub(crate) fn mark(&mut self, rel: &str, row: &Tuple) {
+        if !self.relations.contains_key(rel) {
+            self.relations.insert(rel.to_string(), BTreeMap::from([(Tuple::new(), String::new())]));
+        }
+        let chunks = &self.relations[rel];
+        let (key, _) =
+            chunks.range::<Tuple, _>(..=row).next_back().expect("the first key is minimal");
+        match self.dirty.get_mut(rel) {
+            Some(keys) if keys.contains(key) => {}
+            Some(keys) => {
+                keys.insert(key.clone());
+            }
+            None => {
+                self.dirty.insert(rel.to_string(), BTreeSet::from([key.clone()]));
+            }
+        }
+    }
+
+    /// Re-render, once each, the chunks marked since the last refresh from
+    /// `target`. Returns the rows rendered.
+    fn refresh(&mut self, target: &Instance) -> usize {
+        let mut rows = 0;
+        for (rel, keys) in std::mem::take(&mut self.dirty) {
+            let chunks = self.relations.get_mut(&rel).expect("marked chunks exist");
+            // Ascending order: a dropped chunk's empty range joins its
+            // predecessor, which is already up to date.
+            for key in &keys {
+                rows += render_chunk(chunks, target.get_ref(&rel), &rel, key);
+            }
+        }
+        rows
+    }
+
+    /// The whole text: every chunk, in order.
+    fn concat(&self) -> String {
+        let chunks = || self.relations.values().flat_map(BTreeMap::values);
+        let mut out = String::with_capacity(chunks().map(String::len).sum());
+        chunks().for_each(|chunk| out.push_str(chunk));
+        out
+    }
+}
+
+/// Re-render the chunk of relation `name` keyed `key` from `relation`,
+/// splitting it every [`CHUNK_ROWS`] rows; an emptied chunk other than the
+/// first is dropped. Returns the rows rendered.
+fn render_chunk(
+    chunks: &mut BTreeMap<Tuple, String>,
+    relation: Option<&Relation>,
+    name: &str,
+    key: &Tuple,
+) -> usize {
+    let end = chunks
+        .range::<Tuple, _>((Bound::Excluded(key), Bound::Unbounded))
+        .next()
+        .map(|(k, _)| k.clone());
+    let mut pieces: Vec<(Tuple, String)> = vec![(key.clone(), String::new())];
+    let mut rows = 0;
+    for row in relation.into_iter().flat_map(|relation| relation.range(key, end.as_ref())) {
+        if rows > 0 && rows % CHUNK_ROWS == 0 {
+            pieces.push((row.clone(), String::new()));
+        }
+        let (_, text) = pieces.last_mut().expect("starts with the chunk itself");
+        write_row(text, name, row);
+        text.push_str(";\n");
+        rows += 1;
+    }
+    if rows == 0 && !key.is_empty() {
+        chunks.remove(key);
+    } else {
+        chunks.extend(pieces);
+    }
+    rows
 }
 
 /// What one [`DifferentialChase::apply`] call did.
@@ -221,6 +347,10 @@ pub struct DeltaReport {
     /// Binding rows charged while evaluating this batch (the work measure
     /// `fig14` compares against a full re-chase).
     pub work: usize,
+    /// Target rows rendered to bring the maintained target text up to
+    /// date: the rows of the chunks this batch touched, or the whole target
+    /// after a fallback.
+    pub render_rows: usize,
 }
 
 /// An incrementally-maintained data-exchange target.
@@ -254,6 +384,8 @@ pub struct DifferentialChase {
     /// incremental either way.
     recursive: bool,
     source: Instance,
+    /// The chase state; its `text` is always set, and kept up to date by
+    /// every build and batch.
     state: ChaseState,
 }
 
@@ -284,8 +416,9 @@ impl DifferentialChase {
             }
         }
         let recursive = edges.keys().any(|start| reaches(&edges, start, start));
-        let state =
+        let mut state =
             chase(&rules, full_sig, target_sig, &source, registry, config, Firing::Oblivious);
+        state.text = Some(TargetText::render(&state.target));
         DifferentialChase {
             rules,
             full_sig: full_sig.clone(),
@@ -313,9 +446,11 @@ impl DifferentialChase {
     }
 
     /// The canonical rendering of the maintained target (the byte-identity
-    /// oracle compares these).
+    /// oracle compares these): byte-identical to
+    /// [`render_instance`]`(self.target())`, but concatenated from text the
+    /// engine keeps up to date batch by batch instead of rendered anew.
     pub fn rendered_target(&self) -> String {
-        render_instance(&self.state.target)
+        self.state.text.as_ref().expect("every engine state carries its text").concat()
     }
 
     /// The support table: active derivation count per target tuple.
@@ -372,6 +507,7 @@ impl DifferentialChase {
             &self.config,
             Firing::Oblivious,
         );
+        self.state.text = Some(TargetText::render(&self.state.target));
     }
 
     /// Apply one batch of signed updates, incrementally maintaining the
@@ -446,7 +582,11 @@ impl DifferentialChase {
         let deletions_retractable = deletes.is_empty() || !self.recursive;
         if self.incremental_ready() && deletions_retractable {
             match self.incremental(&deletes, &inserts, &mut report) {
-                Ok(()) => {}
+                Ok(()) => {
+                    let text =
+                        self.state.text.as_mut().expect("every engine state carries its text");
+                    report.render_rows = text.refresh(&self.state.target);
+                }
                 Err(_) => {
                     // Partial mutations do not matter: the fallback rebuilds
                     // every piece of state from the updated source.
@@ -470,6 +610,8 @@ impl DifferentialChase {
         report.target_added = after.saturating_sub(before);
         report.target_removed = before.saturating_sub(after);
         if report.fallback {
+            // The rebuild rendered the whole target.
+            report.render_rows = after;
             metrics.fallbacks.incr();
         }
         metrics.retracted.add(report.retracted as u64);
@@ -543,6 +685,9 @@ impl DifferentialChase {
                         state.support.remove(&key);
                         let (rel, row) = key;
                         state.target.remove(&rel, &row);
+                        if let Some(text) = &mut state.text {
+                            text.mark(&rel, &row);
+                        }
                         // A row shadowed by an identical source tuple stays
                         // live (and joinable) even with no derivation left.
                         if self.read_rels.contains(&rel) && !self.source.contains(&rel, &row) {
@@ -990,5 +1135,77 @@ mod tests {
         assert!(engine.apply(&[Update::insert("Nope", tuple([1i64]))]).is_err());
         assert!(engine.apply(&[Update::insert("Movies", tuple([1i64]))]).is_err());
         assert_eq!(engine.rendered_target(), before);
+    }
+
+    #[test]
+    fn maintained_text_tracks_every_kind_of_batch() {
+        // Three target relations, awkward values (negative integers,
+        // `null`, strings with spaces and `%`), a relation emptied and
+        // refilled, and batches touching one chunk or every chunk.
+        let full = Signature::from_arities([("A", 2), ("B", 1), ("S", 2), ("T", 1), ("U", 1)]);
+        let target = Signature::from_arities([("S", 2), ("T", 1), ("U", 1)]);
+        let constraints =
+            parse_constraints("A <= S; B <= T; project[0](A) <= U").unwrap().into_vec();
+        let a_row = |i: i64| vec![Value::Int(i), Value::str(format!("v {i}%"))];
+        let mut source = Instance::new();
+        for i in -40..40 {
+            source.insert("A", a_row(i));
+        }
+        source.insert("B", vec![Value::Null]);
+        source.insert("B", vec![Value::str("a b%c")]);
+        source.insert("B", tuple([-7i64]));
+        let mut engine = DifferentialChase::new(
+            &constraints,
+            &full,
+            &target,
+            source,
+            &registry(),
+            &ExchangeConfig::default(),
+        );
+        let check = |engine: &DifferentialChase, label: &str| {
+            assert_eq!(engine.rendered_target(), render_instance(engine.target()), "{label}");
+            assert_oracle(engine, &constraints);
+        };
+        check(&engine, "initial build");
+        assert!(engine.rendered_target().contains("T(null);\nT(-7);\nT('a b%c');\n"));
+
+        // A batch touching every chunk of S and U.
+        let batch: Vec<Update> = (-40..40)
+            .step_by(4)
+            .map(|i| Update::delete("A", a_row(i)))
+            .chain((-40..40).step_by(4).map(|i| Update::insert("A", a_row(i * 1000 + 1))))
+            .collect();
+        let report = engine.apply(&batch).unwrap();
+        assert!(!report.fallback);
+        assert_eq!(report.render_rows, engine.target().total_tuples() - 3, "every S, U chunk");
+        check(&engine, "every-chunk batch");
+
+        // One row: only its chunk in each relation it reaches re-renders.
+        let report = engine.apply(&[Update::insert("A", a_row(-100))]).unwrap();
+        assert!(!report.fallback);
+        assert!(report.render_rows <= 2 * (CHUNK_ROWS + 1), "rendered {}", report.render_rows);
+        check(&engine, "one-row batch");
+
+        // Empty T, then refill it in bulk: the one chunk splits as it grows.
+        let b_rows: Vec<Tuple> = engine.source().get("B").iter().cloned().collect();
+        let drain: Vec<Update> = b_rows.into_iter().map(|row| Update::delete("B", row)).collect();
+        engine.apply(&drain).unwrap();
+        assert!(engine.target().get("T").is_empty());
+        check(&engine, "T emptied");
+        let refill: Vec<Update> = (0..50).map(|i| Update::insert("B", tuple([50 - i]))).collect();
+        let report = engine.apply(&refill).unwrap();
+        assert_eq!(report.render_rows, 50, "each refilled row renders once");
+        check(&engine, "T refilled");
+        let report = engine.apply(&[Update::insert("B", tuple([-1i64]))]).unwrap();
+        assert!(report.render_rows <= CHUNK_ROWS + 1, "rendered {}", report.render_rows);
+        check(&engine, "one row into the refilled T");
+
+        // Refused batches leave the text alone; a rebuild re-renders it.
+        let before = engine.rendered_target();
+        assert!(engine.apply(&[Update::insert("S", tuple([1i64, 2]))]).is_err());
+        assert_eq!(engine.rendered_target(), before);
+        engine.rebuild();
+        assert_eq!(engine.rendered_target(), before);
+        check(&engine, "rebuilt");
     }
 }

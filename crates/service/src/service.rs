@@ -273,9 +273,10 @@ pub struct LocalService {
     /// `migrate` snapshot lines) while holding the persistence state mutex,
     /// so no path may wait on the persistence mutex while holding this one.
     migrations: Mutex<std::collections::BTreeMap<(String, String), MigrationSession>>,
-    /// Serialises whole `MigrateDelta` requests (apply *and* append), so the
-    /// per-session delta-log order always equals the application order —
-    /// replaying the log then reproduces the exact accumulated source.
+    /// Serialises the apply *and* append of `MigrateDelta` requests (taken
+    /// after path resolution and update parsing), so the per-session
+    /// delta-log order always equals the application order — replaying the
+    /// log then reproduces the exact accumulated source.
     migrate_order: std::sync::Mutex<()>,
 }
 
@@ -943,11 +944,6 @@ impl LocalService {
                 ))
             }
             Request::MigrateDelta { from, to, updates } => {
-                // Whole-request serialisation: the engine apply and the
-                // delta append must land in the same order per session, or
-                // replaying the log would fold updates in the wrong order.
-                let _order =
-                    self.migrate_order.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let result = self.session.compose_path(&from, &to)?;
                 self.persist_if_used(result.compose_calls, result.cache_hits)?;
                 let chain = &result.chain;
@@ -960,6 +956,13 @@ impl LocalService {
                 let (full, target_sig) = chain.chase_signatures().map_err(|error| {
                     ServiceError::protocol(format!("conflicting chain signatures: {error}"))
                 })?;
+                // Serialise the engine apply and the delta append, so they
+                // land in the same order per session (replaying the log
+                // must fold updates in application order). Everything
+                // above is request-local: a malformed batch or an unknown
+                // schema is refused without waiting behind other batches.
+                let _order =
+                    self.migrate_order.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let payload = {
                     let mut sessions =
                         self.migrations.lock().unwrap_or_else(PoisonError::into_inner);

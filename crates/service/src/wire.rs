@@ -66,8 +66,9 @@ pub fn escape(text: &str) -> String {
     mapcomp_catalog::escape_field(text)
 }
 
-/// Undo [`escape`]. Fails with [`ErrorCode::Protocol`] on truncated or
-/// non-hex escapes and on invalid UTF-8.
+/// Undo [`escape`]: `%` must be followed by exactly two hex digits. Fails
+/// with [`ErrorCode::Protocol`] on truncated or non-hex escapes and on
+/// invalid UTF-8.
 pub fn unescape(token: &str) -> Result<String, ServiceError> {
     mapcomp_catalog::unescape_field(token)
         .ok_or_else(|| ServiceError::protocol(format!("malformed escape in token `{token}`")))
@@ -617,7 +618,11 @@ pub fn encode_reply(reply: &Result<Response, ServiceError>) -> String {
                         payload.target_rows,
                         payload.support_entries
                     ));
-                    out.push_str(&format!("target {}\n", escape(&payload.target)));
+                    // The target dominates the reply: escape it straight
+                    // into the frame.
+                    out.push_str("target ");
+                    mapcomp_catalog::escape_field_into(&mut out, &payload.target);
+                    out.push('\n');
                 }
                 Response::Metrics { text } => {
                     out.push_str(&format!("text {}\n", escape(text)));
@@ -1198,6 +1203,40 @@ mod tests {
         assert!(unescape("%2").is_err());
         assert!(unescape("abc%").is_err());
         assert!(unescape("%GG").is_err());
+    }
+
+    #[test]
+    fn frame_tokens_with_a_sign_in_an_escape_are_refused() {
+        // `%+A` is not `%0A`: an escape is `%` and exactly two hex digits.
+        let frame = "mapcomp-service 1 request compose-path\nfrom s%+A1\nto s3\nend\n";
+        let error = decode_request(frame).unwrap_err();
+        assert_eq!(error.code, ErrorCode::Protocol, "{error}");
+        let good = "mapcomp-service 1 request compose-path\nfrom s%0A1\nto s3\nend\n";
+        assert_eq!(
+            decode_request(good).unwrap(),
+            Request::ComposePath { from: "s\n1".into(), to: "s3".into() }
+        );
+    }
+
+    #[test]
+    fn migrated_replies_escape_the_target_in_place() {
+        let payload = MigratePayload {
+            from: "s1".into(),
+            to: "s3".into(),
+            applied: 1,
+            inserted: 1,
+            deleted: 0,
+            retracted: 0,
+            rederived: 0,
+            fallback: false,
+            source_rows: 1,
+            target_rows: 2,
+            support_entries: 2,
+            target: "T('a b%c');\nT(-1);\n".into(),
+        };
+        let frame = encode_reply(&Ok(Response::Migrated(payload.clone())));
+        assert!(frame.contains(&format!("\ntarget {}\n", escape(&payload.target))), "{frame}");
+        assert_eq!(decode_reply(&frame).unwrap(), Ok(Response::Migrated(payload)));
     }
 
     #[test]

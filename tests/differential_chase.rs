@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mapping_composition::algebra::Tuple;
-use mapping_composition::compose::{DifferentialChase, ExchangeConfig, Update};
+use mapping_composition::compose::{render_instance, DifferentialChase, ExchangeConfig, Update};
 use mapping_composition::prelude::*;
 
 fn registry() -> Registry {
@@ -65,7 +65,18 @@ impl Harness {
         )
     }
 
+    /// The maintained reply text must always equal a fresh rendering of
+    /// the maintained target.
+    fn assert_text_current(&self, label: &str) {
+        assert_eq!(
+            self.engine.rendered_target(),
+            render_instance(self.engine.target()),
+            "{label}: maintained target text diverged from a fresh rendering"
+        );
+    }
+
     fn assert_matches_oracle(&self, label: &str) {
+        self.assert_text_current(label);
         let oracle = self.oracle();
         assert_eq!(
             self.engine.rendered_target(),
@@ -173,7 +184,9 @@ impl Harness {
     }
 
     /// Drive `batches` random batches through the engine, oracle-checking
-    /// after every one.
+    /// after every one. Every batch is followed by a refused one, and the
+    /// stream's midpoint by a full rebuild; neither may leave the
+    /// maintained text stale.
     fn run_random_stream(&mut self, label: &str, seed: u64, batches: usize) {
         let mut rng = StdRng::seed_from_u64(seed);
         if self.source_rels().is_empty() {
@@ -181,8 +194,16 @@ impl Harness {
         }
         for batch_index in 0..batches {
             let size = rng.gen_range(1..6);
-            let batch = self.random_batch(&mut rng, size);
-            self.apply_checked(&format!("{label}, batch {batch_index}"), &batch);
+            let mut batch = self.random_batch(&mut rng, size);
+            let label = format!("{label}, batch {batch_index}");
+            self.apply_checked(&label, &batch);
+            batch.push(Update::insert("NoSuchRelation", Vec::new()));
+            assert!(self.engine.apply(&batch).is_err(), "{label}: bad batch accepted");
+            self.assert_text_current(&format!("{label}, refused"));
+            if batch_index == batches / 2 {
+                self.engine.rebuild();
+                self.assert_text_current(&format!("{label}, rebuilt"));
+            }
         }
     }
 }
