@@ -678,7 +678,7 @@ fn figure_12(scale: Scale) -> BenchDoc {
     );
     let mut doc = BenchDoc::new("fig12", scale);
     let points = persistence_experiment(scale);
-    let widths = vec![9, 12, 14, 11, 10];
+    let widths = vec![9, 12, 14, 11, 12, 10];
     println!(
         "{}",
         format_row(
@@ -687,6 +687,7 @@ fn figure_12(scale: Scale) -> BenchDoc {
                 "incr B/req".to_string(),
                 "rewrite B/req".to_string(),
                 "incr (ms)".to_string(),
+                "read B/req".to_string(),
                 "recovered".to_string(),
             ],
             &widths
@@ -702,6 +703,7 @@ fn figure_12(scale: Scale) -> BenchDoc {
                     point.incremental_bytes.to_string(),
                     point.rewrite_bytes.to_string(),
                     format!("{:.3}", point.incremental_time.as_secs_f64() * 1000.0),
+                    point.read_bytes.to_string(),
                     "yes".to_string(),
                 ],
                 &widths
@@ -712,6 +714,7 @@ fn figure_12(scale: Scale) -> BenchDoc {
             ("incremental_bytes", BenchValue::U64(point.incremental_bytes)),
             ("rewrite_bytes", BenchValue::U64(point.rewrite_bytes)),
             ("incremental_ms", BenchValue::F64(point.incremental_time.as_secs_f64() * 1000.0)),
+            ("read_bytes", BenchValue::U64(point.read_bytes)),
             ("recovered", BenchValue::Bool(point.recovered_identical)),
         ]);
     }

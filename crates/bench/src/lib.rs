@@ -1181,6 +1181,9 @@ pub struct PersistencePoint {
     pub rewrite_bytes: u64,
     /// Mean wall-clock time per request.
     pub incremental_time: Duration,
+    /// Mean sidecar bytes appended per warm read (a memo hit): 0, because
+    /// hit counters are soft state that only rides along with real writes.
+    pub read_bytes: u64,
     /// Did a kill (drop without shutdown) and restart replay to the same
     /// catalog document and cumulative cache statistics as before the
     /// kill?
@@ -1229,7 +1232,8 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     let file =
         std::env::temp_dir().join(format!("mapcomp_fig12_{}_{mappings}.doc", std::process::id()));
     let sidecar = sidecar_path(&file);
-    for stale in [&file, &sidecar] {
+    let lock = mapcomp_catalog::FileLock::for_file(&sidecar).path().to_path_buf();
+    for stale in [&file, &sidecar, &lock] {
         let _ = std::fs::remove_file(stale);
     }
     // Thresholds are disabled so the measurement sees the raw per-request
@@ -1260,19 +1264,22 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         let sidecar = render_generation_marker(Position::new(2, 0)) + &save_state(&catalog, &cache);
         (catalog.to_document_string().len() + sidecar.len()) as u64
     };
-    let mut appended = 0u64;
-    let mut rewrite = 0u64;
-    let mut elapsed = Duration::ZERO;
-    for request in 0..PERSISTENCE_REQUESTS {
+    let compose = |service: &LocalService, request: usize| {
         let from = 2 * request;
-        let before_sidecar = file_bytes(&sidecar);
-        let started = std::time::Instant::now();
         let reply = service.call(Request::ComposePath {
             from: format!("pv{from}"),
             to: format!("pv{}", from + 2),
         });
-        elapsed += started.elapsed();
         assert!(reply.is_ok(), "fig12 compose failed: {reply:?}");
+    };
+    let mut appended = 0u64;
+    let mut rewrite = 0u64;
+    let mut elapsed = Duration::ZERO;
+    for request in 0..PERSISTENCE_REQUESTS {
+        let before_sidecar = file_bytes(&sidecar);
+        let started = std::time::Instant::now();
+        compose(&service, request);
+        elapsed += started.elapsed();
         // Appends only: the document snapshot is untouched.
         appended += file_bytes(&sidecar).saturating_sub(before_sidecar);
         rewrite += snapshot_bytes(&service);
@@ -1284,8 +1291,14 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     let reopened = open();
     let recovered = reopened.session().catalog().snapshot().to_document_string() == pre_document
         && reopened.session().cache().stats() == pre_stats;
+    // The same requests again, now served warm from the recovered memo.
+    let before_reads = file_bytes(&sidecar);
+    for request in 0..PERSISTENCE_REQUESTS {
+        compose(&reopened, request);
+    }
+    let read_bytes = file_bytes(&sidecar).saturating_sub(before_reads);
     drop(reopened);
-    for stale in [&file, &sidecar] {
+    for stale in [&file, &sidecar, &lock] {
         let _ = std::fs::remove_file(stale);
     }
     PersistencePoint {
@@ -1293,6 +1306,7 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         incremental_bytes: appended / PERSISTENCE_REQUESTS as u64,
         rewrite_bytes: rewrite / PERSISTENCE_REQUESTS as u64,
         incremental_time: elapsed / PERSISTENCE_REQUESTS as u32,
+        read_bytes: read_bytes / PERSISTENCE_REQUESTS as u64,
         recovered_identical: recovered,
     }
 }
@@ -2066,6 +2080,7 @@ mod tests {
                 point.mappings
             );
             assert!(point.incremental_bytes > 0, "incremental requests must append something");
+            assert_eq!(point.read_bytes, 0, "size {}: a warm read appended", point.mappings);
         }
         let (first, last) = (points.first().unwrap(), points.last().unwrap());
         let growth = last.mappings as f64 / first.mappings as f64;

@@ -108,7 +108,7 @@ pub use chain::{
 pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};
 pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
-pub use lock::{pid_alive, FileLock, FileLockGuard};
+pub use lock::{FileLock, FileLockGuard};
 pub use mapcomp_analysis::{analyze_exchange, AnalysisReport};
 pub use persist::{
     escape_field, escape_field_into, load_cache, load_sidecar, load_state, load_versions,

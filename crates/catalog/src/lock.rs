@@ -1,65 +1,52 @@
-//! Cross-process sidecar locking: an advisory `.lock` file with
-//! create-exclusive semantics and PID-liveness stale-lock detection.
+//! Cross-process sidecar locking: a kernel advisory lock on a sibling
+//! `.lock` file.
 //!
 //! [`crate::persist::SidecarWriter`]'s internal mutex serialises writers
 //! *within one process*; two CLI invocations (or a server and a CLI) racing
 //! on the same sidecar would still interleave their rewrites. The
-//! [`FileLock`] here closes that gap: every append/rewrite first stages a
-//! `pid <id>` holder line in a per-acquirer sibling and `hard_link`s it to
-//! the sibling `<sidecar>.lock` path — an atomic create-exclusive that
-//! never exposes a partially-written lock file — and removes it when done.
+//! [`FileLock`] here closes that gap: it opens the sibling `<sidecar>.lock`
+//! once and takes an exclusive advisory lock on it
+//! ([`std::fs::File::try_lock`], `flock` on Unix) around every append or
+//! rewrite.
 //!
-//! A process that dies while holding the lock would otherwise block every
-//! later writer forever, so contenders probe the recorded PID for liveness
-//! (`/proc/<pid>` on Linux; elsewhere the probe conservatively reports
-//! "alive") and break the lock when the holder is gone. Breaking is
-//! serialised by an atomic *rename* to a per-process sibling — exactly one
-//! contender wins the steal, the stolen file's PID is re-checked, and a
-//! lock that turns out to be freshly re-acquired is handed back via
-//! `hard_link` (which refuses to clobber a newer lock) — so two breakers
-//! cannot both unlink and then race each other's rewrites. If the hand-back
-//! loses a further race (a third contender grabbed the empty slot first),
-//! exclusivity is briefly shared; guards bound the damage by removing the
-//! lock file at drop time only when it still records *their own* PID, so a
-//! stolen holder never deletes a successor's lock.
+//! The kernel owns the lock and releases it when its holder unlocks,
+//! closes the file or dies, so a crashed writer never blocks later ones and
+//! no holder record, liveness probe or stale-lock breaking is needed. The
+//! lock file stays on disk between writers and its content is never read:
+//! a leftover file written by an older build (a `pid …` line) is just an
+//! unlocked file. A *running* older build is another matter: it takes no
+//! kernel lock and unlinks this file as a torn holder record, so every
+//! writer on a catalog must be upgraded together (`docs/PERSISTENCE.md`,
+//! "Writing discipline").
 //!
-//! PID recycling — a crashed holder's PID handed to an unrelated live
-//! process — is closed by recording the holder's *start time* next to the
-//! PID (`pid <id> start <ticks>`, the kernel's clock-tick stamp from
-//! `/proc/<pid>/stat`): a contender breaks the lock unless a live process
-//! with the *same* PID **and** the *same* start time exists, and two
-//! processes can never share both. Lock files written by older builds
-//! (bare `pid <id>` lines) fall back to the PID-liveness probe alone.
+//! The lock belongs to the open file, not to the process or the thread:
+//! two `FileLock`s on one path exclude each other even inside one process,
+//! but one `FileLock` does not exclude the threads sharing it. Acquiring
+//! therefore takes `&mut self`; a shared writer puts its `FileLock` behind
+//! a mutex.
 
-use std::io::{self, Write as _};
+use std::fs::{File, TryLockError};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// An advisory cross-process lock backed by a create-exclusive `.lock` file.
+/// An advisory cross-process lock on a `.lock` file, opened on first use
+/// and kept open for the lock's lifetime.
 #[derive(Debug)]
 pub struct FileLock {
     path: PathBuf,
+    file: Option<File>,
 }
 
-/// Holding proof for a [`FileLock`]; removes the lock file on drop.
+/// Holding proof for a [`FileLock`]; unlocks on drop.
 #[derive(Debug)]
-pub struct FileLockGuard {
-    path: PathBuf,
+pub struct FileLockGuard<'a> {
+    file: &'a File,
 }
 
-impl Drop for FileLockGuard {
+impl Drop for FileLockGuard<'_> {
     fn drop(&mut self) {
-        // Remove only a lock file this process still owns: if a breaker
-        // mistakenly stole and recycled the slot while we held it, the file
-        // on disk now records another holder's PID — deleting it would
-        // admit yet another writer behind that holder's back.
-        let ours = match std::fs::read_to_string(&self.path) {
-            Ok(text) => parse_pid(&text) == Some(std::process::id()),
-            Err(_) => false,
-        };
-        if ours {
-            let _ = std::fs::remove_file(&self.path);
-        }
+        let _ = self.file.unlock();
     }
 }
 
@@ -68,7 +55,7 @@ impl FileLock {
     pub fn for_file(file: &Path) -> Self {
         let mut name = file.file_name().unwrap_or_default().to_os_string();
         name.push(".lock");
-        FileLock { path: file.with_file_name(name) }
+        FileLock { path: file.with_file_name(name), file: None }
     }
 
     /// The lock file's path.
@@ -76,172 +63,48 @@ impl FileLock {
         &self.path
     }
 
-    /// Try to take the lock once: stage a file holding this process's
-    /// holder line and `hard_link` it into place — an atomic
-    /// create-exclusive *with content*. (Creating the lock file directly
-    /// and writing the line afterwards leaves a window where contenders
-    /// read an *empty* lock file, parse it as a torn write, and break a
-    /// live holder's lock.) Returns `None` when another holder exists
-    /// (after breaking it if its recorded PID is no longer alive — the next
-    /// attempt can then succeed).
-    pub fn try_acquire(&self) -> io::Result<Option<FileLockGuard>> {
-        static STAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let pid = std::process::id();
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(format!(
-            ".stage{pid}.{}",
-            STAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        let stage = self.path.with_file_name(name);
-        let mut file = std::fs::OpenOptions::new().write(true).create_new(true).open(&stage)?;
-        let write_result = match process_start_time(pid) {
-            Some(start) => writeln!(file, "pid {pid} start {start}"),
-            None => writeln!(file, "pid {pid}"),
-        }
-        .and_then(|()| file.flush());
-        drop(file);
-        let linked = write_result.map(|()| std::fs::hard_link(&stage, &self.path));
-        let _ = std::fs::remove_file(&stage);
-        match linked? {
-            Ok(()) => Ok(Some(FileLockGuard { path: self.path.clone() })),
-            Err(error) if error.kind() == io::ErrorKind::AlreadyExists => {
-                if self.holder_is_stale() {
-                    self.break_stale();
-                }
-                Ok(None)
-            }
-            Err(error) => Err(error),
-        }
+    /// Try to take the lock once; `None` when another holder has it.
+    pub fn try_acquire(&mut self) -> io::Result<Option<FileLockGuard<'_>>> {
+        let file = open(&mut self.file, &self.path)?;
+        Ok(try_lock(file)?.then_some(FileLockGuard { file }))
     }
 
-    /// Break a (probed-stale) lock atomically: *rename* it to a per-process
-    /// sibling first — exactly one contender's rename succeeds, so two
-    /// breakers can never both unlink and then race each other's fresh
-    /// locks. The stolen file's PID is re-checked after the rename; a lock
-    /// that turns out to belong to a holder who acquired between the probe
-    /// and the rename is handed back via `hard_link`, which (unlike rename)
-    /// refuses to clobber a newer lock.
-    fn break_stale(&self) {
-        // Re-probe immediately before the steal: another contender may have
-        // broken the stale lock and acquired a fresh one since our caller's
-        // probe, and stealing a live holder's lock — even with the hand-back
-        // below — briefly weakens exclusivity.
-        if !self.holder_is_stale() {
-            return;
-        }
-        let mut name = self.path.file_name().unwrap_or_default().to_os_string();
-        name.push(format!(".break{}", std::process::id()));
-        let hijack = self.path.with_file_name(name);
-        if std::fs::rename(&self.path, &hijack).is_err() {
-            return; // released, or another contender won the break
-        }
-        let still_stale = match std::fs::read_to_string(&hijack) {
-            Ok(text) => match parse_holder(&text) {
-                Some((pid, start)) => !holder_alive(pid, start),
-                None => true,
-            },
-            Err(_) => true,
-        };
-        if !still_stale {
-            let _ = std::fs::hard_link(&hijack, &self.path);
-        }
-        let _ = std::fs::remove_file(&hijack);
-    }
-
-    /// Acquire the lock, retrying (and breaking stale holders) until
-    /// `timeout` elapses. Fails with [`io::ErrorKind::TimedOut`] when a live
-    /// holder keeps the lock the whole time.
-    pub fn acquire(&self, timeout: Duration) -> io::Result<FileLockGuard> {
+    /// Acquire the lock, retrying until `timeout` elapses. Fails with
+    /// [`io::ErrorKind::TimedOut`] when another holder keeps the lock the
+    /// whole time.
+    pub fn acquire(&mut self, timeout: Duration) -> io::Result<FileLockGuard<'_>> {
         let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(guard) = self.try_acquire()? {
-                return Ok(guard);
-            }
+        let file = open(&mut self.file, &self.path)?;
+        while !try_lock(file)? {
             if Instant::now() >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("lock file {} is held by a live process", self.path.display()),
+                    format!("lock file {} is held by another writer", self.path.display()),
                 ));
             }
-            std::thread::sleep(Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(1));
         }
-    }
-
-    /// Is the current holder provably dead (or provably a PID-recycled
-    /// impostor)? Unreadable-but-present lock files report *not* stale (the
-    /// holder may be mid-write); a readable file whose `pid` line is missing
-    /// or malformed is treated as stale (a torn write from a crashed
-    /// holder).
-    fn holder_is_stale(&self) -> bool {
-        match std::fs::read_to_string(&self.path) {
-            Ok(text) => match parse_holder(&text) {
-                Some((pid, start)) => !holder_alive(pid, start),
-                None => true,
-            },
-            Err(_) => false,
-        }
+        Ok(FileLockGuard { file })
     }
 }
 
-/// Parse the holder line of a lock file: `pid <id>` (older builds) or
-/// `pid <id> start <ticks>`. Returns the PID and the recorded start time,
-/// if any.
-fn parse_holder(text: &str) -> Option<(u32, Option<u64>)> {
-    let rest = text.lines().next()?.trim().strip_prefix("pid ")?;
-    let mut tokens = rest.split_whitespace();
-    let pid: u32 = tokens.next()?.parse().ok()?;
-    let start = match tokens.next() {
-        Some("start") => tokens.next().and_then(|ticks| ticks.parse().ok()),
-        _ => None,
-    };
-    Some((pid, start))
-}
-
-/// Parse the PID off a lock file's holder line (either format).
-fn parse_pid(text: &str) -> Option<u32> {
-    parse_holder(text).map(|(pid, _)| pid)
-}
-
-/// Is the recorded holder still the *same process*? Liveness of the PID is
-/// necessary; when both the lock file and `/proc` provide a start time they
-/// must also match — a live process reusing a dead holder's PID has a
-/// different start stamp and must not keep the lock alive. Old-format lock
-/// files (no recorded start) and platforms without `/proc` fall back to the
-/// PID probe alone.
-fn holder_alive(pid: u32, recorded_start: Option<u64>) -> bool {
-    if !pid_alive(pid) {
-        return false;
+/// The open lock file at `path`, created on first use (never truncated:
+/// its content is irrelevant).
+fn open<'a>(slot: &'a mut Option<File>, path: &Path) -> io::Result<&'a File> {
+    if slot.is_none() {
+        let file =
+            std::fs::OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
+        *slot = Some(file);
     }
-    match (recorded_start, process_start_time(pid)) {
-        (Some(recorded), Some(current)) => recorded == current,
-        _ => true,
-    }
+    Ok(slot.as_ref().expect("the lock file was opened above"))
 }
 
-/// The kernel's start-time stamp for `pid` (field 22 of `/proc/<pid>/stat`,
-/// in clock ticks since boot), or `None` where unavailable (non-Linux
-/// platforms, dead or unreadable process). The process name field can
-/// contain spaces and parentheses, so fields are counted from after the
-/// *last* `)`.
-pub fn process_start_time(pid: u32) -> Option<u64> {
-    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).ok()?;
-    let rest = &stat[stat.rfind(')')? + 1..];
-    // `rest` begins at field 3 (process state); starttime is field 22.
-    rest.split_whitespace().nth(19)?.parse().ok()
-}
-
-/// Liveness probe for a recorded lock-holder PID. On platforms with a
-/// `/proc` filesystem this checks `/proc/<pid>`; elsewhere it conservatively
-/// reports alive (a lock is then only released by its holder, never broken).
-pub fn pid_alive(pid: u32) -> bool {
-    if pid == std::process::id() {
-        return true;
-    }
-    let proc_root = Path::new("/proc");
-    if proc_root.is_dir() {
-        proc_root.join(pid.to_string()).exists()
-    } else {
-        true
+/// One non-blocking exclusive lock attempt: `false` when it would block.
+fn try_lock(file: &File) -> io::Result<bool> {
+    match file.try_lock() {
+        Ok(()) => Ok(true),
+        Err(TryLockError::WouldBlock) => Ok(false),
+        Err(TryLockError::Error(error)) => Err(error),
     }
 }
 
@@ -252,7 +115,6 @@ mod tests {
     fn temp_target(tag: &str) -> PathBuf {
         let path =
             std::env::temp_dir().join(format!("mapcomp_lock_{}_{tag}.memo", std::process::id()));
-        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(FileLock::for_file(&path).path());
         path
     }
@@ -260,96 +122,45 @@ mod tests {
     #[test]
     fn lock_is_exclusive_and_released_on_drop() {
         let target = temp_target("exclusive");
-        let lock = FileLock::for_file(&target);
-        let guard = lock.try_acquire().unwrap().expect("first acquire succeeds");
-        assert!(lock.path().exists());
-        assert!(lock.try_acquire().unwrap().is_none(), "held lock must not be re-acquired");
+        let (mut first, mut second) = (FileLock::for_file(&target), FileLock::for_file(&target));
+        let guard = first.try_acquire().unwrap().expect("first acquire succeeds");
+        assert!(second.try_acquire().unwrap().is_none(), "a held lock excludes a second opener");
         drop(guard);
-        assert!(!lock.path().exists(), "guard drop removes the lock file");
-        let again = lock.try_acquire().unwrap();
-        assert!(again.is_some(), "released lock can be taken again");
+        assert!(first.path().exists(), "the lock file stays on disk");
+        assert!(second.try_acquire().unwrap().is_some(), "a released lock can be taken again");
     }
 
     #[test]
-    fn stale_lock_from_a_dead_pid_is_broken() {
-        let target = temp_target("stale");
-        let lock = FileLock::for_file(&target);
-        // PIDs above the kernel's default pid_max (4194304) never exist.
+    fn leftover_lock_file_content_never_blocks() {
+        let target = temp_target("leftover");
+        let mut lock = FileLock::for_file(&target);
+        // What an older build's crashed holder left behind: a PID line for
+        // a process that cannot exist (above the kernel's pid_max).
         std::fs::write(lock.path(), "pid 999999999\n").unwrap();
-        let guard = lock.acquire(Duration::from_secs(2)).expect("stale lock must be broken");
-        drop(guard);
-    }
-
-    #[test]
-    fn malformed_lock_files_are_treated_as_stale() {
-        let target = temp_target("garbage");
-        let lock = FileLock::for_file(&target);
-        std::fs::write(lock.path(), "not a pid line").unwrap();
-        let guard = lock.acquire(Duration::from_secs(2)).expect("torn lock must be broken");
-        drop(guard);
-    }
-
-    #[test]
-    fn lock_file_records_pid_and_start_time() {
-        let target = temp_target("starttime");
-        let lock = FileLock::for_file(&target);
-        let guard = lock.try_acquire().unwrap().expect("acquire");
-        let text = std::fs::read_to_string(lock.path()).unwrap();
-        let (pid, start) = parse_holder(&text).expect("holder line parses");
-        assert_eq!(pid, std::process::id());
-        if let Some(own_start) = process_start_time(std::process::id()) {
-            assert_eq!(start, Some(own_start), "recorded start must match /proc");
-        }
-        drop(guard);
-        assert!(!lock.path().exists(), "guard drop must recognise the two-field line as its own");
-    }
-
-    #[test]
-    fn live_pid_with_wrong_start_time_is_broken_as_recycled() {
-        if process_start_time(std::process::id()).is_none() {
-            return; // no /proc: the start-time probe cannot run here
-        }
-        let target = temp_target("recycled");
-        let lock = FileLock::for_file(&target);
-        // A "holder" whose PID is alive (ours) but whose recorded start time
-        // belongs to a long-gone process: exactly what PID reuse looks like.
-        std::fs::write(lock.path(), format!("pid {} start 1\n", std::process::id())).unwrap();
-        let guard =
-            lock.acquire(Duration::from_secs(2)).expect("a recycled-PID lock must be breakable");
-        drop(guard);
-    }
-
-    #[test]
-    fn old_format_lock_with_live_pid_still_blocks() {
-        let target = temp_target("oldformat");
-        let lock = FileLock::for_file(&target);
-        // An old-build holder line (no start time) for a live PID: without a
-        // recorded start the probe must fall back to liveness and wait.
-        std::fs::write(lock.path(), format!("pid {}\n", std::process::id())).unwrap();
-        let error = lock.acquire(Duration::from_millis(60)).unwrap_err();
-        assert_eq!(error.kind(), io::ErrorKind::TimedOut);
-        let _ = std::fs::remove_file(lock.path());
+        drop(lock.acquire(Duration::from_millis(60)).expect("an unlocked file is free"));
+        assert_eq!(std::fs::read_to_string(lock.path()).unwrap(), "pid 999999999\n");
     }
 
     #[test]
     fn live_holder_times_out_other_acquirers() {
         let target = temp_target("timeout");
-        let lock = FileLock::for_file(&target);
-        let _guard = lock.try_acquire().unwrap().expect("acquire");
-        // This process is alive, so the second acquire must wait and fail.
-        let error = lock.acquire(Duration::from_millis(60)).unwrap_err();
+        let mut holder = FileLock::for_file(&target);
+        let _guard = holder.try_acquire().unwrap().expect("acquire");
+        let error = FileLock::for_file(&target).acquire(Duration::from_millis(60)).unwrap_err();
         assert_eq!(error.kind(), io::ErrorKind::TimedOut);
     }
 
     #[test]
     fn contended_acquires_serialise_across_threads() {
         let target = temp_target("contended");
-        let lock = FileLock::for_file(&target);
         let counter = std::sync::atomic::AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..4 {
-                let (lock, counter) = (&lock, &counter);
+                let (target, counter) = (&target, &counter);
                 scope.spawn(move || {
+                    // One lock per thread: the kernel arbitrates between
+                    // open files, as it does between processes.
+                    let mut lock = FileLock::for_file(target);
                     for _ in 0..5 {
                         let _guard = lock.acquire(Duration::from_secs(10)).unwrap();
                         let seen = counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);

@@ -635,15 +635,10 @@ impl SidecarState {
     }
 }
 
-/// Does the file end without a newline (a crash-torn final line)? A missing
-/// or empty file is not torn.
-fn tail_is_torn(path: &Path) -> std::io::Result<bool> {
+/// Does the file end without a newline (a crash-torn final line)? An empty
+/// file is not torn.
+fn tail_is_torn(file: &mut std::fs::File) -> std::io::Result<bool> {
     use std::io::{Read as _, Seek as _, SeekFrom};
-    let mut file = match std::fs::File::open(path) {
-        Ok(file) => file,
-        Err(error) if error.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-        Err(error) => return Err(error),
-    };
     if file.metadata()?.len() == 0 {
         return Ok(false);
     }
@@ -917,12 +912,11 @@ pub fn load_cache(text: &str) -> MemoCache {
 /// process and across processes.
 ///
 /// All writes are serialised twice over: by an internal mutex (threads of
-/// this process) and by an advisory cross-process [`FileLock`] on the
-/// sibling `<sidecar>.lock` file (other CLI invocations or servers; stale
-/// locks from dead holders are broken by a PID-liveness probe). Readers
-/// never take either — they read the file directly, which is safe because
-/// the file only ever changes by appending whole writes
-/// ([`SidecarWriter::append`]) or by an atomic rename
+/// this process) and by a kernel advisory [`FileLock`] on the sibling
+/// `<sidecar>.lock` file (other CLI invocations or servers; the kernel
+/// releases a dead holder's lock). Readers never take either — they read
+/// the file directly, which is safe because the file only ever changes by
+/// appending whole writes ([`SidecarWriter::append`]) or by an atomic rename
 /// ([`SidecarWriter::rewrite`]). The sidecar grammar is last-wins per entry
 /// (later `version`/`stats`/`entry` lines supersede earlier ones on load)
 /// and loaders skip malformed lines, so even a reader racing an in-flight
@@ -934,8 +928,9 @@ pub fn load_cache(text: &str) -> MemoCache {
 #[derive(Debug)]
 pub struct SidecarWriter {
     path: PathBuf,
-    guard: Mutex<()>,
-    lock: FileLock,
+    /// The cross-process lock, behind the mutex that serialises this
+    /// process's threads (one open lock file does not exclude them).
+    lock: Mutex<FileLock>,
     telemetry: PersistTelemetry,
 }
 
@@ -951,8 +946,7 @@ struct PersistTelemetry {
 }
 
 impl PersistTelemetry {
-    fn new() -> PersistTelemetry {
-        let registry = mapcomp_telemetry::metrics::global();
+    fn new(registry: &'static mapcomp_telemetry::metrics::MetricsRegistry) -> PersistTelemetry {
         PersistTelemetry {
             appends: registry.counter(
                 "persist_appends_total",
@@ -987,8 +981,19 @@ impl SidecarWriter {
     /// A writer for the sidecar at `path` (the file need not exist yet).
     pub fn new(path: impl Into<PathBuf>) -> Self {
         let path: PathBuf = path.into();
-        let lock = FileLock::for_file(&path);
-        SidecarWriter { path, guard: Mutex::new(()), lock, telemetry: PersistTelemetry::new() }
+        let lock = Mutex::new(FileLock::for_file(&path));
+        let telemetry = PersistTelemetry::new(mapcomp_telemetry::metrics::global());
+        SidecarWriter { path, lock, telemetry }
+    }
+
+    /// Count this writer's `persist_*` traffic in `registry` instead of the
+    /// process global.
+    pub fn with_metrics_registry(
+        mut self,
+        registry: &'static mapcomp_telemetry::metrics::MetricsRegistry,
+    ) -> Self {
+        self.telemetry = PersistTelemetry::new(registry);
+        self
     }
 
     /// The sidecar path.
@@ -997,7 +1002,7 @@ impl SidecarWriter {
     }
 
     /// Append a chunk of sidecar lines and flush, under the writer mutex and
-    /// the cross-process lock file. Concurrent appenders are serialised, so
+    /// the cross-process lock. Concurrent appenders are serialised, so
     /// no writer's lines can be torn or lost; within one append the chunk
     /// lands contiguously. A crash-torn tail left by a previous process (a
     /// final line with no terminating newline) is *healed first* by writing
@@ -1006,14 +1011,15 @@ impl SidecarWriter {
     /// would glue onto the fragment and be silently lost on every later
     /// load.
     pub fn append(&self, lines: &str) -> std::io::Result<()> {
-        let _guard = self.guard.lock().unwrap_or_else(PoisonError::into_inner);
-        let _file_lock = self.lock.acquire(LOCK_TIMEOUT)?;
-        let mut file = std::fs::OpenOptions::new().create(true).append(true).open(&self.path)?;
+        let mut lock = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _held = lock.acquire(LOCK_TIMEOUT)?;
+        let mut file =
+            std::fs::OpenOptions::new().read(true).create(true).append(true).open(&self.path)?;
         let mut chunk = lines.to_string();
         if !chunk.ends_with('\n') {
             chunk.push('\n');
         }
-        if tail_is_torn(&self.path)? {
+        if tail_is_torn(&mut file)? {
             chunk.insert(0, '\n');
         }
         file.write_all(chunk.as_bytes())?;
@@ -1025,14 +1031,14 @@ impl SidecarWriter {
 
     /// Replace the whole sidecar with `content` atomically: the new content
     /// is written to a temporary sibling and renamed over the file (under
-    /// the writer mutex and the cross-process lock file), so a concurrent
+    /// the writer mutex and the cross-process lock), so a concurrent
     /// reader sees either the old or the new sidecar, never a mixture.
     ///
     /// (The torn-tail healing in [`SidecarWriter::append`] is unnecessary
     /// here — a rewrite replaces the file wholesale.)
     pub fn rewrite(&self, content: &str) -> std::io::Result<()> {
-        let _guard = self.guard.lock().unwrap_or_else(PoisonError::into_inner);
-        let _file_lock = self.lock.acquire(LOCK_TIMEOUT)?;
+        let mut lock = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _held = lock.acquire(LOCK_TIMEOUT)?;
         self.rename_over(&self.path, content)?;
         self.telemetry.compactions.incr();
         self.telemetry.compaction_bytes.add(content.len() as u64);
@@ -1054,8 +1060,8 @@ impl SidecarWriter {
         document_path: &Path,
         render: impl FnOnce() -> (String, String),
     ) -> std::io::Result<()> {
-        let _guard = self.guard.lock().unwrap_or_else(PoisonError::into_inner);
-        let _file_lock = self.lock.acquire(LOCK_TIMEOUT)?;
+        let mut lock = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let _held = lock.acquire(LOCK_TIMEOUT)?;
         let (document, sidecar) = render();
         self.rename_over(document_path, &document)?;
         self.rename_over(&self.path, &sidecar)?;
@@ -1296,16 +1302,30 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_writes_break_stale_cross_process_locks() {
-        let writer = SidecarWriter::new(temp_sidecar("lockbreak"));
+    fn sidecar_writes_ignore_leftover_lock_files() {
+        let writer = SidecarWriter::new(temp_sidecar("leftoverlock"));
         let lock_path = FileLock::for_file(writer.path()).path().to_path_buf();
-        // A crashed process left its lock behind; the PID can never be live.
+        // An older build's crashed holder left its PID line behind; the
+        // kernel lock on the file is free, so the append goes straight in.
         std::fs::write(&lock_path, "pid 999999999\n").unwrap();
         writer.append("version mapping m 1 1:00000000000000aa\n").unwrap();
-        assert!(!lock_path.exists(), "append must break the stale lock and release its own");
         let (manifest, _) = writer.load();
         assert_eq!(manifest.mappings["m"].0, 1);
         let _ = std::fs::remove_file(writer.path());
+        let _ = std::fs::remove_file(lock_path);
+    }
+
+    #[test]
+    fn two_writers_on_one_sidecar_exclude_each_other() {
+        let path = temp_sidecar("twowriters");
+        let (first, second) = (SidecarWriter::new(&path), SidecarWriter::new(&path));
+        let try_second = || second.lock.lock().unwrap().try_acquire().unwrap().is_some();
+        let mut first_lock = first.lock.lock().unwrap();
+        let held = first_lock.acquire(LOCK_TIMEOUT).unwrap();
+        assert!(!try_second(), "a second writer must not lock while the first holds the sidecar");
+        drop(held);
+        assert!(try_second(), "the first writer's release frees the sidecar");
+        let _ = std::fs::remove_file(FileLock::for_file(&path).path());
     }
 
     #[test]

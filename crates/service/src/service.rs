@@ -18,14 +18,21 @@
 //! shutdown, when a configurable append-count or byte threshold is crossed
 //! ([`PersistPolicy`]), or on an explicit [`Request::Compact`]. Recovery
 //! replays the delta tail over the last snapshot and tolerates a torn final
-//! line from a crash mid-append. Cache hits are not journaled, so restored
-//! LRU recency is exact from a compacted snapshot but approximate
-//! (insertion-ordered) across the delta tail — a performance nuance, never
-//! a correctness one.
+//! line from a crash mid-append.
 //!
-//! Writes go through [`SidecarWriter`], which takes the
-//! cross-process `.lock` file, so a server and stray CLI invocations on the
-//! same catalog cannot tear each other's state. The on-disk grammar is
+//! A read never writes. A request served from the memo cache alone changes
+//! no durable state, so it appends nothing, publishes nothing to
+//! replication followers and never triggers compaction. Its hit counters
+//! and LRU recency are soft state. Counters reach disk at compaction (a
+//! clean shutdown compacts), in the `delta stats` increment of the next
+//! real write, or through [`LocalService::flush_counters`]; recency only at
+//! compaction (across the delta tail, restored recency is insertion order).
+//! A crash may lose exactly that soft state, never catalog entries,
+//! versions, memo entries or migration histories.
+//!
+//! Writes go through [`SidecarWriter`], which holds a kernel advisory lock
+//! on the sidecar's `.lock` file, so a server and stray CLI invocations on
+//! the same catalog cannot tear each other's state. The on-disk grammar is
 //! specified in `docs/PERSISTENCE.md`.
 
 use std::path::PathBuf;
@@ -35,8 +42,8 @@ use mapcomp_algebra::{parse_document, Instance};
 use mapcomp_catalog::{
     render_cache_entry, render_generation_marker, render_mapping_decl, render_migration_snapshot,
     render_positioned_delta, render_schema_decl, save_state, AnalysisReport, CacheEvent,
-    CacheStats, Catalog, DeltaRecord, MemoKey, Position, SessionConfig, SharedSession,
-    SidecarWriter, VersionManifest,
+    CacheStats, Catalog, ComposedChain, DeltaRecord, MemoKey, Position, SessionConfig,
+    SharedSession, SidecarWriter, VersionManifest,
 };
 use mapcomp_compose::{parse_update, parse_updates, DifferentialChase, Registry, Sign};
 use mapcomp_replication::{LogChunk, ReplicationHub, SubscribeError, Subscription};
@@ -325,13 +332,17 @@ impl LocalService {
         }
     }
 
-    /// Rebind this service's metrics to `registry` instead of the process
-    /// global — the seam the equivalence tests use to give each backend its
-    /// own isolated counter space within one test process. A
-    /// [`Request::Metrics`] call renders whichever registry the service is
-    /// bound to.
+    /// Rebind this service's metrics — its request counters and its
+    /// sidecar's `persist_*` counters — to `registry` instead of the process
+    /// global: the seam the tests use to give each backend its own isolated
+    /// counter space within one test process. A [`Request::Metrics`] call
+    /// renders whichever registry the service is bound to.
     pub fn with_metrics_registry(mut self, registry: &'static MetricsRegistry) -> Self {
         self.telemetry = ServiceTelemetry::new(registry);
+        self.persistence = self.persistence.map(|mut persistence| {
+            persistence.sidecar = persistence.sidecar.with_metrics_registry(registry);
+            persistence
+        });
         self
     }
 
@@ -544,16 +555,35 @@ impl LocalService {
         self.compact().map(|_| ())
     }
 
+    /// Flush the soft cache counters — hits and the other cumulative
+    /// statistics a read moves without changing durable state — as one
+    /// `delta stats` record, if they moved since the last persisted
+    /// record. A no-op for in-memory services. One-shot front ends call
+    /// this once before exiting so warm runs keep accumulating their hits
+    /// across processes; a server needs no call, because its shutdown
+    /// compacts.
+    pub fn flush_counters(&self) -> Result<(), ServiceError> {
+        let Some(persistence) = &self.persistence else { return Ok(()) };
+        if self.session.cache().stats() == persistence.state().last_stats {
+            return Ok(());
+        }
+        self.persist_change(Vec::new(), "")
+    }
+
     /// Make one state-changing request durable: append the request's catalog
     /// `deltas` and version `manifest` lines plus everything the cache
-    /// journal accumulated — new memo entries, evictions, a statistics
-    /// increment — as one contiguous chunk. Every `delta` line is stamped with the next `(generation,
-    /// seq)` position, and when replication is enabled the byte-exact chunk
-    /// is published to the hub inside the same critical section, so the
-    /// stream order is the file order. An append that pushes the log over a
-    /// [`PersistPolicy`] threshold triggers compaction; a missing document file
-    /// makes the first persist a compaction too, so the snapshot the deltas
-    /// replay over always exists.
+    /// journal accumulated — new memo entries, evictions — and, riding
+    /// along, the statistics increment, as one contiguous chunk. Callers
+    /// that changed no durable state (a memo hit) do not call this, so a
+    /// statistics increment goes out alone only from
+    /// [`LocalService::flush_counters`] or a rare no-op write. Every `delta`
+    /// line is stamped with the next `(generation, seq)` position, and when
+    /// replication is enabled the byte-exact chunk is published to the hub
+    /// inside the same critical section, so the stream order is the file
+    /// order. An append that pushes the log over a [`PersistPolicy`]
+    /// threshold triggers compaction; a missing document file makes the
+    /// first persist a compaction too, so the snapshot the deltas replay
+    /// over always exists.
     fn persist_change(&self, deltas: Vec<DeltaRecord>, manifest: &str) -> Result<(), ServiceError> {
         let Some(persistence) = &self.persistence else { return Ok(()) };
         if !persistence.catalog_file.exists() {
@@ -654,14 +684,13 @@ impl LocalService {
         self.persist()
     }
 
-    /// Persist after a compose request that touched durable state: new
-    /// memoised compositions (`compose_calls`) or served cache hits
-    /// (`cache_hits` — the cumulative hit counters are part of the sidecar
-    /// since PR 2, so warm runs must keep accumulating them across
-    /// processes). Only requests that neither composed nor hit the cache —
-    /// failed resolutions, empty batches — skip the disk round trip.
-    fn persist_if_used(&self, compose_calls: usize, cache_hits: usize) -> Result<(), ServiceError> {
-        if compose_calls > 0 || cache_hits > 0 {
+    /// Persist after a compose request that composed: its new memo entries
+    /// (and any evictions they forced) are in the cache journal. A request
+    /// served from the memo alone changed no durable state, so it appends
+    /// nothing — its hit counters ride along with the next real write, a
+    /// compaction or [`LocalService::flush_counters`].
+    fn persist_if_composed(&self, compose_calls: usize) -> Result<(), ServiceError> {
+        if compose_calls > 0 {
             self.persist_change(Vec::new(), "")?;
         }
         Ok(())
@@ -902,7 +931,7 @@ impl LocalService {
             }
             Request::ComposePath { from, to } => {
                 let result = self.session.compose_path(&from, &to)?;
-                self.persist_if_used(result.compose_calls, result.cache_hits)?;
+                self.persist_if_composed(result.compose_calls)?;
                 Ok(Response::Composed(ChainPayload::from_result(&result)))
             }
             Request::ComposeNames { names } => {
@@ -912,7 +941,7 @@ impl LocalService {
                     ));
                 }
                 let result = self.session.compose_names(&names)?;
-                self.persist_if_used(result.compose_calls, result.cache_hits)?;
+                self.persist_if_composed(result.compose_calls)?;
                 Ok(Response::Composed(ChainPayload::from_result(&result)))
             }
             Request::ComposeBatch { requests, workers } => {
@@ -925,13 +954,12 @@ impl LocalService {
                     workers.min(self.batch_workers.max(MAX_REQUEST_WORKERS))
                 };
                 let results = self.session.compose_batch_parallel_with(&requests, workers);
-                let (composed, hits) = results
+                let composed = results
                     .iter()
                     .filter_map(|result| result.as_ref().ok())
-                    .fold((0usize, 0usize), |(calls, hits), result| {
-                        (calls + result.compose_calls, hits + result.cache_hits)
-                    });
-                self.persist_if_used(composed, hits)?;
+                    .map(|result| result.compose_calls)
+                    .sum();
+                self.persist_if_composed(composed)?;
                 Ok(Response::Batch(
                     results
                         .into_iter()
@@ -945,86 +973,13 @@ impl LocalService {
             }
             Request::MigrateDelta { from, to, updates } => {
                 let result = self.session.compose_path(&from, &to)?;
-                self.persist_if_used(result.compose_calls, result.cache_hits)?;
-                let chain = &result.chain;
-                let parsed = parse_updates(&updates)
-                    .map_err(|error| ServiceError::parse(format!("bad update: {error}")))?;
-                // Canonical tokens, not the caller's spelling: the history
-                // must replay through `parse_update` byte-for-byte.
-                let tokens: Vec<String> =
-                    parsed.iter().map(mapcomp_compose::Update::render).collect();
-                let (full, target_sig) = chain.chase_signatures().map_err(|error| {
-                    ServiceError::protocol(format!("conflicting chain signatures: {error}"))
-                })?;
-                // Serialise the engine apply and the delta append, so they
-                // land in the same order per session (replaying the log
-                // must fold updates in application order). Everything
-                // above is request-local: a malformed batch or an unknown
-                // schema is refused without waiting behind other batches.
-                let _order =
-                    self.migrate_order.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let payload = {
-                    let mut sessions =
-                        self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
-                    let migration = sessions.entry((from.clone(), to.clone())).or_default();
-                    if migration.engine.is_none() || migration.chain_hash != chain.hash {
-                        // First request, restart recovery, or an upstream
-                        // mapping edit: fold the persisted history into the
-                        // accumulated source and chase it cold. Confluence
-                        // makes the rebuilt engine byte-identical to the
-                        // incrementally maintained one it replaces.
-                        let constraints = chain.mapping.constraints.as_slice();
-                        let analysis =
-                            mapcomp_catalog::analyze_exchange(constraints, &full, &target_sig);
-                        migration.engine = Some(DifferentialChase::new(
-                            constraints,
-                            &full,
-                            &target_sig,
-                            fold_history(&migration.history),
-                            self.session.registry(),
-                            &self.session.config().chase_config(Some(&analysis)),
-                        ));
-                        migration.analysis = Some(analysis);
-                        migration.chain_hash = chain.hash;
-                    }
-                    let engine = migration.engine.as_mut().expect("engine was just built");
-                    let report = engine.apply(&parsed).map_err(ServiceError::protocol)?;
-                    if !engine.converged() {
-                        // Never apply, persist or serve a truncated chase:
-                        // drop the engine so the next request rebuilds it
-                        // from the unchanged history.
-                        migration.engine = None;
-                        let verdict =
-                            migration.analysis.as_ref().expect("analyzed with the engine");
-                        return Err(ServiceError::new(
-                            ErrorCode::Nonterminating,
-                            format!(
-                                "the chase from `{from}` to `{to}` did not reach a fixpoint \
-                                 within its limits; batch refused ({})",
-                                verdict.termination.summary()
-                            ),
-                        ));
-                    }
-                    migration.history.extend(tokens.iter().cloned());
-                    MigratePayload {
-                        from: from.clone(),
-                        to: to.clone(),
-                        applied: report.applied,
-                        inserted: report.inserted,
-                        deleted: report.deleted,
-                        retracted: report.retracted,
-                        rederived: report.rederived,
-                        fallback: report.fallback,
-                        source_rows: engine.source().total_tuples(),
-                        target_rows: engine.target().total_tuples(),
-                        support_entries: engine.support().len(),
-                        target: engine.rendered_target(),
-                    }
-                    // The migrations leaf lock drops here, *before* the
-                    // append below waits on the persistence mutex.
-                };
-                self.persist_change(vec![DeltaRecord::Migrate { from, to, updates: tokens }], "")?;
-                Ok(Response::Migrated(payload))
+                let applied = self.migrate_batch(from, to, &updates, &result.chain);
+                if applied.is_err() {
+                    // A refused batch appends no record of its own, but a
+                    // cold chain's new memo entries still become durable.
+                    self.persist_if_composed(result.compose_calls)?;
+                }
+                applied.map(Response::Migrated)
             }
             Request::Invalidate { mapping } => {
                 self.session.catalog().mapping(&mapping)?;
@@ -1099,6 +1054,91 @@ impl LocalService {
                 Ok(Response::ShuttingDown)
             }
         }
+    }
+
+    /// Apply one `MigrateDelta` batch to its session over the resolved
+    /// `chain` and make it durable: the batch's `delta migrate` record and
+    /// the chain's new memo entries, if it was cold, land in one append.
+    fn migrate_batch(
+        &self,
+        from: String,
+        to: String,
+        updates: &[String],
+        chain: &ComposedChain,
+    ) -> Result<MigratePayload, ServiceError> {
+        let parsed = parse_updates(updates)
+            .map_err(|error| ServiceError::parse(format!("bad update: {error}")))?;
+        // Canonical tokens, not the caller's spelling: the history
+        // must replay through `parse_update` byte-for-byte.
+        let tokens: Vec<String> = parsed.iter().map(mapcomp_compose::Update::render).collect();
+        let (full, target_sig) = chain.chase_signatures().map_err(|error| {
+            ServiceError::protocol(format!("conflicting chain signatures: {error}"))
+        })?;
+        // Serialise the engine apply and the delta append, so they
+        // land in the same order per session (replaying the log
+        // must fold updates in application order). Everything
+        // above is request-local: a malformed batch or an unknown
+        // schema is refused without waiting behind other batches.
+        let _order = self.migrate_order.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let payload = {
+            let mut sessions = self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
+            let migration = sessions.entry((from.clone(), to.clone())).or_default();
+            if migration.engine.is_none() || migration.chain_hash != chain.hash {
+                // First request, restart recovery, or an upstream
+                // mapping edit: fold the persisted history into the
+                // accumulated source and chase it cold. Confluence
+                // makes the rebuilt engine byte-identical to the
+                // incrementally maintained one it replaces.
+                let constraints = chain.mapping.constraints.as_slice();
+                let analysis = mapcomp_catalog::analyze_exchange(constraints, &full, &target_sig);
+                migration.engine = Some(DifferentialChase::new(
+                    constraints,
+                    &full,
+                    &target_sig,
+                    fold_history(&migration.history),
+                    self.session.registry(),
+                    &self.session.config().chase_config(Some(&analysis)),
+                ));
+                migration.analysis = Some(analysis);
+                migration.chain_hash = chain.hash;
+            }
+            let engine = migration.engine.as_mut().expect("engine was just built");
+            let report = engine.apply(&parsed).map_err(ServiceError::protocol)?;
+            if !engine.converged() {
+                // Never apply, persist or serve a truncated chase:
+                // drop the engine so the next request rebuilds it
+                // from the unchanged history.
+                migration.engine = None;
+                let verdict = migration.analysis.as_ref().expect("analyzed with the engine");
+                return Err(ServiceError::new(
+                    ErrorCode::Nonterminating,
+                    format!(
+                        "the chase from `{from}` to `{to}` did not reach a fixpoint \
+                         within its limits; batch refused ({})",
+                        verdict.termination.summary()
+                    ),
+                ));
+            }
+            migration.history.extend(tokens.iter().cloned());
+            MigratePayload {
+                from: from.clone(),
+                to: to.clone(),
+                applied: report.applied,
+                inserted: report.inserted,
+                deleted: report.deleted,
+                retracted: report.retracted,
+                rederived: report.rederived,
+                fallback: report.fallback,
+                source_rows: engine.source().total_tuples(),
+                target_rows: engine.target().total_tuples(),
+                support_entries: engine.support().len(),
+                target: engine.rendered_target(),
+            }
+            // The migrations leaf lock drops here, *before* the
+            // append below waits on the persistence mutex.
+        };
+        self.persist_change(vec![DeltaRecord::Migrate { from, to, updates: tokens }], "")?;
+        Ok(payload)
     }
 }
 
@@ -1232,6 +1272,8 @@ mod tests {
     fn cleanup(file: &std::path::Path) {
         let _ = std::fs::remove_file(file);
         let _ = std::fs::remove_file(sidecar_path(file));
+        let _ =
+            std::fs::remove_file(mapcomp_catalog::FileLock::for_file(&sidecar_path(file)).path());
     }
 
     fn open_with(file: &std::path::Path, policy: PersistPolicy) -> LocalService {

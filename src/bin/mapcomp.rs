@@ -53,7 +53,9 @@
 //! 0 = unbounded), `--path-cost hops|op-count` (fewest-hops vs.
 //! cheapest-estimated-growth path resolution), and the compaction policy.
 //! Each state-changing command appends delta records, so it costs I/O
-//! proportional to the change; `--compact-appends N` / `--compact-bytes N`
+//! proportional to the change; a read served from the memo cache appends
+//! nothing of its own, and each invocation flushes the cache hit counters
+//! it moved once, as it exits. `--compact-appends N` / `--compact-bytes N`
 //! bound how much delta log accumulates before it is folded back into
 //! snapshot form (0 = never; an explicit `compact` always folds). The
 //! on-disk grammar is specified in `docs/PERSISTENCE.md`.
@@ -907,7 +909,11 @@ fn run_catalog(args: &ServiceArgs) -> Result<(), String> {
         args.persist_policy(),
     )
     .map_err(|e| e.to_string())?;
-    run_command(&service, args)
+    let outcome = run_command(&service, args);
+    // Reads leave their hit counters in memory; one flush at exit keeps
+    // them accumulating across invocations, even when the command failed.
+    let flushed = service.flush_counters().map_err(|e| e.to_string());
+    outcome.and(flushed)
 }
 
 /// Read the shared auth token from `path`: the file's content with any

@@ -18,6 +18,7 @@ use mapping_composition::compose::Registry;
 use mapping_composition::service::{
     sidecar_path, LocalService, MapcompService as _, PersistPolicy, Request, Response,
 };
+use mapping_composition::telemetry::metrics::MetricsRegistry;
 
 /// Incremental persistence with threshold compaction disabled, so every
 /// state-changing request appends exactly one chunk and the tests control
@@ -36,9 +37,11 @@ fn temp_catalog(tag: &str) -> std::path::PathBuf {
 fn cleanup(file: &std::path::Path) {
     for path in [file.to_path_buf(), sidecar_path(file)] {
         let _ = std::fs::remove_file(&path);
-        let mut tmp = path.file_name().unwrap().to_os_string();
-        tmp.push(".tmp");
-        let _ = std::fs::remove_file(path.with_file_name(tmp));
+        for suffix in [".tmp", ".lock"] {
+            let mut sibling = path.file_name().unwrap().to_os_string();
+            sibling.push(suffix);
+            let _ = std::fs::remove_file(path.with_file_name(sibling));
+        }
     }
 }
 
@@ -517,5 +520,151 @@ fn migrate_sessions_survive_kill_restart_and_compaction() {
     drop(reopened);
     let oracle = cold_migration_target("migrate_compact_oracle", 3, "v2", &["+R0(2)", "+R0(4)"]);
     assert_eq!(probe.target, oracle, "maintained target equals a cold re-chase");
+    cleanup(&file);
+}
+
+// ---------------------------------------------------------------------------
+// A read never writes: memo hits append nothing, publish nothing and leave
+// their counters in memory. A kill may lose exactly those counters (and LRU
+// recency); a clean shutdown loses nothing.
+// ---------------------------------------------------------------------------
+
+/// The durable part of a sidecar rendering: every record except the
+/// `stats` line and the `generation` header, with memo entry blocks kept
+/// whole and all records sorted (LRU order is soft state, like the
+/// counters).
+fn durable_records(sidecar: &str) -> Vec<String> {
+    let mut records = Vec::new();
+    let mut block: Option<String> = None;
+    for line in sidecar.lines() {
+        if let Some(open) = &mut block {
+            open.push_str(line);
+            open.push('\n');
+            if line == "end-document" {
+                records.extend(block.take());
+            }
+        } else if line.starts_with("entry ") {
+            block = Some(format!("{line}\n"));
+        } else if !line.starts_with("stats ") && !line.starts_with("generation ") {
+            records.push(line.to_string());
+        }
+    }
+    records.extend(block);
+    records.sort();
+    records
+}
+
+/// Catalog document plus the durable sidecar records of a live service:
+/// catalog content, versions, memo entries and migration histories.
+fn durable_state(service: &LocalService) -> (String, Vec<String>) {
+    match service.call(Request::Snapshot) {
+        Ok(Response::Snapshot(snapshot)) => (snapshot.document, durable_records(&snapshot.sidecar)),
+        other => panic!("snapshot failed: {other:?}"),
+    }
+}
+
+/// One counter off the service's metrics exposition.
+fn metric(service: &LocalService, name: &str) -> u64 {
+    let Ok(Response::Metrics { text }) = service.call(Request::Metrics) else {
+        panic!("metrics request failed");
+    };
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing from the metrics exposition"))
+}
+
+#[test]
+fn warm_reads_write_nothing_and_a_kill_loses_only_counters() {
+    let file = temp_catalog("read_never_writes");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file).with_metrics_registry(MetricsRegistry::new().leak());
+    let hub = service.enable_replication().unwrap();
+    service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
+    assert!(compose(&service, "v0", "v4") > 0);
+    migrate(&service, "v0", "v2", &["+R0(1)", "+R0(2)"]);
+
+    // Warm reads of every kind: compose-path, compose-names and a batch.
+    let bytes = std::fs::read(&sidecar).unwrap();
+    let appends = metric(&service, "persist_appends_total");
+    let position = hub.position();
+    assert_eq!(compose(&service, "v0", "v4"), 0, "the chain is warm");
+    let names = vec!["m0".to_string(), "m1".to_string()];
+    service.call(Request::ComposeNames { names }).unwrap();
+    let requests = vec![("v0".to_string(), "v4".to_string()), ("v0".to_string(), "v2".to_string())];
+    service.call(Request::ComposeBatch { requests, workers: 1 }).unwrap();
+    assert_eq!(std::fs::read(&sidecar).unwrap(), bytes, "a warm read must not touch the sidecar");
+    assert_eq!(metric(&service, "persist_appends_total"), appends, "a warm read appended");
+    assert_eq!(hub.position(), position, "a warm read published to followers");
+
+    // A migrate-delta batch over the warm chain is one append: its record.
+    migrate(&service, "v0", "v2", &["+R0(3)"]);
+    assert_eq!(metric(&service, "persist_appends_total"), appends + 1);
+
+    // One more warm read, so the live hit counters run ahead of the disk.
+    assert_eq!(compose(&service, "v0", "v4"), 0);
+    let live = durable_state(&service);
+    let live_stats = service.session().cache().stats();
+    drop(service); // kill: no shutdown, no compaction
+
+    let reopened = open(&file);
+    assert_eq!(durable_state(&reopened), live, "a kill loses no durable record");
+    let restored = reopened.session().cache().stats();
+    assert!(restored.hits <= live_stats.hits, "{restored:?} vs live {live_stats:?}");
+    assert!(restored.hits < live_stats.hits, "the trailing warm read's hit is soft state");
+    assert_eq!(CacheStats { hits: live_stats.hits, ..restored }, live_stats);
+    assert_eq!(migrate(&reopened, "v0", "v2", &[]).source_rows, 3, "the history survived");
+
+    // A clean shutdown compacts, so it restores the counters exactly.
+    assert_eq!(compose(&reopened, "v0", "v4"), 0);
+    let Ok(Response::ShuttingDown) = reopened.call(Request::Shutdown) else {
+        panic!("shutdown failed");
+    };
+    let shut_down = committed_state(&reopened);
+    drop(reopened);
+    assert_eq!(committed_state(&open(&file)), shut_down, "shutdown keeps every counter");
+    cleanup(&file);
+}
+
+#[test]
+fn cold_migrate_delta_batch_is_one_append() {
+    let file = temp_catalog("cold_migrate_append");
+    let service = open(&file).with_metrics_registry(MetricsRegistry::new().leak());
+    service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+    let appends = metric(&service, "persist_appends_total");
+    migrate(&service, "v0", "v3", &["+R0(1)"]);
+    assert_eq!(metric(&service, "persist_appends_total"), appends + 1, "memo entries ride along");
+    let committed = durable_state(&service);
+    drop(service); // kill
+    let reopened = open(&file);
+    assert_eq!(durable_state(&reopened), committed);
+    assert_eq!(compose(&reopened, "v0", "v3"), 0, "the chain's memo entries were persisted");
+    cleanup(&file);
+}
+
+#[test]
+fn one_shot_cli_runs_accumulate_hit_counters() {
+    let file = temp_catalog("cli_hits");
+    let document = file.with_extension("input");
+    std::fs::write(&document, chain_document(2)).unwrap();
+    let catalog = file.to_str().unwrap();
+    let run = |args: &[&str]| {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_mapcomp"))
+            .arg("catalog")
+            .args(args)
+            .args(["--catalog", catalog])
+            .output()
+            .expect("run mapcomp");
+        assert!(output.status.success(), "{args:?}: {}", String::from_utf8_lossy(&output.stderr));
+        String::from_utf8_lossy(&output.stderr).into_owned()
+    };
+    run(&["add", document.to_str().unwrap()]);
+    run(&["compose-path", "v0", "v2"]);
+    // Two warm one-shot reads: each hits the memo once and flushes its
+    // counter as it exits.
+    run(&["compose-path", "v0", "v2"]);
+    run(&["compose-path", "v0", "v2"]);
+    let stats = run(&["stats"]);
+    assert!(stats.contains("lifetime  : 2 hits,"), "{stats}");
+    let _ = std::fs::remove_file(&document);
     cleanup(&file);
 }
