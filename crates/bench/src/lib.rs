@@ -1224,7 +1224,7 @@ const PERSISTENCE_REQUESTS: usize = 4;
 /// point; then kill (no shutdown, no compaction) and restart, checking
 /// that recovery replays the delta tail to the same state.
 fn persistence_run(mappings: usize) -> PersistencePoint {
-    use mapcomp_catalog::{render_generation_marker, save_state, Position};
+    use mapcomp_catalog::Position;
     use mapcomp_service::{
         sidecar_path, LocalService, MapcompService as _, PersistPolicy, Request, Response,
     };
@@ -1259,10 +1259,8 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     // What a compaction would write now: the document plus a sidecar
     // snapshot, opening generation 2 (seeding opened generation 1).
     let snapshot_bytes = |service: &LocalService| {
-        let catalog = service.session().catalog().snapshot();
-        let cache = service.session().cache().collect();
-        let sidecar = render_generation_marker(Position::new(2, 0)) + &save_state(&catalog, &cache);
-        (catalog.to_document_string().len() + sidecar.len()) as u64
+        let (document, sidecar, _) = service.render_snapshot(Position::new(2, 0));
+        (document.len() + sidecar.len()) as u64
     };
     let compose = |service: &LocalService, request: usize| {
         let from = 2 * request;

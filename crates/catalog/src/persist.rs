@@ -40,8 +40,8 @@
 //!   mapping, `delta evict` drops one memo entry by key, and `delta stats`
 //!   adds increments onto the last absolute `stats` line. Replay applies
 //!   them in file order over the snapshot ([`load_sidecar`]); compaction
-//!   ([`SidecarWriter::rewrite`] with a fresh [`save_state`] rendering)
-//!   folds the log back into snapshot form.
+//!   ([`SidecarWriter::rewrite_with_document`] with a fresh [`save_state`]
+//!   rendering) folds the log back into snapshot form.
 //!
 //! * **Log positions** — a `generation <g> <seq>` header written by every
 //!   compaction, plus an optional `(generation, seq)` position on each
@@ -70,13 +70,14 @@ use mapcomp_algebra::{parse_document, ConstraintSet, Document, Mapping, Signatur
 
 use crate::cache::{CacheStats, MemoCache, MemoKey};
 use crate::chain::ComposedChain;
+use crate::error::CatalogError;
 use crate::lock::FileLock;
 use crate::store::Catalog;
 
 /// How long a sidecar write waits for the cross-process `.lock` file before
 /// giving up. Writers hold the lock for one append or rewrite only, so a
-/// live contender releases it in milliseconds; a dead one is broken by the
-/// PID-liveness probe on the first retry.
+/// live contender releases it in milliseconds; a dead holder never blocks,
+/// because the kernel drops its `flock` when the process exits.
 const LOCK_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Persisted version counters and hash history for catalog entries,
@@ -150,22 +151,6 @@ impl VersionManifest {
     }
 }
 
-/// Render the version manifest of a catalog as sidecar lines.
-pub fn save_versions(catalog: &Catalog) -> String {
-    VersionManifest::of(catalog).render()
-}
-
-/// Parse `version …` lines out of a sidecar rendering; malformed lines are
-/// skipped.
-pub fn load_versions(text: &str) -> VersionManifest {
-    let mut manifest = VersionManifest::default();
-    for line in text.lines() {
-        let Some(rest) = line.trim().strip_prefix("version ") else { continue };
-        absorb_version_line(&mut manifest, rest);
-    }
-    manifest
-}
-
 /// Absorb the remainder of one `version …` line (everything after the
 /// keyword) into a manifest; malformed lines are ignored.
 fn absorb_version_line(manifest: &mut VersionManifest, rest: &str) {
@@ -200,16 +185,9 @@ fn absorb_version_line(manifest: &mut VersionManifest, rest: &str) {
 
 /// Render the whole sidecar: versions, statistics, memo entries.
 pub fn save_state(catalog: &Catalog, cache: &MemoCache) -> String {
-    let mut out = save_versions(catalog);
+    let mut out = VersionManifest::of(catalog).render();
     out.push_str(&save_cache(cache));
     out
-}
-
-/// Parse a sidecar into its version manifest and cache (with restored
-/// statistics). Apply the manifest via [`Catalog::restore_versions`].
-pub fn load_state(text: &str) -> (VersionManifest, MemoCache) {
-    let state = load_sidecar(text);
-    (state.manifest, state.cache)
 }
 
 // ---------------------------------------------------------------------------
@@ -635,6 +613,22 @@ impl SidecarState {
     }
 }
 
+/// Restore a catalog from its persisted form: the document snapshot, then
+/// the sidecar's catalog-content deltas in file order (later declarations
+/// supersede earlier ones), then the last-wins version manifest. A delta
+/// that no longer applies is skipped; content hashing makes any cache
+/// entries it would have invalidated unreachable anyway. Only a snapshot
+/// the catalog rejects is an error.
+pub fn restore_catalog(document: &Document, state: &SidecarState) -> Result<Catalog, CatalogError> {
+    let mut catalog = Catalog::new();
+    catalog.from_document(document)?;
+    for delta in &state.doc_deltas {
+        let _ = catalog.from_document(delta);
+    }
+    catalog.restore_versions(&state.manifest);
+    Ok(catalog)
+}
+
 /// Does the file end without a newline (a crash-torn final line)? An empty
 /// file is not torn.
 fn tail_is_torn(file: &mut std::fs::File) -> std::io::Result<bool> {
@@ -901,13 +895,6 @@ pub fn save_cache(cache: &MemoCache) -> String {
     out
 }
 
-/// Parse a sidecar rendering back into a cache. Malformed entries are
-/// silently dropped; delta records (evictions, invalidations, statistics
-/// increments) are replayed in file order.
-pub fn load_cache(text: &str) -> MemoCache {
-    load_sidecar(text).cache
-}
-
 /// Single-writer sidecar file shared by concurrent sessions — in one
 /// process and across processes.
 ///
@@ -917,14 +904,13 @@ pub fn load_cache(text: &str) -> MemoCache {
 /// releases a dead holder's lock). Readers never take either — they read
 /// the file directly, which is safe because the file only ever changes by
 /// appending whole writes ([`SidecarWriter::append`]) or by an atomic rename
-/// ([`SidecarWriter::rewrite`]). The sidecar grammar is last-wins per entry
-/// (later `version`/`stats`/`entry` lines supersede earlier ones on load)
-/// and loaders skip malformed lines, so even a reader racing an in-flight
-/// append sees a consistent prefix.
+/// ([`SidecarWriter::rewrite_with_document`]). The sidecar grammar is
+/// last-wins per entry (later `version`/`stats`/`entry` lines supersede
+/// earlier ones on load) and loaders skip malformed lines, so even a reader
+/// racing an in-flight append sees a consistent prefix.
 ///
-/// Appends accumulate; call [`SidecarWriter::rewrite`] with a full
-/// [`save_state`] rendering to compact the file (typically once, at session
-/// end).
+/// Appends accumulate; call [`SidecarWriter::rewrite_with_document`] with
+/// a full snapshot rendering to compact the file.
 #[derive(Debug)]
 pub struct SidecarWriter {
     path: PathBuf,
@@ -1029,22 +1015,6 @@ impl SidecarWriter {
         Ok(())
     }
 
-    /// Replace the whole sidecar with `content` atomically: the new content
-    /// is written to a temporary sibling and renamed over the file (under
-    /// the writer mutex and the cross-process lock), so a concurrent
-    /// reader sees either the old or the new sidecar, never a mixture.
-    ///
-    /// (The torn-tail healing in [`SidecarWriter::append`] is unnecessary
-    /// here — a rewrite replaces the file wholesale.)
-    pub fn rewrite(&self, content: &str) -> std::io::Result<()> {
-        let mut lock = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let _held = lock.acquire(LOCK_TIMEOUT)?;
-        self.rename_over(&self.path, content)?;
-        self.telemetry.compactions.incr();
-        self.telemetry.compaction_bytes.add(content.len() as u64);
-        Ok(())
-    }
-
     /// Atomically replace both the catalog document at `document_path` and
     /// the sidecar in one critical section: the writer mutex and the
     /// cross-process lock are held across `render` *and* both tmp-write +
@@ -1088,13 +1058,6 @@ impl SidecarWriter {
         self.telemetry.fsyncs.incr();
         drop(file);
         std::fs::rename(&tmp, target)
-    }
-
-    /// Read the sidecar into a version manifest and cache (the counterpart
-    /// of [`load_state`]); a missing file is an empty sidecar.
-    pub fn load(&self) -> (VersionManifest, MemoCache) {
-        let state = self.load_full();
-        (state.manifest, state.cache)
     }
 
     /// Read the complete sidecar state — manifest, cache, and the parsed
@@ -1154,7 +1117,7 @@ mod tests {
     fn cache_round_trips_through_the_sidecar_format() {
         let (_, cache) = warm_state();
         let rendered = save_cache(&cache);
-        let restored = load_cache(&rendered);
+        let restored = load_sidecar(&rendered).cache;
         assert_eq!(restored.len(), cache.len());
         for (key, entry) in cache.iter() {
             let loaded = restored
@@ -1181,22 +1144,23 @@ mod tests {
 
         // A brand-new session over the same catalog, warmed from the sidecar.
         let mut fresh = SharedSession::new(session.catalog().snapshot());
-        fresh.restore_cache(load_cache(&rendered));
+        fresh.restore_cache(load_sidecar(&rendered).cache);
         let result = fresh.compose_path("s0", "s3").unwrap();
         assert_eq!(result.compose_calls, 0, "sidecar-restored cache must serve the chain");
     }
 
     #[test]
     fn malformed_entries_are_skipped() {
-        let restored = load_cache("entry zzzz\ngarbage\nentry 1 2 3\n");
+        let restored = load_sidecar("entry zzzz\ngarbage\nentry 1 2 3\n").cache;
         assert!(restored.is_empty());
-        let restored = load_cache("");
+        let restored = load_sidecar("").cache;
         assert!(restored.is_empty());
-        let manifest = load_versions("version schema\nversion mapping m zz\nversion bogus x 1 2");
+        let manifest =
+            load_sidecar("version schema\nversion mapping m zz\nversion bogus x 1 2").manifest;
         assert!(manifest.is_empty());
         // A corrupt token must reject the whole stats line, not shift the
         // remaining counters into the wrong fields.
-        let restored = load_cache("stats 10 x5 3 2 1 0\n");
+        let restored = load_sidecar("stats 10 x5 3 2 1 0\n").cache;
         assert_eq!(restored.stats(), CacheStats::default());
     }
 
@@ -1206,9 +1170,9 @@ mod tests {
         // Touch the chain's first pairwise segment so it becomes the most
         // recently used entry despite its key order.
         let hot = *warm.iter().next().unwrap().0;
-        let mut cache = load_cache(&save_cache(&warm));
+        let mut cache = load_sidecar(&save_cache(&warm)).cache;
         assert!(cache.lookup(hot).is_some());
-        let restored = load_cache(&save_cache(&cache));
+        let restored = load_sidecar(&save_cache(&cache)).cache;
         // Replaying into one entry of room must keep the most recently used.
         let mut bounded = MemoCache::with_capacity(Some(1));
         for (key, entry) in restored.iter_lru() {
@@ -1223,7 +1187,7 @@ mod tests {
         let (_, cache) = warm_state();
         let before = cache.stats();
         assert!(before.insertions > 0);
-        let restored = load_cache(&save_cache(&cache));
+        let restored = load_sidecar(&save_cache(&cache)).cache;
         assert_eq!(restored.stats(), before, "lifetime counters persist, not double-counted");
     }
 
@@ -1244,7 +1208,7 @@ mod tests {
         let mut rebuilt = Catalog::new();
         rebuilt.from_document(&document).unwrap();
         assert_eq!(rebuilt.mapping("m1").unwrap().version, 1, "document carries content only");
-        let (manifest, _) = load_state(&sidecar);
+        let manifest = load_sidecar(&sidecar).manifest;
         let adopted = rebuilt.restore_versions(&manifest);
         assert!(adopted >= 5);
         assert_eq!(rebuilt.mapping("m1").unwrap().version, 3);
@@ -1265,11 +1229,11 @@ mod tests {
     fn appended_version_lines_supersede_earlier_ones() {
         let session = warm_session();
         let writer = SidecarWriter::new(temp_sidecar("append"));
-        writer.append(&save_versions(&session.catalog().snapshot())).unwrap();
+        writer.append(&VersionManifest::of(&session.catalog().snapshot()).render()).unwrap();
         session.update_mapping("m1", parse_constraints("project[0](R1) <= R2").unwrap()).unwrap();
         let entry = session.catalog().mapping("m1").unwrap();
         writer.append(&VersionManifest::of_mapping(&entry).render()).unwrap();
-        let (manifest, _) = writer.load();
+        let manifest = writer.load_full().manifest;
         assert_eq!(manifest.mappings["m1"].0, 2, "last appended line wins");
         assert_eq!(manifest.mappings["m0"].0, 1, "earlier entries survive the append");
         let _ = std::fs::remove_file(writer.path());
@@ -1293,7 +1257,7 @@ mod tests {
                 });
             }
         });
-        let (manifest, _) = writer.load();
+        let manifest = writer.load_full().manifest;
         for worker in 0..4u64 {
             let (version, _) = &manifest.mappings[&format!("w{worker}")];
             assert_eq!(*version, 5, "worker {worker}'s final append must not be lost");
@@ -1309,7 +1273,7 @@ mod tests {
         // kernel lock on the file is free, so the append goes straight in.
         std::fs::write(&lock_path, "pid 999999999\n").unwrap();
         writer.append("version mapping m 1 1:00000000000000aa\n").unwrap();
-        let (manifest, _) = writer.load();
+        let manifest = writer.load_full().manifest;
         assert_eq!(manifest.mappings["m"].0, 1);
         let _ = std::fs::remove_file(writer.path());
         let _ = std::fs::remove_file(lock_path);
@@ -1336,14 +1300,21 @@ mod tests {
             writer.append(&save_state(&catalog, &warm)).unwrap();
         }
         let appended_len = std::fs::read_to_string(writer.path()).unwrap().len();
-        writer.rewrite(&save_state(&catalog, &warm)).unwrap();
+        let document = writer.path().with_extension("doc");
+        writer
+            .rewrite_with_document(&document, || {
+                (catalog.to_document_string(), save_state(&catalog, &warm))
+            })
+            .unwrap();
         let compacted = std::fs::read_to_string(writer.path()).unwrap();
         assert!(compacted.len() < appended_len, "rewrite must compact the sidecar");
-        let (manifest, cache) = writer.load();
+        assert_eq!(std::fs::read_to_string(&document).unwrap(), catalog.to_document_string());
+        let SidecarState { manifest, cache, .. } = writer.load_full();
         assert!(!manifest.is_empty());
         assert_eq!(cache.len(), warm.len());
         assert_eq!(cache.stats(), warm.stats());
         let _ = std::fs::remove_file(writer.path());
+        let _ = std::fs::remove_file(document);
     }
 
     #[test]
@@ -1423,7 +1394,7 @@ mod tests {
         let document = mapcomp_algebra::parse_document(&rebuilt.to_document_string()).unwrap();
         let mut fresh = Catalog::new();
         fresh.from_document(&document).unwrap();
-        let (manifest, _) = load_state(&sidecar);
+        let manifest = load_sidecar(&sidecar).manifest;
         fresh.restore_versions(&manifest);
         // Recorded version 1 + one out-of-session edit = version 2, with the
         // new hash appended to the history.

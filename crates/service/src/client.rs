@@ -25,19 +25,22 @@ use crate::wire::{decode_reply, encode_request_frame, read_frame};
 /// A blocking client over one TCP connection.
 pub struct Client {
     connection: Mutex<Connection>,
-    auth_token: Option<String>,
 }
 
-struct Connection {
+/// One blocking connection speaking raw frames: the [`Client`]'s transport,
+/// and the follower's link to its leader (a subscription reads many reply
+/// frames per request, so the follower drives `send` and `read` itself).
+pub(crate) struct Connection {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    auth_token: Option<String>,
     /// Has the auth token already been presented on this connection?
     auth_sent: bool,
 }
 
-impl Client {
-    /// Connect to a server at `addr` (e.g. `127.0.0.1:7171`).
-    pub fn connect(addr: &str) -> Result<Client, ServiceError> {
+impl Connection {
+    /// Connect to `addr`, presenting `auth_token` with the first request.
+    pub(crate) fn connect(addr: &str, auth_token: Option<String>) -> Result<Self, ServiceError> {
         let stream = TcpStream::connect(addr).map_err(|error| {
             ServiceError::transport(format!("cannot connect to {addr}: {error}"))
         })?;
@@ -45,14 +48,46 @@ impl Client {
         let writer = stream
             .try_clone()
             .map_err(|error| ServiceError::transport(format!("cannot clone stream: {error}")))?;
-        Ok(Client {
-            connection: Mutex::new(Connection {
-                reader: BufReader::new(stream),
-                writer,
-                auth_sent: false,
-            }),
-            auth_token: None,
-        })
+        Ok(Connection { reader: BufReader::new(stream), writer, auth_token, auth_sent: false })
+    }
+
+    /// A second handle on the socket, so another thread can shut it down.
+    pub(crate) fn try_clone_stream(&self) -> Option<TcpStream> {
+        self.writer.try_clone().ok()
+    }
+
+    /// Send one request frame carrying `trace` as the optional `trace`
+    /// field (and the auth token, on the first frame only).
+    pub(crate) fn send(
+        &mut self,
+        request: &Request,
+        trace: Option<u64>,
+    ) -> Result<(), ServiceError> {
+        let auth = if self.auth_sent { None } else { self.auth_token.as_deref() };
+        let frame = encode_request_frame(request, trace, auth);
+        self.writer
+            .write_all(frame.as_bytes())
+            .and_then(|()| self.writer.flush())
+            .map_err(|error| ServiceError::transport(format!("cannot send request: {error}")))?;
+        self.auth_sent = true;
+        Ok(())
+    }
+
+    /// Read one reply frame: `Ok(None)` is a clean EOF, the inner result is
+    /// the serving side's answer (which may be an error reply).
+    pub(crate) fn read(&mut self) -> Result<Option<Result<Response, ServiceError>>, ServiceError> {
+        match read_frame(&mut self.reader) {
+            Err(error) => Err(ServiceError::transport(format!("cannot read reply: {error}"))),
+            Ok(None) => Ok(None),
+            Ok(Some(frame)) => Ok(Some(decode_reply(&frame)?)),
+        }
+    }
+}
+
+impl Client {
+    /// Connect to a server at `addr` (e.g. `127.0.0.1:7171`).
+    pub fn connect(addr: &str) -> Result<Client, ServiceError> {
+        Ok(Client { connection: Mutex::new(Connection::connect(addr, None)?) })
     }
 
     /// Present `token` in the first request frame's `auth` field, for
@@ -61,35 +96,13 @@ impl Client {
     /// with no token the client's frames are byte-identical to an
     /// auth-unaware build's.
     pub fn with_auth_token(mut self, token: Option<String>) -> Self {
-        self.auth_token = token;
+        self.connection.get_mut().unwrap_or_else(PoisonError::into_inner).auth_token = token;
         self
     }
 
     /// Send one request and read its reply.
     pub fn call(&self, request: Request) -> Result<Response, ServiceError> {
-        self.call_with_trace(request, None)
-    }
-
-    /// Send one request carrying `trace` as the optional `trace` frame
-    /// field, so the serving side's spans adopt the caller's trace ID.
-    pub fn call_with_trace(
-        &self,
-        request: Request,
-        trace: Option<u64>,
-    ) -> Result<Response, ServiceError> {
-        let mut connection = self.connection.lock().unwrap_or_else(PoisonError::into_inner);
-        let auth = if connection.auth_sent { None } else { self.auth_token.as_deref() };
-        let frame = encode_request_frame(&request, trace, auth);
-        connection
-            .writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| connection.writer.flush())
-            .map_err(|error| ServiceError::transport(format!("cannot send request: {error}")))?;
-        connection.auth_sent = true;
-        let frame = read_frame(&mut connection.reader)
-            .map_err(|error| ServiceError::transport(format!("cannot read reply: {error}")))?
-            .ok_or_else(|| ServiceError::transport("server closed the connection"))?;
-        decode_reply(&frame)?
+        self.call_traced(request, None)
     }
 }
 
@@ -98,7 +111,11 @@ impl MapcompService for Client {
         Client::call(self, request)
     }
 
+    /// Forward `trace` as the optional `trace` frame field, so the serving
+    /// side's spans adopt the caller's trace ID.
     fn call_traced(&self, request: Request, trace: Option<u64>) -> Result<Response, ServiceError> {
-        self.call_with_trace(request, trace)
+        let mut connection = self.connection.lock().unwrap_or_else(PoisonError::into_inner);
+        connection.send(&request, trace)?;
+        connection.read()?.ok_or_else(|| ServiceError::transport("server closed the connection"))?
     }
 }

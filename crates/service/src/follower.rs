@@ -27,7 +27,6 @@
 //! requests fail with [`ErrorCode::Readonly`] naming the leader. The full
 //! lifecycle and stream grammar are specified in `docs/REPLICATION.md`.
 
-use std::io::{BufReader, Write as _};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -36,8 +35,8 @@ use std::time::Duration;
 
 use mapcomp_algebra::parse_document;
 use mapcomp_catalog::{
-    load_sidecar, parse_positioned_delta, render_generation_marker, save_state, Catalog,
-    DeltaRecord, Position, SessionConfig, SharedSession, SidecarWriter,
+    load_sidecar, parse_positioned_delta, render_generation_marker, restore_catalog, Catalog,
+    DeltaRecord, Position, SessionConfig, SidecarWriter,
 };
 use mapcomp_compose::Registry;
 use mapcomp_telemetry::metrics::Gauge;
@@ -45,8 +44,8 @@ use mapcomp_telemetry::metrics::Gauge;
 use crate::api::{
     DeltaChunkPayload, ErrorCode, ReplicationInfo, Request, Response, ServiceError, SnapshotPayload,
 };
-use crate::service::{sidecar_path, LocalService, MapcompService};
-use crate::wire::{decode_reply, encode_request_frame, read_frame};
+use crate::client::Connection;
+use crate::service::{read_catalog, sidecar_path, LocalService, MapcompService};
 
 /// Where the follower's apply loop currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,8 +111,8 @@ fn lag_between(applied: Position, leader_end: Position) -> u64 {
 }
 
 struct FollowerCore {
-    /// The local replica: catalog + memo cache, no persistence of its own
-    /// (the stream owns the on-disk artifacts).
+    /// The local replica: catalog, memo cache and migration histories, no
+    /// persistence of its own (the stream owns the on-disk artifacts).
     service: LocalService,
     catalog_file: PathBuf,
     /// The follower's own sidecar: leader chunks appended verbatim.
@@ -151,31 +150,8 @@ impl Follower {
     ) -> Result<Follower, ServiceError> {
         let catalog_file: PathBuf = catalog_file.into();
         let sidecar = SidecarWriter::new(sidecar_path(&catalog_file));
-        let mut catalog = Catalog::new();
-        match std::fs::read_to_string(&catalog_file) {
-            Ok(text) => {
-                let document = parse_document(&text).map_err(|error| {
-                    ServiceError::parse(format!("{}: parse error: {error}", catalog_file.display()))
-                })?;
-                catalog.from_document(&document)?;
-            }
-            Err(error) if error.kind() == std::io::ErrorKind::NotFound => {}
-            Err(error) => {
-                return Err(ServiceError::transport(format!(
-                    "cannot read {}: {error}",
-                    catalog_file.display()
-                )))
-            }
-        }
-        let state = sidecar.load_full();
+        let (catalog, state) = read_catalog(&catalog_file, &sidecar, true)?;
         let next = state.next_position();
-        for document in &state.doc_deltas {
-            let _ = catalog.from_document(document);
-        }
-        catalog.restore_versions(&state.manifest);
-        let workers = workers.max(1);
-        let mut session = SharedSession::with_config(catalog, registry, config, workers);
-        session.restore_cache(state.cache);
         let lag_gauge = mapcomp_telemetry::metrics::global().gauge(
             "replication_follower_lag",
             "Delta records the follower has yet to apply (leader log end minus applied position).",
@@ -183,7 +159,7 @@ impl Follower {
         );
         Ok(Follower {
             core: Arc::new(FollowerCore {
-                service: LocalService::from_session(session, workers),
+                service: LocalService::restored(catalog, state, registry, config, workers),
                 catalog_file,
                 sidecar,
                 leader_addr: leader_addr.into(),
@@ -299,17 +275,17 @@ impl FollowerCore {
     /// ends. `Ok(true)` means a subscription was established.
     fn connect_and_stream(&self) -> Result<bool, ServiceError> {
         self.set_state(FollowerState::Connecting);
-        let mut link = LeaderLink::connect(&self.leader_addr, self.auth_token.clone())?;
+        let mut link = Connection::connect(&self.leader_addr, self.auth_token.clone())?;
         {
             let mut slot = self.link.lock().unwrap_or_else(PoisonError::into_inner);
             *slot = link.try_clone_stream();
         }
         loop {
             let from = self.next_position();
-            link.send(&Request::Subscribe {
-                from_generation: from.generation,
-                from_seq: from.seq,
-            })?;
+            link.send(
+                &Request::Subscribe { from_generation: from.generation, from_seq: from.seq },
+                None,
+            )?;
             match link.read()? {
                 None => {
                     return Err(ServiceError::transport(
@@ -317,7 +293,7 @@ impl FollowerCore {
                     ))
                 }
                 Some(Ok(Response::Subscribed { position })) => {
-                    self.note_leader_end(position);
+                    self.note_progress(None, position);
                     break;
                 }
                 Some(Ok(other)) => {
@@ -331,7 +307,7 @@ impl FollowerCore {
                     // bootstrap from a snapshot on the same connection,
                     // then subscribe again from its exact position.
                     self.set_state(FollowerState::Bootstrapping);
-                    link.send(&Request::Snapshot)?;
+                    link.send(&Request::Snapshot, None)?;
                     match link.read()? {
                         Some(Ok(Response::Snapshot(payload))) => self.install_snapshot(&payload)?,
                         Some(Ok(other)) => {
@@ -373,11 +349,15 @@ impl FollowerCore {
         Ok(true)
     }
 
-    fn note_leader_end(&self, end: Position) {
+    /// The one position and lag update: move the resume position to
+    /// `applied` (when something was applied), raise the observed leader
+    /// end to `leader_end`, and publish the recomputed lag.
+    fn note_progress(&self, applied: Option<Position>, leader_end: Position) {
         let mut status = self.lock_status();
-        if status.leader_end < end {
-            status.leader_end = end;
+        if let Some(applied) = applied {
+            status.next = applied;
         }
+        status.leader_end = status.leader_end.max(leader_end);
         status.lag = lag_between(status.next, status.leader_end);
         let lag = status.lag;
         drop(status);
@@ -406,7 +386,7 @@ impl FollowerCore {
             }
             self.apply_record(&record)?;
         }
-        self.advance_to(chunk.last.next());
+        self.note_progress(Some(chunk.last.next()), chunk.last.next());
         Ok(())
     }
 
@@ -424,20 +404,8 @@ impl FollowerCore {
                 self.sidecar.path().display()
             ))
         })?;
-        self.advance_to(boundary);
+        self.note_progress(Some(boundary), boundary);
         Ok(())
-    }
-
-    fn advance_to(&self, next: Position) {
-        let mut status = self.lock_status();
-        status.next = next;
-        if status.leader_end < next {
-            status.leader_end = next;
-        }
-        status.lag = lag_between(status.next, status.leader_end);
-        let lag = status.lag;
-        drop(status);
-        self.lag_gauge.set(i64::try_from(lag).unwrap_or(i64::MAX));
     }
 
     fn apply_record(&self, record: &DeltaRecord) -> Result<(), ServiceError> {
@@ -451,34 +419,33 @@ impl FollowerCore {
             DeltaRecord::Invalidate { mapping } => {
                 let _ = self.service.session().invalidate(mapping);
             }
+            // Migration batches extend the replica's histories, so its
+            // shutdown snapshot carries them and a replica restarted into
+            // leader duty rebuilds the engine from them — `migrate-delta`
+            // itself is refused while following.
+            DeltaRecord::Migrate { from, to, updates } => {
+                self.service.extend_migration(from, to, updates);
+            }
             // The leader's cache movements describe *its* memo cache; the
             // replica's cache warms from its own read traffic (and from
             // sidecar replay at restart, where the verbatim log carries
-            // these records to the loader). Migration batches ride the same
-            // way: the verbatim sidecar carries the update history, and a
-            // replica restarted into leader duty rebuilds the engine from
-            // it — `migrate-delta` itself is refused while following.
-            DeltaRecord::Evict { .. } | DeltaRecord::Stats(_) | DeltaRecord::Migrate { .. } => {}
+            // these records to the loader).
+            DeltaRecord::Evict { .. } | DeltaRecord::Stats(_) => {}
         }
         Ok(())
     }
 
     /// Install a snapshot bootstrap: persist the document + sidecar pair
     /// atomically first (a crash between the two steps re-bootstraps), then
-    /// swap the in-memory replica to the snapshot's catalog. The memo cache
-    /// is cleared rather than imported — entries referencing dropped
-    /// content would be unreachable anyway, and the verbatim sidecar warms
-    /// the cache on the next restart.
+    /// swap the in-memory replica to the snapshot's catalog and migration
+    /// histories. The memo cache is cleared rather than imported — entries
+    /// referencing dropped content would be unreachable anyway, and the
+    /// verbatim sidecar warms the cache on the next restart.
     fn install_snapshot(&self, payload: &SnapshotPayload) -> Result<(), ServiceError> {
         let document = parse_document(&payload.document)
             .map_err(|error| ServiceError::protocol(format!("malformed snapshot: {error}")))?;
-        let mut catalog = Catalog::new();
-        catalog.from_document(&document)?;
         let state = load_sidecar(&payload.sidecar);
-        for document in &state.doc_deltas {
-            let _ = catalog.from_document(document);
-        }
-        catalog.restore_versions(&state.manifest);
+        let catalog = restore_catalog(&document, &state)?;
         self.sidecar
             .rewrite_with_document(&self.catalog_file, || {
                 (payload.document.clone(), payload.sidecar.clone())
@@ -490,39 +457,24 @@ impl FollowerCore {
                 ))
             })?;
         self.service.session().restore_catalog(&catalog);
-        let _ = self.service.session().cache().clear();
-        let mut status = self.lock_status();
-        status.next = payload.position;
-        if status.leader_end < payload.position {
-            status.leader_end = payload.position;
-        }
-        status.lag = lag_between(status.next, status.leader_end);
-        let lag = status.lag;
-        drop(status);
-        self.lag_gauge.set(i64::try_from(lag).unwrap_or(i64::MAX));
+        self.service.replace_migrations(state.migrations);
+        self.note_progress(Some(payload.position), payload.position);
         Ok(())
     }
 
     /// Shutdown through the service surface: stop the apply loop, then
-    /// fold the replica into snapshot form — document + compacted sidecar
+    /// fold the replica into snapshot form through the leader's renderer —
+    /// document + compacted sidecar (migration histories included)
     /// rewritten atomically at the current resume position, so a restart
     /// resumes from exactly here and operators can byte-compare the
     /// document against the leader's.
     fn shutdown(&self) -> Result<Response, ServiceError> {
         self.stop();
         let position = self.next_position();
-        let catalog = self.service.session().catalog().snapshot();
-        let cache = self.service.session().cache().collect();
         self.sidecar
             .rewrite_with_document(&self.catalog_file, || {
-                (
-                    catalog.to_document_string(),
-                    format!(
-                        "{}{}",
-                        render_generation_marker(position),
-                        save_state(&catalog, &cache)
-                    ),
-                )
+                let (document, sidecar, _) = self.service.render_snapshot(position);
+                (document, sidecar)
             })
             .map_err(|error| {
                 ServiceError::transport(format!(
@@ -587,53 +539,5 @@ impl MapcompService for ReadOnlyService {
         _wake: Arc<dyn Fn() + Send + Sync>,
     ) -> Result<mapcomp_replication::Subscription, ServiceError> {
         Err(self.core.not_a_leader_error())
-    }
-}
-
-/// One blocking connection to the leader, speaking raw frames (the
-/// [`crate::Client`] is one-in/one-out; a subscription reads many frames
-/// per request, so the follower drives the codec directly).
-struct LeaderLink {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-    auth_token: Option<String>,
-    auth_sent: bool,
-}
-
-impl LeaderLink {
-    fn connect(addr: &str, auth_token: Option<String>) -> Result<LeaderLink, ServiceError> {
-        let stream = TcpStream::connect(addr).map_err(|error| {
-            ServiceError::transport(format!("cannot connect to leader at {addr}: {error}"))
-        })?;
-        let _ = stream.set_nodelay(true);
-        let writer = stream
-            .try_clone()
-            .map_err(|error| ServiceError::transport(format!("cannot clone stream: {error}")))?;
-        Ok(LeaderLink { reader: BufReader::new(stream), writer, auth_token, auth_sent: false })
-    }
-
-    fn try_clone_stream(&self) -> Option<TcpStream> {
-        self.writer.try_clone().ok()
-    }
-
-    fn send(&mut self, request: &Request) -> Result<(), ServiceError> {
-        let auth = if self.auth_sent { None } else { self.auth_token.as_deref() };
-        let frame = encode_request_frame(request, None, auth);
-        self.writer
-            .write_all(frame.as_bytes())
-            .and_then(|()| self.writer.flush())
-            .map_err(|error| ServiceError::transport(format!("cannot send request: {error}")))?;
-        self.auth_sent = true;
-        Ok(())
-    }
-
-    /// Read one reply frame: `Ok(None)` is a clean EOF, the inner result is
-    /// the serving side's answer (which may be an error reply).
-    fn read(&mut self) -> Result<Option<Result<Response, ServiceError>>, ServiceError> {
-        match read_frame(&mut self.reader) {
-            Err(error) => Err(ServiceError::transport(format!("cannot read reply: {error}"))),
-            Ok(None) => Ok(None),
-            Ok(Some(frame)) => Ok(Some(decode_reply(&frame)?)),
-        }
     }
 }

@@ -80,6 +80,6 @@ pub use event::EventServer;
 pub use follower::{Follower, FollowerState, ReadOnlyService};
 pub use service::{sidecar_path, LocalService, MapcompService, PersistPolicy};
 pub use wire::{
-    decode_reply, decode_request, decode_request_frame, decode_request_traced, encode_reply,
-    encode_request, encode_request_frame, encode_request_traced, escape, read_frame, unescape,
+    decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
+    encode_request_frame, escape, read_frame, unescape,
 };

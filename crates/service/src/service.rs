@@ -35,15 +35,16 @@
 //! the same catalog cannot tear each other's state. The on-disk grammar is
 //! specified in `docs/PERSISTENCE.md`.
 
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use mapcomp_algebra::{parse_document, Instance};
+use mapcomp_algebra::{parse_document, Document, Instance};
 use mapcomp_catalog::{
     render_cache_entry, render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, save_state, AnalysisReport, CacheEvent,
-    CacheStats, Catalog, ComposedChain, DeltaRecord, MemoKey, Position, SessionConfig,
-    SharedSession, SidecarWriter, VersionManifest,
+    render_positioned_delta, render_schema_decl, restore_catalog, save_state, AnalysisReport,
+    CacheEvent, CacheStats, Catalog, ComposedChain, DeltaRecord, MemoKey, Position, SessionConfig,
+    SharedSession, SidecarState, SidecarWriter, VersionManifest,
 };
 use mapcomp_compose::{parse_update, parse_updates, DifferentialChase, Registry, Sign};
 use mapcomp_replication::{LogChunk, ReplicationHub, SubscribeError, Subscription};
@@ -177,6 +178,18 @@ struct MigrationSession {
     engine: Option<DifferentialChase>,
 }
 
+/// Migration sessions restored from their persisted update histories. Each
+/// carries only its history; the engine (and the chain hash it was compiled
+/// for) is rebuilt lazily by the first `MigrateDelta` request.
+fn migration_sessions(
+    histories: BTreeMap<(String, String), Vec<String>>,
+) -> BTreeMap<(String, String), MigrationSession> {
+    histories
+        .into_iter()
+        .map(|(key, history)| (key, MigrationSession { history, ..Default::default() }))
+        .collect()
+}
+
 /// Fold a persisted update history into the accumulated source instance.
 /// Each token's final effect on a tuple is set membership (present after a
 /// trailing `+`, absent after a trailing `-`), so replaying in file order
@@ -279,7 +292,7 @@ pub struct LocalService {
     /// lock: compaction and snapshot serving take it briefly (to render the
     /// `migrate` snapshot lines) while holding the persistence state mutex,
     /// so no path may wait on the persistence mutex while holding this one.
-    migrations: Mutex<std::collections::BTreeMap<(String, String), MigrationSession>>,
+    migrations: Mutex<BTreeMap<(String, String), MigrationSession>>,
     /// Serialises the apply *and* append of `MigrateDelta` requests (taken
     /// after path resolution and update parsing), so the per-session
     /// delta-log order always equals the application order — replaying the
@@ -301,33 +314,32 @@ impl LocalService {
         config: SessionConfig,
         workers: usize,
     ) -> Self {
+        LocalService::restored(catalog, SidecarState::default(), registry, config, workers)
+    }
+
+    /// The one constructor: an in-memory service over `catalog` whose memo
+    /// cache is warmed from the sidecar `state` and whose migration sessions
+    /// hold its histories. A follower serves its replica through this
+    /// directly (the replication stream owns its on-disk artifacts);
+    /// [`LocalService::open_with_policy`] binds the result to disk.
+    pub(crate) fn restored(
+        catalog: Catalog,
+        state: SidecarState,
+        registry: Registry,
+        config: SessionConfig,
+        workers: usize,
+    ) -> Self {
         let workers = workers.max(1);
+        let mut session = SharedSession::with_config(catalog, registry, config, workers);
+        session.restore_cache(state.cache);
         LocalService {
-            session: SharedSession::with_config(catalog, registry, config, workers),
+            session,
             batch_workers: workers,
             persistence: None,
             telemetry: ServiceTelemetry::new(mapcomp_telemetry::metrics::global()),
             hub: OnceLock::new(),
             ingest: std::sync::Mutex::new(()),
-            migrations: Mutex::new(Default::default()),
-            migrate_order: std::sync::Mutex::new(()),
-        }
-    }
-
-    /// Wrap a prepared session — a restored catalog and an already-warm
-    /// memo cache — as an in-memory service. This is the follower's read
-    /// surface: the catalog content is owned by the replication stream, so
-    /// the service carries no persistence of its own (the follower appends
-    /// the leader's chunks to its sidecar verbatim instead).
-    pub(crate) fn from_session(session: SharedSession, workers: usize) -> Self {
-        LocalService {
-            session,
-            batch_workers: workers.max(1),
-            persistence: None,
-            telemetry: ServiceTelemetry::new(mapcomp_telemetry::metrics::global()),
-            hub: OnceLock::new(),
-            ingest: std::sync::Mutex::new(()),
-            migrations: Mutex::new(Default::default()),
+            migrations: Mutex::new(migration_sessions(state.migrations)),
             migrate_order: std::sync::Mutex::new(()),
         }
     }
@@ -346,36 +358,15 @@ impl LocalService {
         self
     }
 
-    /// Open a service bound to an on-disk catalog with the default
-    /// [`PersistPolicy`]. See
-    /// [`LocalService::open_with_policy`].
-    pub fn open(
-        catalog_file: impl Into<PathBuf>,
-        registry: Registry,
-        config: SessionConfig,
-        workers: usize,
-        allow_missing: bool,
-    ) -> Result<Self, ServiceError> {
-        LocalService::open_with_policy(
-            catalog_file,
-            registry,
-            config,
-            workers,
-            allow_missing,
-            PersistPolicy::default(),
-        )
-    }
-
-    /// Open a service bound to an on-disk catalog: parse the document
-    /// snapshot, replay the sidecar's delta tail over it (catalog-content
-    /// deltas in file order, then the last-wins version manifest), and warm
-    /// the memo cache — a torn final sidecar line from a crash mid-append
-    /// is dropped, and a leftover `.tmp` from a crash mid-compaction is
-    /// simply never read (the rename that would have installed it never
-    /// happened). A missing document file is an empty catalog when
-    /// `allow_missing` *or* when a sidecar exists (an incremental session
-    /// may not have compacted its first snapshot yet). Every state-changing
-    /// request then appends its deltas, compacting according to `policy`.
+    /// Open a service bound to an on-disk catalog: restore it from the
+    /// document snapshot and the sidecar's delta tail ([`read_catalog`]) —
+    /// a torn final sidecar line from a crash mid-append is dropped, and a
+    /// leftover `.tmp` from a crash mid-compaction is simply never read (the
+    /// rename that would have installed it never happened). A missing
+    /// document file is an empty catalog when `allow_missing` *or* when a
+    /// sidecar exists (an incremental session may not have compacted its
+    /// first snapshot yet). Every state-changing request then appends its
+    /// deltas, compacting according to `policy`.
     pub fn open_with_policy(
         catalog_file: impl Into<PathBuf>,
         registry: Registry,
@@ -386,71 +377,19 @@ impl LocalService {
     ) -> Result<Self, ServiceError> {
         let catalog_file: PathBuf = catalog_file.into();
         let sidecar = SidecarWriter::new(sidecar_path(&catalog_file));
-        let sidecar_exists = sidecar.path().exists();
-        let mut catalog = Catalog::new();
-        match std::fs::read_to_string(&catalog_file) {
-            Ok(text) => {
-                let document = parse_document(&text).map_err(|error| {
-                    ServiceError::parse(format!("{}: parse error: {error}", catalog_file.display()))
-                })?;
-                catalog.from_document(&document)?;
-            }
-            // Only genuine absence may be ignored — and only when the caller
-            // allows a fresh catalog or the sidecar proves this catalog
-            // exists in log form. Any other read failure must not silently
-            // start from an empty catalog and overwrite the file on save.
-            Err(error)
-                if (allow_missing || sidecar_exists)
-                    && error.kind() == std::io::ErrorKind::NotFound => {}
-            Err(error) => {
-                return Err(ServiceError::transport(format!(
-                    "cannot read {}: {error}",
-                    catalog_file.display()
-                )))
-            }
-        }
-        let state = sidecar.load_full();
+        let (catalog, state) = read_catalog(&catalog_file, &sidecar, allow_missing)?;
         let next = state.next_position();
-        // Restored migration sessions carry only their persisted update
-        // history; the engine (and the chain hash it was compiled for) is
-        // rebuilt lazily by the first MigrateDelta request.
-        let migrations: std::collections::BTreeMap<(String, String), MigrationSession> = state
-            .migrations
-            .iter()
-            .map(|(key, history)| {
-                (key.clone(), MigrationSession { history: history.clone(), ..Default::default() })
-            })
-            .collect();
-        // Replay the delta tail: catalog content first (in append order —
-        // later declarations supersede earlier ones), then the recorded
-        // versions. A delta that no longer applies is skipped; content
-        // hashing makes any cache entries it would have invalidated
-        // unreachable anyway.
-        for document in &state.doc_deltas {
-            let _ = catalog.from_document(document);
-        }
-        catalog.restore_versions(&state.manifest);
-        let workers = workers.max(1);
-        let mut session = SharedSession::with_config(catalog, registry, config, workers);
-        session.restore_cache(state.cache);
+        let mut service = LocalService::restored(catalog, state, registry, config, workers);
         // The journal feeds the append path.
-        session.cache().enable_journal();
-        let last_stats = session.cache().stats();
-        Ok(LocalService {
-            session,
-            batch_workers: workers,
-            persistence: Some(Persistence {
-                catalog_file,
-                sidecar,
-                policy,
-                state: Mutex::new(PersistState { last_stats, appends: 0, next }),
-            }),
-            telemetry: ServiceTelemetry::new(mapcomp_telemetry::metrics::global()),
-            hub: OnceLock::new(),
-            ingest: std::sync::Mutex::new(()),
-            migrations: Mutex::new(migrations),
-            migrate_order: std::sync::Mutex::new(()),
-        })
+        service.session.cache().enable_journal();
+        let last_stats = service.session.cache().stats();
+        service.persistence = Some(Persistence {
+            catalog_file,
+            sidecar,
+            policy,
+            state: Mutex::new(PersistState { last_stats, appends: 0, next }),
+        });
+        Ok(service)
     }
 
     /// The underlying shared session.
@@ -458,22 +397,46 @@ impl LocalService {
         &self.session
     }
 
-    /// Render every migration session as its absolute `migrate` snapshot
-    /// line, for embedding in a compacted sidecar or a snapshot bootstrap.
-    /// Takes the migrations leaf lock briefly; histories are updated before
-    /// their delta records are appended, so this rendering always covers
-    /// every `delta migrate` line a rewrite is about to discard.
-    fn migration_snapshot_lines(&self) -> String {
-        let sessions = self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = String::new();
-        for ((from, to), session) in sessions.iter() {
-            if session.history.is_empty() {
-                continue;
+    /// Render the service's durable state as a snapshot opening log
+    /// position `position`: the catalog document and the sidecar — the
+    /// `generation` header, the [`save_state`] versions, statistics and memo
+    /// entries, then one absolute `migrate` line per migration history —
+    /// plus the cache statistics that sidecar records. Every snapshot goes
+    /// through here: compaction, snapshot bootstrap and a follower's
+    /// shutdown. Histories are updated before their delta records are
+    /// appended, so the rendering covers every `delta migrate` line a
+    /// rewrite is about to discard.
+    pub fn render_snapshot(&self, position: Position) -> (String, String, CacheStats) {
+        let catalog = self.session.catalog().snapshot();
+        let cache = self.session.cache().collect();
+        let mut sidecar = render_generation_marker(position);
+        sidecar.push_str(&save_state(&catalog, &cache));
+        // The migrations mutex is a leaf lock, held only for this loop.
+        for ((from, to), session) in
+            self.migrations.lock().unwrap_or_else(PoisonError::into_inner).iter()
+        {
+            if !session.history.is_empty() {
+                sidecar.push_str(&render_migration_snapshot(from, to, &session.history));
+                sidecar.push('\n');
             }
-            out.push_str(&render_migration_snapshot(from, to, &session.history));
-            out.push('\n');
         }
-        out
+        (catalog.to_document_string(), sidecar, cache.stats())
+    }
+
+    /// Append one replicated migration batch to its session's history (a
+    /// follower applying a streamed `delta migrate` record; a follower
+    /// refuses `MigrateDelta`, so it never builds an engine).
+    pub(crate) fn extend_migration(&self, from: &str, to: &str, updates: &[String]) {
+        let mut sessions = self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
+        let key = (from.to_string(), to.to_string());
+        sessions.entry(key).or_default().history.extend_from_slice(updates);
+    }
+
+    /// Replace every migration session with `histories` (a follower
+    /// adopting a snapshot bootstrap).
+    pub(crate) fn replace_migrations(&self, histories: BTreeMap<(String, String), Vec<String>>) {
+        *self.migrations.lock().unwrap_or_else(PoisonError::into_inner) =
+            migration_sessions(histories);
     }
 
     /// Fold the sidecar log back into snapshot form: rewrite the catalog
@@ -508,16 +471,9 @@ impl LocalService {
             // the snapshot, so anything arriving in between is re-appended
             // later (a harmless duplicate) rather than lost.
             drained = self.session.cache().take_events();
-            let catalog = self.session.catalog().snapshot();
-            let cache = self.session.cache().collect();
-            snapshot_stats = Some(cache.stats());
-            let sidecar = format!(
-                "{}{}{}",
-                render_generation_marker(boundary),
-                save_state(&catalog, &cache),
-                self.migration_snapshot_lines()
-            );
-            (catalog.to_document_string(), sidecar)
+            let (document, sidecar, stats) = self.render_snapshot(boundary);
+            snapshot_stats = Some(stats);
+            (document, sidecar)
         });
         if let Err(error) = outcome {
             // Nothing was committed (or at worst only the document rename
@@ -546,13 +502,6 @@ impl LocalService {
             hub.compacted(boundary);
         }
         Ok((bytes_before, persistence.sidecar.file_len()))
-    }
-
-    /// Write the full catalog document and sidecar snapshot back to disk; a
-    /// no-op for in-memory services. (The same operation as
-    /// [`LocalService::compact`].)
-    pub fn persist(&self) -> Result<(), ServiceError> {
-        self.compact().map(|_| ())
     }
 
     /// Flush the soft cache counters — hits and the other cumulative
@@ -587,7 +536,7 @@ impl LocalService {
     fn persist_change(&self, deltas: Vec<DeltaRecord>, manifest: &str) -> Result<(), ServiceError> {
         let Some(persistence) = &self.persistence else { return Ok(()) };
         if !persistence.catalog_file.exists() {
-            return self.persist();
+            return self.compact().map(|_| ());
         }
         let _span = mapcomp_telemetry::trace::start_span("persist/append");
         let mut chunk = String::new();
@@ -681,7 +630,7 @@ impl LocalService {
             }
         }
         // Threshold crossed: fold the log (compact re-takes the state lock).
-        self.persist()
+        self.compact().map(|_| ())
     }
 
     /// Persist after a compose request that composed: its new memo entries
@@ -748,23 +697,12 @@ impl LocalService {
         };
         let state = persistence.state();
         let position = state.next;
-        let catalog = self.session.catalog().snapshot();
-        let cache = self.session.cache().collect();
+        let (document, sidecar, _) = self.render_snapshot(position);
         drop(state);
-        let sidecar = format!(
-            "{}{}{}",
-            render_generation_marker(position),
-            save_state(&catalog, &cache),
-            self.migration_snapshot_lines()
-        );
         if let Some(hub) = self.hub.get() {
             hub.note_snapshot_served();
         }
-        Ok(Response::Snapshot(SnapshotPayload {
-            position,
-            document: catalog.to_document_string(),
-            sidecar,
-        }))
+        Ok(Response::Snapshot(SnapshotPayload { position, document, sidecar }))
     }
 
     /// Capture the stats payload: catalog counts, per-mapping registration
@@ -799,9 +737,42 @@ impl LocalService {
     }
 }
 
+/// Read an on-disk catalog — the document snapshot at `catalog_file` and
+/// the log in `sidecar` — and restore it ([`restore_catalog`]). A missing
+/// document is an empty snapshot when `allow_missing` or when the sidecar
+/// exists (the catalog then lives in log form); any other read failure is
+/// an error, so a service never silently starts empty and overwrites the
+/// file at its next compaction.
+pub(crate) fn read_catalog(
+    catalog_file: &Path,
+    sidecar: &SidecarWriter,
+    allow_missing: bool,
+) -> Result<(Catalog, SidecarState), ServiceError> {
+    let document = match std::fs::read_to_string(catalog_file) {
+        Ok(text) => parse_document(&text).map_err(|error| {
+            ServiceError::parse(format!("{}: parse error: {error}", catalog_file.display()))
+        })?,
+        Err(error)
+            if (allow_missing || sidecar.path().exists())
+                && error.kind() == std::io::ErrorKind::NotFound =>
+        {
+            Document::default()
+        }
+        Err(error) => {
+            return Err(ServiceError::transport(format!(
+                "cannot read {}: {error}",
+                catalog_file.display()
+            )))
+        }
+    };
+    let state = sidecar.load_full();
+    let catalog = restore_catalog(&document, &state)?;
+    Ok((catalog, state))
+}
+
 /// The sidecar path of a catalog file: `<file>.memo`, matching the CLI's
 /// historical convention.
-pub fn sidecar_path(catalog_file: &std::path::Path) -> PathBuf {
+pub fn sidecar_path(catalog_file: &Path) -> PathBuf {
     let mut name = catalog_file.file_name().unwrap_or_default().to_os_string();
     name.push(".memo");
     catalog_file.with_file_name(name)
@@ -1050,7 +1021,7 @@ impl LocalService {
                 // compaction folding the delta log into snapshot form;
                 // stopping the accept loop is the transport's job (see
                 // [`crate::EventServer`]).
-                self.persist()?;
+                self.compact()?;
                 Ok(Response::ShuttingDown)
             }
         }
@@ -1410,9 +1381,18 @@ mod tests {
         let _ = std::fs::remove_file(&file);
         let _ = std::fs::remove_file(sidecar_path(&file));
 
-        let service =
-            LocalService::open(&file, Registry::standard(), SessionConfig::default(), 2, true)
-                .unwrap();
+        let open = |allow_missing| {
+            LocalService::open_with_policy(
+                &file,
+                Registry::standard(),
+                SessionConfig::default(),
+                2,
+                allow_missing,
+                PersistPolicy::default(),
+            )
+            .unwrap()
+        };
+        let service = open(true);
         service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
         let Response::Composed(first) =
             service.call(Request::ComposePath { from: "v0".into(), to: "v3".into() }).unwrap()
@@ -1423,9 +1403,7 @@ mod tests {
         drop(service);
 
         // A fresh service over the same files: warm cache, composing is free.
-        let reopened =
-            LocalService::open(&file, Registry::standard(), SessionConfig::default(), 2, false)
-                .unwrap();
+        let reopened = open(false);
         let Response::Composed(second) =
             reopened.call(Request::ComposePath { from: "v0".into(), to: "v3".into() }).unwrap()
         else {

@@ -214,12 +214,6 @@ pub fn encode_request(request: &Request) -> String {
     encode_request_frame(request, None, None)
 }
 
-/// Encode a request as a complete frame, carrying `trace` as the optional
-/// `trace <16-hex>` field (always the first field line) when set.
-pub fn encode_request_traced(request: &Request, trace: Option<u64>) -> String {
-    encode_request_frame(request, trace, None)
-}
-
 /// Encode a request as a complete frame with both optional envelope
 /// fields: `trace <16-hex>` first, then `auth <escaped-token>`, then the
 /// kind-specific fields. Either may be omitted; with both `None` the frame
@@ -287,12 +281,6 @@ pub fn encode_request_frame(request: &Request, trace: Option<u64>, auth: Option<
 /// [`decode_request_frame`] to keep them).
 pub fn decode_request(text: &str) -> Result<Request, ServiceError> {
     decode_request_frame(text).map(|(request, _, _)| request)
-}
-
-/// Decode a request frame along with its optional `trace` field, discarding
-/// any auth field (see [`decode_request_frame`] to keep it too).
-pub fn decode_request_traced(text: &str) -> Result<(Request, Option<u64>), ServiceError> {
-    decode_request_frame(text).map(|(request, trace, _)| (request, trace))
 }
 
 /// Decode a request frame along with its optional `trace` and `auth`
@@ -1251,13 +1239,13 @@ mod tests {
     fn traced_requests_round_trip_and_untraced_stay_identical() {
         let request = Request::ComposePath { from: "s1".into(), to: "s3".into() };
         // No trace: traced and untraced encoders agree byte for byte.
-        assert_eq!(encode_request_traced(&request, None), encode_request(&request));
+        assert_eq!(encode_request_frame(&request, None, None), encode_request(&request));
         // With a trace: the field survives the round trip on every kind,
         // including kinds with no fields of their own.
         for request in [request, Request::Ping, Request::Metrics, Request::Shutdown] {
-            let frame = encode_request_traced(&request, Some(0xdead_beef));
+            let frame = encode_request_frame(&request, Some(0xdead_beef), None);
             assert!(frame.contains("trace 00000000deadbeef\n"), "frame {frame:?}");
-            let (decoded, trace) = decode_request_traced(&frame).unwrap();
+            let (decoded, trace, _) = decode_request_frame(&frame).unwrap();
             assert_eq!(decoded, request);
             assert_eq!(trace, Some(0xdead_beef));
             // The trace-unaware decoder accepts and discards the field.
@@ -1288,10 +1276,8 @@ mod tests {
             assert_eq!(decoded, request);
             assert_eq!(trace, Some(0xabc));
             assert_eq!(auth.as_deref(), Some("s3cret token"));
-            // Auth-unaware decoders accept and discard the field.
+            // The auth-unaware decoder accepts and discards the field.
             assert_eq!(decode_request(&frame).unwrap(), request);
-            let (via_traced, _) = decode_request_traced(&frame).unwrap();
-            assert_eq!(via_traced, request);
         }
         // Without either envelope field the frame is the legacy encoding.
         let request = Request::Stats;

@@ -8,7 +8,7 @@
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
-use mapping_composition::catalog::{load_cache, save_cache, CatalogError, ChainOptions};
+use mapping_composition::catalog::{load_sidecar, save_cache, CatalogError, ChainOptions};
 use mapping_composition::prelude::*;
 
 /// A linear catalog v0 → v1 → … → v{hops} of unary copy mappings
@@ -210,7 +210,7 @@ fn strict_sessions_reject_cached_incomplete_segments() {
         ..SessionConfig::default()
     };
     let mut strict = SharedSession::with_config(catalog, Registry::standard(), strict_config, 1);
-    strict.restore_cache(load_cache(&sidecar));
+    strict.restore_cache(load_sidecar(&sidecar).cache);
     let err = strict.compose_path("a", "c").unwrap_err();
     assert!(matches!(err, CatalogError::Incomplete { .. }), "got {err:?}");
 }
@@ -244,7 +244,7 @@ fn memo_sidecar_round_trip_preserves_incrementality() {
     let mut rebuilt = Catalog::new();
     rebuilt.from_document(&document).unwrap();
     let mut fresh = SharedSession::new(rebuilt);
-    fresh.restore_cache(load_cache(&sidecar));
+    fresh.restore_cache(load_sidecar(&sidecar).cache);
     let warm = fresh.compose_path("v0", "v4").unwrap();
     assert_eq!(warm.compose_calls, 0, "restored sidecar must serve the whole chain");
     assert_eq!(warm.cache_hits, 1, "the whole chain is one restored run");

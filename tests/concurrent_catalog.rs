@@ -245,7 +245,7 @@ fn concurrent_stress_matches_single_threaded_replay() {
     // (c) No lost updates in the sidecar: the last appended line per private
     // mapping carries its final version, and compacting + reloading the full
     // state restores those versions exactly.
-    let (manifest, _) = writer.load();
+    let manifest = writer.load_full().manifest;
     for thread in 0..THREADS {
         let name = format!("tm{thread}");
         let final_version = snapshot.mapping(&name).unwrap().version;
@@ -254,10 +254,17 @@ fn concurrent_stress_matches_single_threaded_replay() {
             assert_eq!(recorded, final_version, "{name}: concurrent appends lost an update");
         }
     }
-    writer.rewrite(&save_state(&snapshot, &shared.cache().collect())).unwrap();
-    let (compacted, _) = writer.load();
-    let document =
-        mapping_composition::algebra::parse_document(&snapshot.to_document_string()).unwrap();
+    let document_file = writer.path().with_extension("doc");
+    writer
+        .rewrite_with_document(&document_file, || {
+            (snapshot.to_document_string(), save_state(&snapshot, &shared.cache().collect()))
+        })
+        .unwrap();
+    let compacted = writer.load_full().manifest;
+    let document = mapping_composition::algebra::parse_document(
+        &std::fs::read_to_string(&document_file).unwrap(),
+    )
+    .unwrap();
     let mut rebuilt = Catalog::new();
     rebuilt.from_document(&document).unwrap();
     rebuilt.restore_versions(&compacted);
@@ -270,6 +277,7 @@ fn concurrent_stress_matches_single_threaded_replay() {
         );
     }
     let _ = std::fs::remove_file(writer.path());
+    let _ = std::fs::remove_file(document_file);
 }
 
 #[test]

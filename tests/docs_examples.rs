@@ -27,13 +27,13 @@
 
 use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
-    load_cache, load_sidecar, load_versions, parse_positioned_delta, render_delta,
-    render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, save_cache, DeltaRecord, Position,
+    load_sidecar, parse_positioned_delta, render_delta, render_generation_marker,
+    render_mapping_decl, render_migration_snapshot, render_positioned_delta, render_schema_decl,
+    save_cache, DeltaRecord, Position,
 };
 use mapping_composition::service::{
-    decode_reply, decode_request, decode_request_traced, encode_reply, encode_request,
-    encode_request_traced, ErrorCode,
+    decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
+    encode_request_frame, ErrorCode,
 };
 
 fn read_doc(name: &str) -> String {
@@ -91,7 +91,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
             }
             records += 1;
             if line.starts_with("version ") {
-                let manifest = load_versions(line);
+                let manifest = load_sidecar(line).manifest;
                 assert!(!manifest.is_empty(), "documented version line must parse: `{line}`");
                 assert_eq!(
                     manifest.render().trim_end(),
@@ -102,7 +102,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
                 let numbers: Vec<usize> =
                     rest.split_whitespace().map(|token| token.parse().unwrap()).collect();
                 assert_eq!(numbers.len(), 5, "stats line carries five counters: `{line}`");
-                let restored = load_cache(&format!("{line}\n")).stats();
+                let restored = load_sidecar(&format!("{line}\n")).cache.stats();
                 assert_eq!(
                     (restored.hits, restored.misses, restored.insertions),
                     (numbers[0], numbers[1], numbers[2]),
@@ -171,7 +171,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
                         break;
                     }
                 }
-                let cache = load_cache(&entry_block);
+                let cache = load_sidecar(&entry_block).cache;
                 assert_eq!(cache.len(), 1, "documented entry block must load:\n{entry_block}");
                 // save_cache = comment + stats + the canonical block.
                 let rendered = save_cache(&cache);
@@ -380,12 +380,12 @@ fn observability_doc_traced_frame_round_trips() {
     let frames = marked_blocks(&doc, "roundtrip:request-traced");
     assert!(!frames.is_empty(), "OBSERVABILITY.md must document a traced request frame");
     for frame in &frames {
-        let (request, trace) = decode_request_traced(frame).unwrap_or_else(|error| {
+        let (request, trace, _) = decode_request_frame(frame).unwrap_or_else(|error| {
             panic!("documented traced frame must decode: {error}\n{frame}")
         });
         let trace = trace.expect("documented traced frame must carry a trace ID");
         assert_eq!(
-            &encode_request_traced(&request, Some(trace)),
+            &encode_request_frame(&request, Some(trace), None),
             frame,
             "documented traced frame must be canonical"
         );

@@ -3,7 +3,8 @@
 //! real sockets. Covers snapshot bootstrap (fresh and stale positions),
 //! live tailing, byte-identical convergence under concurrent leader writes,
 //! the compaction/subscription atomicity fix (no dropped or duplicated
-//! deltas across a generation boundary), follower kill/restart resume, and
+//! deltas across a generation boundary), follower kill/restart resume,
+//! migration histories surviving a follower's restart and shutdown, and
 //! the read-only write fence.
 //!
 //! The tests share the process-global metrics registry (lag gauge,
@@ -19,7 +20,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mapping_composition::catalog::{
-    parse_positioned_delta, save_versions, Catalog, Position, SessionConfig,
+    load_sidecar, parse_positioned_delta, Catalog, Position, SessionConfig, VersionManifest,
 };
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
@@ -136,6 +137,21 @@ fn add(service: &LocalService, text: &str) {
     }
 }
 
+fn migrate(service: &LocalService, from: &str, to: &str, updates: &[&str]) {
+    let updates = updates.iter().map(ToString::to_string).collect();
+    match service.call(Request::MigrateDelta { from: from.into(), to: to.into(), updates }) {
+        Ok(Response::Migrated(_)) => {}
+        other => panic!("migrate-delta failed: {other:?}"),
+    }
+}
+
+/// The migration histories a catalog's sidecar file records.
+fn sidecar_migrations(
+    file: &std::path::Path,
+) -> std::collections::BTreeMap<(String, String), Vec<String>> {
+    load_sidecar(&std::fs::read_to_string(sidecar_path(file)).expect("sidecar")).migrations
+}
+
 fn chain_document(hops: usize) -> String {
     let mut text = String::new();
     for i in 0..=hops {
@@ -170,7 +186,7 @@ fn await_convergence(leader: &LocalService, follower: &Follower, timeout: Durati
 /// The convergence comparison surface: byte-identical document rendering
 /// and version manifest.
 fn replica_state(catalog: &Catalog) -> (String, String) {
-    (catalog.to_document_string(), save_versions(catalog))
+    (catalog.to_document_string(), VersionManifest::of(catalog).render())
 }
 
 fn assert_replicas_identical(leader: &LocalService, follower: &Follower) {
@@ -359,6 +375,62 @@ fn follower_kill_and_restart_resumes_without_a_snapshot() {
             metric_value(leader, "replication_snapshots_served_total"),
             snapshots_before + 1,
             "a restart within the retained log must resume, not re-bootstrap"
+        );
+    });
+    cleanup(&follower_file);
+}
+
+#[test]
+fn follower_restart_and_shutdown_keep_every_migration_history() {
+    let _serial = serial();
+    let follower_file = temp_catalog("migrations_follower");
+    with_leader("migrations", |leader, addr| {
+        add(leader, &chain_document(2));
+        // Before the follower exists: this history reaches it as the
+        // snapshot bootstrap's absolute `migrate` line.
+        migrate(leader, "v0", "v2", &["+R0(1)", "+R0(2)"]);
+
+        // First life: bootstrap, then a batch streamed as `delta … migrate`;
+        // the replica is dropped without a shutdown, so only its verbatim
+        // artifacts carry the histories into the next life.
+        let first = open_follower(&follower_file, addr);
+        with_running_follower(&first, || {
+            await_convergence(leader, &first, Duration::from_secs(10));
+            migrate(leader, "v0", "v2", &["+R0(3)"]);
+            await_convergence(leader, &first, Duration::from_secs(10));
+        });
+        drop(first);
+
+        // Second life: reopen from those artifacts, stream one more batch,
+        // and shut down through the service surface, which rewrites the
+        // replica in snapshot form.
+        let second = open_follower(&follower_file, addr);
+        with_running_follower(&second, || {
+            await_convergence(leader, &second, Duration::from_secs(10));
+            migrate(leader, "v1", "v2", &["+R1(7)"]);
+            await_convergence(leader, &second, Duration::from_secs(10));
+            assert_eq!(second.service().call(Request::Shutdown).unwrap(), Response::ShuttingDown);
+        });
+
+        let leader_histories = sidecar_migrations(&temp_catalog_path("migrations_leader"));
+        let history = |from: &str, to: &str, updates: &[&str]| {
+            ((from.to_string(), to.to_string()), updates.iter().map(ToString::to_string).collect())
+        };
+        assert_eq!(
+            leader_histories,
+            [
+                history("v0", "v2", &["+R0(1)", "+R0(2)", "+R0(3)"]),
+                history("v1", "v2", &["+R1(7)"])
+            ]
+            .into_iter()
+            .collect()
+        );
+        let follower_sidecar = std::fs::read_to_string(sidecar_path(&follower_file)).unwrap();
+        assert!(!follower_sidecar.contains("delta "), "shutdown folds the follower's log");
+        assert_eq!(
+            sidecar_migrations(&follower_file),
+            leader_histories,
+            "the follower's shutdown snapshot must keep every migration history"
         );
     });
     cleanup(&follower_file);

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use mapping_composition::prelude::*;
-use mapping_composition::service::{EventServer, StatsPayload};
+use mapping_composition::service::{EventServer, PersistPolicy, StatsPayload};
 
 const CHAINS: usize = 3;
 const HOPS: usize = 6;
@@ -380,7 +380,15 @@ fn refused_migration_reaches_neither_the_sidecar_nor_replication() {
     };
     cleanup();
     let open = || {
-        LocalService::open(&file, Registry::standard(), SessionConfig::default(), 1, true).unwrap()
+        LocalService::open_with_policy(
+            &file,
+            Registry::standard(),
+            SessionConfig::default(),
+            1,
+            true,
+            PersistPolicy::default(),
+        )
+        .unwrap()
     };
     let service = open();
     service.call(Request::AddDocument { text: CYCLE_DOCUMENT.into() }).unwrap();

@@ -16,10 +16,10 @@ use rand::{Rng, SeedableRng};
 
 use mapping_composition::catalog::Position;
 use mapping_composition::service::{
-    decode_reply, decode_request, decode_request_frame, decode_request_traced, encode_reply,
-    encode_request, encode_request_frame, encode_request_traced, escape, unescape,
-    CacheInfoPayload, ChainPayload, DeltaChunkPayload, ErrorCode, MappingInfo, ReplicationInfo,
-    Request, Response, SegmentCacheInfo, ServiceError, SnapshotPayload, StatsPayload,
+    decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
+    encode_request_frame, escape, unescape, CacheInfoPayload, ChainPayload, DeltaChunkPayload,
+    ErrorCode, MappingInfo, ReplicationInfo, Request, Response, SegmentCacheInfo, ServiceError,
+    SnapshotPayload, StatsPayload,
 };
 
 const CASES: usize = 64;
@@ -320,12 +320,12 @@ fn trace_ids_round_trip_over_the_wire() {
     for case in 0..CASES {
         let request = gen_request(&mut rng);
         let id: u64 = rng.gen_range(1..u64::MAX);
-        let frame = encode_request_traced(&request, Some(id));
+        let frame = encode_request_frame(&request, Some(id), None);
         assert!(
             frame.contains(&format!("\ntrace {id:016x}\n")),
             "case {case}: trace field missing from\n{frame}"
         );
-        let (decoded, trace) = decode_request_traced(&frame)
+        let (decoded, trace, _) = decode_request_frame(&frame)
             .unwrap_or_else(|error| panic!("case {case}: {error}\nframe:\n{frame}"));
         assert_eq!(decoded, request, "case {case}");
         assert_eq!(trace, Some(id), "case {case}");
@@ -341,8 +341,8 @@ fn untraced_frames_are_byte_identical_to_the_legacy_encoding() {
     let mut rng = StdRng::seed_from_u64(0xC0DEC05);
     for _ in 0..CASES {
         let request = gen_request(&mut rng);
-        assert_eq!(encode_request_traced(&request, None), encode_request(&request));
-        let (decoded, trace) = decode_request_traced(&encode_request(&request)).unwrap();
+        assert_eq!(encode_request_frame(&request, None, None), encode_request(&request));
+        let (decoded, trace, _) = decode_request_frame(&encode_request(&request)).unwrap();
         assert_eq!(decoded, request);
         assert_eq!(trace, None);
     }
@@ -359,7 +359,7 @@ fn malformed_trace_fields_are_rejected() {
         "mapcomp-service 1 request ping\ntrace\nend\n",
     ];
     for frame in bad_frames {
-        let error = decode_request_traced(frame).expect_err(&format!("must reject: {frame:?}"));
+        let error = decode_request_frame(frame).expect_err(&format!("must reject: {frame:?}"));
         assert_eq!(error.code, ErrorCode::Protocol, "frame {frame:?} gave `{error}`");
     }
 }
