@@ -408,6 +408,8 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("incremental_calls", BenchValue::U64(point.incremental_calls as u64)),
             ("cold_ms", BenchValue::F64(cold_ms)),
             ("incremental_ms", BenchValue::F64(incr_ms)),
+            ("warm_links", BenchValue::U64(point.warm_links as u64)),
+            ("incremental_links", BenchValue::U64(point.incremental_links as u64)),
         ]);
     }
     doc

@@ -421,6 +421,12 @@ pub struct ChainCachePoint {
     pub incremental_time: Duration,
     /// Pairwise compositions to recompose with nothing edited (must be 0).
     pub warm_calls: usize,
+    /// Links the warm recompose materialised (must be 0: a fully memoised
+    /// chain is probed on stored hashes alone).
+    pub warm_links: usize,
+    /// Links the incremental recompose materialised: the ones it folded
+    /// alone.
+    pub incremental_links: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -503,6 +509,8 @@ pub fn chain_cache_experiment(scale: Scale, base_seed: u64) -> Vec<ChainCachePoi
                 incremental_calls: incremental.compose_calls,
                 incremental_time,
                 warm_calls: warm.compose_calls,
+                warm_links: warm.links_materialized,
+                incremental_links: incremental.links_materialized,
             })
         })
         .collect()
@@ -2128,6 +2136,12 @@ mod tests {
         for point in &points {
             assert_eq!(point.cold_calls, point.chain_len - 1);
             assert_eq!(point.warm_calls, 0, "unedited recompose must be free");
+            assert_eq!(point.warm_links, 0, "unedited recompose must materialise no link");
+            assert!(
+                point.incremental_links < point.chain_len || point.chain_len <= 2,
+                "len {}: the cached prefix before the edit must not be materialised",
+                point.chain_len
+            );
             assert!(
                 point.incremental_calls < point.cold_calls || point.chain_len <= 2,
                 "len {}: incremental {} vs cold {}",

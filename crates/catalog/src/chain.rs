@@ -13,6 +13,15 @@
 //! the fold steps whose provenance includes the edit — the cached runs on
 //! either side are reused, never recomposed.
 //!
+//! The probe runs on stored hashes alone: memo keys are pure functions of
+//! the link hashes and the configuration, so the driver reads each link's
+//! `(hash, source, target)` ([`LinkSource::link_edge`]) to check adjacency
+//! and find cached runs, and materialises a link ([`LinkSource::link`]) only
+//! when it folds that link alone. A fully memoised chain is served without
+//! materialising any link ([`ChainResult::links_materialized`] is 0). A
+//! materialised link's own hash keys the fold step it enters, so a link
+//! edited between probe and fold is keyed by the content actually composed.
+//!
 //! Intermediate symbols that resist elimination ride along in the
 //! [`ComposedChain::residual`] signature and are retried at every later fold
 //! step, mirroring how the paper's editing scenario recovers leftover
@@ -25,8 +34,8 @@ use mapcomp_compose::{compose_constraints, ComposeConfig, Registry};
 
 use crate::cache::ChainCache;
 use crate::error::CatalogError;
-use crate::hash::{combine, hash_config};
-use crate::store::Catalog;
+use crate::hash::{combine, hash_config, ContentHash};
+use crate::store::{Catalog, MappingEntry};
 
 /// A source of single-link chain segments by mapping name. Implemented by
 /// the single-threaded [`Catalog`] and by the lock-striped
@@ -35,11 +44,20 @@ use crate::store::Catalog;
 pub trait LinkSource {
     /// Materialise the named mapping as a one-link chain.
     fn link(&self, name: &str) -> Result<ComposedChain, CatalogError>;
+
+    /// The named mapping's `(content hash, source, target)` — what the
+    /// driver probes the memo cache with. Read from the stored hash, without
+    /// materialising the link.
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError>;
 }
 
 impl LinkSource for Catalog {
     fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
         ComposedChain::from_entry(self, name)
+    }
+
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+        self.mapping(name).map(MappingEntry::edge)
     }
 }
 
@@ -124,6 +142,9 @@ pub struct ChainResult {
     /// Lengths of the contiguous runs the driver absorbed, left to right; a
     /// length > 1 means that run was served whole from the memo cache.
     pub plan: Vec<usize>,
+    /// [`LinkSource::link`] calls the fold made: one per link it folded
+    /// alone (a warm chain served from the memo cache materialises none).
+    pub links_materialized: usize,
 }
 
 impl ChainResult {
@@ -232,27 +253,36 @@ where
     C: ChainCache + ?Sized,
 {
     assert!(!names.is_empty(), "compose_chain_with requires at least one mapping");
-    let segments: Vec<ComposedChain> =
-        names.iter().map(|name| store.link(name)).collect::<Result<_, _>>()?;
-    for pair in segments.windows(2) {
-        if pair[0].target != pair[1].source {
+    if names.len() == 1 {
+        let chain = store.link(&names[0])?;
+        let plan = vec![1];
+        return Ok(ChainResult {
+            chain,
+            compose_calls: 0,
+            cache_hits: 0,
+            plan,
+            links_materialized: 1,
+        });
+    }
+    let edges: Vec<(ContentHash, String, String)> =
+        names.iter().map(|name| store.link_edge(name)).collect::<Result<_, _>>()?;
+    for (index, pair) in edges.windows(2).enumerate() {
+        let ((_, _, expected), (_, found, _)) = (&pair[0], &pair[1]);
+        if expected != found {
             return Err(CatalogError::ChainMismatch {
-                left: pair[0].path.last().cloned().unwrap_or_default(),
-                right: pair[1].path.first().cloned().unwrap_or_default(),
-                expected: pair[0].target.clone(),
-                found: pair[1].source.clone(),
+                left: names[index].clone(),
+                right: names[index + 1].clone(),
+                expected: expected.clone(),
+                found: found.clone(),
             });
         }
     }
 
+    let hashes: Vec<u64> = edges.iter().map(|(hash, _, _)| hash.0).collect();
     let config_hash = hash_config(config);
-    if segments.len() == 1 {
-        let chain = segments.into_iter().next().expect("one segment");
-        return Ok(ChainResult { chain, compose_calls: 0, cache_hits: 0, plan: vec![1] });
-    }
-
     let mut compose_calls = 0usize;
     let mut cache_hits = 0usize;
+    let mut links_materialized = 0usize;
     let mut plan = Vec::new();
 
     // Greedy run absorption: at each position, take the longest contiguous
@@ -262,8 +292,8 @@ where
     // fold step to join it to the accumulator.
     let mut position = 0usize;
     let mut acc: Option<ComposedChain> = None;
-    while position < segments.len() {
-        let (run_len, run_key) = longest_cached_run(&segments, position, cache, config_hash);
+    while position < names.len() {
+        let (run_len, run_key) = longest_cached_run(&hashes, position, cache, config_hash);
         // Between `cache_contains` and `cache_lookup` a concurrent worker may
         // evict or invalidate the run; fall back to the single link — the
         // fold then pays pairwise compositions it hoped to skip, nothing
@@ -273,7 +303,10 @@ where
                 cache_hits += 1;
                 (run_len, chain)
             }
-            None => (1, segments[position].clone()),
+            None => {
+                links_materialized += 1;
+                (1, store.link(&names[position])?)
+            }
         };
         plan.push(run_len);
         position += run_len;
@@ -304,26 +337,27 @@ where
     }
 
     let chain = acc.expect("non-empty chain");
-    Ok(ChainResult { chain, compose_calls, cache_hits, plan })
+    Ok(ChainResult { chain, compose_calls, cache_hits, plan, links_materialized })
 }
 
 /// Longest contiguous run of links starting at `start` that is memoised as a
-/// single left-associated segment. Returns the run length (≥ 1) and, for
-/// runs longer than one link, the memo key the whole run is stored under.
+/// single left-associated segment, probed on the links' stored hashes.
+/// Returns the run length (≥ 1) and, for runs longer than one link, the
+/// memo key the whole run is stored under.
 fn longest_cached_run<C: ChainCache + ?Sized>(
-    segments: &[ComposedChain],
+    hashes: &[u64],
     start: usize,
     cache: &C,
     config_hash: u64,
 ) -> (usize, Option<crate::cache::MemoKey>) {
-    let mut hash = segments[start].hash;
+    let mut hash = hashes[start];
     let mut best = (1, None);
-    for (offset, segment) in segments[start + 1..].iter().enumerate() {
-        let key = (hash, segment.hash, config_hash);
+    for (offset, &link) in hashes[start + 1..].iter().enumerate() {
+        let key = (hash, link, config_hash);
         if !cache.cache_contains(&key) {
             break;
         }
-        hash = combine(&[hash, segment.hash, config_hash]);
+        hash = combine(&[hash, link, config_hash]);
         best = (offset + 2, Some(key));
     }
     best
@@ -357,15 +391,18 @@ fn fold_step<C: ChainCache + ?Sized>(
 mod tests {
     use super::*;
     use crate::cache::ShardedMemoCache;
+    use crate::persist::render_chain_document;
     use mapcomp_algebra::parse_constraints;
+    use std::cell::RefCell;
 
-    /// s0 --m0--> s1 --m1--> s2 --m2--> s3: unary copies, fully eliminable.
-    fn chain_catalog() -> Catalog {
+    /// s0 --m0--> s1 --m1--> … --m{hops-1}--> s{hops}: unary copies, fully
+    /// eliminable.
+    fn chain_catalog(hops: usize) -> Catalog {
         let mut catalog = Catalog::new();
-        for i in 0..4 {
+        for i in 0..=hops {
             catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
         }
-        for i in 0..3 {
+        for i in 0..hops {
             catalog
                 .add_mapping(
                     format!("m{i}"),
@@ -384,7 +421,7 @@ mod tests {
 
     #[test]
     fn cold_chain_performs_n_minus_one_compositions() {
-        let catalog = chain_catalog();
+        let catalog = chain_catalog(3);
         let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let result = compose_chain_with(
@@ -408,7 +445,7 @@ mod tests {
 
     #[test]
     fn warm_chain_is_free_and_extension_costs_one() {
-        let catalog = chain_catalog();
+        let catalog = chain_catalog(3);
         let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let config = ComposeConfig::default();
@@ -434,7 +471,7 @@ mod tests {
 
     #[test]
     fn different_configs_do_not_share_cache_entries() {
-        let catalog = chain_catalog();
+        let catalog = chain_catalog(3);
         let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let options = ChainOptions::default();
@@ -461,7 +498,7 @@ mod tests {
 
     #[test]
     fn mismatched_chain_is_rejected() {
-        let catalog = chain_catalog();
+        let catalog = chain_catalog(3);
         let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let err = compose_chain_with(
@@ -545,7 +582,7 @@ mod tests {
 
     #[test]
     fn mid_chain_cached_runs_are_absorbed() {
-        let catalog = chain_catalog();
+        let catalog = chain_catalog(3);
         let cache = ShardedMemoCache::new(4, None);
         let registry = Registry::standard();
         let config = ComposeConfig::default();
@@ -562,5 +599,106 @@ mod tests {
         assert_eq!(result.compose_calls, 1);
         assert_eq!(result.cache_hits, 1);
         assert!(result.is_complete());
+    }
+
+    /// A [`LinkSource`] that records every [`LinkSource::link`] call and
+    /// probes on the catalog's stored hashes.
+    struct CountingLinks<'a> {
+        catalog: &'a Catalog,
+        linked: RefCell<Vec<String>>,
+    }
+
+    impl<'a> CountingLinks<'a> {
+        fn new(catalog: &'a Catalog) -> Self {
+            CountingLinks { catalog, linked: RefCell::new(Vec::new()) }
+        }
+
+        fn take(&self) -> Vec<String> {
+            std::mem::take(&mut *self.linked.borrow_mut())
+        }
+    }
+
+    impl LinkSource for CountingLinks<'_> {
+        fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
+            self.linked.borrow_mut().push(name.to_string());
+            self.catalog.link(name)
+        }
+
+        fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+            self.catalog.link_edge(name)
+        }
+    }
+
+    #[test]
+    fn memoised_chain_materialises_no_link() {
+        let catalog = chain_catalog(3);
+        let links = CountingLinks::new(&catalog);
+        let cache = ShardedMemoCache::new(4, None);
+        let registry = Registry::standard();
+        let (config, options) = (ComposeConfig::default(), ChainOptions::default());
+        let cold = compose_chain_with(&links, &cache, &names("m", 3), &registry, &config, &options)
+            .unwrap();
+        assert_eq!(links.take(), names("m", 3), "a cold fold materialises every link once");
+        assert_eq!(cold.links_materialized, 3);
+        let warm = compose_chain_with(&links, &cache, &names("m", 3), &registry, &config, &options)
+            .unwrap();
+        assert!(links.take().is_empty(), "a fully memoised chain reads stored hashes only");
+        assert_eq!(warm.links_materialized, 0);
+        assert_eq!(warm.chain.hash, cold.chain.hash);
+        assert_eq!((warm.plan, warm.compose_calls, warm.cache_hits), (vec![3], 0, 1));
+        assert_eq!(render_chain_document(&warm.chain), render_chain_document(&cold.chain));
+    }
+
+    #[test]
+    fn edited_chain_materialises_only_the_links_it_folds_alone() {
+        let mut catalog = chain_catalog(5);
+        let cache = ShardedMemoCache::new(4, None);
+        let registry = Registry::standard();
+        let (config, options) = (ComposeConfig::default(), ChainOptions::default());
+        let path = names("m", 5);
+        compose_chain_with(&catalog, &cache, &path, &registry, &config, &options).unwrap();
+        catalog.update_mapping("m2", parse_constraints("R2 <= R3; R2 <= R2").unwrap()).unwrap();
+
+        let links = CountingLinks::new(&catalog);
+        let incremental =
+            compose_chain_with(&links, &cache, &path, &registry, &config, &options).unwrap();
+        // The cached m0∘m1 prefix is absorbed; m2 (edited), m3 and m4 are
+        // folded alone, each materialised once.
+        assert_eq!(incremental.plan, vec![2, 1, 1, 1]);
+        assert_eq!(links.take(), ["m2", "m3", "m4"]);
+        assert_eq!(incremental.links_materialized, 3);
+        assert_eq!((incremental.compose_calls, incremental.cache_hits), (3, 1));
+
+        let cold_cache = ShardedMemoCache::new(4, None);
+        let cold =
+            compose_chain_with(&catalog, &cold_cache, &path, &registry, &config, &options).unwrap();
+        assert_eq!(cold.compose_calls, 4);
+        assert_eq!(incremental.chain.hash, cold.chain.hash);
+        assert_eq!(render_chain_document(&incremental.chain), render_chain_document(&cold.chain));
+    }
+
+    #[test]
+    fn probe_errors_match_materialised_errors() {
+        let catalog = chain_catalog(3);
+        let links = CountingLinks::new(&catalog);
+        let cache = ShardedMemoCache::new(4, None);
+        let registry = Registry::standard();
+        let (config, options) = (ComposeConfig::default(), ChainOptions::default());
+        let unknown = vec!["m0".to_string(), "nope".to_string()];
+        assert_eq!(
+            compose_chain_with(&links, &cache, &unknown, &registry, &config, &options).unwrap_err(),
+            CatalogError::UnknownMapping("nope".to_string())
+        );
+        let gap = vec!["m0".to_string(), "m2".to_string()];
+        assert_eq!(
+            compose_chain_with(&links, &cache, &gap, &registry, &config, &options).unwrap_err(),
+            CatalogError::ChainMismatch {
+                left: "m0".to_string(),
+                right: "m2".to_string(),
+                expected: "s1".to_string(),
+                found: "s2".to_string(),
+            }
+        );
+        assert!(links.take().is_empty(), "a rejected chain materialises nothing");
     }
 }

@@ -6,6 +6,11 @@
 //! identity. A 64-bit FNV-1a over the `Display` form gives that: the
 //! pretty-printer is canonical (printing → parsing round-trips), deterministic
 //! across platforms, and already exists for every algebra type.
+//!
+//! Rendering is paid once per declaration: a mapping's hash is a
+//! combination of three part hashes ([`combine_mapping_hash`]), the store
+//! keeps the schema and constraint hashes, and every later rehash or
+//! consistency check recombines stored hashes instead of re-rendering.
 
 use mapcomp_algebra::{ConstraintSet, Signature};
 use mapcomp_compose::ComposeConfig;
@@ -57,6 +62,23 @@ pub fn hash_signature(sig: &Signature) -> ContentHash {
     ContentHash(hash_str(&sig.to_string()))
 }
 
+/// Content hash of a constraint set (its canonical printed form).
+pub fn hash_constraints(constraints: &ConstraintSet) -> u64 {
+    hash_str(&constraints.to_string())
+}
+
+/// Content hash of a mapping from the hashes of its three parts: the
+/// source and target signature hashes and the constraint hash. A store
+/// that keeps these parts recombines a mapping's hash without rendering
+/// anything.
+pub fn combine_mapping_hash(
+    source: ContentHash,
+    target: ContentHash,
+    constraints: u64,
+) -> ContentHash {
+    ContentHash(combine(&[source.0, target.0, constraints]))
+}
+
 /// Content hash of a mapping: source schema, target schema, and constraints,
 /// all in canonical printed form. Editing any of the three yields a new hash.
 pub fn hash_mapping(
@@ -64,11 +86,11 @@ pub fn hash_mapping(
     target: &Signature,
     constraints: &ConstraintSet,
 ) -> ContentHash {
-    ContentHash(combine(&[
-        hash_str(&source.to_string()),
-        hash_str(&target.to_string()),
-        hash_str(&constraints.to_string()),
-    ]))
+    combine_mapping_hash(
+        hash_signature(source),
+        hash_signature(target),
+        hash_constraints(constraints),
+    )
 }
 
 /// Content hash of a compose configuration: two configurations with the same
@@ -112,6 +134,25 @@ mod tests {
         assert_ne!(base, hash_mapping(&src, &tgt, &edited));
         let other_src = Signature::from_arities([("R", 2)]);
         assert_ne!(base, hash_mapping(&other_src, &tgt, &cons));
+    }
+
+    #[test]
+    fn mapping_hash_recombines_from_its_parts() {
+        let src = Signature::from_arities([("R", 1)]);
+        let tgt = Signature::from_arities([("S", 1), ("T", 2)]);
+        let cons = parse_constraints("R <= S; S <= project[0](T)").unwrap();
+        let expected = ContentHash(combine(&[
+            hash_str(&src.to_string()),
+            hash_str(&tgt.to_string()),
+            hash_str(&cons.to_string()),
+        ]));
+        assert_eq!(hash_mapping(&src, &tgt, &cons), expected);
+        let parts = combine_mapping_hash(
+            hash_signature(&src),
+            hash_signature(&tgt),
+            hash_constraints(&cons),
+        );
+        assert_eq!(parts, expected);
     }
 
     #[test]

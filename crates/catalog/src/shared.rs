@@ -15,11 +15,16 @@
 //!   the store maintains behind its own [`RwLock`]. Every writer updates it inside
 //!   the same critical section as its shard write (lock order: shards, then
 //!   index), and a resolution holds only the index read lock, so it always
-//!   searches a consistent graph without copying it. Chain materialisation
-//!   re-checks the entry's content hash after reading its schemas and
-//!   retries on a mismatch, so a torn read across an interleaved schema
-//!   edit can never produce a segment whose hash disagrees with its
-//!   content.
+//!   searches a consistent graph without copying it. The chain driver
+//!   probes the memo cache on each link's stored hash and endpoints
+//!   ([`SharedCatalog::mapping_edge`], one shard read, nothing cloned but
+//!   two names) and materialises only the links it composes. Chain
+//!   materialisation reads the mapping under one shard read lock, then its
+//!   two schemas, and recombines the schemas' stored hashes with the
+//!   entry's constraint hash; a mismatch with the entry's hash is a torn
+//!   read across an interleaved schema edit and is retried, so a segment's
+//!   hash can never disagree with its content. Nothing is rendered to
+//!   check it.
 //! * **Dry runs** — [`SharedCatalog::validate_document`] checks a document
 //!   against the live shards, reading only the schemas its mappings name;
 //!   no request copies the whole store ([`SharedCatalog::snapshot`] is for
@@ -53,7 +58,7 @@ use crate::cache::ShardedMemoCache;
 use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, GraphIndex, PathCost};
-use crate::hash::{hash_mapping, hash_str, ContentHash};
+use crate::hash::{combine_mapping_hash, hash_str, ContentHash};
 use crate::session::{render_analysis_text, SessionConfig, SessionStats};
 use crate::store::{
     rehash_touching, upsert_mapping, upsert_schema, validate_document, Catalog, MappingEntry,
@@ -206,7 +211,7 @@ impl SharedCatalog {
         let touched = rehash_touching(
             mappings.into_iter().flat_map(|shard| shard.values_mut()),
             &name,
-            |schema| schemas[shard_index(schema, shard_count)].get(schema).map(|e| &e.signature),
+            |schema| schemas[shard_index(schema, shard_count)].get(schema).map(|e| e.hash),
         );
         (version, touched)
     }
@@ -231,15 +236,13 @@ impl SharedCatalog {
         involved.dedup();
         let mut guards: BTreeMap<usize, RwLockWriteGuard<'_, Shard>> =
             involved.iter().map(|&index| (index, write(&self.shards[index]))).collect();
-        let signature = |schema: &str| -> Result<&Signature, CatalogError> {
+        let schema = |schema: &str| -> Result<&SchemaEntry, CatalogError> {
             guards[&shard_index(schema, shard_count)]
                 .schemas
                 .get(schema)
-                .map(|entry| &entry.signature)
                 .ok_or_else(|| CatalogError::UnknownSchema(schema.to_string()))
         };
-        let endpoints = (signature(source)?, signature(target)?);
-        let entry = MappingEntry::new(name.clone(), source, target, endpoints, constraints)?;
+        let entry = MappingEntry::new(name.clone(), schema(source)?, schema(target)?, constraints)?;
         let home = guards.get_mut(&shard_index(&name, shard_count)).expect("home shard locked");
         let (version, changed) = upsert_mapping(&mut home.mappings, entry);
         if changed {
@@ -337,29 +340,45 @@ impl SharedCatalog {
 impl LinkSource for SharedCatalog {
     fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
         loop {
-            let entry = self.mapping(name)?;
-            let source = self.schema(&entry.source)?;
-            let target = self.schema(&entry.target)?;
+            // One shard read for the entry; released before the schema
+            // reads (a reader never holds two shard locks).
+            let ((hash, source, target), constraints, constraints_hash) = {
+                let shard = read(self.shard_of(name));
+                let entry = shard
+                    .mappings
+                    .get(name)
+                    .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
+                (entry.edge(), entry.constraints.clone(), entry.constraints_hash)
+            };
+            let source_schema = self.schema(&source)?;
+            let target_schema = self.schema(&target)?;
             // The three reads take their shard locks one at a time; an
             // interleaved schema edit (which rehashes its mappings
             // atomically) makes the entry's recorded hash disagree with the
-            // content just read — retry until the reads line up.
-            if hash_mapping(&source.signature, &target.signature, &entry.constraints) != entry.hash
+            // schema hashes just read — retry until the reads line up.
+            if combine_mapping_hash(source_schema.hash, target_schema.hash, constraints_hash)
+                != hash
             {
                 continue;
             }
-            let mapping =
-                Mapping::new(source.signature, target.signature, entry.constraints.clone());
             return Ok(ComposedChain {
-                source: entry.source,
-                target: entry.target,
-                path: vec![entry.name.clone()],
-                mapping,
+                source,
+                target,
+                path: vec![name.to_string()],
+                mapping: Mapping::new(
+                    source_schema.signature,
+                    target_schema.signature,
+                    constraints,
+                ),
                 residual: Signature::new(),
-                hash: entry.hash.0,
-                deps: BTreeSet::from([entry.name]),
+                hash: hash.0,
+                deps: BTreeSet::from([name.to_string()]),
             });
         }
+    }
+
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+        self.mapping_edge(name).ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
     }
 }
 

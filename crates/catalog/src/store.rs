@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use mapcomp_algebra::{ConstraintSet, Document, Mapping, Signature};
 
 use crate::error::CatalogError;
-use crate::hash::{hash_mapping, hash_signature, ContentHash};
+use crate::hash::{combine_mapping_hash, hash_constraints, hash_signature, ContentHash};
 
 /// A named, versioned schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,6 +48,10 @@ pub struct MappingEntry {
     pub target: String,
     /// Constraints over source ∪ target.
     pub constraints: ConstraintSet,
+    /// Content hash of the constraints alone: with the endpoint schemas'
+    /// hashes it recombines into `hash` without rendering anything (see
+    /// [`combine_mapping_hash`]).
+    pub constraints_hash: u64,
     /// Version, starting at 1 and bumped by every update.
     pub version: u64,
     /// Content hash of (source signature, target signature, constraints).
@@ -66,25 +70,27 @@ impl MappingEntry {
         (self.hash, self.source.clone(), self.target.clone())
     }
 
-    /// A mapping declaration, checked against its endpoint signatures and
-    /// hashed. Its version and history are assigned when it is stored (see
-    /// [`upsert_mapping`]).
+    /// A mapping declaration between two registered schemas, checked
+    /// against their signatures and hashed. This is the only place a
+    /// mapping's content is rendered to be hashed; every later rehash
+    /// recombines stored hashes. Its version and history are assigned when
+    /// it is stored (see [`upsert_mapping`]).
     pub(crate) fn new(
         name: String,
-        source: &str,
-        target: &str,
-        (source_sig, target_sig): (&Signature, &Signature),
+        source: &SchemaEntry,
+        target: &SchemaEntry,
         constraints: ConstraintSet,
     ) -> Result<MappingEntry, CatalogError> {
-        check_endpoints(source_sig, target_sig)?;
-        let hash = hash_mapping(source_sig, target_sig, &constraints);
+        check_endpoints(&source.signature, &target.signature)?;
+        let constraints_hash = hash_constraints(&constraints);
         Ok(MappingEntry {
             name,
-            source: source.to_string(),
-            target: target.to_string(),
+            source: source.name.clone(),
+            target: target.name.clone(),
             constraints,
+            constraints_hash,
             version: 0,
-            hash,
+            hash: combine_mapping_hash(source.hash, target.hash, constraints_hash),
             history: Vec::new(),
         })
     }
@@ -177,7 +183,7 @@ impl Catalog {
         }
         let schemas = &self.schemas;
         let touched = rehash_touching(self.mappings.values_mut(), &name, |schema| {
-            schemas.get(schema).map(|entry| &entry.signature)
+            schemas.get(schema).map(|entry| entry.hash)
         });
         (version, touched)
     }
@@ -193,8 +199,12 @@ impl Catalog {
         target: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let endpoints = (&self.schema(source)?.signature, &self.schema(target)?.signature);
-        let entry = MappingEntry::new(name.into(), source, target, endpoints, constraints)?;
+        let entry = MappingEntry::new(
+            name.into(),
+            self.schema(source)?,
+            self.schema(target)?,
+            constraints,
+        )?;
         Ok(upsert_mapping(&mut self.mappings, entry).0)
     }
 
@@ -328,23 +338,21 @@ pub(crate) fn upsert_schema(
 }
 
 /// The rehash after a schema edit: every mapping with `schema` as an
-/// endpoint is rehashed against the signatures `signature_of` returns
-/// (mappings with an unregistered endpoint are skipped). A changed hash
-/// bumps the mapping's version and appends to its history. Returns the
-/// rehashed mapping names, sorted.
-pub(crate) fn rehash_touching<'s, 'm>(
+/// endpoint is rehashed over the schema hashes `hash_of` returns (mappings
+/// with an unregistered endpoint are skipped) — recombined from stored
+/// hashes, nothing rendered. A changed hash bumps the mapping's version and
+/// appends to its history. Returns the rehashed mapping names, sorted.
+pub(crate) fn rehash_touching<'m>(
     mappings: impl Iterator<Item = &'m mut MappingEntry>,
     schema: &str,
-    signature_of: impl Fn(&str) -> Option<&'s Signature>,
+    hash_of: impl Fn(&str) -> Option<ContentHash>,
 ) -> Vec<String> {
     let mut touched = Vec::new();
     for entry in mappings.filter(|entry| entry.source == schema || entry.target == schema) {
-        let (Some(source), Some(target)) =
-            (signature_of(&entry.source), signature_of(&entry.target))
-        else {
+        let (Some(source), Some(target)) = (hash_of(&entry.source), hash_of(&entry.target)) else {
             continue;
         };
-        let hash = hash_mapping(source, target, &entry.constraints);
+        let hash = combine_mapping_hash(source, target, entry.constraints_hash);
         if hash != entry.hash {
             entry.version += 1;
             entry.hash = hash;

@@ -8,7 +8,10 @@
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
-use mapping_composition::catalog::{load_sidecar, save_cache, CatalogError, ChainOptions};
+use mapping_composition::catalog::hash::combine_mapping_hash;
+use mapping_composition::catalog::{
+    hash_mapping, load_sidecar, save_cache, CatalogError, ChainOptions,
+};
 use mapping_composition::prelude::*;
 
 /// A linear catalog v0 → v1 → … → v{hops} of unary copy mappings
@@ -284,4 +287,53 @@ fn content_addressing_survives_no_op_edits() {
     assert_eq!(version, 1, "identical content must not bump the version");
     assert_eq!(dropped, 0);
     assert_eq!(session.compose_path("v0", "v3").unwrap().compose_calls, 0);
+}
+
+/// Every mapping's stored parts — its endpoint schemas' hashes and its
+/// constraint hash — recombine to the hash of its rendered content, and
+/// that is the hash the entry carries.
+fn assert_stored_hashes_recombine(catalog: &Catalog, context: &str) {
+    assert!(catalog.mapping_count() > 0, "{context}: no mappings to check");
+    for entry in catalog.mappings() {
+        let source = catalog.schema(&entry.source).unwrap();
+        let target = catalog.schema(&entry.target).unwrap();
+        let rendered = hash_mapping(&source.signature, &target.signature, &entry.constraints);
+        let recombined = combine_mapping_hash(source.hash, target.hash, entry.constraints_hash);
+        assert_eq!(recombined, rendered, "{context}: `{}` recombines apart", entry.name);
+        assert_eq!(entry.hash, rendered, "{context}: `{}` carries a stale hash", entry.name);
+    }
+}
+
+/// `signature` plus one fresh relation: an edit that rehashes every mapping
+/// touching the schema.
+fn widened(signature: &Signature) -> Signature {
+    let mut widened = signature.clone();
+    widened.add_relation("Widened", 3);
+    widened
+}
+
+#[test]
+fn stored_hash_parts_recombine_before_and_after_schema_edits() {
+    for problem in problems() {
+        let mut catalog = Catalog::new();
+        catalog.from_document(&parse_document(problem.text).unwrap()).unwrap();
+        assert_stored_hashes_recombine(&catalog, problem.id);
+        let schema = catalog.mappings().next().unwrap().source.clone();
+        let signature = widened(&catalog.schema(&schema).unwrap().signature);
+        let (_, touched) = catalog.add_schema(schema, signature);
+        assert!(!touched.is_empty(), "{}: the edit must rehash a mapping", problem.id);
+        assert_stored_hashes_recombine(&catalog, &format!("{} after the edit", problem.id));
+    }
+
+    // A replayed evolution catalog, edited through the lock-striped store.
+    let config = ScenarioConfig { schema_size: 6, edits: 10, seed: 7, ..ScenarioConfig::default() };
+    let replay = replay_editing(&config).unwrap();
+    let shared = replay.session.catalog();
+    assert_stored_hashes_recombine(&shared.snapshot(), "replay");
+    let path = &replay.final_result.as_ref().unwrap().chain.path;
+    let schema = shared.mapping(&path[path.len() / 2]).unwrap().source;
+    let (_, touched) =
+        shared.add_schema(schema.clone(), widened(&shared.schema(&schema).unwrap().signature));
+    assert!(touched.len() >= 2, "a mid-chain schema touches both its links: {touched:?}");
+    assert_stored_hashes_recombine(&shared.snapshot(), "replay after the edit");
 }

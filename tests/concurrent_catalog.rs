@@ -30,8 +30,10 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use mapping_composition::catalog::hash::combine;
 use mapping_composition::catalog::{
-    graph, save_state, SharedSession, SidecarWriter, VersionManifest,
+    graph, hash_config, hash_mapping, save_state, ComposedChain, LinkSource, SharedSession,
+    SidecarWriter, VersionManifest,
 };
 use mapping_composition::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -609,6 +611,94 @@ fn analysis_reports_match_their_hash_while_edits_race() {
                         Some(&*report),
                         expected.get(&hash),
                         "analyzer {analyzer} round {round}: report does not describe {hash:?}"
+                    );
+                }
+            });
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Links racing schema edits: the shared store checks a link's consistency by
+// recombining stored hashes, so a link read across an interleaved schema edit
+// is retried, never returned with a hash that disagrees with its content.
+// ---------------------------------------------------------------------------
+
+/// The two signatures the writer flips the middle schema `mid` between.
+fn mid_signature(variant: usize) -> Signature {
+    match variant {
+        0 => Signature::from_arities([("S", 1)]),
+        _ => Signature::from_arities([("S", 1), ("X", 2)]),
+    }
+}
+
+/// `a --up--> mid --down--> b`, with `mid` at the given variant.
+fn flip_session(variant: usize, workers: usize) -> SharedSession {
+    let mut catalog = Catalog::new();
+    catalog.add_schema("a", Signature::from_arities([("R", 1)]));
+    catalog.add_schema("mid", mid_signature(variant));
+    catalog.add_schema("b", Signature::from_arities([("T", 1)]));
+    catalog.add_mapping("up", "a", "mid", parse_constraints("R <= S").unwrap()).unwrap();
+    catalog.add_mapping("down", "mid", "b", parse_constraints("S <= T").unwrap()).unwrap();
+    catalog.with_workers(workers)
+}
+
+/// A one-link chain's hash is the hash of the content it carries.
+fn assert_link_matches_its_hash(link: &ComposedChain, context: &str) {
+    let m = &link.mapping;
+    assert_eq!(
+        hash_mapping(&m.input, &m.output, &m.constraints).0,
+        link.hash,
+        "{context}: link `{}` carries a hash of other content",
+        link.path[0]
+    );
+}
+
+#[test]
+fn links_racing_schema_edits_match_their_hash() {
+    const READERS: usize = 2;
+    const ROUNDS: usize = 2_000;
+    // The oracle: a two-link chain's hash combines one revision of each
+    // link (the driver reads its links one at a time).
+    let config_hash = hash_config(&ComposeConfig::default());
+    let link_hashes: Vec<(u64, u64)> = (0..2)
+        .map(|variant| {
+            let catalog = flip_session(variant, 1).catalog().snapshot();
+            (catalog.mapping("up").unwrap().hash.0, catalog.mapping("down").unwrap().hash.0)
+        })
+        .collect();
+    let chain_hashes: Vec<u64> = link_hashes
+        .iter()
+        .flat_map(|&(up, _)| {
+            link_hashes.iter().map(move |&(_, down)| combine(&[up, down, config_hash]))
+        })
+        .collect();
+
+    let session = flip_session(0, READERS + 1);
+    let chain = vec!["up".to_string(), "down".to_string()];
+    std::thread::scope(|scope| {
+        let writer = &session;
+        scope.spawn(move || {
+            for round in 0..ROUNDS {
+                writer.add_schema("mid", mid_signature((round + 1) % 2));
+            }
+        });
+        for reader in 0..READERS {
+            let (session, chain, chain_hashes) = (&session, &chain, &chain_hashes);
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    let context = format!("reader {reader} round {round}");
+                    for name in ["up", "down"] {
+                        let link = session.catalog().link(name).unwrap();
+                        assert_link_matches_its_hash(&link, &context);
+                    }
+                    let single = session.compose_names(&chain[..1]).unwrap();
+                    assert_link_matches_its_hash(&single.chain, &context);
+                    let both = session.compose_names(chain).unwrap();
+                    assert!(
+                        chain_hashes.contains(&both.chain.hash),
+                        "{context}: chain hash {:016x} combines no revision pair",
+                        both.chain.hash
                     );
                 }
             });
