@@ -250,13 +250,14 @@ impl ConstraintSet {
     /// Remove exact duplicate constraints (keeping first occurrences) and
     /// trivially true constraints `E ⊆ E` / `E = E`.
     pub fn dedup(&mut self) -> &mut Self {
-        let mut seen = BTreeSet::new();
-        self.constraints.retain(|c| {
-            if c.lhs == c.rhs {
-                return false;
-            }
-            seen.insert(c.clone())
-        });
+        // Survivors are marked over references first, so no constraint is
+        // cloned into the seen-set.
+        let keep: Vec<bool> = {
+            let mut seen = BTreeSet::new();
+            self.constraints.iter().map(|c| c.lhs != c.rhs && seen.insert(c)).collect()
+        };
+        let mut keep = keep.into_iter();
+        self.constraints.retain(|_| keep.next() == Some(true));
         self
     }
 
@@ -315,6 +316,15 @@ mod tests {
 
     fn sig() -> Signature {
         Signature::from_arities([("R", 1), ("S", 1), ("T", 1)])
+    }
+
+    #[test]
+    fn dedup_keeps_first_occurrences_in_order_and_drops_trivial_constraints() {
+        let parse = |text: &str| crate::parse::parse_constraints(text).unwrap();
+        let mut set = parse("S <= T; R <= S; S = S; S <= T; R <= R; T = R; R <= S");
+        set.dedup();
+        assert_eq!(set, parse("S <= T; R <= S; T = R"));
+        assert_eq!(set.to_string(), parse("S <= T; R <= S; T = R").to_string());
     }
 
     #[test]

@@ -26,10 +26,10 @@ use mapcomp_bench::{
     chain_cache_experiment, chase_scaling_experiment, concurrent_sessions_experiment,
     connection_sweep_experiment, corpus_report, differential_update_experiment, edit_count_sweep,
     editing_experiment, format_row, inclusion_sweep, persistence_experiment,
-    replication_catchup_experiment, replication_read_experiment, schema_size_sweep,
-    service_throughput_experiment,
+    replication_catchup_experiment, replication_read_experiment, residual_chain_point,
+    schema_size_sweep, service_throughput_experiment,
     trajectory::{parse_scale, BenchDoc, BenchValue},
-    Configuration, ReplicationReadPoint, Scale, FIGURE5_PRIMITIVES,
+    Configuration, ReplicationReadPoint, Scale, FIGURE5_PRIMITIVES, RESIDUAL_CHAIN_SEED,
 };
 use mapcomp_compose::ComposeConfig;
 use mapcomp_evolution::{run_editing, PrimitiveKind, ScenarioConfig};
@@ -412,6 +412,27 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("incremental_links", BenchValue::U64(point.incremental_links as u64)),
         ]);
     }
+    let point = residual_chain_point();
+    println!(
+        "residual chain (seed {RESIDUAL_CHAIN_SEED}): {} links, {} residual; ELIMINATE runs / \
+         unchanged skips: cold {} / {}, incremental {} / {}",
+        point.chain_len,
+        point.residual_symbols,
+        point.cold_attempts,
+        point.cold_skips,
+        point.incremental_attempts,
+        point.incremental_skips
+    );
+    doc.push_point(vec![
+        ("links", BenchValue::U64(point.chain_len as u64)),
+        ("residual_symbols", BenchValue::U64(point.residual_symbols as u64)),
+        ("cold_calls", BenchValue::U64(point.cold_calls as u64)),
+        ("cold_attempts", BenchValue::U64(point.cold_attempts as u64)),
+        ("cold_skips", BenchValue::U64(point.cold_skips as u64)),
+        ("incremental_calls", BenchValue::U64(point.incremental_calls as u64)),
+        ("incremental_attempts", BenchValue::U64(point.incremental_attempts as u64)),
+        ("incremental_skips", BenchValue::U64(point.incremental_skips as u64)),
+    ]);
     doc
 }
 

@@ -427,6 +427,17 @@ pub struct ChainCachePoint {
     /// Links the incremental recompose materialised: the ones it folded
     /// alone.
     pub incremental_links: usize,
+    /// Residual symbols of the composed chain.
+    pub residual_symbols: usize,
+    /// ELIMINATE runs of the cold fold.
+    pub cold_attempts: usize,
+    /// Residuals the cold fold skipped because their constraints were
+    /// unchanged.
+    pub cold_skips: usize,
+    /// ELIMINATE runs of the incremental recompose.
+    pub incremental_attempts: usize,
+    /// Residuals the incremental recompose skipped.
+    pub incremental_skips: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -480,40 +491,60 @@ pub fn chain_cache_experiment(scale: Scale, base_seed: u64) -> Vec<ChainCachePoi
     chain_lengths(scale)
         .into_iter()
         .enumerate()
-        .filter_map(|(index, edits)| {
-            let (session, path) = chain_fixture(edits, base_seed + index as u64);
-            if path.len() < 2 {
-                return None;
-            }
-            // Cold: a fresh session over the same catalog.
-            let cold_session = mapcomp_catalog::SharedSession::new(session.catalog().snapshot());
-            let started = std::time::Instant::now();
-            let cold = cold_session.compose_names(&path).expect("cold chain composes");
-            let cold_time = started.elapsed();
-
-            // Warm: the replayed session already composed this chain.
-            let warm = session.compose_names(&path).expect("warm chain composes");
-
-            // Incremental: edit the middle link, recompose.
-            let middle = path[path.len() / 2].clone();
-            let variant = edited_variant(&session, &middle);
-            session.update_mapping(&middle, variant).expect("edit applies");
-            let started = std::time::Instant::now();
-            let incremental = session.compose_names(&path).expect("incremental chain composes");
-            let incremental_time = started.elapsed();
-
-            Some(ChainCachePoint {
-                chain_len: path.len(),
-                cold_calls: cold.compose_calls,
-                cold_time,
-                incremental_calls: incremental.compose_calls,
-                incremental_time,
-                warm_calls: warm.compose_calls,
-                warm_links: warm.links_materialized,
-                incremental_links: incremental.links_materialized,
-            })
-        })
+        .filter_map(|(index, edits)| chain_cache_point(edits, base_seed + index as u64))
         .collect()
+}
+
+/// The seed of Figure 8's residual point: its 8-link editing chain keeps one
+/// residual symbol over every fold step (the length sweep's chains keep
+/// none), so its folds exercise the unchanged-residual skip.
+pub const RESIDUAL_CHAIN_SEED: u64 = 8009;
+
+/// Figure 8's residual point: the 8-link chain of [`RESIDUAL_CHAIN_SEED`].
+pub fn residual_chain_point() -> ChainCachePoint {
+    chain_cache_point(8, RESIDUAL_CHAIN_SEED).expect("the residual chain has links")
+}
+
+/// One Figure 8 point: cold, warm and incremental (middle link edited)
+/// recomposition of the editing chain of `edits` links built from `seed`;
+/// `None` when the chain has fewer than two links.
+fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
+    let (session, path) = chain_fixture(edits, seed);
+    if path.len() < 2 {
+        return None;
+    }
+    // Cold: a fresh session over the same catalog.
+    let cold_session = mapcomp_catalog::SharedSession::new(session.catalog().snapshot());
+    let started = std::time::Instant::now();
+    let cold = cold_session.compose_names(&path).expect("cold chain composes");
+    let cold_time = started.elapsed();
+
+    // Warm: the replayed session already composed this chain.
+    let warm = session.compose_names(&path).expect("warm chain composes");
+
+    // Incremental: edit the middle link, recompose.
+    let middle = path[path.len() / 2].clone();
+    let variant = edited_variant(&session, &middle);
+    session.update_mapping(&middle, variant).expect("edit applies");
+    let started = std::time::Instant::now();
+    let incremental = session.compose_names(&path).expect("incremental chain composes");
+    let incremental_time = started.elapsed();
+
+    Some(ChainCachePoint {
+        chain_len: path.len(),
+        cold_calls: cold.compose_calls,
+        cold_time,
+        incremental_calls: incremental.compose_calls,
+        incremental_time,
+        warm_calls: warm.compose_calls,
+        warm_links: warm.links_materialized,
+        incremental_links: incremental.links_materialized,
+        residual_symbols: cold.chain.residual.len(),
+        cold_attempts: cold.elimination_attempts,
+        cold_skips: cold.unchanged_skips,
+        incremental_attempts: incremental.elimination_attempts,
+        incremental_skips: incremental.unchanged_skips,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2150,5 +2181,13 @@ mod tests {
                 point.cold_calls
             );
         }
+    }
+
+    #[test]
+    fn residual_chain_skips_its_unchanged_residual() {
+        let point = residual_chain_point();
+        assert_eq!((point.chain_len, point.residual_symbols), (8, 1));
+        // Fold steps after the residual first fails skip it.
+        assert!(point.cold_skips > 0 && point.incremental_skips > 0, "{point:?}");
     }
 }

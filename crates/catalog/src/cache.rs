@@ -678,7 +678,7 @@ mod tests {
     use mapcomp_algebra::{Mapping, Signature};
 
     fn segment(name: &str, deps: &[&str], hash: u64) -> ComposedChain {
-        ComposedChain {
+        crate::chain::ChainSegment {
             source: "a".into(),
             target: "b".into(),
             path: vec![name.to_string()],
@@ -687,6 +687,7 @@ mod tests {
             hash,
             deps: deps.iter().map(std::string::ToString::to_string).collect(),
         }
+        .into()
     }
 
     #[test]

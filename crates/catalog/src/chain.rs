@@ -23,14 +23,27 @@
 //! edited between probe and fold is keyed by the content actually composed.
 //!
 //! Intermediate symbols that resist elimination ride along in the
-//! [`ComposedChain::residual`] signature and are retried at every later fold
-//! step, mirroring how the paper's editing scenario recovers leftover
-//! symbols in later compositions.
+//! [`ChainSegment::residual`] signature and are retried at a later fold step
+//! when their constraints changed, mirroring how the paper's editing
+//! scenario recovers leftover symbols in later compositions. Each segment
+//! keeps, in memory only, the fingerprint of what each residual symbol
+//! failed on ([`ComposedChain::known_failures`]); a fold step whose inputs
+//! leave a symbol's constraints unchanged reports it failed again without
+//! re-running ELIMINATE, with the same result. A segment restored from the
+//! sidecar has no fingerprints and retries everything once.
+//!
+//! A composed segment is an immutable value shared by reference: the memo
+//! cache, the fold accumulator and every reader hold the same allocation,
+//! and cloning a [`ComposedChain`] bumps a reference count.
 
 use std::collections::BTreeSet;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use mapcomp_algebra::{AlgebraError, ConstraintSet, Mapping, Signature};
-use mapcomp_compose::{compose_constraints, ComposeConfig, Registry};
+use mapcomp_compose::{
+    compose_constraints_skipping, ComposeConfig, ComposeStats, KnownFailure, Registry,
+};
 
 use crate::cache::ChainCache;
 use crate::error::CatalogError;
@@ -61,12 +74,14 @@ impl LinkSource for Catalog {
     }
 }
 
-/// A (partially) composed chain segment: a mapping from the path's source
-/// schema to its target schema, plus any intermediate symbols that survived
-/// elimination, the content hash identifying the segment, and the set of
-/// catalog mappings it was composed from (its provenance).
-#[derive(Debug, Clone)]
-pub struct ComposedChain {
+/// The content of a (partially) composed chain segment: a mapping from the
+/// path's source schema to its target schema, plus any intermediate symbols
+/// that survived elimination, the content hash identifying the segment, and
+/// the set of catalog mappings it was composed from (its provenance). It
+/// has no `Clone`: a segment is shared through [`ComposedChain`], never
+/// copied.
+#[derive(Debug)]
+pub struct ChainSegment {
     /// Source schema name.
     pub source: String,
     /// Target schema name.
@@ -84,7 +99,69 @@ pub struct ComposedChain {
     pub deps: BTreeSet<String>,
 }
 
+/// A composed chain segment, shared by reference: an immutable
+/// [`ChainSegment`] (its fields read through `Deref`) plus the in-memory
+/// [`KnownFailure`]s of its residual symbols. Cloning is a reference-count
+/// bump.
+#[derive(Debug, Clone)]
+pub struct ComposedChain(Arc<Composed>);
+
+#[derive(Debug)]
+struct Composed {
+    segment: ChainSegment,
+    failures: Box<[KnownFailure]>,
+}
+
+impl Deref for ComposedChain {
+    type Target = ChainSegment;
+
+    fn deref(&self) -> &ChainSegment {
+        &self.0.segment
+    }
+}
+
+/// A segment with no known failures: a link, or a segment restored from the
+/// sidecar or a wire payload.
+impl From<ChainSegment> for ComposedChain {
+    fn from(segment: ChainSegment) -> Self {
+        ComposedChain::new(segment, Box::default())
+    }
+}
+
 impl ComposedChain {
+    fn new(segment: ChainSegment, failures: Box<[KnownFailure]>) -> Self {
+        ComposedChain(Arc::new(Composed { segment, failures }))
+    }
+
+    /// Do both handles share one allocation?
+    pub fn ptr_eq(a: &ComposedChain, b: &ComposedChain) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+
+    /// What each residual symbol failed on, for the fold step that retries
+    /// it. Never persisted.
+    pub fn known_failures(&self) -> &[KnownFailure] {
+        &self.0.failures
+    }
+
+    /// Lift a single catalog mapping into a one-link chain.
+    pub fn from_entry(catalog: &Catalog, name: &str) -> Result<Self, CatalogError> {
+        let entry = catalog.mapping(name)?;
+        let mapping = catalog.materialize(name)?;
+        Ok(ChainSegment {
+            source: entry.source.clone(),
+            target: entry.target.clone(),
+            path: vec![entry.name.clone()],
+            mapping,
+            residual: Signature::new(),
+            hash: entry.hash.0,
+            deps: BTreeSet::from([entry.name.clone()]),
+        }
+        .into())
+    }
+}
+
+impl ChainSegment {
     /// Did every intermediate symbol get eliminated?
     pub fn is_complete(&self) -> bool {
         self.residual.is_empty()
@@ -101,21 +178,6 @@ impl ComposedChain {
             target.add(name.to_string(), info.clone());
         }
         Ok((full, target))
-    }
-
-    /// Lift a single catalog mapping into a one-link chain.
-    pub fn from_entry(catalog: &Catalog, name: &str) -> Result<Self, CatalogError> {
-        let entry = catalog.mapping(name)?;
-        let mapping = catalog.materialize(name)?;
-        Ok(ComposedChain {
-            source: entry.source.clone(),
-            target: entry.target.clone(),
-            path: vec![entry.name.clone()],
-            mapping,
-            residual: Signature::new(),
-            hash: entry.hash.0,
-            deps: BTreeSet::from([entry.name.clone()]),
-        })
     }
 }
 
@@ -145,6 +207,13 @@ pub struct ChainResult {
     /// [`LinkSource::link`] calls the fold made: one per link it folded
     /// alone (a warm chain served from the memo cache materialises none).
     pub links_materialized: usize,
+    /// ELIMINATE runs over this request's pairwise compositions
+    /// ([`ComposeStats::elimination_attempts`]).
+    pub elimination_attempts: usize,
+    /// Residual symbols reported failed without re-running ELIMINATE,
+    /// because their constraints were unchanged
+    /// ([`ComposeStats::unchanged_skips`]).
+    pub unchanged_skips: usize,
 }
 
 impl ChainResult {
@@ -155,15 +224,16 @@ impl ChainResult {
 }
 
 /// Compose two adjacent chain segments, eliminating the shared schema's
-/// symbols (and retrying residuals from both sides). Increments
-/// `compose_calls` by exactly one.
+/// symbols and retrying residuals from both sides — except a residual whose
+/// constraints are unchanged since it last failed, which is reported failed
+/// again without re-running ELIMINATE. Returns the composed segment and the
+/// statistics of its one pairwise composition.
 pub fn compose_pair(
     left: &ComposedChain,
     right: &ComposedChain,
     registry: &Registry,
     config: &ComposeConfig,
-    compose_calls: &mut usize,
-) -> Result<ComposedChain, CatalogError> {
+) -> Result<(ComposedChain, ComposeStats), CatalogError> {
     if left.target != right.source {
         return Err(CatalogError::ChainMismatch {
             left: left.path.last().cloned().unwrap_or_default(),
@@ -202,8 +272,9 @@ pub fn compose_pair(
     let mut constraints = left.mapping.constraints.clone().into_vec();
     constraints.extend(right.mapping.constraints.clone().into_vec());
 
-    *compose_calls += 1;
-    let result = compose_constraints(&full, &symbols, constraints, registry, config);
+    let known = [left.known_failures(), right.known_failures()];
+    let result =
+        compose_constraints_skipping(&full, &symbols, constraints, registry, config, &known);
 
     let mut residual = Signature::new();
     for name in &result.remaining {
@@ -212,18 +283,20 @@ pub fn compose_pair(
         }
     }
 
+    // The segment is stored and shared as is: no spare capacity.
+    let mut constraints = result.constraints.into_vec();
+    constraints.shrink_to_fit();
     let mapping = Mapping::new(
         left.mapping.input.clone(),
         right.mapping.output.clone(),
-        ConstraintSet::from_constraints(result.constraints),
+        ConstraintSet::from_constraints(constraints),
     );
 
-    let mut path = left.path.clone();
-    path.extend(right.path.iter().cloned());
+    let path: Vec<String> = left.path.iter().chain(&right.path).cloned().collect();
     let mut deps = left.deps.clone();
     deps.extend(right.deps.iter().cloned());
 
-    Ok(ComposedChain {
+    let segment = ChainSegment {
         source: left.source.clone(),
         target: right.target.clone(),
         path,
@@ -231,7 +304,8 @@ pub fn compose_pair(
         residual,
         hash: combine(&[left.hash, right.hash, hash_config(config)]),
         deps,
-    })
+    };
+    Ok((ComposedChain::new(segment, result.failures.into_boxed_slice()), result.stats))
 }
 
 /// Compose a chain of catalog mappings (given by name, adjacent pairs must
@@ -255,14 +329,8 @@ where
     assert!(!names.is_empty(), "compose_chain_with requires at least one mapping");
     if names.len() == 1 {
         let chain = store.link(&names[0])?;
-        let plan = vec![1];
-        return Ok(ChainResult {
-            chain,
-            compose_calls: 0,
-            cache_hits: 0,
-            plan,
-            links_materialized: 1,
-        });
+        let tally = Tally { links_materialized: 1, ..Tally::default() };
+        return Ok(tally.finish(chain, vec![1]));
     }
     let edges: Vec<(ContentHash, String, String)> =
         names.iter().map(|name| store.link_edge(name)).collect::<Result<_, _>>()?;
@@ -280,9 +348,7 @@ where
 
     let hashes: Vec<u64> = edges.iter().map(|(hash, _, _)| hash.0).collect();
     let config_hash = hash_config(config);
-    let mut compose_calls = 0usize;
-    let mut cache_hits = 0usize;
-    let mut links_materialized = 0usize;
+    let mut tally = Tally::default();
     let mut plan = Vec::new();
 
     // Greedy run absorption: at each position, take the longest contiguous
@@ -300,11 +366,11 @@ where
         // more.
         let (run_len, run) = match run_key.and_then(|key| cache.cache_lookup(key)) {
             Some(chain) => {
-                cache_hits += 1;
+                tally.cache_hits += 1;
                 (run_len, chain)
             }
             None => {
-                links_materialized += 1;
+                tally.links_materialized += 1;
                 (1, store.link(&names[position])?)
             }
         };
@@ -313,16 +379,7 @@ where
         let run_label = run.path.first().cloned().unwrap_or_default();
         let joined = match acc {
             None => run,
-            Some(left) => fold_step(
-                &left,
-                &run,
-                cache,
-                registry,
-                config,
-                config_hash,
-                &mut compose_calls,
-                &mut cache_hits,
-            )?,
+            Some(left) => fold_step(&left, &run, cache, registry, config, config_hash, &mut tally)?,
         };
         // Strictness is checked here, after every step — including segments
         // served whole from the memo cache, which may have been composed
@@ -336,8 +393,31 @@ where
         acc = Some(joined);
     }
 
-    let chain = acc.expect("non-empty chain");
-    Ok(ChainResult { chain, compose_calls, cache_hits, plan, links_materialized })
+    Ok(tally.finish(acc.expect("non-empty chain"), plan))
+}
+
+/// The work counters of one fold, reported in its [`ChainResult`].
+#[derive(Default)]
+struct Tally {
+    compose_calls: usize,
+    cache_hits: usize,
+    links_materialized: usize,
+    elimination_attempts: usize,
+    unchanged_skips: usize,
+}
+
+impl Tally {
+    fn finish(self, chain: ComposedChain, plan: Vec<usize>) -> ChainResult {
+        ChainResult {
+            chain,
+            compose_calls: self.compose_calls,
+            cache_hits: self.cache_hits,
+            plan,
+            links_materialized: self.links_materialized,
+            elimination_attempts: self.elimination_attempts,
+            unchanged_skips: self.unchanged_skips,
+        }
+    }
 }
 
 /// Longest contiguous run of links starting at `start` that is memoised as a
@@ -366,7 +446,6 @@ fn longest_cached_run<C: ChainCache + ?Sized>(
 /// One fold step: serve from the memo cache or compose and memoise. The
 /// result is cached even when incomplete — completeness policy is applied
 /// by the caller, uniformly for cached and fresh segments.
-#[allow(clippy::too_many_arguments)]
 fn fold_step<C: ChainCache + ?Sized>(
     left: &ComposedChain,
     right: &ComposedChain,
@@ -374,15 +453,17 @@ fn fold_step<C: ChainCache + ?Sized>(
     registry: &Registry,
     config: &ComposeConfig,
     config_hash: u64,
-    compose_calls: &mut usize,
-    cache_hits: &mut usize,
+    tally: &mut Tally,
 ) -> Result<ComposedChain, CatalogError> {
     let key = (left.hash, right.hash, config_hash);
     if let Some(cached) = cache.cache_lookup(key) {
-        *cache_hits += 1;
+        tally.cache_hits += 1;
         return Ok(cached);
     }
-    let composed = compose_pair(left, right, registry, config, compose_calls)?;
+    let (composed, stats) = compose_pair(left, right, registry, config)?;
+    tally.compose_calls += 1;
+    tally.elimination_attempts += stats.elimination_attempts;
+    tally.unchanged_skips += stats.unchanged_skips;
     cache.cache_insert(key, composed.clone());
     Ok(composed)
 }

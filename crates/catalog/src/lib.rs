@@ -103,7 +103,8 @@ pub use cache::{
     CacheEvent, CacheStats, ChainCache, MemoCache, MemoEntry, MemoKey, ShardedMemoCache,
 };
 pub use chain::{
-    compose_chain_with, compose_pair, ChainOptions, ChainResult, ComposedChain, LinkSource,
+    compose_chain_with, compose_pair, ChainOptions, ChainResult, ChainSegment, ComposedChain,
+    LinkSource,
 };
 pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};

@@ -69,7 +69,7 @@ use std::time::Duration;
 use mapcomp_algebra::{parse_document, ConstraintSet, Document, Mapping, Signature};
 
 use crate::cache::{CacheStats, MemoCache, MemoKey};
-use crate::chain::ComposedChain;
+use crate::chain::{ChainSegment, ComposedChain};
 use crate::error::CatalogError;
 use crate::lock::FileLock;
 use crate::store::Catalog;
@@ -806,8 +806,8 @@ pub fn load_sidecar(text: &str) -> SidecarState {
             continue;
         }
         let Some((mapping, residual)) = parse_chain_document(&document_text) else { continue };
-        let chain = ComposedChain { source, target, path, mapping, residual, hash, deps };
-        state.cache.insert((left, right, config), chain);
+        let chain = ChainSegment { source, target, path, mapping, residual, hash, deps };
+        state.cache.insert((left, right, config), chain.into());
     }
     // The accumulated counters already include the insertions replayed
     // above; restoring last keeps them cumulative rather than

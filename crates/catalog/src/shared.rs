@@ -55,7 +55,7 @@ use mapcomp_analysis::AnalysisReport;
 use mapcomp_compose::Registry;
 
 use crate::cache::ShardedMemoCache;
-use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
+use crate::chain::{compose_chain_with, ChainResult, ChainSegment, ComposedChain, LinkSource};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, GraphIndex, PathCost};
 use crate::hash::{combine_mapping_hash, hash_str, ContentHash};
@@ -361,7 +361,7 @@ impl LinkSource for SharedCatalog {
             {
                 continue;
             }
-            return Ok(ComposedChain {
+            return Ok(ChainSegment {
                 source,
                 target,
                 path: vec![name.to_string()],
@@ -373,7 +373,8 @@ impl LinkSource for SharedCatalog {
                 residual: Signature::new(),
                 hash: hash.0,
                 deps: BTreeSet::from([name.to_string()]),
-            });
+            }
+            .into());
         }
     }
 

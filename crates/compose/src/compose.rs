@@ -6,12 +6,22 @@
 //! output signature (§1.3). The driver also implements the size-blow-up abort
 //! of §4.2 ("the algorithm aborts whenever the output-to-input size ratio
 //! exceeds a certain factor (100, in our study)").
+//!
+//! Best-effort composition keeps the symbols it cannot remove, and a chain
+//! of compositions retries them at later steps. A failed elimination is
+//! therefore recorded as a [`KnownFailure`]: a fingerprint of everything its
+//! outcome depends on. [`compose_constraints_skipping`] reports a symbol
+//! whose fingerprint is unchanged as failed again without re-running
+//! ELIMINATE — the skip is exact, not a heuristic.
 
+use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 use mapcomp_algebra::{AlgebraError, CompositionTask, Constraint, ConstraintSet, Signature};
 
-use crate::eliminate::eliminate;
+use crate::eliminate::{deciding_constraints, eliminate};
 use crate::outcome::{EliminateFailure, EliminateStep, FailureReason};
 use crate::registry::Registry;
 
@@ -107,6 +117,12 @@ pub struct ComposeStats {
     pub symbols_eliminated: usize,
     /// Eliminations aborted by the blow-up check.
     pub blowup_aborts: usize,
+    /// ELIMINATE runs: symbols that some constraint mentioned and that were
+    /// not skipped.
+    pub elimination_attempts: usize,
+    /// Symbols reported failed without running ELIMINATE, because they
+    /// already failed on constraints with the same fingerprint.
+    pub unchanged_skips: usize,
     /// Per-symbol reports in elimination order.
     pub per_symbol: Vec<SymbolReport>,
     /// Total wall-clock time of the run.
@@ -152,8 +168,69 @@ pub struct ComposeResult {
     pub eliminated: Vec<String>,
     /// σ2 symbols that remain in the output.
     pub remaining: Vec<String>,
+    /// The known failures of remaining symbols, in elimination order, for a
+    /// later composition that retries them. A symbol whose failure cannot be
+    /// fingerprinted (a blow-up abort) has no entry.
+    pub failures: Vec<KnownFailure>,
     /// Run statistics.
     pub stats: ComposeStats,
+}
+
+/// A failed elimination, recorded so a later composition can skip the
+/// symbol while its constraints stay the same. Known failures live in memory
+/// only: a fingerprint is not stable across builds, and losing one costs a
+/// retry, never correctness.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KnownFailure {
+    /// The symbol that failed.
+    pub symbol: String,
+    /// Fingerprint of the constraints it failed on, the arities they use
+    /// and the elimination switches.
+    pub fingerprint: u64,
+    /// What ELIMINATE reported on them.
+    pub failure: EliminateFailure,
+}
+
+/// Fingerprint of everything whether ELIMINATE fails for `symbol` depends
+/// on: the symbol, the constraints that mention it (in order), the signature
+/// entries of the relations those constraints mention, and the elimination
+/// switches (the operator registry is fixed per session). `None` when the
+/// outcome is not decided by those constraints alone (see
+/// `deciding_constraints`).
+fn failure_fingerprint(
+    constraints: &[Constraint],
+    symbol: &str,
+    signature: &Signature,
+    config: &ComposeConfig,
+) -> Option<u64> {
+    let own = deciding_constraints(constraints, symbol)?;
+    let mut hasher = DefaultHasher::new();
+    symbol.hash(&mut hasher);
+    own.hash(&mut hasher);
+    let relations: BTreeSet<String> = own.iter().flat_map(|c| c.relations()).collect();
+    for name in &relations {
+        name.hash(&mut hasher);
+        signature.get(name).map(|info| (info.arity, &info.key)).hash(&mut hasher);
+    }
+    (config.enable_view_unfolding, config.enable_left_compose, config.enable_right_compose)
+        .hash(&mut hasher);
+    Some(hasher.finish())
+}
+
+/// The recorded failure of `symbol` on exactly its current constraints. The
+/// fingerprint is computed only for a symbol with a record.
+fn known_failure<'a>(
+    known: &[&'a [KnownFailure]],
+    constraints: &[Constraint],
+    symbol: &str,
+    signature: &Signature,
+    config: &ComposeConfig,
+) -> Option<&'a KnownFailure> {
+    let mut recorded =
+        known.iter().flat_map(|failures| failures.iter()).filter(|k| k.symbol == symbol).peekable();
+    recorded.peek()?;
+    let fingerprint = failure_fingerprint(constraints, symbol, signature, config)?;
+    recorded.find(|k| k.fingerprint == fingerprint)
 }
 
 impl ComposeResult {
@@ -178,13 +255,30 @@ pub fn compose(
 /// Lower-level driver: eliminate the listed symbols from a constraint set
 /// over the full signature. Used directly by the schema-evolution simulator,
 /// which maintains a running constraint set rather than two separate
-/// mappings.
+/// mappings. The same as [`compose_constraints_skipping`] with no known
+/// failures.
 pub fn compose_constraints(
     full_signature: &Signature,
     symbols: &[String],
     constraints: Vec<Constraint>,
     registry: &Registry,
     config: &ComposeConfig,
+) -> ComposeResult {
+    compose_constraints_skipping(full_signature, symbols, constraints, registry, config, &[])
+}
+
+/// [`compose_constraints`] that skips a symbol already known to fail: when
+/// one of `known` records a failure of the symbol whose fingerprint matches
+/// its constraints at the time it comes up, the symbol is reported failed
+/// with the recorded reasons instead of running ELIMINATE again. The result
+/// is the same as without the skip.
+pub fn compose_constraints_skipping(
+    full_signature: &Signature,
+    symbols: &[String],
+    constraints: Vec<Constraint>,
+    registry: &Registry,
+    config: &ComposeConfig,
+    known: &[&[KnownFailure]],
 ) -> ComposeResult {
     let started = Instant::now();
     let mut stats = ComposeStats {
@@ -199,6 +293,7 @@ pub fn compose_constraints(
     let mut signature = full_signature.clone();
     let mut eliminated = Vec::new();
     let mut remaining = Vec::new();
+    let mut failures = Vec::new();
 
     for symbol in symbols {
         stats.symbols_attempted += 1;
@@ -218,6 +313,19 @@ pub fn compose_constraints(
             continue;
         }
 
+        if let Some(known) = known_failure(known, &current, symbol, &signature, config) {
+            stats.unchanged_skips += 1;
+            failures.push(known.clone());
+            remaining.push(symbol.clone());
+            stats.per_symbol.push(SymbolReport {
+                symbol: symbol.clone(),
+                outcome: SymbolOutcome::Failed(known.failure.clone()),
+                duration: symbol_start.elapsed(),
+            });
+            continue;
+        }
+
+        stats.elimination_attempts += 1;
         let outcome = match eliminate(&current, symbol, &signature, registry, config) {
             Ok(success) => {
                 let output_ops: usize = success.constraints.iter().map(Constraint::op_count).sum();
@@ -237,7 +345,14 @@ pub fn compose_constraints(
                     }
                 }
             }
-            Err(failure) => SymbolOutcome::Failed(failure),
+            Err(failure) => {
+                if let Some(fingerprint) = failure_fingerprint(&current, symbol, &signature, config)
+                {
+                    let symbol = symbol.clone();
+                    failures.push(KnownFailure { symbol, fingerprint, failure: failure.clone() });
+                }
+                SymbolOutcome::Failed(failure)
+            }
         };
 
         if outcome.is_eliminated() {
@@ -262,6 +377,7 @@ pub fn compose_constraints(
         constraints: ConstraintSet::from_constraints(current),
         eliminated,
         remaining,
+        failures,
         stats,
     }
 }
@@ -344,6 +460,62 @@ mod tests {
         assert!(!result.signature.contains("S1"));
         assert!((result.stats.fraction_eliminated() - 0.5).abs() < f64::EPSILON);
         assert!(!result.is_complete());
+    }
+
+    #[test]
+    fn known_failures_skip_unchanged_symbols_with_the_same_result() {
+        let sig = Signature::from_arities([("R", 2), ("S1", 2), ("S2", 2), ("T", 2)]);
+        let constraints = parse_constraints("R <= S1; S1 <= T; R <= S2; S2 = tc(S2); S2 <= T")
+            .unwrap()
+            .into_vec();
+        let symbols = ["S1".to_string(), "S2".to_string()];
+        let config = ComposeConfig::default();
+        let plain = compose_constraints(&sig, &symbols, constraints.clone(), &registry(), &config);
+        assert_eq!(plain.failures.len(), 1);
+        assert_eq!(plain.failures[0].symbol, "S2");
+        assert_eq!((plain.stats.elimination_attempts, plain.stats.unchanged_skips), (2, 0));
+
+        // S2 failed on `R <= S2; S2 = tc(S2); S2 <= T`, which eliminating S1
+        // leaves as they were: the retry is skipped, with the same outcome.
+        let known = [plain.failures.as_slice()];
+        let skipping = compose_constraints_skipping(
+            &sig,
+            &symbols,
+            constraints.clone(),
+            &registry(),
+            &config,
+            &known,
+        );
+        assert_eq!((skipping.stats.elimination_attempts, skipping.stats.unchanged_skips), (1, 1));
+        assert_eq!(skipping.constraints, plain.constraints);
+        assert_eq!((&skipping.remaining, &skipping.failures), (&plain.remaining, &plain.failures));
+        let outcomes = |result: &ComposeResult| -> Vec<SymbolOutcome> {
+            result.stats.per_symbol.iter().map(|report| report.outcome.clone()).collect()
+        };
+        assert_eq!(outcomes(&skipping), outcomes(&plain));
+
+        // Other switches are another fingerprint: S2 is attempted again.
+        let ablated = ComposeConfig::without_right_compose();
+        let retried = compose_constraints_skipping(
+            &sig,
+            &symbols,
+            constraints,
+            &registry(),
+            &ablated,
+            &known,
+        );
+        assert_eq!((retried.stats.elimination_attempts, retried.stats.unchanged_skips), (2, 0));
+    }
+
+    #[test]
+    fn a_foreign_skolem_function_leaves_a_failure_unfingerprinted() {
+        let sig = Signature::from_arities([("R", 2), ("S", 2), ("T", 2), ("U", 2)]);
+        let config = ComposeConfig::default();
+        let pinned = parse_constraints("R <= S; S = tc(S)").unwrap().into_vec();
+        assert!(failure_fingerprint(&pinned, "S", &sig, &config).is_some());
+        let mut with_skolem = pinned;
+        with_skolem.extend(parse_constraints("skolem:f[0](T) <= U").unwrap().into_vec());
+        assert_eq!(failure_fingerprint(&with_skolem, "S", &sig, &config), None);
     }
 
     #[test]

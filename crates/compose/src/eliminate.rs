@@ -5,6 +5,12 @@
 //! σ − {S}, or reports failure. It tries, in order: view unfolding (§3.2),
 //! left compose (§3.4) and right compose (§3.5); the first step to succeed
 //! wins.
+//!
+//! Every step rewrites only the constraints that mention the symbol and
+//! passes the others through unchanged, so whether ELIMINATE fails depends
+//! on that subset alone (`deciding_constraints`). Left and right compose
+//! therefore run on the subset first and touch the full set only when that
+//! succeeds: a failing attempt clones no unrelated constraint.
 
 use mapcomp_algebra::{Constraint, Signature};
 
@@ -14,6 +20,10 @@ use crate::outcome::{EliminateFailure, EliminateStep, EliminateSuccess, FailureR
 use crate::registry::Registry;
 use crate::right::right_compose;
 use crate::view_unfold::view_unfold;
+
+/// Left or right compose.
+type Step =
+    fn(&[Constraint], &str, &Signature, &Registry) -> Result<Vec<Constraint>, FailureReason>;
 
 /// Attempt to eliminate `sym` from `constraints`.
 ///
@@ -38,8 +48,19 @@ pub fn eliminate(
         FailureReason::Disabled
     };
 
+    // The subset is worth isolating only when it leaves something out.
+    let own: Option<Vec<Constraint>> = deciding_constraints(constraints, sym)
+        .filter(|own| own.len() < constraints.len())
+        .map(|own| own.into_iter().cloned().collect());
+    let attempt = |step: Step| {
+        if let Some(own) = &own {
+            step(own, sym, sig, registry)?;
+        }
+        step(constraints, sym, sig, registry)
+    };
+
     let left = if config.enable_left_compose {
-        match left_compose(constraints, sym, sig, registry) {
+        match attempt(left_compose) {
             Ok(result) => {
                 return Ok(finish(result, EliminateStep::LeftCompose, sym));
             }
@@ -50,7 +71,7 @@ pub fn eliminate(
     };
 
     let right = if config.enable_right_compose {
-        match right_compose(constraints, sym, sig, registry) {
+        match attempt(right_compose) {
             Ok(result) => {
                 return Ok(finish(result, EliminateStep::RightCompose, sym));
             }
@@ -61,6 +82,26 @@ pub fn eliminate(
     };
 
     Err(EliminateFailure { view_unfolding, left_compose: left, right_compose: right })
+}
+
+/// The constraints that mention `sym`, in order, when they alone decide
+/// whether ELIMINATE fails for it: a step fails on the full set exactly when
+/// it fails on these, with the same reason. Deskolemization is the one step
+/// that also reads other constraints — any Skolem function among them — so
+/// the answer is `None` when another constraint carries one.
+pub(crate) fn deciding_constraints<'a>(
+    constraints: &'a [Constraint],
+    sym: &str,
+) -> Option<Vec<&'a Constraint>> {
+    let mut own = Vec::new();
+    for constraint in constraints {
+        if constraint.mentions(sym) {
+            own.push(constraint);
+        } else if constraint.has_skolem() {
+            return None;
+        }
+    }
+    Some(own)
 }
 
 /// Post-condition guard: the successful step must have removed every
@@ -147,6 +188,28 @@ mod tests {
         assert_eq!(failure.view_unfolding, FailureReason::NoDefiningEquality);
         assert_eq!(failure.left_compose, FailureReason::SymbolOnBothSides);
         assert_eq!(failure.right_compose, FailureReason::SymbolOnBothSides);
+    }
+
+    #[test]
+    fn unrelated_constraints_change_neither_failure_nor_success() {
+        // S is pinned by the transitive closure; U and V are unrelated.
+        let own = parse_constraints("R <= S; S = tc(S); S <= T").unwrap().into_vec();
+        let mut all = parse_constraints("U <= V").unwrap().into_vec();
+        all.extend(own.iter().cloned());
+        all.extend(parse_constraints("V - U <= R").unwrap().into_vec());
+        let registry = Registry::standard();
+        let on_own = eliminate(&own, "S", &sig(), &registry, &config()).unwrap_err();
+        let on_all = eliminate(&all, "S", &sig(), &registry, &config()).unwrap_err();
+        assert_eq!(on_all, on_own);
+        let refs: Vec<&Constraint> = own.iter().collect();
+        assert_eq!(deciding_constraints(&all, "S"), Some(refs));
+
+        // A success still rewrites the full set.
+        let all = parse_constraints("U <= V; R <= S; S <= T; V - U <= R").unwrap().into_vec();
+        let result = eliminate(&all, "S", &sig(), &registry, &config()).unwrap();
+        let expected = parse_constraints("U <= V; V - U <= R; R <= T").unwrap().into_vec();
+        assert_eq!(result.constraints.len(), 3);
+        assert!(expected.iter().all(|c| result.constraints.contains(c)), "{:?}", result);
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub mod view_unfold;
 
 pub use chase::{compile_rules, restricted_rules, ChaseRule};
 pub use compose::{
-    compose, compose_constraints, ComposeConfig, ComposeResult, ComposeStats, SymbolOutcome,
-    SymbolReport,
+    compose, compose_constraints, compose_constraints_skipping, ComposeConfig, ComposeResult,
+    ComposeStats, KnownFailure, SymbolOutcome, SymbolReport,
 };
 pub use differential::{
     parse_update, parse_updates, render_instance, DeltaReport, DifferentialChase, Sign, Update,

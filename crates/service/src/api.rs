@@ -16,8 +16,8 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use mapcomp_catalog::{
-    parse_chain_document, render_chain_document, CatalogError, ChainResult, ComposedChain,
-    Position, SessionStats,
+    parse_chain_document, render_chain_document, CatalogError, ChainResult, ChainSegment,
+    ComposedChain, Position, SessionStats,
 };
 
 /// A request to the catalog service.
@@ -202,7 +202,7 @@ impl ChainPayload {
     pub fn to_chain(&self) -> Result<ComposedChain, ServiceError> {
         let (mapping, residual) = parse_chain_document(&self.document)
             .ok_or_else(|| ServiceError::protocol("chain payload carries a malformed document"))?;
-        Ok(ComposedChain {
+        Ok(ChainSegment {
             source: self.source.clone(),
             target: self.target.clone(),
             path: self.path.clone(),
@@ -210,7 +210,8 @@ impl ChainPayload {
             residual,
             hash: self.hash,
             deps: self.deps.iter().cloned().collect::<BTreeSet<String>>(),
-        })
+        }
+        .into())
     }
 
     /// Did every intermediate symbol get eliminated?
