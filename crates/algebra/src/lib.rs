@@ -15,6 +15,8 @@
 //! * [`ops`] — registration of user-defined operators (typing + evaluation);
 //! * [`instance`] / [`mod@eval`] — database instances and set-semantics
 //!   evaluation;
+//! * [`escape`] — the field codec: percent-escaping strings into single
+//!   whitespace-free tokens for the sidecar, the wire and the reply text;
 //! * [`constraint`] — containment / equality constraints and constraint sets;
 //! * [`mapping`] — mappings `(σ_in, σ_out, Σ)` and composition tasks;
 //! * [`parse`] — the plain-text task format of paper §4 (parser; the
@@ -29,6 +31,7 @@
 
 pub mod constraint;
 pub mod error;
+pub mod escape;
 pub mod eval;
 pub mod expr;
 pub mod instance;
@@ -41,6 +44,7 @@ pub mod value;
 
 pub use constraint::{Constraint, ConstraintKind, ConstraintSet};
 pub use error::AlgebraError;
+pub use escape::{escape_field, escape_field_into, unescape_field};
 pub use eval::{eval, Evaluator};
 pub use expr::{Expr, SkolemFn};
 pub use instance::{DeltaInstance, Instance, Relation, RelationSource};

@@ -842,7 +842,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
     println!("\n[Figure 14] differential chase: constant-size update batch vs. full re-chase");
     let mut doc = BenchDoc::new("fig14", scale);
     let points = differential_update_experiment(scale);
-    let widths = vec![7, 7, 7, 11, 13, 8, 12, 11, 13, 10];
+    let widths = vec![7, 7, 7, 11, 13, 8, 12, 12, 11, 13, 10];
     println!(
         "{}",
         format_row(
@@ -854,6 +854,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
                 "rechase work".to_string(),
                 "ratio".to_string(),
                 "render rows".to_string(),
+                "render bytes".to_string(),
                 "delta (ms)".to_string(),
                 "rechase (ms)".to_string(),
                 "identical".to_string(),
@@ -879,6 +880,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
                     point.rebuild_work.to_string(),
                     format!("{:.1}x", point.work_ratio()),
                     point.render_rows.to_string(),
+                    point.render_bytes.to_string(),
                     format!("{:.3}", point.delta_time.as_secs_f64() * 1000.0),
                     format!("{:.3}", point.rebuild_time.as_secs_f64() * 1000.0),
                     if point.results_identical { "yes" } else { "NO" }.to_string(),
@@ -893,6 +895,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
             ("delta_work", BenchValue::U64(point.delta_work as u64)),
             ("rechase_work", BenchValue::U64(point.rebuild_work as u64)),
             ("render_rows", BenchValue::U64(point.render_rows as u64)),
+            ("render_bytes", BenchValue::U64(point.render_bytes as u64)),
             ("delta_ms", BenchValue::F64(point.delta_time.as_secs_f64() * 1000.0)),
             ("rechase_ms", BenchValue::F64(point.rebuild_time.as_secs_f64() * 1000.0)),
             ("results_identical", BenchValue::Bool(point.results_identical)),

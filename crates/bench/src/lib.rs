@@ -1786,6 +1786,9 @@ pub struct DifferentialUpdatePoint {
     /// Target rows rendered to bring the maintained target text up to date
     /// after the batch (flat in instance size: only the touched chunks).
     pub render_rows: usize,
+    /// Bytes of escaped reply text those rows make (growing only with the
+    /// width of their values).
+    pub render_bytes: usize,
     /// Wall-clock time of the incremental batch.
     pub delta_time: Duration,
     /// Wall-clock time of the full re-chase.
@@ -1886,6 +1889,7 @@ pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoi
                 delta_work: report.work,
                 rebuild_work: engine.chase_work(),
                 render_rows: report.render_rows,
+                render_bytes: report.render_bytes,
                 delta_time,
                 rebuild_time,
                 fallback: report.fallback,
@@ -2046,6 +2050,12 @@ mod tests {
         );
         let target_rows = (first.depth + 1) * first.size;
         assert!(first.render_rows < target_rows, "a batch must not re-render the whole target");
+        // Their bytes grow only with the width of the values in them.
+        assert!(
+            last.render_bytes < 2 * first.render_bytes,
+            "render bytes must not scale with the instance: {:?}",
+            points.iter().map(|point| point.render_bytes).collect::<Vec<_>>()
+        );
     }
 
     #[test]

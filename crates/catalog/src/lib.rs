@@ -110,13 +110,13 @@ pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};
 pub use hash::{hash_config, hash_mapping, hash_signature, ContentHash};
 pub use lock::{FileLock, FileLockGuard};
+pub use mapcomp_algebra::{escape_field, escape_field_into, unescape_field};
 pub use mapcomp_analysis::{analyze_exchange, AnalysisReport};
 pub use persist::{
-    escape_field, escape_field_into, load_sidecar, parse_chain_document, parse_delta,
-    parse_positioned_delta, render_cache_entry, render_chain_document, render_delta,
-    render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, restore_catalog, save_cache, save_state,
-    strip_torn_tail, unescape_field, DeltaRecord, Position, SidecarState, SidecarWriter,
+    load_sidecar, parse_chain_document, parse_delta, parse_positioned_delta, render_cache_entry,
+    render_chain_document, render_delta, render_generation_marker, render_mapping_decl,
+    render_migration_snapshot, render_positioned_delta, render_schema_decl, restore_catalog,
+    save_cache, save_state, strip_torn_tail, DeltaRecord, Position, SidecarState, SidecarWriter,
     VersionManifest,
 };
 pub use replay::{replay_editing, CatalogReplay, ReplayRecord};

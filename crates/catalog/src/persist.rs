@@ -66,7 +66,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-use mapcomp_algebra::{parse_document, ConstraintSet, Document, Mapping, Signature};
+use mapcomp_algebra::{
+    escape_field, parse_document, unescape_field, ConstraintSet, Document, Mapping, Signature,
+};
 
 use crate::cache::{CacheStats, MemoCache, MemoKey};
 use crate::chain::{ChainSegment, ComposedChain};
@@ -189,133 +191,6 @@ pub fn save_state(catalog: &Catalog, cache: &MemoCache) -> String {
     out.push_str(&save_cache(cache));
     out
 }
-
-// ---------------------------------------------------------------------------
-// Field escaping
-// ---------------------------------------------------------------------------
-
-/// Escape an arbitrary string into a single whitespace-free token for a
-/// sidecar delta line: `%` and every whitespace or control character become
-/// `%XX` byte escapes of their UTF-8 encoding; the empty string becomes the
-/// marker `%e` (which no non-empty escape ever produces, since a literal `%`
-/// escapes to `%25`).
-pub fn escape_field(text: &str) -> String {
-    let mut out = String::new();
-    escape_field_into(&mut out, text);
-    out
-}
-
-/// [`escape_field`], appended to `out`. A byte-run scanner: runs that need
-/// no escaping are copied whole, escapes are spelled through a table, and
-/// only non-ASCII bytes decode their character to test the Unicode
-/// whitespace and control classes.
-pub fn escape_field_into(out: &mut String, text: &str) {
-    if text.is_empty() {
-        out.push_str("%e");
-        return;
-    }
-    out.reserve(text.len());
-    let bytes = text.as_bytes();
-    // `run` starts the verbatim bytes not yet copied; `index` is where the
-    // scan for the next byte that may need escaping resumes.
-    let mut run = 0;
-    let mut index = 0;
-    while let Some(offset) = bytes[index..].iter().position(|&byte| MAY_ESCAPE[usize::from(byte)]) {
-        let at = index + offset;
-        let width = if bytes[at].is_ascii() {
-            1
-        } else {
-            let ch = text[at..].chars().next().expect("the scan stops only on char boundaries");
-            if !ch.is_whitespace() && !ch.is_control() {
-                index = at + ch.len_utf8();
-                continue;
-            }
-            ch.len_utf8()
-        };
-        out.push_str(&text[run..at]);
-        for &byte in &bytes[at..at + width] {
-            let byte = usize::from(byte);
-            out.push_str(&BYTE_ESCAPES[3 * byte..3 * byte + 3]);
-        }
-        index = at + width;
-        run = index;
-    }
-    out.push_str(&text[run..]);
-}
-
-/// Undo [`escape_field`]: `%` must be followed by exactly two hex digits
-/// (either case). Returns `None` on truncated or non-hex escapes and on
-/// invalid UTF-8 (the caller skips the malformed line).
-pub fn unescape_field(token: &str) -> Option<String> {
-    if token == "%e" {
-        return Some(String::new());
-    }
-    let bytes = token.as_bytes();
-    let mut out: Vec<u8> = Vec::with_capacity(bytes.len());
-    let mut run = 0;
-    while let Some(offset) = bytes[run..].iter().position(|&byte| byte == b'%') {
-        let at = run + offset;
-        out.extend_from_slice(&bytes[run..at]);
-        let high = HEX_VALUES[usize::from(*bytes.get(at + 1)?)];
-        let low = HEX_VALUES[usize::from(*bytes.get(at + 2)?)];
-        if high > 0xF || low > 0xF {
-            return None;
-        }
-        out.push(high << 4 | low);
-        run = at + 3;
-    }
-    out.extend_from_slice(&bytes[run..]);
-    String::from_utf8(out).ok()
-}
-
-/// Bytes the escaper must look at: `%`, ASCII whitespace and controls
-/// (exactly `0x00..=0x20` and `0x7F`), and every non-ASCII byte.
-const MAY_ESCAPE: [bool; 256] = {
-    let mut table = [false; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        table[byte] = byte <= 0x20 || byte == 0x25 || byte >= 0x7F;
-        byte += 1;
-    }
-    table
-};
-
-/// `%00%01…%FF`: the escape of byte `b` is `BYTE_ESCAPES[3 * b..3 * b + 3]`.
-const BYTE_ESCAPES: &str = {
-    const DIGITS: &[u8; 16] = b"0123456789ABCDEF";
-    const BYTES: [u8; 768] = {
-        let mut table = [0; 768];
-        let mut byte = 0;
-        while byte < 256 {
-            table[3 * byte] = b'%';
-            table[3 * byte + 1] = DIGITS[byte >> 4];
-            table[3 * byte + 2] = DIGITS[byte & 0xF];
-            byte += 1;
-        }
-        table
-    };
-    match std::str::from_utf8(&BYTES) {
-        Ok(table) => table,
-        Err(_) => panic!("hex escapes are ASCII"),
-    }
-};
-
-/// The value of every byte as a hex digit; `0xFF` for non-digits.
-const HEX_VALUES: [u8; 256] = {
-    let mut table = [0xFF; 256];
-    let mut digit = 0;
-    while digit < 10 {
-        table[b'0' as usize + digit] = digit as u8;
-        digit += 1;
-    }
-    let mut letter = 0;
-    while letter < 6 {
-        table[b'A' as usize + letter] = 10 + letter as u8;
-        table[b'a' as usize + letter] = 10 + letter as u8;
-        letter += 1;
-    }
-    table
-};
 
 // ---------------------------------------------------------------------------
 // Log positions
@@ -1084,8 +959,6 @@ mod tests {
     use crate::shared::SharedSession;
     use crate::store::Catalog;
     use mapcomp_algebra::parse_constraints;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     fn warm_session() -> SharedSession {
         let mut catalog = Catalog::new();
@@ -1402,91 +1275,5 @@ mod tests {
         assert_eq!(entry.version, 2);
         assert_eq!(entry.history.len(), 2);
         assert_eq!(entry.history.last().unwrap().1, entry.hash);
-    }
-
-    /// The char-by-char escaper the byte-run scanner replaced, kept as the
-    /// byte-identity reference.
-    fn reference_escape(text: &str) -> String {
-        if text.is_empty() {
-            return "%e".to_string();
-        }
-        let mut out = String::new();
-        let mut buf = [0u8; 4];
-        for ch in text.chars() {
-            if ch == '%' || ch.is_whitespace() || ch.is_control() {
-                for byte in ch.encode_utf8(&mut buf).bytes() {
-                    let _ = write!(out, "%{byte:02X}");
-                }
-            } else {
-                out.push(ch);
-            }
-        }
-        out
-    }
-
-    fn assert_escape_matches_reference(text: &str) {
-        let escaped = escape_field(text);
-        assert_eq!(escaped, reference_escape(text), "escape of {text:?}");
-        assert!(!escaped.chars().any(char::is_whitespace), "escape of {text:?} has whitespace");
-        assert_eq!(unescape_field(&escaped).as_deref(), Some(text), "round trip of {text:?}");
-        let mut appended = String::from("prefix ");
-        escape_field_into(&mut appended, text);
-        assert_eq!(appended, format!("prefix {escaped}"));
-    }
-
-    #[test]
-    fn escape_field_matches_the_char_by_char_reference() {
-        let awkward = [
-            "",
-            "%",
-            "%%e",
-            "%e",
-            "plain",
-            "a b%c",
-            "tab\there\r\n",
-            "\u{0}\u{1f}\u{7f}",
-            "c1 \u{80}\u{85}\u{9f} controls",
-            "nbsp\u{a0}ogham\u{1680}",
-            "\u{2000}\u{200a}\u{2028}\u{2029}\u{202f}\u{205f}\u{3000}",
-            "é ü ß 漢字",
-            "4-byte 😀𝄞\u{10ffff}",
-            "trailing space ",
-            " ",
-        ];
-        for text in awkward {
-            assert_escape_matches_reference(text);
-        }
-        // Seeded random strings over a pool biased toward the classes the
-        // escaper distinguishes, plus uniformly random code points.
-        let pool: Vec<char> = "a%Z 09\t\n\r\u{b}\u{c}\u{7f}\u{0}\u{80}\u{85}\u{9f}\u{a0}\
-                               \u{ff}\u{1680}\u{2028}\u{3000}\u{fffd}😀"
-            .chars()
-            .collect();
-        let mut rng = StdRng::seed_from_u64(0xE5C);
-        for _ in 0..2_000 {
-            let len = rng.gen_range(0..24);
-            let text: String = (0..len)
-                .map(|_| {
-                    if rng.gen_bool(0.7) {
-                        pool[rng.gen_range(0..pool.len())]
-                    } else {
-                        char::from_u32(rng.gen_range(0..0x11_0000u32)).unwrap_or('?')
-                    }
-                })
-                .collect();
-            assert_escape_matches_reference(&text);
-        }
-    }
-
-    #[test]
-    fn unescape_field_requires_exactly_two_hex_digits() {
-        assert_eq!(unescape_field("%0A").as_deref(), Some("\n"));
-        assert_eq!(unescape_field("%0a%25x").as_deref(), Some("\n%x"));
-        // `u8::from_str_radix` would take a sign where a digit belongs.
-        for malformed in ["%+A", "a%+Ab", "%-1", "% A", "%0", "%", "%g0", "%0g", "x%"] {
-            assert_eq!(unescape_field(malformed), None, "`{malformed}` must be refused");
-        }
-        // Escapes that decode to invalid UTF-8 are refused too.
-        assert_eq!(unescape_field("%FF"), None);
     }
 }

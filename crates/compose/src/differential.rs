@@ -47,7 +47,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::ops::Bound;
 
-use mapcomp_algebra::{AlgebraError, Constraint, Instance, Relation, Signature, Tuple, Value};
+use mapcomp_algebra::{
+    escape_field_into, unescape_field, AlgebraError, Constraint, Instance, Relation, Signature,
+    Tuple, Value,
+};
 
 use crate::chase::{
     chase, compile_rules, fire, index_rows, plan_relations, ChaseRule, ChaseState, Firing,
@@ -183,7 +186,8 @@ fn parse_value(field: &str, context: &str) -> Result<Value, String> {
 }
 
 /// Append `rel(v1,...,vn)` to `out`: the one spelling of a row, shared by
-/// [`render_instance`], the maintained target text and [`Update::render`].
+/// [`render_instance`], the maintained target text (escaped) and
+/// [`Update::render`].
 /// Values are written in place through their `Display`, with no
 /// intermediate `String`.
 fn write_row(out: &mut String, rel: &str, tuple: &Tuple) {
@@ -218,15 +222,18 @@ pub fn render_instance(instance: &Instance) -> String {
 /// the batch added to it. A chunk that outgrows it is split as it renders.
 const CHUNK_ROWS: usize = 16;
 
-/// The canonical text of a maintained target, kept byte-identical to
-/// [`render_instance`] of it. Each relation's rows are split into sorted
-/// runs ("chunks") with their own text, so a batch re-renders only the
-/// chunks its added and removed rows fall in.
+/// The canonical text of a maintained target in wire form: the field
+/// codec's escape of [`render_instance`] of it, so every row ends `;%0A`.
+/// Escaping works character by character, so the escape of the whole text
+/// is the concatenation of the escapes of its rows (for a non-empty text).
+/// Each relation's rows are split into sorted runs ("chunks") with their
+/// own text, so a batch re-renders only the chunks its added and removed
+/// rows fall in.
 #[derive(Default)]
 pub(crate) struct TargetText {
     /// Per relation in name order, its chunks keyed by lower bound: a chunk
-    /// holds the rows from its key up to the next chunk's key. A relation's
-    /// first key is the empty tuple, which sorts below every row.
+    /// holds the escaped rows from its key up to the next chunk's key. A
+    /// relation's first key is the empty tuple, which sorts below every row.
     relations: BTreeMap<String, BTreeMap<Tuple, String>>,
     /// Keys of the chunks marked since the last [`refresh`](Self::refresh),
     /// per relation: at most one entry per chunk, however many rows a
@@ -266,59 +273,85 @@ impl TargetText {
     }
 
     /// Re-render, once each, the chunks marked since the last refresh from
-    /// `target`. Returns the rows rendered.
-    fn refresh(&mut self, target: &Instance) -> usize {
-        let mut rows = 0;
+    /// `target`. Returns the rows rendered and the bytes of text they make.
+    fn refresh(&mut self, target: &Instance) -> (usize, usize) {
+        let (mut rows, mut bytes) = (0, 0);
         for (rel, keys) in std::mem::take(&mut self.dirty) {
             let chunks = self.relations.get_mut(&rel).expect("marked chunks exist");
             // Ascending order: a dropped chunk's empty range joins its
             // predecessor, which is already up to date.
             for key in &keys {
-                rows += render_chunk(chunks, target.get_ref(&rel), &rel, key);
+                let (chunk_rows, chunk_bytes) =
+                    render_chunk(chunks, target.get_ref(&rel), &rel, key);
+                rows += chunk_rows;
+                bytes += chunk_bytes;
             }
         }
-        rows
+        (rows, bytes)
     }
 
-    /// The whole text: every chunk, in order.
-    fn concat(&self) -> String {
-        let chunks = || self.relations.values().flat_map(BTreeMap::values);
-        let mut out = String::with_capacity(chunks().map(String::len).sum());
-        chunks().for_each(|chunk| out.push_str(chunk));
-        out
+    fn chunks(&self) -> impl Iterator<Item = &String> {
+        self.relations.values().flat_map(BTreeMap::values)
+    }
+
+    /// Bytes of the whole text.
+    fn len(&self) -> usize {
+        self.chunks().map(String::len).sum()
+    }
+
+    /// Append the whole text, every chunk in order, or the codec's empty
+    /// marker `%e` when the target has no rows.
+    fn append_to(&self, out: &mut String) {
+        let len = self.len();
+        if len == 0 {
+            escape_field_into(out, "");
+            return;
+        }
+        out.reserve(len);
+        self.chunks().for_each(|chunk| out.push_str(chunk));
     }
 }
 
 /// Re-render the chunk of relation `name` keyed `key` from `relation`,
 /// splitting it every [`CHUNK_ROWS`] rows; an emptied chunk other than the
-/// first is dropped. Returns the rows rendered.
+/// first is dropped. Returns the rows rendered and the bytes of escaped
+/// text they make.
 fn render_chunk(
     chunks: &mut BTreeMap<Tuple, String>,
     relation: Option<&Relation>,
     name: &str,
     key: &Tuple,
-) -> usize {
+) -> (usize, usize) {
     let end = chunks
         .range::<Tuple, _>((Bound::Excluded(key), Bound::Unbounded))
         .next()
         .map(|(k, _)| k.clone());
-    let mut pieces: Vec<(Tuple, String)> = vec![(key.clone(), String::new())];
+    // Each piece is escaped into one reused buffer and stored as an exact
+    // copy: a chunk lives until a batch touches it again, so it keeps only
+    // its bytes.
+    let mut pieces: Vec<(Tuple, String)> = Vec::new();
+    let mut piece_key = key.clone();
+    let (mut piece, mut line) = (String::new(), String::new());
     let mut rows = 0;
     for row in relation.into_iter().flat_map(|relation| relation.range(key, end.as_ref())) {
         if rows > 0 && rows % CHUNK_ROWS == 0 {
-            pieces.push((row.clone(), String::new()));
+            pieces.push((std::mem::replace(&mut piece_key, row.clone()), piece.as_str().into()));
+            piece.clear();
         }
-        let (_, text) = pieces.last_mut().expect("starts with the chunk itself");
-        write_row(text, name, row);
-        text.push_str(";\n");
+        line.clear();
+        write_row(&mut line, name, row);
+        line.push_str(";\n");
+        escape_field_into(&mut piece, &line);
         rows += 1;
     }
+    pieces.push((piece_key, piece.as_str().into()));
+    let bytes = pieces.iter().map(|(_, text)| text.len()).sum();
     if rows == 0 && !key.is_empty() {
         chunks.remove(key);
     } else {
         chunks.extend(pieces);
     }
-    rows
+    (rows, bytes)
 }
 
 /// What one [`DifferentialChase::apply`] call did.
@@ -351,6 +384,9 @@ pub struct DeltaReport {
     /// date: the rows of the chunks this batch touched, or the whole target
     /// after a fallback.
     pub render_rows: usize,
+    /// Bytes of escaped text those rows make: the text this batch
+    /// re-rendered, or all of it after a fallback.
+    pub render_bytes: usize,
 }
 
 /// An incrementally-maintained data-exchange target.
@@ -447,10 +483,29 @@ impl DifferentialChase {
 
     /// The canonical rendering of the maintained target (the byte-identity
     /// oracle compares these): byte-identical to
-    /// [`render_instance`]`(self.target())`, but concatenated from text the
+    /// [`render_instance`]`(self.target())`, but unescaped from the text the
     /// engine keeps up to date batch by batch instead of rendered anew.
     pub fn rendered_target(&self) -> String {
-        self.state.text.as_ref().expect("every engine state carries its text").concat()
+        let mut escaped = String::new();
+        self.escaped_target_into(&mut escaped);
+        unescape_field(&escaped).expect("the maintained text is escaped by the field codec")
+    }
+
+    /// Append the maintained target's text escaped into one token,
+    /// byte-identical to [`escape_field_into`]`(out, &self.rendered_target())`
+    /// (`%e` for an empty target). The engine keeps the text in this form,
+    /// so this is a copy: a reply carrying the target re-escapes nothing.
+    pub fn escaped_target_into(&self, out: &mut String) {
+        self.text().append_to(out);
+    }
+
+    /// The bytes [`escaped_target_into`](Self::escaped_target_into) appends.
+    pub fn escaped_target_len(&self) -> usize {
+        self.text().len().max("%e".len())
+    }
+
+    fn text(&self) -> &TargetText {
+        self.state.text.as_ref().expect("every engine state carries its text")
     }
 
     /// The support table: active derivation count per target tuple.
@@ -585,7 +640,7 @@ impl DifferentialChase {
                 Ok(()) => {
                     let text =
                         self.state.text.as_mut().expect("every engine state carries its text");
-                    report.render_rows = text.refresh(&self.state.target);
+                    (report.render_rows, report.render_bytes) = text.refresh(&self.state.target);
                 }
                 Err(_) => {
                     // Partial mutations do not matter: the fallback rebuilds
@@ -612,6 +667,7 @@ impl DifferentialChase {
         if report.fallback {
             // The rebuild rendered the whole target.
             report.render_rows = after;
+            report.render_bytes = self.text().len();
             metrics.fallbacks.incr();
         }
         metrics.retracted.add(report.retracted as u64);
@@ -842,7 +898,7 @@ fn delta_metrics() -> DeltaMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapcomp_algebra::{parse_constraints, tuple};
+    use mapcomp_algebra::{escape_field, parse_constraints, tuple};
 
     fn registry() -> Registry {
         Registry::standard()
@@ -1138,6 +1194,32 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_target_escapes_to_the_empty_marker() {
+        let (constraints, full, target, _) = movies_engine();
+        let mut engine = DifferentialChase::new(
+            &constraints,
+            &full,
+            &target,
+            Instance::new(),
+            &registry(),
+            &ExchangeConfig::default(),
+        );
+        let escaped = |engine: &DifferentialChase| {
+            let mut out = String::new();
+            engine.escaped_target_into(&mut out);
+            assert_eq!(out.len(), engine.escaped_target_len());
+            out
+        };
+        assert_eq!((escaped(&engine), engine.rendered_target()), ("%e".into(), String::new()));
+        let row = tuple([1i64, 100, 1999, 5]);
+        engine.apply(&[Update::insert("Movies", row.clone())]).unwrap();
+        assert_eq!(escaped(&engine), "Names(1,100);%0AYears(1,1999);%0A");
+        let report = engine.apply(&[Update::delete("Movies", row)]).unwrap();
+        assert_eq!((report.render_rows, report.render_bytes), (0, 0));
+        assert_eq!((escaped(&engine), engine.rendered_target()), ("%e".into(), String::new()));
+    }
+
+    #[test]
     fn maintained_text_tracks_every_kind_of_batch() {
         // Three target relations, awkward values (negative integers,
         // `null`, strings with spaces and `%`), a relation emptied and
@@ -1163,7 +1245,12 @@ mod tests {
             &ExchangeConfig::default(),
         );
         let check = |engine: &DifferentialChase, label: &str| {
-            assert_eq!(engine.rendered_target(), render_instance(engine.target()), "{label}");
+            let rendered = render_instance(engine.target());
+            let mut escaped = String::from("target ");
+            engine.escaped_target_into(&mut escaped);
+            assert_eq!(escaped, format!("target {}", escape_field(&rendered)), "{label}");
+            assert_eq!(escaped.len(), "target ".len() + engine.escaped_target_len(), "{label}");
+            assert_eq!(engine.rendered_target(), rendered, "{label}");
             assert_oracle(engine, &constraints);
         };
         check(&engine, "initial build");
@@ -1195,10 +1282,27 @@ mod tests {
         let refill: Vec<Update> = (0..50).map(|i| Update::insert("B", tuple([50 - i]))).collect();
         let report = engine.apply(&refill).unwrap();
         assert_eq!(report.render_rows, 50, "each refilled row renders once");
+        let t_rows: String = render_instance(engine.target())
+            .lines()
+            .filter(|line| line.starts_with("T("))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(report.render_bytes, escape_field(&t_rows).len(), "T's escaped text");
         check(&engine, "T refilled");
         let report = engine.apply(&[Update::insert("B", tuple([-1i64]))]).unwrap();
         assert!(report.render_rows <= CHUNK_ROWS + 1, "rendered {}", report.render_rows);
         check(&engine, "one row into the refilled T");
+
+        // A fallback re-renders, and counts, the whole text.
+        let everything: Vec<Update> =
+            engine.source().get("A").iter().map(|row| Update::delete("A", row.clone())).collect();
+        engine.unplannable = true;
+        let report = engine.apply(&everything).unwrap();
+        engine.unplannable = false;
+        assert!(report.fallback);
+        let whole = escape_field(&render_instance(engine.target()));
+        assert_eq!((report.render_rows, report.render_bytes), (51, whole.len()));
+        check(&engine, "fallback");
 
         // Refused batches leave the text alone; a rebuild re-renders it.
         let before = engine.rendered_target();

@@ -49,7 +49,7 @@ use polling::{Event, Poller};
 
 use crate::api::{DeltaChunkPayload, ErrorCode, Request, Response, ServiceError};
 use crate::service::MapcompService;
-use crate::wire::{decode_request_frame, encode_reply, FRAME_END, MAX_FRAME_BYTES};
+use crate::wire::{decode_request_frame, encode_reply, reply_kind, FRAME_END, MAX_FRAME_BYTES};
 
 /// Poller key of the listening socket (connection keys start above it).
 const LISTENER_KEY: usize = 0;
@@ -475,14 +475,17 @@ impl EventServer {
             };
             let Some(job) = job else { return };
             let started = Instant::now();
-            let reply = if self.is_shutting_down() && !matches!(job.request, Request::Shutdown) {
-                Err(ServiceError::new(ErrorCode::Unavailable, "server is shutting down"))
+            let encoded = if self.is_shutting_down() && !matches!(job.request, Request::Shutdown) {
+                encode_reply(&Err(ServiceError::new(
+                    ErrorCode::Unavailable,
+                    "server is shutting down",
+                )))
             } else {
-                service.call_traced(job.request, job.trace)
+                service.call_encoded(job.request, job.trace)
             };
-            let shutdown = matches!(reply, Ok(Response::ShuttingDown));
-            let ok = reply.is_ok();
-            let encoded = encode_reply(&reply);
+            let kind = reply_kind(&encoded);
+            let shutdown = kind == Response::ShuttingDown.kind();
+            let ok = kind != "error";
             pool.lock_completions().push(Completion {
                 slot: job.slot,
                 generation: job.generation,

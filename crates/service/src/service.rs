@@ -55,6 +55,7 @@ use crate::api::{
     ReplicationInfo, Request, Response, SegmentCacheInfo, ServiceError, SnapshotPayload,
     StatsPayload,
 };
+use crate::wire::{encode_migrated, encode_reply};
 
 /// The most worker threads a single `ComposeBatch` request may fan across,
 /// regardless of what the peer asked for (a backend configured with more at
@@ -82,6 +83,18 @@ pub trait MapcompService {
     fn call_traced(&self, request: Request, trace: Option<u64>) -> Result<Response, ServiceError> {
         let _ = trace;
         self.call(request)
+    }
+
+    /// Execute one request under a trace context and encode its reply as a
+    /// complete frame: what a TCP front end writes back to its peer.
+    ///
+    /// The default implementation encodes [`MapcompService::call_traced`]'s
+    /// reply with [`encode_reply`]. A backend may override it to write the
+    /// frame without building the typed reply first, but the bytes must be
+    /// the same; [`LocalService`] does so for `migrate-delta`, whose reply
+    /// target it copies already escaped.
+    fn call_encoded(&self, request: Request, trace: Option<u64>) -> String {
+        encode_reply(&self.call_traced(request, trace))
     }
 
     /// Open a replication subscription resuming at `from`; `wake` is called
@@ -359,7 +372,7 @@ impl LocalService {
     }
 
     /// Open a service bound to an on-disk catalog: restore it from the
-    /// document snapshot and the sidecar's delta tail ([`read_catalog`]) —
+    /// document snapshot and the sidecar's delta tail (`read_catalog`) —
     /// a torn final sidecar line from a crash mid-append is dropped, and a
     /// leftover `.tmp` from a crash mid-compaction is simply never read (the
     /// rename that would have installed it never happened). A missing
@@ -787,17 +800,21 @@ impl MapcompService for LocalService {
     /// the peer's trace ID when one arrived on the wire) and bumps the
     /// per-kind request/error/latency metrics on the way out.
     fn call_traced(&self, request: Request, trace: Option<u64>) -> Result<Response, ServiceError> {
+        self.observed(request.kind(), trace, || self.dispatch(request))
+    }
+
+    /// A `migrate-delta` frame is written from the engine's escaped target
+    /// text, so the target is neither built as plain text nor escaped
+    /// again; every other kind takes the default encoding.
+    fn call_encoded(&self, request: Request, trace: Option<u64>) -> String {
         let kind = request.kind();
-        let _span = mapcomp_telemetry::trace::start_trace(kind, trace);
-        let started = std::time::Instant::now();
-        let result = self.dispatch(request);
-        let telemetry = self.telemetry.for_kind(kind);
-        telemetry.requests.incr();
-        if result.is_err() {
-            telemetry.errors.incr();
-        }
-        telemetry.duration_us.observe(started.elapsed().as_micros() as u64);
-        result
+        let Request::MigrateDelta { from, to, updates } = request else {
+            return encode_reply(&self.call_traced(request, trace));
+        };
+        let frame = self.observed(kind, trace, || {
+            self.migrate(from, to, &updates, |payload, engine| encode_migrated(&payload, engine))
+        });
+        frame.unwrap_or_else(|error| encode_reply(&Err(error)))
     }
 
     /// Open a subscription on the replication hub. A position that
@@ -828,6 +845,27 @@ impl MapcompService for LocalService {
 }
 
 impl LocalService {
+    /// Run one request of wire keyword `kind` under a span named after it
+    /// (adopting the peer's trace ID when one arrived on the wire), and bump
+    /// the per-kind request/error/latency metrics on the way out.
+    fn observed<T>(
+        &self,
+        kind: &'static str,
+        trace: Option<u64>,
+        run: impl FnOnce() -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
+        let _span = mapcomp_telemetry::trace::start_trace(kind, trace);
+        let started = std::time::Instant::now();
+        let result = run();
+        let telemetry = self.telemetry.for_kind(kind);
+        telemetry.requests.incr();
+        if result.is_err() {
+            telemetry.errors.incr();
+        }
+        telemetry.duration_us.observe(started.elapsed().as_micros() as u64);
+        result
+    }
+
     /// The untimed request dispatch: the match [`MapcompService::call`]
     /// wraps with telemetry.
     fn dispatch(&self, request: Request) -> Result<Response, ServiceError> {
@@ -943,14 +981,10 @@ impl LocalService {
                 ))
             }
             Request::MigrateDelta { from, to, updates } => {
-                let result = self.session.compose_path(&from, &to)?;
-                let applied = self.migrate_batch(from, to, &updates, &result.chain);
-                if applied.is_err() {
-                    // A refused batch appends no record of its own, but a
-                    // cold chain's new memo entries still become durable.
-                    self.persist_if_composed(result.compose_calls)?;
-                }
-                applied.map(Response::Migrated)
+                let payload = self.migrate(from, to, &updates, |payload, engine| {
+                    MigratePayload { target: engine.rendered_target(), ..payload }
+                })?;
+                Ok(Response::Migrated(payload))
             }
             Request::Invalidate { mapping } => {
                 self.session.catalog().mapping(&mapping)?;
@@ -1027,16 +1061,39 @@ impl LocalService {
         }
     }
 
+    /// Serve one `MigrateDelta` request: resolve and compose its chain, then
+    /// apply the batch ([`LocalService::migrate_batch`]).
+    fn migrate<T>(
+        &self,
+        from: String,
+        to: String,
+        updates: &[String],
+        reply: impl FnOnce(MigratePayload, &DifferentialChase) -> T,
+    ) -> Result<T, ServiceError> {
+        let result = self.session.compose_path(&from, &to)?;
+        let applied = self.migrate_batch(from, to, updates, &result.chain, reply);
+        if applied.is_err() {
+            // A refused batch appends no record of its own, but a cold
+            // chain's new memo entries still become durable.
+            self.persist_if_composed(result.compose_calls)?;
+        }
+        applied
+    }
+
     /// Apply one `MigrateDelta` batch to its session over the resolved
     /// `chain` and make it durable: the batch's `delta migrate` record and
     /// the chain's new memo entries, if it was cold, land in one append.
-    fn migrate_batch(
+    /// `reply` builds the answer, under the session's lock, from the
+    /// batch's payload (its `target` left empty) and the engine, whose
+    /// target text fills it in the form the caller needs.
+    fn migrate_batch<T>(
         &self,
         from: String,
         to: String,
         updates: &[String],
         chain: &ComposedChain,
-    ) -> Result<MigratePayload, ServiceError> {
+        reply: impl FnOnce(MigratePayload, &DifferentialChase) -> T,
+    ) -> Result<T, ServiceError> {
         let parsed = parse_updates(updates)
             .map_err(|error| ServiceError::parse(format!("bad update: {error}")))?;
         // Canonical tokens, not the caller's spelling: the history
@@ -1091,7 +1148,7 @@ impl LocalService {
                 ));
             }
             migration.history.extend(tokens.iter().cloned());
-            MigratePayload {
+            let payload = MigratePayload {
                 from: from.clone(),
                 to: to.clone(),
                 applied: report.applied,
@@ -1103,8 +1160,9 @@ impl LocalService {
                 source_rows: engine.source().total_tuples(),
                 target_rows: engine.target().total_tuples(),
                 support_entries: engine.support().len(),
-                target: engine.rendered_target(),
-            }
+                target: String::new(),
+            };
+            reply(payload, engine)
             // The migrations leaf lock drops here, *before* the
             // append below waits on the persistence mutex.
         };

@@ -42,6 +42,7 @@ use crate::api::{
     SnapshotPayload, StatsPayload,
 };
 use mapcomp_catalog::{CacheStats, Position, SessionStats};
+use mapcomp_compose::DifferentialChase;
 
 /// Protocol name and version, the first two tokens of every frame.
 pub const PROTOCOL: &str = "mapcomp-service 1";
@@ -59,18 +60,18 @@ pub const FRAME_END: &str = "end";
 /// UTF-8 encoding, and the empty string becomes the marker `%e` (which no
 /// non-empty escape ever produces, since a literal `%` escapes to `%25`).
 ///
-/// This is the same escaping the sidecar's delta records use
-/// ([`mapcomp_catalog::escape_field`] — one implementation, so the two
-/// grammars cannot silently diverge).
+/// This is the field codec the sidecar's delta records use
+/// ([`mapcomp_algebra::escape`] — one implementation, so the two grammars
+/// cannot silently diverge).
 pub fn escape(text: &str) -> String {
-    mapcomp_catalog::escape_field(text)
+    mapcomp_algebra::escape_field(text)
 }
 
 /// Undo [`escape`]: `%` must be followed by exactly two hex digits. Fails
 /// with [`ErrorCode::Protocol`] on truncated or non-hex escapes and on
 /// invalid UTF-8.
 pub fn unescape(token: &str) -> Result<String, ServiceError> {
-    mapcomp_catalog::unescape_field(token)
+    mapcomp_algebra::unescape_field(token)
         .ok_or_else(|| ServiceError::protocol(format!("malformed escape in token `{token}`")))
 }
 
@@ -92,10 +93,11 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
     let mut limited = std::io::Read::take(&mut *reader, MAX_FRAME_BYTES);
     let mut frame = String::new();
     loop {
-        let mut line = String::new();
-        let read = limited.read_line(&mut line)?;
+        // Each line is read straight onto the end of the frame.
+        let start = frame.len();
+        let read = limited.read_line(&mut frame)?;
         if read == 0 {
-            return if frame.is_empty() && line.is_empty() && limited.limit() > 0 {
+            return if frame.is_empty() && limited.limit() > 0 {
                 Ok(None)
             } else if limited.limit() == 0 {
                 Err(std::io::Error::new(
@@ -109,9 +111,7 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
                 ))
             };
         }
-        let terminal = line.trim_end_matches(['\n', '\r']) == FRAME_END;
-        frame.push_str(&line);
-        if terminal {
+        if frame[start..].trim_end_matches(['\n', '\r']) == FRAME_END {
             return Ok(Some(frame));
         }
     }
@@ -547,6 +547,57 @@ fn encode_error_frame(error: &ServiceError) -> String {
     out
 }
 
+/// Write the field lines of a `migrated` reply: those of `payload` but its
+/// `target`, whose escaped token `write_target` appends; `target_len` is
+/// the token's length or a lower bound of it. The target dominates the
+/// reply, so it goes straight into the frame, which grows once to hold it
+/// and the frame's tail.
+fn write_migrated(
+    out: &mut String,
+    payload: &MigratePayload,
+    target_len: usize,
+    write_target: impl FnOnce(&mut String),
+) {
+    out.push_str(&format!("from {}\n", escape(&payload.from)));
+    out.push_str(&format!("to {}\n", escape(&payload.to)));
+    out.push_str(&format!(
+        "batch {} {} {} {} {}\n",
+        payload.applied, payload.inserted, payload.deleted, payload.retracted, payload.rederived
+    ));
+    out.push_str(&format!(
+        "state {} {} {} {}\n",
+        if payload.fallback { "fallback" } else { "incremental" },
+        payload.source_rows,
+        payload.target_rows,
+        payload.support_entries
+    ));
+    out.push_str("target ");
+    out.reserve(target_len + "\nend\n".len());
+    write_target(out);
+    out.push('\n');
+}
+
+/// Encode a `migrated` reply whose target is `engine`'s, copied from the
+/// text the engine keeps escaped; `payload.target` is not read.
+/// Byte-identical to [`encode_reply`] of the payload with its target set
+/// to `engine.rendered_target()`.
+pub(crate) fn encode_migrated(payload: &MigratePayload, engine: &DifferentialChase) -> String {
+    let mut out = format!("{PROTOCOL} response migrated\n");
+    write_migrated(&mut out, payload, engine.escaped_target_len(), |out| {
+        engine.escaped_target_into(out);
+    });
+    out.push_str(FRAME_END);
+    out.push('\n');
+    out
+}
+
+/// The kind keyword in the header of an encoded reply frame: a
+/// [`Response::kind`], or `error`.
+pub(crate) fn reply_kind(frame: &str) -> &str {
+    let header = frame.split('\n').next().unwrap_or_default();
+    header.strip_prefix(PROTOCOL).and_then(|rest| rest.strip_prefix(" response ")).unwrap_or("")
+}
+
 /// Encode a reply — a successful [`Response`] or a [`ServiceError`] — as a
 /// complete frame.
 pub fn encode_reply(reply: &Result<Response, ServiceError>) -> String {
@@ -589,28 +640,9 @@ pub fn encode_reply(reply: &Result<Response, ServiceError>) -> String {
                     out.push_str(&format!("dropped {dropped}\n"));
                 }
                 Response::Migrated(payload) => {
-                    out.push_str(&format!("from {}\n", escape(&payload.from)));
-                    out.push_str(&format!("to {}\n", escape(&payload.to)));
-                    out.push_str(&format!(
-                        "batch {} {} {} {} {}\n",
-                        payload.applied,
-                        payload.inserted,
-                        payload.deleted,
-                        payload.retracted,
-                        payload.rederived
-                    ));
-                    out.push_str(&format!(
-                        "state {} {} {} {}\n",
-                        if payload.fallback { "fallback" } else { "incremental" },
-                        payload.source_rows,
-                        payload.target_rows,
-                        payload.support_entries
-                    ));
-                    // The target dominates the reply: escape it straight
-                    // into the frame.
-                    out.push_str("target ");
-                    mapcomp_catalog::escape_field_into(&mut out, &payload.target);
-                    out.push('\n');
+                    write_migrated(&mut out, payload, payload.target.len(), |out| {
+                        mapcomp_algebra::escape_field_into(out, &payload.target);
+                    });
                 }
                 Response::Metrics { text } => {
                     out.push_str(&format!("text {}\n", escape(text)));

@@ -23,6 +23,7 @@ use rand::{Rng, SeedableRng};
 use mapping_composition::algebra::Tuple;
 use mapping_composition::compose::{render_instance, DifferentialChase, ExchangeConfig, Update};
 use mapping_composition::prelude::*;
+use mapping_composition::service::{encode_reply, sidecar_path, PersistPolicy};
 
 fn registry() -> Registry {
     Registry::standard()
@@ -221,26 +222,91 @@ fn seed_source(sig: &Signature, rows: i64) -> Instance {
     source
 }
 
+/// Paper Example 1: movies migrated from σ1 to σ3 through σ2.
+const EXAMPLE_1: &str = r"
+    schema sigma1 { Movies/4; }
+    schema sigma2 { FiveStarMovies/3; }
+    schema sigma3 { Names/2; Years/2; }
+    mapping m12 : sigma1 -> sigma2 {
+        project[0,1,2](select[#3 = 5](Movies)) <= FiveStarMovies;
+    }
+    mapping m23 : sigma2 -> sigma3 {
+        project[0,1](FiveStarMovies) <= Names;
+        project[0,2](FiveStarMovies) <= Years;
+    }
+";
+
+/// The paper's other worked examples.
+const PAPER_DOCUMENTS: [(&str, &str); 3] = [
+    (
+        "example 3 (R ⊆ S ⊆ T)",
+        r"
+        schema sigma1 { R/1; }
+        schema sigma2 { S/1; }
+        schema sigma3 { T/1; }
+        mapping m12 : sigma1 -> sigma2 { R <= S; }
+        mapping m23 : sigma2 -> sigma3 { S <= T; }
+        ",
+    ),
+    (
+        "example 5 (view unfolding)",
+        r"
+        schema sigma1 { R1/1; R2/1; R3/2; }
+        schema sigma2 { S/2; }
+        schema sigma3 { T1/1; T2/2; T3/2; }
+        mapping m12 : sigma1 -> sigma2 { S = R1 * R2; }
+        mapping m23 : sigma2 -> sigma3 {
+            project[0](R3 - S) <= T1;
+            T2 <= T3 - select[#0 = 1](S);
+        }
+        ",
+    ),
+    (
+        "recursive tc example",
+        r"
+        schema sigma1 { R/2; }
+        schema sigma2 { S/2; }
+        schema sigma3 { T/2; }
+        mapping m12 : sigma1 -> sigma2 { R <= S; S = tc(S); }
+        mapping m23 : sigma2 -> sigma3 { S <= T; }
+        ",
+    ),
+];
+
+/// An existential (`project[0](S)`) whose nulls must survive a delete and
+/// re-insert byte for byte.
+const REINSERT: &str = r"
+    schema sigma1 { R/2; }
+    schema sigma2 { S/2; }
+    schema sigma3 { T/1; }
+    mapping m12 : sigma1 -> sigma2 { project[0](R) <= project[0](S); }
+    mapping m23 : sigma2 -> sigma3 { project[0](S) <= T; }
+";
+
+/// A unary copy chain for net-zero batches.
+const NET_ZERO: &str = r"
+    schema sigma1 { R/1; }
+    schema sigma2 { S/1; }
+    schema sigma3 { T/1; }
+    mapping m12 : sigma1 -> sigma2 { R <= S; }
+    mapping m23 : sigma2 -> sigma3 { S <= T; }
+";
+
+/// A binary copy chain drained row by row.
+const DRAIN: &str = r"
+    schema sigma1 { R/2; }
+    schema sigma2 { S/2; }
+    schema sigma3 { T/2; }
+    mapping m12 : sigma1 -> sigma2 { R <= S; }
+    mapping m23 : sigma2 -> sigma3 { S <= T; }
+";
+
 #[test]
 fn example_1_composed_migration_stays_live_under_updates() {
     // Paper Example 1, composed σ1 → σ3: the canonical "migrate data from
     // the old schema" scenario, now maintained incrementally while movies
     // are added, re-rated away, and restored.
-    let doc = parse_document(
-        r"
-        schema sigma1 { Movies/4; }
-        schema sigma2 { FiveStarMovies/3; }
-        schema sigma3 { Names/2; Years/2; }
-        mapping m12 : sigma1 -> sigma2 {
-            project[0,1,2](select[#3 = 5](Movies)) <= FiveStarMovies;
-        }
-        mapping m23 : sigma2 -> sigma3 {
-            project[0,1](FiveStarMovies) <= Names;
-            project[0,2](FiveStarMovies) <= Years;
-        }
-        ",
-    )
-    .unwrap();
+    let doc = parse_document(EXAMPLE_1).unwrap();
     let task = doc.task("m12", "m23").unwrap();
     let composed = compose(&task, &registry(), &ComposeConfig::default()).unwrap();
     let full = task.full_signature().unwrap();
@@ -296,42 +362,7 @@ fn paper_example_scenarios_survive_random_update_streams() {
     // target) under a stream of seeded random ±batches: view unfolding with
     // difference, equality constraints, and the recursive transitive-closure
     // mapping all maintain incrementally.
-    let documents = [
-        (
-            "example 3 (R ⊆ S ⊆ T)",
-            r"
-            schema sigma1 { R/1; }
-            schema sigma2 { S/1; }
-            schema sigma3 { T/1; }
-            mapping m12 : sigma1 -> sigma2 { R <= S; }
-            mapping m23 : sigma2 -> sigma3 { S <= T; }
-            ",
-        ),
-        (
-            "example 5 (view unfolding)",
-            r"
-            schema sigma1 { R1/1; R2/1; R3/2; }
-            schema sigma2 { S/2; }
-            schema sigma3 { T1/1; T2/2; T3/2; }
-            mapping m12 : sigma1 -> sigma2 { S = R1 * R2; }
-            mapping m23 : sigma2 -> sigma3 {
-                project[0](R3 - S) <= T1;
-                T2 <= T3 - select[#0 = 1](S);
-            }
-            ",
-        ),
-        (
-            "recursive tc example",
-            r"
-            schema sigma1 { R/2; }
-            schema sigma2 { S/2; }
-            schema sigma3 { T/2; }
-            mapping m12 : sigma1 -> sigma2 { R <= S; S = tc(S); }
-            mapping m23 : sigma2 -> sigma3 { S <= T; }
-            ",
-        ),
-    ];
-    for (label, text) in documents {
+    for (label, text) in PAPER_DOCUMENTS {
         let doc = parse_document(text).unwrap();
         let task = doc.task("m12", "m23").unwrap();
         let full = task.full_signature().unwrap();
@@ -423,16 +454,7 @@ fn delete_then_reinsert_restores_the_exact_state() {
     // *separate* batch re-derives it — and because null names are
     // content-addressed (not sequential), the restored state is
     // byte-identical to the original, support table and all.
-    let doc = parse_document(
-        r"
-        schema sigma1 { R/2; }
-        schema sigma2 { S/2; }
-        schema sigma3 { T/1; }
-        mapping m12 : sigma1 -> sigma2 { project[0](R) <= project[0](S); }
-        mapping m23 : sigma2 -> sigma3 { project[0](S) <= T; }
-        ",
-    )
-    .unwrap();
+    let doc = parse_document(REINSERT).unwrap();
     let task = doc.task("m12", "m23").unwrap();
     let full = task.full_signature().unwrap();
     let target = task.sigma2.union(&task.sigma3).unwrap();
@@ -468,16 +490,7 @@ fn net_zero_batches_leave_every_byte_unchanged() {
     // applied, nothing retracted, state byte-identical — both for
     // insert-then-delete of a fresh row and delete-then-insert of a live
     // one.
-    let doc = parse_document(
-        r"
-        schema sigma1 { R/1; }
-        schema sigma2 { S/1; }
-        schema sigma3 { T/1; }
-        mapping m12 : sigma1 -> sigma2 { R <= S; }
-        mapping m23 : sigma2 -> sigma3 { S <= T; }
-        ",
-    )
-    .unwrap();
+    let doc = parse_document(NET_ZERO).unwrap();
     let task = doc.task("m12", "m23").unwrap();
     let full = task.full_signature().unwrap();
     let target = task.sigma2.union(&task.sigma3).unwrap();
@@ -512,16 +525,7 @@ fn draining_the_source_empties_the_target() {
     // Deleting every source row one batch at a time must cascade the whole
     // target away — the mirror image of building it up — with an oracle
     // check at every intermediate state.
-    let doc = parse_document(
-        r"
-        schema sigma1 { R/2; }
-        schema sigma2 { S/2; }
-        schema sigma3 { T/2; }
-        mapping m12 : sigma1 -> sigma2 { R <= S; }
-        mapping m23 : sigma2 -> sigma3 { S <= T; }
-        ",
-    )
-    .unwrap();
+    let doc = parse_document(DRAIN).unwrap();
     let task = doc.task("m12", "m23").unwrap();
     let full = task.full_signature().unwrap();
     let target = task.sigma2.union(&task.sigma3).unwrap();
@@ -542,4 +546,250 @@ fn draining_the_source_empties_the_target() {
     assert_eq!(harness.engine.source().total_tuples(), 0, "source not fully drained");
     assert_eq!(harness.engine.target().total_tuples(), 0, "drained source left target rows");
     assert!(harness.engine.support().is_empty(), "drained source left support entries");
+}
+
+// ---------------------------------------------------------------------------
+// The served reply: the frame a TCP server writes for `migrate-delta` is
+// copied from the engine's escaped text, and must be byte-identical to the
+// typed reply's encoding.
+// ---------------------------------------------------------------------------
+
+/// Two services fed the same requests in lockstep: `encoded` answers
+/// through `call_encoded` (the frame a TCP server writes back), `typed`
+/// through `call`, whose reply `encode_reply` encodes. Serving the same
+/// request to one service twice would apply its batch twice, hence two.
+struct WirePair {
+    encoded: LocalService,
+    typed: LocalService,
+}
+
+impl WirePair {
+    /// Serve `request` on both sides; the frames must match byte for byte.
+    fn call(&self, request: Request, label: &str) -> String {
+        let frame = self.encoded.call_encoded(request.clone(), None);
+        let expected = encode_reply(&self.typed.call(request));
+        assert_eq!(frame, expected, "{label}: call_encoded diverged from encode_reply(call)");
+        frame
+    }
+
+    fn migrate(&self, from: &str, to: &str, updates: &[Update], label: &str) -> String {
+        let request = Request::MigrateDelta {
+            from: from.into(),
+            to: to.into(),
+            updates: updates.iter().map(Update::render).collect(),
+        };
+        self.call(request, label)
+    }
+}
+
+/// The `target` field of a `migrated` frame (`None` for any other reply).
+fn target_field(frame: &str) -> Option<&str> {
+    if !frame.starts_with("mapcomp-service 1 response migrated\n") {
+        return None;
+    }
+    frame.lines().find_map(|line| line.strip_prefix("target "))
+}
+
+/// A string value with a space, `%`, U+00A0 and a control character, each
+/// of which the reply text must escape.
+fn awkward_string(id: i64) -> Value {
+    Value::str(format!("a b%c\u{a0}\u{1}{id}"))
+}
+
+/// One random signed batch over `rels`: small integers (so joins meet),
+/// now and then an awkward string, and deletes biased toward rows a
+/// previous batch inserted.
+fn random_wire_batch(
+    rng: &mut StdRng,
+    rels: &[(String, usize)],
+    inserted: &mut Vec<Update>,
+) -> Vec<Update> {
+    let mut batch = Vec::new();
+    for _ in 0..rng.gen_range(1..6) {
+        if !inserted.is_empty() && rng.gen_bool(0.3) {
+            let row = inserted.swap_remove(rng.gen_range(0..inserted.len()));
+            batch.push(Update::delete(row.rel, row.tuple));
+            continue;
+        }
+        let (rel, arity) = &rels[rng.gen_range(0..rels.len())];
+        let tuple: Tuple = (0..*arity)
+            .map(|_| {
+                if rng.gen_bool(0.1) {
+                    awkward_string(rng.gen_range(0..3))
+                } else {
+                    Value::Int(rng.gen_range(0..6))
+                }
+            })
+            .collect();
+        let update = Update::insert(rel.clone(), tuple);
+        inserted.push(update.clone());
+        batch.push(update);
+    }
+    batch
+}
+
+/// Drive one catalog document's migration from `from` to `to` through a
+/// wire pair: an empty first batch, then seeded random batches. Returns the
+/// `migrated` frames with a non-empty target.
+fn drive_wire_pair(label: &str, catalog: &Catalog, from: &str, to: &str, seed: u64) -> usize {
+    let pair = WirePair {
+        encoded: LocalService::new(catalog.clone(), 1),
+        typed: LocalService::new(catalog.clone(), 1),
+    };
+    let rels: Vec<(String, usize)> = catalog
+        .schema(from)
+        .unwrap()
+        .signature
+        .iter()
+        .map(|(name, info)| (name.to_string(), info.arity))
+        .collect();
+    let first = pair.migrate(from, to, &[], &format!("{label}, empty batch"));
+    if let Some(target) = target_field(&first) {
+        assert_eq!(target, "%e", "{label}: an empty source migrates to an empty target");
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut inserted = Vec::new();
+    let mut nonempty = 0;
+    for index in 0..if rels.is_empty() { 0 } else { 8 } {
+        let batch = random_wire_batch(&mut rng, &rels, &mut inserted);
+        let frame = pair.migrate(from, to, &batch, &format!("{label}, batch {index}"));
+        nonempty += usize::from(target_field(&frame).is_some_and(|target| target != "%e"));
+    }
+    nonempty
+}
+
+/// A document's catalog and the ends of its `m12 ∘ m23` chain.
+fn document_chain(text: &str) -> (Catalog, String, String) {
+    let doc = parse_document(text).unwrap();
+    let mut catalog = Catalog::new();
+    catalog.from_document(&doc).unwrap();
+    let from = doc.mappings["m12"].0.clone();
+    let to = doc.mappings["m23"].1.clone();
+    (catalog, from, to)
+}
+
+#[test]
+fn served_migrate_frames_match_the_typed_reply_encoding() {
+    // Every document of the oracle suite, every corpus problem and the
+    // evolution chains, migrated end to end through a `LocalService`.
+    // Chains that cannot be chased are refused alike on both sides.
+    let mut documents: Vec<(String, &str)> = vec![("example 1".into(), EXAMPLE_1)];
+    documents.extend(PAPER_DOCUMENTS.iter().map(|(label, text)| (label.to_string(), *text)));
+    documents.extend(
+        [("reinsert", REINSERT), ("net zero", NET_ZERO), ("drain", DRAIN)]
+            .map(|(label, text)| (label.to_string(), text)),
+    );
+    documents.extend(
+        mapping_composition::corpus::problems()
+            .into_iter()
+            .map(|problem| (problem.id.to_string(), problem.text)),
+    );
+    let mut nonempty = 0;
+    for (index, (label, text)) in documents.iter().enumerate() {
+        let (catalog, from, to) = document_chain(text);
+        nonempty += drive_wire_pair(label, &catalog, &from, &to, 0x3E1 + index as u64);
+    }
+    for seed in [7, 42, 77] {
+        let config =
+            ScenarioConfig { schema_size: 6, edits: 12, seed, ..ScenarioConfig::default() };
+        let replay = replay_editing(&config).unwrap();
+        let catalog = replay.session.catalog().snapshot();
+        let to = format!("v{}", replay.edits);
+        nonempty += drive_wire_pair(&format!("evolution seed {seed}"), &catalog, "v0", &to, seed);
+    }
+    let batches = 8 * (documents.len() + 3);
+    assert!(nonempty * 2 > batches, "only {nonempty} of {batches} batches migrated rows");
+}
+
+fn temp_catalog(tag: &str) -> std::path::PathBuf {
+    let file =
+        std::env::temp_dir().join(format!("mapcomp_differential_{tag}_{}.doc", std::process::id()));
+    remove_catalog(&file);
+    file
+}
+
+fn remove_catalog(file: &std::path::Path) {
+    let sidecar = sidecar_path(file);
+    for path in [file.to_path_buf(), sidecar.clone()] {
+        let _ = std::fs::remove_file(&path);
+    }
+    let mut lock = sidecar.into_os_string();
+    lock.push(".lock");
+    let _ = std::fs::remove_file(lock);
+}
+
+fn open_persistent(file: &std::path::Path) -> LocalService {
+    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
+    LocalService::open_with_policy(
+        file,
+        Registry::standard(),
+        SessionConfig::default(),
+        1,
+        true,
+        policy,
+    )
+    .unwrap()
+}
+
+#[test]
+fn served_migrate_frames_survive_empty_targets_escapes_chain_edits_and_restarts() {
+    let files = [temp_catalog("wire_encoded"), temp_catalog("wire_typed")];
+    let open_pair =
+        || WirePair { encoded: open_persistent(&files[0]), typed: open_persistent(&files[1]) };
+    let movie = |id: i64, name: Value, stars: i64| -> Tuple {
+        vec![Value::Int(id), name, Value::Int(1990 + id), Value::Int(stars)]
+    };
+    let pair = open_pair();
+    pair.call(Request::AddDocument { text: EXAMPLE_1.into() }, "add example 1");
+
+    // An empty target is the codec's empty marker, on both paths.
+    let frame = pair.migrate("sigma1", "sigma3", &[], "empty");
+    assert_eq!(target_field(&frame), Some("%e"), "{frame}");
+    let frame = pair.migrate(
+        "sigma1",
+        "sigma3",
+        &[Update::insert("Movies", movie(1, Value::Int(11), 4))],
+        "a row that reaches no target relation",
+    );
+    assert_eq!(target_field(&frame), Some("%e"), "{frame}");
+
+    // String values whose every awkward character is escaped.
+    let frame = pair.migrate(
+        "sigma1",
+        "sigma3",
+        &[
+            Update::insert("Movies", movie(2, awkward_string(2), 5)),
+            Update::insert("Movies", movie(3, Value::Int(33), 5)),
+        ],
+        "awkward strings",
+    );
+    let target = target_field(&frame).unwrap();
+    assert!(target.contains("'a%20b%25c%C2%A0%012'"), "{target}");
+    assert!(target.ends_with(";%0A"), "{target}");
+
+    // A chain edit: the next batch rebuilds the engine over the new chain.
+    let edited = EXAMPLE_1.replace("project[0,1](FiveStarMovies)", "project[1,0](FiveStarMovies)");
+    pair.call(Request::AddDocument { text: edited }, "edit m23");
+    let rebuilt = pair.migrate("sigma1", "sigma3", &[], "after the edit");
+    assert_ne!(target_field(&rebuilt), Some(target), "the edit swaps the Names columns");
+    let frame = pair.migrate(
+        "sigma1",
+        "sigma3",
+        &[Update::delete("Movies", movie(3, Value::Int(33), 5))],
+        "batch after the edit",
+    );
+
+    // A restart: reopened services replay the persisted history.
+    drop(pair);
+    let pair = open_pair();
+    let replayed = pair.migrate("sigma1", "sigma3", &[], "replayed after a restart");
+    assert_eq!(target_field(&replayed), target_field(&frame), "the restart lost no batch");
+    pair.migrate(
+        "sigma1",
+        "sigma3",
+        &[Update::insert("Movies", movie(4, awkward_string(4), 5))],
+        "batch after the restart",
+    );
+    drop(pair);
+    files.iter().for_each(|file| remove_catalog(file));
 }
