@@ -2,9 +2,14 @@
 //!
 //! Paper §2: "A containment constraint is a constraint of the form E1 ⊆ E2
 //! ... An equality constraint is a constraint of the form E1 = E2."
+//!
+//! Both sides are shared expression trees (`Arc<Expr>`): cloning a
+//! constraint bumps two reference counts, and a rewrite that leaves a side
+//! alone keeps that side's allocation.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::AlgebraError;
 use crate::eval::Evaluator;
@@ -26,22 +31,22 @@ pub enum ConstraintKind {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Constraint {
     /// Left-hand expression.
-    pub lhs: Expr,
+    pub lhs: Arc<Expr>,
     /// Right-hand expression.
-    pub rhs: Expr,
+    pub rhs: Arc<Expr>,
     /// Containment or equality.
     pub kind: ConstraintKind,
 }
 
 impl Constraint {
     /// `lhs ⊆ rhs`.
-    pub fn containment(lhs: Expr, rhs: Expr) -> Constraint {
-        Constraint { lhs, rhs, kind: ConstraintKind::Containment }
+    pub fn containment(lhs: impl Into<Arc<Expr>>, rhs: impl Into<Arc<Expr>>) -> Constraint {
+        Constraint { lhs: lhs.into(), rhs: rhs.into(), kind: ConstraintKind::Containment }
     }
 
     /// `lhs = rhs`.
-    pub fn equality(lhs: Expr, rhs: Expr) -> Constraint {
-        Constraint { lhs, rhs, kind: ConstraintKind::Equality }
+    pub fn equality(lhs: impl Into<Arc<Expr>>, rhs: impl Into<Arc<Expr>>) -> Constraint {
+        Constraint { lhs: lhs.into(), rhs: rhs.into(), kind: ConstraintKind::Equality }
     }
 
     /// Is this an equality constraint?
@@ -51,7 +56,7 @@ impl Constraint {
 
     /// Both sides of the constraint.
     pub fn sides(&self) -> [&Expr; 2] {
-        [&self.lhs, &self.rhs]
+        [&self.lhs, &self.rhs].map(AsRef::as_ref)
     }
 
     /// All relation symbols mentioned on either side.
@@ -88,11 +93,12 @@ impl Constraint {
         self.lhs.op_count() + self.rhs.op_count()
     }
 
-    /// Replace every occurrence of `name` with `replacement` on both sides.
-    pub fn substitute(&self, name: &str, replacement: &Expr) -> Constraint {
+    /// Replace every occurrence of `name` with `replacement` on both sides
+    /// ([`Expr::substitute`]: whatever does not mention `name` is shared).
+    pub fn substitute(&self, name: &str, replacement: &Arc<Expr>) -> Constraint {
         Constraint {
-            lhs: self.lhs.substitute(name, replacement),
-            rhs: self.rhs.substitute(name, replacement),
+            lhs: Expr::substitute(&self.lhs, name, replacement),
+            rhs: Expr::substitute(&self.rhs, name, replacement),
             kind: self.kind,
         }
     }
@@ -405,7 +411,7 @@ mod tests {
             c.relations().into_iter().collect::<Vec<_>>(),
             vec!["R".to_string(), "S".to_string(), "T".to_string()]
         );
-        let swapped = c.substitute("S", &Expr::rel("U"));
+        let swapped = c.substitute("S", &Arc::new(Expr::rel("U")));
         assert_eq!(swapped.occurrences("S"), 0);
         assert_eq!(swapped.occurrences("U"), 2);
         assert_eq!(c.op_count(), 6);

@@ -5,9 +5,18 @@
 //! relation `∅`, the Skolem pseudo-operator used internally by
 //! right-normalization, and user-defined operators. Attributes are referenced
 //! by 0-based index.
+//!
+//! Expressions are persistent: the children of a node are `Arc`s, so a
+//! clone of a tree copies one node and bumps the reference counts of its
+//! children. [`Expr::substitute`] rebuilds only the path from the root to
+//! each occurrence of the symbol it replaces and returns every other subtree
+//! as the `Arc` it was given, so a rewritten constraint shares its unchanged
+//! parts with the original. The argument list of a user-defined operator
+//! (`Apply`) is owned by its node and shared with it.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::AlgebraError;
 use crate::ops::OperatorSet;
@@ -56,22 +65,22 @@ pub enum Expr {
     /// `∅` of the given arity.
     Empty(usize),
     /// Set union `E1 ∪ E2` (operands must have equal arity).
-    Union(Box<Expr>, Box<Expr>),
+    Union(Arc<Expr>, Arc<Expr>),
     /// Set intersection `E1 ∩ E2`.
-    Intersect(Box<Expr>, Box<Expr>),
+    Intersect(Arc<Expr>, Arc<Expr>),
     /// Cross product `E1 × E2` (arity is the sum of operand arities).
-    Product(Box<Expr>, Box<Expr>),
+    Product(Arc<Expr>, Arc<Expr>),
     /// Set difference `E1 − E2`.
-    Difference(Box<Expr>, Box<Expr>),
+    Difference(Arc<Expr>, Arc<Expr>),
     /// Projection `π_I(E)` onto the listed positions (duplicates allowed, so
     /// projection subsumes column permutation and duplication).
-    Project(Vec<usize>, Box<Expr>),
+    Project(Vec<usize>, Arc<Expr>),
     /// Selection `σ_c(E)`.
-    Select(Pred, Box<Expr>),
+    Select(Pred, Arc<Expr>),
     /// Skolem pseudo-operator `f_I(E)`: appends one column holding
     /// `f(columns I of E)`. Only valid between right-normalization and
     /// deskolemization.
-    Skolem(SkolemFn, Box<Expr>),
+    Skolem(SkolemFn, Arc<Expr>),
     /// A user-defined operator applied to argument expressions.
     Apply(String, Vec<Expr>),
 }
@@ -98,37 +107,37 @@ impl Expr {
 
     /// `self ∪ other`.
     pub fn union(self, other: Expr) -> Expr {
-        Expr::Union(Box::new(self), Box::new(other))
+        Expr::Union(Arc::new(self), Arc::new(other))
     }
 
     /// `self ∩ other`.
     pub fn intersect(self, other: Expr) -> Expr {
-        Expr::Intersect(Box::new(self), Box::new(other))
+        Expr::Intersect(Arc::new(self), Arc::new(other))
     }
 
     /// `self × other`.
     pub fn product(self, other: Expr) -> Expr {
-        Expr::Product(Box::new(self), Box::new(other))
+        Expr::Product(Arc::new(self), Arc::new(other))
     }
 
     /// `self − other`.
     pub fn difference(self, other: Expr) -> Expr {
-        Expr::Difference(Box::new(self), Box::new(other))
+        Expr::Difference(Arc::new(self), Arc::new(other))
     }
 
     /// `π_I(self)`.
     pub fn project(self, positions: Vec<usize>) -> Expr {
-        Expr::Project(positions, Box::new(self))
+        Expr::Project(positions, Arc::new(self))
     }
 
     /// `σ_c(self)`.
     pub fn select(self, pred: Pred) -> Expr {
-        Expr::Select(pred, Box::new(self))
+        Expr::Select(pred, Arc::new(self))
     }
 
     /// `f_I(self)`.
     pub fn skolem(self, f: SkolemFn) -> Expr {
-        Expr::Skolem(f, Box::new(self))
+        Expr::Skolem(f, Arc::new(self))
     }
 
     /// User-defined operator application.
@@ -235,16 +244,42 @@ impl Expr {
 
     /// Immediate sub-expressions.
     pub fn children(&self) -> Vec<&Expr> {
+        let mut out = Vec::new();
+        self.for_each_child(|child| out.push(child));
+        out
+    }
+
+    /// Call `visit` on each immediate sub-expression, in order.
+    fn for_each_child<'a>(&'a self, mut visit: impl FnMut(&'a Expr)) {
         match self {
-            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => vec![],
+            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => {}
             Expr::Union(a, b)
             | Expr::Intersect(a, b)
             | Expr::Product(a, b)
-            | Expr::Difference(a, b) => vec![a, b],
-            Expr::Project(_, inner) | Expr::Select(_, inner) | Expr::Skolem(_, inner) => {
-                vec![inner]
+            | Expr::Difference(a, b) => {
+                visit(a);
+                visit(b);
             }
-            Expr::Apply(_, args) => args.iter().collect(),
+            Expr::Project(_, inner) | Expr::Select(_, inner) | Expr::Skolem(_, inner) => {
+                visit(inner);
+            }
+            Expr::Apply(_, args) => args.iter().for_each(visit),
+        }
+    }
+
+    /// Does any immediate sub-expression satisfy `test`? Stops at the first
+    /// that does.
+    fn any_child(&self, mut test: impl FnMut(&Expr) -> bool) -> bool {
+        match self {
+            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => false,
+            Expr::Union(a, b)
+            | Expr::Intersect(a, b)
+            | Expr::Product(a, b)
+            | Expr::Difference(a, b) => test(a) || test(b),
+            Expr::Project(_, inner) | Expr::Select(_, inner) | Expr::Skolem(_, inner) => {
+                test(inner)
+            }
+            Expr::Apply(_, args) => args.iter().any(test),
         }
     }
 
@@ -259,30 +294,32 @@ impl Expr {
         if let Expr::Rel(name) = self {
             out.insert(name.clone());
         }
-        for child in self.children() {
-            child.collect_relations(out);
-        }
+        self.for_each_child(|child| child.collect_relations(out));
+    }
+
+    /// Is the expression the bare relation symbol `name`?
+    pub fn is_relation(&self, name: &str) -> bool {
+        matches!(self, Expr::Rel(r) if r == name)
     }
 
     /// Does the expression mention the relation symbol `name`?
     pub fn mentions(&self, name: &str) -> bool {
         match self {
             Expr::Rel(r) => r == name,
-            _ => self.children().iter().any(|c| c.mentions(name)),
+            _ => self.any_child(|c| c.mentions(name)),
         }
     }
 
     /// Number of occurrences of the relation symbol `name`.
     pub fn occurrences(&self, name: &str) -> usize {
-        match self {
-            Expr::Rel(r) => usize::from(r == name),
-            _ => self.children().iter().map(|c| c.occurrences(name)).sum(),
-        }
+        let mut count = usize::from(matches!(self, Expr::Rel(r) if r == name));
+        self.for_each_child(|c| count += c.occurrences(name));
+        count
     }
 
     /// Does the expression contain any Skolem pseudo-operator?
     pub fn has_skolem(&self) -> bool {
-        matches!(self, Expr::Skolem(..)) || self.children().iter().any(|c| c.has_skolem())
+        matches!(self, Expr::Skolem(..)) || self.any_child(Expr::has_skolem)
     }
 
     /// Names of all Skolem functions appearing in the expression.
@@ -296,19 +333,17 @@ impl Expr {
         if let Expr::Skolem(f, _) = self {
             out.insert(f.name.clone());
         }
-        for child in self.children() {
-            child.collect_skolems(out);
-        }
+        self.for_each_child(|child| child.collect_skolems(out));
     }
 
     /// Does the expression mention the active-domain relation `D`?
     pub fn mentions_domain(&self) -> bool {
-        matches!(self, Expr::Domain(_)) || self.children().iter().any(|c| c.mentions_domain())
+        matches!(self, Expr::Domain(_)) || self.any_child(Expr::mentions_domain)
     }
 
     /// Does the expression mention the empty relation `∅`?
     pub fn mentions_empty(&self) -> bool {
-        matches!(self, Expr::Empty(_)) || self.children().iter().any(|c| c.mentions_empty())
+        matches!(self, Expr::Empty(_)) || self.any_child(Expr::mentions_empty)
     }
 
     /// Does the expression mention any user-defined operator?
@@ -322,9 +357,7 @@ impl Expr {
         if let Expr::Apply(name, _) = self {
             out.insert(name.clone());
         }
-        for child in self.children() {
-            child.collect_user_ops(out);
-        }
+        self.for_each_child(|child| child.collect_user_ops(out));
     }
 
     /// Number of operator nodes in the expression. This is the size measure
@@ -333,64 +366,92 @@ impl Expr {
     /// across all constraints"). Base relation references count 1; selection
     /// predicates contribute their comparison atoms.
     pub fn op_count(&self) -> usize {
-        let own = match self {
+        let mut count = match self {
             Expr::Select(pred, _) => 1 + pred.atom_count(),
             _ => 1,
         };
-        own + self.children().iter().map(|c| c.op_count()).sum::<usize>()
+        self.for_each_child(|c| count += c.op_count());
+        count
     }
 
     /// Nesting depth of the expression tree.
     pub fn depth(&self) -> usize {
-        1 + self.children().iter().map(|c| c.depth()).max().unwrap_or(0)
+        let mut deepest = 0;
+        self.for_each_child(|c| deepest = deepest.max(c.depth()));
+        1 + deepest
     }
 
     // ------------------------------------------------------------------
     // Substitution
     // ------------------------------------------------------------------
 
-    /// Replace every occurrence of the relation symbol `name` with
+    /// Replace every occurrence of the relation symbol `name` in `expr` with
     /// `replacement` (view unfolding and the left/right compose substitution
-    /// step).
-    pub fn substitute(&self, name: &str, replacement: &Expr) -> Expr {
-        match self {
-            Expr::Rel(r) if r == name => replacement.clone(),
-            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => self.clone(),
-            Expr::Union(a, b) => Expr::Union(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Intersect(a, b) => Expr::Intersect(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Product(a, b) => Expr::Product(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Difference(a, b) => Expr::Difference(
-                Box::new(a.substitute(name, replacement)),
-                Box::new(b.substitute(name, replacement)),
-            ),
-            Expr::Project(cols, inner) => {
-                Expr::Project(cols.clone(), Box::new(inner.substitute(name, replacement)))
-            }
-            Expr::Select(pred, inner) => {
-                Expr::Select(pred.clone(), Box::new(inner.substitute(name, replacement)))
-            }
-            Expr::Skolem(f, inner) => {
-                Expr::Skolem(f.clone(), Box::new(inner.substitute(name, replacement)))
-            }
-            Expr::Apply(op, args) => Expr::Apply(
-                op.clone(),
-                args.iter().map(|arg| arg.substitute(name, replacement)).collect(),
-            ),
+    /// step). One walk: a subtree that does not mention `name` comes back as
+    /// the `Arc` it was (so `expr` itself when nothing changes), every
+    /// occurrence becomes a reference to `replacement`, and only the nodes on
+    /// a path to an occurrence are rebuilt.
+    pub fn substitute(expr: &Arc<Expr>, name: &str, replacement: &Arc<Expr>) -> Arc<Expr> {
+        if expr.is_relation(name) {
+            Arc::clone(replacement)
+        } else {
+            Expr::map_children(expr, |child| Expr::substitute(child, name, replacement))
         }
     }
 
-    /// Rename a base relation symbol throughout the expression.
-    pub fn rename(&self, from: &str, to: &str) -> Expr {
-        self.substitute(from, &Expr::rel(to))
+    /// Rename a base relation symbol throughout `expr`, sharing every
+    /// subtree that does not mention it.
+    pub fn rename(expr: &Arc<Expr>, from: &str, to: &str) -> Arc<Expr> {
+        Expr::substitute(expr, from, &Arc::new(Expr::rel(to)))
+    }
+
+    /// `expr` with `rewrite` applied to each immediate child: the building
+    /// block of every bottom-up rewriter. When every child comes back
+    /// pointer-equal, `expr` itself is returned and nothing is allocated;
+    /// otherwise only this node is rebuilt, around the children `rewrite`
+    /// returned. The arguments of a user-defined operator are owned by their
+    /// node, so each is lifted into an `Arc` of its own for `rewrite`.
+    pub fn map_children(
+        expr: &Arc<Expr>,
+        mut rewrite: impl FnMut(&Arc<Expr>) -> Arc<Expr>,
+    ) -> Arc<Expr> {
+        let mut one = |child: &Arc<Expr>| {
+            let new = rewrite(child);
+            (!Arc::ptr_eq(child, &new)).then_some(new)
+        };
+        let mut two = |a: &Arc<Expr>, b: &Arc<Expr>, node: fn(Arc<Expr>, Arc<Expr>) -> Expr| match (
+            one(a),
+            one(b),
+        ) {
+            (None, None) => None,
+            (a2, b2) => {
+                Some(node(a2.unwrap_or_else(|| Arc::clone(a)), b2.unwrap_or_else(|| Arc::clone(b))))
+            }
+        };
+        let rebuilt = match expr.as_ref() {
+            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => None,
+            Expr::Union(a, b) => two(a, b, Expr::Union),
+            Expr::Intersect(a, b) => two(a, b, Expr::Intersect),
+            Expr::Product(a, b) => two(a, b, Expr::Product),
+            Expr::Difference(a, b) => two(a, b, Expr::Difference),
+            Expr::Project(cols, inner) => one(inner).map(|i| Expr::Project(cols.clone(), i)),
+            Expr::Select(pred, inner) => one(inner).map(|i| Expr::Select(pred.clone(), i)),
+            Expr::Skolem(f, inner) => one(inner).map(|i| Expr::Skolem(f.clone(), i)),
+            Expr::Apply(op, args) => {
+                let mut changed = false;
+                let args = args
+                    .iter()
+                    .map(|arg| {
+                        let arg = Arc::new(arg.clone());
+                        let new = one(&arg);
+                        changed |= new.is_some();
+                        Expr::clone(new.as_ref().unwrap_or(&arg))
+                    })
+                    .collect();
+                changed.then(|| Expr::Apply(op.clone(), args))
+            }
+        };
+        rebuilt.map_or_else(|| Arc::clone(expr), Arc::new)
     }
 }
 
@@ -490,11 +551,33 @@ mod tests {
 
     #[test]
     fn substitution_replaces_all_occurrences() {
-        let e = Expr::rel("S").union(Expr::rel("S").product(Expr::rel("R")));
-        let replaced = e.substitute("S", &Expr::rel("T").project(vec![0, 1]));
+        let e = Arc::new(Expr::rel("S").union(Expr::rel("S").product(Expr::rel("R"))));
+        let replacement = Arc::new(Expr::rel("T").project(vec![0, 1]));
+        let replaced = Expr::substitute(&e, "S", &replacement);
         assert_eq!(replaced.occurrences("S"), 0);
         assert_eq!(replaced.occurrences("T"), 2);
         assert_eq!(replaced.occurrences("R"), 1);
+    }
+
+    #[test]
+    fn substitution_shares_what_it_does_not_rewrite() {
+        // R ∪ π(S × (T − U)): replacing S rebuilds the path root → × only.
+        let untouched = Arc::new(Expr::rel("T").difference(Expr::rel("U")));
+        let left = Arc::new(Expr::rel("R"));
+        let product = Expr::Product(Arc::new(Expr::rel("S")), Arc::clone(&untouched));
+        let e = Arc::new(Expr::Union(Arc::clone(&left), Arc::new(product.project(vec![0]))));
+        let replacement = Arc::new(Expr::rel("V"));
+        let out = Expr::substitute(&e, "S", &replacement);
+        let Expr::Union(a, b) = out.as_ref() else { panic!("shape: {out}") };
+        assert!(Arc::ptr_eq(a, &left));
+        let Expr::Project(_, p) = b.as_ref() else { panic!("shape: {out}") };
+        let Expr::Product(s, t) = p.as_ref() else { panic!("shape: {out}") };
+        assert!(Arc::ptr_eq(s, &replacement));
+        assert!(Arc::ptr_eq(t, &untouched));
+        // A tree without the symbol comes back as itself.
+        assert!(Arc::ptr_eq(&Expr::substitute(&e, "Nope", &replacement), &e));
+        assert!(Arc::ptr_eq(&Expr::rename(&e, "Nope", "X"), &e));
+        assert_eq!(Expr::rename(&e, "S", "V"), out);
     }
 
     #[test]

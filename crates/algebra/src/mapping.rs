@@ -128,7 +128,7 @@ impl CompositionTask {
 
     /// The full signature σ1 ∪ σ2 ∪ σ3.
     pub fn full_signature(&self) -> Result<Signature, AlgebraError> {
-        self.sigma1.union(&self.sigma2)?.union(&self.sigma3)
+        Signature::union_all([&self.sigma1, &self.sigma2, &self.sigma3])
     }
 
     /// The combined constraint set Σ12 ∪ Σ23.

@@ -6,9 +6,16 @@
 //! do we. Relations may additionally carry a key (a set of attribute
 //! positions), which the right-normalization step uses to minimise the
 //! argument list of introduced Skolem functions (§3.5.1).
+//!
+//! A signature is copy-on-write: its map sits behind an `Arc`, so a clone
+//! is a reference-count bump, and `add`, `remove`, `union` and `without`
+//! copy the map only when they change a map that another clone still
+//! shares. Value semantics are unchanged: mutating a clone never shows
+//! through the original.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::error::AlgebraError;
 
@@ -36,7 +43,7 @@ impl RelInfo {
 /// A schema: relation symbols with arities and optional keys.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Signature {
-    relations: BTreeMap<String, RelInfo>,
+    relations: Arc<BTreeMap<String, RelInfo>>,
 }
 
 impl Signature {
@@ -60,7 +67,7 @@ impl Signature {
 
     /// Add (or replace) a relation symbol.
     pub fn add(&mut self, name: impl Into<String>, info: RelInfo) -> &mut Self {
-        self.relations.insert(name.into(), info);
+        Arc::make_mut(&mut self.relations).insert(name.into(), info);
         self
     }
 
@@ -81,7 +88,10 @@ impl Signature {
 
     /// Remove a relation symbol; returns its metadata if present.
     pub fn remove(&mut self, name: &str) -> Option<RelInfo> {
-        self.relations.remove(name)
+        if !self.relations.contains_key(name) {
+            return None;
+        }
+        Arc::make_mut(&mut self.relations).remove(name)
     }
 
     /// Does the signature contain this symbol?
@@ -131,19 +141,35 @@ impl Signature {
     /// keys from `self` win (the paper assumes input/output signatures are
     /// disjoint, so conflicts only arise from user error).
     pub fn union(&self, other: &Signature) -> Result<Signature, AlgebraError> {
-        let mut out = self.clone();
-        for (name, info) in other.iter() {
-            match out.relations.get(name) {
-                None => {
-                    out.relations.insert(name.to_string(), info.clone());
-                }
-                Some(existing) if existing.arity == info.arity => {}
-                Some(existing) => {
-                    return Err(AlgebraError::ArityMismatch {
-                        relation: name.to_string(),
-                        expected: existing.arity,
-                        found: info.arity,
-                    })
+        Signature::union_all([self, other])
+    }
+
+    /// Union of several signatures in one pass, left to right: the same
+    /// result, and the same [`AlgebraError::ArityMismatch`], as chaining
+    /// [`Signature::union`] over `parts` in order. The first part's map is
+    /// shared until a later part adds a symbol, and copied at most once.
+    pub fn union_all<'a>(
+        parts: impl IntoIterator<Item = &'a Signature>,
+    ) -> Result<Signature, AlgebraError> {
+        let mut parts = parts.into_iter();
+        let mut out = parts.next().cloned().unwrap_or_default();
+        for part in parts {
+            if Arc::ptr_eq(&out.relations, &part.relations) {
+                continue;
+            }
+            for (name, info) in part.iter() {
+                match out.relations.get(name) {
+                    None => {
+                        Arc::make_mut(&mut out.relations).insert(name.to_string(), info.clone());
+                    }
+                    Some(existing) if existing.arity == info.arity => {}
+                    Some(existing) => {
+                        return Err(AlgebraError::ArityMismatch {
+                            relation: name.to_string(),
+                            expected: existing.arity,
+                            found: info.arity,
+                        })
+                    }
                 }
             }
         }
@@ -154,7 +180,7 @@ impl Signature {
     pub fn without(&self, names: &[String]) -> Signature {
         let mut out = self.clone();
         for name in names {
-            out.relations.remove(name);
+            out.remove(name);
         }
         out
     }
@@ -237,6 +263,110 @@ mod tests {
         sig.add_relation("B", 1);
         sig.add_keyed("A", 2, vec![0, 1]);
         assert_eq!(sig.to_string(), "{A/2 key(0,1); B/1}");
+    }
+
+    /// The map-level operations before copy-on-write, as the reference.
+    mod reference {
+        use super::*;
+
+        pub type Map = BTreeMap<String, RelInfo>;
+
+        pub fn of(sig: &Signature) -> Map {
+            sig.iter().map(|(name, info)| (name.to_string(), info.clone())).collect()
+        }
+
+        pub fn union(a: &Map, b: &Map) -> Result<Map, AlgebraError> {
+            let mut out = a.clone();
+            for (name, info) in b {
+                match out.get(name) {
+                    None => {
+                        out.insert(name.clone(), info.clone());
+                    }
+                    Some(existing) if existing.arity == info.arity => {}
+                    Some(existing) => {
+                        return Err(AlgebraError::ArityMismatch {
+                            relation: name.clone(),
+                            expected: existing.arity,
+                            found: info.arity,
+                        })
+                    }
+                }
+            }
+            Ok(out)
+        }
+    }
+
+    #[test]
+    fn clones_keep_value_semantics() {
+        let original = Signature::from_arities([("R", 2), ("S", 3)]);
+        let mut copy = original.clone();
+        assert!(Arc::ptr_eq(&copy.relations, &original.relations), "a clone shares the map");
+        copy.add_keyed("T", 1, vec![0]);
+        copy.remove("R");
+        assert_eq!(original, Signature::from_arities([("R", 2), ("S", 3)]));
+        assert_eq!(copy.names(), ["S", "T"]);
+        assert_eq!(copy.key("T"), Some(&[0usize][..]));
+
+        // Removing an absent symbol copies nothing.
+        let mut again = original.clone();
+        assert_eq!(again.remove("Nope"), None);
+        assert!(Arc::ptr_eq(&again.relations, &original.relations));
+        let unchanged = original.without(&["Nope".to_string()]);
+        assert!(Arc::ptr_eq(&unchanged.relations, &original.relations));
+    }
+
+    #[test]
+    fn union_and_without_match_the_map_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5167);
+        let names = ["A", "B", "C", "D", "E", "F"];
+        let random = |rng: &mut StdRng| {
+            let mut sig = Signature::new();
+            for name in names {
+                if rng.gen_bool(0.5) {
+                    let arity = rng.gen_range(1..4usize);
+                    if rng.gen_bool(0.3) {
+                        sig.add_keyed(name, arity, vec![0]);
+                    } else {
+                        sig.add_relation(name, arity);
+                    }
+                }
+            }
+            sig
+        };
+        let (mut conflicts, mut unions) = (0, 0);
+        for _ in 0..500 {
+            let parts: Vec<Signature> =
+                (0..rng.gen_range(1..6usize)).map(|_| random(&mut rng)).collect();
+            // Chained reference unions, stopping at the first error.
+            let expected = parts[1..].iter().try_fold(reference::of(&parts[0]), |acc, part| {
+                reference::union(&acc, &reference::of(part))
+            });
+            let chained = parts[1..].iter().try_fold(parts[0].clone(), |acc, part| acc.union(part));
+            let single = Signature::union_all(&parts);
+            match expected {
+                Ok(map) => {
+                    unions += 1;
+                    assert_eq!(reference::of(&chained.unwrap()), map);
+                    assert_eq!(reference::of(&single.unwrap()), map);
+                }
+                Err(error) => {
+                    conflicts += 1;
+                    assert_eq!(chained.unwrap_err(), error);
+                    assert_eq!(single.unwrap_err(), error);
+                }
+            }
+            let drop: Vec<String> =
+                names.iter().filter(|_| rng.gen_bool(0.4)).map(ToString::to_string).collect();
+            let mut expected = reference::of(&parts[0]);
+            expected.retain(|name, _| !drop.contains(name));
+            let before = reference::of(&parts[0]);
+            assert_eq!(reference::of(&parts[0].without(&drop)), expected);
+            assert_eq!(reference::of(&parts[0]), before, "without leaves the original alone");
+        }
+        assert!(conflicts > 50 && unions > 50, "{conflicts} conflicts, {unions} unions");
     }
 
     #[test]

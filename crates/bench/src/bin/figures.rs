@@ -29,16 +29,26 @@ use mapcomp_bench::{
     replication_catchup_experiment, replication_read_experiment, residual_chain_point,
     schema_size_sweep, service_throughput_experiment,
     trajectory::{parse_scale, BenchDoc, BenchValue},
-    Configuration, ReplicationReadPoint, Scale, FIGURE5_PRIMITIVES, RESIDUAL_CHAIN_SEED,
+    Configuration, DifferentialUpdatePoint, ReplicationReadPoint, Scale, FIGURE5_PRIMITIVES,
+    RESIDUAL_CHAIN_SEED,
 };
 use mapcomp_compose::ComposeConfig;
 use mapcomp_evolution::{run_editing, PrimitiveKind, ScenarioConfig};
 
+/// A figure's own invariant checks, which panic on a violation. They are
+/// kept apart from the measurement so that `--check` can print the field
+/// diff first.
+type Invariants = Box<dyn FnOnce()>;
+
 /// Run one figure's experiment, printing its table and returning its
-/// trajectory document (`None` for `claims`, which asserts instead of
-/// measuring).
-fn run_figure(name: &str, scale: Scale) -> Option<BenchDoc> {
-    match name {
+/// trajectory document and invariant checks (`None` for `claims`, which
+/// asserts instead of measuring).
+fn run_figure(name: &str, scale: Scale) -> Option<(BenchDoc, Invariants)> {
+    if name == "fig14" {
+        let (doc, points) = figure_14(scale);
+        return Some((doc, Box::new(move || assert_figure_14(&points))));
+    }
+    let doc = match name {
         "fig2" | "fig3" | "fig4" => Some(figures_2_3_4(scale)),
         "fig5" => Some(figure_5(scale)),
         "fig6" => Some(figure_6(scale)),
@@ -49,10 +59,10 @@ fn run_figure(name: &str, scale: Scale) -> Option<BenchDoc> {
         "fig11" => Some(figure_11(scale)),
         "fig12" => Some(figure_12(scale)),
         "fig13" => Some(figure_13(scale)),
-        "fig14" => Some(figure_14(scale)),
         "corpus" => Some(corpus_table(scale)),
         _ => None,
-    }
+    }?;
+    Some((doc, Box::new(|| ())))
 }
 
 /// `--check` mode: re-run each file's figure at its recorded scale and
@@ -82,7 +92,7 @@ fn check_trajectories(files: &[&str]) -> bool {
             continue;
         };
         println!("\n--- checking {file} ({} at {} scale) ---", baseline.figure, baseline.scale);
-        let Some(fresh) = run_figure(&baseline.figure, scale) else {
+        let Some((fresh, invariants)) = run_figure(&baseline.figure, scale) else {
             eprintln!("check {file}: unknown figure `{}`", baseline.figure);
             ok = false;
             continue;
@@ -96,6 +106,12 @@ fn check_trajectories(files: &[&str]) -> bool {
             for problem in problems {
                 eprintln!("  {problem}");
             }
+        }
+        // The figure's own assertions run after the diff, so a regression
+        // they catch still shows which fields moved.
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(invariants)).is_err() {
+            eprintln!("check {file}: the figure's own invariants failed");
+            ok = false;
         }
     }
     ok
@@ -171,7 +187,9 @@ fn main() {
         emit(figure_13(scale));
     }
     if want("fig14") {
-        emit(figure_14(scale));
+        let (doc, points) = figure_14(scale);
+        assert_figure_14(&points);
+        emit(doc);
     }
     if want("corpus") {
         emit(corpus_table(scale));
@@ -410,6 +428,8 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("incremental_ms", BenchValue::F64(incr_ms)),
             ("warm_links", BenchValue::U64(point.warm_links as u64)),
             ("incremental_links", BenchValue::U64(point.incremental_links as u64)),
+            ("memo_tree_nodes", BenchValue::U64(point.memo_tree_nodes as u64)),
+            ("memo_nodes", BenchValue::U64(point.memo_nodes as u64)),
         ]);
     }
     let point = residual_chain_point();
@@ -432,6 +452,8 @@ fn figure_8(scale: Scale) -> BenchDoc {
         ("incremental_calls", BenchValue::U64(point.incremental_calls as u64)),
         ("incremental_attempts", BenchValue::U64(point.incremental_attempts as u64)),
         ("incremental_skips", BenchValue::U64(point.incremental_skips as u64)),
+        ("memo_tree_nodes", BenchValue::U64(point.memo_tree_nodes as u64)),
+        ("memo_nodes", BenchValue::U64(point.memo_nodes as u64)),
     ]);
     doc
 }
@@ -838,7 +860,9 @@ fn figure_13(scale: Scale) -> BenchDoc {
     doc
 }
 
-fn figure_14(scale: Scale) -> BenchDoc {
+/// Figure 14's table and document, plus its points for
+/// [`assert_figure_14`].
+fn figure_14(scale: Scale) -> (BenchDoc, Vec<DifferentialUpdatePoint>) {
     println!("\n[Figure 14] differential chase: constant-size update batch vs. full re-chase");
     let mut doc = BenchDoc::new("fig14", scale);
     let points = differential_update_experiment(scale);
@@ -862,13 +886,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
             &widths
         )
     );
-    assert!(
-        points.windows(2).all(|pair| pair[0].render_rows == pair[1].render_rows),
-        "fig14 reply rendering must be flat in instance size"
-    );
-    for point in points {
-        assert!(!point.fallback, "fig14 batches must stay on the incremental path");
-        assert!(point.results_identical, "fig14 maintained target must equal the re-chase");
+    for point in &points {
         println!(
             "{}",
             format_row(
@@ -901,7 +919,21 @@ fn figure_14(scale: Scale) -> BenchDoc {
             ("results_identical", BenchValue::Bool(point.results_identical)),
         ]);
     }
-    doc
+    (doc, points)
+}
+
+/// Figure 14's invariants: reply rendering flat in instance size, every
+/// batch on the incremental path, the maintained target equal to the
+/// re-chase.
+fn assert_figure_14(points: &[DifferentialUpdatePoint]) {
+    assert!(
+        points.windows(2).all(|pair| pair[0].render_rows == pair[1].render_rows),
+        "fig14 reply rendering must be flat in instance size"
+    );
+    for point in points {
+        assert!(!point.fallback, "fig14 batches must stay on the incremental path");
+        assert!(point.results_identical, "fig14 maintained target must equal the re-chase");
+    }
 }
 
 fn corpus_table(scale: Scale) -> BenchDoc {

@@ -438,6 +438,12 @@ pub struct ChainCachePoint {
     pub incremental_attempts: usize,
     /// Residuals the incremental recompose skipped.
     pub incremental_skips: usize,
+    /// Expression nodes of the memo's segments after the incremental
+    /// recompose, counted as trees: every node of every constraint side.
+    pub memo_tree_nodes: usize,
+    /// The same nodes counted once per allocation ([`memo_node_counts`]):
+    /// what the memo's expressions actually hold in memory.
+    pub memo_nodes: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -529,6 +535,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let started = std::time::Instant::now();
     let incremental = session.compose_names(&path).expect("incremental chain composes");
     let incremental_time = started.elapsed();
+    let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
 
     Some(ChainCachePoint {
         chain_len: path.len(),
@@ -544,7 +551,57 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
         cold_skips: cold.unchanged_skips,
         incremental_attempts: incremental.elimination_attempts,
         incremental_skips: incremental.unchanged_skips,
+        memo_tree_nodes,
+        memo_nodes,
     })
+}
+
+/// The expression nodes of every constraint in a memo's segments, as
+/// `(tree, distinct)`: `tree` counts each side as a whole tree, `distinct`
+/// counts each node once per allocation, so a subtree shared by several
+/// constraints or segments counts once. The arguments of a user-defined
+/// operator are owned by its node and count with it.
+pub fn memo_node_counts(cache: &mapcomp_catalog::ShardedMemoCache) -> (usize, usize) {
+    use mapcomp_algebra::Expr;
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    fn tree(expr: &Expr) -> usize {
+        1 + expr.children().into_iter().map(tree).sum::<usize>()
+    }
+    fn distinct(expr: &Arc<Expr>, seen: &mut HashSet<*const Expr>) -> usize {
+        if seen.insert(Arc::as_ptr(expr)) {
+            owned(expr, seen)
+        } else {
+            0
+        }
+    }
+    fn owned(node: &Expr, seen: &mut HashSet<*const Expr>) -> usize {
+        1 + match node {
+            Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => 0,
+            Expr::Union(a, b)
+            | Expr::Intersect(a, b)
+            | Expr::Product(a, b)
+            | Expr::Difference(a, b) => distinct(a, seen) + distinct(b, seen),
+            Expr::Project(_, inner) | Expr::Select(_, inner) | Expr::Skolem(_, inner) => {
+                distinct(inner, seen)
+            }
+            Expr::Apply(_, args) => args.iter().map(|arg| owned(arg, seen)).sum(),
+        }
+    }
+
+    let memo = cache.collect();
+    let mut seen = HashSet::new();
+    let (mut trees, mut nodes) = (0, 0);
+    for (_, entry) in memo.iter() {
+        for constraint in entry.chain.mapping.constraints.iter() {
+            for side in [&constraint.lhs, &constraint.rhs] {
+                trees += tree(side);
+                nodes += distinct(side, &mut seen);
+            }
+        }
+    }
+    (trees, nodes)
 }
 
 // ---------------------------------------------------------------------------
@@ -2178,6 +2235,13 @@ mod tests {
             assert_eq!(point.cold_calls, point.chain_len - 1);
             assert_eq!(point.warm_calls, 0, "unedited recompose must be free");
             assert_eq!(point.warm_links, 0, "unedited recompose must materialise no link");
+            assert!(
+                point.memo_nodes < point.memo_tree_nodes || point.chain_len <= 2,
+                "len {}: memo segments must share expression nodes ({} of {})",
+                point.chain_len,
+                point.memo_nodes,
+                point.memo_tree_nodes
+            );
             assert!(
                 point.incremental_links < point.chain_len || point.chain_len <= 2,
                 "len {}: the cached prefix before the edit must not be materialised",

@@ -172,7 +172,8 @@ impl ChainSegment {
     /// residual symbols are chased as auxiliary target relations (paper
     /// §1.3). Fails when two of them disagree on a symbol's arity.
     pub fn chase_signatures(&self) -> Result<(Signature, Signature), AlgebraError> {
-        let full = self.mapping.input.union(&self.mapping.output)?.union(&self.residual)?;
+        let full =
+            Signature::union_all([&self.mapping.input, &self.mapping.output, &self.residual])?;
         let mut target = self.mapping.output.clone();
         for (name, info) in self.residual.iter() {
             target.add(name.to_string(), info.clone());
@@ -228,6 +229,12 @@ impl ChainResult {
 /// constraints are unchanged since it last failed, which is reported failed
 /// again without re-running ELIMINATE. Returns the composed segment and the
 /// statistics of its one pairwise composition.
+///
+/// The inputs are copied by reference only: constraints are shared
+/// expression trees and signatures are copy-on-write, so a constraint that
+/// no elimination touches ends up in the composed segment as the same
+/// allocations as in its input, and a rewritten one shares every subtree
+/// the rewrite left alone.
 pub fn compose_pair(
     left: &ComposedChain,
     right: &ComposedChain,
@@ -244,15 +251,16 @@ pub fn compose_pair(
     }
 
     // Full signature: endpoint schemas, the shared intermediate schema, and
-    // both residual carry-alongs. Shared symbols must agree on arity.
-    let full = left
-        .mapping
-        .input
-        .union(&left.mapping.output)?
-        .union(&left.residual)?
-        .union(&right.mapping.input)?
-        .union(&right.residual)?
-        .union(&right.mapping.output)?;
+    // both residual carry-alongs, in one pass. Shared symbols must agree on
+    // arity; the first disagreement in this order is the one reported.
+    let full = Signature::union_all([
+        &left.mapping.input,
+        &left.mapping.output,
+        &left.residual,
+        &right.mapping.input,
+        &right.residual,
+        &right.mapping.output,
+    ])?;
 
     // Symbols to eliminate: the intermediate schema plus residuals — except
     // symbols shared with an endpoint schema (evolution chains carry every

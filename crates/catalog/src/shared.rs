@@ -559,6 +559,7 @@ impl SharedSession {
             let (_, rehashed) = self.catalog.add_schema(name.clone(), signature.clone());
             for name in rehashed {
                 self.cache.invalidate(&name);
+                self.drop_analysis(&name);
                 touched.push(name);
             }
         }
@@ -996,5 +997,28 @@ mod tests {
         });
         assert_eq!(session.catalog().snapshot().mapping_count(), 6);
         assert!(session.compose_path("v0", "v6").unwrap().is_complete());
+    }
+
+    #[test]
+    fn schema_edits_in_a_document_drop_the_rehashed_mappings_reports() {
+        let session = chain_catalog(3).with_workers(1);
+        let cached = |name: &str| {
+            session.analysis.lock().unwrap_or_else(PoisonError::into_inner).contains_key(name)
+        };
+        for name in ["m0", "m1", "m2"] {
+            session.analyze_mapping(name).unwrap();
+        }
+        session.compose_path("v0", "v3").unwrap();
+        assert!(!session.cache().collect().dependents("m0").is_empty());
+        assert!(cached("m0"));
+        let m0 = session.catalog().mapping("m0").unwrap().hash;
+
+        // Widening v0 rehashes m0 only: its memo entries and its report go.
+        let document = mapcomp_algebra::parse_document("schema v0 { R0/1; Extra/2; }").unwrap();
+        assert_eq!(session.ingest_document(&document).unwrap(), vec!["m0"]);
+        assert_ne!(session.catalog().mapping("m0").unwrap().hash, m0);
+        assert!(!cached("m0"), "a rehashed mapping's report is dropped");
+        assert!(cached("m1") && cached("m2"), "untouched mappings keep theirs");
+        assert!(session.cache().collect().dependents("m0").is_empty());
     }
 }

@@ -24,6 +24,7 @@
 //! | 12. Eliminate unnecessary ∃-variables | identity projections introduced by step 11 are simplified |
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mapcomp_algebra::{Constraint, ConstraintKind, Expr, Pred, Signature, Value};
 
@@ -35,7 +36,7 @@ use crate::registry::Registry;
 #[derive(Debug, Clone)]
 struct SkolemConstraint {
     cq: Conjunctive,
-    rhs: Expr,
+    rhs: Arc<Expr>,
 }
 
 /// Remove every Skolem function from the given constraints, or fail.
@@ -250,15 +251,15 @@ fn combine_component(
 
     // Right side: join the member right-hand sides on shared terms and
     // project onto the universal variables in the same order as the lhs.
-    let mut product: Option<Expr> = None;
+    let mut product: Option<Arc<Expr>> = None;
     let mut width = 0usize;
     let mut first_column: BTreeMap<Term, usize> = BTreeMap::new();
     let mut preds: Vec<Pred> = Vec::new();
     let mut constants: Vec<(usize, Value)> = Vec::new();
     for member in members {
         product = Some(match product {
-            None => member.rhs.clone(),
-            Some(prev) => prev.product(member.rhs.clone()),
+            None => Arc::clone(&member.rhs),
+            Some(prev) => Arc::new(Expr::Product(prev, Arc::clone(&member.rhs))),
         });
         for (j, term) in member.cq.head.iter().enumerate() {
             let column = width + j;
@@ -283,7 +284,7 @@ fn combine_component(
     }
     let mut rhs = product.expect("component has at least one member");
     if !preds.is_empty() {
-        rhs = rhs.select(Pred::and_all(preds));
+        rhs = Arc::new(Expr::Select(Pred::and_all(preds), rhs));
     }
     let rhs_columns: Vec<usize> = uvars
         .iter()
@@ -295,7 +296,7 @@ fn combine_component(
             })
         })
         .collect::<Result<_, _>>()?;
-    let rhs = simplify_identity(rhs.project(rhs_columns));
+    let rhs = simplify_identity(Expr::Project(rhs_columns, rhs));
 
     // The registry is not consulted here, but keeping the parameter makes the
     // signature uniform with the other steps and leaves room for
@@ -388,19 +389,20 @@ fn build_body(
 
 /// Step 12 flavoured cleanup: remove projections that are the identity over
 /// their operand's natural column order when the operand is a base relation
-/// or a previously simplified expression of known width.
-fn simplify_identity(expr: Expr) -> Expr {
+/// or a previously simplified expression of known width. The operand is
+/// returned shared.
+fn simplify_identity(expr: Expr) -> Arc<Expr> {
     if let Expr::Project(cols, inner) = &expr {
         let natural: Vec<usize> = (0..cols.len()).collect();
         if *cols == natural {
             if let Some(width) = syntactic_arity(inner) {
                 if width == cols.len() {
-                    return (**inner).clone();
+                    return Arc::clone(inner);
                 }
             }
         }
     }
-    expr
+    Arc::new(expr)
 }
 
 /// Arity of an expression when it is syntactically evident (no signature

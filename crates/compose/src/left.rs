@@ -6,6 +6,8 @@
 //! §3.4.2), and finally eliminates the active-domain relation `D` that
 //! normalization may have introduced (§3.4.3).
 
+use std::sync::Arc;
+
 use mapcomp_algebra::{Constraint, Expr, Signature};
 
 use crate::monotone::is_monotone;
@@ -57,7 +59,7 @@ pub fn left_compose(
             if !is_monotone(&constraint.rhs, sym, registry) {
                 return Err(FailureReason::NotRightMonotone);
             }
-            constraint.rhs = constraint.rhs.substitute(sym, &definition);
+            constraint.rhs = Expr::substitute(&constraint.rhs, sym, &definition);
         }
     }
 
@@ -74,12 +76,10 @@ pub fn left_normalize(
     sym: &str,
     sig: &Signature,
     registry: &Registry,
-) -> Result<(Expr, Vec<Constraint>), FailureReason> {
-    let sym_expr = Expr::Rel(sym.to_string());
-
+) -> Result<(Arc<Expr>, Vec<Constraint>), FailureReason> {
     loop {
         // Find a constraint with S on the lhs inside a complex expression.
-        let position = work.iter().position(|c| c.lhs.mentions(sym) && c.lhs != sym_expr);
+        let position = work.iter().position(|c| c.lhs.mentions(sym) && !c.lhs.is_relation(sym));
         let Some(index) = position else { break };
         let constraint = work.remove(index);
         let rewritten = left_rewrite_step(&constraint, sym, sig, registry)?;
@@ -87,10 +87,10 @@ pub fn left_normalize(
     }
 
     // Collapse every `S ⊆ E_i` into a single `S ⊆ E_1 ∩ ... ∩ E_n`.
-    let mut bounds: Vec<Expr> = Vec::new();
+    let mut bounds: Vec<Arc<Expr>> = Vec::new();
     let mut others: Vec<Constraint> = Vec::new();
     for constraint in work {
-        if constraint.lhs == sym_expr {
+        if constraint.lhs.is_relation(sym) {
             bounds.push(constraint.rhs);
         } else {
             others.push(constraint);
@@ -103,12 +103,12 @@ pub fn left_normalize(
             let arity = sig.arity(sym).map_err(|_| {
                 FailureReason::LeftNormalizeFailed(format!("unknown arity of {sym}"))
             })?;
-            Expr::domain(arity)
+            Arc::new(Expr::domain(arity))
         }
         _ => {
             let mut iter = bounds.into_iter();
             let first = iter.next().expect("non-empty");
-            iter.fold(first, mapcomp_algebra::Expr::intersect)
+            iter.fold(first, |acc, bound| Arc::new(Expr::Intersect(acc, bound)))
         }
     };
     Ok((definition, others))
@@ -132,14 +132,14 @@ fn left_rewrite_step(
     sig: &Signature,
     registry: &Registry,
 ) -> Result<Vec<Constraint>, FailureReason> {
-    let rhs = constraint.rhs.clone();
-    match &constraint.lhs {
+    let rhs = Arc::clone(&constraint.rhs);
+    match constraint.lhs.as_ref() {
         Expr::Union(a, b) => Ok(vec![
-            Constraint::containment(a.as_ref().clone(), rhs.clone()),
-            Constraint::containment(b.as_ref().clone(), rhs),
+            Constraint::containment(Arc::clone(a), Arc::clone(&rhs)),
+            Constraint::containment(Arc::clone(b), rhs),
         ]),
         Expr::Difference(a, b) => {
-            Ok(vec![Constraint::containment(a.as_ref().clone(), b.as_ref().clone().union(rhs))])
+            Ok(vec![Constraint::containment(Arc::clone(a), Expr::Union(Arc::clone(b), rhs))])
         }
         Expr::Project(cols, inner) => {
             let inner_arity = inner.arity(sig, registry.operators()).map_err(|e| {
@@ -155,7 +155,8 @@ fn left_rewrite_step(
             // to the matching E2 column when j ∈ I, and to a fresh D column
             // otherwise.
             let k = inner_arity - cols.len();
-            let padded = if k == 0 { rhs } else { rhs.product(Expr::domain(k)) };
+            let padded =
+                if k == 0 { rhs } else { Arc::new(Expr::Product(rhs, Expr::domain(k).into())) };
             let mut permutation = Vec::with_capacity(inner_arity);
             let mut next_pad = cols.len();
             for j in 0..inner_arity {
@@ -166,7 +167,7 @@ fn left_rewrite_step(
                     next_pad += 1;
                 }
             }
-            Ok(vec![Constraint::containment(inner.as_ref().clone(), padded.project(permutation))])
+            Ok(vec![Constraint::containment(Arc::clone(inner), Expr::Project(permutation, padded))])
         }
         Expr::Select(pred, inner) => {
             let arity = inner.arity(sig, registry.operators()).map_err(|e| {
@@ -174,7 +175,10 @@ fn left_rewrite_step(
             })?;
             let complement =
                 Expr::domain(arity).difference(Expr::domain(arity).select(pred.clone()));
-            Ok(vec![Constraint::containment(inner.as_ref().clone(), rhs.union(complement))])
+            Ok(vec![Constraint::containment(
+                Arc::clone(inner),
+                Expr::Union(rhs, complement.into()),
+            )])
         }
         Expr::Apply(name, args) => {
             let rule =
@@ -225,7 +229,7 @@ mod tests {
         let (definition, others) = left_normalize(constraints, "S", &sig(), &reg()).unwrap();
         // S is binary and fully projected, so no padding is necessary and the
         // upper bound is a permutation of U.
-        assert_eq!(definition, Expr::rel("U").project(vec![0, 1]));
+        assert_eq!(*definition, Expr::rel("U").project(vec![0, 1]));
         assert_eq!(others, vec![parse_constraint("R <= S + T").unwrap()]);
     }
 
@@ -322,6 +326,6 @@ mod tests {
         let sig = Signature::from_arities([("S", 2), ("W", 1), ("R", 2)]);
         let constraints = parse_constraints("project[0](S) <= W; R <= S").unwrap().into_vec();
         let (definition, _) = left_normalize(constraints, "S", &sig, &reg()).unwrap();
-        assert_eq!(definition, Expr::rel("W").product(Expr::domain(1)).project(vec![0, 1]));
+        assert_eq!(*definition, Expr::rel("W").product(Expr::domain(1)).project(vec![0, 1]));
     }
 }

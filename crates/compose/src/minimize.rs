@@ -16,6 +16,7 @@
 //! so minimization can always be applied to `COMPOSE` output.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use mapcomp_algebra::{Constraint, ConstraintKind, Expr, Pred, Signature};
 
@@ -32,7 +33,7 @@ use crate::simplify::{is_trivial, simplify_expr};
 /// * selections with a `true` predicate,
 /// * idempotent set operations `E ∪ E`, `E ∩ E` and the self-difference
 ///   `E − E`.
-pub fn minimize_expr(expr: &Expr, sig: &Signature, registry: &Registry) -> Expr {
+pub fn minimize_expr(expr: &Arc<Expr>, sig: &Signature, registry: &Registry) -> Arc<Expr> {
     let mut current = simplify_expr(expr, registry);
     loop {
         let next = simplify_expr(&rewrite(&current, sig, registry), registry);
@@ -43,32 +44,20 @@ pub fn minimize_expr(expr: &Expr, sig: &Signature, registry: &Registry) -> Expr 
     }
 }
 
-fn rewrite(expr: &Expr, sig: &Signature, registry: &Registry) -> Expr {
-    let rebuilt = match expr {
-        Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => expr.clone(),
-        Expr::Union(a, b) => rewrite(a, sig, registry).union(rewrite(b, sig, registry)),
-        Expr::Intersect(a, b) => rewrite(a, sig, registry).intersect(rewrite(b, sig, registry)),
-        Expr::Product(a, b) => rewrite(a, sig, registry).product(rewrite(b, sig, registry)),
-        Expr::Difference(a, b) => rewrite(a, sig, registry).difference(rewrite(b, sig, registry)),
-        Expr::Project(cols, inner) => rewrite(inner, sig, registry).project(cols.clone()),
-        Expr::Select(pred, inner) => rewrite(inner, sig, registry).select(pred.clone()),
-        Expr::Skolem(f, inner) => rewrite(inner, sig, registry).skolem(f.clone()),
-        Expr::Apply(name, args) => {
-            Expr::Apply(name.clone(), args.iter().map(|arg| rewrite(arg, sig, registry)).collect())
-        }
-    };
+fn rewrite(expr: &Arc<Expr>, sig: &Signature, registry: &Registry) -> Arc<Expr> {
+    let rebuilt = Expr::map_children(expr, |child| rewrite(child, sig, registry));
     rewrite_node(&rebuilt, sig, registry)
 }
 
-fn rewrite_node(expr: &Expr, sig: &Signature, registry: &Registry) -> Expr {
-    match expr {
+fn rewrite_node(expr: &Arc<Expr>, sig: &Signature, registry: &Registry) -> Arc<Expr> {
+    match expr.as_ref() {
         Expr::Project(cols, inner) => {
             // π_I(π_J(E)) = π_{J∘I}(E).
             if let Expr::Project(inner_cols, innermost) = inner.as_ref() {
                 let composed: Option<Vec<usize>> =
                     cols.iter().map(|&c| inner_cols.get(c).copied()).collect();
                 if let Some(composed) = composed {
-                    return Expr::Project(composed, innermost.clone());
+                    return Arc::new(Expr::Project(composed, Arc::clone(innermost)));
                 }
             }
             // Identity projection.
@@ -76,28 +65,29 @@ fn rewrite_node(expr: &Expr, sig: &Signature, registry: &Registry) -> Expr {
             if *cols == identity {
                 if let Ok(arity) = inner.arity(sig, registry.operators()) {
                     if arity == cols.len() {
-                        return inner.as_ref().clone();
+                        return Arc::clone(inner);
                     }
                 }
             }
-            expr.clone()
+            Arc::clone(expr)
         }
         Expr::Select(pred, inner) => {
             if *pred == Pred::True {
-                return inner.as_ref().clone();
+                return Arc::clone(inner);
             }
             // σ_c1(σ_c2(E)) = σ_{c1 ∧ c2}(E).
             if let Expr::Select(inner_pred, innermost) = inner.as_ref() {
-                return Expr::Select(inner_pred.clone().and(pred.clone()), innermost.clone());
+                let pred = inner_pred.clone().and(pred.clone());
+                return Arc::new(Expr::Select(pred, Arc::clone(innermost)));
             }
-            expr.clone()
+            Arc::clone(expr)
         }
-        Expr::Union(a, b) | Expr::Intersect(a, b) if a == b => a.as_ref().clone(),
+        Expr::Union(a, b) | Expr::Intersect(a, b) if a == b => Arc::clone(a),
         Expr::Difference(a, b) if a == b => match a.arity(sig, registry.operators()) {
-            Ok(arity) => Expr::empty(arity),
-            Err(_) => expr.clone(),
+            Ok(arity) => Arc::new(Expr::empty(arity)),
+            Err(_) => Arc::clone(expr),
         },
-        _ => expr.clone(),
+        _ => Arc::clone(expr),
     }
 }
 
@@ -196,7 +186,7 @@ mod tests {
     }
 
     fn minimized(source: &str) -> Expr {
-        minimize_expr(&parse_expr(source).unwrap(), &sig(), &reg())
+        Expr::clone(&minimize_expr(&Arc::new(parse_expr(source).unwrap()), &sig(), &reg()))
     }
 
     #[test]

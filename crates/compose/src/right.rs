@@ -7,6 +7,8 @@
 //! §3.5.2), removes the introduced Skolem functions (deskolemization,
 //! §3.5.3), and finally eliminates the empty relation `∅` (§3.5.4).
 
+use std::sync::Arc;
+
 use mapcomp_algebra::{Constraint, Expr, Signature, SkolemFn};
 
 use crate::deskolem::deskolemize;
@@ -76,7 +78,7 @@ pub fn right_compose(
             if !is_monotone(&constraint.lhs, sym, registry) {
                 return Err(FailureReason::NotLeftMonotone);
             }
-            constraint.lhs = constraint.lhs.substitute(sym, &lower_bound);
+            constraint.lhs = Expr::substitute(&constraint.lhs, sym, &lower_bound);
         }
     }
 
@@ -100,11 +102,9 @@ pub fn right_normalize(
     sig: &Signature,
     registry: &Registry,
     namer: &mut SkolemNamer,
-) -> Result<(Expr, Vec<Constraint>), FailureReason> {
-    let sym_expr = Expr::Rel(sym.to_string());
-
+) -> Result<(Arc<Expr>, Vec<Constraint>), FailureReason> {
     loop {
-        let position = work.iter().position(|c| c.rhs.mentions(sym) && c.rhs != sym_expr);
+        let position = work.iter().position(|c| c.rhs.mentions(sym) && !c.rhs.is_relation(sym));
         let Some(index) = position else { break };
         let constraint = work.remove(index);
         let rewritten = right_rewrite_step(&constraint, sym, sig, registry, namer)?;
@@ -112,10 +112,10 @@ pub fn right_normalize(
     }
 
     // Collapse every `E_i ⊆ S` into a single `E_1 ∪ ... ∪ E_n ⊆ S`.
-    let mut bounds: Vec<Expr> = Vec::new();
+    let mut bounds: Vec<Arc<Expr>> = Vec::new();
     let mut others: Vec<Constraint> = Vec::new();
     for constraint in work {
-        if constraint.rhs == sym_expr {
+        if constraint.rhs.is_relation(sym) {
             bounds.push(constraint.lhs);
         } else {
             others.push(constraint);
@@ -128,12 +128,12 @@ pub fn right_normalize(
             let arity = sig.arity(sym).map_err(|_| {
                 FailureReason::RightNormalizeFailed(format!("unknown arity of {sym}"))
             })?;
-            Expr::empty(arity)
+            Arc::new(Expr::empty(arity))
         }
         _ => {
             let mut iter = bounds.into_iter();
             let first = iter.next().expect("non-empty");
-            iter.fold(first, mapcomp_algebra::Expr::union)
+            iter.fold(first, |acc, bound| Arc::new(Expr::Union(acc, bound)))
         }
     };
     Ok((lower_bound, others))
@@ -157,25 +157,19 @@ fn right_rewrite_step(
     registry: &Registry,
     namer: &mut SkolemNamer,
 ) -> Result<Vec<Constraint>, FailureReason> {
-    let lhs = constraint.lhs.clone();
-    match &constraint.rhs {
+    let lhs = Arc::clone(&constraint.lhs);
+    match constraint.rhs.as_ref() {
         Expr::Union(a, b) => {
             // Move towards the operand that contains S.
-            if a.mentions(sym) {
-                Ok(vec![Constraint::containment(
-                    lhs.difference(b.as_ref().clone()),
-                    a.as_ref().clone(),
-                )])
-            } else {
-                Ok(vec![Constraint::containment(
-                    lhs.difference(a.as_ref().clone()),
-                    b.as_ref().clone(),
-                )])
-            }
+            let (keep, drop) = if a.mentions(sym) { (a, b) } else { (b, a) };
+            Ok(vec![Constraint::containment(
+                Expr::Difference(lhs, Arc::clone(drop)),
+                Arc::clone(keep),
+            )])
         }
         Expr::Intersect(a, b) => Ok(vec![
-            Constraint::containment(lhs.clone(), a.as_ref().clone()),
-            Constraint::containment(lhs, b.as_ref().clone()),
+            Constraint::containment(Arc::clone(&lhs), Arc::clone(a)),
+            Constraint::containment(lhs, Arc::clone(b)),
         ]),
         Expr::Product(a, b) => {
             let left_arity = a.arity(sig, registry.operators()).map_err(|e| {
@@ -187,8 +181,8 @@ fn right_rewrite_step(
             let left_cols: Vec<usize> = (0..left_arity).collect();
             let right_cols: Vec<usize> = (left_arity..left_arity + right_arity).collect();
             Ok(vec![
-                Constraint::containment(lhs.clone().project(left_cols), a.as_ref().clone()),
-                Constraint::containment(lhs.project(right_cols), b.as_ref().clone()),
+                Constraint::containment(Expr::Project(left_cols, Arc::clone(&lhs)), Arc::clone(a)),
+                Constraint::containment(Expr::Project(right_cols, lhs), Arc::clone(b)),
             ])
         }
         Expr::Difference(a, b) => {
@@ -196,8 +190,8 @@ fn right_rewrite_step(
                 FailureReason::RightNormalizeFailed(format!("cannot type difference operand: {e}"))
             })?;
             Ok(vec![
-                Constraint::containment(lhs.clone(), a.as_ref().clone()),
-                Constraint::containment(lhs.intersect(b.as_ref().clone()), Expr::empty(arity)),
+                Constraint::containment(Arc::clone(&lhs), Arc::clone(a)),
+                Constraint::containment(Expr::Intersect(lhs, Arc::clone(b)), Expr::empty(arity)),
             ])
         }
         Expr::Project(cols, inner) => {
@@ -208,7 +202,7 @@ fn right_rewrite_step(
                 FailureReason::RightNormalizeFailed(format!("cannot type selection operand: {e}"))
             })?;
             Ok(vec![
-                Constraint::containment(lhs.clone(), inner.as_ref().clone()),
+                Constraint::containment(Arc::clone(&lhs), Arc::clone(inner)),
                 Constraint::containment(lhs, Expr::domain(arity).select(pred.clone())),
             ])
         }
@@ -245,9 +239,9 @@ fn right_rewrite_step(
 /// Skolem functions depend only on the key columns (this "increases our
 /// chances of success in deskolemize").
 fn skolemize_projection(
-    lhs: Expr,
+    lhs: Arc<Expr>,
     cols: &[usize],
-    inner: &Expr,
+    inner: &Arc<Expr>,
     sym: &str,
     sig: &Signature,
     registry: &Registry,
@@ -268,7 +262,7 @@ fn skolemize_projection(
     // key columns when the projection retains a declared key of a base
     // relation.
     let mut deps: Vec<usize> = (0..kept).collect();
-    if let Expr::Rel(name) = inner {
+    if let Expr::Rel(name) = inner.as_ref() {
         if let Some(key) = sig.key(name) {
             let key_positions: Option<Vec<usize>> =
                 key.iter().map(|k| cols.iter().position(|c| c == k)).collect();
@@ -284,7 +278,7 @@ fn skolemize_projection(
     let missing: Vec<usize> = (0..inner_arity).filter(|p| !cols.contains(p)).collect();
     let mut extended = lhs;
     for _ in &missing {
-        extended = extended.skolem(SkolemFn::new(namer.fresh(sym), deps.clone()));
+        extended = Arc::new(Expr::Skolem(SkolemFn::new(namer.fresh(sym), deps.clone()), extended));
     }
 
     // Permute into E2's column order: position p of E2 comes from column
@@ -298,7 +292,7 @@ fn skolemize_projection(
             permutation.push(kept + j);
         }
     }
-    Ok(vec![Constraint::containment(extended.project(permutation), inner.clone())])
+    Ok(vec![Constraint::containment(Expr::Project(permutation, extended), Arc::clone(inner))])
 }
 
 #[cfg(test)]
@@ -325,7 +319,7 @@ mod tests {
         let mut namer = SkolemNamer::new();
         let (bound, others) = right_normalize(constraints, "S", &sig, &reg(), &mut namer).unwrap();
         // π_0(T) ⊆ S is the only constraint with S alone on the right.
-        assert_eq!(bound, Expr::rel("T").project(vec![0]));
+        assert_eq!(*bound, Expr::rel("T").project(vec![0]));
         // The remaining constraints: the untouched S × T ⊆ U, the selection
         // residue π_0(T) ⊆ σc(D), and π_1(T) ⊆ π_0(R).
         assert_eq!(others.len(), 3);
@@ -391,7 +385,7 @@ mod tests {
         let mut namer = SkolemNamer::new();
         let (bound, others) = right_normalize(constraints, "S", &sig, &reg(), &mut namer).unwrap();
         // Bound is U ∪ (V − T); residues are U ∩ T ⊆ ∅ and S ⊆ W2 untouched.
-        assert_eq!(bound, Expr::rel("U").union(Expr::rel("V").difference(Expr::rel("T"))));
+        assert_eq!(*bound, Expr::rel("U").union(Expr::rel("V").difference(Expr::rel("T"))));
         assert!(others.contains(&parse_constraint("U & T <= empty^2").unwrap()));
         assert!(others.contains(&parse_constraint("S <= W2").unwrap()));
     }

@@ -6,15 +6,18 @@
 //! extent that our knowledge of the operators allows", plus the final
 //! cleanup that deletes constraints which have become trivially satisfied.
 
+use std::sync::Arc;
+
 use mapcomp_algebra::{Constraint, ConstraintKind, Expr};
 
 use crate::registry::Registry;
 
 /// Apply the domain- and empty-relation identities bottom-up until no rule
 /// applies, consulting user-supplied simplification rules for user-defined
-/// operators.
-pub fn simplify_expr(expr: &Expr, registry: &Registry) -> Expr {
-    let mut current = expr.clone();
+/// operators. A subtree no identity touches comes back as the `Arc` it was,
+/// so `expr` itself when nothing applies.
+pub fn simplify_expr(expr: &Arc<Expr>, registry: &Registry) -> Arc<Expr> {
+    let mut current = Arc::clone(expr);
     loop {
         let next = rewrite_once(&current, registry);
         if next == current {
@@ -24,58 +27,46 @@ pub fn simplify_expr(expr: &Expr, registry: &Registry) -> Expr {
     }
 }
 
-fn rewrite_once(expr: &Expr, registry: &Registry) -> Expr {
+fn rewrite_once(expr: &Arc<Expr>, registry: &Registry) -> Arc<Expr> {
     // First rewrite children, then the node itself.
-    let rebuilt = match expr {
-        Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => expr.clone(),
-        Expr::Union(a, b) => rewrite_once(a, registry).union(rewrite_once(b, registry)),
-        Expr::Intersect(a, b) => rewrite_once(a, registry).intersect(rewrite_once(b, registry)),
-        Expr::Product(a, b) => rewrite_once(a, registry).product(rewrite_once(b, registry)),
-        Expr::Difference(a, b) => rewrite_once(a, registry).difference(rewrite_once(b, registry)),
-        Expr::Project(cols, inner) => rewrite_once(inner, registry).project(cols.clone()),
-        Expr::Select(pred, inner) => rewrite_once(inner, registry).select(pred.clone()),
-        Expr::Skolem(f, inner) => rewrite_once(inner, registry).skolem(f.clone()),
-        Expr::Apply(name, args) => {
-            Expr::Apply(name.clone(), args.iter().map(|arg| rewrite_once(arg, registry)).collect())
-        }
-    };
+    let rebuilt = Expr::map_children(expr, |child| rewrite_once(child, registry));
     rewrite_node(&rebuilt, registry)
 }
 
 /// Single-node rewrite implementing the identities of §3.4.3 and §3.5.4.
-fn rewrite_node(expr: &Expr, registry: &Registry) -> Expr {
-    match expr {
+fn rewrite_node(expr: &Arc<Expr>, registry: &Registry) -> Arc<Expr> {
+    let rewritten = match expr.as_ref() {
         // -- active-domain identities (§3.4.3) -----------------------------
         // E ∪ D^r = D^r, E ∩ D^r = E, E − D^r = ∅, π_I(D^r) = D^|I|.
         Expr::Union(a, b) => match (a.as_ref(), b.as_ref()) {
             (Expr::Domain(r), _) | (_, Expr::Domain(r)) => Expr::domain(*r),
             // -- empty identities (§3.5.4): E ∪ ∅ = E ----------------------
-            (Expr::Empty(_), other) => other.clone(),
-            (other, Expr::Empty(_)) => other.clone(),
-            _ => expr.clone(),
+            (Expr::Empty(_), _) => return Arc::clone(b),
+            (_, Expr::Empty(_)) => return Arc::clone(a),
+            _ => return Arc::clone(expr),
         },
         Expr::Intersect(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Domain(_), other) => other.clone(),
-            (other, Expr::Domain(_)) => other.clone(),
+            (Expr::Domain(_), _) => return Arc::clone(b),
+            (_, Expr::Domain(_)) => return Arc::clone(a),
             (Expr::Empty(r), _) | (_, Expr::Empty(r)) => Expr::empty(*r),
-            _ => expr.clone(),
+            _ => return Arc::clone(expr),
         },
         Expr::Difference(a, b) => match (a.as_ref(), b.as_ref()) {
             (_, Expr::Domain(r)) => Expr::empty(*r),
             (Expr::Empty(r), _) => Expr::empty(*r),
-            (other, Expr::Empty(_)) => other.clone(),
-            _ => expr.clone(),
+            (_, Expr::Empty(_)) => return Arc::clone(a),
+            _ => return Arc::clone(expr),
         },
         Expr::Project(cols, inner) => match inner.as_ref() {
             Expr::Domain(_) => Expr::domain(cols.len()),
             Expr::Empty(_) => Expr::empty(cols.len()),
-            _ => expr.clone(),
+            _ => return Arc::clone(expr),
         },
         Expr::Select(_, inner) => match inner.as_ref() {
             // σ_c(∅) = ∅. (No identity for σ over D: the selection actually
             // constrains the tuples, §3.4.3.)
             Expr::Empty(r) => Expr::empty(*r),
-            _ => expr.clone(),
+            _ => return Arc::clone(expr),
         },
         Expr::Product(a, b) => match (a.as_ref(), b.as_ref()) {
             // D^r × D^s = D^(r+s); products with ∅ are empty whenever the
@@ -85,22 +76,20 @@ fn rewrite_node(expr: &Expr, registry: &Registry) -> Expr {
                 Expr::empty(r + s)
             }
             (Expr::Empty(r), Expr::Empty(s)) => Expr::empty(r + s),
-            _ => expr.clone(),
+            _ => return Arc::clone(expr),
         },
         Expr::Apply(name, args) => {
             let touches_special =
                 args.iter().any(|arg| matches!(arg, Expr::Domain(_) | Expr::Empty(_)));
-            if touches_special {
-                if let Some(rule) = registry.rules(name).and_then(|r| r.simplify.as_ref()) {
-                    if let Some(simplified) = rule(args) {
-                        return simplified;
-                    }
-                }
+            let rule = registry.rules(name).and_then(|r| r.simplify.as_ref());
+            match rule.filter(|_| touches_special).and_then(|rule| rule(args)) {
+                Some(simplified) => simplified,
+                None => return Arc::clone(expr),
             }
-            expr.clone()
         }
-        _ => expr.clone(),
-    }
+        _ => return Arc::clone(expr),
+    };
+    Arc::new(rewritten)
 }
 
 /// Is a constraint trivially satisfied by every instance, so that it can be
@@ -111,7 +100,7 @@ pub fn is_trivial(constraint: &Constraint) -> bool {
     }
     match constraint.kind {
         ConstraintKind::Containment => {
-            matches!(constraint.rhs, Expr::Domain(_)) || matches!(constraint.lhs, Expr::Empty(_))
+            matches!(*constraint.rhs, Expr::Domain(_)) || matches!(*constraint.lhs, Expr::Empty(_))
         }
         ConstraintKind::Equality => false,
     }
@@ -138,6 +127,11 @@ mod tests {
 
     fn reg() -> Registry {
         Registry::standard()
+    }
+
+    /// [`super::simplify_expr`] on an owned expression.
+    fn simplify_expr(expr: &Expr, registry: &Registry) -> Expr {
+        Expr::clone(&super::simplify_expr(&Arc::new(expr.clone()), registry))
     }
 
     #[test]

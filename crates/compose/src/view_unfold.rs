@@ -10,30 +10,33 @@
 //! which nothing is known — which is exactly the extra power demonstrated by
 //! the paper's Example 5.
 
+use std::sync::Arc;
+
 use mapcomp_algebra::{Constraint, ConstraintKind, Expr};
 
 use crate::outcome::FailureReason;
 
 /// Find a defining equality for `sym`: a constraint `S = E` or `E = S` where
 /// `E` does not mention `S`. Returns the index and the defining expression.
-pub fn find_defining_equality(constraints: &[Constraint], sym: &str) -> Option<(usize, Expr)> {
+pub fn find_defining_equality(constraints: &[Constraint], sym: &str) -> Option<(usize, Arc<Expr>)> {
     constraints.iter().enumerate().find_map(|(i, c)| {
         if c.kind != ConstraintKind::Equality {
             return None;
         }
-        let s = Expr::Rel(sym.to_string());
-        if c.lhs == s && !c.rhs.mentions(sym) {
-            return Some((i, c.rhs.clone()));
+        if c.lhs.is_relation(sym) && !c.rhs.mentions(sym) {
+            return Some((i, Arc::clone(&c.rhs)));
         }
-        if c.rhs == s && !c.lhs.mentions(sym) {
-            return Some((i, c.lhs.clone()));
+        if c.rhs.is_relation(sym) && !c.lhs.mentions(sym) {
+            return Some((i, Arc::clone(&c.lhs)));
         }
         None
     })
 }
 
 /// Attempt to eliminate `sym` by view unfolding. On success the returned
-/// constraints are equivalent to the input and free of `sym`.
+/// constraints are equivalent to the input and free of `sym`; a constraint
+/// that does not mention `sym` is passed through shared, and every
+/// occurrence of `sym` shares the one definition.
 pub fn view_unfold(
     constraints: &[Constraint],
     sym: &str,

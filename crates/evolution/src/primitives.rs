@@ -579,7 +579,7 @@ mod tests {
                 &mut rng(),
             );
             // The projection on the lhs must retain columns 0 and 1.
-            match &outcome.constraints[0].lhs {
+            match outcome.constraints[0].lhs.as_ref() {
                 Expr::Project(cols, _) => {
                     assert!(cols.contains(&0) && cols.contains(&1), "key column dropped: {cols:?}");
                     assert_eq!(cols.len(), 3);
@@ -676,7 +676,7 @@ mod tests {
             &mut names,
             &mut rng(),
         );
-        assert_eq!(sub.constraints[0].lhs, Expr::rel("Orig"));
+        assert_eq!(*sub.constraints[0].lhs, Expr::rel("Orig"));
         let sup = apply_primitive(
             PrimitiveKind::Superset,
             Some(("Orig", &info)),
@@ -684,7 +684,7 @@ mod tests {
             &mut names,
             &mut rng(),
         );
-        assert_eq!(sup.constraints[0].rhs, Expr::rel("Orig"));
+        assert_eq!(*sup.constraints[0].rhs, Expr::rel("Orig"));
         validate(&sub, Some(("Orig", &info)));
         validate(&sup, Some(("Orig", &info)));
     }

@@ -1,0 +1,269 @@
+//! Persistent expressions: a rewrite copies only what it rewrites.
+//!
+//! `Expr::substitute` and `Expr::rename` must give the same expressions as
+//! a rebuild-everything reference, on seeded random expressions (shared
+//! subtrees included) and on every corpus constraint, while returning every
+//! subtree that does not mention the symbol as the allocation it was. A
+//! pairwise chain composition must pass the constraints no elimination
+//! touches through as the very allocations of its inputs.
+
+// Integration-test crates are built without `cfg(test)`, so the
+// `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
+// panicking on a surprise is exactly what a test should do.
+#![allow(clippy::unwrap_used)]
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use mapping_composition::algebra::SkolemFn;
+use mapping_composition::catalog::{compose_pair, ComposedChain, LinkSource};
+use mapping_composition::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Substitution as it was before expressions were shared: every node of
+/// the result is rebuilt, and every occurrence gets its own copy of the
+/// replacement.
+fn deep_substitute(expr: &Expr, name: &str, replacement: &Expr) -> Expr {
+    let sub = |e: &Expr| deep_substitute(e, name, replacement);
+    match expr {
+        Expr::Rel(r) if r == name => replacement.clone(),
+        Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_) => expr.clone(),
+        Expr::Union(a, b) => sub(a).union(sub(b)),
+        Expr::Intersect(a, b) => sub(a).intersect(sub(b)),
+        Expr::Product(a, b) => sub(a).product(sub(b)),
+        Expr::Difference(a, b) => sub(a).difference(sub(b)),
+        Expr::Project(cols, inner) => sub(inner).project(cols.clone()),
+        Expr::Select(pred, inner) => sub(inner).select(pred.clone()),
+        Expr::Skolem(f, inner) => sub(inner).skolem(f.clone()),
+        Expr::Apply(op, args) => Expr::apply(op.clone(), args.iter().map(sub).collect()),
+    }
+}
+
+/// What a shared rewrite of `before` into `after` must look like: every
+/// subtree that does not mention `name` is the same allocation, and every
+/// occurrence of `name` equals `replacement` (and is that allocation, when
+/// `same_replacement`).
+struct Sharing<'a> {
+    name: &'a str,
+    replacement: &'a Arc<Expr>,
+    same_replacement: bool,
+}
+
+impl Sharing<'_> {
+    fn check(&self, before: &Arc<Expr>, after: &Arc<Expr>) {
+        if before.is_relation(self.name) {
+            assert_eq!(after, self.replacement);
+            if self.same_replacement {
+                assert!(Arc::ptr_eq(after, self.replacement), "occurrence not shared: {after}");
+            }
+        } else if !before.mentions(self.name) {
+            assert!(Arc::ptr_eq(before, after), "untouched subtree copied: {before}");
+        } else {
+            self.check_children(before, after);
+        }
+    }
+
+    fn check_children(&self, before: &Expr, after: &Expr) {
+        match (before, after) {
+            (Expr::Union(a, b), Expr::Union(c, d))
+            | (Expr::Intersect(a, b), Expr::Intersect(c, d))
+            | (Expr::Product(a, b), Expr::Product(c, d))
+            | (Expr::Difference(a, b), Expr::Difference(c, d)) => {
+                self.check(a, c);
+                self.check(b, d);
+            }
+            (Expr::Project(_, a), Expr::Project(_, b))
+            | (Expr::Select(_, a), Expr::Select(_, b))
+            | (Expr::Skolem(_, a), Expr::Skolem(_, b)) => self.check(a, b),
+            // Arguments are owned by their node: an argument that is an
+            // occurrence is a copy of the replacement, any other argument
+            // shares its own children.
+            (Expr::Apply(_, xs), Expr::Apply(_, ys)) => {
+                for (x, y) in xs.iter().zip(ys) {
+                    if x.is_relation(self.name) {
+                        assert_eq!(y, self.replacement.as_ref());
+                    } else {
+                        self.check_children(x, y);
+                    }
+                }
+            }
+            // A leaf argument that is not an occurrence is copied as is.
+            (Expr::Rel(_) | Expr::Domain(_) | Expr::Empty(_), _) => assert_eq!(before, after),
+            _ => panic!("substitution changed the shape: {before} became {after}"),
+        }
+    }
+}
+
+/// Substitute and rename `name` in `expr`; both must equal the reference
+/// and share what they do not rewrite. Returns whether `expr` mentioned it.
+fn check_rewrites(expr: &Arc<Expr>, name: &str, replacement: &Arc<Expr>) -> bool {
+    let shared = Expr::substitute(expr, name, replacement);
+    assert_eq!(*shared, deep_substitute(expr, name, replacement));
+    Sharing { name, replacement, same_replacement: true }.check(expr, &shared);
+
+    let renamed = Expr::rename(expr, name, "Renamed");
+    let target = Arc::new(Expr::rel("Renamed"));
+    assert_eq!(*renamed, deep_substitute(expr, name, &target));
+    Sharing { name, replacement: &target, same_replacement: false }.check(expr, &renamed);
+    expr.mentions(name)
+}
+
+const RELATIONS: [&str; 4] = ["R", "S", "T", "U"];
+
+/// A random expression of at most `depth` levels over [`RELATIONS`]. With
+/// `pool`, a subtree built earlier is sometimes reused, so the inputs are
+/// shared too.
+fn random_expr(rng: &mut StdRng, depth: usize, pool: &mut Vec<Arc<Expr>>) -> Arc<Expr> {
+    if !pool.is_empty() && rng.gen_bool(0.15) {
+        return Arc::clone(&pool[rng.gen_range(0..pool.len())]);
+    }
+    let leaf = depth == 0 || rng.gen_bool(0.25);
+    let expr = if leaf {
+        match rng.gen_range(0..6usize) {
+            0 => Expr::domain(2),
+            1 => Expr::empty(2),
+            n => Expr::rel(RELATIONS[n - 2]),
+        }
+    } else {
+        let mut child = |rng: &mut StdRng| random_expr(rng, depth - 1, pool);
+        match rng.gen_range(0..9usize) {
+            0 => Expr::Union(child(rng), child(rng)),
+            1 => Expr::Intersect(child(rng), child(rng)),
+            2 => Expr::Product(child(rng), child(rng)),
+            3 => Expr::Difference(child(rng), child(rng)),
+            4 => Expr::Project(vec![1, 0], child(rng)),
+            5 => Expr::Select(Pred::eq_const(0, 7), child(rng)),
+            6 => Expr::Skolem(SkolemFn::new("f", vec![0]), child(rng)),
+            7 => Expr::apply("tc", vec![Expr::clone(&child(rng))]),
+            _ => Expr::apply("semijoin", vec![Expr::clone(&child(rng)), Expr::clone(&child(rng))]),
+        }
+    };
+    let expr = Arc::new(expr);
+    pool.push(Arc::clone(&expr));
+    expr
+}
+
+#[test]
+fn substitution_matches_the_deep_reference_on_random_expressions() {
+    let mut rng = StdRng::seed_from_u64(0x5ac7);
+    let mut pool = Vec::new();
+    let mut mentioned = 0;
+    for _ in 0..400 {
+        let expr = random_expr(&mut rng, 6, &mut pool);
+        let replacement = random_expr(&mut rng, 2, &mut Vec::new());
+        for name in RELATIONS.iter().copied().chain(["Absent"]) {
+            mentioned += usize::from(check_rewrites(&expr, name, &replacement));
+        }
+        assert!(Arc::ptr_eq(&Expr::substitute(&expr, "Absent", &replacement), &expr));
+    }
+    assert!(mentioned > 400, "too few expressions mention the symbol: {mentioned}");
+}
+
+#[test]
+fn substitution_matches_the_deep_reference_on_every_corpus_constraint() {
+    let mut rewrites = 0;
+    for problem in problems() {
+        let task = problem.task().unwrap();
+        let constraints: Vec<Constraint> = task.combined_constraints().into_vec();
+        for (index, constraint) in constraints.iter().enumerate() {
+            // The replacement is another constraint's side, as in view
+            // unfolding.
+            let other = &constraints[(index + 1) % constraints.len()];
+            for name in constraint.relations().iter().map(String::as_str).chain(["Absent"]) {
+                for side in [&constraint.lhs, &constraint.rhs] {
+                    rewrites += usize::from(check_rewrites(side, name, &other.rhs));
+                }
+                let rewritten = constraint.substitute(name, &other.rhs);
+                assert_eq!(rewritten.kind, constraint.kind);
+                if !constraint.mentions(name) {
+                    assert!(Arc::ptr_eq(&rewritten.lhs, &constraint.lhs));
+                    assert!(Arc::ptr_eq(&rewritten.rhs, &constraint.rhs));
+                }
+            }
+        }
+    }
+    assert!(rewrites > 100, "too few corpus rewrites: {rewrites}");
+}
+
+/// The symbols `compose_pair` tries to eliminate when joining `left` and
+/// `right`: the shared schema and both residuals, minus the relations an
+/// endpoint schema carries through.
+fn elimination_candidates(left: &ComposedChain, right: &ComposedChain) -> BTreeSet<String> {
+    let keep =
+        |name: &String| left.mapping.input.contains(name) || right.mapping.output.contains(name);
+    let mut names = left.mapping.output.names();
+    names.extend(right.mapping.input.names());
+    names.extend(left.residual.names());
+    names.extend(right.residual.names());
+    names.into_iter().filter(|name| !keep(name)).collect()
+}
+
+/// Compose `left` and `right` and check that every output constraint
+/// equal to an input constraint that mentions no elimination candidate is
+/// one of those inputs' allocations. Returns the composed segment and how
+/// many constraints were checked.
+fn compose_and_check_sharing(
+    left: &ComposedChain,
+    right: &ComposedChain,
+) -> (ComposedChain, usize) {
+    let (composed, _) =
+        compose_pair(left, right, &Registry::standard(), &ComposeConfig::default()).unwrap();
+    let candidates = elimination_candidates(left, right);
+    let untouched: Vec<&Constraint> = left
+        .mapping
+        .constraints
+        .iter()
+        .chain(right.mapping.constraints.iter())
+        .filter(|c| candidates.iter().all(|name| !c.mentions(name)))
+        .collect();
+    let mut checked = 0;
+    for output in composed.mapping.constraints.iter() {
+        let equal: Vec<&&Constraint> = untouched.iter().filter(|c| **c == output).collect();
+        if equal.is_empty() {
+            continue;
+        }
+        checked += 1;
+        assert!(
+            equal.iter().any(|input| Arc::ptr_eq(&input.lhs, &output.lhs)
+                && Arc::ptr_eq(&input.rhs, &output.rhs)),
+            "passed-through constraint copied: {output}"
+        );
+    }
+    (composed, checked)
+}
+
+#[test]
+fn compose_pair_passes_untouched_constraints_through_by_reference() {
+    // Every corpus problem as a two-link catalog chain.
+    let mut checked = 0;
+    for problem in problems() {
+        let task = problem.task().unwrap();
+        let mut catalog = Catalog::new();
+        catalog.add_schema("s1", task.sigma1.clone());
+        catalog.add_schema("s2", task.sigma2.clone());
+        catalog.add_schema("s3", task.sigma3.clone());
+        catalog.add_mapping("m12", "s1", "s2", task.sigma12.clone()).unwrap();
+        catalog.add_mapping("m23", "s2", "s3", task.sigma23.clone()).unwrap();
+        let (left, right) = (catalog.link("m12").unwrap(), catalog.link("m23").unwrap());
+        checked += compose_and_check_sharing(&left, &right).1;
+    }
+
+    // Editing chains fold left to right, as the chain driver does; they
+    // carry every unchanged relation through, so most constraints pass.
+    let mut folded = 0;
+    for seed in [8000, 8009, 8013] {
+        let (session, path) = mapcomp_bench::chain_fixture(8, seed);
+        let links: Vec<ComposedChain> =
+            path.iter().map(|name| session.catalog().link(name).unwrap()).collect();
+        let Some((first, rest)) = links.split_first() else { continue };
+        let mut acc = first.clone();
+        for link in rest {
+            let (composed, count) = compose_and_check_sharing(&acc, link);
+            folded += count;
+            acc = composed;
+        }
+    }
+    assert!(checked + folded > 20, "too few passed-through constraints: {checked} + {folded}");
+    assert!(folded > 0, "the editing chains pass no constraint through");
+}
