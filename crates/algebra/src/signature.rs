@@ -65,6 +65,14 @@ impl Signature {
         sig
     }
 
+    /// The address of the relation map this signature shares with its
+    /// clones. Two live signatures with the same address are clones of one
+    /// value, so they are equal; holding a clone keeps the address from
+    /// being reused.
+    pub fn storage_addr(&self) -> usize {
+        Arc::as_ptr(&self.relations) as usize
+    }
+
     /// Add (or replace) a relation symbol.
     pub fn add(&mut self, name: impl Into<String>, info: RelInfo) -> &mut Self {
         Arc::make_mut(&mut self.relations).insert(name.into(), info);

@@ -430,6 +430,7 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("incremental_links", BenchValue::U64(point.incremental_links as u64)),
             ("memo_tree_nodes", BenchValue::U64(point.memo_tree_nodes as u64)),
             ("memo_nodes", BenchValue::U64(point.memo_nodes as u64)),
+            ("memo_sidecar_bytes", BenchValue::U64(point.memo_sidecar_bytes as u64)),
         ]);
     }
     let point = residual_chain_point();
@@ -454,6 +455,7 @@ fn figure_8(scale: Scale) -> BenchDoc {
         ("incremental_skips", BenchValue::U64(point.incremental_skips as u64)),
         ("memo_tree_nodes", BenchValue::U64(point.memo_tree_nodes as u64)),
         ("memo_nodes", BenchValue::U64(point.memo_nodes as u64)),
+        ("memo_sidecar_bytes", BenchValue::U64(point.memo_sidecar_bytes as u64)),
     ]);
     doc
 }

@@ -444,6 +444,9 @@ pub struct ChainCachePoint {
     /// The same nodes counted once per allocation ([`memo_node_counts`]):
     /// what the memo's expressions actually hold in memory.
     pub memo_nodes: usize,
+    /// Bytes of the memo's sidecar snapshot after the incremental
+    /// recompose (`save_cache`): what a compaction writes for it.
+    pub memo_sidecar_bytes: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -536,6 +539,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let incremental = session.compose_names(&path).expect("incremental chain composes");
     let incremental_time = started.elapsed();
     let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
+    let memo_sidecar_bytes = mapcomp_catalog::save_cache(&session.cache().collect()).len();
 
     Some(ChainCachePoint {
         chain_len: path.len(),
@@ -553,6 +557,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
         incremental_skips: incremental.unchanged_skips,
         memo_tree_nodes,
         memo_nodes,
+        memo_sidecar_bytes,
     })
 }
 
@@ -1311,8 +1316,29 @@ pub fn persistence_document(mappings: usize) -> String {
     text
 }
 
+/// One state-changing request of the Figure 12 sequence.
+enum PersistenceStep {
+    /// Compose the two-hop span starting at schema `pv{2 * n}`.
+    Compose(usize),
+    /// Invalidate one mapping.
+    Invalidate(&'static str),
+}
+
+/// The state-changing requests per measured point: two-hop composes and an
+/// invalidation of the first one's middle link, which is then recomposed,
+/// so the warm reads after the restart still find every span.
+const PERSISTENCE_STEPS: [PersistenceStep; 4] = [
+    PersistenceStep::Compose(0),
+    PersistenceStep::Compose(1),
+    PersistenceStep::Invalidate("pm1"),
+    PersistenceStep::Compose(0),
+];
+
 /// State-changing requests per measured point.
-const PERSISTENCE_REQUESTS: usize = 4;
+const PERSISTENCE_REQUESTS: usize = PERSISTENCE_STEPS.len();
+
+/// The spans the warm reads after the restart compose again.
+const PERSISTENCE_READS: [usize; 2] = [0, 1];
 
 /// Measure one catalog size: seed a persistent service, drive the
 /// state-changing requests, and after each one record the bytes appended
@@ -1355,11 +1381,11 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     // What a compaction would write now: the document plus a sidecar
     // snapshot, opening generation 2 (seeding opened generation 1).
     let snapshot_bytes = |service: &LocalService| {
-        let (document, sidecar, _) = service.render_snapshot(Position::new(2, 0));
+        let (document, sidecar, _, _) = service.render_snapshot(Position::new(2, 0));
         (document.len() + sidecar.len()) as u64
     };
-    let compose = |service: &LocalService, request: usize| {
-        let from = 2 * request;
+    let compose = |service: &LocalService, span: usize| {
+        let from = 2 * span;
         let reply = service.call(Request::ComposePath {
             from: format!("pv{from}"),
             to: format!("pv{}", from + 2),
@@ -1369,10 +1395,16 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     let mut appended = 0u64;
     let mut rewrite = 0u64;
     let mut elapsed = Duration::ZERO;
-    for request in 0..PERSISTENCE_REQUESTS {
+    for step in &PERSISTENCE_STEPS {
         let before_sidecar = file_bytes(&sidecar);
         let started = std::time::Instant::now();
-        compose(&service, request);
+        match step {
+            PersistenceStep::Compose(span) => compose(&service, *span),
+            PersistenceStep::Invalidate(mapping) => {
+                let reply = service.call(Request::Invalidate { mapping: mapping.to_string() });
+                assert!(matches!(reply, Ok(Response::Invalidated { dropped: 1.. })), "{reply:?}");
+            }
+        }
         elapsed += started.elapsed();
         // Appends only: the document snapshot is untouched.
         appended += file_bytes(&sidecar).saturating_sub(before_sidecar);
@@ -1385,10 +1417,10 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     let reopened = open();
     let recovered = reopened.session().catalog().snapshot().to_document_string() == pre_document
         && reopened.session().cache().stats() == pre_stats;
-    // The same requests again, now served warm from the recovered memo.
+    // The composed spans again, now served warm from the recovered memo.
     let before_reads = file_bytes(&sidecar);
-    for request in 0..PERSISTENCE_REQUESTS {
-        compose(&reopened, request);
+    for span in PERSISTENCE_READS {
+        compose(&reopened, span);
     }
     let read_bytes = file_bytes(&sidecar).saturating_sub(before_reads);
     drop(reopened);
@@ -1400,7 +1432,7 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         incremental_bytes: appended / PERSISTENCE_REQUESTS as u64,
         rewrite_bytes: rewrite / PERSISTENCE_REQUESTS as u64,
         incremental_time: elapsed / PERSISTENCE_REQUESTS as u32,
-        read_bytes: read_bytes / PERSISTENCE_REQUESTS as u64,
+        read_bytes: read_bytes / PERSISTENCE_READS.len() as u64,
         recovered_identical: recovered,
     }
 }

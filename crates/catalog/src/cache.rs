@@ -110,12 +110,15 @@ impl CacheStats {
 /// removals) so durability stays proportional to the change. Only the *last*
 /// event per key matters to a consumer — the key is either live (persist its
 /// current entry) or gone (persist an eviction).
+///
+/// An invalidation journals no per-key removals: its caller persists it as
+/// one `delta invalidate` record, which replays the whole drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheEvent {
     /// An entry was inserted (or replaced) under this key.
     Inserted(MemoKey),
-    /// The entry under this key was dropped (eviction, invalidation, or an
-    /// explicit removal).
+    /// The entry under this key was dropped by an LRU eviction, an
+    /// explicit removal or a [`MemoCache::clear`].
     Removed(MemoKey),
 }
 
@@ -340,7 +343,8 @@ impl MemoCache {
 
     /// Drop every entry whose provenance mentions `mapping`; returns how many
     /// entries were dropped. Entries not depending on the mapping — e.g. the
-    /// prefix of a chain upstream of an edited link — survive.
+    /// prefix of a chain upstream of an edited link — survive. The drop is
+    /// not journaled per key (see [`CacheEvent`]).
     pub fn invalidate(&mut self, mapping: &str) -> usize {
         let Some(keys) = self.by_dependency.remove(mapping) else { return 0 };
         let mut dropped = 0;
@@ -354,7 +358,6 @@ impl MemoCache {
                         set.remove(&key);
                     }
                 }
-                self.record(CacheEvent::Removed(key));
             }
         }
         self.stats.invalidated += dropped;
@@ -813,7 +816,7 @@ mod tests {
         cache.enable_journal();
         cache.insert((1, 0, 0), segment("a", &["a"], 1));
         cache.insert((2, 0, 0), segment("b", &["b"], 2)); // evicts (1,0,0)
-        cache.invalidate("b");
+        assert_eq!(cache.invalidate("b"), 1, "journaled by its caller as one record, not per key");
         let drained = cache.take_events();
         assert_eq!(
             drained,
@@ -821,7 +824,6 @@ mod tests {
                 CacheEvent::Inserted((1, 0, 0)),
                 CacheEvent::Removed((1, 0, 0)),
                 CacheEvent::Inserted((2, 0, 0)),
-                CacheEvent::Removed((2, 0, 0)),
             ]
         );
         assert!(cache.take_events().is_empty(), "drain is destructive");

@@ -115,8 +115,9 @@ pub use mapcomp_analysis::{analyze_exchange, AnalysisReport};
 pub use persist::{
     load_sidecar, parse_chain_document, parse_delta, parse_positioned_delta, render_cache_entry,
     render_chain_document, render_delta, render_generation_marker, render_mapping_decl,
-    render_migration_snapshot, render_positioned_delta, render_schema_decl, restore_catalog,
-    save_cache, save_state, strip_torn_tail, DeltaRecord, Position, SidecarState, SidecarWriter,
+    render_migration_snapshot, render_positioned_delta, render_schema_decl,
+    render_version_extension, restore_catalog, save_cache, save_state, strip_torn_tail,
+    write_cache, DeltaRecord, EntryRenderer, LineIndex, Position, SidecarState, SidecarWriter,
     VersionManifest,
 };
 pub use replay::{replay_editing, CatalogReplay, ReplayRecord};

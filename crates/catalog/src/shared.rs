@@ -169,6 +169,12 @@ impl SharedCatalog {
         read(self.shard_of(name)).mappings.get(name).map(MappingEntry::edge)
     }
 
+    /// A mapping's version, read under its shard lock without cloning the
+    /// entry.
+    pub fn mapping_version(&self, name: &str) -> Option<u64> {
+        read(self.shard_of(name)).mappings.get(name).map(|entry| entry.version)
+    }
+
     /// The dry run of [`Catalog::from_document`] against the live store:
     /// returns the error ingesting `document` would fail with — an unknown
     /// endpoint schema or an arity conflict between a mapping's endpoints,

@@ -36,7 +36,7 @@ use std::time::Duration;
 use mapcomp_algebra::parse_document;
 use mapcomp_catalog::{
     load_sidecar, parse_positioned_delta, render_generation_marker, restore_catalog, Catalog,
-    DeltaRecord, Position, SessionConfig, SidecarWriter,
+    DeltaRecord, LineIndex, Position, SessionConfig, SidecarWriter,
 };
 use mapcomp_compose::Registry;
 use mapcomp_telemetry::metrics::Gauge;
@@ -448,7 +448,8 @@ impl FollowerCore {
         let catalog = restore_catalog(&document, &state)?;
         self.sidecar
             .rewrite_with_document(&self.catalog_file, || {
-                (payload.document.clone(), payload.sidecar.clone())
+                let lines = LineIndex::of_text(&payload.sidecar);
+                (payload.document.clone(), payload.sidecar.clone(), lines)
             })
             .map_err(|error| {
                 ServiceError::transport(format!(
@@ -473,8 +474,8 @@ impl FollowerCore {
         let position = self.next_position();
         self.sidecar
             .rewrite_with_document(&self.catalog_file, || {
-                let (document, sidecar, _) = self.service.render_snapshot(position);
-                (document, sidecar)
+                let (document, sidecar, lines, _) = self.service.render_snapshot(position);
+                (document, sidecar, lines)
             })
             .map_err(|error| {
                 ServiceError::transport(format!(

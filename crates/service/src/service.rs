@@ -41,10 +41,11 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use mapcomp_algebra::{parse_document, Document, Instance};
 use mapcomp_catalog::{
-    render_cache_entry, render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, restore_catalog, save_state, AnalysisReport,
-    CacheEvent, CacheStats, Catalog, ComposedChain, DeltaRecord, MemoKey, Position, SessionConfig,
-    SharedSession, SidecarState, SidecarWriter, VersionManifest,
+    render_generation_marker, render_mapping_decl, render_migration_snapshot,
+    render_positioned_delta, render_schema_decl, render_version_extension, restore_catalog,
+    write_cache, AnalysisReport, CacheEvent, CacheStats, Catalog, ComposedChain, DeltaRecord,
+    LineIndex, MemoKey, Position, SessionConfig, SharedSession, SidecarState, SidecarWriter,
+    VersionManifest,
 };
 use mapcomp_compose::{parse_update, parse_updates, DifferentialChase, Registry, Sign};
 use mapcomp_replication::{LogChunk, ReplicationHub, SubscribeError, Subscription};
@@ -412,18 +413,20 @@ impl LocalService {
 
     /// Render the service's durable state as a snapshot opening log
     /// position `position`: the catalog document and the sidecar — the
-    /// `generation` header, the [`save_state`] versions, statistics and memo
-    /// entries, then one absolute `migrate` line per migration history —
-    /// plus the cache statistics that sidecar records. Every snapshot goes
-    /// through here: compaction, snapshot bootstrap and a follower's
-    /// shutdown. Histories are updated before their delta records are
-    /// appended, so the rendering covers every `delta migrate` line a
-    /// rewrite is about to discard.
-    pub fn render_snapshot(&self, position: Position) -> (String, String, CacheStats) {
+    /// `generation` header, the [`mapcomp_catalog::save_state`] versions,
+    /// statistics and memo entries, then one absolute `migrate` line per
+    /// migration history — plus the sidecar's [`LineIndex`] and the cache
+    /// statistics it records. Every snapshot goes through here:
+    /// compaction, snapshot bootstrap and a follower's shutdown. Histories
+    /// are updated before their delta records are appended, so the
+    /// rendering covers every `delta migrate` line a rewrite is about to
+    /// discard.
+    pub fn render_snapshot(&self, position: Position) -> (String, String, LineIndex, CacheStats) {
         let catalog = self.session.catalog().snapshot();
         let cache = self.session.cache().collect();
         let mut sidecar = render_generation_marker(position);
-        sidecar.push_str(&save_state(&catalog, &cache));
+        sidecar.push_str(&VersionManifest::of(&catalog).render());
+        let lines = write_cache(&mut sidecar, &cache);
         // The migrations mutex is a leaf lock, held only for this loop.
         for ((from, to), session) in
             self.migrations.lock().unwrap_or_else(PoisonError::into_inner).iter()
@@ -433,7 +436,7 @@ impl LocalService {
                 sidecar.push('\n');
             }
         }
-        (catalog.to_document_string(), sidecar, cache.stats())
+        (catalog.to_document_string(), sidecar, lines, cache.stats())
     }
 
     /// Append one replicated migration batch to its session's history (a
@@ -484,9 +487,9 @@ impl LocalService {
             // the snapshot, so anything arriving in between is re-appended
             // later (a harmless duplicate) rather than lost.
             drained = self.session.cache().take_events();
-            let (document, sidecar, stats) = self.render_snapshot(boundary);
+            let (document, sidecar, lines, stats) = self.render_snapshot(boundary);
             snapshot_stats = Some(stats);
-            (document, sidecar)
+            (document, sidecar, lines)
         });
         if let Err(error) = outcome {
             // Nothing was committed (or at worst only the document rename
@@ -533,93 +536,101 @@ impl LocalService {
     }
 
     /// Make one state-changing request durable: append the request's catalog
-    /// `deltas` and version `manifest` lines plus everything the cache
-    /// journal accumulated — new memo entries, evictions — and, riding
-    /// along, the statistics increment, as one contiguous chunk. Callers
-    /// that changed no durable state (a memo hit) do not call this, so a
-    /// statistics increment goes out alone only from
-    /// [`LocalService::flush_counters`] or a rare no-op write. Every `delta`
-    /// line is stamped with the next `(generation, seq)` position, and when
-    /// replication is enabled the byte-exact chunk is published to the hub
-    /// inside the same critical section, so the stream order is the file
-    /// order. An append that pushes the log over a [`PersistPolicy`]
-    /// threshold triggers compaction; a missing document file makes the
-    /// first persist a compaction too, so the snapshot the deltas replay
-    /// over always exists.
-    fn persist_change(&self, deltas: Vec<DeltaRecord>, manifest: &str) -> Result<(), ServiceError> {
+    /// `deltas` and `versions` lines plus everything the cache journal
+    /// accumulated — new memo entries, evictions — and, riding along, the
+    /// statistics increment, as one contiguous chunk. Callers that changed
+    /// no durable state (a memo hit) do not call this, so a statistics
+    /// increment goes out alone only from [`LocalService::flush_counters`]
+    /// or a rare no-op write. Memo entries back-reference the document
+    /// lines the sidecar already holds; the chunk is rendered inside the
+    /// sidecar's write critical section, against its current line index.
+    /// Every `delta` line is stamped with the next `(generation, seq)`
+    /// position, and when replication is enabled the byte-exact chunk is
+    /// published to the hub inside the same critical section, so the
+    /// stream order is the file order. An append that pushes the log over a
+    /// [`PersistPolicy`] threshold triggers compaction; a missing document
+    /// file makes the first persist a compaction too, so the snapshot the
+    /// deltas replay over always exists.
+    fn persist_change(&self, deltas: Vec<DeltaRecord>, versions: &str) -> Result<(), ServiceError> {
         let Some(persistence) = &self.persistence else { return Ok(()) };
         if !persistence.catalog_file.exists() {
             return self.compact().map(|_| ());
         }
         let _span = mapcomp_telemetry::trace::start_span("persist/append");
-        let mut chunk = String::new();
         {
             let mut state = persistence.state();
             let mut position = state.next;
             let mut range: Option<(Position, Position)> = None;
-            let push_delta = |chunk: &mut String,
-                              position: &mut Position,
-                              range: &mut Option<(Position, Position)>,
-                              record: &DeltaRecord| {
-                let first = range.map_or(*position, |(first, _)| first);
-                *range = Some((first, *position));
-                chunk.push_str(&render_positioned_delta(*position, record));
-                chunk.push('\n');
-                *position = position.next();
-            };
-            for record in &deltas {
-                push_delta(&mut chunk, &mut position, &mut range, record);
-            }
-            chunk.push_str(manifest);
-            // Only the last event per key matters: the key is either live
-            // (persist its current entry) or gone (persist the eviction).
-            // Per-key order is preserved across the drain because a key
-            // always lands in the same cache segment. Removals are always
-            // rendered, even when `extra` carries a `delta invalidate` line
-            // that subsumes most of them: the drain is destructive, and a
-            // concurrent request's LRU eviction drained here would
-            // otherwise be lost for good, resurrecting the entry on
-            // replay. The overlap is benign — replaying an eviction for an
-            // already-dropped entry is a no-op.
-            let drained = self.session.cache().take_events();
-            let mut last: std::collections::BTreeMap<MemoKey, bool> = Default::default();
-            for event in &drained {
-                match *event {
-                    CacheEvent::Inserted(key) => last.insert(key, true),
-                    CacheEvent::Removed(key) => last.insert(key, false),
+            let mut drained = Vec::new();
+            let mut now = state.last_stats;
+            let appended = persistence.sidecar.append_with(|entries| {
+                let mut chunk = String::new();
+                let mut push_delta = |chunk: &mut String, record: &DeltaRecord| {
+                    let first = range.map_or(position, |(first, _)| first);
+                    range = Some((first, position));
+                    chunk.push_str(&render_positioned_delta(position, record));
+                    chunk.push('\n');
+                    position = position.next();
                 };
-            }
-            for (key, live) in last {
-                if live {
-                    // A concurrently removed entry simply isn't rendered;
-                    // its removal event is drained by a later persist.
-                    if let Some(chain) = self.session.cache().peek(&key) {
-                        chunk.push_str(&render_cache_entry(&key, &chain));
-                    }
-                } else {
-                    push_delta(&mut chunk, &mut position, &mut range, &DeltaRecord::Evict { key });
+                for record in &deltas {
+                    push_delta(&mut chunk, record);
                 }
-            }
-            let now = self.session.cache().stats();
-            let delta = now.delta_since(state.last_stats);
-            if !delta.is_zero() {
-                push_delta(&mut chunk, &mut position, &mut range, &DeltaRecord::Stats(delta));
-            }
+                chunk.push_str(versions);
+                // Only the last event per key matters: the key is either
+                // live (persist its current entry) or gone (persist the
+                // eviction). Per-key order is preserved across the drain
+                // because a key always lands in the same cache segment.
+                // Removals come from LRU evictions and explicit removals
+                // only — an invalidation is its own `delta invalidate`
+                // record — and are always rendered: the drain is
+                // destructive, and a concurrent request's eviction drained
+                // here would otherwise be lost for good, resurrecting the
+                // entry on replay.
+                drained = self.session.cache().take_events();
+                let mut last: std::collections::BTreeMap<MemoKey, bool> = Default::default();
+                for event in &drained {
+                    match *event {
+                        CacheEvent::Inserted(key) => last.insert(key, true),
+                        CacheEvent::Removed(key) => last.insert(key, false),
+                    };
+                }
+                for (key, live) in last {
+                    if live {
+                        // A concurrently removed entry simply isn't
+                        // rendered; its removal event is drained by a later
+                        // persist.
+                        if let Some(chain) = self.session.cache().peek(&key) {
+                            entries.render(&mut chunk, &key, &chain);
+                        }
+                    } else {
+                        push_delta(&mut chunk, &DeltaRecord::Evict { key });
+                    }
+                }
+                now = self.session.cache().stats();
+                let delta = now.delta_since(state.last_stats);
+                if !delta.is_zero() {
+                    push_delta(&mut chunk, &DeltaRecord::Stats(delta));
+                }
+                chunk
+            });
+            let chunk = match appended {
+                Ok(chunk) => chunk,
+                Err(error) => {
+                    // The chunk never reached disk: hand the drained events
+                    // back and keep the old stats baseline, so the next
+                    // persist retries this state instead of silently
+                    // dropping durability that the requests were already
+                    // acknowledged for. (No other drain can interleave —
+                    // the state mutex is held.)
+                    self.session.cache().requeue_events(drained);
+                    return Err(ServiceError::transport(format!(
+                        "cannot append to {}: {error}",
+                        persistence.sidecar.path().display()
+                    )));
+                }
+            };
             if chunk.is_empty() {
                 return Ok(());
-            }
-            if let Err(error) = persistence.sidecar.append(&chunk) {
-                // The chunk never reached disk: hand the drained events
-                // back and keep the old stats baseline, so the next
-                // persist retries this state instead of silently dropping
-                // durability that the requests were already acknowledged
-                // for. (No other drain can interleave — the state mutex is
-                // held.)
-                self.session.cache().requeue_events(drained);
-                return Err(ServiceError::transport(format!(
-                    "cannot append to {}: {error}",
-                    persistence.sidecar.path().display()
-                )));
             }
             state.last_stats = now;
             state.appends += 1;
@@ -710,7 +721,7 @@ impl LocalService {
         };
         let state = persistence.state();
         let position = state.next;
-        let (document, sidecar, _) = self.render_snapshot(position);
+        let (document, sidecar, _, _) = self.render_snapshot(position);
         drop(state);
         if let Some(hub) = self.hub.get() {
             hub.note_snapshot_served();
@@ -892,17 +903,24 @@ impl LocalService {
                 let mapping_before: std::collections::BTreeMap<&String, _> = document
                     .mappings
                     .keys()
-                    .map(|name| (name, catalog.mapping_edge(name)))
+                    .map(|name| (name, (catalog.mapping_edge(name), catalog.mapping_version(name))))
                     .collect();
+                let invalidated_before = self.session.cache().stats().invalidated;
                 let touched = self.session.ingest_document(&document)?;
                 // Delta rendering covers exactly what the request actually
                 // changed: every schema whose content hash moved (or is
                 // new), every mapping it added, edited or re-pointed (with
                 // an invalidation for each edit's stale cached
                 // compositions), and their version lines — cost
-                // proportional to the change, never to the catalog.
+                // proportional to the change, never to the catalog. The
+                // invalidations are the only record of the memo entries the
+                // ingest dropped, so an unchanged mapping the ingest
+                // invalidated anyway gets one too when anything was
+                // dropped.
+                let dropped = self.session.cache().stats().invalidated > invalidated_before;
                 let mut deltas = Vec::new();
                 let mut manifest = VersionManifest::default();
+                let mut extensions = String::new();
                 for name in document.schemas.keys() {
                     if schema_hash_before[name] == catalog.schema_hash(name) {
                         continue;
@@ -914,11 +932,16 @@ impl LocalService {
                 }
                 for name in &touched {
                     let Ok(entry) = catalog.mapping(name) else { continue };
+                    let (edge_before, version_before) =
+                        mapping_before.get(name).cloned().unwrap_or_default();
                     // `touched` reports unchanged version-1 mappings on an
                     // idempotent re-add (the pre-existing contract); only a
                     // provably unchanged (hash, source, target) skips the
-                    // delta.
-                    if mapping_before.get(name) == Some(&Some(entry.edge())) {
+                    // declaration.
+                    if edge_before == Some(entry.edge()) {
+                        if dropped {
+                            deltas.push(DeltaRecord::Invalidate { mapping: name.clone() });
+                        }
                         continue;
                     }
                     let decl = render_mapping_decl(
@@ -929,9 +952,24 @@ impl LocalService {
                     );
                     deltas.push(DeltaRecord::Mapping { decl });
                     deltas.push(DeltaRecord::Invalidate { mapping: name.clone() });
-                    manifest.absorb(VersionManifest::of_mapping(&entry));
+                    // An edit of a declared mapping appends only the history
+                    // it added; a new mapping, or one edited only through a
+                    // schema, records its whole history.
+                    let added: Vec<(u64, u64)> = entry
+                        .history
+                        .iter()
+                        .filter(|(version, _)| {
+                            version_before.is_some_and(|before| *version > before)
+                        })
+                        .map(|&(version, hash)| (version, hash.0))
+                        .collect();
+                    if added.is_empty() {
+                        manifest.absorb(VersionManifest::of_mapping(&entry));
+                    } else {
+                        extensions.push_str(&render_version_extension(name, entry.version, &added));
+                    }
                 }
-                self.persist_change(deltas, &manifest.render())?;
+                self.persist_change(deltas, &(manifest.render() + &extensions))?;
                 Ok(Response::Added {
                     touched,
                     schemas: catalog.schema_count(),
@@ -989,12 +1027,7 @@ impl LocalService {
             Request::Invalidate { mapping } => {
                 self.session.catalog().mapping(&mapping)?;
                 let dropped = self.session.invalidate(&mapping);
-                // One `delta invalidate` line replays the whole drop. The
-                // per-entry removal events it generated are still rendered
-                // as `delta evict` lines by `persist_change` (suppressing
-                // them would also discard unrelated concurrent evictions
-                // drained in the same pass); the overlap is an idempotent
-                // no-op on replay.
+                // One `delta invalidate` line replays the whole drop.
                 self.persist_change(vec![DeltaRecord::Invalidate { mapping }], "")?;
                 Ok(Response::Invalidated { dropped })
             }
@@ -1385,6 +1418,86 @@ mod tests {
             sidecar_len,
             "an unchanged re-add must append no deltas"
         );
+        cleanup(&file);
+    }
+
+    /// The memo keys a fresh load of the sidecar replays to, and the live
+    /// ones, sorted.
+    fn replayed_and_live_keys(service: &LocalService, file: &Path) -> (Vec<MemoKey>, Vec<MemoKey>) {
+        let text = std::fs::read_to_string(sidecar_path(file)).unwrap();
+        let replayed = mapcomp_catalog::load_sidecar(&text).cache;
+        let live = service.session().cache().collect();
+        (replayed.iter().map(|(key, _)| *key).collect(), live.iter().map(|(key, _)| *key).collect())
+    }
+
+    #[test]
+    fn every_invalidation_is_journaled_once_as_its_own_record() {
+        let file = temp_catalog("invalidations");
+        let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
+        let service = open_with(&file, policy);
+        service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
+        let edit_m1 = "mapping m1 : v1 -> v2 { project[0](R1) <= R2; }";
+        // Every path on which a persistent service invalidates: a mapping
+        // edit, a schema edit rehashing the mappings over it, an explicit
+        // invalidation, and an idempotent re-add of a version-1 mapping
+        // (which the ingest invalidates although nothing changed).
+        let steps = [
+            (Request::AddDocument { text: edit_m1.into() }, vec!["m1"]),
+            (Request::AddDocument { text: "schema v2 { R2/1; X/1; }".into() }, vec!["m1", "m2"]),
+            (Request::Invalidate { mapping: "m3".into() }, vec!["m3"]),
+            (
+                Request::AddDocument { text: "mapping m0 : v0 -> v1 { R0 <= R1; }".into() },
+                vec!["m0"],
+            ),
+        ];
+        for (request, invalidated) in steps {
+            service.call(Request::ComposePath { from: "v0".into(), to: "v4".into() }).unwrap();
+            let before = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+            let dropped_before = service.session().cache().stats().invalidated;
+            let kind = request.kind();
+            service.call(request).unwrap();
+            assert!(service.session().cache().stats().invalidated > dropped_before, "{kind}");
+            let after = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+            let chunk = &after[before.len()..];
+            for name in invalidated {
+                let record = format!(" invalidate {name}\n");
+                assert_eq!(
+                    chunk.matches(&record).count(),
+                    1,
+                    "{kind}: one record for {name}:\n{chunk}"
+                );
+            }
+            assert!(!chunk.contains(" evict "), "{kind}: no per-entry evictions:\n{chunk}");
+            let (replayed, live) = replayed_and_live_keys(&service, &file);
+            assert_eq!(replayed, live, "{kind}: the log replays to the live memo");
+        }
+        cleanup(&file);
+    }
+
+    #[test]
+    fn mapping_edits_append_version_records_of_constant_size() {
+        let file = temp_catalog("versions");
+        let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
+        let service = open_with(&file, policy);
+        service.call(Request::AddDocument { text: chain_document(2) }).unwrap();
+        let mut sizes = std::collections::BTreeSet::new();
+        for edit in 0..200 {
+            let before = std::fs::read_to_string(sidecar_path(&file)).unwrap().len();
+            let text = format!("mapping m1 : v1 -> v2 {{ select[#0 = {edit}](R1) <= R2; }}");
+            service.call(Request::AddDocument { text }).unwrap();
+            let after = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+            let record = after[before..].lines().find(|line| line.starts_with("version ")).unwrap();
+            let version = service.session().catalog().mapping_version("m1").unwrap();
+            assert_eq!(record.matches(':').count(), 1, "one history pair per edit: {record}");
+            sizes.insert(record.len() - 2 * version.to_string().len());
+        }
+        assert_eq!(sizes.len(), 1, "version records must not grow with the history");
+        let live = service.session().catalog().mapping("m1").unwrap();
+        assert_eq!(live.version, 201);
+        drop(service);
+        let reopened = open_with(&file, policy);
+        let restored = reopened.session().catalog().mapping("m1").unwrap();
+        assert_eq!((restored.version, &restored.history), (live.version, &live.history));
         cleanup(&file);
     }
 

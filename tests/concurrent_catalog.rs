@@ -32,8 +32,8 @@ use std::sync::Mutex;
 
 use mapping_composition::catalog::hash::combine;
 use mapping_composition::catalog::{
-    graph, hash_config, hash_mapping, save_state, ComposedChain, LinkSource, SharedSession,
-    SidecarWriter, VersionManifest,
+    graph, hash_config, hash_mapping, save_state, ComposedChain, LineIndex, LinkSource,
+    SharedSession, SidecarWriter, VersionManifest,
 };
 use mapping_composition::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -259,7 +259,9 @@ fn concurrent_stress_matches_single_threaded_replay() {
     let document_file = writer.path().with_extension("doc");
     writer
         .rewrite_with_document(&document_file, || {
-            (snapshot.to_document_string(), save_state(&snapshot, &shared.cache().collect()))
+            let sidecar = save_state(&snapshot, &shared.cache().collect());
+            let lines = LineIndex::of_text(&sidecar);
+            (snapshot.to_document_string(), sidecar, lines)
         })
         .unwrap();
     let compacted = writer.load_full().manifest;

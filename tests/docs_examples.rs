@@ -6,7 +6,10 @@
 //!   `<!-- roundtrip:sidecar -->` is parsed line-by-line with the sidecar
 //!   grammar; each record must be *recognised* and must re-render
 //!   byte-identically (so a stale example, or a grammar change without a
-//!   doc update, fails here).
+//!   doc update, fails here). The entry blocks of one example load and
+//!   re-render together. A block preceded by `<!-- legacy:sidecar -->`
+//!   holds forms only older builds write: it must load, and its current
+//!   rendering must load to the same versions and entries.
 //! * `docs/WIRE_PROTOCOL.md` — every block preceded by
 //!   `<!-- roundtrip:request -->` / `<!-- roundtrip:reply -->` must decode
 //!   with the real codec and re-encode byte-identically, and the stable
@@ -27,9 +30,10 @@
 
 use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
-    load_sidecar, parse_positioned_delta, render_delta, render_generation_marker,
-    render_mapping_decl, render_migration_snapshot, render_positioned_delta, render_schema_decl,
-    save_cache, DeltaRecord, Position,
+    load_sidecar, parse_positioned_delta, render_chain_document, render_delta,
+    render_generation_marker, render_mapping_decl, render_migration_snapshot,
+    render_positioned_delta, render_schema_decl, render_version_extension, save_cache, DeltaRecord,
+    Position,
 };
 use mapping_composition::service::{
     decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
@@ -83,6 +87,9 @@ fn persistence_doc_sidecar_examples_round_trip() {
     let mut positioned = 0usize;
     let mut headers = 0usize;
     for block in &blocks {
+        // The entry blocks of one example load together: a later block may
+        // back-reference lines of an earlier one.
+        let mut entry_blocks = String::new();
         let mut lines = block.lines().peekable();
         while let Some(line) = lines.next() {
             let line = line.trim_end();
@@ -93,8 +100,15 @@ fn persistence_doc_sidecar_examples_round_trip() {
             if line.starts_with("version ") {
                 let manifest = load_sidecar(line).manifest;
                 assert!(!manifest.is_empty(), "documented version line must parse: `{line}`");
+                let rendered = match manifest.mappings.iter().next() {
+                    // Loaded alone, an edit's pairs are the whole history.
+                    Some((name, (version, history))) if line.contains(" +") => {
+                        render_version_extension(name, *version, history)
+                    }
+                    _ => manifest.render(),
+                };
                 assert_eq!(
-                    manifest.render().trim_end(),
+                    rendered.trim_end(),
                     line,
                     "documented version line must re-render identically"
                 );
@@ -163,28 +177,53 @@ fn persistence_doc_sidecar_examples_round_trip() {
                 );
             } else if line.starts_with("entry ") {
                 // Re-assemble the whole block through `end-document`.
-                let mut entry_block = format!("{line}\n");
+                entry_blocks.push_str(line);
+                entry_blocks.push('\n');
                 for body in lines.by_ref() {
-                    entry_block.push_str(body);
-                    entry_block.push('\n');
+                    entry_blocks.push_str(body);
+                    entry_blocks.push('\n');
                     if body.trim() == "end-document" {
                         break;
                     }
                 }
-                let cache = load_sidecar(&entry_block).cache;
-                assert_eq!(cache.len(), 1, "documented entry block must load:\n{entry_block}");
-                // save_cache = comment + stats + the canonical block.
-                let rendered = save_cache(&cache);
-                let tail: String = rendered
-                    .lines()
-                    .skip(2)
-                    .flat_map(|rendered_line| [rendered_line, "\n"])
-                    .collect();
-                assert_eq!(tail, entry_block, "documented entry block must re-render identically");
             } else {
                 panic!("PERSISTENCE.md documents an unrecognised line kind: `{line}`");
             }
         }
+        if !entry_blocks.is_empty() {
+            let cache = load_sidecar(&entry_blocks).cache;
+            assert_eq!(
+                cache.len(),
+                entry_blocks.matches("\nbegin-document\n").count(),
+                "every documented entry block must load:\n{entry_blocks}"
+            );
+            // save_cache = comment + stats + the canonical blocks.
+            let rendered = save_cache(&cache);
+            let tail: String =
+                rendered.lines().skip(2).flat_map(|rendered_line| [rendered_line, "\n"]).collect();
+            assert_eq!(tail, entry_blocks, "documented entry blocks must re-render identically");
+        }
+    }
+    // Old forms load to what their current rendering loads to.
+    let legacy = marked_blocks(&doc, "legacy:sidecar");
+    assert!(!legacy.is_empty(), "PERSISTENCE.md must keep its old-form example");
+    for block in &legacy {
+        let old = load_sidecar(block);
+        let entries = block.lines().filter(|line| line.starts_with("entry ")).count();
+        assert_eq!(old.cache.stats().insertions, entries, "every old entry block loads:\n{block}");
+        assert!(!old.manifest.is_empty(), "old version lines load:\n{block}");
+        let current = load_sidecar(&format!("{}{}", old.manifest.render(), save_cache(&old.cache)));
+        assert_eq!(current.manifest, old.manifest);
+        let documents = |state: &mapping_composition::catalog::SidecarState| -> Vec<String> {
+            state
+                .cache
+                .iter()
+                .map(|(_, entry)| {
+                    format!("{:?}\n{}", entry.chain.deps, render_chain_document(&entry.chain))
+                })
+                .collect()
+        };
+        assert_eq!(documents(&current), documents(&old));
     }
     assert!(records >= 12, "the sidecar examples must cover the grammar, found {records} records");
     assert!(positioned >= 5, "the examples must cover every positioned delta kind");

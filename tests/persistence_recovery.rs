@@ -11,8 +11,12 @@
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
+use std::fmt::Write as _;
+
+use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
-    parse_positioned_delta, CacheStats, Position, SessionConfig, SidecarWriter,
+    load_sidecar, parse_positioned_delta, render_chain_document, restore_catalog, strip_torn_tail,
+    CacheStats, MemoKey, Position, SessionConfig, SidecarWriter, VersionManifest,
 };
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
@@ -666,5 +670,243 @@ fn one_shot_cli_runs_accumulate_hit_counters() {
     let stats = run(&["stats"]);
     assert!(stats.contains("lifetime  : 2 hits,"), "{stats}");
     let _ = std::fs::remove_file(&document);
+    cleanup(&file);
+}
+
+// ---------------------------------------------------------------------------
+// Back-referenced document lines and once-journaled invalidations
+// ---------------------------------------------------------------------------
+
+/// Every live memo entry as `(key, embedded document)`, in key order.
+fn memo_documents(service: &LocalService) -> Vec<(MemoKey, String)> {
+    let cache = service.session().cache().collect();
+    cache.iter().map(|(key, entry)| (*key, render_chain_document(&entry.chain))).collect()
+}
+
+/// The document lines a sidecar writes as back-references.
+fn reference_lines(file: &std::path::Path) -> usize {
+    let text = std::fs::read_to_string(sidecar_path(file)).unwrap();
+    text.lines().filter(|line| line.starts_with('@') && !line.starts_with("@@")).count()
+}
+
+fn edit(service: &LocalService, mapping: usize, constraint: &str) {
+    let (from, to) = (mapping, mapping + 1);
+    let text = format!("mapping m{mapping} : v{from} -> v{to} {{ {constraint}; }}");
+    service.call(Request::AddDocument { text }).unwrap();
+}
+
+#[test]
+fn kill_after_an_editing_session_restores_every_entry_byte_identically() {
+    let file = temp_catalog("editing_session");
+    let service = open(&file);
+    service.call(Request::AddDocument { text: chain_document(6) }).unwrap();
+    // Edits, recomposes and reads, with a compaction in the middle.
+    compose(&service, "v0", "v6");
+    edit(&service, 2, "project[0](R2) <= R3");
+    compose(&service, "v0", "v6");
+    assert_eq!(compose(&service, "v0", "v3"), 0);
+    compose(&service, "v2", "v5");
+    assert!(matches!(service.call(Request::Compact), Ok(Response::Compacted { .. })));
+    edit(&service, 4, "R4 <= project[0](R5)");
+    compose(&service, "v0", "v6");
+    edit(&service, 2, "R2 <= R3");
+    compose(&service, "v0", "v6");
+    service.call(Request::Invalidate { mapping: "m1".into() }).unwrap();
+    compose(&service, "v1", "v6");
+    assert!(reference_lines(&file) > 0, "appended entries back-reference earlier lines");
+    let live = memo_documents(&service);
+    let committed = committed_state(&service);
+    drop(service); // kill: no shutdown, no compaction
+
+    let reopened = open(&file);
+    assert_eq!(memo_documents(&reopened), live, "every entry is restored byte-identically");
+    assert_eq!(committed_state(&reopened), committed);
+    assert_eq!(compose(&reopened, "v1", "v6"), 0);
+    cleanup(&file);
+}
+
+#[test]
+fn a_chunk_torn_inside_a_back_referencing_block_drops_that_entry_only() {
+    let file = temp_catalog("torn_reference_block");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file);
+    service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
+    assert!(compose(&service, "v0", "v2") > 0);
+    let committed_bytes = std::fs::read_to_string(&sidecar).unwrap().len();
+    // Two more entries in one chunk, both referencing lines of the first.
+    assert_eq!(compose(&service, "v0", "v4"), 2);
+    let live = memo_documents(&service);
+    drop(service);
+
+    // Cut the chunk right after the first reference of its last block.
+    let full = std::fs::read_to_string(&sidecar).unwrap();
+    let last_block = full.rfind("\nentry ").unwrap() + 1;
+    assert!(last_block > committed_bytes, "the last block is in the appended chunk");
+    let header: Vec<u64> = full[last_block..]
+        .lines()
+        .next()
+        .unwrap()
+        .split_whitespace()
+        .skip(1)
+        .map(|hex| u64::from_str_radix(hex, 16).unwrap())
+        .collect();
+    let torn_key = (header[0], header[1], header[2]);
+    let reference = full[last_block..].find("\n@").unwrap() + last_block + 1;
+    let cut = full[reference..].find('\n').unwrap() + reference + 1;
+    std::fs::write(&sidecar, &full.as_bytes()[..cut]).unwrap();
+
+    let reopened = open(&file);
+    let expected: Vec<_> = live.into_iter().filter(|(key, _)| *key != torn_key).collect();
+    assert_eq!(memo_documents(&reopened), expected, "only the torn block's entry is dropped");
+    assert_eq!(compose(&reopened, "v0", "v4"), 1, "the torn entry is recomposed alone");
+    cleanup(&file);
+}
+
+#[test]
+fn raw_lines_starting_with_an_at_sign_survive_kill_and_restart() {
+    let file = temp_catalog("at_lines");
+    let service = open(&file);
+    service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+    // A string constant holding a newline starts a document line with `@`.
+    edit(&service, 0, "select[#0 = 'a\n@0123456789abcdef'](R0) <= R1");
+    compose(&service, "v0", "v3");
+    compose(&service, "v0", "v2");
+    let text = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+    assert!(text.lines().any(|line| line.starts_with("@@0123456789abcdef")), "{text}");
+    let live = memo_documents(&service);
+    assert!(live.iter().any(|(_, document)| document.contains("\n@0123456789abcdef")));
+    drop(service);
+    let reopened = open(&file);
+    assert_eq!(memo_documents(&reopened), live);
+    assert_eq!(compose(&reopened, "v0", "v3"), 0);
+    cleanup(&file);
+}
+
+/// What a sidecar loads to, rendered: the restored catalog, its versions,
+/// the statistics, the resume position and every memo entry with its
+/// provenance and document.
+fn loaded_state(document: &str, sidecar: &str) -> String {
+    let state = load_sidecar(strip_torn_tail(sidecar));
+    let catalog = restore_catalog(&parse_document(document).unwrap(), &state).unwrap();
+    let mut out = String::new();
+    out.push_str("catalog\n");
+    out.push_str(&catalog.to_document_string());
+    out.push_str("versions\n");
+    out.push_str(&VersionManifest::of(&catalog).render());
+    let stats = state.cache.stats();
+    let _ = writeln!(
+        out,
+        "stats {} {} {} {} {}",
+        stats.hits, stats.misses, stats.insertions, stats.invalidated, stats.evictions
+    );
+    let _ = writeln!(out, "position {}", state.next_position());
+    for ((left, right, config), entry) in state.cache.iter() {
+        let chain = &entry.chain;
+        let _ = writeln!(out, "entry {left:016x} {right:016x} {config:016x} {:016x}", chain.hash);
+        let _ = writeln!(out, "endpoints {} -> {}", chain.source, chain.target);
+        let _ = writeln!(out, "path {}", chain.path.join(" "));
+        let deps: Vec<&str> = chain.deps.iter().map(String::as_str).collect();
+        let _ = writeln!(out, "deps {}", deps.join(" "));
+        out.push_str(&render_chain_document(chain));
+    }
+    out
+}
+
+#[test]
+fn a_sidecar_written_before_back_references_loads_to_the_same_state() {
+    // Written by the build before back-references: inline documents,
+    // `deps` lines, per-entry evictions after `delta invalidate` and
+    // absolute version lines. `expected_state.txt` is what that build
+    // loaded it to.
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy_sidecar");
+    let read = |name: &str| std::fs::read_to_string(fixture.join(name)).unwrap();
+    let (document, sidecar) = (read("catalog.doc"), read("catalog.doc.memo"));
+    assert!(sidecar.contains("\ndeps ") && sidecar.contains(" evict "));
+    assert_eq!(loaded_state(&document, &sidecar), read("expected_state.txt"));
+
+    // A current writer appends to the old file in the new forms; the mix
+    // loads to the live state.
+    let file = temp_catalog("legacy");
+    std::fs::write(&file, &document).unwrap();
+    std::fs::write(sidecar_path(&file), &sidecar).unwrap();
+    let service = open(&file);
+    assert_eq!(compose(&service, "v0", "v3"), 0, "the legacy memo serves");
+    edit(&service, 3, "project[0](R3) <= R4");
+    compose(&service, "v0", "v4");
+    let live = memo_documents(&service);
+    let committed = committed_state(&service);
+    drop(service);
+    let reopened = open(&file);
+    assert_eq!(memo_documents(&reopened), live);
+    assert_eq!(committed_state(&reopened), committed);
+    cleanup(&file);
+}
+
+#[test]
+fn a_writer_appending_after_another_process_compacted_writes_lines_raw_again() {
+    let file = temp_catalog("two_writers");
+    let sidecar = sidecar_path(&file);
+    let first = open(&file);
+    first.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+    assert!(compose(&first, "v0", "v2") > 0);
+    // A second process opens the catalog and learns the file's lines.
+    let second = open(&file);
+    // The first drops the entry holding them and compacts: the rewritten
+    // file no longer holds them.
+    first.call(Request::Invalidate { mapping: "m1".into() }).unwrap();
+    assert!(matches!(first.call(Request::Compact), Ok(Response::Compacted { .. })));
+    assert!(!std::fs::read_to_string(&sidecar).unwrap().contains("begin-document"));
+
+    // The second composes a chain whose entries repeat those lines; it
+    // must write them raw, or its entries could not be loaded.
+    let before = std::fs::read_to_string(&sidecar).unwrap().len();
+    assert!(compose(&second, "v0", "v3") > 0);
+    let chunk = std::fs::read_to_string(&sidecar).unwrap()[before..].to_string();
+    assert!(chunk.contains("schema __in { R0/1; }"), "raw lines again:\n{chunk}");
+    let live = memo_documents(&second);
+    drop((first, second));
+    let reopened = open(&file);
+    let restored = memo_documents(&reopened);
+    for entry in &live[..] {
+        if entry.1.contains("R3") {
+            assert!(restored.contains(entry), "the second writer's entry must load: {entry:?}");
+        }
+    }
+    cleanup(&file);
+}
+
+#[test]
+fn an_lru_eviction_drained_by_another_requests_persist_reaches_disk() {
+    let file = temp_catalog("bounded_evictions");
+    let config = SessionConfig { cache_capacity: Some(2), ..SessionConfig::default() };
+    let open_bounded = || {
+        LocalService::open_with_policy(
+            &file,
+            Registry::standard(),
+            config.clone(),
+            1,
+            true,
+            policy(),
+        )
+        .expect("open persistent service")
+    };
+    let service = open_bounded();
+    service.call(Request::AddDocument { text: chain_document(5) }).unwrap();
+    compose(&service, "v0", "v2");
+    // Compositions outside the request path evict without persisting: the
+    // next request's persist drains their evictions.
+    let session = service.session();
+    session.compose_path("v1", "v3").unwrap();
+    session.compose_path("v2", "v4").unwrap();
+    assert!(session.cache().stats().evictions > 0);
+    let before = std::fs::read_to_string(sidecar_path(&file)).unwrap().len();
+    service.call(Request::Invalidate { mapping: "m4".into() }).unwrap();
+    let chunk = std::fs::read_to_string(sidecar_path(&file)).unwrap()[before..].to_string();
+    assert!(chunk.contains(" evict "), "the drained evictions are written:\n{chunk}");
+    assert!(chunk.contains(" invalidate m4\n"), "{chunk}");
+    let live = memo_documents(&service);
+    drop(service);
+    assert_eq!(memo_documents(&open_bounded()), live, "no evicted entry is resurrected");
     cleanup(&file);
 }
