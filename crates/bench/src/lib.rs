@@ -775,25 +775,25 @@ pub fn chase_scaling_experiment(scale: Scale) -> Vec<ChaseScalingPoint> {
 // Figure 10 (new experiment): concurrent shared-catalog sessions
 // ---------------------------------------------------------------------------
 
-/// One point of the Figure 10 concurrent-sessions experiment: the same batch
-/// of chain-composition requests fanned over a shared catalog with a given
-/// worker count, cold cache each time.
+/// One point of a throughput sweep (Figures 10, 11 and 13): a fixed batch
+/// of `compose-path` requests served at one setting of the swept count.
 #[derive(Debug, Clone)]
-pub struct ConcurrentSessionsPoint {
-    /// Worker threads used for the batch.
-    pub workers: usize,
+pub struct ThroughputPoint {
+    /// The swept count: worker threads (Figures 10 and 11) or read-only
+    /// follower endpoints (Figure 13).
+    pub swept: usize,
     /// Requests in the batch.
     pub requests: usize,
     /// Wall-clock time of the whole batch.
     pub elapsed: Duration,
     /// Requests that failed (must be 0).
     pub failures: usize,
-    /// Did every request produce the same composed constraints as the
-    /// single-worker run?
+    /// Did every request produce the same result as at the sweep's first
+    /// point?
     pub results_consistent: bool,
 }
 
-impl ConcurrentSessionsPoint {
+impl ThroughputPoint {
     /// Requests per second.
     pub fn throughput(&self) -> f64 {
         let seconds = self.elapsed.as_secs_f64();
@@ -803,6 +803,45 @@ impl ConcurrentSessionsPoint {
             f64::INFINITY
         }
     }
+
+    /// The point's record, its swept count named `swept`.
+    pub fn record<'a>(&self, swept: &'a str) -> Vec<(&'a str, BenchValue)> {
+        vec![
+            (swept, self.swept.into()),
+            ("requests", self.requests.into()),
+            ("failures", self.failures.into()),
+            ("elapsed_ms", BenchValue::millis(self.elapsed)),
+            ("req_per_s", self.throughput().into()),
+            ("results_consistent", self.results_consistent.into()),
+        ]
+    }
+}
+
+/// Run `batch` at every count of a sweep. A batch returns each request's
+/// rendered result and whether it succeeded, in request order, plus its
+/// wall-clock time; every point's results are checked against the first
+/// point's, so a bug that corrupts content (rather than just timing) shows.
+fn throughput_sweep(
+    counts: Vec<usize>,
+    mut batch: impl FnMut(usize) -> (Vec<(String, bool)>, Duration),
+) -> Vec<ThroughputPoint> {
+    let mut reference: Option<Vec<String>> = None;
+    counts
+        .into_iter()
+        .map(|swept| {
+            let (outcomes, elapsed) = batch(swept);
+            let failures = outcomes.iter().filter(|(_, ok)| !ok).count();
+            let rendered: Vec<String> = outcomes.into_iter().map(|(text, _)| text).collect();
+            let results_consistent = *reference.get_or_insert_with(|| rendered.clone()) == rendered;
+            ThroughputPoint {
+                swept,
+                requests: rendered.len(),
+                elapsed,
+                failures,
+                results_consistent,
+            }
+        })
+        .collect()
 }
 
 /// Worker counts measured per scale. The smoke tier deliberately includes a
@@ -874,118 +913,51 @@ pub fn concurrent_corpus(scale: Scale) -> (mapcomp_catalog::Catalog, Vec<(String
 }
 
 /// Run the Figure 10 experiment: for each worker count, share a cold-cache
-/// catalog session and time the whole batch. Results are checked against
-/// the single-worker run's composed constraints, so a concurrency bug that
-/// corrupts content (rather than just timing) fails the experiment visibly.
-pub fn concurrent_sessions_experiment(scale: Scale) -> Vec<ConcurrentSessionsPoint> {
+/// catalog session and time the whole batch.
+pub fn concurrent_sessions_experiment(scale: Scale) -> Vec<ThroughputPoint> {
     let (catalog, requests) = concurrent_corpus(scale);
-    let mut reference: Option<Vec<String>> = None;
-    concurrent_workers(scale)
-        .into_iter()
-        .map(|workers| {
-            let session = catalog.clone().with_workers(workers);
-            let started = std::time::Instant::now();
-            let results = session.compose_batch_parallel(&requests);
-            let elapsed = started.elapsed();
-            let failures = results.iter().filter(|result| result.is_err()).count();
-            let rendered: Vec<String> = results
-                .iter()
-                .map(|result| match result {
-                    Ok(result) => result.chain.mapping.constraints.to_string(),
-                    Err(error) => format!("error: {error}"),
-                })
-                .collect();
-            let results_consistent = match &reference {
-                Some(reference) => *reference == rendered,
-                None => {
-                    reference = Some(rendered);
-                    true
-                }
-            };
-            ConcurrentSessionsPoint {
-                workers,
-                requests: requests.len(),
-                elapsed,
-                failures,
-                results_consistent,
-            }
-        })
-        .collect()
+    throughput_sweep(concurrent_workers(scale), |workers| {
+        let session = catalog.clone().with_workers(workers);
+        let started = std::time::Instant::now();
+        let results = session.compose_batch_parallel(&requests);
+        let elapsed = started.elapsed();
+        let outcomes = results
+            .into_iter()
+            .map(|result| match result {
+                Ok(result) => (result.chain.mapping.constraints.to_string(), true),
+                Err(error) => (format!("error: {error}"), false),
+            })
+            .collect();
+        (outcomes, elapsed)
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Figure 11 (new experiment): service throughput over loopback TCP
 // ---------------------------------------------------------------------------
 
-/// One point of the Figure 11 service-throughput experiment: the Figure 10
-/// request corpus driven through a loopback TCP server with a given worker
-/// count, one client connection per worker, cold cache each time.
-#[derive(Debug, Clone)]
-pub struct ServiceThroughputPoint {
-    /// Server CPU worker threads (and concurrent client connections).
-    pub workers: usize,
-    /// Requests issued across all clients.
-    pub requests: usize,
-    /// Wall-clock time from the first request to the last reply.
-    pub elapsed: Duration,
-    /// Requests that failed (must be 0).
-    pub failures: usize,
-    /// Did every request produce the same composed chain document as the
-    /// single-worker run?
-    pub results_consistent: bool,
-}
-
-impl ServiceThroughputPoint {
-    /// Requests per second.
-    pub fn throughput(&self) -> f64 {
-        let seconds = self.elapsed.as_secs_f64();
-        if seconds > 0.0 {
-            self.requests as f64 / seconds
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// Server worker counts measured per scale (one client connection per
-/// worker). Mirrors [`concurrent_workers`], including the smoke tier's
-/// deliberate oversubscription.
-pub fn service_workers(scale: Scale) -> Vec<usize> {
-    concurrent_workers(scale)
-}
-
-/// Serve `catalog` on an ephemeral loopback port with `workers` CPU
-/// workers, fan `requests` across `workers` concurrent client connections
-/// (strided, one `compose-path` call per request), shut the server down, and
-/// return the per-request chain documents in request order plus the
-/// wall-clock time of the client phase. Failed requests render as an
-/// `error: …` line so the caller can both count and compare them.
-pub fn service_batch_over_loopback(
-    catalog: &mapcomp_catalog::Catalog,
+/// Send `requests` as `compose-path` calls from `clients` concurrent client
+/// connections, strided (client `i` sends requests `i`, `i + clients`, …),
+/// the clients round-robin over `endpoints`. Returns each request's chain
+/// document (an `error: …` line for a failed request) and whether it
+/// succeeded, in request order, plus the wall-clock time of the client
+/// phase.
+fn drive_compose_clients(
+    endpoints: &[String],
+    clients: usize,
     requests: &[(String, String)],
-    workers: usize,
 ) -> (Vec<(String, bool)>, Duration) {
-    use mapcomp_service::{Client, EventServer, LocalService, Request, Response};
+    use mapcomp_service::{Client, Request, Response};
 
-    let service = LocalService::new(catalog.clone(), workers);
-    let server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
-    let addr = server.local_addr().expect("bound address").to_string();
-    let clients = workers.max(1);
-    let mut outcomes: Vec<(usize, String, bool)> = Vec::with_capacity(requests.len());
-    let mut elapsed = Duration::default();
-    std::thread::scope(|scope| {
-        let (server, service, addr) = (&server, &service, addr.as_str());
-        scope.spawn(move || {
-            server.run(service, workers).expect("server run");
-        });
-        let started = std::time::Instant::now();
+    let started = std::time::Instant::now();
+    let mut outcomes: Vec<(usize, String, bool)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|client_index| {
+                let endpoint = &endpoints[client_index % endpoints.len()];
                 scope.spawn(move || {
-                    let client = Client::connect(addr).expect("connect to loopback server");
+                    let client = Client::connect(endpoint).expect("connect to an endpoint");
                     let mut done = Vec::new();
-                    let mut index = client_index;
-                    while index < requests.len() {
+                    for index in (client_index..requests.len()).step_by(clients) {
                         let (from, to) = &requests[index];
                         let request = Request::ComposePath { from: from.clone(), to: to.clone() };
                         done.push(match client.call(request) {
@@ -993,54 +965,53 @@ pub fn service_batch_over_loopback(
                             Ok(other) => (index, format!("error: {}", other.kind()), false),
                             Err(error) => (index, format!("error: {error}"), false),
                         });
-                        index += clients;
                     }
                     done
                 })
             })
             .collect();
-        for handle in handles {
-            outcomes.extend(handle.join().expect("client thread panicked"));
-        }
-        elapsed = started.elapsed();
-        // All clients are done; stop the server so the scope can close.
-        let closer = Client::connect(addr).expect("connect for shutdown");
-        closer.call(Request::Shutdown).expect("shutdown accepted");
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("client thread panicked"))
+            .collect()
     });
+    let elapsed = started.elapsed();
     outcomes.sort_by_key(|(index, _, _)| *index);
     (outcomes.into_iter().map(|(_, text, ok)| (text, ok)).collect(), elapsed)
 }
 
+/// Serve `catalog` on an ephemeral loopback port with `workers` CPU
+/// workers, fan `requests` across `workers` concurrent client connections
+/// (see [`drive_compose_clients`]), and shut the server down.
+fn service_batch_over_loopback(
+    catalog: &mapcomp_catalog::Catalog,
+    requests: &[(String, String)],
+    workers: usize,
+) -> (Vec<(String, bool)>, Duration) {
+    use mapcomp_service::{Client, EventServer, LocalService, Request};
+
+    let service = LocalService::new(catalog.clone(), workers);
+    let server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = server.local_addr().expect("bound address").to_string();
+    std::thread::scope(|scope| {
+        let (server, service) = (&server, &service);
+        scope.spawn(move || server.run(service, workers).expect("server run"));
+        let batch = drive_compose_clients(std::slice::from_ref(&addr), workers.max(1), requests);
+        // All clients are done; stop the server so the scope can close.
+        let closer = Client::connect(&addr).expect("connect for shutdown");
+        closer.call(Request::Shutdown).expect("shutdown accepted");
+        batch
+    })
+}
+
 /// Run the Figure 11 experiment: for each worker count, serve a cold-cache
 /// catalog over loopback TCP and time the full request corpus issued by
-/// `workers` concurrent client connections. Results are checked against the
-/// single-worker run's chain documents, so a concurrency or codec bug that
-/// corrupts content fails the experiment visibly.
-pub fn service_throughput_experiment(scale: Scale) -> Vec<ServiceThroughputPoint> {
+/// `workers` concurrent client connections.
+pub fn service_throughput_experiment(scale: Scale) -> Vec<ThroughputPoint> {
     let (catalog, requests) = concurrent_corpus(scale);
-    let mut reference: Option<Vec<String>> = None;
-    service_workers(scale)
-        .into_iter()
-        .map(|workers| {
-            let (outcomes, elapsed) = service_batch_over_loopback(&catalog, &requests, workers);
-            let failures = outcomes.iter().filter(|(_, ok)| !ok).count();
-            let rendered: Vec<String> = outcomes.into_iter().map(|(text, _)| text).collect();
-            let results_consistent = match &reference {
-                Some(reference) => *reference == rendered,
-                None => {
-                    reference = Some(rendered);
-                    true
-                }
-            };
-            ServiceThroughputPoint {
-                workers,
-                requests: requests.len(),
-                elapsed,
-                failures,
-                results_consistent,
-            }
-        })
-        .collect()
+    throughput_sweep(concurrent_workers(scale), |workers| {
+        service_batch_over_loopback(&catalog, &requests, workers)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1347,36 +1318,12 @@ const PERSISTENCE_READS: [usize; 2] = [0, 1];
 /// that recovery replays the delta tail to the same state.
 fn persistence_run(mappings: usize) -> PersistencePoint {
     use mapcomp_catalog::Position;
-    use mapcomp_service::{
-        sidecar_path, LocalService, MapcompService as _, PersistPolicy, Request, Response,
-    };
+    use mapcomp_service::{sidecar_path, LocalService, MapcompService as _, Request, Response};
 
-    let file =
-        std::env::temp_dir().join(format!("mapcomp_fig12_{}_{mappings}.doc", std::process::id()));
+    let file = temp_catalog(&format!("fig12_{mappings}"));
     let sidecar = sidecar_path(&file);
-    let lock = mapcomp_catalog::FileLock::for_file(&sidecar).path().to_path_buf();
-    for stale in [&file, &sidecar, &lock] {
-        let _ = std::fs::remove_file(stale);
-    }
-    // Thresholds are disabled so the measurement sees the raw per-request
-    // append cost, never a mid-run compaction.
-    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
-    let open = || {
-        LocalService::open_with_policy(
-            &file,
-            Registry::standard(),
-            mapcomp_catalog::SessionConfig::default(),
-            1,
-            true,
-            policy,
-        )
-        .expect("open persistent service")
-    };
-    let service = open();
-    match service.call(Request::AddDocument { text: persistence_document(mappings) }) {
-        Ok(Response::Added { .. }) => {}
-        other => panic!("seeding the fig12 catalog failed: {other:?}"),
-    }
+    let service = open_persistent(&file, 1);
+    seed_chain(&service, mappings);
     let file_bytes = |path: &std::path::Path| std::fs::metadata(path).map_or(0, |meta| meta.len());
     // What a compaction would write now: the document plus a sidecar
     // snapshot, opening generation 2 (seeding opened generation 1).
@@ -1414,7 +1361,7 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     let pre_document = service.session().catalog().snapshot().to_document_string();
     let pre_stats = service.session().cache().stats();
     drop(service);
-    let reopened = open();
+    let reopened = open_persistent(&file, 1);
     let recovered = reopened.session().catalog().snapshot().to_document_string() == pre_document
         && reopened.session().cache().stats() == pre_stats;
     // The composed spans again, now served warm from the recovered memo.
@@ -1424,9 +1371,7 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
     }
     let read_bytes = file_bytes(&sidecar).saturating_sub(before_reads);
     drop(reopened);
-    for stale in [&file, &sidecar, &lock] {
-        let _ = std::fs::remove_file(stale);
-    }
+    remove_catalog(&file);
     PersistencePoint {
         mappings,
         incremental_bytes: appended / PERSISTENCE_REQUESTS as u64,
@@ -1464,36 +1409,6 @@ pub struct ReplicationCatchupPoint {
     pub catchup: Duration,
     /// Did the caught-up follower render the identical catalog document?
     pub converged: bool,
-}
-
-/// One point of the Figure 13 read-scaling experiment: a fixed compose
-/// corpus fanned over one leader plus `followers` converged read-only
-/// replicas, each behind its own event-engine front end.
-#[derive(Debug, Clone)]
-pub struct ReplicationReadPoint {
-    /// Read-only follower endpoints serving alongside the leader.
-    pub followers: usize,
-    /// Requests issued across all endpoints.
-    pub requests: usize,
-    /// Requests that failed (must be 0).
-    pub failures: usize,
-    /// Wall-clock time of the client phase.
-    pub elapsed: Duration,
-    /// Did every request produce the same composed chain document as the
-    /// leader-only run?
-    pub results_consistent: bool,
-}
-
-impl ReplicationReadPoint {
-    /// Requests per second.
-    pub fn throughput(&self) -> f64 {
-        let seconds = self.elapsed.as_secs_f64();
-        if seconds > 0.0 {
-            self.requests as f64 / seconds
-        } else {
-            f64::INFINITY
-        }
-    }
 }
 
 /// Delta-log lengths (leader writes taken while the follower is down)
@@ -1557,8 +1472,16 @@ fn fig13_write_document(round: usize) -> String {
     }
 }
 
-/// Remove a fig13 catalog file and its persistence artifacts.
-fn fig13_cleanup(file: &std::path::Path) {
+/// A catalog path `mapcomp_<tag>_<pid>.doc` in the temp directory, cleared
+/// of anything an earlier run left there.
+fn temp_catalog(tag: &str) -> std::path::PathBuf {
+    let file = std::env::temp_dir().join(format!("mapcomp_{tag}_{}.doc", std::process::id()));
+    remove_catalog(&file);
+    file
+}
+
+/// Remove a catalog file and its persistence artifacts.
+fn remove_catalog(file: &std::path::Path) {
     let sidecar = mapcomp_service::sidecar_path(file);
     let mut lock = sidecar.clone().into_os_string();
     lock.push(".lock");
@@ -1569,28 +1492,39 @@ fn fig13_cleanup(file: &std::path::Path) {
     }
 }
 
-/// Open a replicating leader over a fresh temp catalog seeded with the
-/// Figure 13 chain. Thresholds are disabled so the log only moves when the
-/// experiment writes.
-fn fig13_leader(tag: &str) -> (mapcomp_service::LocalService, std::path::PathBuf) {
-    use mapcomp_service::{LocalService, MapcompService as _, PersistPolicy, Request, Response};
-
-    let file = std::env::temp_dir().join(format!("mapcomp_fig13_{tag}_{}.doc", std::process::id()));
-    fig13_cleanup(&file);
-    let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
-    let service = LocalService::open_with_policy(
-        &file,
+/// Open a persistent service over `file` with its compaction thresholds
+/// disabled, so the sidecar only moves when the experiment writes and never
+/// compacts mid-run.
+fn open_persistent(file: &std::path::Path, workers: usize) -> mapcomp_service::LocalService {
+    let policy = mapcomp_service::PersistPolicy { compact_appends: None, compact_bytes: None };
+    let session = mapcomp_catalog::SessionConfig::default();
+    mapcomp_service::LocalService::open_with_policy(
+        file,
         Registry::standard(),
-        mapcomp_catalog::SessionConfig::default(),
-        2,
+        session,
+        workers,
         true,
         policy,
     )
-    .expect("open the fig13 leader");
-    match service.call(Request::AddDocument { text: persistence_document(FIG13_CHAIN) }) {
+    .expect("open a persistent service")
+}
+
+/// Add the [`persistence_document`] chain of `mappings` links.
+fn seed_chain(service: &mapcomp_service::LocalService, mappings: usize) {
+    use mapcomp_service::{MapcompService as _, Request, Response};
+
+    match service.call(Request::AddDocument { text: persistence_document(mappings) }) {
         Ok(Response::Added { .. }) => {}
-        other => panic!("seeding the fig13 leader failed: {other:?}"),
+        other => panic!("seeding a {mappings}-link chain failed: {other:?}"),
     }
+}
+
+/// Open a replicating leader over a fresh temp catalog seeded with the
+/// Figure 13 chain.
+fn fig13_leader(tag: &str) -> (mapcomp_service::LocalService, std::path::PathBuf) {
+    let file = temp_catalog(&format!("fig13_{tag}"));
+    let service = open_persistent(&file, 2);
+    seed_chain(&service, FIG13_CHAIN);
     service.enable_replication().expect("enable replication on the fig13 leader");
     (service, file)
 }
@@ -1617,9 +1551,7 @@ fn replication_catchup_run(writes: usize) -> ReplicationCatchupPoint {
     use mapcomp_service::{Client, EventServer, Follower, MapcompService as _, Request};
 
     let (leader, leader_file) = fig13_leader(&format!("catchup_leader_{writes}"));
-    let follower_file = std::env::temp_dir()
-        .join(format!("mapcomp_fig13_catchup_follower_{writes}_{}.doc", std::process::id()));
-    fig13_cleanup(&follower_file);
+    let follower_file = temp_catalog(&format!("fig13_catchup_follower_{writes}"));
     let server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
     let addr = server.local_addr().expect("bound address").to_string();
     let mut point = ReplicationCatchupPoint {
@@ -1680,8 +1612,8 @@ fn replication_catchup_run(writes: usize) -> ReplicationCatchupPoint {
         let closer = Client::connect(addr).expect("connect for shutdown");
         closer.call(Request::Shutdown).expect("shutdown accepted");
     });
-    fig13_cleanup(&leader_file);
-    fig13_cleanup(&follower_file);
+    remove_catalog(&leader_file);
+    remove_catalog(&follower_file);
     point
 }
 
@@ -1693,7 +1625,8 @@ pub fn replication_catchup_experiment(scale: Scale) -> Vec<ReplicationCatchupPoi
 }
 
 /// Serve the fixed read corpus over one leader plus `followers` converged
-/// replicas and return the rendered per-request results plus the point.
+/// replicas and return the per-request outcomes and the client phase's
+/// wall-clock time (see [`drive_compose_clients`]).
 ///
 /// The client side presents `clients` connections at *every* point
 /// (round-robin over the endpoints) and each endpoint runs a single CPU
@@ -1707,23 +1640,15 @@ fn replication_read_run(
     followers: usize,
     clients: usize,
     requests: &[(String, String)],
-) -> (Vec<String>, ReplicationReadPoint) {
-    use mapcomp_service::{Client, EventServer, Follower, ReadOnlyService, Request, Response};
+) -> (Vec<(String, bool)>, Duration) {
+    use mapcomp_service::{Client, EventServer, Follower, ReadOnlyService, Request};
 
     let (leader, leader_file) = fig13_leader(&format!("reads_leader_{followers}"));
     let leader_server = EventServer::bind("127.0.0.1:0").expect("bind a loopback port");
     let leader_addr = leader_server.local_addr().expect("bound address").to_string();
     let follower_files: Vec<std::path::PathBuf> = (0..followers)
-        .map(|index| {
-            std::env::temp_dir().join(format!(
-                "mapcomp_fig13_reads_follower_{followers}_{index}_{}.doc",
-                std::process::id()
-            ))
-        })
+        .map(|index| temp_catalog(&format!("fig13_reads_follower_{followers}_{index}")))
         .collect();
-    for file in &follower_files {
-        fig13_cleanup(file);
-    }
     // Everything scoped threads borrow must outlive the scope, so the
     // follower stack is built up front (`Follower::open` does not dial).
     let follower_handles: Vec<Follower> = follower_files
@@ -1749,11 +1674,9 @@ fn replication_read_run(
     for server in &follower_servers {
         endpoints.push(server.local_addr().expect("bound follower address").to_string());
     }
-    let mut raw: Vec<(usize, String, bool)> = Vec::with_capacity(requests.len());
-    let mut elapsed = Duration::default();
-    std::thread::scope(|scope| {
+    let batch = std::thread::scope(|scope| {
         let (leader_server, leader, leader_addr) = (&leader_server, &leader, leader_addr.as_str());
-        let (follower_handles, endpoints) = (&follower_handles, &endpoints);
+        let follower_handles = &follower_handles;
         scope.spawn(move || leader_server.run(leader, 1).expect("leader server run"));
 
         let apply_handles: Vec<_> =
@@ -1766,34 +1689,7 @@ fn replication_read_run(
             fig13_await_catchup(follower, target);
         }
 
-        // Client phase: the whole corpus, strided across the fixed client
-        // connections, round-robin over the endpoints.
-        let started = std::time::Instant::now();
-        let handles: Vec<_> = (0..clients)
-            .map(|client_index| {
-                let endpoint = endpoints[client_index % endpoints.len()].clone();
-                scope.spawn(move || {
-                    let client = Client::connect(&endpoint).expect("connect to an endpoint");
-                    let mut done = Vec::new();
-                    let mut index = client_index;
-                    while index < requests.len() {
-                        let (from, to) = &requests[index];
-                        let request = Request::ComposePath { from: from.clone(), to: to.clone() };
-                        done.push(match client.call(request) {
-                            Ok(Response::Composed(payload)) => (index, payload.document, true),
-                            Ok(other) => (index, format!("error: {}", other.kind()), false),
-                            Err(error) => (index, format!("error: {error}"), false),
-                        });
-                        index += clients;
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            raw.extend(handle.join().expect("client thread panicked"));
-        }
-        elapsed = started.elapsed();
+        let batch = drive_compose_clients(&endpoints, clients, requests);
 
         // Teardown: each follower front end first (shutdown also stops its
         // apply loop), then the leader.
@@ -1807,50 +1703,26 @@ fn replication_read_run(
         }
         let closer = Client::connect(leader_addr).expect("connect for shutdown");
         closer.call(Request::Shutdown).expect("shutdown accepted");
+        batch
     });
-    fig13_cleanup(&leader_file);
+    remove_catalog(&leader_file);
     for file in &follower_files {
-        fig13_cleanup(file);
+        remove_catalog(file);
     }
-    raw.sort_by_key(|(index, _, _)| *index);
-    let failures = raw.iter().filter(|(_, _, ok)| !ok).count();
-    let rendered: Vec<String> = raw.into_iter().map(|(_, text, _)| text).collect();
-    let point = ReplicationReadPoint {
-        followers,
-        requests: requests.len(),
-        failures,
-        elapsed,
-        results_consistent: true,
-    };
-    (rendered, point)
+    batch
 }
 
 /// Run the read-scaling half of Figure 13: the same read corpus against
 /// the leader alone and against the leader plus each swept follower count,
-/// with every point's rendered results checked against the leader-only
-/// baseline.
-pub fn replication_read_experiment(scale: Scale) -> Vec<ReplicationReadPoint> {
+/// with every point's results checked against the leader-only baseline.
+pub fn replication_read_experiment(scale: Scale) -> Vec<ThroughputPoint> {
     let requests = replication_read_corpus(scale);
     let counts = replication_follower_counts(scale);
     // Constant demand at every point: two connections per endpoint of the
     // *largest* configuration, so the leader-only baseline is saturated
     // rather than client-starved.
     let clients = 2 * (1 + counts.iter().copied().max().unwrap_or(0));
-    let mut reference: Option<Vec<String>> = None;
-    counts
-        .into_iter()
-        .map(|followers| {
-            let (rendered, mut point) = replication_read_run(followers, clients, &requests);
-            point.results_consistent = match &reference {
-                Some(reference) => *reference == rendered,
-                None => {
-                    reference = Some(rendered);
-                    true
-                }
-            };
-            point
-        })
-        .collect()
+    throughput_sweep(counts, |followers| replication_read_run(followers, clients, &requests))
 }
 
 // ---------------------------------------------------------------------------
@@ -1988,16 +1860,6 @@ pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoi
         .collect()
 }
 
-/// Formatting helper: a fixed-width row of cells.
-pub fn format_row(cells: &[String], widths: &[usize]) -> String {
-    cells
-        .iter()
-        .zip(widths)
-        .map(|(cell, width)| format!("{cell:>width$}"))
-        .collect::<Vec<_>>()
-        .join("  ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2033,12 +1895,6 @@ mod tests {
         assert_eq!(report.len(), 22);
         assert!(report.iter().all(|o| o.expectation_met));
         assert!(report.iter().all(|o| o.eliminated <= o.total));
-    }
-
-    #[test]
-    fn format_row_aligns() {
-        let row = format_row(&["a".into(), "bb".into()], &[3, 4]);
-        assert_eq!(row, "  a    bb");
     }
 
     #[test]
@@ -2148,17 +2004,21 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_sessions_are_correct_and_scale_with_cores() {
-        let points = concurrent_sessions_experiment(Scale::Quick);
-        assert_eq!(points.len(), concurrent_workers(Scale::Quick).len());
-        for point in &points {
-            assert_eq!(point.failures, 0, "workers {}: requests failed", point.workers);
-            assert!(
-                point.results_consistent,
-                "workers {}: composed content diverged from the single-worker run",
-                point.workers
-            );
-            assert!(point.requests > 100, "the corpus must be big enough to measure");
+    fn throughput_sweeps_succeed_and_agree_at_every_count() {
+        for (points, counts) in [
+            (concurrent_sessions_experiment(Scale::Quick), concurrent_workers(Scale::Quick)),
+            (service_throughput_experiment(Scale::Smoke), concurrent_workers(Scale::Smoke)),
+            (replication_read_experiment(Scale::Smoke), replication_follower_counts(Scale::Smoke)),
+        ] {
+            assert_eq!(points.iter().map(|point| point.swept).collect::<Vec<_>>(), counts);
+            for point in &points {
+                assert_eq!(point.failures, 0, "{point:?}");
+                assert!(point.results_consistent, "{point:?}: results diverged from the first's");
+                assert!(
+                    point.requests >= 30,
+                    "{point:?}: the corpus must be big enough to measure"
+                );
+            }
         }
     }
 
@@ -2178,8 +2038,8 @@ mod tests {
             return;
         }
         let points = concurrent_sessions_experiment(Scale::Quick);
-        let t1 = points.iter().find(|p| p.workers == 1).expect("1-worker point");
-        let t4 = points.iter().find(|p| p.workers == 4).expect("4-worker point");
+        let t1 = points.iter().find(|p| p.swept == 1).expect("1-worker point");
+        let t4 = points.iter().find(|p| p.swept == 4).expect("4-worker point");
         let scaling = t4.throughput() / t1.throughput();
         assert!(
             scaling > 2.0,
@@ -2188,21 +2048,6 @@ mod tests {
             t1.throughput(),
             t4.throughput()
         );
-    }
-
-    #[test]
-    fn service_throughput_matches_in_process_results() {
-        let points = service_throughput_experiment(Scale::Smoke);
-        assert_eq!(points.len(), service_workers(Scale::Smoke).len());
-        for point in &points {
-            assert_eq!(point.failures, 0, "workers {}: requests failed", point.workers);
-            assert!(
-                point.results_consistent,
-                "workers {}: composed content diverged from the single-worker run",
-                point.workers
-            );
-            assert!(point.requests > 0);
-        }
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use crate::Scale;
 
@@ -78,6 +79,57 @@ impl BenchValue {
             (BenchValue::Bool(a), BenchValue::Bool(b)) => a == b,
             _ => false,
         }
+    }
+
+    /// The value as a table cell: integers and strings as they are, floats
+    /// to four significant digits, booleans as `yes`/`NO`.
+    fn cell(&self) -> String {
+        match self {
+            BenchValue::U64(n) => n.to_string(),
+            BenchValue::F64(f) => {
+                let magnitude =
+                    if *f == 0.0 || !f.is_finite() { 0 } else { f.abs().log10().floor() as i32 };
+                let decimals = (3 - magnitude).clamp(0, 9) as usize;
+                format!("{f:.decimals$}")
+            }
+            BenchValue::Str(s) => s.clone(),
+            BenchValue::Bool(b) => if *b { "yes" } else { "NO" }.to_string(),
+        }
+    }
+
+    /// A duration in milliseconds.
+    pub fn millis(duration: Duration) -> Self {
+        BenchValue::F64(duration.as_secs_f64() * 1000.0)
+    }
+}
+
+impl From<usize> for BenchValue {
+    fn from(n: usize) -> Self {
+        BenchValue::U64(n as u64)
+    }
+}
+
+impl From<u64> for BenchValue {
+    fn from(n: u64) -> Self {
+        BenchValue::U64(n)
+    }
+}
+
+impl From<f64> for BenchValue {
+    fn from(f: f64) -> Self {
+        BenchValue::F64(f)
+    }
+}
+
+impl From<bool> for BenchValue {
+    fn from(b: bool) -> Self {
+        BenchValue::Bool(b)
+    }
+}
+
+impl From<&str> for BenchValue {
+    fn from(s: &str) -> Self {
+        BenchValue::Str(s.to_string())
     }
 }
 
@@ -168,6 +220,40 @@ impl BenchDoc {
     /// Append one data point.
     pub fn push_point(&mut self, fields: Vec<(&str, BenchValue)>) {
         self.points.push(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+    }
+
+    /// Append points and print them as one table under `title` (see
+    /// [`table`]): a figure's table is its record.
+    pub fn push_table<'a>(
+        &mut self,
+        title: &str,
+        points: impl IntoIterator<Item = Vec<(&'a str, BenchValue)>>,
+    ) {
+        let start = self.points.len();
+        for point in points {
+            self.push_point(point);
+        }
+        println!("\n{title}\n{}", table(&self.points[start..]));
+    }
+
+    /// The invariants every record must hold, as one line per violation:
+    /// every `failures` field is 0 and every boolean field is true.
+    pub fn invariant_failures(&self) -> Vec<String> {
+        let mut failures = Vec::new();
+        for (index, point) in self.points.iter().enumerate() {
+            for (key, value) in point {
+                match value {
+                    BenchValue::Bool(false) => {
+                        failures.push(format!("point {index}: `{key}` is false"));
+                    }
+                    BenchValue::U64(n @ 1..) if key == "failures" => {
+                        failures.push(format!("point {index}: {n} failures"));
+                    }
+                    _ => {}
+                }
+            }
+        }
+        failures
     }
 
     /// The configuration fingerprint of this document's current contents.
@@ -277,6 +363,60 @@ impl BenchDoc {
         }
         problems
     }
+}
+
+/// Render points as a text table, one row per point. The columns are the
+/// field names in the points' own order; a field a point lacks reads `-`.
+pub fn table(points: &[Vec<(String, BenchValue)>]) -> String {
+    let mut columns: Vec<&str> = Vec::new();
+    for point in points {
+        for (index, (key, _)) in point.iter().enumerate() {
+            if columns.contains(&key.as_str()) {
+                continue;
+            }
+            // A new field goes just before the next of this point's fields
+            // the table already has.
+            let at = point[index + 1..]
+                .iter()
+                .find_map(|(next, _)| columns.iter().position(|column| column == next))
+                .unwrap_or(columns.len());
+            columns.insert(at, key);
+        }
+    }
+    let rows: Vec<Vec<String>> = points
+        .iter()
+        .map(|point| {
+            columns
+                .iter()
+                .map(|column| {
+                    point
+                        .iter()
+                        .find(|(key, _)| key == column)
+                        .map_or_else(|| "-".to_string(), |(_, value)| value.cell())
+                })
+                .collect()
+        })
+        .collect();
+    let header: Vec<String> = columns.iter().map(ToString::to_string).collect();
+    let widths: Vec<usize> = (0..columns.len())
+        .map(|index| rows.iter().map(|row| row[index].len()).fold(header[index].len(), usize::max))
+        .collect();
+    let mut out = format_row(&header, &widths);
+    for row in &rows {
+        out.push('\n');
+        out.push_str(&format_row(row, &widths));
+    }
+    out
+}
+
+/// A row of right-aligned cells of the given widths.
+pub fn format_row(cells: &[String], widths: &[usize]) -> String {
+    cells
+        .iter()
+        .zip(widths)
+        .map(|(cell, width)| format!("{cell:>width$}"))
+        .collect::<Vec<_>>()
+        .join("  ")
 }
 
 /// Minimal recursive-descent parser over the subset of JSON the renderer
@@ -558,6 +698,52 @@ mod tests {
         assert!(BenchValue::U64(2).agrees_with(&BenchValue::F64(2.0)));
         assert!(!BenchValue::U64(2).agrees_with(&BenchValue::F64(2.5)));
         assert!(!BenchValue::Bool(true).agrees_with(&BenchValue::U64(1)));
+    }
+
+    #[test]
+    fn the_table_prints_every_field_of_every_point() {
+        let mut doc = sample();
+        doc.push_point(vec![("workers", BenchValue::U64(3)), ("extra", BenchValue::U64(77))]);
+        let text = table(&doc.points);
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1 + doc.points.len(), "{text}");
+        let header: Vec<&str> = lines[0].split_whitespace().collect();
+        assert_eq!(header, ["workers", "fraction", "label", "elapsed_ms", "ok", "extra"]);
+        for (point, line) in doc.points.iter().zip(&lines[1..]) {
+            for (_, value) in point {
+                assert!(line.contains(&value.cell()), "{line} lacks {value:?}");
+            }
+        }
+        // A field a point lacks reads `-`; booleans read yes/NO.
+        assert!(lines[3].trim_end().ends_with("77") && lines[3].contains(" - "), "{text}");
+        assert!(lines[1].contains("yes") && lines[2].contains("NO"), "{text}");
+    }
+
+    #[test]
+    fn floats_print_with_four_significant_digits() {
+        for (value, cell) in
+            [(0.000064608, "0.00006461"), (0.1, "0.1000"), (0.9333, "0.9333"), (12.5, "12.50")]
+        {
+            assert_eq!(BenchValue::F64(value).cell(), cell);
+        }
+        assert_eq!(BenchValue::F64(42403.37).cell(), "42403");
+    }
+
+    #[test]
+    fn invariants_require_zero_failures_and_true_flags() {
+        let mut doc = sample();
+        assert_eq!(doc.invariant_failures(), ["point 1: `ok` is false"]);
+        doc.points[1][4].1 = BenchValue::Bool(true);
+        doc.push_point(vec![("failures", BenchValue::U64(0))]);
+        assert!(doc.invariant_failures().is_empty());
+        doc.push_point(vec![("failures", BenchValue::U64(2))]);
+        assert_eq!(doc.invariant_failures(), ["point 3: 2 failures"]);
+    }
+
+    #[test]
+    fn format_row_aligns() {
+        let row = format_row(&["a".into(), "bb".into()], &[3, 4]);
+        assert_eq!(row, "  a    bb");
     }
 
     #[test]

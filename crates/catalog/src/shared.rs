@@ -571,10 +571,8 @@ impl SharedSession {
         }
         for (name, (source, target, constraints)) in &document.mappings {
             let before = self.catalog.mapping_edge(name);
-            let version =
-                self.catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
-            let after = self.catalog.mapping_edge(name);
-            if before != after || version == 1 {
+            self.catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
+            if before != self.catalog.mapping_edge(name) {
                 self.cache.invalidate(name);
                 self.drop_analysis(name);
                 touched.push(name.clone());

@@ -244,9 +244,8 @@ impl Catalog {
         }
         for (name, (source, target, constraints)) in &document.mappings {
             let before = self.mappings.get(name).map(MappingEntry::edge);
-            let version = self.add_mapping(name.clone(), source, target, constraints.clone())?;
-            let after = self.mapping(name)?.edge();
-            if before != Some(after) || version == 1 {
+            self.add_mapping(name.clone(), source, target, constraints.clone())?;
+            if before != Some(self.mapping(name)?.edge()) {
                 touched.push(name.clone());
             }
         }

@@ -894,30 +894,25 @@ impl LocalService {
                 let _ingest = self.ingest.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let catalog = self.session.catalog();
                 catalog.validate_document(&document)?;
-                // Pre-ingest hashes of the declared schemas and edges of the
-                // declared mappings (under the ingest lock, so nothing else
-                // can move them): an idempotent re-add must not grow the
-                // delta log, and a re-pointed mapping must.
+                // Pre-ingest hashes of the declared schemas and versions of
+                // the declared mappings (under the ingest lock, so nothing
+                // else can move them): an idempotent re-add must not grow
+                // the delta log, and an edit appends only the history it
+                // added.
                 let schema_hash_before: std::collections::BTreeMap<&String, _> =
                     document.schemas.keys().map(|name| (name, catalog.schema_hash(name))).collect();
-                let mapping_before: std::collections::BTreeMap<&String, _> = document
+                let version_before: std::collections::BTreeMap<&String, _> = document
                     .mappings
                     .keys()
-                    .map(|name| (name, (catalog.mapping_edge(name), catalog.mapping_version(name))))
+                    .filter_map(|name| Some((name, catalog.mapping_version(name)?)))
                     .collect();
-                let invalidated_before = self.session.cache().stats().invalidated;
                 let touched = self.session.ingest_document(&document)?;
                 // Delta rendering covers exactly what the request actually
                 // changed: every schema whose content hash moved (or is
                 // new), every mapping it added, edited or re-pointed (with
                 // an invalidation for each edit's stale cached
                 // compositions), and their version lines — cost
-                // proportional to the change, never to the catalog. The
-                // invalidations are the only record of the memo entries the
-                // ingest dropped, so an unchanged mapping the ingest
-                // invalidated anyway gets one too when anything was
-                // dropped.
-                let dropped = self.session.cache().stats().invalidated > invalidated_before;
+                // proportional to the change, never to the catalog.
                 let mut deltas = Vec::new();
                 let mut manifest = VersionManifest::default();
                 let mut extensions = String::new();
@@ -932,18 +927,7 @@ impl LocalService {
                 }
                 for name in &touched {
                     let Ok(entry) = catalog.mapping(name) else { continue };
-                    let (edge_before, version_before) =
-                        mapping_before.get(name).cloned().unwrap_or_default();
-                    // `touched` reports unchanged version-1 mappings on an
-                    // idempotent re-add (the pre-existing contract); only a
-                    // provably unchanged (hash, source, target) skips the
-                    // declaration.
-                    if edge_before == Some(entry.edge()) {
-                        if dropped {
-                            deltas.push(DeltaRecord::Invalidate { mapping: name.clone() });
-                        }
-                        continue;
-                    }
+                    let version_before = version_before.get(name).copied();
                     let decl = render_mapping_decl(
                         &entry.name,
                         &entry.source,
@@ -1409,15 +1393,28 @@ mod tests {
         let policy = PersistPolicy { compact_appends: None, compact_bytes: None };
         let service = open_with(&file, policy);
         service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+        let compose = || match service
+            .call(Request::ComposePath { from: "v0".into(), to: "v3".into() })
+            .unwrap()
+        {
+            Response::Composed(payload) => payload.compose_calls,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(compose(), 2);
         let sidecar_len = std::fs::metadata(sidecar_path(&file)).unwrap().len();
-        // Re-submitting the identical document changes nothing and must not
-        // grow the delta log.
-        service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+        // Re-submitting the identical document changes nothing: it touches
+        // no mapping, must not grow the delta log, and keeps every memo
+        // entry, so the next compose is served without a pairwise call.
+        match service.call(Request::AddDocument { text: chain_document(3) }).unwrap() {
+            Response::Added { touched, .. } => assert!(touched.is_empty(), "{touched:?}"),
+            other => panic!("{other:?}"),
+        }
         assert_eq!(
             std::fs::metadata(sidecar_path(&file)).unwrap().len(),
             sidecar_len,
             "an unchanged re-add must append no deltas"
         );
+        assert_eq!(compose(), 0, "an unchanged re-add must keep the memo");
         cleanup(&file);
     }
 
@@ -1438,17 +1435,14 @@ mod tests {
         service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
         let edit_m1 = "mapping m1 : v1 -> v2 { project[0](R1) <= R2; }";
         // Every path on which a persistent service invalidates: a mapping
-        // edit, a schema edit rehashing the mappings over it, an explicit
-        // invalidation, and an idempotent re-add of a version-1 mapping
-        // (which the ingest invalidates although nothing changed).
+        // edit, a schema edit rehashing the mappings over it and an explicit
+        // invalidation. An idempotent re-add of a version-1 mapping changes
+        // nothing, so it drops no entry and appends nothing.
         let steps = [
             (Request::AddDocument { text: edit_m1.into() }, vec!["m1"]),
             (Request::AddDocument { text: "schema v2 { R2/1; X/1; }".into() }, vec!["m1", "m2"]),
             (Request::Invalidate { mapping: "m3".into() }, vec!["m3"]),
-            (
-                Request::AddDocument { text: "mapping m0 : v0 -> v1 { R0 <= R1; }".into() },
-                vec!["m0"],
-            ),
+            (Request::AddDocument { text: "mapping m0 : v0 -> v1 { R0 <= R1; }".into() }, vec![]),
         ];
         for (request, invalidated) in steps {
             service.call(Request::ComposePath { from: "v0".into(), to: "v4".into() }).unwrap();
@@ -1456,9 +1450,15 @@ mod tests {
             let dropped_before = service.session().cache().stats().invalidated;
             let kind = request.kind();
             service.call(request).unwrap();
-            assert!(service.session().cache().stats().invalidated > dropped_before, "{kind}");
+            let dropped = service.session().cache().stats().invalidated > dropped_before;
             let after = std::fs::read_to_string(sidecar_path(&file)).unwrap();
             let chunk = &after[before.len()..];
+            if invalidated.is_empty() {
+                assert!(!dropped, "{kind}: an unchanged re-add dropped memo entries");
+                assert_eq!(chunk, "", "{kind}: an unchanged re-add appended");
+            } else {
+                assert!(dropped, "{kind}");
+            }
             for name in invalidated {
                 let record = format!(" invalidate {name}\n");
                 assert_eq!(
