@@ -21,7 +21,9 @@
 //! `mapcomp_bench::trajectory`), exiting non-zero on any drift. It never
 //! overwrites the files it checks.
 //!
-//! In both modes a figure's invariants (`invariant_failures`) run on
+//! In both modes a figure's invariants (`BenchDoc::invariant_failures`:
+//! the generic ones, plus the `violations` the figure found on its own
+//! results) run on
 //! its fresh record after the experiment, and after the diff under
 //! `--check`, so a regression they catch still shows which fields moved. A
 //! record that fails them is not written, and the run exits 1.
@@ -31,10 +33,10 @@ use std::time::Instant;
 
 use mapcomp_bench::{
     chain_cache_experiment, chase_scaling_experiment, concurrent_sessions_experiment,
-    connection_sweep_experiment, corpus_report, differential_update_experiment, edit_count_sweep,
-    editing_experiment, inclusion_sweep, persistence_experiment, replication_catchup_experiment,
-    replication_read_experiment, residual_chain_point, schema_size_sweep,
-    service_throughput_experiment,
+    connection_sweep_experiment, corpus_report, differential_update_experiment,
+    differential_violations, edit_count_sweep, editing_experiment, inclusion_sweep,
+    persistence_experiment, replication_catchup_experiment, replication_read_experiment,
+    residual_chain_point, schema_size_sweep, service_throughput_experiment,
     trajectory::{format_row, parse_scale, BenchDoc, BenchValue},
     ChainCachePoint, Configuration, Scale, ThroughputPoint, FIGURE5_PRIMITIVES,
     RESIDUAL_CHAIN_SEED, SWEEP_CPU_WORKERS,
@@ -78,28 +80,13 @@ fn selected(requested: &[&str]) -> Result<Vec<(&'static str, Figure)>, String> {
     Ok(FIGURES.iter().filter(|(name, _)| all || requested.contains(name)).copied().collect())
 }
 
-/// The invariants a fresh record must hold: the generic ones of
-/// [`BenchDoc::invariant_failures`], and fig14's reply rendering flat in
-/// instance size.
-fn invariant_failures(doc: &BenchDoc) -> Vec<String> {
-    let mut failures = doc.invariant_failures();
-    if doc.figure == "fig14" {
-        let rows: Vec<_> =
-            doc.points.iter().flatten().filter(|(k, _)| k == "render_rows").collect();
-        if !rows.windows(2).all(|pair| pair[0] == pair[1]) {
-            failures.push("reply rendering is not flat in instance size (`render_rows`)".into());
-        }
-    }
-    failures
-}
-
 /// `--check` one committed record against a fresh one: the field diff,
 /// then the fresh record's invariants. Returns every problem, in that
 /// order; empty = the trajectory holds.
 fn check_record(baseline: &BenchDoc, fresh: &BenchDoc) -> Vec<String> {
     let mut problems = baseline.diff(fresh);
     problems.extend(
-        invariant_failures(fresh).into_iter().map(|failure| format!("invariant: {failure}")),
+        fresh.invariant_failures().into_iter().map(|failure| format!("invariant: {failure}")),
     );
     problems
 }
@@ -109,10 +96,9 @@ fn check_record(baseline: &BenchDoc, fresh: &BenchDoc) -> Vec<String> {
 fn check_trajectories(files: &[&str]) -> bool {
     let mut ok = true;
     for file in files {
-        let baseline = match std::fs::read_to_string(file) {
-            Ok(text) => BenchDoc::parse(&text),
-            Err(error) => Err(format!("cannot read: {error}")),
-        };
+        let baseline = std::fs::read_to_string(file)
+            .map_err(|error| format!("cannot read: {error}"))
+            .and_then(|text| BenchDoc::parse(&text));
         let baseline = match baseline {
             Ok(doc) => doc,
             Err(error) => {
@@ -183,7 +169,7 @@ fn main() {
     let mut ok = true;
     for (name, run) in figures {
         let doc = run(scale);
-        let failures = invariant_failures(&doc);
+        let failures = doc.invariant_failures();
         if !failures.is_empty() {
             ok = false;
             eprintln!(
@@ -552,10 +538,11 @@ fn figure_13(scale: Scale) -> BenchDoc {
 }
 
 fn figure_14(scale: Scale) -> BenchDoc {
+    let points = differential_update_experiment(scale);
     let mut doc = BenchDoc::new("fig14", scale);
     doc.push_table(
         "[Figure 14] differential chase: constant-size update batch vs. full re-chase",
-        differential_update_experiment(scale).into_iter().map(|point| {
+        points.iter().map(|point| {
             vec![
                 ("tuples", point.size.into()),
                 ("depth", point.depth.into()),
@@ -570,6 +557,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
             ]
         }),
     );
+    doc.violations = differential_violations(&points);
     doc
 }
 
@@ -718,11 +706,22 @@ mod tests {
     }
 
     #[test]
-    fn fig14_rendering_must_stay_flat() {
-        let mut fresh = committed("fig14");
-        assert!(invariant_failures(&fresh).is_empty());
+    fn fig14_reports_a_fallback_and_non_flat_rendering_after_the_diff() {
+        let mut points = differential_update_experiment(Scale::Smoke);
+        assert!(differential_violations(&points).is_empty());
+        points[0].fallback = true;
+        points[1].render_rows += 1;
+        assert_eq!(differential_violations(&points).len(), 2);
+
+        let baseline = committed("fig14");
+        let mut fresh = baseline.clone();
+        fresh.violations = differential_violations(&points);
         let last = fresh.points.last_mut().unwrap();
         last.iter_mut().find(|(key, _)| key == "render_rows").unwrap().1 = BenchValue::U64(10_000);
-        assert_eq!(invariant_failures(&fresh).len(), 1);
+        let problems = check_record(&baseline, &fresh);
+        assert_eq!(problems.len(), 3, "{problems:?}");
+        assert!(problems[0].contains("`render_rows` recorded"), "{problems:?}");
+        assert_eq!(problems[1], "invariant: point 0: the batch fell back to a full re-chase");
+        assert!(problems[2].starts_with("invariant: reply rendering"), "{problems:?}");
     }
 }

@@ -178,6 +178,11 @@ pub struct BenchDoc {
     pub config_hash: u64,
     /// The data points, each an ordered list of `(field, value)` pairs.
     pub points: Vec<Vec<(String, BenchValue)>>,
+    /// Invariant violations the figure found on its own results beyond the
+    /// generic ones (say, a fig14 batch that fell back to a full re-chase,
+    /// which no field records). Reported by
+    /// [`invariant_failures`](Self::invariant_failures); never written.
+    pub violations: Vec<String>,
 }
 
 /// The scale keyword used inside bench documents.
@@ -214,6 +219,7 @@ impl BenchDoc {
             scale: scale_name(scale).to_string(),
             config_hash: 0,
             points: Vec::new(),
+            violations: Vec::new(),
         }
     }
 
@@ -236,8 +242,9 @@ impl BenchDoc {
         println!("\n{title}\n{}", table(&self.points[start..]));
     }
 
-    /// The invariants every record must hold, as one line per violation:
-    /// every `failures` field is 0 and every boolean field is true.
+    /// The invariants a fresh record must hold, as one line per violation:
+    /// every `failures` field is 0, every boolean field is true, and the
+    /// figure found no [`violations`](Self::violations) of its own.
     pub fn invariant_failures(&self) -> Vec<String> {
         let mut failures = Vec::new();
         for (index, point) in self.points.iter().enumerate() {
@@ -253,6 +260,7 @@ impl BenchDoc {
                 }
             }
         }
+        failures.extend(self.violations.iter().cloned());
         failures
     }
 
@@ -616,6 +624,7 @@ impl<'a> Parser<'a> {
             scale: scale.ok_or("missing `scale`")?,
             config_hash: config_hash.ok_or("missing `config_hash`")?,
             points: points.ok_or("missing `points`")?,
+            violations: Vec::new(),
         })
     }
 }
@@ -738,6 +747,8 @@ mod tests {
         assert!(doc.invariant_failures().is_empty());
         doc.push_point(vec![("failures", BenchValue::U64(2))]);
         assert_eq!(doc.invariant_failures(), ["point 3: 2 failures"]);
+        doc.violations.push("the figure's own check".into());
+        assert_eq!(doc.invariant_failures(), ["point 3: 2 failures", "the figure's own check"]);
     }
 
     #[test]
