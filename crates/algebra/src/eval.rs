@@ -135,9 +135,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
                 for lt in left.iter() {
                     self.charge(right.len())?;
                     for rt in right.iter() {
-                        let mut tuple = lt.clone();
-                        tuple.extend(rt.iter().cloned());
-                        out.insert(tuple);
+                        out.insert(lt.iter().chain(rt.iter()).cloned().collect::<Tuple>());
                     }
                 }
                 Ok(out)
@@ -152,7 +150,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
                 let rel = self.eval(inner)?;
                 let mut out = Relation::new();
                 for t in rel.iter() {
-                    out.insert(cols.iter().map(|&c| t[c].clone()).collect());
+                    out.insert(cols.iter().map(|&c| t[c].clone()).collect::<Tuple>());
                 }
                 Ok(out)
             }
@@ -286,9 +284,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
             if left_keys.is_empty() {
                 for row in &rows {
                     for tuple in rel.iter() {
-                        let mut combined = row.clone();
-                        combined.extend(tuple.iter().cloned());
-                        next.push(combined);
+                        next.push(row.iter().chain(tuple.iter()).cloned().collect());
                     }
                 }
             } else {
@@ -306,9 +302,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
                     }
                     if let Some(matches) = index.get(&key) {
                         for tuple in matches {
-                            let mut combined = row.clone();
-                            combined.extend(tuple.iter().cloned());
-                            next.push(combined);
+                            next.push(row.iter().chain(tuple.iter()).cloned().collect());
                         }
                     }
                 }
@@ -367,7 +361,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
     }
 
     fn domain_power(&self, r: usize) -> Result<Relation, AlgebraError> {
-        let mut tuples: BTreeSet<Tuple> = BTreeSet::new();
+        let mut tuples: BTreeSet<Vec<Value>> = BTreeSet::new();
         tuples.insert(Vec::new());
         for _ in 0..r {
             let mut next = BTreeSet::new();
@@ -384,7 +378,7 @@ impl<'a, S: RelationSource> Evaluator<'a, S> {
         if r > 0 && self.active_domain.is_empty() {
             return Ok(Relation::new());
         }
-        Ok(tuples.into_iter().filter(|t| t.len() == r).collect())
+        Ok(tuples.into_iter().filter(|t| t.len() == r).map(Tuple::from).collect())
     }
 }
 

@@ -30,18 +30,24 @@ impl Relation {
     }
 
     /// Insert a tuple; returns true if it was not already present.
-    pub fn insert(&mut self, tuple: Tuple) -> bool {
-        self.tuples.insert(tuple)
+    pub fn insert(&mut self, tuple: impl Into<Tuple>) -> bool {
+        self.tuples.insert(tuple.into())
     }
 
     /// Remove a tuple; returns true if it was present.
-    pub fn remove(&mut self, tuple: &Tuple) -> bool {
+    pub fn remove(&mut self, tuple: &[Value]) -> bool {
         self.tuples.remove(tuple)
     }
 
     /// Membership test.
-    pub fn contains(&self, tuple: &Tuple) -> bool {
+    pub fn contains(&self, tuple: &[Value]) -> bool {
         self.tuples.contains(tuple)
+    }
+
+    /// The stored row equal to `tuple`, if any: the shared allocation
+    /// itself, not a copy.
+    pub fn get(&self, tuple: &[Value]) -> Option<&Tuple> {
+        self.tuples.get(tuple)
     }
 
     /// Number of tuples.
@@ -63,11 +69,11 @@ impl Relation {
     /// `end` (exclusive; `None` for no upper bound).
     pub fn range<'a>(
         &'a self,
-        start: &'a Tuple,
-        end: Option<&'a Tuple>,
+        start: &'a [Value],
+        end: Option<&'a [Value]>,
     ) -> impl Iterator<Item = &'a Tuple> + 'a {
         let end = end.map_or(Bound::Unbounded, Bound::Excluded);
-        self.tuples.range::<Tuple, _>((Bound::Included(start), end))
+        self.tuples.range::<[Value], _>((Bound::Included(start), end))
     }
 
     /// Is every tuple of `self` also in `other`?
@@ -154,20 +160,24 @@ impl Instance {
         self
     }
 
-    /// Insert a single tuple into a relation.
-    pub fn insert(&mut self, name: &str, tuple: Tuple) -> &mut Self {
-        self.relations.entry(name.to_string()).or_default().insert(tuple);
+    /// Insert a single tuple into a relation. The relation's name is
+    /// allocated only when the relation is new.
+    pub fn insert(&mut self, name: &str, tuple: impl Into<Tuple>) -> &mut Self {
+        match self.relations.get_mut(name) {
+            Some(relation) => relation.insert(tuple),
+            None => self.relations.entry(name.to_string()).or_default().insert(tuple),
+        };
         self
     }
 
     /// Remove a single tuple from a relation; returns true if it was
     /// present. An emptied relation stays set (its name remains visible).
-    pub fn remove(&mut self, name: &str, tuple: &Tuple) -> bool {
+    pub fn remove(&mut self, name: &str, tuple: &[Value]) -> bool {
         self.relations.get_mut(name).is_some_and(|relation| relation.remove(tuple))
     }
 
     /// Does the named relation contain this tuple?
-    pub fn contains(&self, name: &str, tuple: &Tuple) -> bool {
+    pub fn contains(&self, name: &str, tuple: &[Value]) -> bool {
         self.relations.get(name).is_some_and(|relation| relation.contains(tuple))
     }
 
@@ -179,6 +189,11 @@ impl Instance {
     /// Borrowed contents of a relation, if any tuples were set.
     pub fn get_ref(&self, name: &str) -> Option<&Relation> {
         self.relations.get(name)
+    }
+
+    /// The relations with explicitly set contents, in name order.
+    pub fn relations(&self) -> impl Iterator<Item = (&str, &Relation)> {
+        self.relations.iter().map(|(name, relation)| (name.as_str(), relation))
     }
 
     /// Names of relations with explicitly set contents.

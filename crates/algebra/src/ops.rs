@@ -54,7 +54,7 @@ impl<'a> RowSink<'a> {
     /// Emit one output row. Returns whether the row was new (set semantics),
     /// or [`AlgebraError::EvalBudgetExceeded`] if this row pushed the
     /// evaluation over its tuple budget.
-    pub fn push(&mut self, tuple: Tuple) -> Result<bool, AlgebraError> {
+    pub fn push(&mut self, tuple: impl Into<Tuple>) -> Result<bool, AlgebraError> {
         if !self.out.insert(tuple) {
             return Ok(false);
         }

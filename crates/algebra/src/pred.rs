@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 
 /// One side of a comparison: a column (by index) or a constant.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -19,7 +19,7 @@ pub enum Operand {
 }
 
 impl Operand {
-    fn eval<'a>(&'a self, tuple: &'a Tuple) -> Option<&'a Value> {
+    fn eval<'a>(&'a self, tuple: &'a [Value]) -> Option<&'a Value> {
         match self {
             Operand::Col(i) => tuple.get(*i),
             Operand::Const(v) => Some(v),
@@ -143,7 +143,7 @@ impl Pred {
 
     /// Evaluate the predicate on a tuple. Out-of-range columns make the
     /// comparison false (the arity checker reports those statically).
-    pub fn eval(&self, tuple: &Tuple) -> bool {
+    pub fn eval(&self, tuple: &[Value]) -> bool {
         match self {
             Pred::True => true,
             Pred::False => false,

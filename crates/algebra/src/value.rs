@@ -6,9 +6,16 @@
 //! schema-evolution primitive are drawn from a small constant pool), plus an
 //! explicit `Null` used when exercising the paper's remark that the algorithm
 //! "can handle nulls ... in many cases".
+//!
+//! A row ([`Tuple`]) is an immutable value behind one shared allocation: the
+//! whole tuple is its identity, and nothing edits a row in place. Cloning a
+//! row bumps a reference count, so every structure that holds the same row
+//! (an instance, an index, a chase's fired set and support table) holds it
+//! once. Lookups take `&[Value]`, so a probe need not allocate a row.
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value.
 ///
@@ -91,14 +98,16 @@ impl From<String> for Value {
     }
 }
 
-/// A tuple is a fixed-arity sequence of values.
-pub type Tuple = Vec<Value>;
+/// A tuple is a fixed-arity sequence of values: an immutable row shared
+/// by reference count (see the module docs). Build one from a `Vec<Value>`
+/// with `.into()` or with [`tuple()`].
+pub type Tuple = Arc<[Value]>;
 
 /// Build a tuple from anything convertible to values.
 ///
 /// ```
 /// use mapcomp_algebra::value::{tuple, Value};
-/// assert_eq!(tuple([1, 2]), vec![Value::Int(1), Value::Int(2)]);
+/// assert_eq!(tuple([1, 2]), vec![Value::Int(1), Value::Int(2)].into());
 /// ```
 pub fn tuple<I, V>(items: I) -> Tuple
 where
@@ -130,7 +139,7 @@ mod tests {
     #[test]
     fn tuple_builder_converts() {
         let t = tuple(["a", "b"]);
-        assert_eq!(t, vec![Value::str("a"), Value::str("b")]);
+        assert_eq!(t, vec![Value::str("a"), Value::str("b")].into());
     }
 
     #[test]

@@ -551,6 +551,7 @@ fn figure_14(scale: Scale) -> BenchDoc {
                 ("rechase_work", point.rebuild_work.into()),
                 ("render_rows", point.render_rows.into()),
                 ("render_bytes", point.render_bytes.into()),
+                ("row_allocs", point.row_allocs.into()),
                 ("delta_ms", BenchValue::millis(point.delta_time)),
                 ("rechase_ms", BenchValue::millis(point.rebuild_time)),
                 ("results_identical", point.results_identical.into()),

@@ -1750,6 +1750,11 @@ pub struct DifferentialUpdatePoint {
     /// Bytes of escaped reply text those rows make (growing only with the
     /// width of their values).
     pub render_bytes: usize,
+    /// Distinct row allocations the maintained engine holds after the
+    /// batch ([`mapcomp_compose::DifferentialChase::row_allocations`]): one
+    /// per source row, since every target row of the copy chain shares its
+    /// source row.
+    pub row_allocs: usize,
     /// Wall-clock time of the incremental batch.
     pub delta_time: Duration,
     /// Wall-clock time of the full re-chase.
@@ -1763,15 +1768,22 @@ pub struct DifferentialUpdatePoint {
 }
 
 /// Figure 14's own invariants, one line per violation: every batch stays
-/// on the incremental path (`fallback` is not a recorded field), and reply
-/// rendering is flat in instance size.
+/// on the incremental path (`fallback` is not a recorded field), the
+/// engine holds one allocation per source row, and reply rendering is flat
+/// in instance size.
 pub fn differential_violations(points: &[DifferentialUpdatePoint]) -> Vec<String> {
-    let mut violations: Vec<String> = points
-        .iter()
-        .enumerate()
-        .filter(|(_, point)| point.fallback)
-        .map(|(index, _)| format!("point {index}: the batch fell back to a full re-chase"))
-        .collect();
+    let mut violations = Vec::new();
+    for (index, point) in points.iter().enumerate() {
+        if point.fallback {
+            violations.push(format!("point {index}: the batch fell back to a full re-chase"));
+        }
+        if point.row_allocs != point.size {
+            violations.push(format!(
+                "point {index}: {} row allocations for {} source rows (`row_allocs`)",
+                point.row_allocs, point.size
+            ));
+        }
+    }
     if !points.windows(2).all(|pair| pair[0].render_rows == pair[1].render_rows) {
         violations.push("reply rendering is not flat in instance size (`render_rows`)".into());
     }
@@ -1848,6 +1860,7 @@ pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoi
             let started = std::time::Instant::now();
             let report = engine.apply(&updates).expect("the fig14 batch applies");
             let delta_time = started.elapsed();
+            let row_allocs = engine.row_allocations();
             let maintained = engine.rendered_target();
             let started = std::time::Instant::now();
             engine.rebuild();
@@ -1860,6 +1873,7 @@ pub fn differential_update_experiment(scale: Scale) -> Vec<DifferentialUpdatePoi
                 rebuild_work: engine.chase_work(),
                 render_rows: report.render_rows,
                 render_bytes: report.render_bytes,
+                row_allocs,
                 delta_time,
                 rebuild_time,
                 fallback: report.fallback,

@@ -96,7 +96,7 @@ pub fn naive_exchange(
 /// next `_nullN`. Only target relations are populated.
 fn fire(
     rule: &ChaseRule,
-    premise_tuple: &Tuple,
+    premise_tuple: &[Value],
     target_sig: &Signature,
     nulls: &mut usize,
 ) -> Vec<(String, Tuple)> {

@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use mapcomp_algebra::{Expr, OperatorDef, Relation, Value};
+use mapcomp_algebra::{Expr, OperatorDef, Relation, Tuple, Value};
 
 use crate::registry::{Monotonicity, OperatorRules, Registry};
 
@@ -29,13 +29,13 @@ pub fn register_all(registry: &mut Registry) {
     register_transitive_closure(registry);
 }
 
-fn join_on_first(rels: &[Relation]) -> Vec<(Vec<Value>, Vec<Vec<Value>>)> {
+fn join_on_first(rels: &[Relation]) -> Vec<(Tuple, Vec<Tuple>)> {
     // Group of (left tuple, matching right tuples) pairs.
     let left = &rels[0];
     let right = &rels[1];
     left.iter()
         .map(|lt| {
-            let matches: Vec<Vec<Value>> = right
+            let matches: Vec<Tuple> = right
                 .iter()
                 .filter(|rt| !lt.is_empty() && !rt.is_empty() && lt[0] == rt[0])
                 .cloned()
@@ -56,14 +56,11 @@ pub fn register_left_outer_join(registry: &mut Registry) {
             let right_arity = arities[1];
             for (lt, matches) in join_on_first(rels) {
                 if matches.is_empty() {
-                    let mut padded = lt.clone();
-                    padded.extend(std::iter::repeat_n(Value::Null, right_arity.saturating_sub(1)));
-                    sink.push(padded)?;
+                    let nulls = std::iter::repeat_n(Value::Null, right_arity.saturating_sub(1));
+                    sink.push(lt.iter().cloned().chain(nulls).collect::<Tuple>())?;
                 } else {
                     for rt in matches {
-                        let mut joined = lt.clone();
-                        joined.extend(rt.into_iter().skip(1));
-                        sink.push(joined)?;
+                        sink.push(lt.iter().chain(rt.iter().skip(1)).cloned().collect::<Tuple>())?;
                     }
                 }
             }
@@ -247,7 +244,7 @@ mod tests {
         let out = eval(&e, &sig, registry.operators(), &inst).unwrap();
         assert_eq!(out.len(), 4);
         assert!(out.contains(&tuple([1i64, 10, 100])));
-        assert!(out.contains(&vec![Value::Int(3), Value::Int(30), Value::Null]));
+        assert!(out.contains(&[Value::Int(3), Value::Int(30), Value::Null]));
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! maintained only when such an evaluation can range over it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use mapcomp_algebra::{
     AlgebraError, Constraint, DeltaInstance, Evaluator, Expr, Instance, Relation, Signature, Tuple,
@@ -65,6 +66,23 @@ pub struct ChaseRule {
     /// Indexed plan for the premise; `None` when the premise is outside the
     /// plannable fragment.
     pub plan: Option<PremisePlan>,
+    /// The conclusion atoms over target relations, in order: the rows a
+    /// firing lands. Atoms over source relations cannot be chased into and
+    /// act only as conditions.
+    pub(crate) writes: Vec<TargetAtom>,
+}
+
+/// One conclusion atom over a target relation: a row each firing lands.
+#[derive(Debug, Clone)]
+pub(crate) struct TargetAtom {
+    /// Position of the atom in the conclusion.
+    atom: usize,
+    /// Its relation: one allocation per name across the rule set, shared by
+    /// every row the rule set lands there.
+    rel: Arc<str>,
+    /// Are the atom's arguments the conclusion head's distinct variables,
+    /// in order? A firing then lands the premise tuple itself.
+    copies_head: bool,
 }
 
 impl ChaseRule {
@@ -88,6 +106,7 @@ pub fn compile_rules(
 ) -> (Vec<ChaseRule>, Vec<(Constraint, String)>) {
     let mut rules = Vec::new();
     let mut skipped = Vec::new();
+    let mut names: BTreeSet<Arc<str>> = BTreeSet::new();
     for containment in constraints.iter().flat_map(Constraint::as_containments) {
         if !containment.rhs.relations().iter().any(|name| target_sig.contains(name)) {
             continue;
@@ -111,6 +130,31 @@ pub fn compile_rules(
             .into_iter()
             .filter(|var| !head.contains(var) && !conclusion.const_of.contains_key(var))
             .collect();
+        let head_vars: Vec<usize> = conclusion
+            .head
+            .iter()
+            .map_while(|term| if let Term::Var(var) = term { Some(*var) } else { None })
+            .collect();
+        let distinct_head = head_vars.len() == conclusion.head.len()
+            && head_vars.iter().collect::<BTreeSet<_>>().len() == head_vars.len();
+        let writes = conclusion
+            .atoms
+            .iter()
+            .enumerate()
+            .filter(|(_, atom)| target_sig.contains(&atom.rel))
+            .map(|(index, atom)| {
+                let rel = match names.get(atom.rel.as_str()) {
+                    Some(name) => name.clone(),
+                    None => {
+                        let name: Arc<str> = atom.rel.as_str().into();
+                        names.insert(name.clone());
+                        name
+                    }
+                };
+                let copies_head = distinct_head && atom.args == head_vars;
+                TargetAtom { atom: index, rel, copies_head }
+            })
+            .collect();
         rules.push(ChaseRule {
             check: conclusion.to_expr(),
             origin: containment,
@@ -118,6 +162,7 @@ pub fn compile_rules(
             conclusion,
             existentials,
             plan,
+            writes,
         });
     }
     (rules, skipped)
@@ -162,19 +207,17 @@ impl Firing {
 /// The tuples one rule firing requires: head variables take the premise
 /// tuple's values, constants bind from the conclusion, and every remaining
 /// body variable takes a fresh labelled null, counted in `nulls` and named
-/// by the firing test. One entry per conclusion atom over a target
-/// relation; atoms over source relations cannot be chased into and act only
-/// as conditions.
+/// by the firing test. One entry per [`ChaseRule::writes`] atom; an atom
+/// that copies the head is the premise tuple itself, not a copy of it.
 pub(crate) fn fire(
     rule: &ChaseRule,
     rule_index: usize,
     premise_tuple: &Tuple,
-    target_sig: &Signature,
     firing: Firing,
     nulls: &mut usize,
-) -> Vec<(String, Tuple)> {
+) -> Vec<Row> {
     let mut binding: BTreeMap<usize, Value> = BTreeMap::new();
-    for (term, value) in rule.conclusion.head.iter().zip(premise_tuple) {
+    for (term, value) in rule.conclusion.head.iter().zip(premise_tuple.iter()) {
         if let Term::Var(var) = term {
             binding.insert(*var, value.clone());
         }
@@ -191,17 +234,17 @@ pub(crate) fn fire(
             })
         });
     }
-    rule.conclusion
-        .atoms
+    let copies = premise_tuple.len() == rule.conclusion.head.len();
+    rule.writes
         .iter()
-        .filter(|atom| target_sig.contains(&atom.rel))
-        .map(|atom| {
-            let tuple = atom
-                .args
-                .iter()
-                .map(|var| binding.get(var).cloned().unwrap_or(Value::Null))
-                .collect();
-            (atom.rel.clone(), tuple)
+        .map(|write| {
+            let tuple = if write.copies_head && copies {
+                premise_tuple.clone()
+            } else {
+                let args = &rule.conclusion.atoms[write.atom].args;
+                args.iter().map(|var| binding.get(var).cloned().unwrap_or(Value::Null)).collect()
+            };
+            (write.rel.clone(), tuple)
         })
         .collect()
 }
@@ -210,7 +253,7 @@ pub(crate) fn fire(
 /// variable, premise tuple): two chained FNV-1a hashes over the rendered
 /// firing identity. Stable across engine instances, so a rebuilt or
 /// re-chased state names every null identically.
-fn skolem_null(rule_index: usize, var: usize, premise_tuple: &Tuple) -> String {
+fn skolem_null(rule_index: usize, var: usize, premise_tuple: &[Value]) -> String {
     let mut payload = format!("{rule_index}\u{1f}{var}");
     for value in premise_tuple {
         payload.push('\u{1f}');
@@ -232,15 +275,24 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 
 /// Relations read by any compiled premise plan: the live frontier indexes
 /// exactly these.
-pub(crate) fn plan_relations(rules: &[ChaseRule]) -> BTreeSet<String> {
-    rules.iter().filter_map(|rule| rule.plan.as_ref()).flat_map(|p| p.relations().clone()).collect()
+pub(crate) fn plan_relations(rules: &[ChaseRule]) -> BTreeSet<Arc<str>> {
+    let plans = rules.iter().filter_map(|rule| rule.plan.as_ref());
+    plans.flat_map(PremisePlan::relations).map(|rel| rel.as_str().into()).collect()
 }
 
+/// A row in flight between chase steps, with its relation.
+pub(crate) type Row = (Arc<str>, Tuple);
+
 /// Index a row list by relation.
-pub(crate) fn index_rows<'a>(rows: impl IntoIterator<Item = &'a (String, Tuple)>) -> TupleIndex {
+pub(crate) fn index_rows<'a>(rows: impl IntoIterator<Item = &'a Row>) -> TupleIndex {
     let mut grouped: BTreeMap<String, Vec<Tuple>> = BTreeMap::new();
     for (rel, tuple) in rows {
-        grouped.entry(rel.clone()).or_default().push(tuple.clone());
+        match grouped.get_mut(&**rel) {
+            Some(group) => group.push(tuple.clone()),
+            None => {
+                grouped.insert(rel.to_string(), vec![tuple.clone()]);
+            }
+        }
     }
     TupleIndex::from_rows(grouped)
 }
@@ -257,7 +309,7 @@ pub(crate) struct ChaseState {
     /// Oblivious: active derivation count per target tuple, one per (rule,
     /// premise tuple, conclusion atom) occurrence. A tuple lives in the
     /// target iff its support is positive.
-    pub(crate) support: BTreeMap<(String, Tuple), usize>,
+    pub(crate) support: BTreeMap<Row, usize>,
     /// Labelled nulls minted (oblivious: minus those retracted since).
     pub(crate) nulls: usize,
     /// Binding rows charged by plan evaluations.
@@ -286,11 +338,10 @@ impl ChaseState {
     /// and mark its chunk of the maintained text dirty.
     pub(crate) fn land(
         &mut self,
-        rel: String,
-        row: Tuple,
+        (rel, row): Row,
         firing: Firing,
-        read_rels: &BTreeSet<String>,
-        log: &mut Vec<(String, Tuple)>,
+        read_rels: &BTreeSet<Arc<str>>,
+        log: &mut Vec<Row>,
     ) {
         let novel = match firing {
             Firing::Restricted => !self.target.contains(&rel, &row),
@@ -325,20 +376,19 @@ impl ChaseState {
         &mut self,
         (rule_index, rule): (usize, &ChaseRule),
         premise_tuple: &Tuple,
-        target_sig: &Signature,
         max_nulls: usize,
-        read_rels: &BTreeSet<String>,
-        log: &mut Vec<(String, Tuple)>,
+        read_rels: &BTreeSet<Arc<str>>,
+        log: &mut Vec<Row>,
     ) -> Result<(), AlgebraError> {
         let mut nulls = self.nulls;
-        let rows = fire(rule, rule_index, premise_tuple, target_sig, Firing::Oblivious, &mut nulls);
+        let rows = fire(rule, rule_index, premise_tuple, Firing::Oblivious, &mut nulls);
         if nulls > max_nulls {
             return Err(AlgebraError::EvalBudgetExceeded { budget: max_nulls });
         }
         self.nulls = nulls;
         self.fired[rule_index].insert(premise_tuple.clone());
-        for (rel, row) in rows {
-            self.land(rel, row, Firing::Oblivious, read_rels, log);
+        for row in rows {
+            self.land(row, Firing::Oblivious, read_rels, log);
         }
         Ok(())
     }
@@ -365,7 +415,6 @@ struct Cursor {
 pub(crate) fn chase(
     rules: &[ChaseRule],
     full_sig: &Signature,
-    target_sig: &Signature,
     source: &Instance,
     registry: &Registry,
     config: &ExchangeConfig,
@@ -394,7 +443,7 @@ pub(crate) fn chase(
     };
     // Append-only record of rows novel to the live frontier; each rule's
     // delta is the suffix after its own cursor.
-    let mut log: Vec<(String, Tuple)> = Vec::new();
+    let mut log: Vec<Row> = Vec::new();
     let mut cursors: Vec<Cursor> = rules.iter().map(|_| Cursor::default()).collect();
     let (rounds_metric, frontier_metric) = chase_telemetry(firing);
 
@@ -432,12 +481,12 @@ pub(crate) fn chase(
                         if state.nulls >= config.max_nulls {
                             return state;
                         }
-                        let rows = fire(rule, index, tuple, target_sig, firing, &mut state.nulls);
+                        let rows = fire(rule, index, tuple, firing, &mut state.nulls);
                         if rule.plan.is_some() {
                             cursor.pending.insert(tuple.clone());
                         }
-                        for (rel, row) in rows {
-                            state.land(rel, row, firing, &read_rels, &mut log);
+                        for row in rows {
+                            state.land(row, firing, &read_rels, &mut log);
                         }
                     }
                     Firing::Oblivious => {
@@ -445,9 +494,8 @@ pub(crate) fn chase(
                             continue;
                         }
                         let (max_nulls, rule) = (config.max_nulls, (index, rule));
-                        let fired = state.fire_oblivious(
-                            rule, tuple, target_sig, max_nulls, &read_rels, &mut log,
-                        );
+                        let fired =
+                            state.fire_oblivious(rule, tuple, max_nulls, &read_rels, &mut log);
                         if fired.is_err() {
                             return state;
                         }
@@ -473,7 +521,7 @@ pub(crate) fn chase(
 fn visit(
     rule: &ChaseRule,
     cursor: &Cursor,
-    log: &[(String, Tuple)],
+    log: &[Row],
     state: &mut ChaseState,
     full_sig: &Signature,
     source: &Instance,
@@ -512,7 +560,7 @@ fn visit(
     };
     let mut work = WorkBudget::new(config.eval_budget);
     let mut delta =
-        log[cursor.seen..].iter().filter(|(rel, _)| plan.relations().contains(rel)).peekable();
+        log[cursor.seen..].iter().filter(|(rel, _)| plan.relations().contains(&**rel)).peekable();
     let evaluated = if !cursor.initialized {
         // First visit: a full indexed join over the live frontier, already
         // up to date with every earlier firing.

@@ -91,7 +91,7 @@ pub fn exchange(
 ) -> ExchangeResult {
     let (rules, mut skipped) = compile_rules(constraints, full_sig, target_sig);
     let rules = restricted_rules(rules, &mut skipped);
-    let state = chase(&rules, full_sig, target_sig, source, registry, config, Firing::Restricted);
+    let state = chase(&rules, full_sig, source, registry, config, Firing::Restricted);
     skipped.extend(state.dropped);
     ExchangeResult {
         target: state.target,

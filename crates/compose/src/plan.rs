@@ -57,13 +57,15 @@ type ColumnIndex = HashMap<Vec<Value>, Vec<usize>>;
 
 impl TupleIndex {
     /// Snapshot the given relations from a stack of instances (later layers
-    /// may duplicate earlier ones; duplicates are dropped).
-    pub fn from_layers<'a>(
+    /// may duplicate earlier ones; duplicates are dropped). The index shares
+    /// the instances' rows.
+    pub fn from_layers(
         layers: &[&Instance],
-        relations: impl IntoIterator<Item = &'a String>,
+        relations: impl IntoIterator<Item = impl AsRef<str>>,
     ) -> Self {
         let mut rows = BTreeMap::new();
         for name in relations {
+            let name = name.as_ref();
             let mut seen: BTreeSet<&Tuple> = BTreeSet::new();
             let mut out: Vec<Tuple> = Vec::new();
             for layer in layers {
@@ -75,7 +77,7 @@ impl TupleIndex {
                     }
                 }
             }
-            rows.insert(name.clone(), out);
+            rows.insert(name.to_string(), out);
         }
         TupleIndex { rows, indexes: RefCell::new(HashMap::new()), positions: HashMap::new() }
     }
@@ -86,17 +88,23 @@ impl TupleIndex {
     }
 
     /// Ensure the row → position map of `rel` exists and return it, along
-    /// with the relation's rows (split borrows for the mutators below).
+    /// with the relation's rows (split borrows for the mutators below). The
+    /// relation's name is allocated only when the relation is new.
     fn rel_mut(&mut self, rel: &str) -> (&mut Vec<Tuple>, &mut HashMap<Tuple, usize>) {
-        let rows = self.rows.entry(rel.to_string()).or_default();
-        let positions = self.positions.entry(rel.to_string()).or_insert_with(|| {
-            rows.iter().enumerate().map(|(position, row)| (row.clone(), position)).collect()
-        });
+        if !self.rows.contains_key(rel) {
+            self.rows.insert(rel.to_string(), Vec::new());
+        }
+        let rows = self.rows.get_mut(rel).expect("inserted above");
+        if !self.positions.contains_key(rel) {
+            let built = rows.iter().enumerate().map(|(position, row)| (row.clone(), position));
+            self.positions.insert(rel.to_string(), built.collect());
+        }
+        let positions = self.positions.get_mut(rel).expect("inserted above");
         (rows, positions)
     }
 
     /// Membership test (builds the position map of `rel` on first use).
-    pub fn contains_row(&mut self, rel: &str, row: &Tuple) -> bool {
+    pub fn contains_row(&mut self, rel: &str, row: &[Value]) -> bool {
         let (_, positions) = self.rel_mut(rel);
         positions.contains_key(row)
     }
@@ -110,8 +118,8 @@ impl TupleIndex {
             return false;
         }
         let position = rows.len();
-        rows.push(row.clone());
         positions.insert(row.clone(), position);
+        rows.push(row.clone());
         for ((index_rel, cols), index) in self.indexes.borrow_mut().iter_mut() {
             if index_rel != rel || cols.iter().any(|&c| c >= row.len()) {
                 continue;
@@ -125,7 +133,7 @@ impl TupleIndex {
     /// Remove a row in place (swap-remove; the displaced last row's position
     /// and index entries are patched). Returns `false` when the row was not
     /// present.
-    pub fn remove_row(&mut self, rel: &str, row: &Tuple) -> bool {
+    pub fn remove_row(&mut self, rel: &str, row: &[Value]) -> bool {
         let (rows, positions) = self.rel_mut(rel);
         let Some(position) = positions.remove(row) else { return false };
         rows.swap_remove(position);
@@ -163,6 +171,13 @@ impl TupleIndex {
             }
         }
         true
+    }
+
+    /// Every row the index holds, once per place it is held (the row lists
+    /// and the position maps): for counting the distinct row allocations
+    /// behind them.
+    pub(crate) fn held_rows(&self) -> impl Iterator<Item = &Tuple> {
+        self.rows.values().flatten().chain(self.positions.values().flat_map(HashMap::keys))
     }
 
     /// Is there any row for `rel`?
@@ -247,6 +262,10 @@ pub struct PremisePlan {
     head: Vec<usize>,
     var_count: usize,
     relations: BTreeSet<String>,
+    /// Is the premise one atom over distinct variables, with no constants
+    /// and the head its argument list? Every matched row is then its own
+    /// head tuple, and the join yields the row itself, not a copy.
+    identity: bool,
 }
 
 impl PremisePlan {
@@ -276,12 +295,20 @@ impl PremisePlan {
             }
         }
         let relations = cq.atoms.iter().map(|atom| atom.rel.clone()).collect();
+        let identity = match cq.atoms.as_slice() {
+            [atom] => {
+                let distinct: BTreeSet<&usize> = atom.args.iter().collect();
+                cq.const_of.is_empty() && atom.args == head && distinct.len() == head.len()
+            }
+            _ => false,
+        };
         Some(PremisePlan {
             atoms: cq.atoms,
             const_of: cq.const_of,
             head,
             var_count: cq.var_count,
             relations,
+            identity,
         })
     }
 
@@ -372,7 +399,7 @@ impl PremisePlan {
     pub fn supports(
         &self,
         full: &TupleIndex,
-        head: &Tuple,
+        head: &[Value],
         work: &mut WorkBudget,
     ) -> Result<bool, AlgebraError> {
         if head.len() != self.head.len() {
@@ -420,7 +447,8 @@ impl PremisePlan {
     }
 
     /// The join loop over an explicit initial binding (`seed`) and its bound
-    /// variable set.
+    /// variable set. An identity plan yields the matched rows themselves;
+    /// it charges one unit per row, as the general join does.
     fn join_seeded(
         &self,
         order: &[usize],
@@ -430,6 +458,7 @@ impl PremisePlan {
         work: &mut WorkBudget,
     ) -> Result<BTreeSet<Tuple>, AlgebraError> {
         let mut bindings: Vec<Vec<Option<Value>>> = vec![seed];
+        let mut shared: BTreeSet<Tuple> = BTreeSet::new();
         // Which variables are bound is static per stage, so the probe columns
         // (and therefore the index) are shared by all rows of a stage.
         for (&atom_index, part) in order.iter().zip(sources) {
@@ -465,18 +494,21 @@ impl PremisePlan {
                     if tuple.len() != atom.args.len() {
                         continue;
                     }
+                    if self.identity {
+                        // Distinct variables: only the seed can reject the row.
+                        let rejected = atom.args.iter().zip(tuple.iter()).any(|(&var, value)| {
+                            binding[var].as_ref().is_some_and(|existing| rejects(existing, value))
+                        });
+                        if !rejected {
+                            work.charge(1)?;
+                            shared.insert(tuple.clone());
+                        }
+                        continue;
+                    }
                     let mut extended = binding.clone();
                     for (col, &var) in atom.args.iter().enumerate() {
                         match &extended[var] {
-                            // Re-bound variables stand for `=` selections,
-                            // whose null semantics reject `Null = Null`.
-                            Some(existing)
-                                if existing.is_null()
-                                    || tuple[col].is_null()
-                                    || *existing != tuple[col] =>
-                            {
-                                continue 'tuples
-                            }
+                            Some(existing) if rejects(existing, &tuple[col]) => continue 'tuples,
                             Some(_) => {}
                             None => extended[var] = Some(tuple[col].clone()),
                         }
@@ -491,6 +523,9 @@ impl PremisePlan {
                 break;
             }
         }
+        if self.identity {
+            return Ok(shared);
+        }
         let mut out = BTreeSet::new();
         for binding in &bindings {
             let tuple: Tuple = self
@@ -504,9 +539,18 @@ impl PremisePlan {
     }
 }
 
+/// Does a variable already bound to `existing` reject `value`? Re-bound
+/// variables stand for `=` selections, whose null semantics reject
+/// `Null = Null`.
+fn rejects(existing: &Value, value: &Value) -> bool {
+    existing.is_null() || value.is_null() || existing != value
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mapcomp_algebra::{parse_expr, tuple, Expr, Pred};
 
     fn sig() -> Signature {
@@ -634,6 +678,54 @@ mod tests {
         let plan = PremisePlan::compile(&expr, &sig).unwrap();
         let out = plan.eval_delta(&full, &delta, &mut WorkBudget::new(1000)).unwrap();
         assert_eq!(out, [tuple([1i64, 1])].into());
+    }
+
+    #[test]
+    fn identity_path_matches_the_general_join() {
+        let sig = sig();
+        let mut inst = Instance::new();
+        for row in [[1i64, 1], [1, 2], [2, 1], [5, 5], [5, 6]] {
+            inst.insert("R", tuple(row));
+        }
+        inst.insert("R", vec![Value::Null, Value::Int(3)]);
+        let mut fresh = Instance::new();
+        fresh.insert("R", tuple([7i64, 7]));
+        fresh.insert("R", tuple([8i64, 5]));
+        let delta = index_of(&fresh, &["R"]);
+        let full = TupleIndex::from_layers(&[&inst, &fresh], ["R"]);
+        let heads = [tuple([1i64, 2]), tuple([2i64, 2]), tuple([5i64, 5]), tuple([7i64, 7])];
+        let null_head: Tuple = vec![Value::Null, Value::Int(3)].into();
+        for (premise, identity) in [
+            ("R", true),
+            ("project[0,1](R)", true),
+            ("project[1,0](R)", false),
+            ("project[0,1](select[#0 = #1](R))", false),
+            ("select[#0 = 5](R)", false),
+        ] {
+            let shared = PremisePlan::compile(&parse_expr(premise).unwrap(), &sig).unwrap();
+            assert_eq!(shared.identity, identity, "{premise}");
+            let general = PremisePlan { identity: false, ..shared.clone() };
+            let run = |plan: &PremisePlan| {
+                let mut work = WorkBudget::new(1000);
+                let full_out = plan.eval_full(&full, &mut work).unwrap();
+                let delta_out = plan.eval_delta(&full, &delta, &mut work).unwrap();
+                let supported: Vec<bool> = heads
+                    .iter()
+                    .chain([&null_head])
+                    .map(|head| plan.supports(&full, head, &mut work).unwrap())
+                    .collect();
+                (full_out, delta_out, supported, work.used())
+            };
+            let (shared_out, general_out) = (run(&shared), run(&general));
+            assert_eq!(shared_out, general_out, "{premise}");
+            if identity {
+                // The identity path yields the index's own rows.
+                for row in shared_out.0.iter() {
+                    let held = full.scan("R").iter().find(|held| *held == row).unwrap();
+                    assert!(Arc::ptr_eq(held, row), "{premise}: {row:?} is a copy");
+                }
+            }
+        }
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn find_extension(
 
 /// All tuples of the given arity over a domain.
 fn all_tuples(domain: &[Value], arity: usize) -> Vec<Tuple> {
-    let mut tuples: Vec<Tuple> = vec![Vec::new()];
+    let mut tuples: Vec<Vec<Value>> = vec![Vec::new()];
     for _ in 0..arity {
         let mut next = Vec::new();
         for t in &tuples {
@@ -279,7 +279,7 @@ fn all_tuples(domain: &[Value], arity: usize) -> Vec<Tuple> {
         }
         tuples = next;
     }
-    tuples
+    tuples.into_iter().map(Tuple::from).collect()
 }
 
 #[cfg(test)]

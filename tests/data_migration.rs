@@ -54,9 +54,9 @@ fn example_1_end_to_end_migration() {
     // Exactly the five-star movies arrive in the evolved schema.
     assert_eq!(result.target.get("Names").len(), 2);
     assert_eq!(result.target.get("Years").len(), 2);
-    assert!(result.target.get("Names").contains(&vec![Value::Int(1), Value::Int(11)]));
-    assert!(result.target.get("Years").contains(&vec![Value::Int(3), Value::Int(1993)]));
-    assert!(!result.target.get("Names").contains(&vec![Value::Int(2), Value::Int(22)]));
+    assert!(result.target.get("Names").contains(&[Value::Int(1), Value::Int(11)]));
+    assert!(result.target.get("Years").contains(&[Value::Int(3), Value::Int(1993)]));
+    assert!(!result.target.get("Names").contains(&[Value::Int(2), Value::Int(22)]));
 
     // The migrated pair (source, target) is a model of the composed mapping
     // and of the original two-step mapping (with the intermediate relation

@@ -312,7 +312,7 @@ fn example_1_composed_migration_stays_live_under_updates() {
     let full = task.full_signature().unwrap();
 
     let movie = |id: i64, name: i64, year: i64, stars: i64| -> Tuple {
-        vec![Value::Int(id), Value::Int(name), Value::Int(year), Value::Int(stars)]
+        vec![Value::Int(id), Value::Int(name), Value::Int(year), Value::Int(stars)].into()
     };
     let mut source = Instance::new();
     source.insert("Movies", movie(1, 11, 1991, 5));
@@ -470,7 +470,7 @@ fn delete_then_reinsert_restores_the_exact_state() {
     let before_target = harness.engine.rendered_target();
     let before_support = harness.engine.support().clone();
     let before_nulls = harness.engine.nulls();
-    let row: Tuple = vec![Value::Int(0), Value::Int(1)];
+    let row: Tuple = vec![Value::Int(0), Value::Int(1)].into();
 
     harness.apply_checked("delete", &[Update::delete("R", row.clone())]);
     assert_ne!(
@@ -505,8 +505,8 @@ fn net_zero_batches_leave_every_byte_unchanged() {
 
     let before_target = harness.engine.rendered_target();
     let before_support = harness.engine.support().clone();
-    let fresh: Tuple = vec![Value::Int(99)];
-    let live: Tuple = vec![Value::Int(0)];
+    let fresh: Tuple = vec![Value::Int(99)].into();
+    let live: Tuple = vec![Value::Int(0)].into();
 
     harness.apply_checked(
         "net-zero fresh",
@@ -737,7 +737,7 @@ fn served_migrate_frames_survive_empty_targets_escapes_chain_edits_and_restarts(
     let open_pair =
         || WirePair { encoded: open_persistent(&files[0]), typed: open_persistent(&files[1]) };
     let movie = |id: i64, name: Value, stars: i64| -> Tuple {
-        vec![Value::Int(id), name, Value::Int(1990 + id), Value::Int(stars)]
+        vec![Value::Int(id), name, Value::Int(1990 + id), Value::Int(stars)].into()
     };
     let pair = open_pair();
     pair.call(Request::AddDocument { text: EXAMPLE_1.into() }, "add example 1");
