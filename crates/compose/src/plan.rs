@@ -180,6 +180,12 @@ impl TupleIndex {
         self.rows.values().flatten().chain(self.positions.values().flat_map(HashMap::keys))
     }
 
+    /// Membership test through the position map of `rel`; `None` when the
+    /// map is not built (read-only snapshots never build one).
+    fn holds_row(&self, rel: &str, row: &[Value]) -> Option<bool> {
+        self.positions.get(rel).map(|positions| positions.contains_key(row))
+    }
+
     /// Is there any row for `rel`?
     pub fn has_rows(&self, rel: &str) -> bool {
         self.rows.get(rel).is_some_and(|rows| !rows.is_empty())
@@ -404,6 +410,18 @@ impl PremisePlan {
     ) -> Result<bool, AlgebraError> {
         if head.len() != self.head.len() {
             return Ok(false);
+        }
+        if self.identity {
+            // The join would probe an index on every column for the one row
+            // equal to `head`; a built position map answers that without
+            // such an index. A null never joins; a match charges one unit.
+            if let Some(present) = full.holds_row(&self.atoms[0].rel, head) {
+                if !present || head.iter().any(Value::is_null) {
+                    return Ok(false);
+                }
+                work.charge(1)?;
+                return Ok(true);
+            }
         }
         let mut seed: Vec<Option<Value>> = vec![None; self.var_count];
         let mut bound: BTreeSet<usize> = BTreeSet::new();
@@ -692,16 +710,22 @@ mod tests {
         fresh.insert("R", tuple([7i64, 7]));
         fresh.insert("R", tuple([8i64, 5]));
         let delta = index_of(&fresh, &["R"]);
-        let full = TupleIndex::from_layers(&[&inst, &fresh], ["R"]);
         let heads = [tuple([1i64, 2]), tuple([2i64, 2]), tuple([5i64, 5]), tuple([7i64, 7])];
         let null_head: Tuple = vec![Value::Null, Value::Int(3)].into();
-        for (premise, identity) in [
-            ("R", true),
-            ("project[0,1](R)", true),
-            ("project[1,0](R)", false),
-            ("project[0,1](select[#0 = #1](R))", false),
-            ("select[#0 = 5](R)", false),
+        for (premise, identity, positions) in [
+            ("R", true, false),
+            ("R", true, true),
+            ("project[0,1](R)", true, false),
+            ("project[0,1](R)", true, true),
+            ("project[1,0](R)", false, true),
+            ("project[0,1](select[#0 = #1](R))", false, true),
+            ("select[#0 = 5](R)", false, true),
         ] {
+            let mut full = TupleIndex::from_layers(&[&inst, &fresh], ["R"]);
+            if positions {
+                // A live index builds its position map on first mutation.
+                full.contains_row("R", &[]);
+            }
             let shared = PremisePlan::compile(&parse_expr(premise).unwrap(), &sig).unwrap();
             assert_eq!(shared.identity, identity, "{premise}");
             let general = PremisePlan { identity: false, ..shared.clone() };
@@ -716,7 +740,13 @@ mod tests {
                     .collect();
                 (full_out, delta_out, supported, work.used())
             };
-            let (shared_out, general_out) = (run(&shared), run(&general));
+            let shared_out = run(&shared);
+            if identity && positions {
+                // Support checks answered from the position map: no index
+                // keyed on every column was built.
+                assert!(full.indexes.borrow().is_empty(), "{premise}");
+            }
+            let general_out = run(&general);
             assert_eq!(shared_out, general_out, "{premise}");
             if identity {
                 // The identity path yields the index's own rows.

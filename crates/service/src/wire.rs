@@ -24,15 +24,18 @@
 //! server sends exactly the old frames.
 //! Every value token is percent-escaped ([`escape`]) so arbitrary strings —
 //! embedded spaces, newlines, `%`, the empty string — survive the
-//! whitespace-separated grammar, and multi-valued fields simply repeat the
-//! line or the token. Batch items nest recursively: each item is a complete
-//! reply frame escaped into a single token.
+//! whitespace-separated grammar, and multi-valued fields repeat the token
+//! or the line (`name`, `pair`, `update`, `touched`, `item`, `segment`,
+//! `entry`). Batch items nest recursively: each item is a complete reply
+//! frame escaped into a single token.
 //!
 //! Decoding is strict where structure is concerned (unknown kinds, missing
 //! or duplicated fields, bad numbers and truncated frames all fail with
 //! [`ErrorCode::Protocol`]) because a service boundary that silently guesses
-//! is worse than one that rejects; round-trip coverage lives in the crate's
-//! property suite.
+//! is worse than one that rejects. Each kind declares its singular and
+//! repeated keys, and one field reader applies that rule to every frame.
+//! An error quotes at most 64 bytes of the offending input. Round-trip
+//! coverage lives in the crate's property suite.
 
 use std::io::BufRead;
 
@@ -71,8 +74,9 @@ pub fn escape(text: &str) -> String {
 /// with [`ErrorCode::Protocol`] on truncated or non-hex escapes and on
 /// invalid UTF-8.
 pub fn unescape(token: &str) -> Result<String, ServiceError> {
-    mapcomp_algebra::unescape_field(token)
-        .ok_or_else(|| ServiceError::protocol(format!("malformed escape in token `{token}`")))
+    mapcomp_algebra::unescape_field(token).ok_or_else(|| {
+        ServiceError::protocol(format!("malformed escape in token `{}`", quote(token)))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -121,6 +125,23 @@ pub fn read_frame(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
 // Field-line helpers
 // ---------------------------------------------------------------------------
 
+/// The most bytes of peer input an error message repeats back: a reply to
+/// a malformed frame stays small however large the frame was.
+const QUOTE_BYTES: usize = 64;
+
+/// `text` as an error message quotes it: whole when short, else its first
+/// [`QUOTE_BYTES`] bytes (cut back to a char boundary) followed by `…`.
+fn quote(text: &str) -> String {
+    if text.len() <= QUOTE_BYTES {
+        return text.to_string();
+    }
+    let mut end = QUOTE_BYTES;
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &text[..end])
+}
+
 /// Split a frame into its header tokens and field lines, verifying the
 /// protocol header, the direction and the trailing `end`.
 fn frame_lines<'a>(
@@ -139,33 +160,28 @@ fn frame_lines<'a>(
     let header = lines.remove(0);
     let rest =
         header.strip_prefix(PROTOCOL).and_then(|rest| rest.strip_prefix(' ')).ok_or_else(|| {
-            ServiceError::protocol(format!("unrecognised protocol header `{header}`"))
+            ServiceError::protocol(format!("unrecognised protocol header `{}`", quote(header)))
         })?;
     let kind =
         rest.strip_prefix(direction).and_then(|rest| rest.strip_prefix(' ')).ok_or_else(|| {
-            ServiceError::protocol(format!("expected a {direction} frame, got `{rest}`"))
+            ServiceError::protocol(format!("expected a {direction} frame, got `{}`", quote(rest)))
         })?;
     if kind.is_empty() || kind.contains(' ') {
-        return Err(ServiceError::protocol(format!("malformed frame kind `{kind}`")));
+        return Err(ServiceError::protocol(format!("malformed frame kind `{}`", quote(kind))));
     }
     Ok((kind, lines))
 }
 
-fn parse_usize(value: &str, field: &str) -> Result<usize, ServiceError> {
-    value
-        .parse()
-        .map_err(|_| ServiceError::protocol(format!("field `{field}` has a bad count `{value}`")))
+fn parse_count<T: std::str::FromStr>(value: &str, field: &str) -> Result<T, ServiceError> {
+    value.parse().map_err(|_| {
+        ServiceError::protocol(format!("field `{field}` has a bad count `{}`", quote(value)))
+    })
 }
 
 fn parse_u64_hex(value: &str, field: &str) -> Result<u64, ServiceError> {
-    u64::from_str_radix(value, 16)
-        .map_err(|_| ServiceError::protocol(format!("field `{field}` has a bad hash `{value}`")))
-}
-
-fn parse_u64_dec(value: &str, field: &str) -> Result<u64, ServiceError> {
-    value
-        .parse()
-        .map_err(|_| ServiceError::protocol(format!("field `{field}` has a bad count `{value}`")))
+    u64::from_str_radix(value, 16).map_err(|_| {
+        ServiceError::protocol(format!("field `{field}` has a bad hash `{}`", quote(value)))
+    })
 }
 
 /// Parse a `<generation> <seq>` log-position value (two decimal tokens).
@@ -176,7 +192,7 @@ fn parse_position(value: &str, field: &str) -> Result<Position, ServiceError> {
             "field `{field}` does not hold a `<generation> <seq>` position"
         )));
     };
-    Ok(Position::new(parse_u64_dec(generation, field)?, parse_u64_dec(seq, field)?))
+    Ok(Position::new(parse_count(generation, field)?, parse_count(seq, field)?))
 }
 
 /// One `key value…` field line, split on the first space.
@@ -187,12 +203,30 @@ fn split_field(line: &str) -> (&str, &str) {
     }
 }
 
+/// The `N` tokens of a field line's value (as `split` cuts them); any
+/// other number is an error that names the line as `what` and says what it
+/// `holds`.
+fn line_tokens<'a, const N: usize>(
+    line: &'a str,
+    split: fn(&str) -> Vec<&str>,
+    what: &str,
+    holds: &str,
+) -> Result<[&'a str; N], ServiceError> {
+    split(split_field(line).1).try_into().map_err(|_| {
+        ServiceError::protocol(format!("{what} `{}` does not hold {holds}", quote(line)))
+    })
+}
+
 fn missing(field: &str) -> ServiceError {
     ServiceError::protocol(format!("frame is missing the `{field}` field"))
 }
 
 fn unknown_field(kind: &str, line: &str) -> ServiceError {
-    ServiceError::protocol(format!("unknown field line `{line}` in a `{kind}` frame"))
+    ServiceError::protocol(format!("unknown field line `{}` in a `{kind}` frame", quote(line)))
+}
+
+fn unknown_kind(direction: &str, kind: &str) -> ServiceError {
+    ServiceError::protocol(format!("unknown {direction} kind `{}`", quote(kind)))
 }
 
 /// Unescape every whitespace-separated token of a multi-token field value.
@@ -202,6 +236,96 @@ fn unescape_tokens(value: &str) -> Result<Vec<String>, ServiceError> {
 
 fn escape_tokens(values: &[String]) -> String {
     values.iter().map(|value| escape(value)).collect::<Vec<_>>().join(" ")
+}
+
+// ---------------------------------------------------------------------------
+// Field reader
+// ---------------------------------------------------------------------------
+
+/// The field keys a frame kind declares: `(singular, repeated)`.
+type Keys = (&'static [&'static str], &'static [&'static str]);
+
+/// The envelope keys any request frame may carry besides its kind's own.
+const ENVELOPE: &[&str] = &["trace", "auth"];
+
+/// A frame's field lines filed by key. [`Fields::read`] checks the rule
+/// every kind shares: a singular key appears at most once, a repeated key
+/// any number of times, and any other line is refused. Values stay
+/// borrowed from the frame text until an accessor parses them, so a value
+/// is never copied before its one [`unescape`].
+struct Fields<'a> {
+    /// `(key, line)` of each singular field present.
+    singular: Vec<(&'a str, &'a str)>,
+    /// `(key, line)` of each repeated field line, in frame order.
+    repeated: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Fields<'a> {
+    /// File `lines` under a kind's `keys` and the `envelope` keys, which
+    /// are singular too but refused by name when repeated.
+    fn read(
+        kind: &str,
+        lines: &[&'a str],
+        envelope: &[&str],
+        (singular, repeated): Keys,
+    ) -> Result<Self, ServiceError> {
+        let mut fields = Fields { singular: Vec::with_capacity(lines.len()), repeated: Vec::new() };
+        for &line in lines {
+            let (key, _) = split_field(line);
+            if repeated.contains(&key) {
+                fields.repeated.push((key, line));
+                continue;
+            }
+            let (seen, envelope_key) = (fields.line(key).is_some(), envelope.contains(&key));
+            if !seen && (envelope_key || singular.contains(&key)) {
+                fields.singular.push((key, line));
+            } else if envelope_key {
+                return Err(ServiceError::protocol(format!(
+                    "frame carries more than one `{key}` field"
+                )));
+            } else {
+                return Err(unknown_field(kind, line));
+            }
+        }
+        Ok(fields)
+    }
+
+    /// The line of a singular field, if present.
+    fn line(&self, key: &str) -> Option<&'a str> {
+        self.singular.iter().find(|&&(k, _)| k == key).map(|&(_, line)| line)
+    }
+
+    /// The value of an optional singular field.
+    fn opt(&self, key: &str) -> Option<&'a str> {
+        self.line(key).map(|line| split_field(line).1)
+    }
+
+    /// The value of a required singular field.
+    fn one(&self, key: &str) -> Result<&'a str, ServiceError> {
+        self.opt(key).ok_or_else(|| missing(key))
+    }
+
+    fn text(&self, key: &str) -> Result<String, ServiceError> {
+        unescape(self.one(key)?)
+    }
+
+    fn count<T: std::str::FromStr>(&self, key: &str) -> Result<T, ServiceError> {
+        parse_count(self.one(key)?, key)
+    }
+
+    fn position(&self, key: &str) -> Result<Position, ServiceError> {
+        parse_position(self.one(key)?, key)
+    }
+
+    /// The lines of a repeated field, in frame order.
+    fn all<'k>(&'k self, key: &'k str) -> impl Iterator<Item = &'a str> + 'k {
+        self.repeated.iter().filter(move |&&(k, _)| k == key).map(|&(_, line)| line)
+    }
+
+    /// The unescaped values of a repeated field, in frame order.
+    fn texts(&self, key: &str) -> Result<Vec<String>, ServiceError> {
+        self.all(key).map(|line| unescape(split_field(line).1)).collect()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -284,173 +408,86 @@ pub fn decode_request(text: &str) -> Result<Request, ServiceError> {
 }
 
 /// Decode a request frame along with its optional `trace` and `auth`
-/// envelope fields. Both lines are recognised for every request kind and
-/// stripped before kind-specific parsing, so kinds with no fields of their
-/// own still accept them; at most one of each may appear.
+/// envelope fields. Both lines are recognised for every request kind, so
+/// kinds with no fields of their own still accept them; at most one of
+/// each may appear.
 pub fn decode_request_frame(
     text: &str,
 ) -> Result<(Request, Option<u64>, Option<String>), ServiceError> {
     let (kind, lines) = frame_lines(text, "request")?;
-    let mut trace = None;
-    let mut auth = None;
-    let mut fields = Vec::with_capacity(lines.len());
-    for line in lines {
-        match split_field(line) {
-            ("trace", value) if trace.is_none() => {
-                trace = Some(parse_u64_hex(value, "trace")?);
-            }
-            ("trace", _) => {
-                return Err(ServiceError::protocol("frame carries more than one `trace` field"))
-            }
-            ("auth", value) if auth.is_none() => {
-                if value.is_empty() {
-                    return Err(ServiceError::protocol("`auth` field is missing its token"));
-                }
-                auth = Some(unescape(value)?);
-            }
-            ("auth", _) => {
-                return Err(ServiceError::protocol("frame carries more than one `auth` field"))
-            }
-            _ => fields.push(line),
-        }
-    }
-    Ok((decode_request_fields(kind, fields)?, trace, auth))
+    let f = Fields::read(kind, &lines, ENVELOPE, request_keys(kind)?)?;
+    let trace = f.opt("trace").map(|value| parse_u64_hex(value, "trace")).transpose()?;
+    let auth = match f.opt("auth") {
+        Some("") => return Err(ServiceError::protocol("`auth` field is missing its token")),
+        value => value.map(unescape).transpose()?,
+    };
+    let request = match kind {
+        "subscribe" => Request::Subscribe {
+            from_generation: f.count("generation")?,
+            from_seq: f.count("seq")?,
+        },
+        "add-document" => Request::AddDocument { text: f.text("text")? },
+        "compose-path" => Request::ComposePath { from: f.text("from")?, to: f.text("to")? },
+        "compose-names" => Request::ComposeNames { names: f.texts("name")? },
+        "compose-batch" => Request::ComposeBatch {
+            requests: f.all("pair").map(batch_pair).collect::<Result<_, _>>()?,
+            workers: f.count("workers")?,
+        },
+        "invalidate" => Request::Invalidate { mapping: f.text("mapping")? },
+        "migrate-delta" => Request::MigrateDelta {
+            from: f.text("from")?,
+            to: f.text("to")?,
+            updates: f.texts("update")?,
+        },
+        "analyze" => Request::Analyze { mapping: f.opt("mapping").map(unescape).transpose()? },
+        _ => fieldless_request(kind)?,
+    };
+    Ok((request, trace, auth))
 }
 
-/// Decode the kind-specific field lines of a request frame (trace already
-/// stripped). Strict: unknown or duplicated fields are protocol errors.
-fn decode_request_fields(kind: &str, lines: Vec<&str>) -> Result<Request, ServiceError> {
-    match kind {
-        "ping" | "stats" | "cache-info" | "metrics" | "compact" | "snapshot" | "shutdown" => {
-            if let Some(line) = lines.first() {
-                return Err(unknown_field(kind, line));
-            }
-            Ok(match kind {
-                "ping" => Request::Ping,
-                "stats" => Request::Stats,
-                "cache-info" => Request::CacheInfo,
-                "metrics" => Request::Metrics,
-                "compact" => Request::Compact,
-                "snapshot" => Request::Snapshot,
-                _ => Request::Shutdown,
-            })
+/// The field keys of each request kind; an unknown kind is refused.
+fn request_keys(kind: &str) -> Result<Keys, ServiceError> {
+    Ok(match kind {
+        "subscribe" => (&["generation", "seq"], &[]),
+        "add-document" => (&["text"], &[]),
+        "compose-path" => (&["from", "to"], &[]),
+        "compose-names" => (&[], &["name"]),
+        "compose-batch" => (&["workers"], &["pair"]),
+        "invalidate" | "analyze" => (&["mapping"], &[]),
+        "migrate-delta" => (&["from", "to"], &["update"]),
+        _ => {
+            fieldless_request(kind)?;
+            (&[], &[])
         }
-        "subscribe" => {
-            let (mut generation, mut seq) = (None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("generation", value) if generation.is_none() => {
-                        generation = Some(parse_u64_dec(value, "generation")?);
-                    }
-                    ("seq", value) if seq.is_none() => {
-                        seq = Some(parse_u64_dec(value, "seq")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::Subscribe {
-                from_generation: generation.ok_or_else(|| missing("generation"))?,
-                from_seq: seq.ok_or_else(|| missing("seq"))?,
-            })
-        }
-        "add-document" => {
-            let mut text = None;
-            for line in lines {
-                match split_field(line) {
-                    ("text", value) if text.is_none() => text = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::AddDocument { text: text.ok_or_else(|| missing("text"))? })
-        }
-        "compose-path" => {
-            let (mut from, mut to) = (None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("from", value) if from.is_none() => from = Some(unescape(value)?),
-                    ("to", value) if to.is_none() => to = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::ComposePath {
-                from: from.ok_or_else(|| missing("from"))?,
-                to: to.ok_or_else(|| missing("to"))?,
-            })
-        }
-        "compose-names" => {
-            let mut names = Vec::new();
-            for line in lines {
-                match split_field(line) {
-                    ("name", value) => names.push(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::ComposeNames { names })
-        }
-        "compose-batch" => {
-            let mut workers = None;
-            let mut requests = Vec::new();
-            for line in lines {
-                match split_field(line) {
-                    ("workers", value) if workers.is_none() => {
-                        workers = Some(parse_usize(value, "workers")?);
-                    }
-                    ("pair", value) => {
-                        let tokens = unescape_tokens(value)?;
-                        let [from, to] = tokens.as_slice() else {
-                            return Err(ServiceError::protocol(format!(
-                                "batch pair line `{line}` does not hold two tokens"
-                            )));
-                        };
-                        requests.push((from.clone(), to.clone()));
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::ComposeBatch {
-                requests,
-                workers: workers.ok_or_else(|| missing("workers"))?,
-            })
-        }
-        "invalidate" => {
-            let mut mapping = None;
-            for line in lines {
-                match split_field(line) {
-                    ("mapping", value) if mapping.is_none() => mapping = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::Invalidate { mapping: mapping.ok_or_else(|| missing("mapping"))? })
-        }
-        "migrate-delta" => {
-            let (mut from, mut to) = (None, None);
-            let mut updates = Vec::new();
-            for line in lines {
-                match split_field(line) {
-                    ("from", value) if from.is_none() => from = Some(unescape(value)?),
-                    ("to", value) if to.is_none() => to = Some(unescape(value)?),
-                    ("update", value) => updates.push(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::MigrateDelta {
-                from: from.ok_or_else(|| missing("from"))?,
-                to: to.ok_or_else(|| missing("to"))?,
-                updates,
-            })
-        }
-        "analyze" => {
-            let mut mapping = None;
-            for line in lines {
-                match split_field(line) {
-                    ("mapping", value) if mapping.is_none() => mapping = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Request::Analyze { mapping })
-        }
-        other => Err(ServiceError::protocol(format!("unknown request kind `{other}`"))),
-    }
+    })
+}
+
+/// The request of a kind without fields of its own.
+fn fieldless_request(kind: &str) -> Result<Request, ServiceError> {
+    [
+        Request::Ping,
+        Request::Stats,
+        Request::CacheInfo,
+        Request::Metrics,
+        Request::Compact,
+        Request::Snapshot,
+        Request::Shutdown,
+    ]
+    .into_iter()
+    .find(|request| request.kind() == kind)
+    .ok_or_else(|| unknown_kind("request", kind))
+}
+
+/// A `pair <from> <to>` line of a `compose-batch` request.
+fn batch_pair(line: &str) -> Result<(String, String), ServiceError> {
+    let [from, to]: [String; 2] =
+        unescape_tokens(split_field(line).1)?.try_into().map_err(|_| {
+            ServiceError::protocol(format!(
+                "batch pair line `{}` does not hold two tokens",
+                quote(line)
+            ))
+        })?;
+    Ok((from, to))
 }
 
 // ---------------------------------------------------------------------------
@@ -468,73 +505,6 @@ fn write_chain(out: &mut String, payload: &ChainPayload) {
     let plan: Vec<String> = payload.plan.iter().map(usize::to_string).collect();
     out.push_str(&format!("plan {}\n", plan.join(" ")));
     out.push_str(&format!("document {}\n", escape(&payload.document)));
-}
-
-struct ChainFields {
-    source: Option<String>,
-    target: Option<String>,
-    path: Option<Vec<String>>,
-    deps: Option<Vec<String>>,
-    hash: Option<u64>,
-    calls: Option<usize>,
-    hits: Option<usize>,
-    plan: Option<Vec<usize>>,
-    document: Option<String>,
-}
-
-impl ChainFields {
-    fn new() -> Self {
-        ChainFields {
-            source: None,
-            target: None,
-            path: None,
-            deps: None,
-            hash: None,
-            calls: None,
-            hits: None,
-            plan: None,
-            document: None,
-        }
-    }
-
-    /// Absorb one field line; `Ok(false)` when the key is not a chain field.
-    fn absorb(&mut self, line: &str) -> Result<bool, ServiceError> {
-        let (key, value) = split_field(line);
-        match key {
-            "source" if self.source.is_none() => self.source = Some(unescape(value)?),
-            "target" if self.target.is_none() => self.target = Some(unescape(value)?),
-            "path" if self.path.is_none() => self.path = Some(unescape_tokens(value)?),
-            "deps" if self.deps.is_none() => self.deps = Some(unescape_tokens(value)?),
-            "hash" if self.hash.is_none() => self.hash = Some(parse_u64_hex(value, "hash")?),
-            "calls" if self.calls.is_none() => self.calls = Some(parse_usize(value, "calls")?),
-            "hits" if self.hits.is_none() => self.hits = Some(parse_usize(value, "hits")?),
-            "plan" if self.plan.is_none() => {
-                self.plan = Some(
-                    value
-                        .split_whitespace()
-                        .map(|token| parse_usize(token, "plan"))
-                        .collect::<Result<_, _>>()?,
-                );
-            }
-            "document" if self.document.is_none() => self.document = Some(unescape(value)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    fn finish(self) -> Result<ChainPayload, ServiceError> {
-        Ok(ChainPayload {
-            source: self.source.ok_or_else(|| missing("source"))?,
-            target: self.target.ok_or_else(|| missing("target"))?,
-            path: self.path.ok_or_else(|| missing("path"))?,
-            deps: self.deps.ok_or_else(|| missing("deps"))?,
-            hash: self.hash.ok_or_else(|| missing("hash"))?,
-            compose_calls: self.calls.ok_or_else(|| missing("calls"))?,
-            cache_hits: self.hits.ok_or_else(|| missing("hits"))?,
-            plan: self.plan.ok_or_else(|| missing("plan"))?,
-            document: self.document.ok_or_else(|| missing("document"))?,
-        })
-    }
 }
 
 /// Render a `response error` frame.
@@ -759,450 +729,267 @@ pub fn encode_reply(reply: &Result<Response, ServiceError>) -> String {
 /// *decoder's* verdict: `Err` means the frame itself was malformed.
 pub fn decode_reply(text: &str) -> Result<Result<Response, ServiceError>, ServiceError> {
     let (kind, lines) = frame_lines(text, "response")?;
-    match kind {
+    let f = Fields::read(kind, &lines, &[], reply_keys(kind)?)?;
+    Ok(Ok(match kind {
         "error" => {
-            let (mut code, mut message) = (None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("code", value) if code.is_none() => {
-                        code = Some(ErrorCode::parse(value).ok_or_else(|| {
-                            ServiceError::protocol(format!("unknown error code `{value}`"))
-                        })?);
-                    }
-                    ("message", value) if message.is_none() => message = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Err(ServiceError {
-                code: code.ok_or_else(|| missing("code"))?,
-                message: message.ok_or_else(|| missing("message"))?,
-            }))
+            let code = f.one("code")?;
+            return Ok(Err(ServiceError {
+                code: ErrorCode::parse(code).ok_or_else(|| {
+                    ServiceError::protocol(format!("unknown error code `{}`", quote(code)))
+                })?,
+                message: f.text("message")?,
+            }));
         }
-        "pong" | "shutting-down" => {
-            if let Some(line) = lines.first() {
-                return Err(unknown_field(kind, line));
-            }
-            Ok(Ok(if kind == "pong" { Response::Pong } else { Response::ShuttingDown }))
-        }
-        "added" => {
-            let mut touched = Vec::new();
-            let (mut schemas, mut mappings) = (None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("touched", value) => touched.push(unescape(value)?),
-                    ("schemas", value) if schemas.is_none() => {
-                        schemas = Some(parse_usize(value, "schemas")?);
-                    }
-                    ("mappings", value) if mappings.is_none() => {
-                        mappings = Some(parse_usize(value, "mappings")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Added {
-                touched,
-                schemas: schemas.ok_or_else(|| missing("schemas"))?,
-                mappings: mappings.ok_or_else(|| missing("mappings"))?,
-            }))
-        }
-        "composed" => {
-            let mut fields = ChainFields::new();
-            for line in lines {
-                if !fields.absorb(line)? {
-                    return Err(unknown_field(kind, line));
-                }
-            }
-            Ok(Ok(Response::Composed(fields.finish()?)))
-        }
+        "added" => Response::Added {
+            touched: f.texts("touched")?,
+            schemas: f.count("schemas")?,
+            mappings: f.count("mappings")?,
+        },
+        "composed" => Response::Composed(ChainPayload {
+            source: f.text("source")?,
+            target: f.text("target")?,
+            path: unescape_tokens(f.one("path")?)?,
+            deps: unescape_tokens(f.one("deps")?)?,
+            hash: parse_u64_hex(f.one("hash")?, "hash")?,
+            compose_calls: f.count("calls")?,
+            cache_hits: f.count("hits")?,
+            plan: f
+                .one("plan")?
+                .split_whitespace()
+                .map(|token| parse_count(token, "plan"))
+                .collect::<Result<_, _>>()?,
+            document: f.text("document")?,
+        }),
         "batch" => {
-            let mut count = None;
-            let mut items = Vec::new();
-            for line in lines {
-                match split_field(line) {
-                    ("count", value) if count.is_none() => {
-                        count = Some(parse_usize(value, "count")?);
-                    }
-                    ("item", value) => {
-                        let nested = unescape(value)?;
-                        match decode_reply(&nested)? {
-                            Ok(Response::Composed(payload)) => items.push(Ok(payload)),
-                            Ok(other) => {
-                                return Err(ServiceError::protocol(format!(
-                                    "batch item holds a `{}` frame",
-                                    other.kind()
-                                )))
-                            }
-                            Err(error) => items.push(Err(error)),
-                        }
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            let count = count.ok_or_else(|| missing("count"))?;
+            let items: Vec<_> = f.all("item").map(batch_item).collect::<Result<_, _>>()?;
+            let count: usize = f.count("count")?;
             if count != items.len() {
                 return Err(ServiceError::protocol(format!(
                     "batch frame declares {count} items but carries {}",
                     items.len()
                 )));
             }
-            Ok(Ok(Response::Batch(items)))
+            Response::Batch(items)
         }
-        "invalidated" => {
-            let mut dropped = None;
-            for line in lines {
-                match split_field(line) {
-                    ("dropped", value) if dropped.is_none() => {
-                        dropped = Some(parse_usize(value, "dropped")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Invalidated { dropped: dropped.ok_or_else(|| missing("dropped"))? }))
-        }
+        "invalidated" => Response::Invalidated { dropped: f.count("dropped")? },
         "migrated" => {
-            let (mut from, mut to, mut batch, mut state, mut target) =
-                (None, None, None, None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("from", value) if from.is_none() => from = Some(unescape(value)?),
-                    ("to", value) if to.is_none() => to = Some(unescape(value)?),
-                    ("batch", value) if batch.is_none() => {
-                        let parts: Vec<&str> = value.split(' ').collect();
-                        let [applied, inserted, deleted, retracted, rederived] = parts.as_slice()
-                        else {
-                            return Err(ServiceError::protocol(format!(
-                                "batch line `{line}` does not hold five counters"
-                            )));
-                        };
-                        batch = Some((
-                            parse_usize(applied, "applied")?,
-                            parse_usize(inserted, "inserted")?,
-                            parse_usize(deleted, "deleted")?,
-                            parse_usize(retracted, "retracted")?,
-                            parse_usize(rederived, "rederived")?,
-                        ));
+            let by_space: fn(&str) -> Vec<&str> = |value| value.split(' ').collect();
+            let batch = f.line("batch").ok_or_else(|| missing("batch"))?;
+            let [applied, inserted, deleted, retracted, rederived] =
+                line_tokens(batch, by_space, "batch line", "five counters")?;
+            let state = f.line("state").ok_or_else(|| missing("state"))?;
+            let [mode, source_rows, target_rows, support_entries] =
+                line_tokens(state, by_space, "state line", "four fields")?;
+            Response::Migrated(MigratePayload {
+                applied: parse_count(applied, "applied")?,
+                inserted: parse_count(inserted, "inserted")?,
+                deleted: parse_count(deleted, "deleted")?,
+                retracted: parse_count(retracted, "retracted")?,
+                rederived: parse_count(rederived, "rederived")?,
+                fallback: match mode {
+                    "fallback" => true,
+                    "incremental" => false,
+                    other => {
+                        return Err(ServiceError::protocol(format!(
+                            "unknown migrate mode `{}`",
+                            quote(other)
+                        )))
                     }
-                    ("state", value) if state.is_none() => {
-                        let parts: Vec<&str> = value.split(' ').collect();
-                        let [mode, source_rows, target_rows, support_entries] = parts.as_slice()
-                        else {
-                            return Err(ServiceError::protocol(format!(
-                                "state line `{line}` does not hold four fields"
-                            )));
-                        };
-                        let fallback = match *mode {
-                            "fallback" => true,
-                            "incremental" => false,
-                            other => {
-                                return Err(ServiceError::protocol(format!(
-                                    "unknown migrate mode `{other}`"
-                                )))
-                            }
-                        };
-                        state = Some((
-                            fallback,
-                            parse_usize(source_rows, "source-rows")?,
-                            parse_usize(target_rows, "target-rows")?,
-                            parse_usize(support_entries, "support-entries")?,
-                        ));
-                    }
-                    ("target", value) if target.is_none() => target = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            let (applied, inserted, deleted, retracted, rederived) =
-                batch.ok_or_else(|| missing("batch"))?;
-            let (fallback, source_rows, target_rows, support_entries) =
-                state.ok_or_else(|| missing("state"))?;
-            Ok(Ok(Response::Migrated(MigratePayload {
-                from: from.ok_or_else(|| missing("from"))?,
-                to: to.ok_or_else(|| missing("to"))?,
-                applied,
-                inserted,
-                deleted,
-                retracted,
-                rederived,
-                fallback,
-                source_rows,
-                target_rows,
-                support_entries,
-                target: target.ok_or_else(|| missing("target"))?,
-            })))
+                },
+                source_rows: parse_count(source_rows, "source-rows")?,
+                target_rows: parse_count(target_rows, "target-rows")?,
+                support_entries: parse_count(support_entries, "support-entries")?,
+                from: f.text("from")?,
+                to: f.text("to")?,
+                target: f.text("target")?,
+            })
         }
-        "metrics" => {
-            let mut text = None;
-            for line in lines {
-                match split_field(line) {
-                    ("text", value) if text.is_none() => text = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Metrics { text: text.ok_or_else(|| missing("text"))? }))
-        }
-        "analysis" => {
-            let (mut proven, mut unknown, mut diagnostics, mut text) = (None, None, None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("proven", value) if proven.is_none() => {
-                        proven = Some(parse_usize(value, "proven")?);
-                    }
-                    ("unknown", value) if unknown.is_none() => {
-                        unknown = Some(parse_usize(value, "unknown")?);
-                    }
-                    ("diagnostics", value) if diagnostics.is_none() => {
-                        diagnostics = Some(parse_usize(value, "diagnostics")?);
-                    }
-                    ("text", value) if text.is_none() => text = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Analysis(AnalysisPayload {
-                proven: proven.ok_or_else(|| missing("proven"))?,
-                unknown: unknown.ok_or_else(|| missing("unknown"))?,
-                diagnostics: diagnostics.ok_or_else(|| missing("diagnostics"))?,
-                text: text.ok_or_else(|| missing("text"))?,
-            })))
-        }
+        "metrics" => Response::Metrics { text: f.text("text")? },
+        "analysis" => Response::Analysis(AnalysisPayload {
+            proven: f.count("proven")?,
+            unknown: f.count("unknown")?,
+            diagnostics: f.count("diagnostics")?,
+            text: f.text("text")?,
+        }),
         "compacted" => {
-            let (mut before, mut after) = (None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("before", value) if before.is_none() => {
-                        before = Some(parse_u64_dec(value, "before")?);
-                    }
-                    ("after", value) if after.is_none() => {
-                        after = Some(parse_u64_dec(value, "after")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Compacted {
-                bytes_before: before.ok_or_else(|| missing("before"))?,
-                bytes_after: after.ok_or_else(|| missing("after"))?,
-            }))
+            Response::Compacted { bytes_before: f.count("before")?, bytes_after: f.count("after")? }
         }
         "cache-info" => {
-            let mut declared = None;
-            let mut segments = Vec::new();
-            for line in lines {
-                match split_field(line) {
-                    ("segments", value) if declared.is_none() => {
-                        declared = Some(parse_usize(value, "segments")?);
-                    }
-                    ("segment", value) => {
-                        let tokens: Vec<&str> = value.split_whitespace().collect();
-                        let [segment, entries, capacity, hits, misses, ins, inv, evict] =
-                            tokens.as_slice()
-                        else {
-                            return Err(ServiceError::protocol(format!(
-                                "cache-info segment line `{line}` does not hold eight tokens"
-                            )));
-                        };
-                        segments.push(SegmentCacheInfo {
-                            segment: parse_usize(segment, "segment")?,
-                            entries: parse_usize(entries, "entries")?,
-                            capacity: if *capacity == "-" {
-                                None
-                            } else {
-                                Some(parse_usize(capacity, "capacity")?)
-                            },
-                            hits: parse_usize(hits, "hits")?,
-                            misses: parse_usize(misses, "misses")?,
-                            insertions: parse_usize(ins, "insertions")?,
-                            invalidated: parse_usize(inv, "invalidated")?,
-                            evictions: parse_usize(evict, "evictions")?,
-                        });
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            let declared = declared.ok_or_else(|| missing("segments"))?;
+            let segments: Vec<_> = f.all("segment").map(segment_info).collect::<Result<_, _>>()?;
+            let declared: usize = f.count("segments")?;
             if declared != segments.len() {
                 return Err(ServiceError::protocol(format!(
                     "cache-info frame declares {declared} segments but carries {}",
                     segments.len()
                 )));
             }
-            Ok(Ok(Response::CacheInfo(CacheInfoPayload { segments })))
+            Response::CacheInfo(CacheInfoPayload { segments })
         }
-        "stats" => {
-            let (mut schemas, mut mappings, mut session) = (None, None, None);
-            let mut capacity = None;
-            let mut entries = Vec::new();
-            let mut replication = None;
-            for line in lines {
-                match split_field(line) {
-                    ("schemas", value) if schemas.is_none() => {
-                        schemas = Some(parse_usize(value, "schemas")?);
-                    }
-                    ("mappings", value) if mappings.is_none() => {
-                        mappings = Some(parse_usize(value, "mappings")?);
-                    }
-                    ("capacity", value) if capacity.is_none() => {
-                        capacity = Some(if value == "unbounded" {
-                            None
-                        } else {
-                            Some(parse_usize(value, "capacity")?)
-                        });
-                    }
-                    ("entry", value) => {
-                        let tokens: Vec<&str> = value.split_whitespace().collect();
-                        let [name, source, target, version, hash, constraints, history @ ..] =
-                            tokens.as_slice()
-                        else {
-                            return Err(ServiceError::protocol(format!(
-                                "stats entry line `{line}` holds fewer than six tokens"
-                            )));
-                        };
-                        let history = history
-                            .iter()
-                            .map(|token| {
-                                let (v, h) = token.split_once(':').ok_or_else(|| {
-                                    ServiceError::protocol(format!("bad history token `{token}`"))
-                                })?;
-                                Ok((
-                                    v.parse().map_err(|_| {
-                                        ServiceError::protocol(format!("bad history version `{v}`"))
-                                    })?,
-                                    parse_u64_hex(h, "history hash")?,
-                                ))
-                            })
-                            .collect::<Result<Vec<(u64, u64)>, ServiceError>>()?;
-                        entries.push(MappingInfo {
-                            name: unescape(name)?,
-                            source: unescape(source)?,
-                            target: unescape(target)?,
-                            version: version.parse().map_err(|_| {
-                                ServiceError::protocol(format!("bad version `{version}`"))
-                            })?,
-                            hash: parse_u64_hex(hash, "entry hash")?,
-                            constraints: parse_usize(constraints, "entry constraints")?,
-                            history,
-                        });
-                    }
-                    ("session", value) if session.is_none() => {
-                        let numbers: Vec<usize> = value
-                            .split_whitespace()
-                            .map(|token| parse_usize(token, "session"))
-                            .collect::<Result<_, _>>()?;
-                        let &[calls, paths, chains, entries, hits, misses, ins, inv, evict] =
-                            numbers.as_slice()
-                        else {
-                            return Err(ServiceError::protocol(
-                                "session line does not hold nine counters",
-                            ));
-                        };
-                        session = Some(SessionStats {
-                            compose_calls: calls,
-                            paths_resolved: paths,
-                            chains_composed: chains,
-                            cache_entries: entries,
-                            cache: CacheStats {
-                                hits,
-                                misses,
-                                insertions: ins,
-                                invalidated: inv,
-                                evictions: evict,
-                            },
-                        });
-                    }
-                    ("replication", value) if replication.is_none() => {
-                        let tokens: Vec<&str> = value.split_whitespace().collect();
-                        let [role, state, generation, seq, lag] = tokens.as_slice() else {
-                            return Err(ServiceError::protocol(format!(
-                                "stats replication line `{line}` does not hold five tokens"
-                            )));
-                        };
-                        replication = Some(ReplicationInfo {
-                            role: unescape(role)?,
-                            state: unescape(state)?,
-                            position: Position::new(
-                                parse_u64_dec(generation, "replication generation")?,
-                                parse_u64_dec(seq, "replication seq")?,
-                            ),
-                            lag: parse_u64_dec(lag, "replication lag")?,
-                        });
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Stats(StatsPayload {
-                schemas: schemas.ok_or_else(|| missing("schemas"))?,
-                mappings: mappings.ok_or_else(|| missing("mappings"))?,
-                entries,
-                session: session.ok_or_else(|| missing("session"))?,
-                cache_capacity: capacity.ok_or_else(|| missing("capacity"))?,
-                replication,
-            })))
+        "stats" => Response::Stats(StatsPayload {
+            schemas: f.count("schemas")?,
+            mappings: f.count("mappings")?,
+            entries: f.all("entry").map(mapping_info).collect::<Result<_, _>>()?,
+            session: session_stats(f.one("session")?)?,
+            cache_capacity: match f.one("capacity")? {
+                "unbounded" => None,
+                value => Some(parse_count(value, "capacity")?),
+            },
+            replication: f.line("replication").map(replication_info).transpose()?,
+        }),
+        "subscribed" => Response::Subscribed { position: f.position("position")? },
+        "delta-chunk" => Response::Delta(DeltaChunkPayload {
+            first: f.position("first")?,
+            last: f.position("last")?,
+            chunk: f.text("chunk")?,
+        }),
+        "generation" => Response::Generation { generation: f.count("generation")? },
+        "snapshot" => Response::Snapshot(SnapshotPayload {
+            position: f.position("position")?,
+            document: f.text("document")?,
+            sidecar: f.text("sidecar")?,
+        }),
+        _ => fieldless_reply(kind)?,
+    }))
+}
+
+/// The field keys of each reply kind; an unknown kind is refused.
+fn reply_keys(kind: &str) -> Result<Keys, ServiceError> {
+    Ok(match kind {
+        "error" => (&["code", "message"], &[]),
+        "added" => (&["schemas", "mappings"], &["touched"]),
+        "composed" => (
+            &["source", "target", "path", "deps", "hash", "calls", "hits", "plan", "document"],
+            &[],
+        ),
+        "batch" => (&["count"], &["item"]),
+        "invalidated" => (&["dropped"], &[]),
+        "migrated" => (&["from", "to", "batch", "state", "target"], &[]),
+        "metrics" => (&["text"], &[]),
+        "analysis" => (&["proven", "unknown", "diagnostics", "text"], &[]),
+        "compacted" => (&["before", "after"], &[]),
+        "cache-info" => (&["segments"], &["segment"]),
+        "stats" => (&["schemas", "mappings", "capacity", "session", "replication"], &["entry"]),
+        "subscribed" => (&["position"], &[]),
+        "delta-chunk" => (&["first", "last", "chunk"], &[]),
+        "generation" => (&["generation"], &[]),
+        "snapshot" => (&["position", "document", "sidecar"], &[]),
+        _ => {
+            fieldless_reply(kind)?;
+            (&[], &[])
         }
-        "subscribed" => {
-            let mut position = None;
-            for line in lines {
-                match split_field(line) {
-                    ("position", value) if position.is_none() => {
-                        position = Some(parse_position(value, "position")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Subscribed { position: position.ok_or_else(|| missing("position"))? }))
+    })
+}
+
+/// The reply of a kind without fields of its own.
+fn fieldless_reply(kind: &str) -> Result<Response, ServiceError> {
+    [Response::Pong, Response::ShuttingDown]
+        .into_iter()
+        .find(|response| response.kind() == kind)
+        .ok_or_else(|| unknown_kind("response", kind))
+}
+
+/// An `item` line of a `batch` reply: a `composed` or `error` frame.
+fn batch_item(line: &str) -> Result<Result<ChainPayload, ServiceError>, ServiceError> {
+    match decode_reply(&unescape(split_field(line).1)?)? {
+        Ok(Response::Composed(payload)) => Ok(Ok(payload)),
+        Ok(other) => {
+            Err(ServiceError::protocol(format!("batch item holds a `{}` frame", other.kind())))
         }
-        "delta-chunk" => {
-            let (mut first, mut last, mut chunk) = (None, None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("first", value) if first.is_none() => {
-                        first = Some(parse_position(value, "first")?);
-                    }
-                    ("last", value) if last.is_none() => {
-                        last = Some(parse_position(value, "last")?);
-                    }
-                    ("chunk", value) if chunk.is_none() => chunk = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Delta(DeltaChunkPayload {
-                first: first.ok_or_else(|| missing("first"))?,
-                last: last.ok_or_else(|| missing("last"))?,
-                chunk: chunk.ok_or_else(|| missing("chunk"))?,
-            })))
-        }
-        "generation" => {
-            let mut generation = None;
-            for line in lines {
-                match split_field(line) {
-                    ("generation", value) if generation.is_none() => {
-                        generation = Some(parse_u64_dec(value, "generation")?);
-                    }
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Generation {
-                generation: generation.ok_or_else(|| missing("generation"))?,
-            }))
-        }
-        "snapshot" => {
-            let (mut position, mut document, mut sidecar) = (None, None, None);
-            for line in lines {
-                match split_field(line) {
-                    ("position", value) if position.is_none() => {
-                        position = Some(parse_position(value, "position")?);
-                    }
-                    ("document", value) if document.is_none() => {
-                        document = Some(unescape(value)?);
-                    }
-                    ("sidecar", value) if sidecar.is_none() => sidecar = Some(unescape(value)?),
-                    _ => return Err(unknown_field(kind, line)),
-                }
-            }
-            Ok(Ok(Response::Snapshot(SnapshotPayload {
-                position: position.ok_or_else(|| missing("position"))?,
-                document: document.ok_or_else(|| missing("document"))?,
-                sidecar: sidecar.ok_or_else(|| missing("sidecar"))?,
-            })))
-        }
-        other => Err(ServiceError::protocol(format!("unknown response kind `{other}`"))),
+        Err(error) => Ok(Err(error)),
     }
+}
+
+/// A `segment` line of a `cache-info` reply.
+fn segment_info(line: &str) -> Result<SegmentCacheInfo, ServiceError> {
+    let [segment, entries, capacity, hits, misses, ins, inv, evict] = line_tokens(
+        line,
+        |value| value.split_whitespace().collect(),
+        "cache-info segment line",
+        "eight tokens",
+    )?;
+    Ok(SegmentCacheInfo {
+        segment: parse_count(segment, "segment")?,
+        entries: parse_count(entries, "entries")?,
+        capacity: if capacity == "-" { None } else { Some(parse_count(capacity, "capacity")?) },
+        hits: parse_count(hits, "hits")?,
+        misses: parse_count(misses, "misses")?,
+        insertions: parse_count(ins, "insertions")?,
+        invalidated: parse_count(inv, "invalidated")?,
+        evictions: parse_count(evict, "evictions")?,
+    })
+}
+
+/// An `entry` line of a `stats` reply.
+fn mapping_info(line: &str) -> Result<MappingInfo, ServiceError> {
+    let tokens: Vec<&str> = split_field(line).1.split_whitespace().collect();
+    let [name, source, target, version, hash, constraints, history @ ..] = tokens.as_slice() else {
+        return Err(ServiceError::protocol(format!(
+            "stats entry line `{}` holds fewer than six tokens",
+            quote(line)
+        )));
+    };
+    let history = history
+        .iter()
+        .map(|token| {
+            let (v, h) = token.split_once(':').ok_or_else(|| {
+                ServiceError::protocol(format!("bad history token `{}`", quote(token)))
+            })?;
+            Ok((
+                v.parse().map_err(|_| {
+                    ServiceError::protocol(format!("bad history version `{}`", quote(v)))
+                })?,
+                parse_u64_hex(h, "history hash")?,
+            ))
+        })
+        .collect::<Result<Vec<(u64, u64)>, ServiceError>>()?;
+    Ok(MappingInfo {
+        name: unescape(name)?,
+        source: unescape(source)?,
+        target: unescape(target)?,
+        version: version
+            .parse()
+            .map_err(|_| ServiceError::protocol(format!("bad version `{}`", quote(version))))?,
+        hash: parse_u64_hex(hash, "entry hash")?,
+        constraints: parse_count(constraints, "entry constraints")?,
+        history,
+    })
+}
+
+/// The `session` value of a `stats` reply: nine counters.
+fn session_stats(value: &str) -> Result<SessionStats, ServiceError> {
+    let numbers: Vec<usize> = value
+        .split_whitespace()
+        .map(|token| parse_count(token, "session"))
+        .collect::<Result<_, _>>()?;
+    let &[calls, paths, chains, entries, hits, misses, ins, inv, evict] = numbers.as_slice() else {
+        return Err(ServiceError::protocol("session line does not hold nine counters"));
+    };
+    Ok(SessionStats {
+        compose_calls: calls,
+        paths_resolved: paths,
+        chains_composed: chains,
+        cache_entries: entries,
+        cache: CacheStats { hits, misses, insertions: ins, invalidated: inv, evictions: evict },
+    })
+}
+
+/// The `replication` line of a `stats` reply.
+fn replication_info(line: &str) -> Result<ReplicationInfo, ServiceError> {
+    let [role, state, generation, seq, lag] = line_tokens(
+        line,
+        |value| value.split_whitespace().collect(),
+        "stats replication line",
+        "five tokens",
+    )?;
+    Ok(ReplicationInfo {
+        role: unescape(role)?,
+        state: unescape(state)?,
+        position: Position::new(
+            parse_count(generation, "replication generation")?,
+            parse_count(seq, "replication seq")?,
+        ),
+        lag: parse_count(lag, "replication lag")?,
+    })
 }
 
 #[cfg(test)]
@@ -1482,6 +1269,219 @@ mod tests {
         ] {
             let error = decode_request(bad).unwrap_err();
             assert_eq!(error.code, ErrorCode::Protocol, "input {bad:?} gave {error}");
+        }
+    }
+
+    #[test]
+    fn the_field_reader_files_lines_by_declared_key() {
+        let keys: Keys = (&["from", "to"], &["update"]);
+        let lines = ["update +R(1)", "from s%201", "trace 0a", "update -R(2)"];
+        let f = Fields::read("migrate-delta", &lines, ENVELOPE, keys).unwrap();
+        assert_eq!(f.text("from").unwrap(), "s 1");
+        assert_eq!(f.opt("trace"), Some("0a"));
+        assert_eq!(f.opt("to"), None);
+        assert_eq!(f.one("to").unwrap_err().message, "frame is missing the `to` field");
+        assert_eq!(f.all("update").collect::<Vec<_>>(), ["update +R(1)", "update -R(2)"]);
+        assert_eq!(f.texts("update").unwrap(), ["+R(1)", "-R(2)"]);
+        assert_eq!(
+            f.count::<u64>("from").unwrap_err().message,
+            "field `from` has a bad count `s%201`"
+        );
+        // A duplicated singular line, a duplicated envelope line and an
+        // undeclared line are refused while filing.
+        for (lines, message) in [
+            (["from a", "from b"], "unknown field line `from b` in a `migrate-delta` frame"),
+            (["auth a", "auth b"], "frame carries more than one `auth` field"),
+            (["from a", "name b"], "unknown field line `name b` in a `migrate-delta` frame"),
+        ] {
+            let error = Fields::read("migrate-delta", &lines, ENVELOPE, keys).err().unwrap();
+            assert_eq!(error.message, message);
+        }
+        // Without the envelope, its keys are ordinary unknown lines.
+        let error = Fields::read("migrated", &["trace 1"], &[], keys).err().unwrap();
+        assert_eq!(error.message, "unknown field line `trace 1` in a `migrated` frame");
+    }
+
+    #[test]
+    fn errors_quote_a_bounded_prefix_of_large_input() {
+        // `%` escapes to three bytes in the error frame: the worst case.
+        let long = "%".repeat(4096);
+        for frame in [
+            format!("{PROTOCOL} request ping\nzz {long}\nend\n"),
+            format!("{PROTOCOL} request add-document\ntext {long}\nend\n"),
+            format!("{PROTOCOL} request compose-batch\nworkers {long}\nend\n"),
+            format!("{PROTOCOL} request {long}\nend\n"),
+            format!("{long}\nend\n"),
+        ] {
+            let error = decode_request(&frame).unwrap_err();
+            assert!(error.message.contains("%%%%…"), "{error}");
+            let reply = encode_reply(&Err(error));
+            assert!(reply.len() < 512, "{} bytes: {reply}", reply.len());
+        }
+        // The cut backs off to a char boundary (`→` is three bytes).
+        let arrows = "→".repeat(40);
+        assert_eq!(quote(&arrows), format!("{}…", "→".repeat(21)));
+        assert_eq!(quote("short"), "short");
+    }
+
+    /// One frame per kind and fault class (unknown line, duplicated
+    /// singular line, missing field, bad number, bad hash, bad escape,
+    /// short multi-token line): `(header, field lines, exact message)`.
+    const SINGLE_FAULTS: &[(&str, &str, &str)] = &[
+        ("request ping", "zz 1", "unknown field line `zz 1` in a `ping` frame"),
+        ("request stats", "zz 1", "unknown field line `zz 1` in a `stats` frame"),
+        ("request cache-info", "zz 1", "unknown field line `zz 1` in a `cache-info` frame"),
+        ("request metrics", "zz 1", "unknown field line `zz 1` in a `metrics` frame"),
+        ("request compact", "zz 1", "unknown field line `zz 1` in a `compact` frame"),
+        ("request snapshot", "zz 1", "unknown field line `zz 1` in a `snapshot` frame"),
+        ("request shutdown", "zz 1", "unknown field line `zz 1` in a `shutdown` frame"),
+        ("request warble", "", "unknown request kind `warble`"),
+        ("request ping", "trace 1\ntrace 2", "frame carries more than one `trace` field"),
+        ("request ping", "trace zz", "field `trace` has a bad hash `zz`"),
+        ("request ping", "auth a\nauth b", "frame carries more than one `auth` field"),
+        ("request ping", "auth", "`auth` field is missing its token"),
+        ("request ping", "auth %zz", "malformed escape in token `%zz`"),
+        ("request subscribe", "generation 1\nseq 2\nzz 1", "unknown field line `zz 1` in a `subscribe` frame"),
+        ("request subscribe", "generation 1\ngeneration 2\nseq 2", "unknown field line `generation 2` in a `subscribe` frame"),
+        ("request subscribe", "generation 1", "frame is missing the `seq` field"),
+        ("request subscribe", "generation x\nseq 2", "field `generation` has a bad count `x`"),
+        ("request add-document", "text a\nzz 1", "unknown field line `zz 1` in a `add-document` frame"),
+        ("request add-document", "text a\ntext b", "unknown field line `text b` in a `add-document` frame"),
+        ("request add-document", "", "frame is missing the `text` field"),
+        ("request add-document", "text %zz", "malformed escape in token `%zz`"),
+        ("request compose-path", "from a\nto b\nzz 1", "unknown field line `zz 1` in a `compose-path` frame"),
+        ("request compose-path", "from a\nfrom b\nto c", "unknown field line `from b` in a `compose-path` frame"),
+        ("request compose-path", "from a", "frame is missing the `to` field"),
+        ("request compose-path", "from %zz\nto b", "malformed escape in token `%zz`"),
+        ("request compose-names", "name a\nzz 1", "unknown field line `zz 1` in a `compose-names` frame"),
+        ("request compose-names", "name a\nname %zz", "malformed escape in token `%zz`"),
+        ("request compose-batch", "workers 1\nzz 1", "unknown field line `zz 1` in a `compose-batch` frame"),
+        ("request compose-batch", "workers 1\nworkers 2", "unknown field line `workers 2` in a `compose-batch` frame"),
+        ("request compose-batch", "pair a b", "frame is missing the `workers` field"),
+        ("request compose-batch", "workers two", "field `workers` has a bad count `two`"),
+        ("request compose-batch", "workers 1\npair a", "batch pair line `pair a` does not hold two tokens"),
+        ("request compose-batch", "workers 1\npair a %zz", "malformed escape in token `%zz`"),
+        ("request invalidate", "mapping m\nzz 1", "unknown field line `zz 1` in a `invalidate` frame"),
+        ("request invalidate", "mapping m\nmapping n", "unknown field line `mapping n` in a `invalidate` frame"),
+        ("request invalidate", "", "frame is missing the `mapping` field"),
+        ("request invalidate", "mapping %zz", "malformed escape in token `%zz`"),
+        ("request migrate-delta", "from a\nto b\nzz 1", "unknown field line `zz 1` in a `migrate-delta` frame"),
+        ("request migrate-delta", "from a\nfrom b\nto c", "unknown field line `from b` in a `migrate-delta` frame"),
+        ("request migrate-delta", "to b", "frame is missing the `from` field"),
+        ("request migrate-delta", "from a\nto b\nupdate %zz", "malformed escape in token `%zz`"),
+        ("request analyze", "zz 1", "unknown field line `zz 1` in a `analyze` frame"),
+        ("request analyze", "mapping m\nmapping n", "unknown field line `mapping n` in a `analyze` frame"),
+        ("request analyze", "mapping %zz", "malformed escape in token `%zz`"),
+        ("response warble", "", "unknown response kind `warble`"),
+        ("response error", "code busy\nmessage m\nzz 1", "unknown field line `zz 1` in a `error` frame"),
+        ("response error", "code busy\ncode busy\nmessage m", "unknown field line `code busy` in a `error` frame"),
+        ("response error", "code busy", "frame is missing the `message` field"),
+        ("response error", "code sideways\nmessage m", "unknown error code `sideways`"),
+        ("response error", "code busy\nmessage %zz", "malformed escape in token `%zz`"),
+        ("response pong", "zz 1", "unknown field line `zz 1` in a `pong` frame"),
+        ("response shutting-down", "zz 1", "unknown field line `zz 1` in a `shutting-down` frame"),
+        ("response added", "schemas 1\nmappings 1\nzz 1", "unknown field line `zz 1` in a `added` frame"),
+        ("response added", "schemas 1\nschemas 1\nmappings 1", "unknown field line `schemas 1` in a `added` frame"),
+        ("response added", "schemas 1", "frame is missing the `mappings` field"),
+        ("response added", "schemas x\nmappings 1", "field `schemas` has a bad count `x`"),
+        ("response added", "touched %zz\nschemas 1\nmappings 1", "malformed escape in token `%zz`"),
+        ("response composed", "source a\ntarget b\npath p\ndeps d\nhash 00000000000000ff\ncalls 1\nhits 0\nplan 1\ndocument %e\nzz 1", "unknown field line `zz 1` in a `composed` frame"),
+        ("response composed", "source a\nsource a\ntarget b\npath p\ndeps d\nhash 00000000000000ff\ncalls 1\nhits 0\nplan 1\ndocument %e", "unknown field line `source a` in a `composed` frame"),
+        ("response composed", "source a\ntarget b\npath p\ndeps d\nhash 00000000000000ff\ncalls 1\nhits 0\nplan 1", "frame is missing the `document` field"),
+        ("response composed", "source a\ntarget b\npath p\ndeps d\nhash zz\ncalls 1\nhits 0\nplan 1\ndocument %e", "field `hash` has a bad hash `zz`"),
+        ("response composed", "source a\ntarget b\npath p\ndeps d\nhash 00000000000000ff\ncalls x\nhits 0\nplan 1\ndocument %e", "field `calls` has a bad count `x`"),
+        ("response composed", "source a\ntarget b\npath p\ndeps d\nhash 00000000000000ff\ncalls 1\nhits 0\nplan 1 x\ndocument %e", "field `plan` has a bad count `x`"),
+        ("response composed", "source a\ntarget b\npath p %zz\ndeps d\nhash 00000000000000ff\ncalls 1\nhits 0\nplan 1\ndocument %e", "malformed escape in token `%zz`"),
+        ("response batch", "count 0\nzz 1", "unknown field line `zz 1` in a `batch` frame"),
+        ("response batch", "count 0\ncount 0", "unknown field line `count 0` in a `batch` frame"),
+        ("response batch", "", "frame is missing the `count` field"),
+        ("response batch", "count x", "field `count` has a bad count `x`"),
+        ("response batch", "count 1\nitem %zz", "malformed escape in token `%zz`"),
+        ("response batch", "count 1\nitem mapcomp-service%201%20response%20pong%0Aend%0A", "batch item holds a `pong` frame"),
+        ("response batch", "count 2", "batch frame declares 2 items but carries 0"),
+        ("response invalidated", "dropped 1\nzz 1", "unknown field line `zz 1` in a `invalidated` frame"),
+        ("response invalidated", "dropped 1\ndropped 1", "unknown field line `dropped 1` in a `invalidated` frame"),
+        ("response invalidated", "", "frame is missing the `dropped` field"),
+        ("response invalidated", "dropped x", "field `dropped` has a bad count `x`"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0 0\nstate incremental 1 1 1\ntarget %e\nzz 1", "unknown field line `zz 1` in a `migrated` frame"),
+        ("response migrated", "from a\nfrom a\nto b\nbatch 1 1 0 0 0\nstate incremental 1 1 1\ntarget %e", "unknown field line `from a` in a `migrated` frame"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0 0\nstate incremental 1 1 1", "frame is missing the `target` field"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0\nstate incremental 1 1 1\ntarget %e", "batch line `batch 1 1 0 0` does not hold five counters"),
+        ("response migrated", "from a\nto b\nbatch 1 x 0 0 0\nstate incremental 1 1 1\ntarget %e", "field `inserted` has a bad count `x`"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0 0\nstate incremental 1 1\ntarget %e", "state line `state incremental 1 1` does not hold four fields"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0 0\nstate sideways 1 1 1\ntarget %e", "unknown migrate mode `sideways`"),
+        ("response migrated", "from a\nto b\nbatch 1 1 0 0 0\nstate incremental 1 1 1\ntarget %zz", "malformed escape in token `%zz`"),
+        ("response metrics", "text t\nzz 1", "unknown field line `zz 1` in a `metrics` frame"),
+        ("response metrics", "text t\ntext t", "unknown field line `text t` in a `metrics` frame"),
+        ("response metrics", "", "frame is missing the `text` field"),
+        ("response metrics", "text %zz", "malformed escape in token `%zz`"),
+        ("response analysis", "proven 1\nunknown 0\ndiagnostics 0\ntext t\nzz 1", "unknown field line `zz 1` in a `analysis` frame"),
+        ("response analysis", "proven 1\nproven 1\nunknown 0\ndiagnostics 0\ntext t", "unknown field line `proven 1` in a `analysis` frame"),
+        ("response analysis", "proven 1\nunknown 0\ndiagnostics 0", "frame is missing the `text` field"),
+        ("response analysis", "proven 1\nunknown x\ndiagnostics 0\ntext t", "field `unknown` has a bad count `x`"),
+        ("response analysis", "proven 1\nunknown 0\ndiagnostics 0\ntext %zz", "malformed escape in token `%zz`"),
+        ("response compacted", "before 1\nafter 1\nzz 1", "unknown field line `zz 1` in a `compacted` frame"),
+        ("response compacted", "before 1\nbefore 1\nafter 1", "unknown field line `before 1` in a `compacted` frame"),
+        ("response compacted", "before 1", "frame is missing the `after` field"),
+        ("response compacted", "before 1\nafter x", "field `after` has a bad count `x`"),
+        ("response cache-info", "segments 0\nzz 1", "unknown field line `zz 1` in a `cache-info` frame"),
+        ("response cache-info", "segments 0\nsegments 0", "unknown field line `segments 0` in a `cache-info` frame"),
+        ("response cache-info", "", "frame is missing the `segments` field"),
+        ("response cache-info", "segments x", "field `segments` has a bad count `x`"),
+        ("response cache-info", "segments 1\nsegment 0 0 - 0 0 0 0", "cache-info segment line `segment 0 0 - 0 0 0 0` does not hold eight tokens"),
+        ("response cache-info", "segments 1\nsegment 0 0 x 0 0 0 0 0", "field `capacity` has a bad count `x`"),
+        ("response cache-info", "segments 2\nsegment 0 0 - 0 0 0 0 0", "cache-info frame declares 2 segments but carries 1"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nzz 1", "unknown field line `zz 1` in a `stats` frame"),
+        ("response stats", "schemas 1\nschemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0", "unknown field line `schemas 1` in a `stats` frame"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded", "frame is missing the `session` field"),
+        ("response stats", "schemas 1\nmappings 1\nsession 0 0 0 0 0 0 0 0 0", "frame is missing the `capacity` field"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity x\nsession 0 0 0 0 0 0 0 0 0", "field `capacity` has a bad count `x`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0", "session line does not hold nine counters"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 x", "field `session` has a bad count `x`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 00000000000000ff", "stats entry line `entry m s t 1 00000000000000ff` holds fewer than six tokens"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 zz 2", "field `entry hash` has a bad hash `zz`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t x 00000000000000ff 2", "bad version `x`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 00000000000000ff x", "field `entry constraints` has a bad count `x`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 00000000000000ff 2 1", "bad history token `1`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 00000000000000ff 2 x:00000000000000ff", "bad history version `x`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry m s t 1 00000000000000ff 2 1:zz", "field `history hash` has a bad hash `zz`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nentry %zz s t 1 00000000000000ff 2", "malformed escape in token `%zz`"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nreplication leader live 1 2", "stats replication line `replication leader live 1 2` does not hold five tokens"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nreplication leader live 1 2 3\nreplication leader live 1 2 3", "unknown field line `replication leader live 1 2 3` in a `stats` frame"),
+        ("response stats", "schemas 1\nmappings 1\ncapacity unbounded\nsession 0 0 0 0 0 0 0 0 0\nreplication leader live 1 2 x", "field `replication lag` has a bad count `x`"),
+        ("response subscribed", "position 1 2\nzz 1", "unknown field line `zz 1` in a `subscribed` frame"),
+        ("response subscribed", "position 1 2\nposition 1 2", "unknown field line `position 1 2` in a `subscribed` frame"),
+        ("response subscribed", "", "frame is missing the `position` field"),
+        ("response subscribed", "position 1", "field `position` does not hold a `<generation> <seq>` position"),
+        ("response subscribed", "position 1 x", "field `position` has a bad count `x`"),
+        ("response delta-chunk", "first 1 2\nlast 1 3\nchunk c\nzz 1", "unknown field line `zz 1` in a `delta-chunk` frame"),
+        ("response delta-chunk", "first 1 2\nfirst 1 2\nlast 1 3\nchunk c", "unknown field line `first 1 2` in a `delta-chunk` frame"),
+        ("response delta-chunk", "first 1 2\nlast 1 3", "frame is missing the `chunk` field"),
+        ("response delta-chunk", "first 1 2\nlast 1\nchunk c", "field `last` does not hold a `<generation> <seq>` position"),
+        ("response delta-chunk", "first 1 2\nlast 1 3\nchunk %zz", "malformed escape in token `%zz`"),
+        ("response generation", "generation 1\nzz 1", "unknown field line `zz 1` in a `generation` frame"),
+        ("response generation", "generation 1\ngeneration 1", "unknown field line `generation 1` in a `generation` frame"),
+        ("response generation", "", "frame is missing the `generation` field"),
+        ("response generation", "generation x", "field `generation` has a bad count `x`"),
+        ("response snapshot", "position 1 2\ndocument d\nsidecar s\nzz 1", "unknown field line `zz 1` in a `snapshot` frame"),
+        ("response snapshot", "position 1 2\nposition 1 2\ndocument d\nsidecar s", "unknown field line `position 1 2` in a `snapshot` frame"),
+        ("response snapshot", "position 1 2\ndocument d", "frame is missing the `sidecar` field"),
+        ("response snapshot", "position 1 2\ndocument %zz\nsidecar s", "malformed escape in token `%zz`"),
+        ("response error", "code busy\nmessage m\nmessage n", "unknown field line `message n` in a `error` frame"),
+    ];
+
+    #[test]
+    fn single_fault_frames_fail_with_their_exact_messages() {
+        for &(head, body, expected) in SINGLE_FAULTS {
+            let fields = if body.is_empty() { String::new() } else { format!("{body}\n") };
+            let frame = format!("{PROTOCOL} {head}\n{fields}{FRAME_END}\n");
+            let error = if head.starts_with("request ") {
+                decode_request_frame(&frame).map(drop).unwrap_err()
+            } else {
+                decode_reply(&frame).map(drop).unwrap_err()
+            };
+            assert_eq!(error.code, ErrorCode::Protocol, "{frame}");
+            assert_eq!(error.message, expected, "{frame}");
         }
     }
 }

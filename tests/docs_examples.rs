@@ -12,8 +12,10 @@
 //!   rendering must load to the same versions and entries.
 //! * `docs/WIRE_PROTOCOL.md` — every block preceded by
 //!   `<!-- roundtrip:request -->` / `<!-- roundtrip:reply -->` must decode
-//!   with the real codec and re-encode byte-identically, and the stable
-//!   error-code table must list exactly `ErrorCode::ALL`.
+//!   with the real codec and re-encode byte-identically, the stable
+//!   error-code table must list exactly `ErrorCode::ALL`, and the
+//!   repeated keys listed under "Field lines" must be exactly those the
+//!   decoders accept twice.
 //! * `docs/OBSERVABILITY.md` — the metric-catalog table is checked against
 //!   a driven registry, the exposition sample and log-line examples are
 //!   re-rendered byte-identically, and the traced request frame round-trips
@@ -295,6 +297,123 @@ fn wire_doc_reply_frames_decode_and_reencode() {
             .unwrap_or_else(|error| panic!("documented reply must decode: {error}\n{frame}"));
         assert_eq!(&encode_reply(&reply), frame, "documented frame must be canonical");
     }
+}
+
+/// The repeated keys `WIRE_PROTOCOL.md` lists after its
+/// `<!-- repeated-keys -->` marker: every `` `key …` `` span up to the next
+/// bullet.
+fn documented_repeated_keys(doc: &str) -> std::collections::BTreeSet<String> {
+    let start = doc.find("<!-- repeated-keys -->").expect("repeated-keys marker");
+    let rest = &doc[start..];
+    let end = rest.find("\n* ").unwrap_or(rest.len());
+    rest[..end]
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter_map(|span| span.strip_suffix(" …"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The keys whose line a decoder accepts twice in `frame`: duplicating a
+/// singular line is refused as a duplicate, while a repeated one decodes
+/// (or fails only on a declared count).
+fn repeatable_keys(frame: &str, decode: impl Fn(&str) -> Option<String>) -> Vec<String> {
+    let lines: Vec<&str> = frame.lines().collect();
+    let mut keys = Vec::new();
+    for at in 1..lines.len() - 1 {
+        let mut mutated = lines.clone();
+        mutated.insert(at, lines[at]);
+        let text: String = mutated.iter().map(|line| format!("{line}\n")).collect();
+        let refused = decode(&text).is_some_and(|message| {
+            message.starts_with("unknown field line") || message.contains("more than one")
+        });
+        if !refused {
+            keys.push(lines[at].split(' ').next().unwrap().to_string());
+        }
+    }
+    keys
+}
+
+#[test]
+fn wire_doc_repeated_keys_match_the_decoders() {
+    use mapping_composition::service::{
+        CacheInfoPayload, ChainPayload, MappingInfo, Request, Response, SegmentCacheInfo,
+        StatsPayload,
+    };
+
+    let doc = read_doc("WIRE_PROTOCOL.md");
+    let documented = documented_repeated_keys(&doc);
+    assert!(documented.len() >= 7, "repeated keys not found: {documented:?}");
+
+    // Every documented frame, plus one frame per kind with a repeated
+    // field, each holding one element of it.
+    let mut requests = [
+        Request::ComposeNames { names: vec!["m12".into()] },
+        Request::ComposeBatch { requests: vec![("s1".into(), "s3".into())], workers: 2 },
+        Request::MigrateDelta { from: "s1".into(), to: "s3".into(), updates: vec!["+R(1)".into()] },
+    ]
+    .iter()
+    .map(|request| encode_request_frame(request, Some(7), Some("token")))
+    .collect::<Vec<_>>();
+    let chain = ChainPayload {
+        source: "s1".into(),
+        target: "s3".into(),
+        path: vec!["m12".into()],
+        deps: vec!["m12".into()],
+        hash: 1,
+        document: "schema s { R/1; }".into(),
+        compose_calls: 1,
+        cache_hits: 0,
+        plan: vec![1],
+    };
+    let mut stats = StatsPayload::default();
+    stats.entries.push(MappingInfo {
+        name: "m12".into(),
+        source: "s1".into(),
+        target: "s2".into(),
+        version: 1,
+        hash: 2,
+        constraints: 1,
+        history: vec![],
+    });
+    let mut replies = [
+        Response::Added { touched: vec!["m12".into()], schemas: 2, mappings: 1 },
+        Response::Batch(vec![Ok(chain)]),
+        Response::CacheInfo(CacheInfoPayload {
+            segments: vec![SegmentCacheInfo {
+                segment: 0,
+                entries: 1,
+                capacity: None,
+                hits: 0,
+                misses: 1,
+                insertions: 1,
+                invalidated: 0,
+                evictions: 0,
+            }],
+        }),
+        Response::Stats(stats),
+    ]
+    .into_iter()
+    .map(|response| encode_reply(&Ok(response)))
+    .collect::<Vec<_>>();
+    for name in ["WIRE_PROTOCOL.md", "REPLICATION.md", "DIFFERENTIAL.md"] {
+        let doc = read_doc(name);
+        requests.extend(marked_blocks(&doc, "roundtrip:request"));
+        requests.extend(marked_blocks(&doc, "roundtrip:request-auth"));
+        replies.extend(marked_blocks(&doc, "roundtrip:reply"));
+    }
+
+    let mut repeated = std::collections::BTreeSet::new();
+    for frame in &requests {
+        repeated.extend(repeatable_keys(frame, |text| {
+            decode_request_frame(text).err().map(|e| e.message)
+        }));
+    }
+    for frame in &replies {
+        repeated.extend(repeatable_keys(frame, |text| decode_reply(text).err().map(|e| e.message)));
+    }
+    assert_eq!(documented, repeated, "WIRE_PROTOCOL.md must list exactly the repeated keys");
 }
 
 #[test]

@@ -279,6 +279,36 @@ fn the_event_engine_enforces_wire_auth() {
 }
 
 #[test]
+fn a_huge_malformed_frame_gets_a_small_error_reply_before_auth() {
+    let backend = LocalService::new(Catalog::new(), 1);
+    let mut server = EventServer::bind("127.0.0.1:0").unwrap();
+    server.set_auth_token(Some("swordfish".into()));
+    let addr = server.local_addr().unwrap().to_string();
+    let frame = std::thread::scope(|scope| {
+        scope.spawn(|| server.run(&backend, 1).unwrap());
+
+        // Frames decode before the auth check, so an anonymous peer's
+        // malformed frame is answered with its decode error: that error
+        // must not echo the frame back.
+        let stream = connect_patiently(&addr);
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let junk = "%".repeat(64 * 1024);
+        let request = format!("mapcomp-service 1 request ping\nzz {junk}\nend\n");
+        writer.write_all(request.as_bytes()).unwrap();
+        writer.flush().unwrap();
+        let frame = read_frame(&mut reader).unwrap().expect("reply to a malformed frame");
+
+        let authed = Client::connect(&addr).unwrap().with_auth_token(Some("swordfish".into()));
+        authed.call(Request::Shutdown).unwrap();
+        frame
+    });
+    assert!(frame.len() < 512, "{} bytes: {frame}", frame.len());
+    let reply = mapping_composition::service::decode_reply(&frame).unwrap();
+    assert_eq!(reply.unwrap_err().code, ErrorCode::Protocol);
+}
+
+#[test]
 fn malformed_frames_get_protocol_errors_without_killing_the_connection() {
     let backend = LocalService::new(Catalog::new(), 1);
     let server = EventServer::bind("127.0.0.1:0").unwrap();

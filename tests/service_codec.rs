@@ -1,6 +1,8 @@
 //! Property tests for the service wire codec: `decode(encode(x)) == x` for
 //! every `Request`/`Response` variant over randomly generated payloads
-//! (awkward strings included), plus malformed-frame rejection.
+//! (awkward strings included), plus malformed-frame rejection and a
+//! line-mutation property (a duplicated singular line or an unknown line
+//! is refused; a repeated line adds one element).
 //!
 //! Like `tests/property_tests.rs`, the cases are generated with the
 //! workspace's deterministic `rand` shim — every failure is reproducible
@@ -17,9 +19,9 @@ use rand::{Rng, SeedableRng};
 use mapping_composition::catalog::Position;
 use mapping_composition::service::{
     decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
-    encode_request_frame, escape, unescape, CacheInfoPayload, ChainPayload, DeltaChunkPayload,
-    ErrorCode, MappingInfo, ReplicationInfo, Request, Response, SegmentCacheInfo, ServiceError,
-    SnapshotPayload, StatsPayload,
+    encode_request_frame, escape, unescape, AnalysisPayload, CacheInfoPayload, ChainPayload,
+    DeltaChunkPayload, ErrorCode, MappingInfo, MigratePayload, ReplicationInfo, Request, Response,
+    SegmentCacheInfo, ServiceError, SnapshotPayload, StatsPayload,
 };
 
 const CASES: usize = 64;
@@ -39,7 +41,7 @@ fn gen_strings(rng: &mut StdRng, max: usize) -> Vec<String> {
 }
 
 fn gen_request(rng: &mut StdRng) -> Request {
-    match rng.gen_range(0..13u32) {
+    match rng.gen_range(0..15u32) {
         0 => Request::Ping,
         1 => Request::AddDocument { text: gen_string(rng) },
         2 => Request::ComposePath { from: gen_string(rng), to: gen_string(rng) },
@@ -57,7 +59,13 @@ fn gen_request(rng: &mut StdRng) -> Request {
         9 => Request::Compact,
         10 => Request::Subscribe { from_generation: gen_hash(rng), from_seq: gen_hash(rng) },
         11 => Request::Snapshot,
-        _ => Request::Shutdown,
+        12 => Request::Shutdown,
+        13 => Request::MigrateDelta {
+            from: gen_string(rng),
+            to: gen_string(rng),
+            updates: gen_strings(rng, 4),
+        },
+        _ => Request::Analyze { mapping: rng.gen_bool(0.5).then(|| gen_string(rng)) },
     }
 }
 
@@ -148,7 +156,7 @@ fn gen_cache_info(rng: &mut StdRng) -> CacheInfoPayload {
 }
 
 fn gen_response(rng: &mut StdRng) -> Response {
-    match rng.gen_range(0..14u32) {
+    match rng.gen_range(0..16u32) {
         0 => Response::Pong,
         1 => Response::Added {
             touched: gen_strings(rng, 4),
@@ -178,7 +186,27 @@ fn gen_response(rng: &mut StdRng) -> Response {
             document: gen_string(rng),
             sidecar: gen_string(rng),
         }),
-        _ => Response::ShuttingDown,
+        13 => Response::ShuttingDown,
+        14 => Response::Migrated(MigratePayload {
+            from: gen_string(rng),
+            to: gen_string(rng),
+            applied: rng.gen_range(0..99usize),
+            inserted: rng.gen_range(0..99usize),
+            deleted: rng.gen_range(0..99usize),
+            retracted: rng.gen_range(0..99usize),
+            rederived: rng.gen_range(0..99usize),
+            fallback: rng.gen_bool(0.5),
+            source_rows: rng.gen_range(0..999usize),
+            target_rows: rng.gen_range(0..999usize),
+            support_entries: rng.gen_range(0..999usize),
+            target: gen_string(rng),
+        }),
+        _ => Response::Analysis(AnalysisPayload {
+            proven: rng.gen_range(0..99usize),
+            unknown: rng.gen_range(0..99usize),
+            diagnostics: rng.gen_range(0..99usize),
+            text: gen_string(rng),
+        }),
     }
 }
 
@@ -421,4 +449,107 @@ fn malformed_auth_fields_are_rejected() {
         let error = decode_request_frame(frame).expect_err(&format!("must reject: {frame:?}"));
         assert_eq!(error.code, ErrorCode::Protocol, "frame {frame:?} gave `{error}`");
     }
+}
+
+/// Keys whose field line may repeat, one element per line; every other
+/// key is singular.
+const REPEATED_KEYS: [&str; 7] = ["name", "pair", "update", "touched", "item", "segment", "entry"];
+
+/// Elements carried by a request's repeated field lines.
+fn request_elements(request: &Request) -> usize {
+    match request {
+        Request::ComposeNames { names } => names.len(),
+        Request::ComposeBatch { requests, .. } => requests.len(),
+        Request::MigrateDelta { updates, .. } => updates.len(),
+        _ => 0,
+    }
+}
+
+/// Elements carried by a reply's repeated field lines.
+fn reply_elements(reply: &Result<Response, ServiceError>) -> usize {
+    match reply {
+        Ok(Response::Added { touched, .. }) => touched.len(),
+        Ok(Response::Batch(items)) => items.len(),
+        Ok(Response::CacheInfo(payload)) => payload.segments.len(),
+        Ok(Response::Stats(stats)) => stats.entries.len(),
+        _ => 0,
+    }
+}
+
+/// The frame with line `at` duplicated in place. A repeated line whose
+/// count another line declares (`item`/`count`, `segment`/`segments`)
+/// bumps that count too, so the copy is a well-formed extra element.
+fn with_line_repeated(frame: &str, at: usize) -> String {
+    let mut lines: Vec<String> = frame.lines().map(str::to_string).collect();
+    let declared = match lines[at].split(' ').next() {
+        Some("item") => Some("count "),
+        Some("segment") => Some("segments "),
+        _ => None,
+    };
+    if let Some(prefix) = declared {
+        let line = lines.iter_mut().find(|line| line.starts_with(prefix)).unwrap();
+        let count: usize = line[prefix.len()..].parse().unwrap();
+        *line = format!("{prefix}{}", count + 1);
+    }
+    lines.insert(at, lines[at].clone());
+    lines.iter().map(|line| format!("{line}\n")).collect()
+}
+
+/// The frame with an unknown `zz 1` field line inserted before line `at`.
+fn with_unknown_line(frame: &str, at: usize) -> String {
+    let mut lines: Vec<&str> = frame.lines().collect();
+    lines.insert(at, "zz 1");
+    lines.iter().map(|line| format!("{line}\n")).collect()
+}
+
+/// Mutate every field line of `frame` (header first, `end` last): a
+/// repeated line decodes with one more element, a duplicated singular line
+/// and an inserted unknown line are refused with `protocol`.
+fn check_mutations<T: std::fmt::Debug>(
+    frame: &str,
+    elements: usize,
+    decode: impl Fn(&str) -> Result<T, ServiceError>,
+    count: impl Fn(&T) -> usize,
+) {
+    let lines = frame.lines().count();
+    for at in 1..lines {
+        let unknown = with_unknown_line(frame, at);
+        let error = decode(&unknown).expect_err(&format!("unknown line accepted:\n{unknown}"));
+        assert_eq!(error.code, ErrorCode::Protocol, "{unknown}");
+        if at == lines - 1 {
+            break;
+        }
+        let key = frame.lines().nth(at).unwrap().split(' ').next().unwrap();
+        let mutated = with_line_repeated(frame, at);
+        if REPEATED_KEYS.contains(&key) {
+            let decoded =
+                decode(&mutated).unwrap_or_else(|error| panic!("{error}: repeated\n{mutated}"));
+            assert_eq!(count(&decoded), elements + 1, "{mutated}");
+        } else {
+            let error = decode(&mutated).expect_err(&format!("duplicate accepted:\n{mutated}"));
+            assert_eq!(error.code, ErrorCode::Protocol, "{mutated}");
+        }
+    }
+}
+
+#[test]
+fn mutated_field_lines_are_refused_or_add_one_element() {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC08);
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..CASES * 2 {
+        let request = gen_request(&mut rng);
+        kinds.insert(format!("request {}", request.kind()));
+        let trace = rng.gen_bool(0.5).then(|| rng.gen_range(1..u64::MAX));
+        let auth = rng.gen_bool(0.5).then(|| gen_string(&mut rng));
+        let frame = encode_request_frame(&request, trace, auth.as_deref());
+        check_mutations(&frame, request_elements(&request), decode_request, request_elements);
+
+        let reply: Result<Response, ServiceError> =
+            if rng.gen_bool(0.2) { Err(gen_error(&mut rng)) } else { Ok(gen_response(&mut rng)) };
+        kinds.insert(format!("response {}", reply.as_ref().map_or("error", Response::kind)));
+        let frame = encode_reply(&reply);
+        check_mutations(&frame, reply_elements(&reply), decode_reply, reply_elements);
+    }
+    // Every request kind (15) and every reply kind (16, plus `error`).
+    assert_eq!(kinds.len(), 15 + 17, "{kinds:?}");
 }
