@@ -342,6 +342,7 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("memo_tree_nodes", point.memo_tree_nodes.into()),
             ("memo_nodes", point.memo_nodes.into()),
             ("memo_sidecar_bytes", point.memo_sidecar_bytes.into()),
+            ("memo_name_allocs", point.memo_name_allocs.into()),
         ]
     };
     doc.push_table(

@@ -447,6 +447,10 @@ pub struct ChainCachePoint {
     /// Bytes of the memo's sidecar snapshot after the incremental
     /// recompose (`save_cache`): what a compaction writes for it.
     pub memo_sidecar_bytes: usize,
+    /// Distinct name allocations the memo holds after the incremental
+    /// recompose ([`memo_name_allocs`]): at most one per mapping and schema
+    /// of the chain when every segment shares the catalog's names.
+    pub memo_name_allocs: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -471,8 +475,11 @@ pub fn chain_fixture(edits: usize, seed: u64) -> (mapcomp_catalog::SharedSession
         seed,
     };
     let replay = mapcomp_catalog::replay_editing(&scenario).expect("replay succeeds");
-    let path =
-        replay.final_result.as_ref().map(|result| result.chain.path.clone()).unwrap_or_default();
+    let path = replay
+        .final_result
+        .as_ref()
+        .map(|result| result.chain.path.iter().map(ToString::to_string).collect())
+        .unwrap_or_default();
     (replay.session, path)
 }
 
@@ -540,6 +547,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let incremental_time = started.elapsed();
     let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
     let memo_sidecar_bytes = mapcomp_catalog::save_cache(&session.cache().collect()).len();
+    let memo_name_allocs = memo_name_allocs(session.cache());
 
     Some(ChainCachePoint {
         chain_len: path.len(),
@@ -558,7 +566,19 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
         memo_tree_nodes,
         memo_nodes,
         memo_sidecar_bytes,
+        memo_name_allocs,
     })
+}
+
+/// The distinct name allocations (by [`std::sync::Arc::as_ptr`]) across
+/// every memo entry's path, explicit provenance and endpoints, and the
+/// memo's dependency index: a name copied into a fresh allocation per
+/// segment counts once per copy.
+pub fn memo_name_allocs(cache: &mapcomp_catalog::ShardedMemoCache) -> usize {
+    let names = cache.names();
+    let allocations: std::collections::HashSet<*const u8> =
+        names.iter().map(|name| std::sync::Arc::as_ptr(name).cast::<u8>()).collect();
+    allocations.len()
 }
 
 /// The expression nodes of every constraint in a memo's segments, as
@@ -2143,6 +2163,12 @@ mod tests {
                 point.chain_len,
                 point.memo_nodes,
                 point.memo_tree_nodes
+            );
+            assert!(
+                point.memo_name_allocs <= 2 * point.chain_len + 1,
+                "len {}: memo segments must share the catalog's names ({} allocations)",
+                point.chain_len,
+                point.memo_name_allocs
             );
             assert!(
                 point.incremental_links < point.chain_len || point.chain_len <= 2,

@@ -6,10 +6,14 @@
 //! content hashes, an edited mapping simply never *hits* its old entries —
 //! but stale entries would still accumulate without bound, and a catalog
 //! serving "what depends on m?" queries needs provenance anyway. So every
-//! entry also records the set of catalog mappings it was composed from
-//! (its provenance, in the spirit of Grahne & Thomo's annotated rewritings),
-//! and [`MemoCache::invalidate`] drops exactly the entries whose provenance
-//! mentions an edited mapping, leaving unrelated prefixes warm.
+//! entry's segment carries the path of catalog mappings it was composed
+//! along (its provenance, in the spirit of Grahne & Thomo's annotated
+//! rewritings), and [`MemoCache::invalidate`] drops exactly the entries
+//! whose provenance mentions an edited mapping, leaving unrelated prefixes
+//! warm. The dependency index keys the segments' own shared names and keeps
+//! one hash set of entry keys per name, so an invalidation, eviction or
+//! removal touches only the entries concerned: unindexing an entry costs
+//! one constant-time removal per name of its provenance.
 //!
 //! Within a long session the cache can also be given a capacity
 //! ([`MemoCache::with_capacity`]): once the number of live entries would
@@ -33,13 +37,14 @@
 //! merged snapshot is atomic. The chain driver reaches it through the
 //! [`ChainCache`] shared-reference trait.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mapcomp_telemetry::metrics::{global, Counter};
 
 use crate::chain::ComposedChain;
 use crate::hash::combine;
+use crate::store::Name;
 
 /// Key of one memoised pairwise composition.
 pub type MemoKey = (u64, u64, u64);
@@ -140,8 +145,10 @@ pub trait ChainCache {
 #[derive(Debug, Clone, Default)]
 pub struct MemoCache {
     entries: BTreeMap<MemoKey, MemoEntry>,
-    /// Mapping name → keys of entries whose provenance mentions it.
-    by_dependency: BTreeMap<String, BTreeSet<MemoKey>>,
+    /// Mapping name → keys of the entries whose provenance mentions it.
+    /// The name is an entry's own shared allocation; a name leaves the
+    /// index with its last entry.
+    by_dependency: HashMap<Name, HashSet<MemoKey>>,
     /// Recency stamp → key, for O(log n) LRU eviction.
     recency: BTreeMap<u64, MemoKey>,
     tick: u64,
@@ -237,6 +244,25 @@ impl MemoCache {
         }
     }
 
+    /// Index an entry under each name of its provenance.
+    fn index(&mut self, key: MemoKey, chain: &ComposedChain) {
+        for name in chain.dependencies() {
+            self.by_dependency.entry(name.clone()).or_default().insert(key);
+        }
+    }
+
+    /// Take an entry's key out of its provenance names' sets; a set left
+    /// empty leaves the index with its name.
+    fn unindex(&mut self, key: &MemoKey, chain: &ComposedChain) {
+        for name in chain.dependencies() {
+            let Some(keys) = self.by_dependency.get_mut(name) else { continue };
+            keys.remove(key);
+            if keys.is_empty() {
+                self.by_dependency.remove(name);
+            }
+        }
+    }
+
     fn touch(&mut self, key: MemoKey) {
         self.tick += 1;
         let tick = self.tick;
@@ -257,11 +283,7 @@ impl MemoCache {
             let Some((&stamp, &key)) = self.recency.iter().next() else { break };
             self.recency.remove(&stamp);
             if let Some(entry) = self.entries.remove(&key) {
-                for dependency in &entry.chain.deps {
-                    if let Some(set) = self.by_dependency.get_mut(dependency) {
-                        set.remove(&key);
-                    }
-                }
+                self.unindex(&key, &entry.chain);
                 self.record(CacheEvent::Removed(key));
                 evicted += 1;
             }
@@ -306,11 +328,7 @@ impl MemoCache {
     pub fn remove(&mut self, key: &MemoKey) -> bool {
         let Some(entry) = self.entries.remove(key) else { return false };
         self.recency.remove(&entry.last_used);
-        for dependency in &entry.chain.deps {
-            if let Some(set) = self.by_dependency.get_mut(dependency) {
-                set.remove(key);
-            }
-        }
+        self.unindex(key, &entry.chain);
         self.record(CacheEvent::Removed(*key));
         true
     }
@@ -324,16 +342,10 @@ impl MemoCache {
         }
         if let Some(previous) = self.entries.remove(&key) {
             self.recency.remove(&previous.last_used);
-            for dependency in &previous.chain.deps {
-                if let Some(set) = self.by_dependency.get_mut(dependency) {
-                    set.remove(&key);
-                }
-            }
+            self.unindex(&key, &previous.chain);
         }
         self.make_room();
-        for dependency in &chain.deps {
-            self.by_dependency.entry(dependency.clone()).or_default().insert(key);
-        }
+        self.index(key, &chain);
         self.tick += 1;
         self.recency.insert(self.tick, key);
         self.entries.insert(key, MemoEntry { chain, hits: 0, last_used: self.tick });
@@ -352,12 +364,9 @@ impl MemoCache {
             if let Some(entry) = self.entries.remove(&key) {
                 dropped += 1;
                 self.recency.remove(&entry.last_used);
-                // Unindex from the entry's other dependencies.
-                for dependency in &entry.chain.deps {
-                    if let Some(set) = self.by_dependency.get_mut(dependency) {
-                        set.remove(&key);
-                    }
-                }
+                // Unindex from the entry's other dependencies (the
+                // mapping's own list is gone already).
+                self.unindex(&key, &entry.chain);
             }
         }
         self.stats.invalidated += dropped;
@@ -365,14 +374,22 @@ impl MemoCache {
     }
 
     /// Entries whose provenance mentions `mapping` (the "what depends on m?"
-    /// provenance query).
+    /// provenance query), in key order.
     pub fn dependents(&self, mapping: &str) -> Vec<&ComposedChain> {
-        self.by_dependency
-            .get(mapping)
-            .map(|keys| {
-                keys.iter().filter_map(|key| self.entries.get(key)).map(|e| &e.chain).collect()
-            })
-            .unwrap_or_default()
+        let mut keys: Vec<&MemoKey> =
+            self.by_dependency.get(mapping).map(|keys| keys.iter().collect()).unwrap_or_default();
+        keys.sort_unstable();
+        keys.into_iter().filter_map(|key| self.entries.get(key)).map(|entry| &entry.chain).collect()
+    }
+
+    /// Every name this cache holds a reference to, one item per reference.
+    fn names(&self) -> impl Iterator<Item = &Name> {
+        let entries = self.entries.values().flat_map(|entry| {
+            let chain = &entry.chain;
+            let provenance = chain.provenance.as_deref().unwrap_or_default();
+            [&chain.source, &chain.target].into_iter().chain(&chain.path[..]).chain(provenance)
+        });
+        entries.chain(self.by_dependency.keys())
     }
 
     /// Drop everything.
@@ -385,7 +402,8 @@ impl MemoCache {
             }
         }
         self.entries.clear();
-        self.by_dependency.clear();
+        // A fresh index: clearing a hash map keeps its table.
+        self.by_dependency = HashMap::new();
         self.recency.clear();
         self.stats.invalidated += dropped;
     }
@@ -574,6 +592,17 @@ impl ShardedMemoCache {
         lock_segment(&self.segments[self.segment_of(key)]).peek(key).cloned()
     }
 
+    /// Every name the memo holds a reference to — each entry's endpoints,
+    /// path and explicit provenance, and each segment's dependency-index
+    /// keys — one item per reference, for footprint accounting by
+    /// allocation: the clones share the memo's allocations.
+    pub fn names(&self) -> Vec<Name> {
+        self.segments
+            .iter()
+            .flat_map(|segment| lock_segment(segment).names().cloned().collect::<Vec<_>>())
+            .collect()
+    }
+
     /// Put drained events back (see [`MemoCache::requeue_events`]): each
     /// event returns to the front of its key's segment journal, preserving
     /// per-key order relative to events recorded since the drain.
@@ -678,17 +707,20 @@ impl ChainCache for ShardedMemoCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain::ChainSegment;
     use mapcomp_algebra::{Mapping, Signature};
 
     fn segment(name: &str, deps: &[&str], hash: u64) -> ComposedChain {
-        crate::chain::ChainSegment {
+        let path: Box<[Name]> = Box::new([name.into()]);
+        let deps: Vec<Name> = deps.iter().map(|&dep| dep.into()).collect();
+        ChainSegment {
             source: "a".into(),
             target: "b".into(),
-            path: vec![name.to_string()],
+            provenance: ChainSegment::provenance_of(&path, &deps),
+            path,
             mapping: Mapping::default(),
             residual: Signature::new(),
             hash,
-            deps: deps.iter().map(std::string::ToString::to_string).collect(),
         }
         .into()
     }

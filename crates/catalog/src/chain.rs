@@ -34,7 +34,10 @@
 //!
 //! A composed segment is an immutable value shared by reference: the memo
 //! cache, the fold accumulator and every reader hold the same allocation,
-//! and cloning a [`ComposedChain`] bumps a reference count.
+//! and cloning a [`ComposedChain`] bumps a reference count. Its provenance
+//! is the path it was composed along, held once as the catalog's shared
+//! [`Name`]s: a link and every segment folded from it point at one
+//! allocation per name, and [`ChainSegment::deps`] is derived from the path.
 
 use std::collections::BTreeSet;
 use std::ops::Deref;
@@ -48,7 +51,7 @@ use mapcomp_compose::{
 use crate::cache::ChainCache;
 use crate::error::CatalogError;
 use crate::hash::{combine, hash_config, ContentHash};
-use crate::store::{Catalog, MappingEntry};
+use crate::store::{Catalog, MappingEntry, Name};
 
 /// A source of single-link chain segments by mapping name. Implemented by
 /// the single-threaded [`Catalog`] and by the lock-striped
@@ -61,7 +64,7 @@ pub trait LinkSource {
     /// The named mapping's `(content hash, source, target)` — what the
     /// driver probes the memo cache with. Read from the stored hash, without
     /// materialising the link.
-    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError>;
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, Name, Name), CatalogError>;
 }
 
 impl LinkSource for Catalog {
@@ -69,7 +72,7 @@ impl LinkSource for Catalog {
         ComposedChain::from_entry(self, name)
     }
 
-    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, Name, Name), CatalogError> {
         self.mapping(name).map(MappingEntry::edge)
     }
 }
@@ -77,17 +80,17 @@ impl LinkSource for Catalog {
 /// The content of a (partially) composed chain segment: a mapping from the
 /// path's source schema to its target schema, plus any intermediate symbols
 /// that survived elimination, the content hash identifying the segment, and
-/// the set of catalog mappings it was composed from (its provenance). It
+/// the path of catalog mappings it was composed along (its provenance). It
 /// has no `Clone`: a segment is shared through [`ComposedChain`], never
 /// copied.
 #[derive(Debug)]
 pub struct ChainSegment {
     /// Source schema name.
-    pub source: String,
+    pub source: Name,
     /// Target schema name.
-    pub target: String,
+    pub target: Name,
     /// Mapping names along the path, in composition order.
-    pub path: Vec<String>,
+    pub path: Box<[Name]>,
     /// The composed mapping: input = source schema, output = target schema.
     pub mapping: Mapping,
     /// Intermediate symbols (with arities) that could not be eliminated.
@@ -95,8 +98,11 @@ pub struct ChainSegment {
     /// Content hash of this segment (pure function of the link hashes and
     /// the compose configuration).
     pub hash: u64,
-    /// Names of the catalog mappings this segment depends on.
-    pub deps: BTreeSet<String>,
+    /// An explicit provenance, sorted and without repeats, kept only where
+    /// it differs from the path's names (a sidecar entry loaded with such a
+    /// `deps` line); `None` means the provenance is the path, which is the
+    /// case for every segment the driver composes.
+    pub provenance: Option<Box<[Name]>>,
 }
 
 /// A composed chain segment, shared by reference: an immutable
@@ -151,11 +157,11 @@ impl ComposedChain {
         Ok(ChainSegment {
             source: entry.source.clone(),
             target: entry.target.clone(),
-            path: vec![entry.name.clone()],
+            path: Box::new([entry.name.clone()]),
             mapping,
             residual: Signature::new(),
             hash: entry.hash.0,
-            deps: BTreeSet::from([entry.name.clone()]),
+            provenance: None,
         }
         .into())
     }
@@ -165,6 +171,31 @@ impl ChainSegment {
     /// Did every intermediate symbol get eliminated?
     pub fn is_complete(&self) -> bool {
         self.residual.is_empty()
+    }
+
+    /// Names of the catalog mappings this segment depends on, in name
+    /// order: the explicit provenance if there is one, else the path's
+    /// names.
+    pub fn deps(&self) -> BTreeSet<&str> {
+        self.dependencies().map(|name| &**name).collect()
+    }
+
+    /// The shared names [`ChainSegment::deps`] is made of, in path (or
+    /// provenance) order; a name the path repeats comes once per
+    /// occurrence.
+    pub(crate) fn dependencies(&self) -> std::slice::Iter<'_, Name> {
+        self.provenance.as_deref().unwrap_or(&self.path).iter()
+    }
+
+    /// The explicit provenance to keep for a segment along `path` whose
+    /// dependencies are `deps`: `None` when they are the path's names.
+    pub fn provenance_of<'n>(
+        path: &[Name],
+        deps: impl IntoIterator<Item = &'n Name>,
+    ) -> Option<Box<[Name]>> {
+        let deps: BTreeSet<&Name> = deps.into_iter().collect();
+        let on_path: BTreeSet<&Name> = path.iter().collect();
+        (deps != on_path).then(|| deps.into_iter().cloned().collect())
     }
 
     /// The signatures a chase through this segment runs over: the full
@@ -243,10 +274,10 @@ pub fn compose_pair(
 ) -> Result<(ComposedChain, ComposeStats), CatalogError> {
     if left.target != right.source {
         return Err(CatalogError::ChainMismatch {
-            left: left.path.last().cloned().unwrap_or_default(),
-            right: right.path.first().cloned().unwrap_or_default(),
-            expected: left.target.clone(),
-            found: right.source.clone(),
+            left: left.path.last().map(ToString::to_string).unwrap_or_default(),
+            right: right.path.first().map(ToString::to_string).unwrap_or_default(),
+            expected: left.target.to_string(),
+            found: right.source.to_string(),
         });
     }
 
@@ -300,9 +331,14 @@ pub fn compose_pair(
         ConstraintSet::from_constraints(constraints),
     );
 
-    let path: Vec<String> = left.path.iter().chain(&right.path).cloned().collect();
-    let mut deps = left.deps.clone();
-    deps.extend(right.deps.iter().cloned());
+    // The provenance is the path; an explicit one only survives where an
+    // input carries one.
+    let path: Box<[Name]> = left.path.iter().chain(&right.path).cloned().collect();
+    let provenance = if left.provenance.is_some() || right.provenance.is_some() {
+        ChainSegment::provenance_of(&path, left.dependencies().chain(right.dependencies()))
+    } else {
+        None
+    };
 
     let segment = ChainSegment {
         source: left.source.clone(),
@@ -311,7 +347,7 @@ pub fn compose_pair(
         mapping,
         residual,
         hash: combine(&[left.hash, right.hash, hash_config(config)]),
-        deps,
+        provenance,
     };
     Ok((ComposedChain::new(segment, result.failures.into_boxed_slice()), result.stats))
 }
@@ -340,7 +376,7 @@ where
         let tally = Tally { links_materialized: 1, ..Tally::default() };
         return Ok(tally.finish(chain, vec![1]));
     }
-    let edges: Vec<(ContentHash, String, String)> =
+    let edges: Vec<(ContentHash, Name, Name)> =
         names.iter().map(|name| store.link_edge(name)).collect::<Result<_, _>>()?;
     for (index, pair) in edges.windows(2).enumerate() {
         let ((_, _, expected), (_, found, _)) = (&pair[0], &pair[1]);
@@ -348,8 +384,8 @@ where
             return Err(CatalogError::ChainMismatch {
                 left: names[index].clone(),
                 right: names[index + 1].clone(),
-                expected: expected.clone(),
-                found: found.clone(),
+                expected: expected.to_string(),
+                found: found.to_string(),
             });
         }
     }
@@ -384,7 +420,7 @@ where
         };
         plan.push(run_len);
         position += run_len;
-        let run_label = run.path.first().cloned().unwrap_or_default();
+        let run_label = run.path.first().map(ToString::to_string).unwrap_or_default();
         let joined = match acc {
             None => run,
             Some(left) => fold_step(&left, &run, cache, registry, config, config_hash, &mut tally)?,
@@ -525,8 +561,8 @@ mod tests {
         assert_eq!(result.compose_calls, 2);
         assert_eq!(result.cache_hits, 0);
         assert!(result.is_complete());
-        assert_eq!(result.chain.source, "s0");
-        assert_eq!(result.chain.target, "s3");
+        assert_eq!(&*result.chain.source, "s0");
+        assert_eq!(&*result.chain.target, "s3");
         let text = result.chain.mapping.constraints.to_string();
         assert!(text.contains("R0") && text.contains("R3"), "composed: {text}");
         assert!(!text.contains("R1") && !text.contains("R2"), "composed: {text}");
@@ -713,7 +749,7 @@ mod tests {
             self.catalog.link(name)
         }
 
-        fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+        fn link_edge(&self, name: &str) -> Result<(ContentHash, Name, Name), CatalogError> {
             self.catalog.link_edge(name)
         }
     }

@@ -123,4 +123,4 @@ pub use persist::{
 pub use replay::{replay_editing, CatalogReplay, ReplayRecord};
 pub use session::{analysis_counts, render_analysis_text, Session, SessionConfig, SessionStats};
 pub use shared::{SharedCatalog, SharedSession};
-pub use store::{Catalog, MappingEntry, SchemaEntry};
+pub use store::{Catalog, MappingEntry, Name, SchemaEntry};

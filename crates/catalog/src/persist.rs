@@ -66,7 +66,7 @@
 //! grammar, with examples that are round-tripped by
 //! `tests/docs_examples.rs`, is specified in `docs/PERSISTENCE.md`.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -82,7 +82,7 @@ use crate::chain::{ChainSegment, ComposedChain};
 use crate::error::CatalogError;
 use crate::hash::hash_str;
 use crate::lock::FileLock;
-use crate::store::Catalog;
+use crate::store::{Catalog, Name};
 
 /// How long a sidecar write waits for the cross-process `.lock` file before
 /// giving up. Writers hold the lock for one append or rewrite only, so a
@@ -105,11 +105,11 @@ impl VersionManifest {
     pub fn of(catalog: &Catalog) -> Self {
         let mut manifest = VersionManifest::default();
         for entry in catalog.schemas() {
-            manifest.schemas.insert(entry.name.clone(), (entry.version, entry.hash.0));
+            manifest.schemas.insert(entry.name.to_string(), (entry.version, entry.hash.0));
         }
         for entry in catalog.mappings() {
             let history = entry.history.iter().map(|&(v, h)| (v, h.0)).collect();
-            manifest.mappings.insert(entry.name.clone(), (entry.version, history));
+            manifest.mappings.insert(entry.name.to_string(), (entry.version, history));
         }
         manifest
     }
@@ -124,7 +124,7 @@ impl VersionManifest {
     pub fn of_mapping(entry: &crate::store::MappingEntry) -> Self {
         let mut manifest = VersionManifest::default();
         let history = entry.history.iter().map(|&(v, h)| (v, h.0)).collect();
-        manifest.mappings.insert(entry.name.clone(), (entry.version, history));
+        manifest.mappings.insert(entry.name.to_string(), (entry.version, history));
         manifest
     }
 
@@ -132,7 +132,7 @@ impl VersionManifest {
     /// [`VersionManifest::of_mapping`]).
     pub fn of_schema(entry: &crate::store::SchemaEntry) -> Self {
         let mut manifest = VersionManifest::default();
-        manifest.schemas.insert(entry.name.clone(), (entry.version, entry.hash.0));
+        manifest.schemas.insert(entry.name.to_string(), (entry.version, entry.hash.0));
         manifest
     }
 
@@ -593,6 +593,18 @@ pub fn load_sidecar(text: &str) -> SidecarState {
     // Hash → text of every raw document line of a complete entry block read
     // so far: what `@<hash16>` references resolve against.
     let mut raw_lines: HashMap<u64, &str> = HashMap::new();
+    // One allocation per distinct name across every entry loaded.
+    let mut names: HashSet<Name> = HashSet::new();
+    let mut name = |text: &str| -> Name {
+        match names.get(text) {
+            Some(name) => name.clone(),
+            None => {
+                let name = Name::from(text);
+                names.insert(name.clone());
+                name
+            }
+        }
+    };
     while let Some(line) = pending.take().or_else(|| lines.next()) {
         let line = line.trim();
         if let Some(rest) = line.strip_prefix("version ") {
@@ -712,15 +724,16 @@ pub fn load_sidecar(text: &str) -> SidecarState {
         let (true, Some(endpoints)) = (resolved, block.endpoints) else { continue };
         let mut ends = endpoints.split(" -> ");
         let (Some(source), Some(target)) = (ends.next(), ends.next()) else { continue };
-        let path: Vec<String> = block.path.split_whitespace().map(str::to_string).collect();
-        // An absent `deps` line means the provenance is the path itself.
-        let deps: BTreeSet<String> = match block.deps {
-            Some(deps) => deps.split_whitespace().map(str::to_string).collect(),
-            None => path.iter().cloned().collect(),
-        };
         let Some((mapping, residual)) = parse_chain_document(&document_text) else { continue };
-        let (source, target) = (source.to_string(), target.to_string());
-        let chain = ChainSegment { source, target, path, mapping, residual, hash, deps };
+        let path: Box<[Name]> = block.path.split_whitespace().map(&mut name).collect();
+        // An absent `deps` line means the provenance is the path itself; a
+        // present one is kept only where it differs.
+        let provenance = block.deps.and_then(|deps| {
+            let deps: Vec<Name> = deps.split_whitespace().map(&mut name).collect();
+            ChainSegment::provenance_of(&path, &deps)
+        });
+        let (source, target) = (name(source), name(target));
+        let chain = ChainSegment { source, target, path, mapping, residual, hash, provenance };
         state.cache.insert(key, chain.into());
     }
     state.lines = LineIndex { hashes: raw_lines.into_keys().collect() };
@@ -949,9 +962,7 @@ impl<'a> EntryRenderer<'a> {
         let _ = writeln!(out, "path {}", chain.path.join(" "));
         // The provenance of a composed segment is its path; only a chain
         // whose provenance differs writes it.
-        let path: BTreeSet<&String> = chain.path.iter().collect();
-        if !chain.deps.iter().eq(path.iter().copied()) {
-            let deps: Vec<&str> = chain.deps.iter().map(String::as_str).collect();
+        if let Some(deps) = &chain.provenance {
             let _ = writeln!(out, "deps {}", deps.join(" "));
         }
         out.push_str("begin-document\n");
@@ -1499,8 +1510,8 @@ impl SidecarWriter {
 mod tests {
     use super::*;
     use crate::shared::SharedSession;
-    use crate::store::Catalog;
     use mapcomp_algebra::parse_constraints;
+    use std::collections::BTreeSet;
 
     fn warm_session() -> SharedSession {
         let mut catalog = Catalog::new();
@@ -1536,7 +1547,7 @@ mod tests {
         assert_eq!(restored.len(), cache.len());
         for (key, entry) in cache.iter() {
             let loaded = restored
-                .dependents(entry.chain.deps.iter().next().unwrap())
+                .dependents(entry.chain.deps().first().unwrap())
                 .into_iter()
                 .find(|c| c.hash == entry.chain.hash)
                 .expect("entry restored");
@@ -1701,14 +1712,16 @@ mod tests {
             signature("T"),
             mapcomp_algebra::parse_constraints(constraints).unwrap(),
         );
+        let path: Box<[Name]> = path.iter().map(|&name| name.into()).collect();
+        let deps: Vec<Name> = deps.iter().map(|&name| name.into()).collect();
         ChainSegment {
             source: "a".into(),
             target: "b".into(),
-            path: path.iter().map(ToString::to_string).collect(),
+            provenance: ChainSegment::provenance_of(&path, &deps),
+            path,
             mapping,
             residual: Signature::default(),
             hash,
-            deps: deps.iter().map(ToString::to_string).collect(),
         }
         .into()
     }
@@ -1746,8 +1759,8 @@ mod tests {
         let state = load_sidecar(&rendered);
         assert_eq!(documents(&state.cache), documents(&cache));
         assert_eq!(
-            state.cache.iter().next().unwrap().1.chain.deps,
-            cache.iter().next().unwrap().1.chain.deps
+            state.cache.iter().next().unwrap().1.chain.deps(),
+            cache.iter().next().unwrap().1.chain.deps()
         );
         // The loader's index is the renderer's: the distinct long raw lines.
         assert_eq!(state.lines, LineIndex::of_text(&rendered));
@@ -1771,7 +1784,7 @@ mod tests {
             let chain = ChainSegment {
                 source: "a".into(),
                 target: "b".into(),
-                path: vec!["m0".into(), "m1".into()],
+                path: shared.path.clone(),
                 mapping: Mapping::new(
                     shared.mapping.input.clone(),
                     shared.mapping.output.clone(),
@@ -1779,7 +1792,7 @@ mod tests {
                 ),
                 residual: shared.residual.clone(),
                 hash: i,
-                deps: shared.deps.clone(),
+                provenance: None,
             };
             cache.insert((i, 0, 0), chain.into());
         }
@@ -1876,11 +1889,11 @@ mod tests {
             let chain = ChainSegment {
                 source: "a".into(),
                 target: "b".into(),
-                path: vec!["m".into()],
+                path: Box::new(["m".into()]),
                 mapping: mapping(constraints),
                 residual: Signature::default(),
                 hash: i as u64,
-                deps: ["m".to_string()].into(),
+                provenance: None,
             };
             cache.insert((i as u64, 0, 0), chain.into());
         }
@@ -1918,13 +1931,14 @@ mod tests {
         let derived = render_cache_entry(&(1, 0, 0), &chain);
         assert!(!derived.contains("deps"), "{derived}");
         let loaded = load_sidecar(&derived).cache;
-        assert_eq!(loaded.peek(&(1, 0, 0)).unwrap().deps, chain.deps);
+        assert_eq!(loaded.peek(&(1, 0, 0)).unwrap().deps(), chain.deps());
         // A provenance that is not the path keeps its line, even when empty.
         for deps in [&["m0", "m1", "m9"][..], &[]] {
             let chain = segment_with_deps(&["m0", "m1"], deps, "S <= T", 1);
             let rendered = render_cache_entry(&(1, 0, 0), &chain);
             assert!(rendered.contains("\ndeps"), "{rendered}");
-            assert_eq!(load_sidecar(&rendered).cache.peek(&(1, 0, 0)).unwrap().deps, chain.deps);
+            let loaded = load_sidecar(&rendered).cache;
+            assert_eq!(loaded.peek(&(1, 0, 0)).unwrap().deps(), chain.deps());
         }
     }
 
@@ -1960,7 +1974,7 @@ mod tests {
                 scope.spawn(move || {
                     for round in 1..=5u64 {
                         let mut entry = catalog.mapping("m1").unwrap().clone();
-                        entry.name = format!("w{worker}");
+                        entry.name = format!("w{worker}").into();
                         entry.version = round;
                         writer.append(&VersionManifest::of_mapping(&entry).render()).unwrap();
                     }

@@ -184,7 +184,7 @@ mod tests {
         // Total work is linear in the number of edits, not quadratic.
         assert!(replay.total_compose_calls() <= replay.edits);
         let final_result = replay.final_result.as_ref().expect("at least one edit");
-        assert_eq!(final_result.chain.source, "v0");
+        assert_eq!(&*final_result.chain.source, "v0");
         assert_eq!(final_result.chain.path.len(), replay.edits);
     }
 

@@ -301,12 +301,12 @@ mod tests {
 
         let by_hops = SharedSession::new(catalog.clone());
         let short = by_hops.compose_path("v0", "v3").unwrap();
-        assert_eq!(short.chain.path, vec!["heavy1", "heavy2"]);
+        assert_eq!(short.chain.path.join(" "), "heavy1 heavy2");
 
         let config = SessionConfig { path_cost: PathCost::OpCount, ..SessionConfig::default() };
         let by_cost = SharedSession::with_config(catalog, Registry::standard(), config, 1);
         let cheap = by_cost.compose_path("v0", "v3").unwrap();
-        assert_eq!(cheap.chain.path, vec!["m0", "m1", "m2"]);
+        assert_eq!(cheap.chain.path.join(" "), "m0 m1 m2");
         assert!(cheap.is_complete());
     }
 

@@ -46,7 +46,7 @@
 //! requests fanned across a scoped thread pool, every worker sharing the
 //! same store and cache, with results returned in request order.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -61,15 +61,15 @@ use crate::graph::{edge_cost, GraphIndex, PathCost};
 use crate::hash::{combine_mapping_hash, hash_str, ContentHash};
 use crate::session::{render_analysis_text, SessionConfig, SessionStats};
 use crate::store::{
-    rehash_touching, upsert_mapping, upsert_schema, validate_document, Catalog, MappingEntry,
+    rehash_touching, upsert_mapping, upsert_schema, validate_document, Catalog, MappingEntry, Name,
     SchemaEntry,
 };
 
 /// One stripe of the shared store.
 #[derive(Debug, Default)]
 struct Shard {
-    schemas: BTreeMap<String, SchemaEntry>,
-    mappings: BTreeMap<String, MappingEntry>,
+    schemas: BTreeMap<Name, SchemaEntry>,
+    mappings: BTreeMap<Name, MappingEntry>,
 }
 
 fn read(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
@@ -165,7 +165,7 @@ impl SharedCatalog {
 
     /// A mapping's [`MappingEntry::edge`] — content hash and endpoints —
     /// read under its shard lock without cloning constraints or history.
-    pub fn mapping_edge(&self, name: &str) -> Option<(ContentHash, String, String)> {
+    pub fn mapping_edge(&self, name: &str) -> Option<(ContentHash, Name, Name)> {
         read(self.shard_of(name)).mappings.get(name).map(MappingEntry::edge)
     }
 
@@ -248,11 +248,11 @@ impl SharedCatalog {
                 .get(schema)
                 .ok_or_else(|| CatalogError::UnknownSchema(schema.to_string()))
         };
-        let entry = MappingEntry::new(name.clone(), schema(source)?, schema(target)?, constraints)?;
+        let entry = MappingEntry::new(&name, schema(source)?, schema(target)?, constraints)?;
         let home = guards.get_mut(&shard_index(&name, shard_count)).expect("home shard locked");
         let (version, changed) = upsert_mapping(&mut home.mappings, entry);
         if changed {
-            let cost = edge_cost(&home.mappings[&name].constraints);
+            let cost = edge_cost(&home.mappings[name.as_str()].constraints);
             self.index_mut().insert_mapping(&name, source, target, cost);
         }
         Ok(version)
@@ -268,7 +268,7 @@ impl SharedCatalog {
         let (_, source, target) = self
             .mapping_edge(name)
             .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
-        self.add_mapping(name.to_string(), &source, &target, constraints)
+        self.add_mapping(name, &source, &target, constraints)
     }
 
     /// Remove a mapping; returns its entry if it existed.
@@ -348,13 +348,18 @@ impl LinkSource for SharedCatalog {
         loop {
             // One shard read for the entry; released before the schema
             // reads (a reader never holds two shard locks).
-            let ((hash, source, target), constraints, constraints_hash) = {
+            let (link_name, (hash, source, target), constraints, constraints_hash) = {
                 let shard = read(self.shard_of(name));
                 let entry = shard
                     .mappings
                     .get(name)
                     .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
-                (entry.edge(), entry.constraints.clone(), entry.constraints_hash)
+                (
+                    entry.name.clone(),
+                    entry.edge(),
+                    entry.constraints.clone(),
+                    entry.constraints_hash,
+                )
             };
             let source_schema = self.schema(&source)?;
             let target_schema = self.schema(&target)?;
@@ -370,7 +375,7 @@ impl LinkSource for SharedCatalog {
             return Ok(ChainSegment {
                 source,
                 target,
-                path: vec![name.to_string()],
+                path: Box::new([link_name]),
                 mapping: Mapping::new(
                     source_schema.signature,
                     target_schema.signature,
@@ -378,13 +383,13 @@ impl LinkSource for SharedCatalog {
                 ),
                 residual: Signature::new(),
                 hash: hash.0,
-                deps: BTreeSet::from([name.to_string()]),
+                provenance: None,
             }
             .into());
         }
     }
 
-    fn link_edge(&self, name: &str) -> Result<(ContentHash, String, String), CatalogError> {
+    fn link_edge(&self, name: &str) -> Result<(ContentHash, Name, Name), CatalogError> {
         self.mapping_edge(name).ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
     }
 }
@@ -924,8 +929,8 @@ mod tests {
             let result = results[index].as_ref().unwrap_or_else(|e| {
                 panic!("request {index} ({from} -> {to}) failed: {e}");
             });
-            assert_eq!(result.chain.source, *from);
-            assert_eq!(result.chain.target, *to);
+            assert_eq!(*result.chain.source, **from);
+            assert_eq!(*result.chain.target, **to);
             assert!(result.is_complete());
             let text = result.chain.mapping.constraints.to_string();
             let (i, j) = (&from[1..], &to[1..]);

@@ -17,17 +17,24 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use mapcomp_algebra::{ConstraintSet, Document, Mapping, Signature};
 
 use crate::error::CatalogError;
 use crate::hash::{combine_mapping_hash, hash_constraints, hash_signature, ContentHash};
 
+/// A schema or mapping name as the catalog hands it out: one shared
+/// allocation per name. Every mapping entry naming a schema, every link
+/// materialised from a mapping, every memo segment folded from those links
+/// and the memo's dependency index hold a reference to it, never a copy.
+pub type Name = Arc<str>;
+
 /// A named, versioned schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaEntry {
     /// Catalog-wide unique name.
-    pub name: String,
+    pub name: Name,
     /// The signature.
     pub signature: Signature,
     /// Version, starting at 1 and bumped by every update.
@@ -41,11 +48,11 @@ pub struct SchemaEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MappingEntry {
     /// Catalog-wide unique name.
-    pub name: String,
-    /// Name of the source schema.
-    pub source: String,
-    /// Name of the target schema.
-    pub target: String,
+    pub name: Name,
+    /// Name of the source schema (the schema entry's own allocation).
+    pub source: Name,
+    /// Name of the target schema (the schema entry's own allocation).
+    pub target: Name,
     /// Constraints over source ∪ target.
     pub constraints: ConstraintSet,
     /// Content hash of the constraints alone: with the endpoint schemas'
@@ -66,7 +73,7 @@ impl MappingEntry {
     /// re-declaration changed the mapping. Equal content re-pointed to
     /// other schemas of the same signatures keeps its hash, so the hash
     /// alone is not enough.
-    pub fn edge(&self) -> (ContentHash, String, String) {
+    pub fn edge(&self) -> (ContentHash, Name, Name) {
         (self.hash, self.source.clone(), self.target.clone())
     }
 
@@ -76,7 +83,7 @@ impl MappingEntry {
     /// recombines stored hashes. Its version and history are assigned when
     /// it is stored (see [`upsert_mapping`]).
     pub(crate) fn new(
-        name: String,
+        name: &str,
         source: &SchemaEntry,
         target: &SchemaEntry,
         constraints: ConstraintSet,
@@ -84,7 +91,7 @@ impl MappingEntry {
         check_endpoints(&source.signature, &target.signature)?;
         let constraints_hash = hash_constraints(&constraints);
         Ok(MappingEntry {
-            name,
+            name: name.into(),
             source: source.name.clone(),
             target: target.name.clone(),
             constraints,
@@ -104,8 +111,8 @@ impl MappingEntry {
 /// The versioned store of schemas and mappings.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    schemas: BTreeMap<String, SchemaEntry>,
-    mappings: BTreeMap<String, MappingEntry>,
+    schemas: BTreeMap<Name, SchemaEntry>,
+    mappings: BTreeMap<Name, MappingEntry>,
 }
 
 impl Catalog {
@@ -200,7 +207,7 @@ impl Catalog {
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
         let entry = MappingEntry::new(
-            name.into(),
+            &name.into(),
             self.schema(source)?,
             self.schema(target)?,
             constraints,
@@ -218,7 +225,7 @@ impl Catalog {
     ) -> Result<u64, CatalogError> {
         let entry = self.mapping(name)?;
         let (source, target) = (entry.source.clone(), entry.target.clone());
-        self.add_mapping(name.to_string(), &source, &target, constraints)
+        self.add_mapping(name, &source, &target, constraints)
     }
 
     /// Remove a mapping; returns its entry if it existed.
@@ -243,7 +250,7 @@ impl Catalog {
             touched.extend(rehashed);
         }
         for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.mappings.get(name).map(MappingEntry::edge);
+            let before = self.mappings.get(name.as_str()).map(MappingEntry::edge);
             self.add_mapping(name.clone(), source, target, constraints.clone())?;
             if before != Some(self.mapping(name)?.edge()) {
                 touched.push(name.clone());
@@ -264,13 +271,13 @@ impl Catalog {
     pub fn restore_versions(&mut self, manifest: &crate::persist::VersionManifest) -> usize {
         let mut adopted = 0;
         for (name, &(version, hash)) in &manifest.schemas {
-            if let Some(entry) = self.schemas.get_mut(name) {
+            if let Some(entry) = self.schemas.get_mut(name.as_str()) {
                 entry.version = if entry.hash.0 == hash { version } else { version + 1 };
                 adopted += 1;
             }
         }
         for (name, (version, history)) in &manifest.mappings {
-            if let Some(entry) = self.mappings.get_mut(name) {
+            if let Some(entry) = self.mappings.get_mut(name.as_str()) {
                 let recorded_current = history.last().map(|(_, hash)| *hash);
                 entry.history = history.iter().map(|&(v, h)| (v, ContentHash(h))).collect();
                 if recorded_current == Some(entry.hash.0) {
@@ -318,21 +325,22 @@ impl Catalog {
 
 /// The schema version step: stores `signature` under `name` at version 1,
 /// or at the next version when it differs from the registered one; an
-/// unchanged signature is a no-op. Returns the stored version and whether
-/// anything changed.
+/// unchanged signature is a no-op. An edited schema keeps its name's
+/// allocation, which the mappings naming it share. Returns the stored
+/// version and whether anything changed.
 pub(crate) fn upsert_schema(
-    schemas: &mut BTreeMap<String, SchemaEntry>,
+    schemas: &mut BTreeMap<Name, SchemaEntry>,
     name: &str,
     signature: Signature,
 ) -> (u64, bool) {
     let hash = hash_signature(&signature);
-    let version = match schemas.get(name) {
+    let (name, version) = match schemas.get(name) {
         Some(existing) if existing.hash == hash => return (existing.version, false),
-        Some(existing) => existing.version + 1,
-        None => 1,
+        Some(existing) => (existing.name.clone(), existing.version + 1),
+        None => (Name::from(name), 1),
     };
-    let entry = SchemaEntry { name: name.to_string(), signature, version, hash };
-    schemas.insert(name.to_string(), entry);
+    let entry = SchemaEntry { name: name.clone(), signature, version, hash };
+    schemas.insert(name, entry);
     (version, true)
 }
 
@@ -347,7 +355,7 @@ pub(crate) fn rehash_touching<'m>(
     hash_of: impl Fn(&str) -> Option<ContentHash>,
 ) -> Vec<String> {
     let mut touched = Vec::new();
-    for entry in mappings.filter(|entry| entry.source == schema || entry.target == schema) {
+    for entry in mappings.filter(|entry| &*entry.source == schema || &*entry.target == schema) {
         let (Some(source), Some(target)) = (hash_of(&entry.source), hash_of(&entry.target)) else {
             continue;
         };
@@ -356,7 +364,7 @@ pub(crate) fn rehash_touching<'m>(
             entry.version += 1;
             entry.hash = hash;
             entry.history.push((entry.version, hash));
-            touched.push(entry.name.clone());
+            touched.push(entry.name.to_string());
         }
     }
     touched.sort();
@@ -366,10 +374,12 @@ pub(crate) fn rehash_touching<'m>(
 /// The mapping upsert: stores a [`MappingEntry::new`] declaration unless the
 /// registered entry has the same [`MappingEntry::edge`], which makes it a
 /// no-op. A new mapping starts at version 1 and an edit bumps the version;
-/// either way the stored `(version, hash)` is appended to the history.
-/// Returns the stored version and whether anything changed.
+/// either way the stored `(version, hash)` is appended to the history. An
+/// edit keeps the name's allocation, so segments folded from the old
+/// version and the new one share it. Returns the stored version and whether
+/// anything changed.
 pub(crate) fn upsert_mapping(
-    mappings: &mut BTreeMap<String, MappingEntry>,
+    mappings: &mut BTreeMap<Name, MappingEntry>,
     mut declared: MappingEntry,
 ) -> (u64, bool) {
     match mappings.get_mut(&declared.name) {
@@ -381,6 +391,7 @@ pub(crate) fn upsert_mapping(
             return (existing.version, false)
         }
         Some(existing) => {
+            declared.name = existing.name.clone();
             declared.version = existing.version + 1;
             declared.history = std::mem::take(&mut existing.history);
         }
@@ -481,7 +492,7 @@ mod tests {
         let touched = catalog.from_document(&parse_document(REPOINT_EDIT).unwrap()).unwrap();
         assert_eq!(touched, vec!["m".to_string()]);
         let entry = catalog.mapping("m").unwrap();
-        assert_eq!((entry.source.as_str(), entry.target.as_str()), ("a", "c"));
+        assert_eq!((&*entry.source, &*entry.target), ("a", "c"));
         assert_eq!(entry.hash, hash);
         assert_eq!(entry.version, 2);
         assert_eq!(entry.history, vec![(1, hash), (2, hash)]);

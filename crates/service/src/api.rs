@@ -12,12 +12,11 @@
 //! one composed in process, which is what the transport-equivalence suite
 //! asserts.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use mapcomp_catalog::{
     parse_chain_document, render_chain_document, CatalogError, ChainResult, ChainSegment,
-    ComposedChain, Position, SessionStats,
+    ComposedChain, Name, Position, SessionStats,
 };
 
 /// A request to the catalog service.
@@ -182,13 +181,14 @@ pub struct ChainPayload {
 }
 
 impl ChainPayload {
-    /// Capture a [`ChainResult`] for the wire.
+    /// Capture a [`ChainResult`] for the wire, rendering the chain's shared
+    /// names as owned text.
     pub fn from_result(result: &ChainResult) -> Self {
         ChainPayload {
-            source: result.chain.source.clone(),
-            target: result.chain.target.clone(),
-            path: result.chain.path.clone(),
-            deps: result.chain.deps.iter().cloned().collect(),
+            source: result.chain.source.to_string(),
+            target: result.chain.target.to_string(),
+            path: result.chain.path.iter().map(ToString::to_string).collect(),
+            deps: result.chain.deps().into_iter().map(str::to_string).collect(),
             hash: result.chain.hash,
             document: render_chain_document(&result.chain),
             compose_calls: result.compose_calls,
@@ -202,14 +202,16 @@ impl ChainPayload {
     pub fn to_chain(&self) -> Result<ComposedChain, ServiceError> {
         let (mapping, residual) = parse_chain_document(&self.document)
             .ok_or_else(|| ServiceError::protocol("chain payload carries a malformed document"))?;
+        let path: Box<[Name]> = self.path.iter().map(|name| name.as_str().into()).collect();
+        let deps: Vec<Name> = self.deps.iter().map(|name| name.as_str().into()).collect();
         Ok(ChainSegment {
-            source: self.source.clone(),
-            target: self.target.clone(),
-            path: self.path.clone(),
+            source: self.source.as_str().into(),
+            target: self.target.as_str().into(),
+            provenance: ChainSegment::provenance_of(&path, &deps),
+            path,
             mapping,
             residual,
             hash: self.hash,
-            deps: self.deps.iter().cloned().collect::<BTreeSet<String>>(),
         }
         .into())
     }

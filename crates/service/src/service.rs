@@ -736,9 +736,9 @@ impl LocalService {
         let entries = catalog
             .mappings()
             .map(|entry| MappingInfo {
-                name: entry.name.clone(),
-                source: entry.source.clone(),
-                target: entry.target.clone(),
+                name: entry.name.to_string(),
+                source: entry.source.to_string(),
+                target: entry.target.to_string(),
                 version: entry.version,
                 hash: entry.hash.0,
                 constraints: entry.constraints.len(),

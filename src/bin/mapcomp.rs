@@ -550,12 +550,12 @@ fn run_command(service: &dyn MapcompService, args: &ServiceArgs) -> Result<(), S
             // endpoint schemas (target extended by any residual symbols, per
             // §3.1 the output signature may keep σ2 leftovers) + mapping.
             let mut printed = Catalog::new();
-            printed.add_schema(chain.source.clone(), chain.mapping.input.clone());
+            printed.add_schema(&*chain.source, chain.mapping.input.clone());
             let mut target_sig = chain.mapping.output.clone();
             for (name, info) in chain.residual.iter() {
                 target_sig.add(name.to_string(), info.clone());
             }
-            printed.add_schema(chain.target.clone(), target_sig);
+            printed.add_schema(&*chain.target, target_sig);
             printed
                 .add_mapping(
                     "composed",

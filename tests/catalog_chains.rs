@@ -39,7 +39,7 @@ fn five_hop_chain_composes_end_to_end() {
     let session = chain_session(5);
     let result = session.compose_path("v0", "v5").unwrap();
     assert!(result.is_complete());
-    assert_eq!(result.chain.path, vec!["m0", "m1", "m2", "m3", "m4"]);
+    assert_eq!(result.chain.path.join(" "), "m0 m1 m2 m3 m4");
     assert_eq!(result.compose_calls, 4, "n-link chain folds through n-1 pairwise compositions");
     // The composed mapping relates the endpoints directly.
     let text = result.chain.mapping.constraints.to_string();
@@ -265,7 +265,7 @@ fn evolution_replay_runs_incrementally_through_the_catalog() {
     // A cold recomposition of the same final chain costs edits-1 calls —
     // strictly more than any single incremental step for chains ≥ 3 links.
     let final_result = replay.final_result.as_ref().unwrap();
-    let path = final_result.chain.path.clone();
+    let path: Vec<String> = final_result.chain.path.iter().map(ToString::to_string).collect();
     let cold_session = SharedSession::new(replay.session.catalog().snapshot());
     let cold = cold_session.compose_names(&path).unwrap();
     assert_eq!(cold.compose_calls, path.len() - 1);
@@ -320,7 +320,7 @@ fn stored_hash_parts_recombine_before_and_after_schema_edits() {
         assert_stored_hashes_recombine(&catalog, problem.id);
         let schema = catalog.mappings().next().unwrap().source.clone();
         let signature = widened(&catalog.schema(&schema).unwrap().signature);
-        let (_, touched) = catalog.add_schema(schema, signature);
+        let (_, touched) = catalog.add_schema(&*schema, signature);
         assert!(!touched.is_empty(), "{}: the edit must rehash a mapping", problem.id);
         assert_stored_hashes_recombine(&catalog, &format!("{} after the edit", problem.id));
     }
@@ -333,7 +333,7 @@ fn stored_hash_parts_recombine_before_and_after_schema_edits() {
     let path = &replay.final_result.as_ref().unwrap().chain.path;
     let schema = shared.mapping(&path[path.len() / 2]).unwrap().source;
     let (_, touched) =
-        shared.add_schema(schema.clone(), widened(&shared.schema(&schema).unwrap().signature));
+        shared.add_schema(&*schema, widened(&shared.schema(&schema).unwrap().signature));
     assert!(touched.len() >= 2, "a mid-chain schema touches both its links: {touched:?}");
     assert_stored_hashes_recombine(&shared.snapshot(), "replay after the edit");
 }

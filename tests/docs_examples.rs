@@ -221,7 +221,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
                 .cache
                 .iter()
                 .map(|(_, entry)| {
-                    format!("{:?}\n{}", entry.chain.deps, render_chain_document(&entry.chain))
+                    format!("{:?}\n{}", entry.chain.deps(), render_chain_document(&entry.chain))
                 })
                 .collect()
         };

@@ -77,7 +77,8 @@ fn chain_document(hops: usize) -> String {
 /// mapping versions.
 fn committed_state(service: &LocalService) -> (String, CacheStats, Vec<(String, u64)>) {
     let catalog = service.session().catalog().snapshot();
-    let versions = catalog.mappings().map(|entry| (entry.name.clone(), entry.version)).collect();
+    let versions =
+        catalog.mappings().map(|entry| (entry.name.to_string(), entry.version)).collect();
     (catalog.to_document_string(), service.session().cache().stats(), versions)
 }
 
@@ -373,14 +374,14 @@ fn repointed_mapping_is_logged_and_survives_restart() {
     };
     assert_eq!(touched, vec!["m".to_string()]);
     let entry = service.session().catalog().mapping("m").unwrap();
-    assert_eq!((entry.target.as_str(), entry.version), ("c", 2));
+    assert_eq!((&*entry.target, entry.version), ("c", 2));
     assert_eq!(compose(&service, "a", "d"), 1, "m and n now form a chain");
     let repointed = committed_state(&service);
     drop(service); // kill: the re-point must come back from the delta log
 
     let reopened = open(&file);
     assert_eq!(committed_state(&reopened), repointed);
-    assert_eq!(reopened.session().catalog().mapping("m").unwrap().target, "c");
+    assert_eq!(&*reopened.session().catalog().mapping("m").unwrap().target, "c");
     assert!(reopened.call(Request::ComposePath { from: "a".into(), to: "b".into() }).is_err());
     assert_eq!(compose(&reopened, "a", "d"), 0, "the re-pointed chain is warm after restart");
     cleanup(&file);
@@ -805,7 +806,7 @@ fn loaded_state(document: &str, sidecar: &str) -> String {
         let _ = writeln!(out, "entry {left:016x} {right:016x} {config:016x} {:016x}", chain.hash);
         let _ = writeln!(out, "endpoints {} -> {}", chain.source, chain.target);
         let _ = writeln!(out, "path {}", chain.path.join(" "));
-        let deps: Vec<&str> = chain.deps.iter().map(String::as_str).collect();
+        let deps: Vec<&str> = chain.deps().into_iter().collect();
         let _ = writeln!(out, "deps {}", deps.join(" "));
         out.push_str(&render_chain_document(chain));
     }

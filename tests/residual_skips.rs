@@ -72,7 +72,7 @@ fn plain_pair(
         ),
         residual,
         hash: combine(&[left.hash, right.hash, hash_config(config)]),
-        deps: left.deps.union(&right.deps).cloned().collect(),
+        provenance: None,
     }
     .into()
 }
@@ -90,13 +90,13 @@ fn plain_refold(session: &SharedSession, reply: &ChainResult) -> ComposedChain {
         }
     };
     let empty: ComposedChain = ChainSegment {
-        source: String::new(),
-        target: String::new(),
-        path: Vec::new(),
+        source: "".into(),
+        target: "".into(),
+        path: Box::default(),
         mapping: Mapping::default(),
         residual: Signature::new(),
         hash: 0,
-        deps: BTreeSet::new(),
+        provenance: None,
     }
     .into();
     let mut links = reply.chain.path.iter().map(|name| session.catalog().link(name).unwrap());
@@ -124,7 +124,7 @@ fn assert_matches_plain_refold(session: &SharedSession, reply: &ChainResult, con
 /// each reply against its plain re-fold. Returns the summed skip count.
 fn fold_every_path(session: &SharedSession, context: &str) -> usize {
     let names: Vec<String> =
-        session.catalog().snapshot().schemas().map(|schema| schema.name.clone()).collect();
+        session.catalog().snapshot().schemas().map(|schema| schema.name.to_string()).collect();
     let mut paths: Vec<(usize, &String, &String)> = Vec::new();
     for from in &names {
         for to in &names {

@@ -105,6 +105,36 @@ fn send_shutdown(addr: &str) {
     client.call(Request::Shutdown).unwrap();
 }
 
+/// Serve `backend` on `server` with `workers` CPU threads while `body` runs
+/// against the server's address, and return what `body` returned. `body`
+/// shuts the server down in band; a drop guard also stops it when `body`
+/// panics first, before the scope joins the server thread, so a failing
+/// assertion fails the test instead of leaving the scope waiting on a
+/// server that never stops. After an in-band shutdown the guard is a
+/// no-op.
+fn serving<S, T>(
+    server: &EventServer,
+    backend: &S,
+    workers: usize,
+    body: impl FnOnce(&str) -> T,
+) -> T
+where
+    S: MapcompService + Sync,
+{
+    struct StopOnDrop<'a>(&'a EventServer);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.begin_shutdown();
+        }
+    }
+    let addr = server.local_addr().unwrap().to_string();
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.run(backend, workers).unwrap());
+        let _stop = StopOnDrop(server);
+        body(&addr)
+    })
+}
+
 #[test]
 fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
     // Two identically seeded servers, so per-request cache counters in the
@@ -112,31 +142,16 @@ fn pipelined_replies_are_byte_identical_to_sequential_round_trips() {
     // The two reply streams must match byte for byte.
     let requests = pipeline_requests();
 
-    let sequential = {
-        let backend = chain_backend(4);
+    let replies = |run: fn(&str, &[Request]) -> Vec<String>| {
         let server = EventServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let mut frames = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| server.run(&backend, 2).unwrap());
-            frames = Some(run_sequential(&addr, &requests));
-            send_shutdown(&addr);
-        });
-        frames.unwrap()
+        serving(&server, &chain_backend(4), 2, |addr| {
+            let frames = run(addr, &requests);
+            send_shutdown(addr);
+            frames
+        })
     };
-
-    let pipelined = {
-        let backend = chain_backend(4);
-        let server = EventServer::bind("127.0.0.1:0").unwrap();
-        let addr = server.local_addr().unwrap().to_string();
-        let mut frames = None;
-        std::thread::scope(|scope| {
-            scope.spawn(|| server.run(&backend, 2).unwrap());
-            frames = Some(run_pipelined(&addr, &requests));
-            send_shutdown(&addr);
-        });
-        frames.unwrap()
-    };
+    let sequential = replies(run_sequential);
+    let pipelined = replies(run_pipelined);
 
     assert_eq!(sequential.len(), requests.len());
     assert_eq!(pipelined.len(), requests.len());
@@ -152,16 +167,12 @@ fn a_thousand_idle_connections_do_not_starve_compose_traffic() {
     // deadlock at `workers` of them; the event engine must keep serving
     // composes with a 4-thread CPU pool.
     const IDLE: usize = 1024;
-    let backend = chain_backend(6);
     let server = EventServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 4).unwrap());
-
-        let idle: Vec<TcpStream> = (0..IDLE).map(|_| connect_patiently(&addr)).collect();
+    serving(&server, &chain_backend(6), 4, |addr| {
+        let idle: Vec<TcpStream> = (0..IDLE).map(|_| connect_patiently(addr)).collect();
 
         // Compose traffic proceeds while every idle socket stays open.
-        let client = Client::connect(&addr).unwrap();
+        let client = Client::connect(addr).unwrap();
         for i in 0..6usize {
             let reply = client
                 .call(Request::ComposePath { from: format!("v{i}"), to: "v6".into() })
@@ -212,12 +223,9 @@ fn saturating_the_cpu_queue_sheds_with_the_busy_error() {
     let mut server = EventServer::bind("127.0.0.1:0").unwrap();
     server.set_queue_limit(1);
     assert_eq!(server.queue_limit(), 1);
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 1).unwrap());
-
+    serving(&server, &backend, 1, |addr| {
         let compose = Request::ComposePath { from: "v0".into(), to: "v4".into() };
-        let frames = run_pipelined(&addr, &[compose.clone(), compose.clone(), compose]);
+        let frames = run_pipelined(addr, &[compose.clone(), compose.clone(), compose]);
         let replies: Vec<_> = frames
             .iter()
             .map(|frame| mapping_composition::service::decode_reply(frame).unwrap())
@@ -229,7 +237,7 @@ fn saturating_the_cpu_queue_sheds_with_the_busy_error() {
 
         // The shed is visible in telemetry, and the connection survived to
         // serve more requests after the busy reply.
-        let client = Client::connect(&addr).unwrap();
+        let client = Client::connect(addr).unwrap();
         let Ok(Response::Metrics { text }) = client.call(Request::Metrics) else {
             panic!("metrics request failed");
         };
@@ -248,26 +256,22 @@ fn saturating_the_cpu_queue_sheds_with_the_busy_error() {
 
 #[test]
 fn the_event_engine_enforces_wire_auth() {
-    let backend = chain_backend(2);
     let mut server = EventServer::bind("127.0.0.1:0").unwrap();
     server.set_auth_token(Some("swordfish".into()));
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 2).unwrap());
-
+    serving(&server, &chain_backend(2), 2, |addr| {
         // No token: refused, but the connection survives to authenticate.
-        let anonymous = Client::connect(&addr).unwrap();
+        let anonymous = Client::connect(addr).unwrap();
         let error = anonymous.call(Request::Ping).unwrap_err();
         assert_eq!(error.code, ErrorCode::Unavailable);
         assert!(error.to_string().contains("auth"), "unhelpful refusal: {error}");
 
         // Wrong token: still refused.
-        let wrong = Client::connect(&addr).unwrap().with_auth_token(Some("sardine".into()));
+        let wrong = Client::connect(addr).unwrap().with_auth_token(Some("sardine".into()));
         assert_eq!(wrong.call(Request::Ping).unwrap_err().code, ErrorCode::Unavailable);
 
         // Right token: the first frame authenticates the connection and
         // later frames ride without the field.
-        let authed = Client::connect(&addr).unwrap().with_auth_token(Some("swordfish".into()));
+        let authed = Client::connect(addr).unwrap().with_auth_token(Some("swordfish".into()));
         assert_eq!(authed.call(Request::Ping).unwrap(), Response::Pong);
         assert!(matches!(
             authed.call(Request::ComposePath { from: "v0".into(), to: "v2".into() }),
@@ -283,14 +287,11 @@ fn a_huge_malformed_frame_gets_a_small_error_reply_before_auth() {
     let backend = LocalService::new(Catalog::new(), 1);
     let mut server = EventServer::bind("127.0.0.1:0").unwrap();
     server.set_auth_token(Some("swordfish".into()));
-    let addr = server.local_addr().unwrap().to_string();
-    let frame = std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 1).unwrap());
-
+    let frame = serving(&server, &backend, 1, |addr| {
         // Frames decode before the auth check, so an anonymous peer's
         // malformed frame is answered with its decode error: that error
         // must not echo the frame back.
-        let stream = connect_patiently(&addr);
+        let stream = connect_patiently(addr);
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
         let junk = "%".repeat(64 * 1024);
@@ -299,7 +300,7 @@ fn a_huge_malformed_frame_gets_a_small_error_reply_before_auth() {
         writer.flush().unwrap();
         let frame = read_frame(&mut reader).unwrap().expect("reply to a malformed frame");
 
-        let authed = Client::connect(&addr).unwrap().with_auth_token(Some("swordfish".into()));
+        let authed = Client::connect(addr).unwrap().with_auth_token(Some("swordfish".into()));
         authed.call(Request::Shutdown).unwrap();
         frame
     });
@@ -312,11 +313,8 @@ fn a_huge_malformed_frame_gets_a_small_error_reply_before_auth() {
 fn malformed_frames_get_protocol_errors_without_killing_the_connection() {
     let backend = LocalService::new(Catalog::new(), 1);
     let server = EventServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 1).unwrap());
-
-        let stream = connect_patiently(&addr);
+    serving(&server, &backend, 1, |addr| {
+        let stream = connect_patiently(addr);
         stream.set_nodelay(true).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -344,14 +342,10 @@ fn malformed_frames_get_protocol_errors_without_killing_the_connection() {
 
 #[test]
 fn a_stalling_half_frame_client_survives_the_event_engines_idle_reaper() {
-    let backend = chain_backend(2);
     let mut server = EventServer::bind("127.0.0.1:0").unwrap();
     server.set_idle_timeout(Some(Duration::from_millis(150)));
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 1).unwrap());
-
-        let stream = connect_patiently(&addr);
+    serving(&server, &chain_backend(2), 1, |addr| {
+        let stream = connect_patiently(addr);
         stream.set_nodelay(true).unwrap();
         let mut writer = stream.try_clone().unwrap();
         let mut reader = BufReader::new(stream);
@@ -371,7 +365,7 @@ fn a_stalling_half_frame_client_survives_the_event_engines_idle_reaper() {
 
         // A connection that is *genuinely* idle — no buffered bytes — is
         // reaped: the server closes it and read_frame sees clean EOF.
-        let idle = connect_patiently(&addr);
+        let idle = connect_patiently(addr);
         let mut idle_reader = BufReader::new(idle);
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -384,18 +378,15 @@ fn a_stalling_half_frame_client_survives_the_event_engines_idle_reaper() {
             }
         }
 
-        send_shutdown(&addr);
+        send_shutdown(addr);
     });
 }
 
 #[test]
 fn gauges_return_to_zero_after_event_engine_shutdown() {
-    let backend = chain_backend(3);
     let server = EventServer::bind("127.0.0.1:0").unwrap();
-    let addr = server.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run(&backend, 2).unwrap());
-        let clients: Vec<Client> = (0..4).map(|_| Client::connect(&addr).unwrap()).collect();
+    serving(&server, &chain_backend(3), 2, |addr| {
+        let clients: Vec<Client> = (0..4).map(|_| Client::connect(addr).unwrap()).collect();
         for (i, client) in clients.iter().enumerate() {
             let reply = client
                 .call(Request::ComposePath { from: format!("v{}", i % 3), to: "v3".into() })

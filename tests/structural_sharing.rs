@@ -5,18 +5,24 @@
 //! subtrees included) and on every corpus constraint, while returning every
 //! subtree that does not mention the symbol as the allocation it was. A
 //! pairwise chain composition must pass the constraints no elimination
-//! touches through as the very allocations of its inputs.
+//! touches through as the very allocations of its inputs. A memo entry's
+//! provenance is its path, held as the catalog's own name allocations, and
+//! an invalidation drops exactly the entries a scan of those provenances
+//! finds.
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
 // panicking on a surprise is exactly what a test should do.
 #![allow(clippy::unwrap_used)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use mapping_composition::algebra::SkolemFn;
-use mapping_composition::catalog::{compose_pair, ComposedChain, LinkSource};
+use mapping_composition::catalog::{
+    compose_pair, load_sidecar, render_cache_entry, CacheEvent, ChainSegment, ComposedChain,
+    LinkSource, MemoKey, Name,
+};
 use mapping_composition::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -266,4 +272,213 @@ fn compose_pair_passes_untouched_constraints_through_by_reference() {
     }
     assert!(checked + folded > 20, "too few passed-through constraints: {checked} + {folded}");
     assert!(folded > 0, "the editing chains pass no constraint through");
+}
+
+/// The catalog's own allocation of a mapping name and of a schema name.
+fn mapping_name(catalog: &SharedCatalog, name: &str) -> Name {
+    catalog.mapping(name).unwrap().name
+}
+
+fn schema_name(catalog: &SharedCatalog, name: &str) -> Name {
+    catalog.schema(name).unwrap().name
+}
+
+/// Every memo entry's path names, endpoints and index keys are the
+/// catalog's allocations, not copies.
+fn assert_memo_shares_catalog_names(session: &SharedSession, context: &str) {
+    let catalog = session.catalog();
+    let memo = session.cache().collect();
+    assert!(!memo.is_empty(), "{context}: the memo is empty");
+    for (key, entry) in memo.iter() {
+        let chain = &entry.chain;
+        assert!(chain.provenance.is_none(), "{context}: {key:?} keeps an explicit provenance");
+        for name in chain.path.iter() {
+            assert!(
+                Arc::ptr_eq(name, &mapping_name(catalog, name)),
+                "{context}: {key:?} copies mapping name {name}"
+            );
+        }
+        for name in [&chain.source, &chain.target] {
+            assert!(
+                Arc::ptr_eq(name, &schema_name(catalog, name)),
+                "{context}: {key:?} copies schema name {name}"
+            );
+        }
+    }
+    for name in session.cache().names() {
+        let shared = catalog.mapping(&name).map(|entry| entry.name);
+        let shared = shared.or_else(|_| catalog.schema(&name).map(|entry| entry.name)).unwrap();
+        assert!(Arc::ptr_eq(&name, &shared), "{context}: the memo holds a copy of {name}");
+    }
+}
+
+#[test]
+fn a_sixteen_link_fold_shares_the_catalogs_names() {
+    let (session, path) = mapcomp_bench::chain_fixture(16, 16);
+    assert_eq!(path.len(), 16, "the fixture chain has 16 links");
+    // The replay edited links and recomposed; a cold fold starts afresh.
+    assert_memo_shares_catalog_names(&session, "replayed");
+    let cold = SharedSession::new(session.catalog().snapshot());
+    let result = cold.compose_names(&path).unwrap();
+    assert_eq!(result.compose_calls, 15);
+    assert_memo_shares_catalog_names(&cold, "cold fold");
+    // An edit keeps the name's allocation: the recomposed segments share
+    // it as well.
+    let middle = &path[8];
+    cold.update_mapping(middle, mapcomp_bench::edited_variant(&cold, middle)).unwrap();
+    let before = Arc::as_ptr(&mapping_name(cold.catalog(), middle));
+    assert_eq!(cold.compose_names(&path).unwrap().compose_calls, 8);
+    assert_eq!(Arc::as_ptr(&mapping_name(cold.catalog(), middle)), before);
+    assert_memo_shares_catalog_names(&cold, "after an edit");
+}
+
+/// A chain catalog `v0 -> … -> v{hops}` of copy mappings `m0 … m{hops-1}`.
+fn copy_chain(hops: usize) -> Catalog {
+    let mut catalog = Catalog::new();
+    for i in 0..=hops {
+        catalog.add_schema(format!("v{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
+    }
+    for i in 0..hops {
+        let constraints = parse_constraints(&format!("R{i} <= R{}", i + 1)).unwrap();
+        catalog
+            .add_mapping(format!("m{i}"), &format!("v{i}"), &format!("v{}", i + 1), constraints)
+            .unwrap();
+    }
+    catalog
+}
+
+/// Every live memo entry's provenance, read off the entries themselves.
+fn provenance_scan(session: &SharedSession) -> BTreeMap<MemoKey, BTreeSet<String>> {
+    let memo = session.cache().collect();
+    memo.iter()
+        .map(|(key, entry)| (*key, entry.chain.deps().into_iter().map(str::to_string).collect()))
+        .collect()
+}
+
+/// Keys of `before` missing from `after`.
+fn dropped(
+    before: &BTreeMap<MemoKey, BTreeSet<String>>,
+    after: &BTreeMap<MemoKey, BTreeSet<String>>,
+) -> BTreeSet<MemoKey> {
+    before.keys().filter(|key| !after.contains_key(key)).copied().collect()
+}
+
+/// Run one invalidation of `mapping` through `invalidate` and check it
+/// against a brute-force scan: it drops exactly the entries whose
+/// provenance names the mapping, and counts each once. Returns how many
+/// entries it dropped.
+fn checked_invalidation(
+    session: &SharedSession,
+    mapping: &str,
+    invalidate: impl FnOnce() -> usize,
+) -> usize {
+    let before = provenance_scan(session);
+    let stats = session.cache().stats();
+    let reported = invalidate();
+    let after = provenance_scan(session);
+    let expected: BTreeSet<MemoKey> =
+        before.iter().filter(|(_, deps)| deps.contains(mapping)).map(|(key, _)| *key).collect();
+    assert_eq!(dropped(&before, &after), expected, "invalidating {mapping}");
+    assert_eq!(reported, expected.len(), "invalidating {mapping}: reported count");
+    let now = session.cache().stats();
+    assert_eq!(now.invalidated - stats.invalidated, expected.len(), "invalidating {mapping}");
+    assert_eq!(now.evictions, stats.evictions, "invalidating {mapping} evicted");
+    expected.len()
+}
+
+#[test]
+fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
+    const HOPS: usize = 8;
+    let catalog = copy_chain(HOPS);
+    let config = SessionConfig { cache_capacity: Some(8), ..SessionConfig::default() };
+    let mut session =
+        SharedSession::with_config(catalog.clone(), Registry::standard(), config.clone(), 1);
+
+    // One sidecar-loaded entry whose `deps` line names a mapping off its
+    // path: the m0 ∘ m1 segment, also depending on m5.
+    let warm = SharedSession::with_config(catalog, Registry::standard(), config, 1);
+    let names: Vec<String> = (0..2).map(|i| format!("m{i}")).collect();
+    let pair = warm.compose_names(&names).unwrap().chain;
+    let key = *warm.cache().collect().iter().next().unwrap().0;
+    let path = pair.path.clone();
+    let deps: Vec<Name> = ["m0", "m1", "m5"].into_iter().map(Name::from).collect();
+    let explicit = ChainSegment {
+        source: pair.source.clone(),
+        target: pair.target.clone(),
+        provenance: ChainSegment::provenance_of(&path, &deps),
+        path,
+        mapping: pair.mapping.clone(),
+        residual: pair.residual.clone(),
+        hash: pair.hash,
+    };
+    let text = render_cache_entry(&key, &ComposedChain::from(explicit));
+    assert!(text.contains("\ndeps m0 m1 m5\n"), "{text}");
+    session.restore_cache(load_sidecar(&text).cache);
+    session.cache().enable_journal();
+    assert_eq!(provenance_scan(&session)[&key], ["m0", "m1", "m5"].map(String::from).into());
+
+    // Composed on top of the loaded entry, m0 … m3 depends on m5 too.
+    let prefix: Vec<String> = (0..4).map(|i| format!("m{i}")).collect();
+    assert_eq!(session.compose_names(&prefix).unwrap().plan, vec![2, 1, 1]);
+    let _ = session.cache().take_events();
+    assert!(checked_invalidation(&session, "m5", || session.invalidate("m5")) >= 2);
+
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut edited = [false; HOPS];
+    let (mut invalidations, mut evictions) = (0, 0);
+    for step in 0..300 {
+        let link = rng.gen_range(0..HOPS);
+        let name = format!("m{link}");
+        match rng.gen_range(0..10) {
+            0 => {
+                invalidations +=
+                    checked_invalidation(&session, &name, || session.invalidate(&name));
+            }
+            1 => {
+                // Toggle the link between two contents: an edit.
+                edited[link] = !edited[link];
+                let extra =
+                    if edited[link] { format!("; R{link} <= R{link}") } else { String::new() };
+                let text = format!("R{link} <= R{}{extra}", link + 1);
+                let constraints = parse_constraints(&text).unwrap();
+                invalidations += checked_invalidation(&session, &name, || {
+                    session.update_mapping(&name, constraints).unwrap().1
+                });
+            }
+            _ => {
+                let from = rng.gen_range(0..HOPS);
+                let to = rng.gen_range(from + 1..=HOPS);
+                let before = provenance_scan(&session);
+                let stats = session.cache().stats();
+                session.compose_path(&format!("v{from}"), &format!("v{to}")).unwrap();
+                let after = provenance_scan(&session);
+                // A compose drops entries only by capacity eviction, each
+                // one journaled as a removal; an evicted key the same fold
+                // composes again is journaled as re-inserted after it.
+                let events = session.cache().take_events();
+                let mut last = BTreeMap::new();
+                for event in &events {
+                    match event {
+                        CacheEvent::Removed(key) => last.insert(*key, false),
+                        CacheEvent::Inserted(key) => last.insert(*key, true),
+                    };
+                }
+                let evicted: BTreeSet<MemoKey> = last
+                    .iter()
+                    .filter(|(key, live)| !**live && before.contains_key(key))
+                    .map(|(key, _)| *key)
+                    .collect();
+                assert_eq!(dropped(&before, &after), evicted, "step {step}: evicted keys");
+                let removed =
+                    events.iter().filter(|event| matches!(event, CacheEvent::Removed(_))).count();
+                let now = session.cache().stats();
+                assert_eq!(now.evictions - stats.evictions, removed, "step {step}");
+                assert_eq!(now.invalidated, stats.invalidated, "step {step}");
+                evictions += removed;
+            }
+        }
+        let _ = session.cache().take_events();
+    }
+    assert!(invalidations > 20, "too few invalidated entries: {invalidations}");
+    assert!(evictions > 20, "too few evictions: {evictions}");
 }
