@@ -35,8 +35,9 @@ use mapcomp_bench::{
     chain_cache_experiment, chase_scaling_experiment, concurrent_sessions_experiment,
     connection_sweep_experiment, corpus_report, differential_update_experiment,
     differential_violations, edit_count_sweep, editing_experiment, inclusion_sweep,
-    persistence_experiment, replication_catchup_experiment, replication_read_experiment,
-    residual_chain_point, schema_size_sweep, service_throughput_experiment,
+    persistence_experiment, persistence_violations, replication_catchup_experiment,
+    replication_read_experiment, residual_chain_point, schema_size_sweep,
+    service_throughput_experiment,
     trajectory::{format_row, parse_scale, BenchDoc, BenchValue},
     ChainCachePoint, Configuration, Scale, ThroughputPoint, FIGURE5_PRIMITIVES,
     RESIDUAL_CHAIN_SEED, SWEEP_CPU_WORKERS,
@@ -493,9 +494,10 @@ fn figure_11(scale: Scale) -> BenchDoc {
 
 fn figure_12(scale: Scale) -> BenchDoc {
     let mut doc = BenchDoc::new("fig12", scale);
+    let points = persistence_experiment(scale);
     doc.push_table(
         "[Figure 12] persistence: bytes written per state-changing request vs. catalog size",
-        persistence_experiment(scale).into_iter().map(|point| {
+        points.iter().map(|point| {
             vec![
                 ("mappings", point.mappings.into()),
                 ("incremental_bytes", point.incremental_bytes.into()),
@@ -503,9 +505,11 @@ fn figure_12(scale: Scale) -> BenchDoc {
                 ("incremental_ms", BenchValue::millis(point.incremental_time)),
                 ("read_bytes", point.read_bytes.into()),
                 ("recovered", point.recovered_identical.into()),
+                ("migrate_snapshot_tokens", point.migrate_snapshot_tokens.into()),
             ]
         }),
     );
+    doc.violations = persistence_violations(&points);
     doc
 }
 

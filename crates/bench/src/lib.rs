@@ -1280,6 +1280,31 @@ pub struct PersistencePoint {
     /// catalog document and cumulative cache statistics as before the
     /// kill?
     pub recovered_identical: bool,
+    /// Update tokens on the `migrate` line a compaction wrote after the
+    /// seeded stream of single-tuple batches ([`PERSISTENCE_MIGRATE_BATCHES`]).
+    pub migrate_snapshot_tokens: usize,
+    /// Rows of the net source that stream left behind: what
+    /// `migrate_snapshot_tokens` must equal.
+    pub migrate_net_rows: usize,
+}
+
+/// Figure 12 points whose compacted `migrate` line does not hold exactly
+/// the session's net source rows (a line that grows with every batch
+/// applied, say).
+pub fn persistence_violations(points: &[PersistencePoint]) -> Vec<String> {
+    let mismatched = points
+        .iter()
+        .enumerate()
+        .filter(|(_, point)| point.migrate_snapshot_tokens != point.migrate_net_rows);
+    mismatched
+        .map(|(index, point)| {
+            format!(
+                "point {index}: the compacted `migrate` line holds {} tokens for {} net source \
+                 rows (`migrate_snapshot_tokens`)",
+                point.migrate_snapshot_tokens, point.migrate_net_rows
+            )
+        })
+        .collect()
 }
 
 /// Catalog sizes (mapping counts) per scale. Every scale spans at least a
@@ -1331,11 +1356,56 @@ const PERSISTENCE_REQUESTS: usize = PERSISTENCE_STEPS.len();
 /// The spans the warm reads after the restart compose again.
 const PERSISTENCE_READS: [usize; 2] = [0, 1];
 
+/// The Figure 12 migration session's schemas and mapping.
+const PERSISTENCE_MIGRATION: &str =
+    "schema pq0 { Q/1; } schema pq1 { W/1; } mapping pq : pq0 -> pq1 { Q <= W; }";
+
+/// Single-tuple batches in the Figure 12 migration stream, over a key
+/// space a quarter its size, so most keys are inserted and deleted again.
+pub const PERSISTENCE_MIGRATE_BATCHES: usize = 64;
+
+/// Drive a seeded stream of single-tuple batches through a migration
+/// session of `service` (a key's batch deletes it when it is live and
+/// inserts it otherwise), then compact. Returns the update tokens on the
+/// compacted `migrate` line and the rows of the net source.
+fn persistence_migration(
+    service: &mapcomp_service::LocalService,
+    sidecar: &std::path::Path,
+) -> (usize, usize) {
+    use mapcomp_service::{MapcompService as _, Request, Response};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let reply = service.call(Request::AddDocument { text: PERSISTENCE_MIGRATION.into() });
+    assert!(reply.is_ok(), "fig12 migration document: {reply:?}");
+    let mut rng = StdRng::seed_from_u64(0xF12);
+    let mut live = std::collections::BTreeSet::new();
+    for _ in 0..PERSISTENCE_MIGRATE_BATCHES {
+        let key = rng.gen_range(0..(PERSISTENCE_MIGRATE_BATCHES / 4) as i64);
+        let sign = if live.remove(&key) { '-' } else { '+' };
+        if sign == '+' {
+            live.insert(key);
+        }
+        let reply = service.call(Request::MigrateDelta {
+            from: "pq0".into(),
+            to: "pq1".into(),
+            updates: vec![format!("{sign}Q({key})")],
+        });
+        assert!(matches!(reply, Ok(Response::Migrated(_))), "fig12 migrate: {reply:?}");
+    }
+    let reply = service.call(Request::Compact);
+    assert!(reply.is_ok(), "fig12 compact: {reply:?}");
+    let text = std::fs::read_to_string(sidecar).unwrap_or_default();
+    let line = text.lines().find_map(|line| line.strip_prefix("migrate pq0 pq1"));
+    (line.map_or(0, |tokens| tokens.split_whitespace().count()), live.len())
+}
+
 /// Measure one catalog size: seed a persistent service, drive the
 /// state-changing requests, and after each one record the bytes appended
 /// and the size of the full snapshot a compaction would write at that
 /// point; then kill (no shutdown, no compaction) and restart, checking
-/// that recovery replays the delta tail to the same state.
+/// that recovery replays the delta tail to the same state. Last, the
+/// restarted service runs a migration stream and compacts
+/// ([`persistence_migration`]).
 fn persistence_run(mappings: usize) -> PersistencePoint {
     use mapcomp_catalog::Position;
     use mapcomp_service::{sidecar_path, LocalService, MapcompService as _, Request, Response};
@@ -1390,6 +1460,7 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         compose(&reopened, span);
     }
     let read_bytes = file_bytes(&sidecar).saturating_sub(before_reads);
+    let (migrate_snapshot_tokens, migrate_net_rows) = persistence_migration(&reopened, &sidecar);
     drop(reopened);
     remove_catalog(&file);
     PersistencePoint {
@@ -1399,6 +1470,8 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         incremental_time: elapsed / PERSISTENCE_REQUESTS as u32,
         read_bytes: read_bytes / PERSISTENCE_READS.len() as u64,
         recovered_identical: recovered,
+        migrate_snapshot_tokens,
+        migrate_net_rows,
     }
 }
 
@@ -2107,7 +2180,9 @@ mod tests {
             );
             assert!(point.incremental_bytes > 0, "incremental requests must append something");
             assert_eq!(point.read_bytes, 0, "size {}: a warm read appended", point.mappings);
+            assert!(point.migrate_net_rows < PERSISTENCE_MIGRATE_BATCHES);
         }
+        assert_eq!(persistence_violations(&points), Vec::<String>::new());
         let (first, last) = (points.first().unwrap(), points.last().unwrap());
         let growth = last.mappings as f64 / first.mappings as f64;
         assert!(growth >= 16.0, "the sweep must span >= 16x catalog growth, got {growth}x");

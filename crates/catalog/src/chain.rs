@@ -272,6 +272,18 @@ pub fn compose_pair(
     registry: &Registry,
     config: &ComposeConfig,
 ) -> Result<(ComposedChain, ComposeStats), CatalogError> {
+    compose_pair_hashed(left, right, registry, config, hash_config(config))
+}
+
+/// [`compose_pair`] with `config`'s hash ([`hash_config`]) already
+/// computed, as a chain fold computes it once for all its steps.
+fn compose_pair_hashed(
+    left: &ComposedChain,
+    right: &ComposedChain,
+    registry: &Registry,
+    config: &ComposeConfig,
+    config_hash: u64,
+) -> Result<(ComposedChain, ComposeStats), CatalogError> {
     if left.target != right.source {
         return Err(CatalogError::ChainMismatch {
             left: left.path.last().map(ToString::to_string).unwrap_or_default(),
@@ -346,7 +358,7 @@ pub fn compose_pair(
         path,
         mapping,
         residual,
-        hash: combine(&[left.hash, right.hash, hash_config(config)]),
+        hash: combine(&[left.hash, right.hash, config_hash]),
         provenance,
     };
     Ok((ComposedChain::new(segment, result.failures.into_boxed_slice()), result.stats))
@@ -504,7 +516,7 @@ fn fold_step<C: ChainCache + ?Sized>(
         tally.cache_hits += 1;
         return Ok(cached);
     }
-    let (composed, stats) = compose_pair(left, right, registry, config)?;
+    let (composed, stats) = compose_pair_hashed(left, right, registry, config, config_hash)?;
     tally.compose_calls += 1;
     tally.elimination_attempts += stats.elimination_attempts;
     tally.unchanged_skips += stats.unchanged_skips;

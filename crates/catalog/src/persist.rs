@@ -74,8 +74,10 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use mapcomp_algebra::{
-    escape_field, parse_document, unescape_field, ConstraintSet, Document, Mapping, Signature,
+    escape_field, escape_field_into, parse_document, unescape_field, ConstraintSet, Document,
+    Instance, Mapping, Signature, Value,
 };
+use mapcomp_compose::{fold_updates, parse_update, write_update, Sign, Update};
 
 use crate::cache::{CacheStats, MemoCache, MemoKey};
 use crate::chain::{ChainSegment, ComposedChain};
@@ -332,16 +334,17 @@ pub enum DeltaRecord {
     Stats(CacheStats),
     /// `delta migrate <from> <to> <update>…` — one applied batch of signed
     /// source updates (`+rel(…)`/`-rel(…)` tokens, escaped) for the live
-    /// migration session keyed by its schema endpoints. Replay appends the
-    /// batch onto the session's accumulated update history; compaction
-    /// folds the history into one absolute `migrate` snapshot line.
+    /// migration session keyed by its schema endpoints. Replay folds the
+    /// batch into the session's net source ([`fold_updates`]); compaction
+    /// renders the net source as one absolute `migrate` snapshot line.
     Migrate {
         /// Source schema of the migration session.
         from: String,
         /// Target schema of the migration session.
         to: String,
-        /// The batch's update tokens, in application order.
-        updates: Vec<String>,
+        /// The batch's updates, in application order. A token that does not
+        /// parse as an update is dropped on load.
+        updates: Vec<Update>,
     },
 }
 
@@ -361,13 +364,11 @@ fn render_delta_body(delta: &DeltaRecord) -> String {
             "stats {} {} {} {} {}",
             stats.hits, stats.misses, stats.insertions, stats.invalidated, stats.evictions
         ),
-        DeltaRecord::Migrate { from, to, updates } => {
-            let mut out = format!("migrate {} {}", escape_field(from), escape_field(to));
-            for update in updates {
-                let _ = write!(out, " {}", escape_field(update));
-            }
-            out
-        }
+        DeltaRecord::Migrate { from, to, updates } => migration_line(
+            from,
+            to,
+            updates.iter().map(|update| (update.sign, update.rel.as_str(), &*update.tuple)),
+        ),
     }
 }
 
@@ -444,32 +445,52 @@ fn parse_delta_body(body: &str) -> Option<DeltaRecord> {
                 _ => None,
             }
         }
-        "migrate" => parse_migration_tokens(rest)
-            .map(|((from, to), updates)| DeltaRecord::Migrate { from, to, updates }),
+        "migrate" => parse_migration_tokens(rest).map(|((from, to), updates)| {
+            DeltaRecord::Migrate { from, to, updates: updates.collect() }
+        }),
         _ => None,
     }
 }
 
 /// Parse the `<from> <to> <update>…` token tail shared by `delta migrate`
-/// records and absolute `migrate` snapshot lines.
-fn parse_migration_tokens(rest: &str) -> Option<((String, String), Vec<String>)> {
+/// records and absolute `migrate` snapshot lines: `None` when a field does
+/// not unescape; a token that does not parse as an update is dropped.
+fn parse_migration_tokens(rest: &str) -> Option<((String, String), impl Iterator<Item = Update>)> {
     let mut tokens = rest.split_whitespace();
     let from = unescape_field(tokens.next()?)?;
     let to = unescape_field(tokens.next()?)?;
     let updates: Option<Vec<String>> = tokens.map(unescape_field).collect();
-    Some(((from, to), updates?))
+    let updates = updates?.into_iter().filter_map(|token| parse_update(&token).ok());
+    Some(((from, to), updates))
 }
 
 /// Render the absolute snapshot form of a migration session: one
 /// `migrate <from> <to> <update>…` line (no `delta ` prefix, no trailing
-/// newline) carrying the full accumulated update history. On replay it
-/// *replaces* the session's history, whereas `delta migrate` records
-/// append — the same snapshot-vs-delta split every other sidecar record
-/// obeys.
-pub fn render_migration_snapshot(from: &str, to: &str, updates: &[String]) -> String {
+/// newline) carrying the session's net source as insert tokens in
+/// canonical (relation, row) order. On replay it *replaces* the session's
+/// source, whereas `delta migrate` records fold into it — the same
+/// snapshot-vs-delta split every other sidecar record obeys.
+pub fn render_migration_snapshot(from: &str, to: &str, source: &Instance) -> String {
+    let rows = source
+        .relations()
+        .flat_map(|(rel, relation)| relation.iter().map(move |row| (Sign::Insert, rel, &**row)));
+    migration_line(from, to, rows)
+}
+
+/// `migrate <from> <to>` followed by one escaped update token per signed
+/// row, each written straight into the line through one reused buffer.
+fn migration_line<'a>(
+    from: &str,
+    to: &str,
+    rows: impl Iterator<Item = (Sign, &'a str, &'a [Value])>,
+) -> String {
     let mut out = format!("migrate {} {}", escape_field(from), escape_field(to));
-    for update in updates {
-        let _ = write!(out, " {}", escape_field(update));
+    let mut token = String::new();
+    for (sign, rel, row) in rows {
+        token.clear();
+        write_update(&mut token, sign, rel, row);
+        out.push(' ');
+        escape_field_into(&mut out, &token);
     }
     out
 }
@@ -514,11 +535,13 @@ pub struct SidecarState {
     pub cache: MemoCache,
     /// Parsed `delta schema` / `delta mapping` payloads, in file order.
     pub doc_deltas: Vec<Document>,
-    /// Live migration sessions keyed `(from, to)`: the accumulated signed
-    /// source-update history, absolute `migrate` snapshot lines replacing
-    /// and `delta migrate` records appending, in file order. The service
-    /// replays each history through a fresh differential chase on restart.
-    pub migrations: BTreeMap<(String, String), Vec<String>>,
+    /// Live migration sessions keyed `(from, to)`: each session's net
+    /// source, an absolute `migrate` snapshot line replacing it and each
+    /// `delta migrate` batch folding into it, in file order. A snapshot
+    /// line folds its tokens one by one, so the application-order lines of
+    /// older sidecars, deletes included, restore the source they recorded.
+    /// The service rebuilds each session's engine over it on first use.
+    pub migrations: BTreeMap<(String, String), Instance>,
     /// Compaction generation from the last `generation` header line (0 when
     /// the sidecar predates generation counters or has never compacted).
     pub generation: u64,
@@ -669,17 +692,21 @@ pub fn load_sidecar(text: &str) -> SidecarState {
                     stats_acc = Some(stats_acc.unwrap_or_default().merged(delta));
                 }
                 Some((_, DeltaRecord::Migrate { from, to, updates })) => {
-                    state.migrations.entry((from, to)).or_default().extend(updates);
+                    fold_updates(state.migrations.entry((from, to)).or_default(), &updates);
                 }
                 None => {}
             }
             continue;
         }
         if let Some(rest) = line.strip_prefix("migrate ") {
-            // Absolute snapshot line: replaces the session history (deltas
-            // that follow in file order append onto it).
+            // Absolute snapshot line: replaces the session's source (deltas
+            // that follow in file order fold into it).
             if let Some((key, updates)) = parse_migration_tokens(rest) {
-                state.migrations.insert(key, updates);
+                let mut source = Instance::new();
+                for update in updates {
+                    fold_updates(&mut source, std::slice::from_ref(&update));
+                }
+                state.migrations.insert(key, source);
             }
             continue;
         }

@@ -95,12 +95,47 @@ impl Update {
     /// Render in the signed-update grammar (`+R(1,'a',null)`), the inverse
     /// of [`parse_update`].
     pub fn render(&self) -> String {
-        let mut out = String::from(match self.sign {
-            Sign::Insert => '+',
-            Sign::Delete => '-',
-        });
-        write_row(&mut out, &self.rel, &self.tuple);
+        let mut out = String::new();
+        write_update(&mut out, self.sign, &self.rel, &self.tuple);
         out
+    }
+}
+
+/// Append the signed-update spelling of one row (`+rel(v1,...,vn)`) to
+/// `out`: what [`Update::render`] writes, without building the update.
+pub fn write_update(out: &mut String, sign: Sign, rel: &str, tuple: &[Value]) {
+    out.push(match sign {
+        Sign::Insert => '+',
+        Sign::Delete => '-',
+    });
+    write_row(out, rel, tuple);
+}
+
+/// The net effect of one batch per tuple: an insertion counts +1 and a
+/// deletion -1, so a `+t` and a `-t` of the same tuple cancel. The map
+/// borrows each update's relation and tuple.
+fn net_changes(updates: &[Update]) -> BTreeMap<(&str, &Tuple), i64> {
+    let mut net: BTreeMap<(&str, &Tuple), i64> = BTreeMap::new();
+    for update in updates {
+        *net.entry((&update.rel, &update.tuple)).or_default() += match update.sign {
+            Sign::Insert => 1,
+            Sign::Delete => -1,
+        };
+    }
+    net
+}
+
+/// Fold one batch into a source instance as [`DifferentialChase::apply`]
+/// changes its source: per tuple, a positive net count makes it present, a
+/// negative one absent, and a zero leaves it as it was. Folding a batch
+/// twice changes nothing the first fold did not.
+pub fn fold_updates(source: &mut Instance, updates: &[Update]) {
+    for ((rel, tuple), sign) in net_changes(updates) {
+        if sign > 0 {
+            source.insert(rel, tuple.clone());
+        } else if sign < 0 {
+            source.remove(rel, tuple);
+        }
     }
 }
 
@@ -594,13 +629,86 @@ impl DifferentialChase {
         self.state.text = Some(TargetText::render(&self.state.target));
     }
 
-    /// Apply one batch of signed updates, incrementally maintaining the
-    /// target. Returns what was done, or an error if an update is malformed
-    /// with respect to the schema (unknown relation, target relation, wrong
-    /// arity) — rejected batches leave the state untouched.
-    pub fn apply(&mut self, updates: &[Update]) -> Result<DeltaReport, String> {
-        let metrics = delta_metrics();
-        // Validate against the schema before touching any state.
+    /// Build the engine for a session's first batch: the engine and report
+    /// that [`new`](Self::new) over an empty source followed by
+    /// [`apply_or_undo`](Self::apply_or_undo)`(updates)` give, without
+    /// propagating the batch row by row. The batch's net insertions become
+    /// the source of one from-scratch chase, which reaches the same state
+    /// (the oblivious chase is confluent). The report counts the build's
+    /// firings, work and rendered rows.
+    ///
+    /// When the empty engine would not take the incremental path, or the
+    /// chase stops at a limit or drops a rule, the batch is applied as
+    /// `apply_or_undo` applies it, so its own limits decide what it
+    /// reports. A clean build always reports `fallback: false`, even where
+    /// the single work budget `apply` gives a whole batch would have run
+    /// out and recomputed the same state.
+    pub fn with_batch(
+        constraints: &[Constraint],
+        full_sig: &Signature,
+        target_sig: &Signature,
+        updates: &[Update],
+        registry: &Registry,
+        config: &ExchangeConfig,
+    ) -> Result<(Self, DeltaReport), String> {
+        let empty = || {
+            DifferentialChase::new(
+                constraints,
+                full_sig,
+                target_sig,
+                Instance::new(),
+                registry,
+                config,
+            )
+        };
+        let mut engine = empty();
+        engine.check(updates)?;
+        let mut source = Instance::new();
+        fold_updates(&mut source, updates);
+        let rows = source.total_tuples();
+        if rows > 0 && engine.incremental_ready() {
+            let (before, fired_before) = (engine.target().total_tuples(), engine.fired());
+            share_equal_rows(&mut source);
+            engine.source = source;
+            engine.rebuild();
+            if engine.converged() && engine.state.dropped.is_empty() {
+                let after = engine.target().total_tuples();
+                let report = DeltaReport {
+                    applied: rows,
+                    inserted: rows,
+                    fired: engine.fired() - fired_before,
+                    target_added: after.saturating_sub(before),
+                    work: engine.state.work,
+                    render_rows: after,
+                    render_bytes: engine.text().len(),
+                    ..DeltaReport::default()
+                };
+                let metrics = delta_metrics();
+                metrics.batches.incr();
+                metrics.inserts.add(rows as u64);
+                metrics.work.observe(report.work as u64);
+                return Ok((engine, report));
+            }
+            engine = empty();
+        }
+        let report = engine.apply_or_undo(updates)?;
+        Ok((engine, report))
+    }
+
+    /// Firings currently recorded, over every rule.
+    fn fired(&self) -> usize {
+        self.state.fired.iter().map(BTreeSet::len).sum()
+    }
+
+    /// The source instance, giving up the engine: what a caller keeps when
+    /// it holds a session's net source without an engine over it.
+    pub fn into_source(self) -> Instance {
+        self.source
+    }
+
+    /// Refuse a batch an update of which is malformed with respect to the
+    /// schema: an unknown relation, a target relation, or a wrong arity.
+    fn check(&self, updates: &[Update]) -> Result<(), String> {
         for update in updates {
             if !self.full_sig.contains(&update.rel) {
                 return Err(format!("unknown relation `{}`", update.rel));
@@ -620,21 +728,37 @@ impl DifferentialChase {
                 ));
             }
         }
-        // Net normalisation: per tuple, insertions and deletions cancel;
-        // only the net sign survives, and only when it changes membership.
-        // The map borrows each update's relation and tuple.
-        let mut net: BTreeMap<(&str, &Tuple), i64> = BTreeMap::new();
-        for update in updates {
-            *net.entry((&update.rel, &update.tuple)).or_default() += match update.sign {
-                Sign::Insert => 1,
-                Sign::Delete => -1,
-            };
-        }
-        // A delete names the stored row, so every later step works on the
-        // allocation the engine holds.
+        Ok(())
+    }
+
+    /// Apply one batch of signed updates, incrementally maintaining the
+    /// target. Returns what was done, or an error if an update is malformed
+    /// with respect to the schema (unknown relation, target relation, wrong
+    /// arity) — rejected batches leave the state untouched.
+    pub fn apply(&mut self, updates: &[Update]) -> Result<DeltaReport, String> {
+        self.apply_batch(updates, false)
+    }
+
+    /// [`apply`](Self::apply) a batch, but keep it in the source only if the
+    /// chase reaches a fixpoint over it. A batch that leaves the state
+    /// short of one is taken back out of the source from its own net
+    /// changes, so [`source`](Self::source) is the source before it. The
+    /// state stays truncated ([`converged`](Self::converged) is false)
+    /// until a [`rebuild`](Self::rebuild), which rebuilds the state from
+    /// before the batch.
+    pub fn apply_or_undo(&mut self, updates: &[Update]) -> Result<DeltaReport, String> {
+        self.apply_batch(updates, true)
+    }
+
+    fn apply_batch(&mut self, updates: &[Update], undo: bool) -> Result<DeltaReport, String> {
+        let metrics = delta_metrics();
+        self.check(updates)?;
+        // Net normalisation: only the net sign survives, and only when it
+        // changes membership. A delete names the stored row, so every later
+        // step works on the allocation the engine holds.
         let mut deletes: Vec<(&str, Tuple)> = Vec::new();
         let mut inserts: Vec<(&str, Tuple)> = Vec::new();
-        for ((rel, tuple), sign) in net {
+        for ((rel, tuple), sign) in net_changes(updates) {
             match self.source.get_ref(rel).and_then(|relation| relation.get(tuple)) {
                 None if sign > 0 => inserts.push((rel, tuple.clone())),
                 Some(stored) if sign < 0 => deletes.push((rel, stored.clone())),
@@ -705,6 +829,14 @@ impl DifferentialChase {
         metrics.retracted.add(report.retracted as u64);
         metrics.rederived.add(report.rederived as u64);
         metrics.work.observe(report.work as u64);
+        if undo && !self.state.converged {
+            for (rel, tuple) in &inserts {
+                self.source.remove(rel, tuple);
+            }
+            for (rel, tuple) in deletes {
+                self.source.insert(rel, tuple);
+            }
+        }
         Ok(report)
     }
 
@@ -990,6 +1122,103 @@ mod tests {
         assert_eq!(engine.rendered_target(), oracle.rendered_target());
         assert_eq!(engine.support(), oracle.support());
         assert_eq!(engine.nulls(), oracle.nulls());
+    }
+
+    #[test]
+    fn a_first_batch_builds_what_an_empty_engine_applying_it_reaches() {
+        let (constraints, full, target, _) = movies_engine();
+        let (row, cancelled) = (tuple([1i64, 100, 1999, 5]), tuple([3i64, 300, 2003, 5]));
+        let batch = [
+            Update::insert("Movies", row.clone()),
+            Update::insert("Movies", row),
+            Update::insert("Movies", cancelled.clone()),
+            Update::delete("Movies", cancelled),
+            Update::delete("Movies", tuple([9i64, 900, 2009, 5])),
+            Update::insert("Movies", tuple([2i64, 200, 2001, 5])),
+        ];
+        let config = ExchangeConfig::default();
+        let (built, report) = DifferentialChase::with_batch(
+            &constraints,
+            &full,
+            &target,
+            &batch,
+            &registry(),
+            &config,
+        )
+        .unwrap();
+        let mut replayed = DifferentialChase::new(
+            &constraints,
+            &full,
+            &target,
+            Instance::new(),
+            &registry(),
+            &config,
+        );
+        let replay = replayed.apply(&batch).unwrap();
+        let counts = |report: &DeltaReport| {
+            (report.applied, report.inserted, report.deleted, report.fallback, report.target_added)
+        };
+        assert_eq!(counts(&report), counts(&replay));
+        assert_eq!(counts(&report), (2, 2, 0, false, 4));
+        assert_eq!(render_instance(built.source()), render_instance(replayed.source()));
+        assert_eq!(built.rendered_target(), replayed.rendered_target());
+        assert_eq!(built.support(), replayed.support());
+        let mut folded = Instance::new();
+        fold_updates(&mut folded, &batch);
+        assert_eq!(render_instance(&folded), render_instance(built.source()));
+        assert!(DifferentialChase::with_batch(
+            &constraints,
+            &full,
+            &target,
+            &[Update::insert("Names", tuple([1i64, 2]))],
+            &registry(),
+            &config,
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn a_batch_short_of_a_fixpoint_is_undone_from_the_source() {
+        // `T`'s second column feeds its first through an existential, so
+        // an `R` row starts a chain that never ends.
+        let full = Signature::from_arities([("R", 1), ("Q", 1), ("T", 2), ("U", 1)]);
+        let target = Signature::from_arities([("T", 2), ("U", 1)]);
+        let constraints =
+            parse_constraints("R <= project[0](T); project[1](T) <= project[0](T); Q <= U")
+                .unwrap()
+                .into_vec();
+        let config = ExchangeConfig { max_nulls: 64, ..ExchangeConfig::default() };
+        let mut source = Instance::new();
+        source.insert("Q", tuple([5i64]));
+        source.insert("Q", tuple([6i64]));
+        let mut engine =
+            DifferentialChase::new(&constraints, &full, &target, source, &registry(), &config);
+        let (source_before, target_before) =
+            (render_instance(engine.source()), engine.rendered_target());
+        let batch = [Update::insert("R", tuple([1i64])), Update::delete("Q", tuple([5i64]))];
+        engine.apply_or_undo(&batch).unwrap();
+        assert!(!engine.converged());
+        assert_eq!(render_instance(engine.source()), source_before);
+        engine.rebuild();
+        assert!(engine.converged());
+        assert_eq!(engine.rendered_target(), target_before);
+        // `apply` keeps the batch in the source, as a cold chase over it
+        // (truncated alike) is the oracle.
+        engine.apply(&batch).unwrap();
+        assert!(!engine.converged());
+        assert!(engine.source().contains("R", &[Value::Int(1)]));
+        // A first batch that does not converge leaves an empty source.
+        let (built, _) = DifferentialChase::with_batch(
+            &constraints,
+            &full,
+            &target,
+            &batch,
+            &registry(),
+            &config,
+        )
+        .unwrap();
+        assert!(!built.converged());
+        assert_eq!(built.into_source().total_tuples(), 0);
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub use compose::{
     ComposeStats, KnownFailure, SymbolOutcome, SymbolReport,
 };
 pub use differential::{
-    parse_update, parse_updates, render_instance, DeltaReport, DifferentialChase, Sign, Update,
+    fold_updates, parse_update, parse_updates, render_instance, write_update, DeltaReport,
+    DifferentialChase, Sign, Update,
 };
 pub use eliminate::eliminate;
 pub use exchange::{exchange, ExchangeConfig, ExchangeResult};

@@ -111,7 +111,7 @@ fn lag_between(applied: Position, leader_end: Position) -> u64 {
 }
 
 struct FollowerCore {
-    /// The local replica: catalog, memo cache and migration histories, no
+    /// The local replica: catalog, memo cache and migration sources, no
     /// persistence of its own (the stream owns the on-disk artifacts).
     service: LocalService,
     catalog_file: PathBuf,
@@ -419,9 +419,9 @@ impl FollowerCore {
             DeltaRecord::Invalidate { mapping } => {
                 let _ = self.service.session().invalidate(mapping);
             }
-            // Migration batches extend the replica's histories, so its
+            // Migration batches fold into the replica's net sources, so its
             // shutdown snapshot carries them and a replica restarted into
-            // leader duty rebuilds the engine from them — `migrate-delta`
+            // leader duty rebuilds the engine over them — `migrate-delta`
             // itself is refused while following.
             DeltaRecord::Migrate { from, to, updates } => {
                 self.service.extend_migration(from, to, updates);
@@ -438,7 +438,7 @@ impl FollowerCore {
     /// Install a snapshot bootstrap: persist the document + sidecar pair
     /// atomically first (a crash between the two steps re-bootstraps), then
     /// swap the in-memory replica to the snapshot's catalog and migration
-    /// histories. The memo cache is cleared rather than imported — entries
+    /// sources. The memo cache is cleared rather than imported — entries
     /// referencing dropped content would be unreachable anyway, and the
     /// verbatim sidecar warms the cache on the next restart.
     fn install_snapshot(&self, payload: &SnapshotPayload) -> Result<(), ServiceError> {
@@ -465,7 +465,7 @@ impl FollowerCore {
 
     /// Shutdown through the service surface: stop the apply loop, then
     /// fold the replica into snapshot form through the leader's renderer —
-    /// document + compacted sidecar (migration histories included)
+    /// document + compacted sidecar (migration sources included)
     /// rewritten atomically at the current resume position, so a restart
     /// resumes from exactly here and operators can byte-compare the
     /// document against the leader's.

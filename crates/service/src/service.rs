@@ -28,7 +28,7 @@
 //! real write, or through [`LocalService::flush_counters`]; recency only at
 //! compaction (across the delta tail, restored recency is insertion order).
 //! A crash may lose exactly that soft state, never catalog entries,
-//! versions, memo entries or migration histories.
+//! versions, memo entries or migration sources.
 //!
 //! Writes go through [`SidecarWriter`], which holds a kernel advisory lock
 //! on the sidecar's `.lock` file, so a server and stray CLI invocations on
@@ -47,7 +47,7 @@ use mapcomp_catalog::{
     LineIndex, MemoKey, Position, SessionConfig, SharedSession, SidecarState, SidecarWriter,
     VersionManifest,
 };
-use mapcomp_compose::{parse_update, parse_updates, DifferentialChase, Registry, Sign};
+use mapcomp_compose::{fold_updates, parse_updates, DifferentialChase, Registry, Update};
 use mapcomp_replication::{LogChunk, ReplicationHub, SubscribeError, Subscription};
 use mapcomp_telemetry::metrics::{Counter, Histogram, MetricsRegistry, LATENCY_BOUNDS_US};
 
@@ -169,64 +169,61 @@ impl Persistence {
     }
 }
 
-/// One live migration session: the accumulated signed-update history (the
-/// durable truth — `delta migrate` records append it, compaction folds it
-/// into one absolute `migrate` snapshot line) and the lazily (re)built
-/// differential chase engine maintaining the materialized target over it.
-#[derive(Default)]
-struct MigrationSession {
-    /// Every applied update token, in application order.
-    history: Vec<String>,
-    /// Content hash of the composed chain the engine was compiled against;
-    /// a recomposition with a different hash (mapping edited upstream)
-    /// forces a rebuild from the folded history.
-    chain_hash: u64,
-    /// The termination analysis of that chain, taken when the engine was
-    /// built: it picks the chase configuration and names the witness when a
-    /// batch is refused for not converging.
-    analysis: Option<AnalysisReport>,
-    /// The maintained engine. `None` until first use and after restart —
-    /// recovery replays `history` through a fresh full chase rather than
-    /// persisting derived state, so the oblivious chase's confluence makes
-    /// the rebuilt engine byte-identical to the one that was lost.
-    engine: Option<DifferentialChase>,
+/// One live migration session. Its only copy of the data is its net source
+/// (the durable truth: `delta migrate` records fold batches into it,
+/// compaction renders it as one absolute `migrate` snapshot line), held by
+/// its engine while it has one. Recovery rebuilds the engine over the net
+/// source rather than persisting derived state, so the oblivious chase's
+/// confluence makes it byte-identical to the one lost.
+enum MigrationSession {
+    /// The net source with no engine over it: before the first request
+    /// after a restart, on a follower, and after a refused batch.
+    Source(Instance),
+    /// The engine maintaining the target over the net source.
+    Engine {
+        engine: Box<DifferentialChase>,
+        /// Content hash of the composed chain the engine was compiled
+        /// against; a recomposition with a different hash (mapping edited
+        /// upstream) forces a rebuild over the engine's source.
+        chain_hash: u64,
+        /// The termination analysis of that chain, taken when the engine
+        /// was built: it picks the chase configuration and names the
+        /// witness when a batch is refused for not converging.
+        analysis: AnalysisReport,
+    },
 }
 
-/// Migration sessions restored from their persisted update histories. Each
-/// carries only its history; the engine (and the chain hash it was compiled
-/// for) is rebuilt lazily by the first `MigrateDelta` request.
-fn migration_sessions(
-    histories: BTreeMap<(String, String), Vec<String>>,
-) -> BTreeMap<(String, String), MigrationSession> {
-    histories
-        .into_iter()
-        .map(|(key, history)| (key, MigrationSession { history, ..Default::default() }))
-        .collect()
+impl Default for MigrationSession {
+    fn default() -> Self {
+        MigrationSession::Source(Instance::new())
+    }
 }
 
-/// Fold a persisted update history into the accumulated source instance.
-/// Each token's final effect on a tuple is set membership (present after a
-/// trailing `+`, absent after a trailing `-`), so replaying in file order
-/// reproduces the exact source the live session had — including across a
-/// duplicated suffix batch (a compaction snapshot racing the batch's own
-/// delta append), which replays to the same final state.
-fn fold_history(history: &[String]) -> Instance {
-    let mut source = Instance::new();
-    for token in history {
-        // Unparsable tokens (a corrupted sidecar line) are skipped, matching
-        // the loader's skip-malformed policy everywhere else.
-        if let Ok(update) = parse_update(token) {
-            match update.sign {
-                Sign::Insert => {
-                    source.insert(&update.rel, update.tuple);
-                }
-                Sign::Delete => {
-                    source.remove(&update.rel, &update.tuple);
-                }
-            }
+impl MigrationSession {
+    /// The session's net source, wherever it is held.
+    fn source(&self) -> &Instance {
+        match self {
+            MigrationSession::Source(source) => source,
+            MigrationSession::Engine { engine, .. } => engine.source(),
         }
     }
-    source
+
+    /// Move the net source out, dropping any engine over it.
+    fn take_source(&mut self) -> Instance {
+        match std::mem::take(self) {
+            MigrationSession::Source(source) => source,
+            MigrationSession::Engine { engine, .. } => engine.into_source(),
+        }
+    }
+}
+
+/// Migration sessions restored from their persisted net sources. Each
+/// carries only its source; the engine (and the chain hash it was compiled
+/// for) is rebuilt lazily by the first `MigrateDelta` request.
+fn migration_sessions(
+    sources: BTreeMap<(String, String), Instance>,
+) -> BTreeMap<(String, String), MigrationSession> {
+    sources.into_iter().map(|(key, source)| (key, MigrationSession::Source(source))).collect()
 }
 
 /// Pre-registered metric handles for one request kind, so the per-request
@@ -333,7 +330,7 @@ impl LocalService {
 
     /// The one constructor: an in-memory service over `catalog` whose memo
     /// cache is warmed from the sidecar `state` and whose migration sessions
-    /// hold its histories. A follower serves its replica through this
+    /// hold its net sources. A follower serves its replica through this
     /// directly (the replication stream owns its on-disk artifacts);
     /// [`LocalService::open_with_policy`] binds the result to disk.
     pub(crate) fn restored(
@@ -415,12 +412,12 @@ impl LocalService {
     /// position `position`: the catalog document and the sidecar — the
     /// `generation` header, the [`mapcomp_catalog::save_state`] versions,
     /// statistics and memo entries, then one absolute `migrate` line per
-    /// migration history — plus the sidecar's [`LineIndex`] and the cache
-    /// statistics it records. Every snapshot goes through here:
-    /// compaction, snapshot bootstrap and a follower's shutdown. Histories
-    /// are updated before their delta records are appended, so the
-    /// rendering covers every `delta migrate` line a rewrite is about to
-    /// discard.
+    /// migration session with a non-empty net source — plus the sidecar's
+    /// [`LineIndex`] and the cache statistics it records. Every snapshot
+    /// goes through here: compaction, snapshot bootstrap and a follower's
+    /// shutdown. Sources are updated before their delta records are
+    /// appended, so the rendering covers every `delta migrate` line a
+    /// rewrite is about to discard.
     pub fn render_snapshot(&self, position: Position) -> (String, String, LineIndex, CacheStats) {
         let catalog = self.session.catalog().snapshot();
         let cache = self.session.cache().collect();
@@ -431,28 +428,31 @@ impl LocalService {
         for ((from, to), session) in
             self.migrations.lock().unwrap_or_else(PoisonError::into_inner).iter()
         {
-            if !session.history.is_empty() {
-                sidecar.push_str(&render_migration_snapshot(from, to, &session.history));
+            let source = session.source();
+            if source.total_tuples() > 0 {
+                sidecar.push_str(&render_migration_snapshot(from, to, source));
                 sidecar.push('\n');
             }
         }
         (catalog.to_document_string(), sidecar, lines, cache.stats())
     }
 
-    /// Append one replicated migration batch to its session's history (a
+    /// Fold one replicated migration batch into its session's net source (a
     /// follower applying a streamed `delta migrate` record; a follower
-    /// refuses `MigrateDelta`, so it never builds an engine).
-    pub(crate) fn extend_migration(&self, from: &str, to: &str, updates: &[String]) {
+    /// refuses `MigrateDelta`, so it holds no engine to keep current).
+    pub(crate) fn extend_migration(&self, from: &str, to: &str, updates: &[Update]) {
         let mut sessions = self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
-        let key = (from.to_string(), to.to_string());
-        sessions.entry(key).or_default().history.extend_from_slice(updates);
+        let session = sessions.entry((from.to_string(), to.to_string())).or_default();
+        let mut source = session.take_source();
+        fold_updates(&mut source, updates);
+        *session = MigrationSession::Source(source);
     }
 
-    /// Replace every migration session with `histories` (a follower
-    /// adopting a snapshot bootstrap).
-    pub(crate) fn replace_migrations(&self, histories: BTreeMap<(String, String), Vec<String>>) {
+    /// Replace every migration session with the net `sources` a snapshot
+    /// bootstrap's `migrate` lines fold to (a follower adopting it).
+    pub(crate) fn replace_migrations(&self, sources: BTreeMap<(String, String), Instance>) {
         *self.migrations.lock().unwrap_or_else(PoisonError::into_inner) =
-            migration_sessions(histories);
+            migration_sessions(sources);
     }
 
     /// Fold the sidecar log back into snapshot form: rewrite the catalog
@@ -1113,58 +1113,40 @@ impl LocalService {
     ) -> Result<T, ServiceError> {
         let parsed = parse_updates(updates)
             .map_err(|error| ServiceError::parse(format!("bad update: {error}")))?;
-        // Canonical tokens, not the caller's spelling: the history
-        // must replay through `parse_update` byte-for-byte.
-        let tokens: Vec<String> = parsed.iter().map(mapcomp_compose::Update::render).collect();
-        let (full, target_sig) = chain.chase_signatures().map_err(|error| {
-            ServiceError::protocol(format!("conflicting chain signatures: {error}"))
-        })?;
         // Serialise the engine apply and the delta append, so they
         // land in the same order per session (replaying the log
-        // must fold updates in application order). Everything
+        // must fold batches in application order). Everything
         // above is request-local: a malformed batch or an unknown
         // schema is refused without waiting behind other batches.
         let _order = self.migrate_order.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let payload = {
             let mut sessions = self.migrations.lock().unwrap_or_else(PoisonError::into_inner);
             let migration = sessions.entry((from.clone(), to.clone())).or_default();
-            if migration.engine.is_none() || migration.chain_hash != chain.hash {
-                // First request, restart recovery, or an upstream
-                // mapping edit: fold the persisted history into the
-                // accumulated source and chase it cold. Confluence
-                // makes the rebuilt engine byte-identical to the
-                // incrementally maintained one it replaces.
-                let constraints = chain.mapping.constraints.as_slice();
-                let analysis = mapcomp_catalog::analyze_exchange(constraints, &full, &target_sig);
-                migration.engine = Some(DifferentialChase::new(
-                    constraints,
-                    &full,
-                    &target_sig,
-                    fold_history(&migration.history),
-                    self.session.registry(),
-                    &self.session.config().chase_config(Some(&analysis)),
-                ));
-                migration.analysis = Some(analysis);
-                migration.chain_hash = chain.hash;
-            }
-            let engine = migration.engine.as_mut().expect("engine was just built");
-            let report = engine.apply(&parsed).map_err(ServiceError::protocol)?;
+            let report = match migration {
+                MigrationSession::Engine { engine, chain_hash, .. }
+                    if *chain_hash == chain.hash =>
+                {
+                    engine.apply_or_undo(&parsed).map_err(ServiceError::protocol)?
+                }
+                _ => self.build_engine(migration, chain, &parsed)?,
+            };
+            let MigrationSession::Engine { engine, analysis, .. } = migration else {
+                unreachable!("a batch that was not refused ran on an engine")
+            };
             if !engine.converged() {
-                // Never apply, persist or serve a truncated chase:
-                // drop the engine so the next request rebuilds it
-                // from the unchanged history.
-                migration.engine = None;
-                let verdict = migration.analysis.as_ref().expect("analyzed with the engine");
+                // Never apply, persist or serve a truncated chase: the
+                // engine took the batch back out of its source, which the
+                // session keeps, and the next request rebuilds over it.
+                let verdict = analysis.termination.summary();
+                *migration = MigrationSession::Source(migration.take_source());
                 return Err(ServiceError::new(
                     ErrorCode::Nonterminating,
                     format!(
                         "the chase from `{from}` to `{to}` did not reach a fixpoint \
-                         within its limits; batch refused ({})",
-                        verdict.termination.summary()
+                         within its limits; batch refused ({verdict})"
                     ),
                 ));
             }
-            migration.history.extend(tokens.iter().cloned());
             let payload = MigratePayload {
                 from: from.clone(),
                 to: to.clone(),
@@ -1183,8 +1165,51 @@ impl LocalService {
             // The migrations leaf lock drops here, *before* the
             // append below waits on the persistence mutex.
         };
-        self.persist_change(vec![DeltaRecord::Migrate { from, to, updates: tokens }], "")?;
+        self.persist_change(vec![DeltaRecord::Migrate { from, to, updates: parsed }], "")?;
         Ok(payload)
+    }
+
+    /// Build `migration`'s engine over `chain` and apply `batch` with it.
+    /// The session holds the engine afterwards, unless a malformed first
+    /// batch left nothing to build it over. A session holding a net source (restored after a restart, or moved
+    /// out of the engine an upstream edit outdated) is chased cold and then
+    /// takes the batch; a session without one takes the batch as its
+    /// initial source ([`DifferentialChase::with_batch`]). Confluence makes
+    /// either engine byte-identical to one maintained incrementally.
+    fn build_engine(
+        &self,
+        migration: &mut MigrationSession,
+        chain: &ComposedChain,
+        batch: &[Update],
+    ) -> Result<mapcomp_compose::DeltaReport, ServiceError> {
+        let (full, target_sig) = chain.chase_signatures().map_err(|error| {
+            ServiceError::protocol(format!("conflicting chain signatures: {error}"))
+        })?;
+        let constraints = chain.mapping.constraints.as_slice();
+        let analysis = mapcomp_catalog::analyze_exchange(constraints, &full, &target_sig);
+        let config = self.session.config().chase_config(Some(&analysis));
+        let registry = self.session.registry();
+        let source = migration.take_source();
+        let (engine, report) = if source.total_tuples() == 0 {
+            let built = DifferentialChase::with_batch(
+                constraints,
+                &full,
+                &target_sig,
+                batch,
+                registry,
+                &config,
+            );
+            let (engine, report) = built.map_err(ServiceError::protocol)?;
+            (engine, Ok(report))
+        } else {
+            let mut engine =
+                DifferentialChase::new(constraints, &full, &target_sig, source, registry, &config);
+            let report = engine.apply_or_undo(batch).map_err(ServiceError::protocol);
+            (engine, report)
+        };
+        let engine = Box::new(engine);
+        *migration = MigrationSession::Engine { engine, chain_hash: chain.hash, analysis };
+        report
     }
 }
 

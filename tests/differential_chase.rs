@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 use mapping_composition::algebra::Tuple;
 use mapping_composition::compose::{render_instance, DifferentialChase, ExchangeConfig, Update};
 use mapping_composition::prelude::*;
-use mapping_composition::service::{encode_reply, sidecar_path, PersistPolicy};
+use mapping_composition::service::{encode_reply, sidecar_path, MigratePayload, PersistPolicy};
 
 fn registry() -> Registry {
     Registry::standard()
@@ -699,6 +699,118 @@ fn served_migrate_frames_match_the_typed_reply_encoding() {
     }
     let batches = 8 * (documents.len() + 3);
     assert!(nonempty * 2 > batches, "only {nonempty} of {batches} batches migrated rows");
+}
+
+/// What a fresh session's first batch replied before the batch built the
+/// engine: an engine over the empty source, under the configuration the
+/// service chases the chain with, applying the batch. A chase that stops
+/// short of a fixpoint is refused; any other failure is compared by code.
+fn replayed_first_reply(
+    service: &LocalService,
+    from: &str,
+    to: &str,
+    batch: &[Update],
+) -> Result<MigratePayload, ErrorCode> {
+    let chain = service.session().compose_path(from, to).map_err(|e| ServiceError::from(e).code)?;
+    let (full, target) = chain.chain.chase_signatures().map_err(|_| ErrorCode::Protocol)?;
+    let constraints = chain.chain.mapping.constraints.as_slice();
+    let analysis = mapping_composition::catalog::analyze_exchange(constraints, &full, &target);
+    let mut engine = DifferentialChase::new(
+        constraints,
+        &full,
+        &target,
+        Instance::new(),
+        service.session().registry(),
+        &SessionConfig::default().chase_config(Some(&analysis)),
+    );
+    let report = engine.apply(batch).map_err(|_| ErrorCode::Protocol)?;
+    if !engine.converged() {
+        return Err(ErrorCode::Nonterminating);
+    }
+    Ok(MigratePayload {
+        from: from.into(),
+        to: to.into(),
+        applied: report.applied,
+        inserted: report.inserted,
+        deleted: report.deleted,
+        retracted: report.retracted,
+        rederived: report.rederived,
+        fallback: report.fallback,
+        source_rows: engine.source().total_tuples(),
+        target_rows: engine.target().total_tuples(),
+        support_entries: engine.support().len(),
+        target: engine.rendered_target(),
+    })
+}
+
+#[test]
+fn a_first_batch_builds_the_engine_with_the_reply_an_empty_engine_gives() {
+    // Every corpus chain and sixty evolution chains, each sent one first
+    // batch: a seeded source, random rows (some repeated, some inserted and
+    // deleted again) and the delete of a row that is absent. The session
+    // builds its engine over the batch; the reply must be the one an empty
+    // engine applying the batch gives, refusals and fallbacks included.
+    let mut chains: Vec<(String, Catalog, String, String)> =
+        mapping_composition::corpus::problems()
+            .into_iter()
+            .map(|problem| {
+                let (catalog, from, to) = document_chain(problem.text);
+                (problem.id.to_string(), catalog, from, to)
+            })
+            .collect();
+    assert_eq!(chains.len(), 22, "the corpus chains");
+    for seed in 1..=60 {
+        let config =
+            ScenarioConfig { schema_size: 6, edits: 12, seed, ..ScenarioConfig::default() };
+        let replay = replay_editing(&config).unwrap();
+        let to = format!("v{}", replay.edits);
+        let catalog = replay.session.catalog().snapshot();
+        chains.push((format!("evolution seed {seed}"), catalog, "v0".into(), to));
+    }
+    let (mut served, mut fallbacks, mut refused) = (0, 0, 0);
+    for (index, (label, catalog, from, to)) in chains.iter().enumerate() {
+        // Evolution chains carry unchanged relations through to the target,
+        // and a target relation takes no updates.
+        let target = catalog.schema(to).unwrap().signature.clone();
+        let mut source_sig = Signature::new();
+        for (name, info) in catalog.schema(from).unwrap().signature.iter() {
+            if !target.contains(name) {
+                source_sig.add(name.to_string(), info.clone());
+            }
+        }
+        let rels: Vec<(String, usize)> =
+            source_sig.iter().map(|(name, info)| (name.to_string(), info.arity)).collect();
+        let Some((first_rel, first_arity)) = rels.first().cloned() else { continue };
+        let mut rng = StdRng::seed_from_u64(0xF125 + index as u64);
+        let mut batch: Vec<Update> = seed_source(&source_sig, 2)
+            .relations()
+            .flat_map(|(rel, rows)| rows.iter().map(move |row| Update::insert(rel, row.clone())))
+            .collect();
+        let mut inserted = Vec::new();
+        for _ in 0..3 {
+            batch.extend(random_wire_batch(&mut rng, &rels, &mut inserted));
+        }
+        batch.push(Update::delete(first_rel, vec![Value::Int(99); first_arity]));
+        let service = LocalService::new(catalog.clone(), 1);
+        let reply = match service.call(Request::MigrateDelta {
+            from: from.clone(),
+            to: to.clone(),
+            updates: batch.iter().map(Update::render).collect(),
+        }) {
+            Ok(Response::Migrated(payload)) => Ok(payload),
+            Ok(other) => panic!("{label}: expected a migrated reply: {other:?}"),
+            Err(error) => Err(error.code),
+        };
+        assert_eq!(reply, replayed_first_reply(&service, from, to, &batch), "{label}");
+        match reply {
+            Ok(payload) => {
+                served += 1;
+                fallbacks += usize::from(payload.fallback);
+            }
+            Err(code) => refused += usize::from(code == ErrorCode::Nonterminating),
+        }
+    }
+    assert!(served > 40 && fallbacks > 0 && refused > 0, "{served} {fallbacks} {refused}");
 }
 
 fn temp_catalog(tag: &str) -> std::path::PathBuf {

@@ -528,6 +528,36 @@ fn migrate_sessions_survive_kill_restart_and_compaction() {
     cleanup(&file);
 }
 
+#[test]
+fn an_application_order_migrate_line_restores_its_net_source() {
+    // A sidecar written before snapshot lines held the net source: its
+    // `migrate` line is the session's whole history in application order,
+    // deletes included, and a positionless batch record follows it.
+    let file = temp_catalog("legacy_migrate");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file);
+    service.call(Request::AddDocument { text: chain_document(3) }).unwrap();
+    service.call(Request::Compact).unwrap();
+    drop(service);
+    let mut text = std::fs::read_to_string(&sidecar).unwrap();
+    text.push_str("migrate v0 v2 +R0(1) +R0(2) -R0(1) +R0(3) +R0(1) -R0(3) +R0(5)\n");
+    text.push_str("delta migrate v0 v2 -R0(5) +R0(6)\n");
+    std::fs::write(&sidecar, text).unwrap();
+
+    let reopened = open(&file);
+    let restored = migrate(&reopened, "v0", "v2", &[]);
+    assert_eq!(restored.source_rows, 3, "the net source is {{R0(1), R0(2), R0(6)}}");
+    reopened.call(Request::Compact).unwrap();
+    let compacted = std::fs::read_to_string(&sidecar).unwrap();
+    let lines: Vec<&str> = compacted.lines().filter(|line| line.starts_with("migrate ")).collect();
+    assert_eq!(lines, ["migrate v0 v2 +R0(1) +R0(2) +R0(6)"], "{compacted}");
+    drop(reopened);
+    let oracle =
+        cold_migration_target("legacy_migrate_oracle", 3, "v2", &["+R0(1)", "+R0(2)", "+R0(6)"]);
+    assert_eq!(restored.target, oracle, "the restored target equals a cold re-chase");
+    cleanup(&file);
+}
+
 // ---------------------------------------------------------------------------
 // A read never writes: memo hits append nothing, publish nothing and leave
 // their counters in memory. A kill may lose exactly those counters (and LRU

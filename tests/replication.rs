@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use mapping_composition::catalog::{
     load_sidecar, parse_positioned_delta, Catalog, Position, SessionConfig, VersionManifest,
 };
-use mapping_composition::compose::Registry;
+use mapping_composition::compose::{Registry, Update};
 use mapping_composition::service::{
     sidecar_path, Client, ErrorCode, EventServer, Follower, LocalService, MapcompService as _,
     PersistPolicy, Request, Response,
@@ -145,11 +145,19 @@ fn migrate(service: &LocalService, from: &str, to: &str, updates: &[&str]) {
     }
 }
 
-/// The migration histories a catalog's sidecar file records.
+/// The net source of every migration session a catalog's sidecar file
+/// records, as insert tokens in canonical order.
 fn sidecar_migrations(
     file: &std::path::Path,
 ) -> std::collections::BTreeMap<(String, String), Vec<String>> {
-    load_sidecar(&std::fs::read_to_string(sidecar_path(file)).expect("sidecar")).migrations
+    let state = load_sidecar(&std::fs::read_to_string(sidecar_path(file)).expect("sidecar"));
+    let tokens = |source: mapping_composition::algebra::Instance| {
+        let rows = source.relations().flat_map(|(rel, relation)| {
+            relation.iter().map(move |row| Update::insert(rel, row.clone()).render())
+        });
+        rows.collect()
+    };
+    state.migrations.into_iter().map(|(key, source)| (key, tokens(source))).collect()
 }
 
 fn chain_document(hops: usize) -> String {
@@ -432,6 +440,47 @@ fn follower_restart_and_shutdown_keep_every_migration_history() {
             leader_histories,
             "the follower's shutdown snapshot must keep every migration history"
         );
+    });
+    cleanup(&follower_file);
+}
+
+#[test]
+fn leader_and_follower_snapshots_carry_identical_migrate_lines() {
+    let _serial = serial();
+    let follower_file = temp_catalog("migrate_lines_follower");
+    with_leader("migrate_lines", |leader, addr| {
+        add(leader, &chain_document(2));
+        // Before the follower exists: these reach it in the snapshot
+        // bootstrap's `migrate` line.
+        migrate(leader, "v0", "v2", &["+R0(1)", "+R0(2)", "+R0(3)"]);
+        migrate(leader, "v0", "v2", &["-R0(1)"]);
+        migrate(leader, "v0", "v2", &["+R0(4)"]);
+        let follower = open_follower(&follower_file, addr);
+        with_running_follower(&follower, || {
+            await_convergence(leader, &follower, Duration::from_secs(10));
+            // Streamed batches, deletes included. A `+t` and a `-t` in one
+            // batch cancel, whether `t` was present or absent before.
+            let stream: [&[&str]; 5] = [
+                &["-R0(2)", "+R0(2)"],
+                &["+R0(9)", "-R0(9)"],
+                &["-R0(3)", "+R0(5)"],
+                &["+R0(1)"],
+                &["+R0(4)", "-R0(4)"],
+            ];
+            for batch in stream {
+                migrate(leader, "v0", "v2", batch);
+            }
+            await_convergence(leader, &follower, Duration::from_secs(10));
+            assert_eq!(follower.service().call(Request::Shutdown).unwrap(), Response::ShuttingDown);
+        });
+        leader.call(Request::Compact).unwrap();
+        let migrate_lines = |file: &std::path::Path| -> Vec<String> {
+            let text = std::fs::read_to_string(sidecar_path(file)).unwrap();
+            text.lines().filter(|line| line.starts_with("migrate ")).map(String::from).collect()
+        };
+        let leader_lines = migrate_lines(&temp_catalog_path("migrate_lines_leader"));
+        assert_eq!(leader_lines, ["migrate v0 v2 +R0(1) +R0(2) +R0(4) +R0(5)"]);
+        assert_eq!(migrate_lines(&follower_file), leader_lines, "follower vs leader");
     });
     cleanup(&follower_file);
 }

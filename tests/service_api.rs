@@ -22,6 +22,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use mapping_composition::catalog::Position;
 use mapping_composition::prelude::*;
 use mapping_composition::service::{EventServer, PersistPolicy, StatsPayload};
 
@@ -345,6 +346,35 @@ fn truncated_migration_is_never_served_as_complete() {
     let after = migrate(&service, "src", "dst", &[]).unwrap();
     assert_eq!(after.target, before.target);
     assert_eq!(after.source_rows, 1);
+
+    // The next valid batch builds on the source without the refused tuple:
+    // its target, and the `migrate` line the next compaction writes, are
+    // those of a cold chase over that net source.
+    let next = migrate(&service, "src", "dst", &["+Q(6)"]).unwrap();
+    let chain = service.session().compose_path("src", "dst").unwrap().chain;
+    let (full, target) = chain.chase_signatures().unwrap();
+    let analysis = mapping_composition::catalog::analyze_exchange(
+        chain.mapping.constraints.as_slice(),
+        &full,
+        &target,
+    );
+    let mut net = Instance::new();
+    net.insert("Q", vec![Value::Int(5)]);
+    net.insert("Q", vec![Value::Int(6)]);
+    let cold = DifferentialChase::new(
+        chain.mapping.constraints.as_slice(),
+        &full,
+        &target,
+        net,
+        service.session().registry(),
+        &SessionConfig::default().chase_config(Some(&analysis)),
+    );
+    assert!(cold.converged());
+    assert_eq!(next.target, cold.rendered_target());
+    assert_eq!(next.source_rows, 2);
+    let (_, sidecar, _, _) = service.render_snapshot(Position::new(1, 0));
+    let lines: Vec<&str> = sidecar.lines().filter(|line| line.starts_with("migrate ")).collect();
+    assert_eq!(lines, ["migrate src dst +Q(5) +Q(6)"], "{sidecar}");
 
     // A terminating chain is served byte-identically to a cold engine
     // under the served configuration.
