@@ -35,9 +35,9 @@ use mapcomp_bench::{
     chain_cache_experiment, chase_scaling_experiment, concurrent_sessions_experiment,
     connection_sweep_experiment, corpus_report, differential_update_experiment,
     differential_violations, edit_count_sweep, editing_experiment, inclusion_sweep,
-    persistence_experiment, persistence_violations, replication_catchup_experiment,
-    replication_read_experiment, residual_chain_point, schema_size_sweep,
-    service_throughput_experiment,
+    long_chain_experiment, long_chain_violations, persistence_experiment, persistence_violations,
+    provenance_violations, replication_catchup_experiment, replication_read_experiment,
+    residual_chain_point, schema_size_sweep, service_throughput_experiment,
     trajectory::{format_row, parse_scale, BenchDoc, BenchValue},
     ChainCachePoint, Configuration, Scale, ThroughputPoint, FIGURE5_PRIMITIVES,
     RESIDUAL_CHAIN_SEED, SWEEP_CPU_WORKERS,
@@ -344,11 +344,18 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("memo_nodes", point.memo_nodes.into()),
             ("memo_sidecar_bytes", point.memo_sidecar_bytes.into()),
             ("memo_name_allocs", point.memo_name_allocs.into()),
+            ("memo_index_refs", point.memo_index_refs.into()),
+            ("memo_path_refs", point.memo_path_refs.into()),
         ]
     };
+    let points = chain_cache_experiment(scale, 8000);
+    let point = residual_chain_point();
+    doc.violations = provenance_violations(points.iter().chain([&point]).map(|point| {
+        (point.chain_len, point.memo_entries, point.memo_index_refs, point.memo_path_refs)
+    }));
     doc.push_table(
         "[Figure 8] catalog chains: incremental vs. cold recomposition after one edit",
-        chain_cache_experiment(scale, 8000).iter().map(|point| {
+        points.iter().map(|point| {
             let mut fields = vec![
                 ("links", point.chain_len.into()),
                 ("cold_calls", point.cold_calls.into()),
@@ -362,7 +369,6 @@ fn figure_8(scale: Scale) -> BenchDoc {
             fields
         }),
     );
-    let point = residual_chain_point();
     let mut fields = vec![
         ("links", point.chain_len.into()),
         ("residual_symbols", point.residual_symbols.into()),
@@ -379,6 +385,23 @@ fn figure_8(scale: Scale) -> BenchDoc {
             "residual chain (seed {RESIDUAL_CHAIN_SEED}): ELIMINATE runs and unchanged-residual skips"
         ),
         [fields],
+    );
+    let long = long_chain_experiment(scale);
+    doc.violations.extend(long_chain_violations(&long));
+    doc.push_table(
+        "long chains of copy links: provenance cost per memo entry, and dropping every prefix",
+        long.iter().map(|point| {
+            vec![
+                ("links", point.links.into()),
+                ("cold_calls", point.cold_calls.into()),
+                ("cold_ms", BenchValue::millis(point.cold_time)),
+                ("memo_index_refs", point.memo_index_refs.into()),
+                ("memo_path_refs", point.memo_path_refs.into()),
+                ("memo_sidecar_bytes", point.memo_sidecar_bytes.into()),
+                ("invalidated", point.invalidated.into()),
+                ("invalidate_ms", BenchValue::millis(point.invalidate_time)),
+            ]
+        }),
     );
     doc
 }

@@ -451,6 +451,14 @@ pub struct ChainCachePoint {
     /// recompose ([`memo_name_allocs`]): at most one per mapping and schema
     /// of the chain when every segment shares the catalog's names.
     pub memo_name_allocs: usize,
+    /// Live memo entries after the incremental recompose.
+    pub memo_entries: usize,
+    /// References the memo's dependency index holds after the incremental
+    /// recompose: two per entry composed from two inputs.
+    pub memo_index_refs: usize,
+    /// Name references the memo's paths hold after the incremental
+    /// recompose, a path node shared by several entries counted once.
+    pub memo_path_refs: usize,
 }
 
 /// Chain lengths measured per scale.
@@ -548,6 +556,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
     let memo_sidecar_bytes = mapcomp_catalog::save_cache(&session.cache().collect()).len();
     let memo_name_allocs = memo_name_allocs(session.cache());
+    let cache = session.cache();
 
     Some(ChainCachePoint {
         chain_len: path.len(),
@@ -567,7 +576,144 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
         memo_nodes,
         memo_sidecar_bytes,
         memo_name_allocs,
+        memo_entries: cache.len(),
+        memo_index_refs: cache.index_refs(),
+        memo_path_refs: cache.path_refs(),
     })
+}
+
+/// Figure 8's provenance bound, violated where a point's memo holds more
+/// than two dependency-index or path-name references per entry.
+pub fn provenance_violations(
+    points: impl IntoIterator<Item = (usize, usize, usize, usize)>,
+) -> Vec<String> {
+    points
+        .into_iter()
+        .filter(|&(_, entries, index_refs, path_refs)| {
+            index_refs > 2 * entries || path_refs > 2 * entries
+        })
+        .map(|(links, entries, index_refs, path_refs)| {
+            format!(
+                "{links} links: {index_refs} index and {path_refs} path references for \
+                 {entries} memo entries (at most two each per entry)"
+            )
+        })
+        .collect()
+}
+
+/// One point of Figure 8's long-chain table: a chain of copy mappings
+/// folded cold, its memo's provenance cost, and the invalidation of its
+/// first link.
+#[derive(Debug, Clone)]
+pub struct LongChainPoint {
+    /// Links in the chain.
+    pub links: usize,
+    /// Pairwise compositions of the cold fold (links − 1).
+    pub cold_calls: usize,
+    /// Wall-clock time of the cold fold.
+    pub cold_time: Duration,
+    /// Live memo entries after the fold: one per prefix.
+    pub memo_entries: usize,
+    /// References the dependency index holds after the fold.
+    pub memo_index_refs: usize,
+    /// Path-name references the memo holds after the fold.
+    pub memo_path_refs: usize,
+    /// Bytes of the memo's sidecar snapshot after the fold.
+    pub memo_sidecar_bytes: usize,
+    /// Entries invalidating the first link drops: every prefix.
+    pub invalidated: usize,
+    /// Wall-clock time of that invalidation.
+    pub invalidate_time: Duration,
+}
+
+/// Long-chain lengths per scale: two, the second twice the first, so the
+/// table shows how each cost grows with the chain.
+pub fn long_chain_lengths(scale: Scale) -> Vec<usize> {
+    match scale {
+        Scale::Smoke => vec![32, 64],
+        Scale::Quick => vec![128, 256],
+        Scale::Paper => vec![512, 1024],
+    }
+}
+
+/// The catalog `s0 -> s1 -> … -> s{links}` of unary copy mappings `m{i}`.
+fn copy_chain_session(links: usize) -> mapcomp_catalog::SharedSession {
+    let mut catalog = mapcomp_catalog::Catalog::new();
+    for i in 0..=links {
+        let signature = mapcomp_algebra::Signature::from_arities([(format!("R{i}"), 1)]);
+        catalog.add_schema(format!("s{i}"), signature);
+    }
+    for i in 0..links {
+        let constraints = mapcomp_algebra::parse_constraints(&format!("R{i} <= R{}", i + 1))
+            .expect("a copy constraint parses");
+        catalog
+            .add_mapping(format!("m{i}"), &format!("s{i}"), &format!("s{}", i + 1), constraints)
+            .expect("a copy mapping registers");
+    }
+    mapcomp_catalog::SharedSession::new(catalog)
+}
+
+/// Run Figure 8's long-chain table.
+pub fn long_chain_experiment(scale: Scale) -> Vec<LongChainPoint> {
+    long_chain_lengths(scale)
+        .into_iter()
+        .map(|links| {
+            let session = copy_chain_session(links);
+            let started = std::time::Instant::now();
+            let cold = session.compose_path("s0", &format!("s{links}")).expect("the chain folds");
+            let cold_time = started.elapsed();
+            let cache = session.cache();
+            let (memo_entries, memo_index_refs, memo_path_refs) =
+                (cache.len(), cache.index_refs(), cache.path_refs());
+            let memo_sidecar_bytes = mapcomp_catalog::save_cache(&cache.collect()).len();
+            let started = std::time::Instant::now();
+            let invalidated = session.invalidate("m0");
+            LongChainPoint {
+                links,
+                cold_calls: cold.compose_calls,
+                cold_time,
+                memo_entries,
+                memo_index_refs,
+                memo_path_refs,
+                memo_sidecar_bytes,
+                invalidated,
+                invalidate_time: started.elapsed(),
+            }
+        })
+        .collect()
+}
+
+/// The long-chain table's own invariants: the provenance bound, every
+/// prefix invalidated, and sidecar bytes growing linearly in the links —
+/// doubling the chain at most doubles the bytes per link, give or take a
+/// tenth for the longer names.
+pub fn long_chain_violations(points: &[LongChainPoint]) -> Vec<String> {
+    let mut violations = provenance_violations(points.iter().map(|point| {
+        (point.links, point.memo_entries, point.memo_index_refs, point.memo_path_refs)
+    }));
+    for point in points.iter().filter(|point| point.invalidated != point.links - 1) {
+        violations.push(format!(
+            "{} links: invalidating the first link dropped {} of {} entries",
+            point.links,
+            point.invalidated,
+            point.links - 1
+        ));
+    }
+    for pair in points.windows(2) {
+        let (short, long) = (&pair[0], &pair[1]);
+        let per_link =
+            |point: &LongChainPoint| point.memo_sidecar_bytes as f64 / point.links as f64;
+        if per_link(long) > 1.1 * per_link(short) {
+            violations.push(format!(
+                "sidecar bytes per link grow from {:.0} ({} links) to {:.0} ({} links)",
+                per_link(short),
+                short.links,
+                per_link(long),
+                long.links
+            ));
+        }
+    }
+    violations
 }
 
 /// The distinct name allocations (by [`std::sync::Arc::as_ptr`]) across

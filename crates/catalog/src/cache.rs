@@ -10,16 +10,27 @@
 //! along (its provenance, in the spirit of Grahne & Thomo's annotated
 //! rewritings), and [`MemoCache::invalidate`] drops exactly the entries
 //! whose provenance mentions an edited mapping, leaving unrelated prefixes
-//! warm. The dependency index keys the segments' own shared names and keeps
-//! one hash set of entry keys per name, so an invalidation, eviction or
-//! removal touches only the entries concerned: unindexing an entry costs
-//! one constant-time removal per name of its provenance.
+//! warm.
+//!
+//! The dependency index records how entries were derived, as bdbms tracks
+//! dependencies between derived items: an entry is indexed under its two
+//! direct inputs only — a link under the link's name, so an edit finds the
+//! entries built on any version of it, and a memoised segment under that
+//! segment's hash. An invalidation walks these derivation edges from the
+//! edited mapping, so it costs a constant amount of index work per entry it
+//! drops, and an entry's provenance costs two index references whatever
+//! the length of its chain. An entry whose derivation is unknown (a path
+//! loaded whole, an explicit provenance) is indexed under each of its
+//! provenance names instead.
 //!
 //! Within a long session the cache can also be given a capacity
 //! ([`MemoCache::with_capacity`]): once the number of live entries would
 //! exceed it, the least-recently-used entry is evicted (and counted in
 //! [`CacheStats::evictions`]). Losing an entry costs one recomposition,
-//! never correctness.
+//! never correctness. An evicted entry that other entries were composed
+//! from keeps its derivation edges in the index, as a *kept* entry, until
+//! its last consumer leaves, so an invalidation of its inputs still reaches
+//! them.
 //!
 //! Statistics are cumulative across sidecar persistence and are kept in two
 //! parts: a *restored baseline* (the counters carried over from a persisted
@@ -30,24 +41,32 @@
 //! already includes, no matter how many restore/flush cycles one process
 //! performs.
 //!
-//! For concurrent sessions, [`ShardedMemoCache`] stripes the same structure
-//! across per-segment mutexes (segment = hash of the memo key), so parallel
-//! workers composing disjoint chains rarely contend; [`ShardedMemoCache::stats`]
-//! merges the per-segment counters while holding every segment lock, so the
-//! merged snapshot is atomic. The chain driver reaches it through the
-//! [`ChainCache`] shared-reference trait.
+//! For concurrent sessions, [`ShardedMemoCache`] stripes the entries across
+//! per-segment mutexes (segment = hash of the memo key), so parallel
+//! workers composing disjoint chains rarely contend on a lookup; the stripes
+//! share one dependency index, which an insertion takes after its stripe.
+//! [`ShardedMemoCache::stats`] merges the per-segment counters while
+//! holding every segment lock, so the merged snapshot is atomic. The chain
+//! driver reaches it through the [`ChainCache`] shared-reference trait.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{hash_map, BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mapcomp_telemetry::metrics::{global, Counter};
 
-use crate::chain::ComposedChain;
+use crate::chain::{ChainSegment, ComposedChain, SegmentPath};
 use crate::hash::combine;
 use crate::store::Name;
 
 /// Key of one memoised pairwise composition.
 pub type MemoKey = (u64, u64, u64);
+
+/// The hash of the segment memoised under `key`: the chain driver's segment
+/// hash, and the hash a consumer's key names it by.
+fn segment_hash(key: &MemoKey) -> u64 {
+    combine(&[key.0, key.1, key.2])
+}
 
 /// One cached pairwise composition plus its provenance.
 #[derive(Debug, Clone)]
@@ -140,15 +159,239 @@ pub trait ChainCache {
     fn cache_insert(&self, key: MemoKey, chain: ComposedChain);
 }
 
+/// What a memo entry was composed from, as the dependency index keys it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Input {
+    /// A catalog mapping, by name: every version of it.
+    Link(Name),
+    /// A memoised segment, by hash.
+    Segment(u64),
+}
+
+/// The inputs the entry `chain` under `key` is indexed under, without
+/// repeats: its two direct inputs when its path records how it was
+/// composed, else each name of its provenance. An explicit provenance is
+/// indexed by name even then: it may name mappings no input shows.
+fn inputs_of(key: &MemoKey, chain: &ChainSegment) -> Vec<Input> {
+    match chain.path.halves().filter(|_| chain.provenance.is_none()) {
+        Some((left, right)) => {
+            let side = |path: &SegmentPath, hash: u64| match path.as_link() {
+                Some(name) => Input::Link(name.clone()),
+                None => Input::Segment(hash),
+            };
+            let mut inputs = vec![side(left, key.0), side(right, key.1)];
+            inputs.dedup();
+            inputs
+        }
+        None => {
+            let names: BTreeSet<&Name> = chain.dependencies().collect();
+            names.into_iter().map(|name| Input::Link(name.clone())).collect()
+        }
+    }
+}
+
+/// The keys of the entries composed from one input: one inline, more in a
+/// vector.
+#[derive(Debug, Clone)]
+enum Consumers {
+    One(MemoKey),
+    Many(Vec<MemoKey>),
+}
+
+impl Consumers {
+    fn keys(&self) -> &[MemoKey] {
+        match self {
+            Consumers::One(key) => std::slice::from_ref(key),
+            Consumers::Many(keys) => keys,
+        }
+    }
+
+    /// Add `key`, which is not among the keys yet: an entry is linked to
+    /// each of its inputs once.
+    fn push(&mut self, key: MemoKey) {
+        match self {
+            Consumers::One(first) => *self = Consumers::Many(vec![*first, key]),
+            Consumers::Many(keys) => keys.push(key),
+        }
+    }
+
+    /// Take `key` out; returns whether no key is left.
+    fn remove(&mut self, key: &MemoKey) -> bool {
+        match self {
+            Consumers::One(only) => only == key,
+            Consumers::Many(keys) => {
+                keys.retain(|other| other != key);
+                match keys[..] {
+                    [] => true,
+                    [only] => {
+                        *self = Consumers::One(only);
+                        false
+                    }
+                    _ => false,
+                }
+            }
+        }
+    }
+}
+
+/// The derivation edges of a memo: which entries were composed from which
+/// inputs. Shared by every stripe of a [`ShardedMemoCache`].
+#[derive(Debug, Clone, Default)]
+struct DepIndex {
+    /// Input → the keys of the entries, live or kept, composed from it.
+    consumers: HashMap<Input, Consumers>,
+    /// Evicted entries that live entries were composed from, by segment
+    /// hash: their key and the inputs their edges leave from.
+    kept: HashMap<u64, (MemoKey, Box<[Input]>)>,
+}
+
+impl DepIndex {
+    fn link(&mut self, key: MemoKey, input: &Input) {
+        match self.consumers.entry(input.clone()) {
+            hash_map::Entry::Occupied(mut consumers) => consumers.get_mut().push(key),
+            hash_map::Entry::Vacant(slot) => {
+                slot.insert(Consumers::One(key));
+            }
+        }
+    }
+
+    /// Take `key` out of each input's consumers; a segment left with none
+    /// is pushed on `orphans`.
+    fn unlink<'i>(
+        &mut self,
+        key: &MemoKey,
+        inputs: impl IntoIterator<Item = &'i Input>,
+        orphans: &mut Vec<u64>,
+    ) {
+        for input in inputs {
+            let Some(consumers) = self.consumers.get_mut(input) else { continue };
+            if consumers.remove(key) {
+                self.consumers.remove(input);
+                if let Input::Segment(hash) = input {
+                    orphans.push(*hash);
+                }
+            }
+        }
+    }
+
+    /// Drop each kept entry among `orphans` that no entry consumes any
+    /// more, and then, in turn, the kept entries it consumed.
+    fn release(&mut self, mut orphans: Vec<u64>) {
+        while let Some(hash) = orphans.pop() {
+            if self.consumers.contains_key(&Input::Segment(hash)) {
+                continue;
+            }
+            if let Some((key, inputs)) = self.kept.remove(&hash) {
+                self.unlink(&key, &inputs[..], &mut orphans);
+            }
+        }
+    }
+
+    /// Index the entry inserted under `key`. `previous` are the inputs of
+    /// the live entry it replaced, if any; a kept entry under the key is
+    /// live again. Edges the entry shares with what it replaces stay put.
+    fn inserted(&mut self, key: MemoKey, inputs: &[Input], previous: Option<Vec<Input>>) {
+        let previous = previous
+            .or_else(|| self.kept.remove(&segment_hash(&key)).map(|(_, inputs)| inputs.into()))
+            .unwrap_or_default();
+        for input in inputs.iter().filter(|input| !previous.contains(input)) {
+            self.link(key, input);
+        }
+        let mut orphans = Vec::new();
+        let gone = previous.iter().filter(|input| !inputs.contains(input));
+        self.unlink(&key, gone, &mut orphans);
+        self.release(orphans);
+    }
+
+    /// The entry under `key`, indexed under `inputs`, left the cache by an
+    /// eviction or a removal: its edges stay while an entry consumes it.
+    fn evicted(&mut self, key: MemoKey, inputs: Vec<Input>) {
+        let hash = segment_hash(&key);
+        if self.consumers.contains_key(&Input::Segment(hash)) {
+            self.kept.insert(hash, (key, inputs.into()));
+        } else {
+            let mut orphans = Vec::new();
+            self.unlink(&key, &inputs, &mut orphans);
+            self.release(orphans);
+        }
+    }
+
+    /// Drop every entry whose provenance mentions `mapping`, along the
+    /// derivation edges: `take` removes a live entry and returns it, or
+    /// returns `None` for a key that is not live.
+    fn drop_dependents(
+        &mut self,
+        mapping: &str,
+        mut take: impl FnMut(&MemoKey) -> Option<ComposedChain>,
+    ) {
+        let mut pending = vec![Input::Link(Name::from(mapping))];
+        let mut orphans = Vec::new();
+        while let Some(input) = pending.pop() {
+            let Some(consumers) = self.consumers.remove(&input) else { continue };
+            for key in consumers.keys() {
+                let hash = segment_hash(key);
+                let inputs = match take(key) {
+                    Some(chain) => inputs_of(key, &chain),
+                    None => {
+                        self.kept.remove(&hash).map(|(_, inputs)| inputs.into()).unwrap_or_default()
+                    }
+                };
+                self.unlink(key, inputs.iter().filter(|other| **other != input), &mut orphans);
+                pending.push(Input::Segment(hash));
+            }
+        }
+        self.release(orphans);
+    }
+
+    /// The keys, in key order, of the entries whose provenance mentions
+    /// `mapping` and for which `live` holds.
+    fn dependents(&self, mapping: &str, live: impl Fn(&MemoKey) -> bool) -> Vec<MemoKey> {
+        let mut pending = vec![Input::Link(Name::from(mapping))];
+        let mut seen = HashSet::new();
+        let mut found = Vec::new();
+        while let Some(input) = pending.pop() {
+            let Some(consumers) = self.consumers.get(&input) else { continue };
+            for key in consumers.keys() {
+                if seen.insert(*key) {
+                    if live(key) {
+                        found.push(*key);
+                    }
+                    pending.push(Input::Segment(segment_hash(key)));
+                }
+            }
+        }
+        found.sort_unstable();
+        found
+    }
+
+    /// References to entries the index holds: one per derivation edge.
+    fn refs(&self) -> usize {
+        self.consumers.values().map(|consumers| consumers.keys().len()).sum()
+    }
+
+    /// Every name the index holds, one item per reference.
+    fn names(&self) -> impl Iterator<Item = &Name> {
+        let kept = self.kept.values().flat_map(|(_, inputs)| inputs.iter());
+        self.consumers.keys().chain(kept).filter_map(|input| match input {
+            Input::Link(name) => Some(name),
+            Input::Segment(_) => None,
+        })
+    }
+}
+
 /// Content-addressed memo cache with dependency-tracked invalidation and
-/// optional LRU capacity.
+/// optional LRU capacity: one stripe of entries and its dependency index.
 #[derive(Debug, Clone, Default)]
 pub struct MemoCache {
+    stripe: Stripe,
+    index: DepIndex,
+}
+
+/// The entries of a memo cache, or of one segment of a
+/// [`ShardedMemoCache`], with their recency, counters and journal.
+#[derive(Debug, Clone, Default)]
+struct Stripe {
     entries: BTreeMap<MemoKey, MemoEntry>,
-    /// Mapping name → keys of the entries whose provenance mentions it.
-    /// The name is an entry's own shared allocation; a name leaves the
-    /// index with its last entry.
-    by_dependency: HashMap<Name, HashSet<MemoKey>>,
     /// Recency stamp → key, for O(log n) LRU eviction.
     recency: BTreeMap<u64, MemoKey>,
     tick: u64,
@@ -164,75 +407,34 @@ pub struct MemoCache {
     journal: Option<Vec<CacheEvent>>,
 }
 
-impl MemoCache {
-    /// Create an empty, unbounded cache.
-    pub fn new() -> Self {
-        MemoCache::default()
+impl Stripe {
+    fn with_capacity(capacity: Option<usize>) -> Self {
+        Stripe { capacity, ..Stripe::default() }
     }
 
-    /// Create an empty cache holding at most `capacity` entries (`None` for
-    /// unbounded).
-    pub fn with_capacity(capacity: Option<usize>) -> Self {
-        MemoCache { capacity, ..MemoCache::default() }
-    }
-
-    /// The configured capacity, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Cumulative statistics: the restored baseline plus everything observed
-    /// by this instance.
-    pub fn stats(&self) -> CacheStats {
+    fn stats(&self) -> CacheStats {
         self.restored.merged(self.stats)
     }
 
-    /// Adopt persisted cumulative counters as the new baseline, zeroing the
-    /// live counters. The baseline is *replaced*, not added: the persisted
-    /// counters already include every event up to the flush that wrote them
-    /// — in particular the insertions counted while replaying the sidecar's
-    /// entries into this cache, and any evictions from trimming the replay
-    /// to a smaller capacity — so a restore followed by a re-flush in the
-    /// same process cannot double-count.
-    pub fn restore_stats(&mut self, stats: CacheStats) {
+    fn restore_stats(&mut self, stats: CacheStats) {
         self.restored = stats;
         self.stats = CacheStats::default();
     }
 
-    /// Start journaling mutations for incremental persistence. Until the
-    /// first [`MemoCache::take_events`] drain, events accumulate; a cache
-    /// whose owner never drains should leave the journal disabled.
-    pub fn enable_journal(&mut self) {
+    fn enable_journal(&mut self) {
         if self.journal.is_none() {
             self.journal = Some(Vec::new());
         }
     }
 
-    /// Drain the mutation journal (empty when journaling is disabled).
-    /// Events are in mutation order, so the last event per key reflects the
-    /// key's current liveness.
-    pub fn take_events(&mut self) -> Vec<CacheEvent> {
+    fn take_events(&mut self) -> Vec<CacheEvent> {
         match &mut self.journal {
             Some(journal) => std::mem::take(journal),
             None => Vec::new(),
         }
     }
 
-    /// Put drained events back at the *front* of the journal (they are
-    /// older than anything recorded since the drain), so a persister whose
-    /// write failed can hand its batch back instead of losing it. No-op
-    /// when journaling is disabled.
-    pub fn requeue_events(&mut self, events: Vec<CacheEvent>) {
+    fn requeue_events(&mut self, events: Vec<CacheEvent>) {
         if let Some(journal) = &mut self.journal {
             journal.splice(0..0, events);
         }
@@ -241,25 +443,6 @@ impl MemoCache {
     fn record(&mut self, event: CacheEvent) {
         if let Some(journal) = &mut self.journal {
             journal.push(event);
-        }
-    }
-
-    /// Index an entry under each name of its provenance.
-    fn index(&mut self, key: MemoKey, chain: &ComposedChain) {
-        for name in chain.dependencies() {
-            self.by_dependency.entry(name.clone()).or_default().insert(key);
-        }
-    }
-
-    /// Take an entry's key out of its provenance names' sets; a set left
-    /// empty leaves the index with its name.
-    fn unindex(&mut self, key: &MemoKey, chain: &ComposedChain) {
-        for name in chain.dependencies() {
-            let Some(keys) = self.by_dependency.get_mut(name) else { continue };
-            keys.remove(key);
-            if keys.is_empty() {
-                self.by_dependency.remove(name);
-            }
         }
     }
 
@@ -273,27 +456,7 @@ impl MemoCache {
         }
     }
 
-    /// Evict least-recently-used entries until one more fits within the
-    /// capacity.
-    fn make_room(&mut self) {
-        let Some(capacity) = self.capacity else { return };
-        let limit = capacity.saturating_sub(1);
-        let mut evicted = 0;
-        while self.entries.len() > limit {
-            let Some((&stamp, &key)) = self.recency.iter().next() else { break };
-            self.recency.remove(&stamp);
-            if let Some(entry) = self.entries.remove(&key) {
-                self.unindex(&key, &entry.chain);
-                self.record(CacheEvent::Removed(key));
-                evicted += 1;
-            }
-        }
-        self.stats.evictions += evicted;
-    }
-
-    /// Look up a pairwise composition; counts a hit or miss and refreshes
-    /// the entry's recency.
-    pub fn lookup(&mut self, key: MemoKey) -> Option<ComposedChain> {
+    fn lookup(&mut self, key: MemoKey) -> Option<ComposedChain> {
         match self.entries.get_mut(&key) {
             Some(entry) => {
                 entry.hits += 1;
@@ -309,91 +472,44 @@ impl MemoCache {
         }
     }
 
-    /// Peek without touching statistics (used by the chain driver to measure
-    /// how much of a chain is already warm before choosing a fold order).
-    pub fn contains(&self, key: &MemoKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Peek at an entry's chain without touching statistics or recency (used
-    /// by the incremental persister to render a freshly inserted entry).
-    pub fn peek(&self, key: &MemoKey) -> Option<&ComposedChain> {
-        self.entries.get(key).map(|entry| &entry.chain)
-    }
-
-    /// Drop one entry by key, unindexing its provenance; returns whether it
-    /// existed. Used when replaying a persisted `delta evict` record — the
-    /// removal is mechanical and counts toward no statistic (the replayed
-    /// `stats` records already carry the original eviction counts).
-    pub fn remove(&mut self, key: &MemoKey) -> bool {
-        let Some(entry) = self.entries.remove(key) else { return false };
+    /// Take one entry out of the entries and their recency order.
+    fn take(&mut self, key: &MemoKey) -> Option<MemoEntry> {
+        let entry = self.entries.remove(key)?;
         self.recency.remove(&entry.last_used);
-        self.unindex(key, &entry.chain);
-        self.record(CacheEvent::Removed(*key));
-        true
+        Some(entry)
     }
 
-    /// Insert a composed segment under its key, indexing its provenance.
-    /// When the cache is at capacity, the least-recently-used entry is
-    /// evicted first.
-    pub fn insert(&mut self, key: MemoKey, chain: ComposedChain) {
-        if self.capacity == Some(0) {
-            return;
+    /// Insert an entry, replacing any under its key, and return the entries
+    /// evicted to make room for it. The caller indexes both.
+    fn put(&mut self, key: MemoKey, chain: ComposedChain) -> Vec<(MemoKey, MemoEntry)> {
+        self.take(&key);
+        let mut evicted = Vec::new();
+        if let Some(capacity) = self.capacity {
+            while self.entries.len() >= capacity {
+                let Some((_, key)) = self.recency.pop_first() else { break };
+                if let Some(entry) = self.entries.remove(&key) {
+                    self.record(CacheEvent::Removed(key));
+                    evicted.push((key, entry));
+                }
+            }
         }
-        if let Some(previous) = self.entries.remove(&key) {
-            self.recency.remove(&previous.last_used);
-            self.unindex(&key, &previous.chain);
-        }
-        self.make_room();
-        self.index(key, &chain);
+        self.stats.evictions += evicted.len();
         self.tick += 1;
         self.recency.insert(self.tick, key);
         self.entries.insert(key, MemoEntry { chain, hits: 0, last_used: self.tick });
         self.stats.insertions += 1;
         self.record(CacheEvent::Inserted(key));
+        evicted
     }
 
-    /// Drop every entry whose provenance mentions `mapping`; returns how many
-    /// entries were dropped. Entries not depending on the mapping — e.g. the
-    /// prefix of a chain upstream of an edited link — survive. The drop is
-    /// not journaled per key (see [`CacheEvent`]).
-    pub fn invalidate(&mut self, mapping: &str) -> usize {
-        let Some(keys) = self.by_dependency.remove(mapping) else { return 0 };
-        let mut dropped = 0;
-        for key in keys {
-            if let Some(entry) = self.entries.remove(&key) {
-                dropped += 1;
-                self.recency.remove(&entry.last_used);
-                // Unindex from the entry's other dependencies (the
-                // mapping's own list is gone already).
-                self.unindex(&key, &entry.chain);
-            }
-        }
-        self.stats.invalidated += dropped;
-        dropped
+    /// Take an invalidated entry out, counting it.
+    fn invalidated(&mut self, key: &MemoKey) -> Option<ComposedChain> {
+        let entry = self.take(key)?;
+        self.stats.invalidated += 1;
+        Some(entry.chain)
     }
 
-    /// Entries whose provenance mentions `mapping` (the "what depends on m?"
-    /// provenance query), in key order.
-    pub fn dependents(&self, mapping: &str) -> Vec<&ComposedChain> {
-        let mut keys: Vec<&MemoKey> =
-            self.by_dependency.get(mapping).map(|keys| keys.iter().collect()).unwrap_or_default();
-        keys.sort_unstable();
-        keys.into_iter().filter_map(|key| self.entries.get(key)).map(|entry| &entry.chain).collect()
-    }
-
-    /// Every name this cache holds a reference to, one item per reference.
-    fn names(&self) -> impl Iterator<Item = &Name> {
-        let entries = self.entries.values().flat_map(|entry| {
-            let chain = &entry.chain;
-            let provenance = chain.provenance.as_deref().unwrap_or_default();
-            [&chain.source, &chain.target].into_iter().chain(&chain.path[..]).chain(provenance)
-        });
-        entries.chain(self.by_dependency.keys())
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         let dropped = self.entries.len();
         if self.journal.is_some() {
             let keys: Vec<MemoKey> = self.entries.keys().copied().collect();
@@ -402,15 +518,183 @@ impl MemoCache {
             }
         }
         self.entries.clear();
-        // A fresh index: clearing a hash map keeps its table.
-        self.by_dependency = HashMap::new();
         self.recency.clear();
         self.stats.invalidated += dropped;
     }
 
+    fn iter_lru(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
+        self.recency.values().filter_map(move |key| self.entries.get_key_value(key))
+    }
+
+    /// Every name the entries hold directly, one item per reference: each
+    /// entry's endpoints and explicit provenance, and its path's names with
+    /// a node in `seen` skipped (see [`crate::chain::SegmentPath`]).
+    fn names<'s>(&'s self, seen: &mut HashSet<usize>, held: &mut impl FnMut(&'s Name)) {
+        for entry in self.entries.values() {
+            let chain = &entry.chain;
+            held(&chain.source);
+            held(&chain.target);
+            chain.provenance.iter().flat_map(|deps| deps.iter()).for_each(&mut *held);
+            chain.path.held_names(seen, held);
+        }
+    }
+
+    /// Path-name references the entries hold, a node in `seen` skipped.
+    fn path_refs(&self, seen: &mut HashSet<usize>) -> usize {
+        let mut refs = 0;
+        for entry in self.entries.values() {
+            entry.chain.path.held_names(seen, &mut |_| refs += 1);
+        }
+        refs
+    }
+}
+
+/// Insert `chain` under `key` into `stripe`, indexing it and the entries
+/// the insertion evicts in `index`. The entry's edges are in place before
+/// anything is evicted, so an evicted input of it is kept.
+fn insert_indexed(stripe: &mut Stripe, index: &mut DepIndex, key: MemoKey, chain: ComposedChain) {
+    if stripe.capacity == Some(0) {
+        return;
+    }
+    let inputs = inputs_of(&key, &chain);
+    let previous = stripe.entries.get(&key).map(|entry| inputs_of(&key, &entry.chain));
+    index.inserted(key, &inputs, previous);
+    for (evicted, entry) in stripe.put(key, chain) {
+        index.evicted(evicted, inputs_of(&evicted, &entry.chain));
+    }
+}
+
+impl MemoCache {
+    /// Create an empty, unbounded cache.
+    pub fn new() -> Self {
+        MemoCache::default()
+    }
+
+    /// Create an empty cache holding at most `capacity` entries (`None` for
+    /// unbounded).
+    pub fn with_capacity(capacity: Option<usize>) -> Self {
+        MemoCache { stripe: Stripe::with_capacity(capacity), index: DepIndex::default() }
+    }
+
+    /// The configured capacity, if any.
+    pub fn capacity(&self) -> Option<usize> {
+        self.stripe.capacity
+    }
+
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.stripe.entries.len()
+    }
+
+    /// Is the cache empty?
+    pub fn is_empty(&self) -> bool {
+        self.stripe.entries.is_empty()
+    }
+
+    /// Cumulative statistics: the restored baseline plus everything observed
+    /// by this instance.
+    pub fn stats(&self) -> CacheStats {
+        self.stripe.stats()
+    }
+
+    /// Adopt persisted cumulative counters as the new baseline, zeroing the
+    /// live counters. The baseline is *replaced*, not added: the persisted
+    /// counters already include every event up to the flush that wrote them
+    /// — in particular the insertions counted while replaying the sidecar's
+    /// entries into this cache, and any evictions from trimming the replay
+    /// to a smaller capacity — so a restore followed by a re-flush in the
+    /// same process cannot double-count.
+    pub fn restore_stats(&mut self, stats: CacheStats) {
+        self.stripe.restore_stats(stats);
+    }
+
+    /// Start journaling mutations for incremental persistence. Until the
+    /// first [`MemoCache::take_events`] drain, events accumulate; a cache
+    /// whose owner never drains should leave the journal disabled.
+    pub fn enable_journal(&mut self) {
+        self.stripe.enable_journal();
+    }
+
+    /// Drain the mutation journal (empty when journaling is disabled).
+    /// Events are in mutation order, so the last event per key reflects the
+    /// key's current liveness.
+    pub fn take_events(&mut self) -> Vec<CacheEvent> {
+        self.stripe.take_events()
+    }
+
+    /// Put drained events back at the *front* of the journal (they are
+    /// older than anything recorded since the drain), so a persister whose
+    /// write failed can hand its batch back instead of losing it. No-op
+    /// when journaling is disabled.
+    pub fn requeue_events(&mut self, events: Vec<CacheEvent>) {
+        self.stripe.requeue_events(events);
+    }
+
+    /// Look up a pairwise composition; counts a hit or miss and refreshes
+    /// the entry's recency.
+    pub fn lookup(&mut self, key: MemoKey) -> Option<ComposedChain> {
+        self.stripe.lookup(key)
+    }
+
+    /// Peek without touching statistics (used by the chain driver to measure
+    /// how much of a chain is already warm before choosing a fold order).
+    pub fn contains(&self, key: &MemoKey) -> bool {
+        self.stripe.entries.contains_key(key)
+    }
+
+    /// Peek at an entry's chain without touching statistics or recency (used
+    /// by the incremental persister to render a freshly inserted entry).
+    pub fn peek(&self, key: &MemoKey) -> Option<&ComposedChain> {
+        self.stripe.entries.get(key).map(|entry| &entry.chain)
+    }
+
+    /// Drop one entry by key; returns whether it existed. Used when
+    /// replaying a persisted `delta evict` record — the removal is
+    /// mechanical and counts toward no statistic (the replayed `stats`
+    /// records already carry the original eviction counts). Like an
+    /// eviction, it keeps the entry's derivation edges while an entry
+    /// consumes it.
+    pub fn remove(&mut self, key: &MemoKey) -> bool {
+        let Some(entry) = self.stripe.take(key) else { return false };
+        self.stripe.record(CacheEvent::Removed(*key));
+        self.index.evicted(*key, inputs_of(key, &entry.chain));
+        true
+    }
+
+    /// Insert a composed segment under its key, indexing its inputs.
+    /// When the cache is at capacity, the least-recently-used entry is
+    /// evicted first.
+    pub fn insert(&mut self, key: MemoKey, chain: ComposedChain) {
+        insert_indexed(&mut self.stripe, &mut self.index, key, chain);
+    }
+
+    /// Drop every entry whose provenance mentions `mapping`; returns how many
+    /// entries were dropped. Entries not depending on the mapping — e.g. the
+    /// prefix of a chain upstream of an edited link — survive. The drop is
+    /// not journaled per key (see [`CacheEvent`]).
+    pub fn invalidate(&mut self, mapping: &str) -> usize {
+        let stripe = &mut self.stripe;
+        let before = stripe.stats.invalidated;
+        self.index.drop_dependents(mapping, |key| stripe.invalidated(key));
+        stripe.stats.invalidated - before
+    }
+
+    /// Entries whose provenance mentions `mapping` (the "what depends on m?"
+    /// provenance query), in key order.
+    pub fn dependents(&self, mapping: &str) -> Vec<&ComposedChain> {
+        let keys = self.index.dependents(mapping, |key| self.contains(key));
+        keys.iter().filter_map(|key| self.peek(key)).collect()
+    }
+
+    /// Drop everything.
+    pub fn clear(&mut self) {
+        self.stripe.clear();
+        self.index = DepIndex::default();
+    }
+
     /// Iterate over live entries in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
-        self.entries.iter()
+        self.stripe.entries.iter()
     }
 
     /// Iterate over live entries from least- to most-recently used. The
@@ -418,7 +702,7 @@ impl MemoCache {
     /// re-acquires the same eviction order (re-insertion assigns recency
     /// stamps in iteration order).
     pub fn iter_lru(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
-        self.recency.values().filter_map(move |key| self.entries.get_key_value(key))
+        self.stripe.iter_lru()
     }
 }
 
@@ -427,14 +711,17 @@ impl MemoCache {
 ///
 /// Each memo key maps to one segment (by key hash), so two workers touching
 /// different chain segments take different locks; a capacity bound is split
-/// evenly across segments (each segment evicts its own LRU tail). All
-/// methods take `&self`; a poisoned segment (a worker panicked while holding
-/// the lock) is recovered rather than propagated — per-entry state is always
-/// internally consistent, and losing cache entries only ever costs
-/// recomposition.
+/// evenly across segments (each segment evicts its own LRU tail). The
+/// segments share one dependency index behind its own mutex: an insertion
+/// takes it after its segment's lock, and an invalidation after every
+/// segment's, so each invalidation is atomic. All methods take `&self`; a
+/// poisoned lock (a worker panicked while holding it) is recovered rather
+/// than propagated — per-entry state is always internally consistent, and
+/// losing cache entries only ever costs recomposition.
 #[derive(Debug)]
 pub struct ShardedMemoCache {
-    segments: Vec<Mutex<MemoCache>>,
+    segments: Vec<Mutex<Stripe>>,
+    index: Mutex<DepIndex>,
     /// Baseline adopted at construction (e.g. the stats of the single-thread
     /// cache this was sharded from); segment live counters add onto it.
     baseline: CacheStats,
@@ -484,8 +771,8 @@ impl SegmentTelemetry {
     }
 }
 
-fn lock_segment(segment: &Mutex<MemoCache>) -> MutexGuard<'_, MemoCache> {
-    segment.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl ShardedMemoCache {
@@ -496,8 +783,9 @@ impl ShardedMemoCache {
         let per_segment = capacity.map(|total| total.div_ceil(segments));
         ShardedMemoCache {
             segments: (0..segments)
-                .map(|_| Mutex::new(MemoCache::with_capacity(per_segment)))
+                .map(|_| Mutex::new(Stripe::with_capacity(per_segment)))
                 .collect(),
+            index: Mutex::default(),
             baseline: CacheStats::default(),
             telemetry: (0..segments).map(SegmentTelemetry::for_segment).collect(),
         }
@@ -505,25 +793,42 @@ impl ShardedMemoCache {
 
     /// Shard an existing cache: its entries are distributed across segments
     /// in least-recently-used-first order (so every segment's eviction order
-    /// follows the original recency) and its cumulative statistics become
-    /// the baseline. The replay insertions are *not* counted on top — the
-    /// baseline already includes them.
+    /// follows the original recency), its dependency index is adopted, and
+    /// its cumulative statistics become the baseline. The replay insertions
+    /// are *not* counted on top — the baseline already includes them.
     pub fn from_cache(cache: MemoCache, segments: usize, capacity: Option<usize>) -> Self {
         let mut sharded = ShardedMemoCache::new(segments, capacity);
         sharded.baseline = cache.stats();
-        for (key, entry) in cache.iter_lru() {
-            let segment = sharded.segment_of(key);
-            let mut guard = lock_segment(&sharded.segments[segment]);
-            guard.insert(*key, entry.chain.clone());
+        if capacity == Some(0) {
+            return sharded;
         }
-        for segment in &sharded.segments {
-            lock_segment(segment).restore_stats(CacheStats::default());
+        let MemoCache { stripe, index, .. } = cache;
+        let shared = sharded.index.get_mut().unwrap_or_else(PoisonError::into_inner);
+        *shared = index;
+        for (key, entry) in stripe.iter_lru() {
+            let segment = (segment_hash(key) % sharded.segments.len() as u64) as usize;
+            let target =
+                sharded.segments[segment].get_mut().unwrap_or_else(PoisonError::into_inner);
+            for (evicted, entry) in target.put(*key, entry.chain.clone()) {
+                shared.evicted(evicted, inputs_of(&evicted, &entry.chain));
+            }
+        }
+        for segment in &mut sharded.segments {
+            segment
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .restore_stats(CacheStats::default());
         }
         sharded
     }
 
     fn segment_of(&self, key: &MemoKey) -> usize {
-        (combine(&[key.0, key.1, key.2]) % self.segments.len() as u64) as usize
+        (segment_hash(key) % self.segments.len() as u64) as usize
+    }
+
+    /// Every segment's lock, in segment order.
+    fn lock_all(&self) -> Vec<MutexGuard<'_, Stripe>> {
+        self.segments.iter().map(lock).collect()
     }
 
     /// Number of segments.
@@ -533,7 +838,7 @@ impl ShardedMemoCache {
 
     /// Total number of live entries across segments.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(|segment| lock_segment(segment).len()).sum()
+        self.segments.iter().map(|segment| lock(segment).entries.len()).sum()
     }
 
     /// Is the cache empty?
@@ -545,9 +850,7 @@ impl ShardedMemoCache {
     /// summed while *all* segment locks are held so the merge is atomic with
     /// respect to concurrent workers.
     pub fn stats(&self) -> CacheStats {
-        let guards: Vec<MutexGuard<'_, MemoCache>> =
-            self.segments.iter().map(lock_segment).collect();
-        guards.iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats()))
+        self.lock_all().iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats()))
     }
 
     /// Per-segment snapshots — `(entries, capacity, live stats)` for each
@@ -560,8 +863,8 @@ impl ShardedMemoCache {
         self.segments
             .iter()
             .map(|segment| {
-                let guard = lock_segment(segment);
-                (guard.len(), guard.capacity(), guard.stats())
+                let guard = lock(segment);
+                (guard.entries.len(), guard.capacity, guard.stats())
             })
             .collect()
     }
@@ -571,7 +874,7 @@ impl ShardedMemoCache {
     /// the journal regularly via [`ShardedMemoCache::take_events`].
     pub fn enable_journal(&self) {
         for segment in &self.segments {
-            lock_segment(segment).enable_journal();
+            lock(segment).enable_journal();
         }
     }
 
@@ -582,25 +885,42 @@ impl ShardedMemoCache {
     pub fn take_events(&self) -> Vec<CacheEvent> {
         let mut events = Vec::new();
         for segment in &self.segments {
-            events.append(&mut lock_segment(segment).take_events());
+            events.append(&mut lock(segment).take_events());
         }
         events
     }
 
     /// Peek at an entry's chain without touching statistics or recency.
     pub fn peek(&self, key: &MemoKey) -> Option<ComposedChain> {
-        lock_segment(&self.segments[self.segment_of(key)]).peek(key).cloned()
+        lock(&self.segments[self.segment_of(key)]).entries.get(key).map(|entry| entry.chain.clone())
     }
 
     /// Every name the memo holds a reference to — each entry's endpoints,
-    /// path and explicit provenance, and each segment's dependency-index
-    /// keys — one item per reference, for footprint accounting by
-    /// allocation: the clones share the memo's allocations.
+    /// explicit provenance and path (a path node shared by several entries
+    /// counted once), and the dependency index's link names — one item per
+    /// reference, for footprint accounting by allocation: the clones share
+    /// the memo's allocations.
     pub fn names(&self) -> Vec<Name> {
-        self.segments
-            .iter()
-            .flat_map(|segment| lock_segment(segment).names().cloned().collect::<Vec<_>>())
-            .collect()
+        let mut names = Vec::new();
+        let mut seen = HashSet::new();
+        for segment in &self.segments {
+            lock(segment).names(&mut seen, &mut |name| names.push(name.clone()));
+        }
+        names.extend(lock(&self.index).names().cloned());
+        names
+    }
+
+    /// References the dependency index holds to entries: one per
+    /// derivation edge, two for an entry composed from two inputs.
+    pub fn index_refs(&self) -> usize {
+        lock(&self.index).refs()
+    }
+
+    /// Name references the entries' paths hold, a path node shared by
+    /// several entries counted once: one per link a fold step joined.
+    pub fn path_refs(&self) -> usize {
+        let mut seen = HashSet::new();
+        self.segments.iter().map(|segment| lock(segment).path_refs(&mut seen)).sum()
     }
 
     /// Put drained events back (see [`MemoCache::requeue_events`]): each
@@ -616,26 +936,29 @@ impl ShardedMemoCache {
         }
         for (segment, batch) in self.segments.iter().zip(by_segment) {
             if !batch.is_empty() {
-                lock_segment(segment).requeue_events(batch);
+                lock(segment).requeue_events(batch);
             }
         }
     }
 
     /// Drop every entry (in any segment) whose provenance mentions
-    /// `mapping`; returns how many entries were dropped. Each segment is
-    /// invalidated atomically; a concurrent worker may insert a new
-    /// dependent entry *after* its segment was swept, which is
-    /// indistinguishable from that worker running after the invalidation.
+    /// `mapping`; returns how many entries were dropped. The drop holds
+    /// every segment lock and the index at once, so concurrent workers see
+    /// the cache before or after it.
     pub fn invalidate(&self, mapping: &str) -> usize {
-        self.segments
-            .iter()
-            .zip(&self.telemetry)
-            .map(|(segment, telemetry)| {
-                let dropped = lock_segment(segment).invalidate(mapping);
-                telemetry.invalidated.add(dropped as u64);
-                dropped
-            })
-            .sum()
+        let mut guards = self.lock_all();
+        let mut dropped = vec![0; guards.len()];
+        lock(&self.index).drop_dependents(mapping, |key| {
+            let segment = self.segment_of(key);
+            let chain = guards[segment].invalidated(key)?;
+            dropped[segment] += 1;
+            Some(chain)
+        });
+        drop(guards);
+        for (telemetry, count) in self.telemetry.iter().zip(&dropped) {
+            telemetry.invalidated.add(*count as u64);
+        }
+        dropped.iter().sum()
     }
 
     /// Drop every entry in every segment, under all segment locks at once so
@@ -645,33 +968,45 @@ impl ShardedMemoCache {
     /// replication follower discarding memoised chains before adopting a
     /// leader snapshot).
     pub fn clear(&self) -> usize {
-        let mut guards: Vec<MutexGuard<'_, MemoCache>> =
-            self.segments.iter().map(lock_segment).collect();
+        let mut guards = self.lock_all();
         let mut dropped = 0;
         for (guard, telemetry) in guards.iter_mut().zip(&self.telemetry) {
-            let in_segment = guard.len();
+            let in_segment = guard.entries.len();
             guard.clear();
             telemetry.invalidated.add(in_segment as u64);
             dropped += in_segment;
         }
+        *lock(&self.index) = DepIndex::default();
         dropped
     }
 
     /// Clone-merge every segment into a single-threaded cache (used to
-    /// persist a snapshot while workers may still be running). Entries are
-    /// merged segment by segment in LRU order; cumulative statistics carry
-    /// over exactly.
+    /// persist a snapshot while workers may still be running). The merged
+    /// order keeps each segment's LRU order, which is what sharding the
+    /// result again restores, and between segments takes the entry with
+    /// the shorter path first, so an entry tends to follow the inputs it
+    /// was composed from (what lets a snapshot's `path` lines
+    /// back-reference them). The dependency index and cumulative statistics
+    /// carry over exactly.
     pub fn collect(&self) -> MemoCache {
         let mut merged = MemoCache::new();
-        let guards: Vec<MutexGuard<'_, MemoCache>> =
-            self.segments.iter().map(lock_segment).collect();
-        let mut stats = self.baseline;
-        for guard in &guards {
-            stats = stats.merged(guard.stats());
-            for (key, entry) in guard.iter_lru() {
-                merged.insert(*key, entry.chain.clone());
+        let guards = self.lock_all();
+        let stats = guards.iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats()));
+        let mut segments: Vec<_> = guards.iter().map(|guard| guard.iter_lru()).collect();
+        let mut heads = BinaryHeap::new();
+        let mut advance = |segment: usize, heads: &mut BinaryHeap<_>| {
+            if let Some((key, entry)) = segments[segment].next() {
+                heads.push(Reverse((entry.chain.path.len(), *key, segment)));
             }
+        };
+        for segment in 0..guards.len() {
+            advance(segment, &mut heads);
         }
+        while let Some(Reverse((_, key, segment))) = heads.pop() {
+            merged.stripe.put(key, guards[segment].entries[&key].chain.clone());
+            advance(segment, &mut heads);
+        }
+        merged.index = lock(&self.index).clone();
         merged.restore_stats(stats);
         merged
     }
@@ -680,7 +1015,7 @@ impl ShardedMemoCache {
 impl ChainCache for ShardedMemoCache {
     fn cache_lookup(&self, key: MemoKey) -> Option<ComposedChain> {
         let segment = self.segment_of(&key);
-        let found = lock_segment(&self.segments[segment]).lookup(key);
+        let found = lock(&self.segments[segment]).lookup(key);
         let telemetry = &self.telemetry[segment];
         match found {
             Some(_) => telemetry.hits.incr(),
@@ -690,15 +1025,15 @@ impl ChainCache for ShardedMemoCache {
     }
 
     fn cache_contains(&self, key: &MemoKey) -> bool {
-        lock_segment(&self.segments[self.segment_of(key)]).contains(key)
+        lock(&self.segments[self.segment_of(key)]).entries.contains_key(key)
     }
 
     fn cache_insert(&self, key: MemoKey, chain: ComposedChain) {
         let segment = self.segment_of(&key);
-        let mut guard = lock_segment(&self.segments[segment]);
-        let evictions_before = guard.stats().evictions;
-        guard.insert(key, chain);
-        let evicted = guard.stats().evictions - evictions_before;
+        let mut guard = lock(&self.segments[segment]);
+        let evictions_before = guard.stats.evictions;
+        insert_indexed(&mut guard, &mut lock(&self.index), key, chain);
+        let evicted = guard.stats.evictions - evictions_before;
         drop(guard);
         self.telemetry[segment].evictions.add(evicted as u64);
     }
@@ -711,7 +1046,7 @@ mod tests {
     use mapcomp_algebra::{Mapping, Signature};
 
     fn segment(name: &str, deps: &[&str], hash: u64) -> ComposedChain {
-        let path: Box<[Name]> = Box::new([name.into()]);
+        let path = SegmentPath::link(name.into());
         let deps: Vec<Name> = deps.iter().map(|&dep| dep.into()).collect();
         ChainSegment {
             source: "a".into(),

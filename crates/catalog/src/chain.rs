@@ -35,11 +35,13 @@
 //! A composed segment is an immutable value shared by reference: the memo
 //! cache, the fold accumulator and every reader hold the same allocation,
 //! and cloning a [`ComposedChain`] bumps a reference count. Its provenance
-//! is the path it was composed along, held once as the catalog's shared
-//! [`Name`]s: a link and every segment folded from it point at one
-//! allocation per name, and [`ChainSegment::deps`] is derived from the path.
+//! is the path it was composed along ([`SegmentPath`]): a link's name, or one node
+//! joining its two inputs' paths by reference. A fold step adds one node
+//! whatever the length of the chain, every name is the catalog's shared
+//! [`Name`], and [`ChainSegment::deps`] is derived from the path.
 
 use std::collections::BTreeSet;
+use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -90,7 +92,7 @@ pub struct ChainSegment {
     /// Target schema name.
     pub target: Name,
     /// Mapping names along the path, in composition order.
-    pub path: Box<[Name]>,
+    pub path: SegmentPath,
     /// The composed mapping: input = source schema, output = target schema.
     pub mapping: Mapping,
     /// Intermediate symbols (with arities) that could not be eliminated.
@@ -157,13 +159,262 @@ impl ComposedChain {
         Ok(ChainSegment {
             source: entry.source.clone(),
             target: entry.target.clone(),
-            path: Box::new([entry.name.clone()]),
+            path: SegmentPath::link(entry.name.clone()),
             mapping,
             residual: Signature::new(),
             hash: entry.hash.0,
             provenance: None,
         }
         .into())
+    }
+}
+
+/// The path of catalog mappings a segment was composed along, in
+/// composition order: one link's name, or a node joining the paths of the
+/// two segments a fold step composed. A node shares its inputs' paths by
+/// reference, so a k-link left fold holds k names in k − 1 nodes in all,
+/// where copying each prefix's names would hold k²/2. Reading the names
+/// walks the nodes ([`SegmentPath::iter`]); two paths are equal when they name the
+/// same mappings in the same order, whatever their nodes.
+#[derive(Clone)]
+pub struct SegmentPath(Step);
+
+#[derive(Clone)]
+enum Step {
+    Link(Name),
+    Node(Arc<Node>),
+}
+
+enum Node {
+    /// Two paths end to end, and the length of the whole.
+    Join(SegmentPath, SegmentPath, u32),
+    /// Names read whole, with no record of how they were joined (a sidecar
+    /// `path` line written in full, a wire payload).
+    Names(Box<[Name]>),
+}
+
+impl SegmentPath {
+    /// The path of one link.
+    pub fn link(name: Name) -> SegmentPath {
+        SegmentPath(Step::Link(name))
+    }
+
+    /// `left` followed by `right`: one node sharing both.
+    pub fn concat(left: &SegmentPath, right: &SegmentPath) -> SegmentPath {
+        let len = u32::try_from(left.len() + right.len()).unwrap_or(u32::MAX);
+        SegmentPath(Step::Node(Arc::new(Node::Join(left.clone(), right.clone(), len))))
+    }
+
+    /// The two paths this one joins, when it was composed from them.
+    pub fn halves(&self) -> Option<(&SegmentPath, &SegmentPath)> {
+        match &self.0 {
+            Step::Node(node) => match &**node {
+                Node::Join(left, right, _) => Some((left, right)),
+                Node::Names(_) => None,
+            },
+            Step::Link(_) => None,
+        }
+    }
+
+    /// The link's name, when this is the path of a single link.
+    pub fn as_link(&self) -> Option<&Name> {
+        match &self.0 {
+            Step::Link(name) => Some(name),
+            Step::Node(_) => None,
+        }
+    }
+
+    /// Number of names along the path.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Step::Link(_) => 1,
+            Step::Node(node) => match &**node {
+                Node::Join(_, _, len) => *len as usize,
+                Node::Names(names) => names.len(),
+            },
+        }
+    }
+
+    /// Does the path name no mapping?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The names along the path, in composition order.
+    pub fn iter(&self) -> PathNames<'_> {
+        PathNames { pending: vec![self], names: Default::default() }
+    }
+
+    /// The names joined by `separator`.
+    pub fn join(&self, separator: &str) -> String {
+        let mut out = String::new();
+        for (index, name) in self.iter().enumerate() {
+            if index > 0 {
+                out.push_str(separator);
+            }
+            out.push_str(name);
+        }
+        out
+    }
+
+    /// The first name along the path.
+    pub fn first(&self) -> Option<&Name> {
+        let mut path = self;
+        loop {
+            match &path.0 {
+                Step::Link(name) => return Some(name),
+                Step::Node(node) => match &**node {
+                    Node::Join(left, _, _) => path = left,
+                    Node::Names(names) => return names.first(),
+                },
+            }
+        }
+    }
+
+    /// The last name along the path.
+    pub fn last(&self) -> Option<&Name> {
+        let mut path = self;
+        loop {
+            match &path.0 {
+                Step::Link(name) => return Some(name),
+                Step::Node(node) => match &**node {
+                    Node::Join(_, right, _) => path = right,
+                    Node::Names(names) => return names.last(),
+                },
+            }
+        }
+    }
+
+    /// Visit every node of the path not yet in `seen` (nodes by address),
+    /// handing `held` each name such a node, or the path itself, holds
+    /// directly: each name reference of a memo counted once however many
+    /// segments share its node.
+    pub(crate) fn held_names<'p>(
+        &'p self,
+        seen: &mut std::collections::HashSet<usize>,
+        held: &mut impl FnMut(&'p Name),
+    ) {
+        let mut pending = vec![self];
+        while let Some(path) = pending.pop() {
+            match &path.0 {
+                Step::Link(name) => held(name),
+                Step::Node(node) => {
+                    if !seen.insert(Arc::as_ptr(node) as usize) {
+                        continue;
+                    }
+                    match &**node {
+                        Node::Join(left, right, _) => pending.extend([right, left]),
+                        Node::Names(names) => names.iter().for_each(&mut *held),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The address of the path's node, if it has one: what identifies the
+    /// node while a clone of the path is held.
+    pub(crate) fn node_addr(&self) -> Option<usize> {
+        match &self.0 {
+            Step::Node(node) => Some(Arc::as_ptr(node) as usize),
+            Step::Link(_) => None,
+        }
+    }
+}
+
+/// A path read whole: one name is a link, any other count a node without
+/// a derivation.
+impl FromIterator<Name> for SegmentPath {
+    fn from_iter<I: IntoIterator<Item = Name>>(names: I) -> SegmentPath {
+        let mut names: Vec<Name> = names.into_iter().collect();
+        if names.len() == 1 {
+            return SegmentPath::link(names.pop().expect("one name"));
+        }
+        SegmentPath(Step::Node(Arc::new(Node::Names(names.into_boxed_slice()))))
+    }
+}
+
+/// The name at a position along the path, found by walking to it.
+impl std::ops::Index<usize> for SegmentPath {
+    type Output = Name;
+
+    fn index(&self, position: usize) -> &Name {
+        self.iter().nth(position).expect("a position along the path")
+    }
+}
+
+/// The path naming no mapping.
+impl Default for SegmentPath {
+    fn default() -> SegmentPath {
+        std::iter::empty().collect()
+    }
+}
+
+impl<'p> IntoIterator for &'p SegmentPath {
+    type Item = &'p Name;
+    type IntoIter = PathNames<'p>;
+
+    fn into_iter(self) -> PathNames<'p> {
+        self.iter()
+    }
+}
+
+impl PartialEq for SegmentPath {
+    fn eq(&self, other: &SegmentPath) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for SegmentPath {}
+
+/// The names, as a list.
+impl fmt::Debug for SegmentPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The names separated by single spaces: the text of a sidecar `path` line.
+impl fmt::Display for SegmentPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.join(" "))
+    }
+}
+
+/// The names of a [`SegmentPath`], in composition order ([`SegmentPath::iter`]).
+#[derive(Debug)]
+pub struct PathNames<'p> {
+    /// Paths still to read, the next one last.
+    pending: Vec<&'p SegmentPath>,
+    /// The rest of a node read whole.
+    names: std::slice::Iter<'p, Name>,
+}
+
+impl<'p> Iterator for PathNames<'p> {
+    type Item = &'p Name;
+
+    fn next(&mut self) -> Option<&'p Name> {
+        if let Some(name) = self.names.next() {
+            return Some(name);
+        }
+        let mut path = self.pending.pop()?;
+        loop {
+            match &path.0 {
+                Step::Link(name) => return Some(name),
+                Step::Node(node) => match &**node {
+                    Node::Join(left, right, _) => {
+                        self.pending.push(right);
+                        path = left;
+                    }
+                    Node::Names(names) => {
+                        self.names = names.iter();
+                        match self.names.next() {
+                            Some(name) => return Some(name),
+                            None => path = self.pending.pop()?,
+                        }
+                    }
+                },
+            }
+        }
     }
 }
 
@@ -183,14 +434,18 @@ impl ChainSegment {
     /// The shared names [`ChainSegment::deps`] is made of, in path (or
     /// provenance) order; a name the path repeats comes once per
     /// occurrence.
-    pub(crate) fn dependencies(&self) -> std::slice::Iter<'_, Name> {
-        self.provenance.as_deref().unwrap_or(&self.path).iter()
+    pub(crate) fn dependencies(&self) -> impl Iterator<Item = &Name> {
+        let (explicit, path) = match &self.provenance {
+            Some(deps) => (Some(deps.iter()), None),
+            None => (None, Some(self.path.iter())),
+        };
+        explicit.into_iter().flatten().chain(path.into_iter().flatten())
     }
 
     /// The explicit provenance to keep for a segment along `path` whose
     /// dependencies are `deps`: `None` when they are the path's names.
     pub fn provenance_of<'n>(
-        path: &[Name],
+        path: &SegmentPath,
         deps: impl IntoIterator<Item = &'n Name>,
     ) -> Option<Box<[Name]>> {
         let deps: BTreeSet<&Name> = deps.into_iter().collect();
@@ -345,7 +600,7 @@ fn compose_pair_hashed(
 
     // The provenance is the path; an explicit one only survives where an
     // input carries one.
-    let path: Box<[Name]> = left.path.iter().chain(&right.path).cloned().collect();
+    let path = SegmentPath::concat(&left.path, &right.path);
     let provenance = if left.provenance.is_some() || right.provenance.is_some() {
         ChainSegment::provenance_of(&path, left.dependencies().chain(right.dependencies()))
     } else {

@@ -30,7 +30,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over raw bytes.
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
+    extend_hash(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a over `bytes`, continued from the hash of the bytes before them:
+/// `extend_hash(hash_bytes(a), b) == hash_bytes(a ++ b)`.
+pub fn extend_hash(mut hash: u64, bytes: &[u8]) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(FNV_PRIME);

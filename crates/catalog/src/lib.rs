@@ -104,7 +104,7 @@ pub use cache::{
 };
 pub use chain::{
     compose_chain_with, compose_pair, ChainOptions, ChainResult, ChainSegment, ComposedChain,
-    LinkSource,
+    LinkSource, PathNames, SegmentPath,
 };
 pub use error::CatalogError;
 pub use graph::{edge_cost, reachable, resolve_path, resolve_path_with, PathCost};

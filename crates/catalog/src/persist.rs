@@ -21,12 +21,15 @@
 //!   by an embedded document holding the composed mapping and the residual
 //!   signature. A document line the file already holds raw, in an earlier
 //!   block, is written as an `@<hash16>` back-reference ([`LineIndex`],
-//!   [`EntryRenderer`]):
+//!   [`EntryRenderer`]). So is the path of an entry's left input when an
+//!   earlier block holds it: the `path` line then lists only the names
+//!   after it (`path @<hash16> <m3>`), so a k-link fold writes O(k) path
+//!   bytes, not k²/2 names:
 //!
 //! ```text
 //! entry <left> <right> <config> <hash>
 //! endpoints <source> -> <target>
-//! path <m1> <m2> …
+//! path <m1> <m2> …          (or: path @<hash16> <m3> …)
 //! deps <m1> <m2> …
 //! begin-document
 //! schema __in { … }
@@ -80,9 +83,9 @@ use mapcomp_algebra::{
 use mapcomp_compose::{fold_updates, parse_update, write_update, Sign, Update};
 
 use crate::cache::{CacheStats, MemoCache, MemoKey};
-use crate::chain::{ChainSegment, ComposedChain};
+use crate::chain::{ChainSegment, ComposedChain, SegmentPath};
 use crate::error::CatalogError;
-use crate::hash::hash_str;
+use crate::hash::{extend_hash, hash_str};
 use crate::lock::FileLock;
 use crate::store::{Catalog, Name};
 
@@ -616,6 +619,10 @@ pub fn load_sidecar(text: &str) -> SidecarState {
     // Hash → text of every raw document line of a complete entry block read
     // so far: what `@<hash16>` references resolve against.
     let mut raw_lines: HashMap<u64, &str> = HashMap::new();
+    // Fingerprint → path of every complete entry block read so far whose
+    // path resolved: what `path @<hash16>` references resolve against. A
+    // reference shares the referenced path's node.
+    let mut paths: HashMap<u64, SegmentPath> = HashMap::new();
     // One allocation per distinct name across every entry loaded.
     let mut names: HashSet<Name> = HashSet::new();
     let mut name = |text: &str| -> Name {
@@ -748,11 +755,14 @@ pub fn load_sidecar(text: &str) -> SidecarState {
         for (line_hash, text) in fresh {
             raw_lines.entry(line_hash).or_insert(text);
         }
+        let Some((fingerprint, path)) = read_path_field(block.path, &paths, &mut name) else {
+            continue;
+        };
+        paths.insert(fingerprint, path.clone());
         let (true, Some(endpoints)) = (resolved, block.endpoints) else { continue };
         let mut ends = endpoints.split(" -> ");
         let (Some(source), Some(target)) = (ends.next(), ends.next()) else { continue };
         let Some((mapping, residual)) = parse_chain_document(&document_text) else { continue };
-        let path: Box<[Name]> = block.path.split_whitespace().map(&mut name).collect();
         // An absent `deps` line means the provenance is the path itself; a
         // present one is kept only where it differs.
         let provenance = block.deps.and_then(|deps| {
@@ -763,7 +773,8 @@ pub fn load_sidecar(text: &str) -> SidecarState {
         let chain = ChainSegment { source, target, path, mapping, residual, hash, provenance };
         state.cache.insert(key, chain.into());
     }
-    state.lines = LineIndex { hashes: raw_lines.into_keys().collect() };
+    state.lines =
+        LineIndex { hashes: raw_lines.into_keys().collect(), paths: paths.into_keys().collect() };
     // The accumulated counters already include the insertions replayed
     // above; restoring last keeps them cumulative rather than
     // double-counted.
@@ -783,6 +794,85 @@ fn parse_entry_header(rest: &str) -> Option<(MemoKey, u64)> {
         return None;
     };
     Some(((left, right, config), hash))
+}
+
+/// A `path` line's field, split: the fingerprint of the held path it
+/// back-references (`@<hash16>`), if it does, and the names after it.
+/// `None` for a malformed reference.
+fn split_path_field(field: &str) -> Option<(Option<u64>, std::str::SplitWhitespace<'_>)> {
+    let mut names = field.split_whitespace();
+    let Some(hex) = names.clone().next().and_then(|first| first.strip_prefix('@')) else {
+        return Some((None, names));
+    };
+    names.next();
+    let reference = (hex.len() == 16 && hex.bytes().all(|byte| byte.is_ascii_hexdigit()))
+        .then(|| u64::from_str_radix(hex, 16).ok())
+        .flatten()?;
+    Some((Some(reference), names))
+}
+
+/// The fingerprint of a path's text — its names separated by single spaces
+/// — continued from the fingerprint of the path before the names, if any:
+/// the FNV-1a 64 hash a `path @<hash16>` reference names a path by.
+fn path_fingerprint<'n>(before: Option<u64>, names: impl IntoIterator<Item = &'n str>) -> u64 {
+    path_text(before.map(|hash| (hash, 0)), names).0
+}
+
+/// [`path_fingerprint`] and the length of the text, continued from the
+/// fingerprint and length of the text before the names, if any.
+fn path_text<'n>(
+    before: Option<(u64, usize)>,
+    names: impl IntoIterator<Item = &'n str>,
+) -> (u64, usize) {
+    let mut text = before;
+    for name in names {
+        text = Some(match text {
+            Some((hash, len)) => {
+                (extend_hash(extend_hash(hash, b" "), name.as_bytes()), len + 1 + name.len())
+            }
+            None => (hash_str(name), name.len()),
+        });
+    }
+    text.unwrap_or_else(|| (hash_str(""), 0))
+}
+
+/// Read a `path` line's field against the paths held so far: the path's
+/// fingerprint and the path, sharing the node of the path it
+/// back-references, or `None` when the reference is not held. The names
+/// after a reference are the right input: one link, or a segment whose
+/// path is shared when it is held too.
+fn read_path_field(
+    field: &str,
+    held: &HashMap<u64, SegmentPath>,
+    name: &mut impl FnMut(&str) -> Name,
+) -> Option<(u64, SegmentPath)> {
+    let (reference, names) = split_path_field(field)?;
+    let names: Vec<&str> = names.collect();
+    let Some(reference) = reference else {
+        let fingerprint = path_fingerprint(None, names.iter().copied());
+        return Some((fingerprint, names.into_iter().map(name).collect()));
+    };
+    let left = held.get(&reference)?;
+    let fingerprint = path_fingerprint(Some(reference), names.iter().copied());
+    if names.is_empty() {
+        return Some((fingerprint, left.clone()));
+    }
+    let suffix = path_fingerprint(None, names.iter().copied());
+    let right = match held.get(&suffix) {
+        Some(right) if names.len() > 1 => right.clone(),
+        _ => names.into_iter().map(name).collect(),
+    };
+    Some((fingerprint, SegmentPath::concat(left, &right)))
+}
+
+/// The fingerprint of a `path` line's field when the paths `held` already
+/// resolve it: [`read_path_field`] without building the path.
+fn path_field_fingerprint(field: &str, held: impl Fn(u64) -> bool) -> Option<u64> {
+    let (reference, names) = split_path_field(field)?;
+    if reference.is_some_and(|reference| !held(reference)) {
+        return None;
+    }
+    Some(path_fingerprint(reference, names))
 }
 
 /// The body of one `entry` block as it stands in the file: the header
@@ -878,7 +968,10 @@ fn decode_document_line(line: &str) -> DocumentLine<'_> {
 /// The document lines one sidecar file holds *raw* — written out inside a
 /// complete `entry` block — by FNV-1a 64 hash: what a later block of the
 /// same file may write as an `@<hash16>` reference instead. Lines no longer
-/// than a reference are never referenced and not recorded.
+/// than a reference are never referenced and not recorded. By the same
+/// rule it records the path of every complete block whose `path` line
+/// resolves, by the fingerprint of the path's text: what a later block's
+/// `path` line may back-reference.
 ///
 /// The index is a function of the file's bytes: [`load_sidecar`] builds it
 /// while loading, and [`LineIndex::absorb_text`] extends it by the same
@@ -886,6 +979,7 @@ fn decode_document_line(line: &str) -> DocumentLine<'_> {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LineIndex {
     hashes: HashSet<u64>,
+    paths: HashSet<u64>,
 }
 
 impl LineIndex {
@@ -899,6 +993,21 @@ impl LineIndex {
     /// Record the raw document lines of every complete `entry` block in
     /// `text`, which was appended to the file this index describes.
     pub fn absorb_text(&mut self, text: &str) {
+        self.absorb(text, &LineIndex::default());
+    }
+
+    /// What `text` appended to the file `file` describes adds to it: the
+    /// raw lines and the paths of its complete blocks, a `path` reference
+    /// resolving against the file's paths too.
+    fn added_by(file: &LineIndex, text: &str) -> LineIndex {
+        let mut added = LineIndex::default();
+        added.absorb(text, file);
+        added
+    }
+
+    /// [`LineIndex::absorb_text`], a `path` reference also resolving
+    /// against the paths `file` holds.
+    fn absorb(&mut self, text: &str, file: &LineIndex) {
         let mut lines = text.lines();
         let mut pending = None;
         while let Some(line) = pending.take().or_else(|| lines.next()) {
@@ -909,6 +1018,10 @@ impl LineIndex {
             let block = read_entry_block(&mut lines, &mut pending);
             if !block.complete {
                 continue;
+            }
+            let held = |hash| self.holds_path(hash) || file.holds_path(hash);
+            if let Some(fingerprint) = path_field_fingerprint(block.path, held) {
+                self.paths.insert(fingerprint);
             }
             for line in block.document {
                 if let DocumentLine::Raw(text) = decode_document_line(line) {
@@ -925,6 +1038,11 @@ impl LineIndex {
         self.hashes.contains(&hash)
     }
 
+    /// Does a complete block hold the path with this fingerprint?
+    fn holds_path(&self, fingerprint: u64) -> bool {
+        self.paths.contains(&fingerprint)
+    }
+
     /// Number of distinct raw lines recorded.
     pub fn len(&self) -> usize {
         self.hashes.len()
@@ -935,9 +1053,10 @@ impl LineIndex {
         self.hashes.is_empty()
     }
 
-    /// Forget every line (the file was replaced).
+    /// Forget every line and path (the file was replaced).
     pub fn clear(&mut self) {
         self.hashes.clear();
+        self.paths.clear();
     }
 }
 
@@ -947,11 +1066,16 @@ impl LineIndex {
 /// earlier block of this piece wrote it raw; a raw line starting with `@`
 /// is written with one more. Every other line is written as it is.
 ///
-/// Memo segments share their schemas and constraint sides by reference, so
-/// the renderer remembers the hash of each line it rendered by the storage
-/// it rendered it from, and writes a reference for a line rendered before
-/// without rendering it again. It holds a clone of that storage until it
-/// is dropped, so no address it remembers is reused.
+/// An entry's `path` line back-references its left input's path the same
+/// way, when the file or an earlier block holds it, and lists only the
+/// names after it.
+///
+/// Memo segments share their schemas, constraint sides and paths by
+/// reference, so the renderer remembers the hash of each line it rendered
+/// by the storage it rendered it from, and writes a reference for a line
+/// rendered before without rendering it again; it remembers each path's
+/// fingerprint by node the same way. It holds a clone of that storage until
+/// it is dropped, so no address it remembers is reused.
 #[derive(Debug)]
 pub struct EntryRenderer<'a> {
     file: &'a LineIndex,
@@ -959,13 +1083,50 @@ pub struct EntryRenderer<'a> {
     /// Line hash by the storage the line was rendered from: `None` for a
     /// part too short to reference or spread over several lines.
     rendered: HashMap<PartSource, (Option<u64>, PartPin)>,
+    /// Path fingerprint and text length by path node.
+    fingerprints: HashMap<usize, ((u64, usize), SegmentPath)>,
 }
 
 impl<'a> EntryRenderer<'a> {
     /// A renderer for text appended to a file holding the raw lines `file`
     /// (an empty index for a snapshot, which stands alone).
     pub fn new(file: &'a LineIndex) -> Self {
-        EntryRenderer { file, written: LineIndex::default(), rendered: HashMap::new() }
+        EntryRenderer {
+            file,
+            written: LineIndex::default(),
+            rendered: HashMap::new(),
+            fingerprints: HashMap::new(),
+        }
+    }
+
+    /// The fingerprint and length of a path's text ([`path_text`]), read
+    /// off the nearest node along its left inputs that it remembers and
+    /// extended by the names joined after it. It remembers the path's own
+    /// node, so the entry composed from it next costs one step.
+    fn path_text(&mut self, path: &SegmentPath) -> (u64, usize) {
+        let mut joins = Vec::new();
+        let mut at = path;
+        let mut text = loop {
+            let known = at.node_addr().and_then(|addr| self.fingerprints.get(&addr));
+            if let Some((text, _)) = known {
+                break *text;
+            }
+            match at.halves() {
+                Some((left, _)) => {
+                    joins.push(at);
+                    at = left;
+                }
+                None => break path_text(None, at.iter().map(|name| &**name)),
+            }
+        };
+        while let Some(join) = joins.pop() {
+            let (_, right) = join.halves().expect("a join has halves");
+            text = path_text(Some(text), right.iter().map(|name| &**name));
+        }
+        if let Some(addr) = path.node_addr() {
+            self.fingerprints.insert(addr, (text, path.clone()));
+        }
+        text
     }
 
     /// Does the file, or an earlier block of this rendering, hold the line
@@ -986,7 +1147,27 @@ impl<'a> EntryRenderer<'a> {
         let (left, right, config) = key;
         let _ = writeln!(out, "entry {left:016x} {right:016x} {config:016x} {:016x}", chain.hash);
         let _ = writeln!(out, "endpoints {} -> {}", chain.source, chain.target);
-        let _ = writeln!(out, "path {}", chain.path.join(" "));
+        // The left input's path is referenced, like a document line, when
+        // the file holds it and its text is longer than the reference.
+        let held_left = chain.path.halves().and_then(|(left, right)| {
+            let (hash, len) = self.path_text(left);
+            let held = self.file.holds_path(hash) || self.written.holds_path(hash);
+            (held && len > REFERENCE_LEN).then_some((hash, right))
+        });
+        match held_left {
+            Some((hash, right)) => {
+                let _ = write!(out, "path @{hash:016x}");
+                for name in right {
+                    out.push(' ');
+                    out.push_str(name);
+                }
+                out.push('\n');
+            }
+            None => {
+                let _ = writeln!(out, "path {}", chain.path);
+            }
+        }
+        let (path_fingerprint, _) = self.path_text(&chain.path);
         // The provenance of a composed segment is its path; only a chain
         // whose provenance differs writes it.
         if let Some(deps) = &chain.provenance {
@@ -1040,9 +1221,11 @@ impl<'a> EntryRenderer<'a> {
             }
         }
         out.push_str("end-document\n");
-        // A block's raw lines can be referenced from the next block on.
+        // A block's raw lines and path can be referenced from the next block
+        // on.
         if loads_whole {
             self.written.hashes.extend(fresh);
+            self.written.paths.insert(path_fingerprint);
         }
     }
 }
@@ -1373,7 +1556,7 @@ impl SidecarWriter {
     /// Append a chunk of sidecar lines verbatim and flush (see
     /// [`SidecarWriter::append_with`]).
     pub fn append(&self, lines: &str) -> std::io::Result<()> {
-        self.append_chunk(|_| (lines.to_string(), LineIndex::of_text(lines))).map(drop)
+        self.append_chunk(|file| (lines.to_string(), LineIndex::added_by(file, lines))).map(drop)
     }
 
     /// Render a chunk of sidecar lines and append it, under the writer
@@ -1442,6 +1625,7 @@ impl SidecarWriter {
         };
         file.flush()?;
         lines.hashes.extend(added.hashes);
+        lines.paths.extend(added.paths);
         *seen = file.metadata().ok().as_ref().and_then(FileSeen::of);
         self.telemetry.appends.incr();
         self.telemetry.append_bytes.add(written as u64);
@@ -1739,7 +1923,7 @@ mod tests {
             signature("T"),
             mapcomp_algebra::parse_constraints(constraints).unwrap(),
         );
-        let path: Box<[Name]> = path.iter().map(|&name| name.into()).collect();
+        let path: SegmentPath = path.iter().map(|&name| Name::from(name)).collect();
         let deps: Vec<Name> = deps.iter().map(|&name| name.into()).collect();
         ChainSegment {
             source: "a".into(),
@@ -1894,6 +2078,105 @@ mod tests {
         assert_eq!(survivors, documents(&cache));
     }
 
+    /// The name of the fold's `i`th link: long enough that a two-link
+    /// path's text is longer than a reference to it.
+    fn link(i: usize) -> String {
+        format!("mapping_{i:02}")
+    }
+
+    /// A session whose memo holds every prefix of the fold
+    /// `s0 -> … -> s{links}` along the links [`link`] names.
+    fn folded_session(links: usize) -> SharedSession {
+        let mut catalog = Catalog::new();
+        for i in 0..=links {
+            catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
+        }
+        for i in 0..links {
+            let constraints = parse_constraints(&format!("R{i} <= R{}", i + 1)).unwrap();
+            catalog
+                .add_mapping(link(i), &format!("s{i}"), &format!("s{}", i + 1), constraints)
+                .unwrap();
+        }
+        let session = SharedSession::new(catalog);
+        session.compose_path("s0", &format!("s{links}")).unwrap();
+        session
+    }
+
+    #[test]
+    fn a_folds_path_lines_back_reference_their_left_input_and_load_back_shared() {
+        const LINKS: usize = 6;
+        let cache = folded_session(LINKS).cache().collect();
+        let snapshot = save_cache(&cache);
+        let path_lines: Vec<&str> =
+            snapshot.lines().filter(|line| line.starts_with("path ")).collect();
+        assert_eq!(path_lines.len(), LINKS - 1);
+        // The first prefix names its two links; every later one references
+        // the prefix before it and names one link.
+        assert_eq!(path_lines[0], format!("path {} {}", link(0), link(1)));
+        for (index, line) in path_lines.iter().enumerate().skip(1) {
+            let before = (0..=index).map(link).collect::<Vec<_>>().join(" ");
+            assert_eq!(**line, format!("path @{:016x} {}", hash_str(&before), link(index + 1)));
+        }
+        let state = load_sidecar(&snapshot);
+        assert_eq!(state.lines, LineIndex::of_text(&snapshot));
+        assert_eq!(save_cache(&state.cache), snapshot, "the loaded fold renders identically");
+        for (key, entry) in cache.iter() {
+            assert_eq!(state.cache.peek(key).unwrap().path, entry.chain.path);
+        }
+        // Loaded, each prefix shares the path node of the one before it.
+        let sharded = crate::cache::ShardedMemoCache::from_cache(state.cache, 4, None);
+        assert_eq!(sharded.path_refs(), LINKS);
+        assert_eq!(sharded.index_refs(), 2 * (LINKS - 1));
+        assert_eq!(sharded.invalidate(&link(0)), LINKS - 1);
+
+        // Appended after a file that holds the prefixes, the next prefix
+        // names only its link; alone, its reference resolves to nothing.
+        let longer = folded_session(LINKS + 1).cache().collect();
+        let (key, last) =
+            longer.iter().find(|(_, entry)| entry.chain.path.len() == LINKS + 1).unwrap();
+        let index = LineIndex::of_text(&snapshot);
+        let mut chunk = String::new();
+        let mut renderer = EntryRenderer::new(&index);
+        renderer.render(&mut chunk, key, &last.chain);
+        assert!(chunk.contains(&format!(" {}\n", link(LINKS))), "{chunk}");
+        assert!(!chunk.contains(&link(0)), "{chunk}");
+        // The renderer reports what the chunk adds to the file, as a scan of
+        // the file would.
+        let written = renderer.into_written();
+        let mut extended = index.clone();
+        extended.hashes.extend(written.hashes);
+        extended.paths.extend(written.paths);
+        assert_eq!(extended, LineIndex::of_text(&format!("{snapshot}{chunk}")));
+        let appended = load_sidecar(&format!("{snapshot}{chunk}"));
+        assert_eq!(appended.cache.peek(key).unwrap().path, last.chain.path);
+        assert!(load_sidecar(&chunk).cache.is_empty());
+        // Rendered with nothing held, the same entry writes its path whole.
+        let whole = render_cache_entry(key, &last.chain);
+        let names = (0..=LINKS).map(link).collect::<Vec<_>>().join(" ");
+        assert!(whole.contains(&format!("\npath {names}\n")), "{whole}");
+    }
+
+    #[test]
+    fn a_verbatim_append_records_the_paths_its_references_resolve_in_the_file() {
+        const LINKS: usize = 6;
+        let snapshot = save_cache(&folded_session(LINKS).cache().collect());
+        let longer = folded_session(LINKS + 1).cache().collect();
+        let (key, last) =
+            longer.iter().find(|(_, entry)| entry.chain.path.len() == LINKS + 1).unwrap();
+        let mut chunk = String::new();
+        EntryRenderer::new(&LineIndex::of_text(&snapshot)).render(&mut chunk, key, &last.chain);
+        assert!(chunk.contains("\npath @"), "{chunk}");
+        // A replica appends the leader's chunks verbatim: the path its
+        // reference resolves to in the file is held from then on.
+        let path = temp_sidecar("verbatim_paths");
+        let writer = SidecarWriter::new(&path);
+        writer.append(&snapshot).unwrap();
+        writer.append(&chunk).unwrap();
+        assert_eq!(writer.state().lines, LineIndex::of_text(&format!("{snapshot}{chunk}")));
+        let _ = std::fs::remove_file(FileLock::for_file(&path).path());
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn a_block_the_loader_cuts_short_lends_no_lines() {
         // A relation named `delta` starts a document line the loader reads
@@ -1916,7 +2199,7 @@ mod tests {
             let chain = ChainSegment {
                 source: "a".into(),
                 target: "b".into(),
-                path: Box::new(["m".into()]),
+                path: SegmentPath::link("m".into()),
                 mapping: mapping(constraints),
                 residual: Signature::default(),
                 hash: i as u64,

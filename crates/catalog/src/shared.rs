@@ -55,7 +55,9 @@ use mapcomp_analysis::AnalysisReport;
 use mapcomp_compose::Registry;
 
 use crate::cache::ShardedMemoCache;
-use crate::chain::{compose_chain_with, ChainResult, ChainSegment, ComposedChain, LinkSource};
+use crate::chain::{
+    compose_chain_with, ChainResult, ChainSegment, ComposedChain, LinkSource, SegmentPath,
+};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, GraphIndex, PathCost};
 use crate::hash::{combine_mapping_hash, hash_str, ContentHash};
@@ -375,7 +377,7 @@ impl LinkSource for SharedCatalog {
             return Ok(ChainSegment {
                 source,
                 target,
-                path: Box::new([link_name]),
+                path: SegmentPath::link(link_name),
                 mapping: Mapping::new(
                     source_schema.signature,
                     target_schema.signature,

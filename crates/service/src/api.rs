@@ -16,7 +16,7 @@ use std::fmt;
 
 use mapcomp_catalog::{
     parse_chain_document, render_chain_document, CatalogError, ChainResult, ChainSegment,
-    ComposedChain, Name, Position, SessionStats,
+    ComposedChain, Name, Position, SegmentPath, SessionStats,
 };
 
 /// A request to the catalog service.
@@ -202,7 +202,7 @@ impl ChainPayload {
     pub fn to_chain(&self) -> Result<ComposedChain, ServiceError> {
         let (mapping, residual) = parse_chain_document(&self.document)
             .ok_or_else(|| ServiceError::protocol("chain payload carries a malformed document"))?;
-        let path: Box<[Name]> = self.path.iter().map(|name| name.as_str().into()).collect();
+        let path: SegmentPath = self.path.iter().map(|name| Name::from(name.as_str())).collect();
         let deps: Vec<Name> = self.deps.iter().map(|name| name.as_str().into()).collect();
         Ok(ChainSegment {
             source: self.source.as_str().into(),

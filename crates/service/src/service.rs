@@ -594,17 +594,24 @@ impl LocalService {
                         CacheEvent::Removed(key) => last.insert(key, false),
                     };
                 }
-                for (key, live) in last {
-                    if live {
-                        // A concurrently removed entry simply isn't
-                        // rendered; its removal event is drained by a later
-                        // persist.
-                        if let Some(chain) = self.session.cache().peek(&key) {
-                            entries.render(&mut chunk, &key, &chain);
-                        }
-                    } else {
-                        push_delta(&mut chunk, &DeltaRecord::Evict { key });
-                    }
+                // Live entries first, each after the inputs it was composed
+                // from (an input's path is shorter), so a `path` line can
+                // back-reference its left input's block; then the
+                // evictions, so replay keeps an evicted input's derivation
+                // edges for the entries composed from it. A concurrently
+                // removed entry simply isn't rendered; its removal event is
+                // drained by a later persist.
+                let mut live: Vec<(MemoKey, ComposedChain)> = last
+                    .iter()
+                    .filter(|(_, live)| **live)
+                    .filter_map(|(key, _)| Some((*key, self.session.cache().peek(key)?)))
+                    .collect();
+                live.sort_by_key(|(key, chain)| (chain.path.len(), *key));
+                for (key, chain) in &live {
+                    entries.render(&mut chunk, key, chain);
+                }
+                for (key, _) in last.iter().filter(|(_, live)| !**live) {
+                    push_delta(&mut chunk, &DeltaRecord::Evict { key: *key });
                 }
                 now = self.session.cache().stats();
                 let delta = now.delta_since(state.last_stats);

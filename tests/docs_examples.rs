@@ -88,6 +88,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
     let mut records = 0usize;
     let mut positioned = 0usize;
     let mut headers = 0usize;
+    let mut path_references = 0usize;
     for block in &blocks {
         // The entry blocks of one example load together: a later block may
         // back-reference lines of an earlier one.
@@ -199,6 +200,13 @@ fn persistence_doc_sidecar_examples_round_trip() {
                 entry_blocks.matches("\nbegin-document\n").count(),
                 "every documented entry block must load:\n{entry_blocks}"
             );
+            // A back-referenced path loads as the whole path it names.
+            path_references +=
+                entry_blocks.lines().filter(|line| line.starts_with("path @")).count();
+            for (_, entry) in cache.iter() {
+                let path = &entry.chain.path;
+                assert!(path.iter().all(|name| !name.starts_with('@')), "{path:?} resolved");
+            }
             // save_cache = comment + stats + the canonical blocks.
             let rendered = save_cache(&cache);
             let tail: String =
@@ -230,6 +238,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
     assert!(records >= 12, "the sidecar examples must cover the grammar, found {records} records");
     assert!(positioned >= 5, "the examples must cover every positioned delta kind");
     assert!(headers >= 1, "the examples must cover the generation header");
+    assert!(path_references >= 1, "the examples must cover a back-referenced path");
 }
 
 #[test]

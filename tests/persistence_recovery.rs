@@ -941,3 +941,66 @@ fn an_lru_eviction_drained_by_another_requests_persist_reaches_disk() {
     assert_eq!(memo_documents(&open_bounded()), live, "no evicted entry is resurrected");
     cleanup(&file);
 }
+
+// ---------------------------------------------------------------------------
+// The compaction rename window: the document is renamed into place before
+// the sidecar, so a crash between the two leaves the new document beside
+// the pre-compaction sidecar.
+// ---------------------------------------------------------------------------
+
+/// What a reopened catalog answers: its statistics, a `compose-path` reply
+/// per pair (served warm) and the target of one more `migrate-delta` batch.
+fn answers(file: &std::path::Path) -> (String, Vec<String>, String) {
+    let service = open(file);
+    let stats = match service.call(Request::Stats) {
+        Ok(Response::Stats(stats)) => format!("{stats:?}"),
+        other => panic!("stats failed: {other:?}"),
+    };
+    let replies = [("v0", "v8"), ("v1", "v8"), ("v0", "v3")]
+        .iter()
+        .map(|(from, to)| {
+            format!(
+                "{:?}",
+                service.call(Request::ComposePath { from: (*from).into(), to: (*to).into() })
+            )
+        })
+        .collect();
+    let target = migrate(&service, "v0", "v3", &["+R0(5)"]).target;
+    drop(service);
+    (stats, replies, target)
+}
+
+#[test]
+fn the_new_document_beside_the_old_sidecar_recovers_the_compacted_state() {
+    let file = temp_catalog("rename_window");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file);
+    // Eight links: a prefix of seven names is longer than a reference.
+    service.call(Request::AddDocument { text: chain_document(8) }).unwrap();
+    compose(&service, "v0", "v8");
+    edit(&service, 2, "project[0](R2) <= R3");
+    compose(&service, "v0", "v8");
+    service.call(Request::Invalidate { mapping: "m1".into() }).unwrap();
+    compose(&service, "v1", "v8");
+    compose(&service, "v0", "v3");
+    migrate(&service, "v0", "v3", &["+R0(1)", "+R0(2)"]);
+    migrate(&service, "v0", "v3", &["-R0(1)", "+R0(3)"]);
+    let old_sidecar = std::fs::read_to_string(&sidecar).unwrap();
+    assert!(
+        old_sidecar.lines().any(|line| line.starts_with("path @")),
+        "the log back-references paths:\n{old_sidecar}"
+    );
+    assert!(matches!(service.call(Request::Compact), Ok(Response::Compacted { .. })));
+    drop(service);
+    let (new_document, new_sidecar) =
+        (std::fs::read_to_string(&file).unwrap(), std::fs::read_to_string(&sidecar).unwrap());
+    assert_ne!(old_sidecar, new_sidecar);
+
+    let compacted = answers(&file);
+    // The crash between the two renames: the new document, the old sidecar.
+    std::fs::write(&file, &new_document).unwrap();
+    std::fs::write(&sidecar, &old_sidecar).unwrap();
+    let mixture = answers(&file);
+    assert_eq!(mixture, compacted, "the old log replays over the new document to the same state");
+    cleanup(&file);
+}

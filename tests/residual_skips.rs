@@ -92,7 +92,7 @@ fn plain_refold(session: &SharedSession, reply: &ChainResult) -> ComposedChain {
     let empty: ComposedChain = ChainSegment {
         source: "".into(),
         target: "".into(),
-        path: Box::default(),
+        path: Default::default(),
         mapping: Mapping::default(),
         residual: Signature::new(),
         hash: 0,

@@ -6,9 +6,10 @@
 //! subtree that does not mention the symbol as the allocation it was. A
 //! pairwise chain composition must pass the constraints no elimination
 //! touches through as the very allocations of its inputs. A memo entry's
-//! provenance is its path, held as the catalog's own name allocations, and
-//! an invalidation drops exactly the entries a scan of those provenances
-//! finds.
+//! provenance is its path, held as the catalog's own name allocations and
+//! shared with the entries it was composed from, and an invalidation drops
+//! exactly the entries a scan of those provenances finds, walking two
+//! derivation edges per entry.
 
 // Integration-test crates are built without `cfg(test)`, so the
 // `allow-unwrap-in-tests` exemption in clippy.toml cannot reach them;
@@ -363,6 +364,19 @@ fn dropped(
     before.keys().filter(|key| !after.contains_key(key)).copied().collect()
 }
 
+/// The "what depends on m?" query agrees with a brute-force scan of every
+/// entry's flattened provenance.
+fn assert_dependents_match_scan(session: &SharedSession, mapping: &str) {
+    let memo = session.cache().collect();
+    let found: Vec<u64> = memo.dependents(mapping).iter().map(|chain| chain.hash).collect();
+    let scanned: Vec<u64> = memo
+        .iter()
+        .filter(|(_, entry)| entry.chain.deps().contains(mapping))
+        .map(|(_, entry)| entry.chain.hash)
+        .collect();
+    assert_eq!(found, scanned, "dependents of {mapping}");
+}
+
 /// Run one invalidation of `mapping` through `invalidate` and check it
 /// against a brute-force scan: it drops exactly the entries whose
 /// provenance names the mapping, and counts each once. Returns how many
@@ -372,6 +386,7 @@ fn checked_invalidation(
     mapping: &str,
     invalidate: impl FnOnce() -> usize,
 ) -> usize {
+    assert_dependents_match_scan(session, mapping);
     let before = provenance_scan(session);
     let stats = session.cache().stats();
     let reported = invalidate();
@@ -422,17 +437,28 @@ fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
     assert_eq!(session.compose_names(&prefix).unwrap().plan, vec![2, 1, 1]);
     let _ = session.cache().take_events();
     assert!(checked_invalidation(&session, "m5", || session.invalidate("m5")) >= 2);
+    let (invalidations, evictions) = random_provenance_mix(&session, HOPS, 29);
+    assert!(invalidations > 20, "too few invalidated entries: {invalidations}");
+    assert!(evictions > 20, "too few evictions: {evictions}");
+}
 
-    let mut rng = StdRng::seed_from_u64(29);
-    let mut edited = [false; HOPS];
+/// A seeded random mix of folds over `v0 … v{hops}`, edits and explicit
+/// invalidations on a journaled session, every invalidation checked against
+/// a brute-force provenance scan ([`checked_invalidation`]) and every fold's
+/// drops against its journaled evictions. Returns how many entries the
+/// invalidations and the evictions dropped.
+fn random_provenance_mix(session: &SharedSession, hops: usize, seed: u64) -> (usize, usize) {
+    const HOPS_MAX: usize = 16;
+    assert!(hops <= HOPS_MAX);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut edited = [false; HOPS_MAX];
     let (mut invalidations, mut evictions) = (0, 0);
     for step in 0..300 {
-        let link = rng.gen_range(0..HOPS);
+        let link = rng.gen_range(0..hops);
         let name = format!("m{link}");
         match rng.gen_range(0..10) {
             0 => {
-                invalidations +=
-                    checked_invalidation(&session, &name, || session.invalidate(&name));
+                invalidations += checked_invalidation(session, &name, || session.invalidate(&name));
             }
             1 => {
                 // Toggle the link between two contents: an edit.
@@ -441,17 +467,17 @@ fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
                     if edited[link] { format!("; R{link} <= R{link}") } else { String::new() };
                 let text = format!("R{link} <= R{}{extra}", link + 1);
                 let constraints = parse_constraints(&text).unwrap();
-                invalidations += checked_invalidation(&session, &name, || {
+                invalidations += checked_invalidation(session, &name, || {
                     session.update_mapping(&name, constraints).unwrap().1
                 });
             }
             _ => {
-                let from = rng.gen_range(0..HOPS);
-                let to = rng.gen_range(from + 1..=HOPS);
-                let before = provenance_scan(&session);
+                let from = rng.gen_range(0..hops);
+                let to = rng.gen_range(from + 1..=hops);
+                let before = provenance_scan(session);
                 let stats = session.cache().stats();
                 session.compose_path(&format!("v{from}"), &format!("v{to}")).unwrap();
-                let after = provenance_scan(&session);
+                let after = provenance_scan(session);
                 // A compose drops entries only by capacity eviction, each
                 // one journaled as a removal; an evicted key the same fold
                 // composes again is journaled as re-inserted after it.
@@ -478,7 +504,77 @@ fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
             }
         }
         let _ = session.cache().take_events();
+        assert_dependents_match_scan(session, &format!("m{}", rng.gen_range(0..hops)));
     }
+    (invalidations, evictions)
+}
+
+#[test]
+fn derivation_walk_matches_a_scan_under_heavy_eviction() {
+    // Three entries for the whole session, so most folds evict the middle
+    // of their own chain and invalidations walk through kept entries.
+    const HOPS: usize = 10;
+    let config = SessionConfig { cache_capacity: Some(3), ..SessionConfig::default() };
+    let session = SharedSession::with_config(copy_chain(HOPS), Registry::standard(), config, 1);
+    session.cache().enable_journal();
+    let (invalidations, evictions) = random_provenance_mix(&session, HOPS, 31);
     assert!(invalidations > 20, "too few invalidated entries: {invalidations}");
-    assert!(evictions > 20, "too few evictions: {evictions}");
+    assert!(evictions > 100, "too few evictions: {evictions}");
+}
+
+#[test]
+fn a_long_fold_holds_two_index_and_two_path_references_per_entry() {
+    const LINKS: usize = 1_000;
+    let session = SharedSession::new(copy_chain(LINKS));
+    let names: Vec<String> = (0..LINKS).map(|i| format!("m{i}")).collect();
+    let cold = session.compose_names(&names).unwrap();
+    assert_eq!(cold.compose_calls, LINKS - 1);
+    assert_eq!(cold.chain.path.len(), LINKS);
+    assert!(cold.chain.path.iter().map(|name| &**name).eq(names.iter().map(String::as_str)));
+    let entries = session.cache().len();
+    assert_eq!(entries, LINKS - 1);
+    let (index_refs, path_refs) = (session.cache().index_refs(), session.cache().path_refs());
+    assert!(index_refs <= 2 * entries, "{index_refs} index references for {entries} entries");
+    assert!(path_refs <= 2 * entries, "{path_refs} path references for {entries} entries");
+    // Dropping every entry unindexes at most its two input references.
+    let dropped = session.invalidate("m0");
+    assert_eq!(dropped, LINKS - 1);
+    assert!(session.cache().is_empty());
+    let removed = index_refs - session.cache().index_refs();
+    assert!(removed <= 2 * dropped, "{removed} index references removed for {dropped} entries");
+}
+
+#[test]
+fn an_evicted_middle_segment_still_leads_to_its_descendants() {
+    const HOPS: usize = 6;
+    // One stripe holding three entries: the fold's first two prefixes are
+    // evicted by the time the whole chain is memoised.
+    let config = SessionConfig { cache_capacity: Some(3), ..SessionConfig::default() };
+    let names: Vec<String> = (0..HOPS).map(|i| format!("m{i}")).collect();
+    for (edited, expected) in [("m0", 3), ("m1", 3), ("m3", 3), ("m4", 2), ("m5", 1)] {
+        let session = SharedSession::new(copy_chain(HOPS));
+        let cache = mapping_composition::catalog::ShardedMemoCache::new(1, config.cache_capacity);
+        let folded = mapping_composition::catalog::compose_chain_with(
+            session.catalog(),
+            &cache,
+            &names,
+            &Registry::standard(),
+            &ComposeConfig::default(),
+            &Default::default(),
+        )
+        .unwrap();
+        assert_eq!(folded.compose_calls, HOPS - 1);
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 2), "m0∘m1 and m0∘m1∘m2 evicted");
+        let deps = |cache: &mapping_composition::catalog::ShardedMemoCache| {
+            cache.collect().dependents(edited).len()
+        };
+        assert_eq!(deps(&cache), expected, "dependents of {edited}");
+        assert_eq!(cache.invalidate(edited), expected, "invalidating {edited}");
+        assert_eq!(cache.len(), 3 - expected);
+        if expected == 3 {
+            // Nothing is left to consume the evicted prefixes: their edges
+            // went with the last entry composed from them.
+            assert_eq!(cache.index_refs(), 0);
+        }
+    }
 }
