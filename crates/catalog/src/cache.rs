@@ -642,6 +642,12 @@ impl MemoCache {
         self.stripe.entries.contains_key(key)
     }
 
+    /// Does the cache hold the segment under `key`, live or kept for the
+    /// entries composed from it: can an entry be indexed under it?
+    pub(crate) fn holds(&self, key: &MemoKey) -> bool {
+        self.contains(key) || self.index.kept.contains_key(&segment_hash(key))
+    }
+
     /// Peek at an entry's chain without touching statistics or recency (used
     /// by the incremental persister to render a freshly inserted entry).
     pub fn peek(&self, key: &MemoKey) -> Option<&ComposedChain> {

@@ -623,6 +623,8 @@ pub fn load_sidecar(text: &str) -> SidecarState {
     // path resolved: what `path @<hash16>` references resolve against. A
     // reference shares the referenced path's node.
     let mut paths: HashMap<u64, SegmentPath> = HashMap::new();
+    // Segment hash → key of every entry inserted so far.
+    let mut segments: HashMap<u64, MemoKey> = HashMap::new();
     // One allocation per distinct name across every entry loaded.
     let mut names: HashSet<Name> = HashSet::new();
     let mut name = |text: &str| -> Name {
@@ -769,9 +771,21 @@ pub fn load_sidecar(text: &str) -> SidecarState {
             let deps: Vec<Name> = deps.split_whitespace().map(&mut name).collect();
             ChainSegment::provenance_of(&path, &deps)
         });
+        // An entry is indexed under a segment it was composed from only
+        // while the cache holds that segment (a crash or a compaction can
+        // leave its block out, or drop it before this one): otherwise its
+        // path is read whole, and it is indexed under every name.
+        let held = |side: &SegmentPath, hash: u64| {
+            side.as_link().is_some()
+                || segments.get(&hash).is_some_and(|input| state.cache.holds(input))
+        };
+        let derived =
+            path.halves().is_none_or(|(left, right)| held(left, key.0) && held(right, key.1));
+        let path = if derived { path } else { path.iter().cloned().collect() };
         let (source, target) = (name(source), name(target));
         let chain = ChainSegment { source, target, path, mapping, residual, hash, provenance };
         state.cache.insert(key, chain.into());
+        segments.insert(hash, key);
     }
     state.lines =
         LineIndex { hashes: raw_lines.into_keys().collect(), paths: paths.into_keys().collect() };
@@ -2154,6 +2168,28 @@ mod tests {
         let whole = render_cache_entry(key, &last.chain);
         let names = (0..=LINKS).map(link).collect::<Vec<_>>().join(" ");
         assert!(whole.contains(&format!("\npath {names}\n")), "{whole}");
+    }
+
+    #[test]
+    fn an_entry_whose_input_left_the_cache_first_is_indexed_by_name() {
+        // The fold's prefixes of 2, 3 and 4 links; the first is evicted
+        // before the second's block, as a crash or a concurrent eviction
+        // can leave it. The second still names `link(0)`.
+        let cache = folded_session(4).cache().collect();
+        let snapshot = save_cache(&cache);
+        let key =
+            |len: usize| *cache.iter().find(|(_, entry)| entry.chain.path.len() == len).unwrap().0;
+        let (first, second) = (key(2), key(3));
+        let block = format!("entry {:016x} {:016x} {:016x}", second.0, second.1, second.2);
+        let at = snapshot.find(&block).unwrap();
+        let evict = render_delta(&DeltaRecord::Evict { key: first });
+        let text = format!("{}{evict}\n{}", &snapshot[..at], &snapshot[at..]);
+        assert!(text[at..].contains("\npath @"), "the second block back-references:\n{text}");
+        let mut loaded = load_sidecar(&text).cache;
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(loaded.dependents(&link(0)).len(), 2);
+        assert_eq!(loaded.invalidate(&link(0)), 2, "both prefixes depend on the first link");
+        assert!(loaded.is_empty());
     }
 
     #[test]
