@@ -554,7 +554,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let incremental = session.compose_names(&path).expect("incremental chain composes");
     let incremental_time = started.elapsed();
     let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
-    let memo_sidecar_bytes = mapcomp_catalog::save_cache(&session.cache().collect()).len();
+    let memo_sidecar_bytes = mapcomp_catalog::save_cache(session.cache()).len();
     let memo_name_allocs = memo_name_allocs(session.cache());
     let cache = session.cache();
 
@@ -665,7 +665,7 @@ pub fn long_chain_experiment(scale: Scale) -> Vec<LongChainPoint> {
             let cache = session.cache();
             let (memo_entries, memo_index_refs, memo_path_refs) =
                 (cache.len(), cache.index_refs(), cache.path_refs());
-            let memo_sidecar_bytes = mapcomp_catalog::save_cache(&cache.collect()).len();
+            let memo_sidecar_bytes = mapcomp_catalog::save_cache(cache).len();
             let started = std::time::Instant::now();
             let invalidated = session.invalidate("m0");
             LongChainPoint {
@@ -761,11 +761,10 @@ pub fn memo_node_counts(cache: &mapcomp_catalog::ShardedMemoCache) -> (usize, us
         }
     }
 
-    let memo = cache.collect();
     let mut seen = HashSet::new();
     let (mut trees, mut nodes) = (0, 0);
-    for (_, entry) in memo.iter() {
-        for constraint in entry.chain.mapping.constraints.iter() {
+    for (_, chain) in cache.entries() {
+        for constraint in chain.mapping.constraints.iter() {
             for side in [&constraint.lhs, &constraint.rhs] {
                 trees += tree(side);
                 nodes += distinct(side, &mut seen);

@@ -8,9 +8,9 @@
 //! serving "what depends on m?" queries needs provenance anyway. So every
 //! entry's segment carries the path of catalog mappings it was composed
 //! along (its provenance, in the spirit of Grahne & Thomo's annotated
-//! rewritings), and [`MemoCache::invalidate`] drops exactly the entries
-//! whose provenance mentions an edited mapping, leaving unrelated prefixes
-//! warm.
+//! rewritings), and [`ShardedMemoCache::invalidate`] drops exactly the
+//! entries whose provenance mentions an edited mapping, leaving unrelated
+//! prefixes warm.
 //!
 //! The dependency index records how entries were derived, as bdbms tracks
 //! dependencies between derived items: an entry is indexed under its two
@@ -19,35 +19,39 @@
 //! segment's hash. An invalidation walks these derivation edges from the
 //! edited mapping, so it costs a constant amount of index work per entry it
 //! drops, and an entry's provenance costs two index references whatever
-//! the length of its chain. An entry whose derivation is unknown (a path
-//! loaded whole, an explicit provenance) is indexed under each of its
-//! provenance names instead.
+//! the length of its chain. One rule, applied by the index under its own
+//! lock to every insertion (a live one or a sidecar replay), decides when
+//! a derivation edge can be trusted: an entry is indexed under a segment
+//! only while the cache *holds* that segment, live or kept (below). An
+//! entry one of whose input segments is not held, or whose derivation is
+//! unknown (a path loaded whole, an explicit provenance), is indexed under
+//! each of its provenance names instead, and the index remembers which, so
+//! the entry leaves by the edges it came in by.
 //!
-//! Within a long session the cache can also be given a capacity
-//! ([`MemoCache::with_capacity`]): once the number of live entries would
-//! exceed it, the least-recently-used entry is evicted (and counted in
-//! [`CacheStats::evictions`]). Losing an entry costs one recomposition,
-//! never correctness. An evicted entry that other entries were composed
-//! from keeps its derivation edges in the index, as a *kept* entry, until
-//! its last consumer leaves, so an invalidation of its inputs still reaches
-//! them.
+//! The cache can be given a capacity ([`ShardedMemoCache::new`]): once the
+//! number of live entries would exceed it, the least-recently-used entry is
+//! evicted (and counted in [`CacheStats::evictions`]). Losing an entry
+//! costs one recomposition, never correctness. An evicted entry that other
+//! entries were composed from keeps its derivation edges in the index, as a
+//! *kept* entry, until its last consumer leaves, so an invalidation of its
+//! inputs still reaches them. A session applies its capacity to a cache
+//! already filled — a sidecar replayed in full — by trimming it in place,
+//! which counts as no eviction.
 //!
-//! Statistics are cumulative across sidecar persistence and are kept in two
-//! parts: a *restored baseline* (the counters carried over from a persisted
-//! sidecar) and the *live* counters of this process. [`MemoCache::stats`]
-//! reports their sum; [`MemoCache::restore_stats`] replaces the baseline and
-//! zeroes the live part, so replaying persisted entries — and trimming them
-//! to a smaller capacity — can never double-count events the baseline
-//! already includes, no matter how many restore/flush cycles one process
-//! performs.
+//! Statistics are cumulative across sidecar persistence: the cache keeps
+//! one *baseline* (the counters carried over from a persisted sidecar),
+//! and [`ShardedMemoCache::stats`] adds this process's counters onto it.
+//! Adopting persisted counters replaces the baseline and zeroes the live
+//! counters, so replaying persisted entries can never double-count events
+//! the baseline already includes.
 //!
-//! For concurrent sessions, [`ShardedMemoCache`] stripes the entries across
-//! per-segment mutexes (segment = hash of the memo key), so parallel
-//! workers composing disjoint chains rarely contend on a lookup; the stripes
-//! share one dependency index, which an insertion takes after its stripe.
-//! [`ShardedMemoCache::stats`] merges the per-segment counters while
-//! holding every segment lock, so the merged snapshot is atomic. The chain
-//! driver reaches it through the [`ChainCache`] shared-reference trait.
+//! The entries are striped across per-segment mutexes (segment = hash of
+//! the memo key), so parallel workers composing disjoint chains rarely
+//! contend on a lookup; the stripes share one dependency index, which an
+//! insertion takes after its stripe. [`ShardedMemoCache::stats`] merges the
+//! per-segment counters while holding every segment lock, so the merged
+//! snapshot is atomic. The chain driver reaches the cache through the
+//! [`ChainCache`] shared-reference trait.
 
 use std::cmp::Reverse;
 use std::collections::{hash_map, BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
@@ -64,18 +68,15 @@ pub type MemoKey = (u64, u64, u64);
 
 /// The hash of the segment memoised under `key`: the chain driver's segment
 /// hash, and the hash a consumer's key names it by.
-fn segment_hash(key: &MemoKey) -> u64 {
+pub(crate) fn segment_hash(key: &MemoKey) -> u64 {
     combine(&[key.0, key.1, key.2])
 }
 
-/// One cached pairwise composition plus its provenance.
+/// One cached pairwise composition and its recency.
 #[derive(Debug, Clone)]
-pub struct MemoEntry {
-    /// The composed chain segment.
-    pub chain: ComposedChain,
-    /// How many times this entry has been served.
-    pub hits: u64,
-    /// Recency stamp (monotone per cache); larger = more recently used.
+struct MemoEntry {
+    chain: ComposedChain,
+    /// Recency stamp (monotone per stripe); larger = more recently used.
     last_used: u64,
 }
 
@@ -128,12 +129,13 @@ impl CacheStats {
     }
 }
 
-/// One cache mutation observed since the last [`MemoCache::take_events`]
-/// drain. The incremental persistence layer replays these as appended
-/// sidecar records (`entry` blocks for insertions, `delta evict` lines for
-/// removals) so durability stays proportional to the change. Only the *last*
-/// event per key matters to a consumer — the key is either live (persist its
-/// current entry) or gone (persist an eviction).
+/// One cache mutation observed since the last
+/// [`ShardedMemoCache::take_events`] drain. The incremental persistence
+/// layer replays these as appended sidecar records (`entry` blocks for
+/// insertions, `delta evict` lines for removals) so durability stays
+/// proportional to the change. Only the *last* event per key matters to a
+/// consumer — the key is either live (persist its current entry) or gone
+/// (persist an eviction).
 ///
 /// An invalidation journals no per-key removals: its caller persists it as
 /// one `delta invalidate` record, which replays the whole drop.
@@ -142,7 +144,7 @@ pub enum CacheEvent {
     /// An entry was inserted (or replaced) under this key.
     Inserted(MemoKey),
     /// The entry under this key was dropped by an LRU eviction, an
-    /// explicit removal or a [`MemoCache::clear`].
+    /// explicit removal or a [`ShardedMemoCache::clear`].
     Removed(MemoKey),
 }
 
@@ -168,26 +170,24 @@ enum Input {
     Segment(u64),
 }
 
-/// The inputs the entry `chain` under `key` is indexed under, without
-/// repeats: its two direct inputs when its path records how it was
-/// composed, else each name of its provenance. An explicit provenance is
-/// indexed by name even then: it may name mappings no input shows.
-fn inputs_of(key: &MemoKey, chain: &ChainSegment) -> Vec<Input> {
-    match chain.path.halves().filter(|_| chain.provenance.is_none()) {
-        Some((left, right)) => {
-            let side = |path: &SegmentPath, hash: u64| match path.as_link() {
-                Some(name) => Input::Link(name.clone()),
-                None => Input::Segment(hash),
-            };
-            let mut inputs = vec![side(left, key.0), side(right, key.1)];
-            inputs.dedup();
-            inputs
-        }
-        None => {
-            let names: BTreeSet<&Name> = chain.dependencies().collect();
-            names.into_iter().map(|name| Input::Link(name.clone())).collect()
-        }
-    }
+/// The two direct inputs of the entry `chain` under `key`, without
+/// repeats, when its path records how it was composed and it has no
+/// explicit provenance (which may name mappings no input shows).
+fn derivation(key: &MemoKey, chain: &ChainSegment) -> Option<Vec<Input>> {
+    let (left, right) = chain.path.halves().filter(|_| chain.provenance.is_none())?;
+    let side = |path: &SegmentPath, hash: u64| match path.as_link() {
+        Some(name) => Input::Link(name.clone()),
+        None => Input::Segment(hash),
+    };
+    let mut inputs = vec![side(left, key.0), side(right, key.1)];
+    inputs.dedup();
+    Some(inputs)
+}
+
+/// Each name of the entry's provenance, without repeats.
+fn provenance_inputs(chain: &ChainSegment) -> Vec<Input> {
+    let names: BTreeSet<&Name> = chain.dependencies().collect();
+    names.into_iter().map(|name| Input::Link(name.clone())).collect()
 }
 
 /// The keys of the entries composed from one input: one inline, more in a
@@ -236,16 +236,56 @@ impl Consumers {
 
 /// The derivation edges of a memo: which entries were composed from which
 /// inputs. Shared by every stripe of a [`ShardedMemoCache`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct DepIndex {
     /// Input → the keys of the entries, live or kept, composed from it.
     consumers: HashMap<Input, Consumers>,
     /// Evicted entries that live entries were composed from, by segment
     /// hash: their key and the inputs their edges leave from.
     kept: HashMap<u64, (MemoKey, Box<[Input]>)>,
+    /// The segment hashes of the live entries.
+    live: HashSet<u64>,
+    /// The live entries indexed under their provenance names although their
+    /// path records a derivation: an input segment was not held when they
+    /// were inserted.
+    by_name: HashSet<MemoKey>,
 }
 
 impl DepIndex {
+    /// Does the cache hold the segment with this hash, live or kept for the
+    /// entries composed from it: can an entry be indexed under it?
+    fn holds(&self, hash: u64) -> bool {
+        self.live.contains(&hash) || self.kept.contains_key(&hash)
+    }
+
+    /// The inputs to index the entry `chain` under `key` by: its derivation
+    /// when the cache holds each segment it was composed from, else each
+    /// name of its provenance.
+    fn inputs_for(&mut self, key: MemoKey, chain: &ChainSegment) -> Vec<Input> {
+        let held = |input: &Input| match input {
+            Input::Link(_) => true,
+            Input::Segment(hash) => self.holds(*hash),
+        };
+        match derivation(&key, chain) {
+            Some(inputs) if inputs.iter().all(held) => inputs,
+            Some(_) => {
+                self.by_name.insert(key);
+                provenance_inputs(chain)
+            }
+            None => provenance_inputs(chain),
+        }
+    }
+
+    /// The live entry `chain` under `key` leaves the cache: the inputs it
+    /// was indexed under.
+    fn left(&mut self, key: &MemoKey, chain: &ChainSegment) -> Vec<Input> {
+        self.live.remove(&segment_hash(key));
+        match derivation(key, chain) {
+            Some(inputs) if !self.by_name.remove(key) => inputs,
+            _ => provenance_inputs(chain),
+        }
+    }
+
     fn link(&mut self, key: MemoKey, input: &Input) {
         match self.consumers.entry(input.clone()) {
             hash_map::Entry::Occupied(mut consumers) => consumers.get_mut().push(key),
@@ -287,13 +327,17 @@ impl DepIndex {
         }
     }
 
-    /// Index the entry inserted under `key`. `previous` are the inputs of
-    /// the live entry it replaced, if any; a kept entry under the key is
-    /// live again. Edges the entry shares with what it replaces stay put.
-    fn inserted(&mut self, key: MemoKey, inputs: &[Input], previous: Option<Vec<Input>>) {
-        let previous = previous
-            .or_else(|| self.kept.remove(&segment_hash(&key)).map(|(_, inputs)| inputs.into()))
-            .unwrap_or_default();
+    /// Index the entry `chain` inserted under `key`. `previous` is the live
+    /// entry it replaced, if any; a kept entry under the key is live again.
+    /// Edges the entry shares with what it replaces stay put.
+    fn inserted(&mut self, key: MemoKey, chain: &ChainSegment, previous: Option<&ChainSegment>) {
+        let hash = segment_hash(&key);
+        let previous = match previous {
+            Some(previous) => self.left(&key, previous),
+            None => self.kept.remove(&hash).map(|(_, inputs)| inputs.into()).unwrap_or_default(),
+        };
+        let inputs = self.inputs_for(key, chain);
+        self.live.insert(hash);
         for input in inputs.iter().filter(|input| !previous.contains(input)) {
             self.link(key, input);
         }
@@ -303,9 +347,10 @@ impl DepIndex {
         self.release(orphans);
     }
 
-    /// The entry under `key`, indexed under `inputs`, left the cache by an
-    /// eviction or a removal: its edges stay while an entry consumes it.
-    fn evicted(&mut self, key: MemoKey, inputs: Vec<Input>) {
+    /// The live entry `chain` under `key` left the cache by an eviction or
+    /// a removal: its edges stay while an entry consumes it.
+    fn evicted(&mut self, key: MemoKey, chain: &ChainSegment) {
+        let inputs = self.left(&key, chain);
         let hash = segment_hash(&key);
         if self.consumers.contains_key(&Input::Segment(hash)) {
             self.kept.insert(hash, (key, inputs.into()));
@@ -331,7 +376,7 @@ impl DepIndex {
             for key in consumers.keys() {
                 let hash = segment_hash(key);
                 let inputs = match take(key) {
-                    Some(chain) => inputs_of(key, &chain),
+                    Some(chain) => self.left(key, &chain),
                     None => {
                         self.kept.remove(&hash).map(|(_, inputs)| inputs.into()).unwrap_or_default()
                     }
@@ -343,9 +388,9 @@ impl DepIndex {
         self.release(orphans);
     }
 
-    /// The keys, in key order, of the entries whose provenance mentions
-    /// `mapping` and for which `live` holds.
-    fn dependents(&self, mapping: &str, live: impl Fn(&MemoKey) -> bool) -> Vec<MemoKey> {
+    /// The keys, in key order, of the live entries whose provenance
+    /// mentions `mapping`.
+    fn dependents(&self, mapping: &str) -> Vec<MemoKey> {
         let mut pending = vec![Input::Link(Name::from(mapping))];
         let mut seen = HashSet::new();
         let mut found = Vec::new();
@@ -353,10 +398,11 @@ impl DepIndex {
             let Some(consumers) = self.consumers.get(&input) else { continue };
             for key in consumers.keys() {
                 if seen.insert(*key) {
-                    if live(key) {
+                    let hash = segment_hash(key);
+                    if self.live.contains(&hash) {
                         found.push(*key);
                     }
-                    pending.push(Input::Segment(segment_hash(key)));
+                    pending.push(Input::Segment(hash));
                 }
             }
         }
@@ -379,29 +425,17 @@ impl DepIndex {
     }
 }
 
-/// Content-addressed memo cache with dependency-tracked invalidation and
-/// optional LRU capacity: one stripe of entries and its dependency index.
-#[derive(Debug, Clone, Default)]
-pub struct MemoCache {
-    stripe: Stripe,
-    index: DepIndex,
-}
-
-/// The entries of a memo cache, or of one segment of a
-/// [`ShardedMemoCache`], with their recency, counters and journal.
-#[derive(Debug, Clone, Default)]
+/// The entries of one segment of a [`ShardedMemoCache`], with their
+/// recency, counters and journal.
+#[derive(Debug, Default)]
 struct Stripe {
     entries: BTreeMap<MemoKey, MemoEntry>,
     /// Recency stamp → key, for O(log n) LRU eviction.
     recency: BTreeMap<u64, MemoKey>,
     tick: u64,
     capacity: Option<usize>,
-    /// Counters of events observed by this cache instance.
+    /// Counters of events this stripe observed since the cache's baseline.
     stats: CacheStats,
-    /// Baseline carried over from a persisted sidecar (see
-    /// [`MemoCache::restore_stats`]); already includes every event the
-    /// persisting process observed.
-    restored: CacheStats,
     /// Mutation journal for incremental persistence (`None` = disabled, the
     /// default — a cache that is never drained must not grow a log).
     journal: Option<Vec<CacheEvent>>,
@@ -410,15 +444,6 @@ struct Stripe {
 impl Stripe {
     fn with_capacity(capacity: Option<usize>) -> Self {
         Stripe { capacity, ..Stripe::default() }
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.restored.merged(self.stats)
-    }
-
-    fn restore_stats(&mut self, stats: CacheStats) {
-        self.restored = stats;
-        self.stats = CacheStats::default();
     }
 
     fn enable_journal(&mut self) {
@@ -457,9 +482,8 @@ impl Stripe {
     }
 
     fn lookup(&mut self, key: MemoKey) -> Option<ComposedChain> {
-        match self.entries.get_mut(&key) {
+        match self.entries.get(&key) {
             Some(entry) => {
-                entry.hits += 1;
                 self.stats.hits += 1;
                 let chain = entry.chain.clone();
                 self.touch(key);
@@ -479,24 +503,30 @@ impl Stripe {
         Some(entry)
     }
 
+    /// Take least-recently-used entries out, journaling each, until `room`
+    /// more fit within the capacity.
+    fn shed(&mut self, room: usize) -> Vec<(MemoKey, MemoEntry)> {
+        let mut shed = Vec::new();
+        let Some(capacity) = self.capacity else { return shed };
+        while self.entries.len() + room > capacity {
+            let Some((_, key)) = self.recency.pop_first() else { break };
+            if let Some(entry) = self.entries.remove(&key) {
+                self.record(CacheEvent::Removed(key));
+                shed.push((key, entry));
+            }
+        }
+        shed
+    }
+
     /// Insert an entry, replacing any under its key, and return the entries
     /// evicted to make room for it. The caller indexes both.
     fn put(&mut self, key: MemoKey, chain: ComposedChain) -> Vec<(MemoKey, MemoEntry)> {
         self.take(&key);
-        let mut evicted = Vec::new();
-        if let Some(capacity) = self.capacity {
-            while self.entries.len() >= capacity {
-                let Some((_, key)) = self.recency.pop_first() else { break };
-                if let Some(entry) = self.entries.remove(&key) {
-                    self.record(CacheEvent::Removed(key));
-                    evicted.push((key, entry));
-                }
-            }
-        }
+        let evicted = self.shed(1);
         self.stats.evictions += evicted.len();
         self.tick += 1;
         self.recency.insert(self.tick, key);
-        self.entries.insert(key, MemoEntry { chain, hits: 0, last_used: self.tick });
+        self.entries.insert(key, MemoEntry { chain, last_used: self.tick });
         self.stats.insertions += 1;
         self.record(CacheEvent::Inserted(key));
         evicted
@@ -556,180 +586,32 @@ fn insert_indexed(stripe: &mut Stripe, index: &mut DepIndex, key: MemoKey, chain
     if stripe.capacity == Some(0) {
         return;
     }
-    let inputs = inputs_of(&key, &chain);
-    let previous = stripe.entries.get(&key).map(|entry| inputs_of(&key, &entry.chain));
-    index.inserted(key, &inputs, previous);
+    index.inserted(key, &chain, stripe.entries.get(&key).map(|entry| &*entry.chain));
     for (evicted, entry) in stripe.put(key, chain) {
-        index.evicted(evicted, inputs_of(&evicted, &entry.chain));
+        index.evicted(evicted, &entry.chain);
     }
 }
 
-impl MemoCache {
-    /// Create an empty, unbounded cache.
-    pub fn new() -> Self {
-        MemoCache::default()
-    }
-
-    /// Create an empty cache holding at most `capacity` entries (`None` for
-    /// unbounded).
-    pub fn with_capacity(capacity: Option<usize>) -> Self {
-        MemoCache { stripe: Stripe::with_capacity(capacity), index: DepIndex::default() }
-    }
-
-    /// The configured capacity, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.stripe.capacity
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.stripe.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.stripe.entries.is_empty()
-    }
-
-    /// Cumulative statistics: the restored baseline plus everything observed
-    /// by this instance.
-    pub fn stats(&self) -> CacheStats {
-        self.stripe.stats()
-    }
-
-    /// Adopt persisted cumulative counters as the new baseline, zeroing the
-    /// live counters. The baseline is *replaced*, not added: the persisted
-    /// counters already include every event up to the flush that wrote them
-    /// — in particular the insertions counted while replaying the sidecar's
-    /// entries into this cache, and any evictions from trimming the replay
-    /// to a smaller capacity — so a restore followed by a re-flush in the
-    /// same process cannot double-count.
-    pub fn restore_stats(&mut self, stats: CacheStats) {
-        self.stripe.restore_stats(stats);
-    }
-
-    /// Start journaling mutations for incremental persistence. Until the
-    /// first [`MemoCache::take_events`] drain, events accumulate; a cache
-    /// whose owner never drains should leave the journal disabled.
-    pub fn enable_journal(&mut self) {
-        self.stripe.enable_journal();
-    }
-
-    /// Drain the mutation journal (empty when journaling is disabled).
-    /// Events are in mutation order, so the last event per key reflects the
-    /// key's current liveness.
-    pub fn take_events(&mut self) -> Vec<CacheEvent> {
-        self.stripe.take_events()
-    }
-
-    /// Put drained events back at the *front* of the journal (they are
-    /// older than anything recorded since the drain), so a persister whose
-    /// write failed can hand its batch back instead of losing it. No-op
-    /// when journaling is disabled.
-    pub fn requeue_events(&mut self, events: Vec<CacheEvent>) {
-        self.stripe.requeue_events(events);
-    }
-
-    /// Look up a pairwise composition; counts a hit or miss and refreshes
-    /// the entry's recency.
-    pub fn lookup(&mut self, key: MemoKey) -> Option<ComposedChain> {
-        self.stripe.lookup(key)
-    }
-
-    /// Peek without touching statistics (used by the chain driver to measure
-    /// how much of a chain is already warm before choosing a fold order).
-    pub fn contains(&self, key: &MemoKey) -> bool {
-        self.stripe.entries.contains_key(key)
-    }
-
-    /// Does the cache hold the segment under `key`, live or kept for the
-    /// entries composed from it: can an entry be indexed under it?
-    pub(crate) fn holds(&self, key: &MemoKey) -> bool {
-        self.contains(key) || self.index.kept.contains_key(&segment_hash(key))
-    }
-
-    /// Peek at an entry's chain without touching statistics or recency (used
-    /// by the incremental persister to render a freshly inserted entry).
-    pub fn peek(&self, key: &MemoKey) -> Option<&ComposedChain> {
-        self.stripe.entries.get(key).map(|entry| &entry.chain)
-    }
-
-    /// Drop one entry by key; returns whether it existed. Used when
-    /// replaying a persisted `delta evict` record — the removal is
-    /// mechanical and counts toward no statistic (the replayed `stats`
-    /// records already carry the original eviction counts). Like an
-    /// eviction, it keeps the entry's derivation edges while an entry
-    /// consumes it.
-    pub fn remove(&mut self, key: &MemoKey) -> bool {
-        let Some(entry) = self.stripe.take(key) else { return false };
-        self.stripe.record(CacheEvent::Removed(*key));
-        self.index.evicted(*key, inputs_of(key, &entry.chain));
-        true
-    }
-
-    /// Insert a composed segment under its key, indexing its inputs.
-    /// When the cache is at capacity, the least-recently-used entry is
-    /// evicted first.
-    pub fn insert(&mut self, key: MemoKey, chain: ComposedChain) {
-        insert_indexed(&mut self.stripe, &mut self.index, key, chain);
-    }
-
-    /// Drop every entry whose provenance mentions `mapping`; returns how many
-    /// entries were dropped. Entries not depending on the mapping — e.g. the
-    /// prefix of a chain upstream of an edited link — survive. The drop is
-    /// not journaled per key (see [`CacheEvent`]).
-    pub fn invalidate(&mut self, mapping: &str) -> usize {
-        let stripe = &mut self.stripe;
-        let before = stripe.stats.invalidated;
-        self.index.drop_dependents(mapping, |key| stripe.invalidated(key));
-        stripe.stats.invalidated - before
-    }
-
-    /// Entries whose provenance mentions `mapping` (the "what depends on m?"
-    /// provenance query), in key order.
-    pub fn dependents(&self, mapping: &str) -> Vec<&ComposedChain> {
-        let keys = self.index.dependents(mapping, |key| self.contains(key));
-        keys.iter().filter_map(|key| self.peek(key)).collect()
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.stripe.clear();
-        self.index = DepIndex::default();
-    }
-
-    /// Iterate over live entries in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
-        self.stripe.entries.iter()
-    }
-
-    /// Iterate over live entries from least- to most-recently used. The
-    /// sidecar persists entries in this order so that a restored cache
-    /// re-acquires the same eviction order (re-insertion assigns recency
-    /// stamps in iteration order).
-    pub fn iter_lru(&self) -> impl Iterator<Item = (&MemoKey, &MemoEntry)> {
-        self.stripe.iter_lru()
-    }
-}
-
-/// A memo cache striped across independently locked LRU segments, safe to
-/// share by reference between concurrent sessions or batch workers.
+/// The memo cache: content-addressed entries striped across independently
+/// locked LRU segments, safe to share by reference between concurrent
+/// sessions or batch workers.
 ///
 /// Each memo key maps to one segment (by key hash), so two workers touching
 /// different chain segments take different locks; a capacity bound is split
 /// evenly across segments (each segment evicts its own LRU tail). The
 /// segments share one dependency index behind its own mutex: an insertion
 /// takes it after its segment's lock, and an invalidation after every
-/// segment's, so each invalidation is atomic. All methods take `&self`; a
-/// poisoned lock (a worker panicked while holding it) is recovered rather
-/// than propagated — per-entry state is always internally consistent, and
-/// losing cache entries only ever costs recomposition.
+/// segment's, so each invalidation is atomic. All methods but the
+/// construction-time ones take `&self`; a poisoned lock (a worker panicked
+/// while holding it) is recovered rather than propagated — per-entry state
+/// is always internally consistent, and losing cache entries only ever
+/// costs recomposition.
 #[derive(Debug)]
 pub struct ShardedMemoCache {
     segments: Vec<Mutex<Stripe>>,
     index: Mutex<DepIndex>,
-    /// Baseline adopted at construction (e.g. the stats of the single-thread
-    /// cache this was sharded from); segment live counters add onto it.
+    /// Counters carried over from a persisted sidecar; segment counters add
+    /// onto it.
     baseline: CacheStats,
     /// Per-segment counters on the global metrics registry
     /// (`catalog_cache_*_total{segment="i"}`). Handles are shared across
@@ -781,6 +663,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+fn unpoisoned<T>(mutex: &mut Mutex<T>) -> &mut T {
+    mutex.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl ShardedMemoCache {
     /// An empty sharded cache with `segments` stripes and an optional total
     /// capacity, split evenly across segments.
@@ -797,35 +683,40 @@ impl ShardedMemoCache {
         }
     }
 
-    /// Shard an existing cache: its entries are distributed across segments
-    /// in least-recently-used-first order (so every segment's eviction order
-    /// follows the original recency), its dependency index is adopted, and
-    /// its cumulative statistics become the baseline. The replay insertions
-    /// are *not* counted on top — the baseline already includes them.
-    pub fn from_cache(cache: MemoCache, segments: usize, capacity: Option<usize>) -> Self {
-        let mut sharded = ShardedMemoCache::new(segments, capacity);
-        sharded.baseline = cache.stats();
-        if capacity == Some(0) {
-            return sharded;
-        }
-        let MemoCache { stripe, index, .. } = cache;
-        let shared = sharded.index.get_mut().unwrap_or_else(PoisonError::into_inner);
-        *shared = index;
-        for (key, entry) in stripe.iter_lru() {
-            let segment = (segment_hash(key) % sharded.segments.len() as u64) as usize;
-            let target =
-                sharded.segments[segment].get_mut().unwrap_or_else(PoisonError::into_inner);
-            for (evicted, entry) in target.put(*key, entry.chain.clone()) {
-                shared.evicted(evicted, inputs_of(&evicted, &entry.chain));
+    /// The segment count of a session serving `workers` workers: about four
+    /// per worker, from 4 to 64, so workers composing disjoint chains
+    /// rarely meet on a lock.
+    pub(crate) fn segments_for(workers: usize) -> usize {
+        workers.max(1).saturating_mul(4).clamp(4, 64)
+    }
+
+    /// Bound the cache to `capacity` live entries in all, split across
+    /// segments as [`ShardedMemoCache::new`] splits it, trimming each
+    /// segment in place to its share, least recently used first. A trim
+    /// counts toward no statistic: bounding a cache replayed from a sidecar
+    /// keeps the persisted counters, and a trimmed entry keeps its
+    /// derivation edges while an entry consumes it, as an evicted one does.
+    pub(crate) fn bound(&mut self, capacity: Option<usize>) {
+        let per_segment = capacity.map(|total| total.div_ceil(self.segments.len()));
+        let index = unpoisoned(&mut self.index);
+        for segment in &mut self.segments {
+            let stripe = unpoisoned(segment);
+            stripe.capacity = per_segment;
+            for (key, entry) in stripe.shed(0) {
+                index.evicted(key, &entry.chain);
             }
         }
-        for segment in &mut sharded.segments {
-            segment
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .restore_stats(CacheStats::default());
+    }
+
+    /// Adopt persisted cumulative counters as the baseline, zeroing every
+    /// segment's counters: the persisted counters already include every
+    /// event up to the flush that wrote them, the insertions counted while
+    /// replaying the sidecar's entries into this cache among them.
+    pub(crate) fn set_baseline(&mut self, stats: CacheStats) {
+        self.baseline = stats;
+        for segment in &mut self.segments {
+            unpoisoned(segment).stats = CacheStats::default();
         }
-        sharded
     }
 
     fn segment_of(&self, key: &MemoKey) -> usize {
@@ -835,6 +726,11 @@ impl ShardedMemoCache {
     /// Every segment's lock, in segment order.
     fn lock_all(&self) -> Vec<MutexGuard<'_, Stripe>> {
         self.segments.iter().map(lock).collect()
+    }
+
+    /// The baseline plus the counters of every segment in `guards`.
+    fn merged_stats(&self, guards: &[MutexGuard<'_, Stripe>]) -> CacheStats {
+        guards.iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats))
     }
 
     /// Number of segments.
@@ -856,13 +752,13 @@ impl ShardedMemoCache {
     /// summed while *all* segment locks are held so the merge is atomic with
     /// respect to concurrent workers.
     pub fn stats(&self) -> CacheStats {
-        self.lock_all().iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats()))
+        self.merged_stats(&self.lock_all())
     }
 
     /// Per-segment snapshots — `(entries, capacity, live stats)` for each
     /// segment in index order. The baseline is *not* folded in (it has no
     /// per-segment attribution); each tuple reflects only traffic since the
-    /// sharded cache was constructed. Segments are locked one at a time, so
+    /// baseline was adopted. Segments are locked one at a time, so
     /// the snapshot is per-segment-consistent, not globally atomic — fine
     /// for introspection, which is its only caller.
     pub fn segment_snapshots(&self) -> Vec<(usize, Option<usize>, CacheStats)> {
@@ -870,30 +766,51 @@ impl ShardedMemoCache {
             .iter()
             .map(|segment| {
                 let guard = lock(segment);
-                (guard.entries.len(), guard.capacity, guard.stats())
+                (guard.entries.len(), guard.capacity, guard.stats)
             })
             .collect()
     }
 
-    /// Start journaling mutations on every segment (see
-    /// [`MemoCache::enable_journal`]). Call this only when some owner drains
-    /// the journal regularly via [`ShardedMemoCache::take_events`].
+    /// Start journaling mutations on every segment. Until the first
+    /// [`ShardedMemoCache::take_events`] drain, events accumulate; call
+    /// this only when some owner drains the journal regularly.
     pub fn enable_journal(&self) {
         for segment in &self.segments {
             lock(segment).enable_journal();
         }
     }
 
-    /// Drain every segment's mutation journal. A key always maps to the same
-    /// segment, so per-key event order is preserved even though events from
-    /// different segments interleave arbitrarily — consumers should keep the
-    /// *last* event per key.
+    /// Drain every segment's mutation journal (empty when journaling is
+    /// disabled). A key always maps to the same segment, so per-key event
+    /// order is preserved even though events from different segments
+    /// interleave arbitrarily — consumers should keep the *last* event per
+    /// key.
     pub fn take_events(&self) -> Vec<CacheEvent> {
         let mut events = Vec::new();
         for segment in &self.segments {
             events.append(&mut lock(segment).take_events());
         }
         events
+    }
+
+    /// Put drained events back, so a persister whose write failed can hand
+    /// its batch back instead of losing it: each event returns to the
+    /// front of its key's segment journal (it is older than anything
+    /// recorded since the drain), preserving per-key order. No-op when
+    /// journaling is disabled.
+    pub fn requeue_events(&self, events: Vec<CacheEvent>) {
+        let mut by_segment: Vec<Vec<CacheEvent>> = vec![Vec::new(); self.segments.len()];
+        for event in events {
+            let key = match event {
+                CacheEvent::Inserted(key) | CacheEvent::Removed(key) => key,
+            };
+            by_segment[self.segment_of(&key)].push(event);
+        }
+        for (segment, batch) in self.segments.iter().zip(by_segment) {
+            if !batch.is_empty() {
+                lock(segment).requeue_events(batch);
+            }
+        }
     }
 
     /// Peek at an entry's chain without touching statistics or recency.
@@ -929,29 +846,38 @@ impl ShardedMemoCache {
         self.segments.iter().map(|segment| lock(segment).path_refs(&mut seen)).sum()
     }
 
-    /// Put drained events back (see [`MemoCache::requeue_events`]): each
-    /// event returns to the front of its key's segment journal, preserving
-    /// per-key order relative to events recorded since the drain.
-    pub fn requeue_events(&self, events: Vec<CacheEvent>) {
-        let mut by_segment: Vec<Vec<CacheEvent>> = vec![Vec::new(); self.segments.len()];
-        for event in events {
-            let key = match event {
-                CacheEvent::Inserted(key) | CacheEvent::Removed(key) => key,
-            };
-            by_segment[self.segment_of(&key)].push(event);
-        }
-        for (segment, batch) in self.segments.iter().zip(by_segment) {
-            if !batch.is_empty() {
-                lock(segment).requeue_events(batch);
-            }
-        }
+    /// Drop one entry by key; returns whether it existed. Used when
+    /// replaying a persisted `delta evict` record — the removal is
+    /// mechanical and counts toward no statistic (the replayed `stats`
+    /// records already carry the original eviction counts). Like an
+    /// eviction, it keeps the entry's derivation edges while an entry
+    /// consumes it.
+    pub(crate) fn remove(&self, key: &MemoKey) -> bool {
+        let mut guard = lock(&self.segments[self.segment_of(key)]);
+        let Some(entry) = guard.take(key) else { return false };
+        guard.record(CacheEvent::Removed(*key));
+        lock(&self.index).evicted(*key, &entry.chain);
+        true
     }
 
     /// Drop every entry (in any segment) whose provenance mentions
-    /// `mapping`; returns how many entries were dropped. The drop holds
-    /// every segment lock and the index at once, so concurrent workers see
-    /// the cache before or after it.
+    /// `mapping`; returns how many entries were dropped. Entries not
+    /// depending on the mapping — e.g. the prefix of a chain upstream of an
+    /// edited link — survive. The drop holds every segment lock and the
+    /// index at once, so concurrent workers see the cache before or after
+    /// it. It is not journaled per key (see [`CacheEvent`]).
     pub fn invalidate(&self, mapping: &str) -> usize {
+        let dropped = self.drop_dependents(mapping);
+        for (telemetry, count) in self.telemetry.iter().zip(&dropped) {
+            telemetry.invalidated.add(*count as u64);
+        }
+        dropped.iter().sum()
+    }
+
+    /// [`ShardedMemoCache::invalidate`] without the telemetry, returning
+    /// how many entries each segment dropped: a sidecar replay re-applies a
+    /// drop that the process which wrote the record already counted.
+    pub(crate) fn drop_dependents(&self, mapping: &str) -> Vec<usize> {
         let mut guards = self.lock_all();
         let mut dropped = vec![0; guards.len()];
         lock(&self.index).drop_dependents(mapping, |key| {
@@ -960,11 +886,14 @@ impl ShardedMemoCache {
             dropped[segment] += 1;
             Some(chain)
         });
-        drop(guards);
-        for (telemetry, count) in self.telemetry.iter().zip(&dropped) {
-            telemetry.invalidated.add(*count as u64);
-        }
-        dropped.iter().sum()
+        dropped
+    }
+
+    /// The live entries whose provenance mentions `mapping` (the "what
+    /// depends on m?" provenance query), in key order.
+    pub fn dependents(&self, mapping: &str) -> Vec<ComposedChain> {
+        let keys = lock(&self.index).dependents(mapping);
+        keys.iter().filter_map(|key| self.peek(key)).collect()
     }
 
     /// Drop every entry in every segment, under all segment locks at once so
@@ -986,18 +915,17 @@ impl ShardedMemoCache {
         dropped
     }
 
-    /// Clone-merge every segment into a single-threaded cache (used to
-    /// persist a snapshot while workers may still be running). The merged
-    /// order keeps each segment's LRU order, which is what sharding the
-    /// result again restores, and between segments takes the entry with
-    /// the shorter path first, so an entry tends to follow the inputs it
-    /// was composed from (what lets a snapshot's `path` lines
-    /// back-reference them). The dependency index and cumulative statistics
-    /// carry over exactly.
-    pub fn collect(&self) -> MemoCache {
-        let mut merged = MemoCache::new();
+    /// The live entries, in the order a sidecar snapshot writes them, and
+    /// the cumulative statistics, both read under every segment lock at
+    /// once; the locks are held only while the entries are cloned (each an
+    /// `Arc`). The order keeps each segment's LRU order, so replaying the
+    /// entries restores every segment's eviction order, and between
+    /// segments takes the entry with the shorter path first, so an entry
+    /// tends to follow the inputs it was composed from (what lets a
+    /// snapshot's `path` lines back-reference them).
+    pub(crate) fn snapshot(&self) -> (Vec<(MemoKey, ComposedChain)>, CacheStats) {
         let guards = self.lock_all();
-        let stats = guards.iter().fold(self.baseline, |acc, guard| acc.merged(guard.stats()));
+        let stats = self.merged_stats(&guards);
         let mut segments: Vec<_> = guards.iter().map(|guard| guard.iter_lru()).collect();
         let mut heads = BinaryHeap::new();
         let mut advance = |segment: usize, heads: &mut BinaryHeap<_>| {
@@ -1008,13 +936,19 @@ impl ShardedMemoCache {
         for segment in 0..guards.len() {
             advance(segment, &mut heads);
         }
+        let mut entries = Vec::with_capacity(guards.iter().map(|guard| guard.entries.len()).sum());
         while let Some(Reverse((_, key, segment))) = heads.pop() {
-            merged.stripe.put(key, guards[segment].entries[&key].chain.clone());
+            entries.push((key, guards[segment].entries[&key].chain.clone()));
             advance(segment, &mut heads);
         }
-        merged.index = lock(&self.index).clone();
-        merged.restore_stats(stats);
-        merged
+        (entries, stats)
+    }
+
+    /// The live entries, in the order [`crate::persist::save_cache`] writes
+    /// them: each segment's least recently used first, the shorter path
+    /// first between segments.
+    pub fn entries(&self) -> Vec<(MemoKey, ComposedChain)> {
+        self.snapshot().0
     }
 }
 
@@ -1051,13 +985,11 @@ mod tests {
     use crate::chain::ChainSegment;
     use mapcomp_algebra::{Mapping, Signature};
 
-    fn segment(name: &str, deps: &[&str], hash: u64) -> ComposedChain {
-        let path = SegmentPath::link(name.into());
-        let deps: Vec<Name> = deps.iter().map(|&dep| dep.into()).collect();
+    fn segment_along(path: SegmentPath, deps: &[Name], hash: u64) -> ComposedChain {
         ChainSegment {
             source: "a".into(),
             target: "b".into(),
-            provenance: ChainSegment::provenance_of(&path, &deps),
+            provenance: ChainSegment::provenance_of(&path, deps),
             path,
             mapping: Mapping::default(),
             residual: Signature::new(),
@@ -1066,12 +998,29 @@ mod tests {
         .into()
     }
 
+    fn segment(name: &str, deps: &[&str], hash: u64) -> ComposedChain {
+        let deps: Vec<Name> = deps.iter().map(|&dep| dep.into()).collect();
+        segment_along(SegmentPath::link(name.into()), &deps, hash)
+    }
+
+    fn link(name: &str, hash: u64) -> ComposedChain {
+        segment(name, &[name], hash)
+    }
+
+    /// The segment a fold step composes from `left` and `right` under
+    /// `key`: its path joins theirs, and its hash is the key's.
+    fn composed(left: &ComposedChain, right: &ComposedChain, key: MemoKey) -> ComposedChain {
+        let path = SegmentPath::concat(&left.path, &right.path);
+        let names: Vec<Name> = path.iter().cloned().collect();
+        segment_along(path, &names, segment_hash(&key))
+    }
+
     #[test]
     fn lookup_hits_and_misses_are_counted() {
-        let mut cache = MemoCache::new();
-        assert!(cache.lookup((1, 2, 3)).is_none());
-        cache.insert((1, 2, 3), segment("m1", &["m1"], 9));
-        assert!(cache.lookup((1, 2, 3)).is_some());
+        let cache = ShardedMemoCache::new(1, None);
+        assert!(cache.cache_lookup((1, 2, 3)).is_none());
+        cache.cache_insert((1, 2, 3), segment("m1", &["m1"], 9));
+        assert!(cache.cache_lookup((1, 2, 3)).is_some());
         assert_eq!(
             cache.stats(),
             CacheStats { hits: 1, misses: 1, insertions: 1, invalidated: 0, evictions: 0 }
@@ -1080,16 +1029,16 @@ mod tests {
 
     #[test]
     fn invalidation_drops_exactly_dependents() {
-        let mut cache = MemoCache::new();
-        cache.insert((1, 2, 0), segment("p1", &["m1", "m2"], 12));
-        cache.insert((12, 3, 0), segment("p2", &["m1", "m2", "m3"], 123));
-        cache.insert((7, 8, 0), segment("q", &["k1"], 78));
+        let cache = ShardedMemoCache::new(1, None);
+        cache.cache_insert((1, 2, 0), segment("p1", &["m1", "m2"], 12));
+        cache.cache_insert((12, 3, 0), segment("p2", &["m1", "m2", "m3"], 123));
+        cache.cache_insert((7, 8, 0), segment("q", &["k1"], 78));
         assert_eq!(cache.len(), 3);
         // Editing m3 drops only the segment that includes it.
         assert_eq!(cache.invalidate("m3"), 1);
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&(1, 2, 0)));
-        assert!(cache.contains(&(7, 8, 0)));
+        assert!(cache.cache_contains(&(1, 2, 0)));
+        assert!(cache.cache_contains(&(7, 8, 0)));
         // Editing m1 drops the remaining chain segment but not `q`.
         assert_eq!(cache.invalidate("m1"), 1);
         assert_eq!(cache.len(), 1);
@@ -1099,9 +1048,9 @@ mod tests {
 
     #[test]
     fn dependents_reports_provenance() {
-        let mut cache = MemoCache::new();
-        cache.insert((1, 2, 0), segment("p1", &["m1", "m2"], 12));
-        cache.insert((12, 3, 0), segment("p2", &["m1", "m2", "m3"], 123));
+        let cache = ShardedMemoCache::new(4, None);
+        cache.cache_insert((1, 2, 0), segment("p1", &["m1", "m2"], 12));
+        cache.cache_insert((12, 3, 0), segment("p2", &["m1", "m2", "m3"], 123));
         assert_eq!(cache.dependents("m1").len(), 2);
         assert_eq!(cache.dependents("m3").len(), 1);
         assert!(cache.dependents("nope").is_empty());
@@ -1109,40 +1058,42 @@ mod tests {
 
     #[test]
     fn clear_counts_as_invalidation() {
-        let mut cache = MemoCache::new();
-        cache.insert((1, 2, 0), segment("p1", &["m1"], 12));
-        cache.clear();
+        let cache = ShardedMemoCache::new(4, None);
+        cache.cache_insert((1, 2, 0), segment("p1", &["m1"], 12));
+        assert_eq!(cache.clear(), 1);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().invalidated, 1);
+        assert!(cache.dependents("m1").is_empty());
     }
 
     #[test]
     fn capacity_evicts_least_recently_used() {
-        let mut cache = MemoCache::with_capacity(Some(2));
-        cache.insert((1, 0, 0), segment("a", &["a"], 1));
-        cache.insert((2, 0, 0), segment("b", &["b"], 2));
+        let cache = ShardedMemoCache::new(1, Some(2));
+        cache.cache_insert((1, 0, 0), segment("a", &["a"], 1));
+        cache.cache_insert((2, 0, 0), segment("b", &["b"], 2));
         // Touch `a` so `b` becomes the LRU entry.
-        assert!(cache.lookup((1, 0, 0)).is_some());
-        cache.insert((3, 0, 0), segment("c", &["c"], 3));
+        assert!(cache.cache_lookup((1, 0, 0)).is_some());
+        cache.cache_insert((3, 0, 0), segment("c", &["c"], 3));
         assert_eq!(cache.len(), 2);
-        assert!(cache.contains(&(1, 0, 0)));
-        assert!(!cache.contains(&(2, 0, 0)), "LRU entry must be evicted");
-        assert!(cache.contains(&(3, 0, 0)));
+        assert!(cache.cache_contains(&(1, 0, 0)));
+        assert!(!cache.cache_contains(&(2, 0, 0)), "LRU entry must be evicted");
+        assert!(cache.cache_contains(&(3, 0, 0)));
         assert_eq!(cache.stats().evictions, 1);
         // Eviction also unindexes provenance.
         assert!(cache.dependents("b").is_empty());
+        assert_eq!(cache.invalidate("b"), 0);
         // Re-inserting an existing key does not evict anything.
-        cache.insert((3, 0, 0), segment("c", &["c"], 3));
+        cache.cache_insert((3, 0, 0), segment("c", &["c"], 3));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
     fn zero_capacity_caches_nothing() {
-        let mut cache = MemoCache::with_capacity(Some(0));
-        cache.insert((1, 0, 0), segment("a", &["a"], 1));
+        let cache = ShardedMemoCache::new(1, Some(0));
+        cache.cache_insert((1, 0, 0), segment("a", &["a"], 1));
         assert!(cache.is_empty());
-        assert!(cache.lookup((1, 0, 0)).is_none());
+        assert!(cache.cache_lookup((1, 0, 0)).is_none());
         let stats = cache.stats();
         assert_eq!(stats.insertions, 0);
         assert_eq!(stats.evictions, 0);
@@ -1150,16 +1101,16 @@ mod tests {
 
     #[test]
     fn restored_stats_accumulate() {
-        let mut cache = MemoCache::new();
-        cache.restore_stats(CacheStats {
+        let mut cache = ShardedMemoCache::new(4, None);
+        cache.set_baseline(CacheStats {
             hits: 10,
             misses: 5,
             insertions: 7,
             invalidated: 2,
             evictions: 1,
         });
-        cache.insert((1, 0, 0), segment("a", &["a"], 1));
-        assert!(cache.lookup((1, 0, 0)).is_some());
+        cache.cache_insert((1, 0, 0), segment("a", &["a"], 1));
+        assert!(cache.cache_lookup((1, 0, 0)).is_some());
         let stats = cache.stats();
         assert_eq!(stats.hits, 11);
         assert_eq!(stats.insertions, 8);
@@ -1173,22 +1124,73 @@ mod tests {
         // restore cycles happen in one process.
         let persisted =
             CacheStats { hits: 3, misses: 4, insertions: 6, invalidated: 1, evictions: 2 };
-        let mut cache = MemoCache::new();
+        let mut cache = ShardedMemoCache::new(4, None);
         for round in 0..3 {
             for i in 0..4u64 {
-                cache.insert((i, 0, 0), segment(&format!("m{i}"), &["m"], i));
+                cache.cache_insert((i, 0, 0), segment(&format!("m{i}"), &["m"], i));
             }
-            cache.restore_stats(persisted);
+            cache.set_baseline(persisted);
             assert_eq!(cache.stats(), persisted, "round {round}: baseline must not compound");
+            assert!(cache.segment_snapshots().iter().all(|(_, _, live)| live.is_zero()));
         }
     }
 
     #[test]
+    fn bound_trims_each_segment_in_lru_order_without_counting() {
+        let mut cache = ShardedMemoCache::new(4, None);
+        for i in 0..24u64 {
+            cache.cache_insert((i, 0, 0), segment(&format!("m{i}"), &[&format!("m{i}")], i));
+        }
+        let before = cache.stats();
+        // The survivors: the most recently used entry of each segment.
+        let mut expected = Vec::new();
+        for (key, _) in cache.entries().into_iter().rev() {
+            if expected
+                .iter()
+                .all(|kept: &MemoKey| cache.segment_of(kept) != cache.segment_of(&key))
+            {
+                expected.push(key);
+            }
+        }
+        cache.bound(Some(4));
+        assert_eq!(cache.stats(), before, "a trim is not an eviction");
+        let mut live: Vec<MemoKey> = cache.entries().into_iter().map(|(key, _)| key).collect();
+        live.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(live, expected);
+        assert!(cache.segment_snapshots().iter().all(|(entries, cap, _)| Some(*entries) <= *cap));
+        // The bound holds for later insertions, which count their evictions.
+        cache.cache_insert((99, 0, 0), segment("late", &["late"], 99));
+        assert_eq!(cache.len(), expected.len());
+        assert_eq!(cache.stats().evictions, before.evictions + 1);
+    }
+
+    #[test]
+    fn an_input_evicted_before_its_consumer_arrives_indexes_the_consumer_by_name() {
+        // One one-entry segment: inserting an unrelated entry evicts the
+        // prefix I = m0∘m1 before anything consumed it, so its edges go. A
+        // later S = I∘m2, keyed by I's hash, must still fall to an edit of m0.
+        let cache = ShardedMemoCache::new(1, Some(1));
+        let (m0, m1, m2) = (link("m0", 10), link("m1", 11), link("m2", 12));
+        let prefix_key = (10, 11, 0);
+        let prefix = composed(&m0, &m1, prefix_key);
+        cache.cache_insert(prefix_key, prefix.clone());
+        cache.cache_insert((7, 8, 0), segment("q", &["k1"], 78));
+        assert!(!cache.cache_contains(&prefix_key));
+        let suffix_key = (prefix.hash, 12, 0);
+        cache.cache_insert(suffix_key, composed(&prefix, &m2, suffix_key));
+        assert_eq!(cache.dependents("m0").len(), 1);
+        assert_eq!(cache.invalidate("m0"), 1, "the suffix is indexed under m0 by name");
+        assert!(cache.is_empty());
+        assert_eq!(cache.index_refs(), 0, "the entry left by the edges it came in by");
+    }
+
+    #[test]
     fn journal_records_mutations_and_requeue_restores_order() {
-        let mut cache = MemoCache::with_capacity(Some(1));
+        let cache = ShardedMemoCache::new(1, Some(1));
         cache.enable_journal();
-        cache.insert((1, 0, 0), segment("a", &["a"], 1));
-        cache.insert((2, 0, 0), segment("b", &["b"], 2)); // evicts (1,0,0)
+        cache.cache_insert((1, 0, 0), segment("a", &["a"], 1));
+        cache.cache_insert((2, 0, 0), segment("b", &["b"], 2)); // evicts (1,0,0)
         assert_eq!(cache.invalidate("b"), 1, "journaled by its caller as one record, not per key");
         let drained = cache.take_events();
         assert_eq!(
@@ -1201,7 +1203,7 @@ mod tests {
         );
         assert!(cache.take_events().is_empty(), "drain is destructive");
         // A failed persist hands its batch back; newer events stay behind.
-        cache.insert((3, 0, 0), segment("c", &["c"], 3));
+        cache.cache_insert((3, 0, 0), segment("c", &["c"], 3));
         cache.requeue_events(drained.clone());
         let mut expected = drained;
         expected.push(CacheEvent::Inserted((3, 0, 0)));
@@ -1220,29 +1222,6 @@ mod tests {
         sharded.requeue_events(drained);
         assert_eq!(sharded.take_events().len(), 8, "requeued events drain again");
         assert!(sharded.take_events().is_empty());
-    }
-
-    #[test]
-    fn sharded_cache_round_trips_entries_and_stats() {
-        let mut cache = MemoCache::new();
-        for i in 0..6u64 {
-            cache.insert((i, 0, 0), segment(&format!("m{i}"), &[&format!("m{i}")], i));
-        }
-        assert!(cache.lookup((0, 0, 0)).is_some());
-        let before = cache.stats();
-        let sharded = ShardedMemoCache::from_cache(cache, 4, None);
-        assert_eq!(sharded.segment_count(), 4);
-        assert_eq!(sharded.len(), 6);
-        assert_eq!(sharded.stats(), before, "sharding must not re-count replayed insertions");
-        // Traffic through the trait surface is counted on top of the baseline.
-        assert!(sharded.cache_lookup((0, 0, 0)).is_some());
-        assert!(sharded.cache_lookup((99, 0, 0)).is_none());
-        assert_eq!(sharded.stats().hits, before.hits + 1);
-        assert_eq!(sharded.stats().misses, before.misses + 1);
-        let merged = sharded.collect();
-        assert_eq!(merged.len(), 6);
-        assert_eq!(merged.stats().hits, before.hits + 1);
-        assert!(merged.contains(&(5, 0, 0)));
     }
 
     #[test]

@@ -51,9 +51,12 @@
 //!   deadlock is impossible; path resolution searches a composition-graph
 //!   index that writers update while still holding their shard locks (lock
 //!   order: shards, then index);
-//! * the **memo cache** is striped into per-segment mutex-guarded LRU
-//!   segments keyed by memo-key hash ([`cache::ShardedMemoCache`]), with
-//!   cumulative statistics merged atomically across segments;
+//! * the **memo cache** — one type, [`cache::ShardedMemoCache`], which a
+//!   sidecar load replays into and a snapshot renders from — is striped
+//!   into per-segment mutex-guarded LRU segments keyed by memo-key hash,
+//!   with cumulative statistics merged atomically across segments and one
+//!   dependency index that decides, under its own lock, whether an
+//!   insertion is indexed along its derivation or by name;
 //! * the **sidecar** is written by a single-writer append protocol with a
 //!   mutex-guarded flush ([`persist::SidecarWriter`]); readers never block,
 //!   and the last-wins line grammar — snapshot lines plus incremental
@@ -99,9 +102,7 @@ pub mod session;
 pub mod shared;
 pub mod store;
 
-pub use cache::{
-    CacheEvent, CacheStats, ChainCache, MemoCache, MemoEntry, MemoKey, ShardedMemoCache,
-};
+pub use cache::{CacheEvent, CacheStats, ChainCache, MemoKey, ShardedMemoCache};
 pub use chain::{
     compose_chain_with, compose_pair, ChainOptions, ChainResult, ChainSegment, ComposedChain,
     LinkSource, PathNames, SegmentPath,

@@ -82,7 +82,7 @@ use mapcomp_algebra::{
 };
 use mapcomp_compose::{fold_updates, parse_update, write_update, Sign, Update};
 
-use crate::cache::{CacheStats, MemoCache, MemoKey};
+use crate::cache::{CacheStats, ChainCache, MemoKey, ShardedMemoCache};
 use crate::chain::{ChainSegment, ComposedChain, SegmentPath};
 use crate::error::CatalogError;
 use crate::hash::{extend_hash, hash_str};
@@ -238,7 +238,7 @@ fn absorb_version_line(manifest: &mut VersionManifest, rest: &str) {
 }
 
 /// Render the whole sidecar: versions, statistics, memo entries.
-pub fn save_state(catalog: &Catalog, cache: &MemoCache) -> String {
+pub fn save_state(catalog: &Catalog, cache: &ShardedMemoCache) -> String {
     let mut out = VersionManifest::of(catalog).render();
     out.push_str(&save_cache(cache));
     out
@@ -319,7 +319,7 @@ pub enum DeltaRecord {
     },
     /// `delta invalidate <name>` — drop every cached composition whose
     /// provenance mentions the mapping (the persisted form of
-    /// [`MemoCache::invalidate`]).
+    /// [`ShardedMemoCache::invalidate`]).
     Invalidate {
         /// The mapping name (escaped on disk).
         mapping: String,
@@ -527,15 +527,20 @@ pub fn render_mapping_decl(
 /// cache with delta records replayed in file order, and the parsed
 /// catalog-content deltas (to be applied over the document snapshot via
 /// [`Catalog::from_document`], in order).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct SidecarState {
     /// Persisted version counters and hash history (last line per entry
     /// wins).
     pub manifest: VersionManifest,
-    /// The memo cache: `entry` blocks inserted, `delta evict` /
-    /// `delta invalidate` removals applied, statistics restored from the
-    /// last absolute `stats` line plus subsequent `delta stats` increments.
-    pub cache: MemoCache,
+    /// The memo cache a session serves from ([`SharedSession::with_cache`]):
+    /// `entry` blocks inserted, `delta evict` / `delta invalidate` removals
+    /// applied, statistics restored from the last absolute `stats` line
+    /// plus subsequent `delta stats` increments. It is unbounded: a
+    /// capacity applies after the replay, so a `delta invalidate` sees
+    /// every entry the file holds.
+    ///
+    /// [`SharedSession::with_cache`]: crate::shared::SharedSession::with_cache
+    pub cache: ShardedMemoCache,
     /// Parsed `delta schema` / `delta mapping` payloads, in file order.
     pub doc_deltas: Vec<Document>,
     /// Live migration sessions keyed `(from, to)`: each session's net
@@ -557,6 +562,21 @@ pub struct SidecarState {
 }
 
 impl SidecarState {
+    /// An empty sidecar state whose cache is striped for a session serving
+    /// `workers` workers, as [`crate::shared::SharedSession::with_config`]
+    /// stripes its own.
+    pub fn new(workers: usize) -> SidecarState {
+        SidecarState {
+            manifest: VersionManifest::default(),
+            cache: ShardedMemoCache::new(ShardedMemoCache::segments_for(workers), None),
+            doc_deltas: Vec::new(),
+            migrations: BTreeMap::new(),
+            generation: 0,
+            next_seq: 0,
+            lines: LineIndex::default(),
+        }
+    }
+
     /// The position the next appended record should carry — the resume
     /// position a replication subscriber would hand to `Subscribe`.
     pub fn next_position(&self) -> Position {
@@ -605,12 +625,20 @@ pub fn strip_torn_tail(text: &str) -> &str {
 }
 
 /// Parse a complete sidecar rendering — snapshot lines *and* appended delta
-/// records — in one sequential pass. Malformed lines are skipped; deltas
-/// whose payloads fail to parse are skipped; everything else applies in
-/// file order, so later records supersede earlier ones exactly as the
-/// append order on disk implies.
+/// records — in one sequential pass, replaying the memo entries into a
+/// cache striped for a one-worker session ([`SidecarWriter::load_full`]
+/// loads for any worker count). Malformed lines are skipped; deltas whose
+/// payloads fail to parse are skipped; everything else applies in file
+/// order, so later records supersede earlier ones exactly as the append
+/// order on disk implies.
 pub fn load_sidecar(text: &str) -> SidecarState {
-    let mut state = SidecarState::default();
+    load_sidecar_for(text, 1)
+}
+
+/// [`load_sidecar`], replaying into the cache a session serving `workers`
+/// workers serves from.
+pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
+    let mut state = SidecarState::new(workers);
     let mut stats_acc: Option<CacheStats> = None;
     let mut lines = text.lines();
     // A line handed back by an abandoned entry block (see below), to be
@@ -623,8 +651,6 @@ pub fn load_sidecar(text: &str) -> SidecarState {
     // path resolved: what `path @<hash16>` references resolve against. A
     // reference shares the referenced path's node.
     let mut paths: HashMap<u64, SegmentPath> = HashMap::new();
-    // Segment hash → key of every entry inserted so far.
-    let mut segments: HashMap<u64, MemoKey> = HashMap::new();
     // One allocation per distinct name across every entry loaded.
     let mut names: HashSet<Name> = HashSet::new();
     let mut name = |text: &str| -> Name {
@@ -692,7 +718,7 @@ pub fn load_sidecar(text: &str) -> SidecarState {
                     }
                 }
                 Some((_, DeltaRecord::Invalidate { mapping })) => {
-                    state.cache.invalidate(&mapping);
+                    state.cache.drop_dependents(&mapping);
                 }
                 Some((_, DeltaRecord::Evict { key })) => {
                     state.cache.remove(&key);
@@ -771,30 +797,21 @@ pub fn load_sidecar(text: &str) -> SidecarState {
             let deps: Vec<Name> = deps.split_whitespace().map(&mut name).collect();
             ChainSegment::provenance_of(&path, &deps)
         });
-        // An entry is indexed under a segment it was composed from only
-        // while the cache holds that segment (a crash or a compaction can
-        // leave its block out, or drop it before this one): otherwise its
-        // path is read whole, and it is indexed under every name.
-        let held = |side: &SegmentPath, hash: u64| {
-            side.as_link().is_some()
-                || segments.get(&hash).is_some_and(|input| state.cache.holds(input))
-        };
-        let derived =
-            path.halves().is_none_or(|(left, right)| held(left, key.0) && held(right, key.1));
-        let path = if derived { path } else { path.iter().cloned().collect() };
+        // The cache indexes the entry by name when it does not hold a
+        // segment the entry was composed from (a crash or a compaction can
+        // leave its block out, or drop it before this one).
         let (source, target) = (name(source), name(target));
         let chain = ChainSegment { source, target, path, mapping, residual, hash, provenance };
-        state.cache.insert(key, chain.into());
-        segments.insert(hash, key);
+        state.cache.cache_insert(key, chain.into());
     }
     state.lines =
         LineIndex { hashes: raw_lines.into_keys().collect(), paths: paths.into_keys().collect() };
     // The accumulated counters already include the insertions replayed
-    // above; restoring last keeps them cumulative rather than
-    // double-counted.
-    if let Some(stats) = stats_acc {
-        state.cache.restore_stats(stats);
-    }
+    // above; adopting them last keeps them cumulative rather than
+    // double-counted. Without any, the replay's own counts are the
+    // baseline, as they are the persisted counters' part.
+    let stats = stats_acc.unwrap_or_else(|| state.cache.stats());
+    state.cache.set_baseline(stats);
     state
 }
 
@@ -1385,30 +1402,32 @@ pub fn render_cache_entry(key: &MemoKey, chain: &ComposedChain) -> String {
 /// Render the cache in the sidecar format. The rendering stands alone: a
 /// document line is back-referenced only when an earlier entry of the same
 /// rendering wrote it raw.
-pub fn save_cache(cache: &MemoCache) -> String {
+pub fn save_cache(cache: &ShardedMemoCache) -> String {
     let mut out = String::new();
     write_cache(&mut out, cache);
     out
 }
 
 /// Append [`save_cache`]'s rendering to `out`; returns the raw lines it
-/// wrote.
-pub fn write_cache(out: &mut String, cache: &MemoCache) -> LineIndex {
-    let _ = writeln!(out, "// mapcomp memo cache: {} entries", cache.len());
-    let stats = cache.stats();
+/// wrote and the statistics it recorded. The cache's locks are held only
+/// while its entries and statistics are read, not while they are rendered.
+pub fn write_cache(out: &mut String, cache: &ShardedMemoCache) -> (LineIndex, CacheStats) {
+    let (entries, stats) = cache.snapshot();
+    let _ = writeln!(out, "// mapcomp memo cache: {} entries", entries.len());
     let _ = writeln!(
         out,
         "stats {} {} {} {} {}",
         stats.hits, stats.misses, stats.insertions, stats.invalidated, stats.evictions
     );
-    // Least-recently-used first, so a capacity-bounded session restoring
-    // this sidecar evicts in the same order the saving session would have.
+    // Each segment least-recently-used first, so a capacity-bounded
+    // session restoring this sidecar evicts in the same order the saving
+    // session would have.
     let nothing = LineIndex::default();
     let mut renderer = EntryRenderer::new(&nothing);
-    for (key, entry) in cache.iter_lru() {
-        renderer.render(out, key, &entry.chain);
+    for (key, chain) in &entries {
+        renderer.render(out, key, chain);
     }
-    renderer.into_written()
+    (renderer.into_written(), stats)
 }
 
 /// Single-writer sidecar file shared by concurrent sessions — in one
@@ -1700,25 +1719,26 @@ impl SidecarWriter {
         Ok(meta)
     }
 
-    /// Read the complete sidecar state — manifest, cache, and the parsed
-    /// catalog-content deltas awaiting application over the document
-    /// snapshot — and adopt its [`LineIndex`] for later appends. A missing
-    /// file is an empty sidecar; a torn final line (a crash mid-append) is
-    /// dropped before parsing.
-    pub fn load_full(&self) -> SidecarState {
+    /// Read the complete sidecar state — manifest, cache (striped for a
+    /// session serving `workers` workers), and the parsed catalog-content
+    /// deltas awaiting application over the document snapshot — and adopt
+    /// its [`LineIndex`] for later appends. A missing file is an empty
+    /// sidecar; a torn final line (a crash mid-append) is dropped before
+    /// parsing.
+    pub fn load_full(&self, workers: usize) -> SidecarState {
         use std::io::Read as _;
         let mut writer = self.state();
         let Ok(mut file) = std::fs::File::open(&self.path) else {
-            return SidecarState::default();
+            return SidecarState::new(workers);
         };
         // The identity comes from the handle the text is read through, so
         // the index describes the very file it was built from.
         let seen = file.metadata().ok().as_ref().and_then(FileSeen::of);
         let mut text = String::new();
         if file.read_to_string(&mut text).is_err() {
-            return SidecarState::default();
+            return SidecarState::new(workers);
         }
-        let state = load_sidecar(strip_torn_tail(&text));
+        let state = load_sidecar_for(strip_torn_tail(&text), workers);
         writer.lines = state.lines.clone();
         writer.seen = seen;
         state
@@ -1734,8 +1754,11 @@ impl SidecarWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::segment_hash;
+    use crate::session::SessionConfig;
     use crate::shared::SharedSession;
     use mapcomp_algebra::parse_constraints;
+    use mapcomp_compose::Registry;
     use std::collections::BTreeSet;
 
     fn warm_session() -> SharedSession {
@@ -1758,31 +1781,26 @@ mod tests {
         session
     }
 
-    /// A warm session's catalog and memo cache, as the sidecar sees them.
-    fn warm_state() -> (Catalog, MemoCache) {
-        let session = warm_session();
-        (session.catalog().snapshot(), session.cache().collect())
-    }
-
     #[test]
     fn cache_round_trips_through_the_sidecar_format() {
-        let (_, cache) = warm_state();
-        let rendered = save_cache(&cache);
+        let session = warm_session();
+        let cache = session.cache();
+        let rendered = save_cache(cache);
         let restored = load_sidecar(&rendered).cache;
         assert_eq!(restored.len(), cache.len());
-        for (key, entry) in cache.iter() {
+        for (key, chain) in cache.entries() {
             let loaded = restored
-                .dependents(entry.chain.deps().first().unwrap())
+                .dependents(chain.deps().first().unwrap())
                 .into_iter()
-                .find(|c| c.hash == entry.chain.hash)
+                .find(|c| c.hash == chain.hash)
                 .expect("entry restored");
-            assert_eq!(loaded.path, entry.chain.path);
-            assert_eq!(loaded.source, entry.chain.source);
+            assert_eq!(loaded.path, chain.path);
+            assert_eq!(loaded.source, chain.source);
             assert_eq!(
                 loaded.mapping.constraints.to_string(),
-                entry.chain.mapping.constraints.to_string()
+                chain.mapping.constraints.to_string()
             );
-            assert!(restored.contains(key));
+            assert!(restored.cache_contains(&key));
         }
     }
 
@@ -1791,11 +1809,16 @@ mod tests {
         let session = warm_session();
         let calls_cold = session.stats().compose_calls;
         assert!(calls_cold > 0);
-        let rendered = save_cache(&session.cache().collect());
+        let rendered = save_cache(session.cache());
 
         // A brand-new session over the same catalog, warmed from the sidecar.
-        let mut fresh = SharedSession::new(session.catalog().snapshot());
-        fresh.restore_cache(load_sidecar(&rendered).cache);
+        let fresh = SharedSession::with_cache(
+            session.catalog().snapshot(),
+            Registry::standard(),
+            SessionConfig::default(),
+            1,
+            load_sidecar(&rendered).cache,
+        );
         let result = fresh.compose_path("s0", "s3").unwrap();
         assert_eq!(result.compose_calls, 0, "sidecar-restored cache must serve the chain");
     }
@@ -1817,28 +1840,27 @@ mod tests {
 
     #[test]
     fn restored_cache_preserves_eviction_order() {
-        let (_, warm) = warm_state();
-        // Touch the chain's first pairwise segment so it becomes the most
-        // recently used entry despite its key order.
-        let hot = *warm.iter().next().unwrap().0;
-        let mut cache = load_sidecar(&save_cache(&warm)).cache;
-        assert!(cache.lookup(hot).is_some());
-        let restored = load_sidecar(&save_cache(&cache)).cache;
-        // Replaying into one entry of room must keep the most recently used.
-        let mut bounded = MemoCache::with_capacity(Some(1));
-        for (key, entry) in restored.iter_lru() {
-            bounded.insert(*key, entry.chain.clone());
-        }
-        assert_eq!(bounded.len(), 1);
-        assert!(bounded.contains(&hot), "restored eviction order must follow recency");
+        let cache = load_sidecar(&save_cache(folded_session(8).cache())).cache;
+        let segment = |key: &MemoKey| segment_hash(key) % cache.segment_count() as u64;
+        let keys: Vec<MemoKey> = cache.entries().into_iter().map(|(key, _)| key).collect();
+        // Touch the least recently used entry of a segment holding others,
+        // so it becomes that segment's most recently used.
+        let shared =
+            |key: &MemoKey| keys.iter().filter(|other| segment(other) == segment(key)).count();
+        let hot = *keys.iter().find(|key| shared(key) > 1).expect("a shared segment");
+        assert!(cache.cache_lookup(hot).is_some());
+        let mut restored = load_sidecar(&save_cache(&cache)).cache;
+        // Trimmed to one entry per segment, its segment must keep it.
+        restored.bound(Some(restored.segment_count()));
+        assert!(restored.cache_contains(&hot), "restored eviction order must follow recency");
     }
 
     #[test]
     fn cache_stats_survive_the_sidecar() {
-        let (_, cache) = warm_state();
-        let before = cache.stats();
+        let session = warm_session();
+        let before = session.cache().stats();
         assert!(before.insertions > 0);
-        let restored = load_sidecar(&save_cache(&cache)).cache;
+        let restored = load_sidecar(&save_cache(session.cache())).cache;
         assert_eq!(restored.stats(), before, "lifetime counters persist, not double-counted");
     }
 
@@ -1851,7 +1873,7 @@ mod tests {
         }
         let catalog = session.catalog().snapshot();
         assert_eq!(catalog.mapping("m1").unwrap().version, 3);
-        let sidecar = save_state(&catalog, &session.cache().collect());
+        let sidecar = save_state(&catalog, session.cache());
 
         // Simulate a fresh CLI invocation: rebuild the catalog from its
         // content-only document, then re-apply the persisted versions.
@@ -1952,18 +1974,24 @@ mod tests {
     }
 
     /// Every entry's key and embedded document, in key order.
-    fn documents(cache: &MemoCache) -> Vec<(MemoKey, String)> {
-        cache.iter().map(|(key, entry)| (*key, render_chain_document(&entry.chain))).collect()
+    fn documents(cache: &ShardedMemoCache) -> Vec<(MemoKey, String)> {
+        let mut documents: Vec<_> = cache
+            .entries()
+            .into_iter()
+            .map(|(key, chain)| (key, render_chain_document(&chain)))
+            .collect();
+        documents.sort_unstable();
+        documents
     }
 
     /// A cache whose entries share most of their document lines, as
     /// neighbouring segments of an edited chain do.
-    fn overlapping_cache() -> MemoCache {
-        let mut cache = MemoCache::new();
+    fn overlapping_cache() -> ShardedMemoCache {
+        let cache = ShardedMemoCache::new(1, None);
         let shared = "select[#0 = 'shared constant one'](S) <= T; S <= select[#0 = 'two'](T)";
         for i in 0..4u64 {
             let constraints = format!("{shared}; select[#0 = {i}](S) <= T");
-            cache.insert((i, 0, 0), segment(&["m0", "m1"], &constraints, i));
+            cache.cache_insert((i, 0, 0), segment(&["m0", "m1"], &constraints, i));
         }
         cache
     }
@@ -1973,7 +2001,7 @@ mod tests {
         let cache = overlapping_cache();
         let rendered = save_cache(&cache);
         let raw: String =
-            cache.iter_lru().map(|(key, e)| render_cache_entry(key, &e.chain)).collect();
+            cache.entries().iter().map(|(key, chain)| render_cache_entry(key, chain)).collect();
         assert!(rendered.len() < raw.len(), "back-references must shrink the snapshot");
         let references = rendered.lines().filter(|line| line.starts_with('@')).count();
         // The three schema lines, the `mapping __seg` line and both shared
@@ -1983,10 +2011,7 @@ mod tests {
         assert!(!rendered.contains("\ndeps "), "deps equal to the path are derived: {rendered}");
         let state = load_sidecar(&rendered);
         assert_eq!(documents(&state.cache), documents(&cache));
-        assert_eq!(
-            state.cache.iter().next().unwrap().1.chain.deps(),
-            cache.iter().next().unwrap().1.chain.deps()
-        );
+        assert_eq!(state.cache.entries()[0].1.deps(), cache.entries()[0].1.deps());
         // The loader's index is the renderer's: the distinct long raw lines.
         assert_eq!(state.lines, LineIndex::of_text(&rendered));
         assert_eq!(state.lines.len(), 6 + 4);
@@ -2001,7 +2026,7 @@ mod tests {
         // lines and one repeated inside a single document.
         let two_lines = "select[#0 = 'a long constant\nspread over two lines'](S) <= T";
         let shared = segment(&["m0", "m1"], &format!("{two_lines}; S <= select[#0 = 'x'](T)"), 0);
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(1, None);
         for i in 0..4u64 {
             let mut constraints = shared.mapping.constraints.clone();
             constraints
@@ -2019,7 +2044,7 @@ mod tests {
                 hash: i,
                 provenance: None,
             };
-            cache.insert((i, 0, 0), chain.into());
+            cache.cache_insert((i, 0, 0), chain.into());
         }
         let rendered = save_cache(&cache);
         assert!(rendered.lines().filter(|line| line.starts_with('@')).count() > 12, "{rendered}");
@@ -2041,7 +2066,7 @@ mod tests {
         assert!(chunk.lines().any(|line| line.starts_with('@')), "{chunk}");
         // The renderer reports the raw lines it added, as a scan would.
         assert_eq!(renderer.into_written(), LineIndex::of_text(&chunk));
-        assert_eq!(write_cache(&mut String::new(), &cache), index);
+        assert_eq!(write_cache(&mut String::new(), &cache).0, index);
         let state = load_sidecar(&format!("{snapshot}{chunk}"));
         assert_eq!(
             render_chain_document(&state.cache.peek(&(9, 0, 0)).unwrap().clone()),
@@ -2082,9 +2107,12 @@ mod tests {
         );
         let state = load_sidecar(&text);
         assert_eq!(state.cache.len(), 5);
-        assert!(state.cache.contains(&(102, 0, 0)));
+        assert!(state.cache.cache_contains(&(102, 0, 0)));
         for dropped in [100, 101, 103] {
-            assert!(!state.cache.contains(&(dropped, 0, 0)), "entry {dropped} must be dropped");
+            assert!(
+                !state.cache.cache_contains(&(dropped, 0, 0)),
+                "entry {dropped} must be dropped"
+            );
         }
         // The surviving entries are exactly the ones written.
         let survivors: Vec<_> =
@@ -2116,11 +2144,17 @@ mod tests {
         session
     }
 
+    /// The entry of a session's memo with the longest path.
+    fn longest_entry(session: &SharedSession) -> (MemoKey, ComposedChain) {
+        session.cache().entries().into_iter().max_by_key(|(_, chain)| chain.path.len()).unwrap()
+    }
+
     #[test]
     fn a_folds_path_lines_back_reference_their_left_input_and_load_back_shared() {
         const LINKS: usize = 6;
-        let cache = folded_session(LINKS).cache().collect();
-        let snapshot = save_cache(&cache);
+        let session = folded_session(LINKS);
+        let cache = session.cache();
+        let snapshot = save_cache(cache);
         let path_lines: Vec<&str> =
             snapshot.lines().filter(|line| line.starts_with("path ")).collect();
         assert_eq!(path_lines.len(), LINKS - 1);
@@ -2134,24 +2168,22 @@ mod tests {
         let state = load_sidecar(&snapshot);
         assert_eq!(state.lines, LineIndex::of_text(&snapshot));
         assert_eq!(save_cache(&state.cache), snapshot, "the loaded fold renders identically");
-        for (key, entry) in cache.iter() {
-            assert_eq!(state.cache.peek(key).unwrap().path, entry.chain.path);
+        for (key, chain) in cache.entries() {
+            assert_eq!(state.cache.peek(&key).unwrap().path, chain.path);
         }
         // Loaded, each prefix shares the path node of the one before it.
-        let sharded = crate::cache::ShardedMemoCache::from_cache(state.cache, 4, None);
-        assert_eq!(sharded.path_refs(), LINKS);
-        assert_eq!(sharded.index_refs(), 2 * (LINKS - 1));
-        assert_eq!(sharded.invalidate(&link(0)), LINKS - 1);
+        assert_eq!(state.cache.path_refs(), LINKS);
+        assert_eq!(state.cache.index_refs(), 2 * (LINKS - 1));
+        assert_eq!(state.cache.invalidate(&link(0)), LINKS - 1);
 
         // Appended after a file that holds the prefixes, the next prefix
         // names only its link; alone, its reference resolves to nothing.
-        let longer = folded_session(LINKS + 1).cache().collect();
-        let (key, last) =
-            longer.iter().find(|(_, entry)| entry.chain.path.len() == LINKS + 1).unwrap();
+        let (key, last) = longest_entry(&folded_session(LINKS + 1));
+        let key = &key;
         let index = LineIndex::of_text(&snapshot);
         let mut chunk = String::new();
         let mut renderer = EntryRenderer::new(&index);
-        renderer.render(&mut chunk, key, &last.chain);
+        renderer.render(&mut chunk, key, &last);
         assert!(chunk.contains(&format!(" {}\n", link(LINKS))), "{chunk}");
         assert!(!chunk.contains(&link(0)), "{chunk}");
         // The renderer reports what the chunk adds to the file, as a scan of
@@ -2162,10 +2194,10 @@ mod tests {
         extended.paths.extend(written.paths);
         assert_eq!(extended, LineIndex::of_text(&format!("{snapshot}{chunk}")));
         let appended = load_sidecar(&format!("{snapshot}{chunk}"));
-        assert_eq!(appended.cache.peek(key).unwrap().path, last.chain.path);
+        assert_eq!(appended.cache.peek(key).unwrap().path, last.path);
         assert!(load_sidecar(&chunk).cache.is_empty());
         // Rendered with nothing held, the same entry writes its path whole.
-        let whole = render_cache_entry(key, &last.chain);
+        let whole = render_cache_entry(key, &last);
         let names = (0..=LINKS).map(link).collect::<Vec<_>>().join(" ");
         assert!(whole.contains(&format!("\npath {names}\n")), "{whole}");
     }
@@ -2175,17 +2207,17 @@ mod tests {
         // The fold's prefixes of 2, 3 and 4 links; the first is evicted
         // before the second's block, as a crash or a concurrent eviction
         // can leave it. The second still names `link(0)`.
-        let cache = folded_session(4).cache().collect();
-        let snapshot = save_cache(&cache);
-        let key =
-            |len: usize| *cache.iter().find(|(_, entry)| entry.chain.path.len() == len).unwrap().0;
+        let session = folded_session(4);
+        let snapshot = save_cache(session.cache());
+        let entries = session.cache().entries();
+        let key = |len: usize| entries.iter().find(|(_, chain)| chain.path.len() == len).unwrap().0;
         let (first, second) = (key(2), key(3));
         let block = format!("entry {:016x} {:016x} {:016x}", second.0, second.1, second.2);
         let at = snapshot.find(&block).unwrap();
         let evict = render_delta(&DeltaRecord::Evict { key: first });
         let text = format!("{}{evict}\n{}", &snapshot[..at], &snapshot[at..]);
         assert!(text[at..].contains("\npath @"), "the second block back-references:\n{text}");
-        let mut loaded = load_sidecar(&text).cache;
+        let loaded = load_sidecar(&text).cache;
         assert_eq!(loaded.len(), 2);
         assert_eq!(loaded.dependents(&link(0)).len(), 2);
         assert_eq!(loaded.invalidate(&link(0)), 2, "both prefixes depend on the first link");
@@ -2195,12 +2227,10 @@ mod tests {
     #[test]
     fn a_verbatim_append_records_the_paths_its_references_resolve_in_the_file() {
         const LINKS: usize = 6;
-        let snapshot = save_cache(&folded_session(LINKS).cache().collect());
-        let longer = folded_session(LINKS + 1).cache().collect();
-        let (key, last) =
-            longer.iter().find(|(_, entry)| entry.chain.path.len() == LINKS + 1).unwrap();
+        let snapshot = save_cache(folded_session(LINKS).cache());
+        let (key, last) = longest_entry(&folded_session(LINKS + 1));
         let mut chunk = String::new();
-        EntryRenderer::new(&LineIndex::of_text(&snapshot)).render(&mut chunk, key, &last.chain);
+        EntryRenderer::new(&LineIndex::of_text(&snapshot)).render(&mut chunk, &key, &last);
         assert!(chunk.contains("\npath @"), "{chunk}");
         // A replica appends the leader's chunks verbatim: the path its
         // reference resolves to in the file is held from then on.
@@ -2228,7 +2258,7 @@ mod tests {
             )
         };
         let shared = "select[#0 = 'a shared long constant'](S) <= T";
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(1, None);
         for (i, constraints) in
             [format!("delta <= T; {shared}"), shared.to_string()].iter().enumerate()
         {
@@ -2241,27 +2271,27 @@ mod tests {
                 hash: i as u64,
                 provenance: None,
             };
-            cache.insert((i as u64, 0, 0), chain.into());
+            cache.cache_insert((i as u64, 0, 0), chain.into());
         }
         let rendered = save_cache(&cache);
         assert_eq!(rendered.lines().filter(|line| line.starts_with('@')).count(), 0, "{rendered}");
         let state = load_sidecar(&rendered);
-        assert!(!state.cache.contains(&(0, 0, 0)), "the cut-short block is dropped");
-        assert!(state.cache.contains(&(1, 0, 0)), "the later block stands alone");
+        assert!(!state.cache.cache_contains(&(0, 0, 0)), "the cut-short block is dropped");
+        assert!(state.cache.cache_contains(&(1, 0, 0)), "the later block stands alone");
         let mut written = String::new();
-        assert_eq!(write_cache(&mut written, &cache), state.lines);
+        assert_eq!(write_cache(&mut written, &cache).0, state.lines);
     }
 
     #[test]
     fn raw_lines_starting_with_an_at_sign_round_trip() {
         // A string constant may hold a newline, so a document line can start
         // with `@` — even look exactly like a reference.
-        let mut cache = MemoCache::new();
+        let cache = ShardedMemoCache::new(1, None);
         for (i, constant) in
             ["x\n@0123456789abcdef", "y\n@0123456789abcdef\nz", "\n@@"].into_iter().enumerate()
         {
             let constraints = format!("select[#0 = '{constant}'](S) <= T");
-            cache.insert((i as u64, 0, 0), segment(&["m"], &constraints, i as u64));
+            cache.cache_insert((i as u64, 0, 0), segment(&["m"], &constraints, i as u64));
         }
         let rendered = save_cache(&cache);
         assert!(rendered.lines().any(|line| line == "@@0123456789abcdef"), "{rendered}");
@@ -2303,7 +2333,7 @@ mod tests {
         session.update_mapping("m1", parse_constraints("project[0](R1) <= R2").unwrap()).unwrap();
         let entry = session.catalog().mapping("m1").unwrap();
         writer.append(&VersionManifest::of_mapping(&entry).render()).unwrap();
-        let manifest = writer.load_full().manifest;
+        let manifest = writer.load_full(1).manifest;
         assert_eq!(manifest.mappings["m1"].0, 2, "last appended line wins");
         assert_eq!(manifest.mappings["m0"].0, 1, "earlier entries survive the append");
         let _ = std::fs::remove_file(writer.path());
@@ -2312,7 +2342,7 @@ mod tests {
     #[test]
     fn concurrent_appends_lose_no_updates() {
         let writer = SidecarWriter::new(temp_sidecar("race"));
-        let (catalog, _) = warm_state();
+        let catalog = warm_session().catalog().snapshot();
         std::thread::scope(|scope| {
             for worker in 0..4u64 {
                 let writer = &writer;
@@ -2327,7 +2357,7 @@ mod tests {
                 });
             }
         });
-        let manifest = writer.load_full().manifest;
+        let manifest = writer.load_full(1).manifest;
         for worker in 0..4u64 {
             let (version, _) = &manifest.mappings[&format!("w{worker}")];
             assert_eq!(*version, 5, "worker {worker}'s final append must not be lost");
@@ -2343,7 +2373,7 @@ mod tests {
         // kernel lock on the file is free, so the append goes straight in.
         std::fs::write(&lock_path, "pid 999999999\n").unwrap();
         writer.append("version mapping m 1 1:00000000000000aa\n").unwrap();
-        let manifest = writer.load_full().manifest;
+        let manifest = writer.load_full(1).manifest;
         assert_eq!(manifest.mappings["m"].0, 1);
         let _ = std::fs::remove_file(writer.path());
         let _ = std::fs::remove_file(lock_path);
@@ -2364,16 +2394,17 @@ mod tests {
 
     #[test]
     fn rewrite_compacts_appended_state() {
-        let (catalog, warm) = warm_state();
+        let session = warm_session();
+        let (catalog, warm) = (session.catalog().snapshot(), session.cache());
         let writer = SidecarWriter::new(temp_sidecar("compact"));
         for _ in 0..3 {
-            writer.append(&save_state(&catalog, &warm)).unwrap();
+            writer.append(&save_state(&catalog, warm)).unwrap();
         }
         let appended_len = std::fs::read_to_string(writer.path()).unwrap().len();
         let document = writer.path().with_extension("doc");
         writer
             .rewrite_with_document(&document, || {
-                let sidecar = save_state(&catalog, &warm);
+                let sidecar = save_state(&catalog, warm);
                 let lines = LineIndex::of_text(&sidecar);
                 (catalog.to_document_string(), sidecar, lines)
             })
@@ -2381,7 +2412,7 @@ mod tests {
         let compacted = std::fs::read_to_string(writer.path()).unwrap();
         assert!(compacted.len() < appended_len, "rewrite must compact the sidecar");
         assert_eq!(std::fs::read_to_string(&document).unwrap(), catalog.to_document_string());
-        let SidecarState { manifest, cache, .. } = writer.load_full();
+        let SidecarState { manifest, cache, .. } = writer.load_full(1);
         assert!(!manifest.is_empty());
         assert_eq!(cache.len(), warm.len());
         assert_eq!(cache.stats(), warm.stats());
@@ -2437,10 +2468,10 @@ mod tests {
 
     #[test]
     fn positioned_deltas_apply_like_legacy_ones() {
-        let (_, cache) = warm_state();
-        let mut legacy = save_cache(&cache);
+        let session = warm_session();
+        let mut legacy = save_cache(session.cache());
         let mut positioned = legacy.clone();
-        let key = *cache.iter().next().unwrap().0;
+        let key = session.cache().entries()[0].0;
         let evict = DeltaRecord::Evict { key };
         legacy.push_str(&render_delta(&evict));
         legacy.push('\n');
@@ -2448,8 +2479,8 @@ mod tests {
         positioned.push('\n');
         let legacy_state = load_sidecar(&legacy);
         let positioned_state = load_sidecar(&positioned);
-        assert!(!legacy_state.cache.contains(&key));
-        assert!(!positioned_state.cache.contains(&key));
+        assert!(!legacy_state.cache.cache_contains(&key));
+        assert!(!positioned_state.cache.cache_contains(&key));
         assert_eq!(legacy_state.cache.len(), positioned_state.cache.len());
         assert_eq!(legacy_state.next_position(), Position::ZERO);
         assert_eq!(positioned_state.next_position(), Position::new(1, 1));
@@ -2457,8 +2488,9 @@ mod tests {
 
     #[test]
     fn out_of_session_edits_advance_the_restored_version() {
-        let (catalog, cache) = warm_state();
-        let sidecar = save_state(&catalog, &cache);
+        let session = warm_session();
+        let catalog = session.catalog().snapshot();
+        let sidecar = save_state(&catalog, session.cache());
         // The document is edited by hand between invocations: m1 has new
         // content, so its recorded hash no longer matches.
         let mut rebuilt = catalog;

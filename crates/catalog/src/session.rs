@@ -116,8 +116,10 @@ pub type Session = SharedSession;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::MemoCache;
+    use crate::cache::{segment_hash, MemoKey};
+    use crate::chain::ComposedChain;
     use crate::error::CatalogError;
+    use crate::persist::{load_sidecar, render_delta, save_cache, DeltaRecord};
     use crate::store::Catalog;
     use mapcomp_algebra::{parse_constraints, Signature};
     use mapcomp_compose::Registry;
@@ -247,23 +249,75 @@ mod tests {
 
     #[test]
     fn restore_then_reflush_cycles_do_not_inflate_stats() {
-        // A capacity-bounded session restoring a larger persisted cache must
-        // not count the replay trim as workload evictions — however many
-        // restore/flush cycles happen in one process.
+        // The persisted memo holds every prefix of v1 → v6 and then the
+        // chains from v0, so in each segment the entries depending on m0
+        // are the most recently used. Its log then invalidates m0 and
+        // evicts one survivor.
         let donor = chain_session(6);
-        donor.compose_path("v0", "v6").unwrap();
-        let donated = donor.cache().collect();
-        let persisted = donated.stats();
-        assert!(persisted.insertions >= 5);
+        donor.compose_path("v1", "v6").unwrap();
+        for end in 2..=6 {
+            donor.compose_path("v0", &format!("v{end}")).unwrap();
+        }
+        let persisted = donor.cache().stats();
+        let snapshot = donor.cache().entries();
+        let (capacity, segments) = (4, 4);
+        assert!(snapshot.len() > capacity);
+        let depends_on_m0 = |chain: &ComposedChain| chain.deps().contains("m0");
+        let mut survivors: Vec<MemoKey> = snapshot
+            .iter()
+            .filter(|(_, chain)| !depends_on_m0(chain))
+            .map(|(key, _)| *key)
+            .collect();
+        let evicted = survivors.pop().unwrap();
+        let mut text = save_cache(donor.cache());
+        for record in [
+            DeltaRecord::Invalidate { mapping: "m0".to_string() },
+            DeltaRecord::Evict { key: evicted },
+        ] {
+            text.push_str(&render_delta(&record));
+            text.push('\n');
+        }
 
-        let mut bounded = bounded_session(6, 2);
+        // Replay first, then trim: each segment keeps its most recently
+        // used survivors, up to its share of the capacity.
+        let segment = |key: &MemoKey| segment_hash(key) % segments as u64;
+        let share = capacity.div_ceil(segments);
+        let in_segment = |keys: &[MemoKey], at: u64| -> Vec<MemoKey> {
+            keys.iter().filter(|key| segment(key) == at).copied().collect()
+        };
+        let mut expected: Vec<MemoKey> = (0..segments as u64)
+            .flat_map(|at| {
+                let keys = in_segment(&survivors, at);
+                keys[keys.len().saturating_sub(share)..].to_vec()
+            })
+            .collect();
+        expected.sort_unstable();
+        // Trimming during the replay would lose a survivor: some segment's
+        // most recently used entries all depend on m0.
+        let all: Vec<MemoKey> = snapshot.iter().map(|(key, _)| *key).collect();
+        assert!(
+            (0..segments as u64).any(|at| {
+                let keys = in_segment(&all, at);
+                let tail = &keys[keys.len().saturating_sub(share)..];
+                !in_segment(&survivors, at).is_empty()
+                    && tail.iter().all(|key| !survivors.contains(key))
+            }),
+            "the case must tell replay-then-trim from a trimmed replay"
+        );
+
         for cycle in 0..3 {
-            let mut replayed = MemoCache::new();
-            for (key, entry) in donated.iter() {
-                replayed.insert(*key, entry.chain.clone());
-            }
-            replayed.restore_stats(persisted);
-            bounded.restore_cache(replayed);
+            let bounded = SharedSession::with_cache(
+                chain_catalog(6),
+                Registry::standard(),
+                SessionConfig { cache_capacity: Some(capacity), ..SessionConfig::default() },
+                1,
+                load_sidecar(&text).cache,
+            );
+            assert_eq!(bounded.cache().segment_count(), segments);
+            let mut live: Vec<MemoKey> =
+                bounded.cache().entries().into_iter().map(|(key, _)| key).collect();
+            live.sort_unstable();
+            assert_eq!(live, expected, "cycle {cycle}: the invalidation's survivors, trimmed");
             assert_eq!(
                 bounded.cache().stats(),
                 persisted,
@@ -272,6 +326,8 @@ mod tests {
             for (entries, capacity, _) in bounded.cache().segment_snapshots() {
                 assert!(Some(entries) <= capacity, "cycle {cycle}: a segment overflowed");
             }
+            // Flush and restart.
+            text = save_cache(bounded.cache());
         }
     }
 

@@ -429,20 +429,36 @@ impl SharedSession {
         catalog.with_workers(1)
     }
 
-    /// Create a shared session with an explicit registry and configuration.
-    /// The store and cache are striped ~4 stripes per worker (bounded), so
-    /// workers composing disjoint chains rarely meet on a lock.
+    /// Create a shared session with an explicit registry and configuration
+    /// and an empty memo cache. The store and cache are striped ~4 stripes
+    /// per worker (bounded), so workers composing disjoint chains rarely
+    /// meet on a lock.
     pub fn with_config(
         catalog: Catalog,
         registry: Registry,
         config: SessionConfig,
         workers: usize,
     ) -> Self {
+        let cache = ShardedMemoCache::new(ShardedMemoCache::segments_for(workers), None);
+        SharedSession::with_cache(catalog, registry, config, workers, cache)
+    }
+
+    /// [`SharedSession::with_config`] serving from `cache` — one replayed
+    /// from a sidecar ([`crate::persist::SidecarWriter::load_full`]),
+    /// striped for the same `workers`. The configured capacity applies
+    /// after the replay: each stripe is trimmed in place, least recently
+    /// used first, and the trim counts as no eviction.
+    pub fn with_cache(
+        catalog: Catalog,
+        registry: Registry,
+        config: SessionConfig,
+        workers: usize,
+        mut cache: ShardedMemoCache,
+    ) -> Self {
         let workers = workers.max(1);
-        let stripes = workers.saturating_mul(4).clamp(4, 64);
-        let cache = ShardedMemoCache::new(stripes, config.cache_capacity);
+        cache.bound(config.cache_capacity);
         SharedSession {
-            catalog: SharedCatalog::from_catalog(&catalog, stripes),
+            catalog: SharedCatalog::from_catalog(&catalog, ShardedMemoCache::segments_for(workers)),
             registry,
             config,
             cache,
@@ -479,14 +495,6 @@ impl SharedSession {
     /// The sharded memo cache (provenance queries, instrumentation).
     pub fn cache(&self) -> &ShardedMemoCache {
         &self.cache
-    }
-
-    /// Seed the sharded cache from a single-threaded cache (e.g. one
-    /// restored from a sidecar). Entries are redistributed across segments;
-    /// the persisted cumulative statistics become the merged baseline.
-    pub fn restore_cache(&mut self, cache: crate::cache::MemoCache) {
-        let stripes = self.cache.segment_count();
-        self.cache = ShardedMemoCache::from_cache(cache, stripes, self.config.cache_capacity);
     }
 
     /// Replace the whole catalog content with `catalog` (see
@@ -1020,7 +1028,7 @@ mod tests {
             session.analyze_mapping(name).unwrap();
         }
         session.compose_path("v0", "v3").unwrap();
-        assert!(!session.cache().collect().dependents("m0").is_empty());
+        assert!(!session.cache().dependents("m0").is_empty());
         assert!(cached("m0"));
         let m0 = session.catalog().mapping("m0").unwrap().hash;
 
@@ -1030,6 +1038,6 @@ mod tests {
         assert_ne!(session.catalog().mapping("m0").unwrap().hash, m0);
         assert!(!cached("m0"), "a rehashed mapping's report is dropped");
         assert!(cached("m1") && cached("m2"), "untouched mappings keep theirs");
-        assert!(session.cache().collect().dependents("m0").is_empty());
+        assert!(session.cache().dependents("m0").is_empty());
     }
 }

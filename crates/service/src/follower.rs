@@ -150,7 +150,7 @@ impl Follower {
     ) -> Result<Follower, ServiceError> {
         let catalog_file: PathBuf = catalog_file.into();
         let sidecar = SidecarWriter::new(sidecar_path(&catalog_file));
-        let (catalog, state) = read_catalog(&catalog_file, &sidecar, true)?;
+        let (catalog, state) = read_catalog(&catalog_file, &sidecar, true, workers)?;
         let next = state.next_position();
         let lag_gauge = mapcomp_telemetry::metrics::global().gauge(
             "replication_follower_lag",

@@ -325,13 +325,14 @@ impl LocalService {
         config: SessionConfig,
         workers: usize,
     ) -> Self {
-        LocalService::restored(catalog, SidecarState::default(), registry, config, workers)
+        LocalService::restored(catalog, SidecarState::new(workers), registry, config, workers)
     }
 
-    /// The one constructor: an in-memory service over `catalog` whose memo
-    /// cache is warmed from the sidecar `state` and whose migration sessions
-    /// hold its net sources. A follower serves its replica through this
-    /// directly (the replication stream owns its on-disk artifacts);
+    /// The one constructor: an in-memory service over `catalog` that serves
+    /// from the memo cache the sidecar `state` was replayed into (striped
+    /// for `workers`) and whose migration sessions hold its net sources. A
+    /// follower serves its replica through this directly (the replication
+    /// stream owns its on-disk artifacts);
     /// [`LocalService::open_with_policy`] binds the result to disk.
     pub(crate) fn restored(
         catalog: Catalog,
@@ -341,8 +342,7 @@ impl LocalService {
         workers: usize,
     ) -> Self {
         let workers = workers.max(1);
-        let mut session = SharedSession::with_config(catalog, registry, config, workers);
-        session.restore_cache(state.cache);
+        let session = SharedSession::with_cache(catalog, registry, config, workers, state.cache);
         LocalService {
             session,
             batch_workers: workers,
@@ -388,7 +388,7 @@ impl LocalService {
     ) -> Result<Self, ServiceError> {
         let catalog_file: PathBuf = catalog_file.into();
         let sidecar = SidecarWriter::new(sidecar_path(&catalog_file));
-        let (catalog, state) = read_catalog(&catalog_file, &sidecar, allow_missing)?;
+        let (catalog, state) = read_catalog(&catalog_file, &sidecar, allow_missing, workers)?;
         let next = state.next_position();
         let mut service = LocalService::restored(catalog, state, registry, config, workers);
         // The journal feeds the append path.
@@ -420,10 +420,9 @@ impl LocalService {
     /// rewrite is about to discard.
     pub fn render_snapshot(&self, position: Position) -> (String, String, LineIndex, CacheStats) {
         let catalog = self.session.catalog().snapshot();
-        let cache = self.session.cache().collect();
         let mut sidecar = render_generation_marker(position);
         sidecar.push_str(&VersionManifest::of(&catalog).render());
-        let lines = write_cache(&mut sidecar, &cache);
+        let (lines, stats) = write_cache(&mut sidecar, self.session.cache());
         // The migrations mutex is a leaf lock, held only for this loop.
         for ((from, to), session) in
             self.migrations.lock().unwrap_or_else(PoisonError::into_inner).iter()
@@ -434,7 +433,7 @@ impl LocalService {
                 sidecar.push('\n');
             }
         }
-        (catalog.to_document_string(), sidecar, lines, cache.stats())
+        (catalog.to_document_string(), sidecar, lines, stats)
     }
 
     /// Fold one replicated migration batch into its session's net source (a
@@ -769,7 +768,8 @@ impl LocalService {
 }
 
 /// Read an on-disk catalog — the document snapshot at `catalog_file` and
-/// the log in `sidecar` — and restore it ([`restore_catalog`]). A missing
+/// the log in `sidecar`, its memo replayed into a cache striped for
+/// `workers` — and restore it ([`restore_catalog`]). A missing
 /// document is an empty snapshot when `allow_missing` or when the sidecar
 /// exists (the catalog then lives in log form); any other read failure is
 /// an error, so a service never silently starts empty and overwrites the
@@ -778,6 +778,7 @@ pub(crate) fn read_catalog(
     catalog_file: &Path,
     sidecar: &SidecarWriter,
     allow_missing: bool,
+    workers: usize,
 ) -> Result<(Catalog, SidecarState), ServiceError> {
     let document = match std::fs::read_to_string(catalog_file) {
         Ok(text) => parse_document(&text).map_err(|error| {
@@ -796,7 +797,7 @@ pub(crate) fn read_catalog(
             )))
         }
     };
-    let state = sidecar.load_full();
+    let state = sidecar.load_full(workers);
     let catalog = restore_catalog(&document, &state)?;
     Ok((catalog, state))
 }
@@ -1454,9 +1455,12 @@ mod tests {
     /// ones, sorted.
     fn replayed_and_live_keys(service: &LocalService, file: &Path) -> (Vec<MemoKey>, Vec<MemoKey>) {
         let text = std::fs::read_to_string(sidecar_path(file)).unwrap();
-        let replayed = mapcomp_catalog::load_sidecar(&text).cache;
-        let live = service.session().cache().collect();
-        (replayed.iter().map(|(key, _)| *key).collect(), live.iter().map(|(key, _)| *key).collect())
+        let keys = |cache: &mapcomp_catalog::ShardedMemoCache| {
+            let mut keys: Vec<MemoKey> = cache.entries().into_iter().map(|(key, _)| key).collect();
+            keys.sort_unstable();
+            keys
+        };
+        (keys(&mapcomp_catalog::load_sidecar(&text).cache), keys(service.session().cache()))
     }
 
     #[test]

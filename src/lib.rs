@@ -167,8 +167,8 @@ pub mod prelude {
         analyze_exchange, analyze_mapping, AnalysisReport, Diagnostic, LintCode, Termination,
     };
     pub use mapcomp_catalog::{
-        replay_editing, Catalog, CatalogError, ChainOptions, ChainResult, ContentHash, MemoCache,
-        PathCost, SessionConfig, SessionStats, SharedCatalog, SharedSession, SidecarWriter,
+        replay_editing, Catalog, CatalogError, ChainOptions, ChainResult, ContentHash, PathCost,
+        SessionConfig, SessionStats, SharedCatalog, SharedSession, SidecarWriter,
     };
     pub use mapcomp_compose::{
         compose, compose_constraints, eliminate, ComposeConfig, ComposeResult, EliminateStep,

@@ -206,14 +206,15 @@ fn strict_sessions_reject_cached_incomplete_segments() {
 
     let lenient = SharedSession::new(catalog.clone());
     assert!(!lenient.compose_path("a", "c").unwrap().is_complete());
-    let sidecar = save_cache(&lenient.cache().collect());
+    let sidecar = save_cache(lenient.cache());
 
     let strict_config = SessionConfig {
         chain: ChainOptions { require_complete: true },
         ..SessionConfig::default()
     };
-    let mut strict = SharedSession::with_config(catalog, Registry::standard(), strict_config, 1);
-    strict.restore_cache(load_sidecar(&sidecar).cache);
+    let restored = load_sidecar(&sidecar).cache;
+    let strict =
+        SharedSession::with_cache(catalog, Registry::standard(), strict_config, 1, restored);
     let err = strict.compose_path("a", "c").unwrap_err();
     assert!(matches!(err, CatalogError::Incomplete { .. }), "got {err:?}");
 }
@@ -241,13 +242,19 @@ fn memo_sidecar_round_trip_preserves_incrementality() {
     let session = chain_session(4);
     session.compose_path("v0", "v4").unwrap();
     let catalog_text = session.catalog().snapshot().to_document_string();
-    let sidecar = save_cache(&session.cache().collect());
+    let sidecar = save_cache(session.cache());
 
     let document = parse_document(&catalog_text).unwrap();
     let mut rebuilt = Catalog::new();
     rebuilt.from_document(&document).unwrap();
-    let mut fresh = SharedSession::new(rebuilt);
-    fresh.restore_cache(load_sidecar(&sidecar).cache);
+    let restored = load_sidecar(&sidecar).cache;
+    let fresh = SharedSession::with_cache(
+        rebuilt,
+        Registry::standard(),
+        SessionConfig::default(),
+        1,
+        restored,
+    );
     let warm = fresh.compose_path("v0", "v4").unwrap();
     assert_eq!(warm.compose_calls, 0, "restored sidecar must serve the whole chain");
     assert_eq!(warm.cache_hits, 1, "the whole chain is one restored run");

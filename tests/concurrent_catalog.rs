@@ -247,7 +247,7 @@ fn concurrent_stress_matches_single_threaded_replay() {
     // (c) No lost updates in the sidecar: the last appended line per private
     // mapping carries its final version, and compacting + reloading the full
     // state restores those versions exactly.
-    let manifest = writer.load_full().manifest;
+    let manifest = writer.load_full(1).manifest;
     for thread in 0..THREADS {
         let name = format!("tm{thread}");
         let final_version = snapshot.mapping(&name).unwrap().version;
@@ -259,12 +259,12 @@ fn concurrent_stress_matches_single_threaded_replay() {
     let document_file = writer.path().with_extension("doc");
     writer
         .rewrite_with_document(&document_file, || {
-            let sidecar = save_state(&snapshot, &shared.cache().collect());
+            let sidecar = save_state(&snapshot, shared.cache());
             let lines = LineIndex::of_text(&sidecar);
             (snapshot.to_document_string(), sidecar, lines)
         })
         .unwrap();
-    let compacted = writer.load_full().manifest;
+    let compacted = writer.load_full(1).manifest;
     let document = mapping_composition::algebra::parse_document(
         &std::fs::read_to_string(&document_file).unwrap(),
     )

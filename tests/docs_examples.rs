@@ -203,8 +203,8 @@ fn persistence_doc_sidecar_examples_round_trip() {
             // A back-referenced path loads as the whole path it names.
             path_references +=
                 entry_blocks.lines().filter(|line| line.starts_with("path @")).count();
-            for (_, entry) in cache.iter() {
-                let path = &entry.chain.path;
+            for (_, chain) in cache.entries() {
+                let path = &chain.path;
                 assert!(path.iter().all(|name| !name.starts_with('@')), "{path:?} resolved");
             }
             // save_cache = comment + stats + the canonical blocks.
@@ -225,12 +225,11 @@ fn persistence_doc_sidecar_examples_round_trip() {
         let current = load_sidecar(&format!("{}{}", old.manifest.render(), save_cache(&old.cache)));
         assert_eq!(current.manifest, old.manifest);
         let documents = |state: &mapping_composition::catalog::SidecarState| -> Vec<String> {
-            state
-                .cache
+            let mut entries = state.cache.entries();
+            entries.sort_unstable_by_key(|(key, _)| *key);
+            entries
                 .iter()
-                .map(|(_, entry)| {
-                    format!("{:?}\n{}", entry.chain.deps(), render_chain_document(&entry.chain))
-                })
+                .map(|(_, chain)| format!("{:?}\n{}", chain.deps(), render_chain_document(chain)))
                 .collect()
         };
         assert_eq!(documents(&current), documents(&old));

@@ -15,8 +15,9 @@ use std::fmt::Write as _;
 
 use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
-    load_sidecar, parse_positioned_delta, render_chain_document, restore_catalog, strip_torn_tail,
-    CacheStats, MemoKey, Position, SessionConfig, SidecarWriter, VersionManifest,
+    load_sidecar, parse_positioned_delta, render_cache_entry, render_chain_document,
+    restore_catalog, strip_torn_tail, CacheStats, MemoKey, Position, SessionConfig, SidecarWriter,
+    VersionManifest,
 };
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
@@ -256,7 +257,7 @@ fn stray_tmp_files_from_a_crashed_compaction_are_ignored() {
 /// The sidecar's recorded replication position, read the way recovery
 /// reads it.
 fn sidecar_position(file: &std::path::Path) -> Position {
-    SidecarWriter::new(sidecar_path(file)).load_full().next_position()
+    SidecarWriter::new(sidecar_path(file)).load_full(1).next_position()
 }
 
 #[test]
@@ -564,27 +565,26 @@ fn an_application_order_migrate_line_restores_its_net_source() {
 // recency); a clean shutdown loses nothing.
 // ---------------------------------------------------------------------------
 
-/// The durable part of a sidecar rendering: every record except the
-/// `stats` line and the `generation` header, with memo entry blocks kept
-/// whole and all records sorted (LRU order is soft state, like the
-/// counters).
+/// The durable part of a sidecar rendering, sorted: every record except
+/// the `stats` line, the `generation` header and the memo's entry blocks,
+/// and each memo entry the sidecar loads to, rendered alone. LRU order is
+/// soft state, like the counters, and the blocks' `@<hash16>`
+/// back-references follow it (a block references lines an earlier block
+/// wrote), so the entries are compared with their references resolved.
 fn durable_records(sidecar: &str) -> Vec<String> {
     let mut records = Vec::new();
-    let mut block: Option<String> = None;
+    let mut in_block = false;
     for line in sidecar.lines() {
-        if let Some(open) = &mut block {
-            open.push_str(line);
-            open.push('\n');
-            if line == "end-document" {
-                records.extend(block.take());
-            }
+        if in_block {
+            in_block = line != "end-document";
         } else if line.starts_with("entry ") {
-            block = Some(format!("{line}\n"));
+            in_block = true;
         } else if !line.starts_with("stats ") && !line.starts_with("generation ") {
             records.push(line.to_string());
         }
     }
-    records.extend(block);
+    let entries = load_sidecar(sidecar).cache.entries();
+    records.extend(entries.iter().map(|(key, chain)| render_cache_entry(key, chain)));
     records.sort();
     records
 }
@@ -614,15 +614,21 @@ fn warm_reads_write_nothing_and_a_kill_loses_only_counters() {
     let sidecar = sidecar_path(&file);
     let service = open(&file).with_metrics_registry(MetricsRegistry::new().leak());
     let hub = service.enable_replication().unwrap();
-    service.call(Request::AddDocument { text: chain_document(4) }).unwrap();
-    assert!(compose(&service, "v0", "v4") > 0);
+    service.call(Request::AddDocument { text: chain_document(10) }).unwrap();
+    assert!(compose(&service, "v0", "v10") > 0);
     migrate(&service, "v0", "v2", &["+R0(1)", "+R0(2)"]);
+    // Entries share a segment, so the order a snapshot writes them in
+    // follows that segment's recency, which the warm reads below move and
+    // a kill loses: the blocks, and where their back-references land,
+    // differ between the live and the reopened snapshot.
+    let segments = service.session().cache().segment_snapshots();
+    assert!(segments.iter().any(|(entries, _, _)| *entries >= 2), "{segments:?}");
 
     // Warm reads of every kind: compose-path, compose-names and a batch.
     let bytes = std::fs::read(&sidecar).unwrap();
     let appends = metric(&service, "persist_appends_total");
     let position = hub.position();
-    assert_eq!(compose(&service, "v0", "v4"), 0, "the chain is warm");
+    assert_eq!(compose(&service, "v0", "v10"), 0, "the chain is warm");
     let names = vec!["m0".to_string(), "m1".to_string()];
     service.call(Request::ComposeNames { names }).unwrap();
     let requests = vec![("v0".to_string(), "v4".to_string()), ("v0".to_string(), "v2".to_string())];
@@ -636,7 +642,7 @@ fn warm_reads_write_nothing_and_a_kill_loses_only_counters() {
     assert_eq!(metric(&service, "persist_appends_total"), appends + 1);
 
     // One more warm read, so the live hit counters run ahead of the disk.
-    assert_eq!(compose(&service, "v0", "v4"), 0);
+    assert_eq!(compose(&service, "v0", "v10"), 0);
     let live = durable_state(&service);
     let live_stats = service.session().cache().stats();
     drop(service); // kill: no shutdown, no compaction
@@ -650,7 +656,7 @@ fn warm_reads_write_nothing_and_a_kill_loses_only_counters() {
     assert_eq!(migrate(&reopened, "v0", "v2", &[]).source_rows, 3, "the history survived");
 
     // A clean shutdown compacts, so it restores the counters exactly.
-    assert_eq!(compose(&reopened, "v0", "v4"), 0);
+    assert_eq!(compose(&reopened, "v0", "v10"), 0);
     let Ok(Response::ShuttingDown) = reopened.call(Request::Shutdown) else {
         panic!("shutdown failed");
     };
@@ -710,8 +716,11 @@ fn one_shot_cli_runs_accumulate_hit_counters() {
 
 /// Every live memo entry as `(key, embedded document)`, in key order.
 fn memo_documents(service: &LocalService) -> Vec<(MemoKey, String)> {
-    let cache = service.session().cache().collect();
-    cache.iter().map(|(key, entry)| (*key, render_chain_document(&entry.chain))).collect()
+    let entries = service.session().cache().entries();
+    let mut documents: Vec<_> =
+        entries.iter().map(|(key, chain)| (*key, render_chain_document(chain))).collect();
+    documents.sort_unstable();
+    documents
 }
 
 /// The document lines a sidecar writes as back-references.
@@ -831,8 +840,9 @@ fn loaded_state(document: &str, sidecar: &str) -> String {
         stats.hits, stats.misses, stats.insertions, stats.invalidated, stats.evictions
     );
     let _ = writeln!(out, "position {}", state.next_position());
-    for ((left, right, config), entry) in state.cache.iter() {
-        let chain = &entry.chain;
+    let mut entries = state.cache.entries();
+    entries.sort_unstable_by_key(|(key, _)| *key);
+    for ((left, right, config), chain) in &entries {
         let _ = writeln!(out, "entry {left:016x} {right:016x} {config:016x} {:016x}", chain.hash);
         let _ = writeln!(out, "endpoints {} -> {}", chain.source, chain.target);
         let _ = writeln!(out, "path {}", chain.path.join(" "));

@@ -177,7 +177,7 @@ fn editing_chains_match_a_plain_refold() {
 /// `T4 - S <= T5` blocks right compose. Folding in `m3` eliminates `C` by
 /// left compose, which drops `C <= T3 - S` — so `S`'s constraints change
 /// and the retry eliminates it.
-fn changing_residual_session() -> SharedSession {
+fn changing_residual_catalog() -> Catalog {
     let carried = [("T3", 1), ("T4", 1), ("T5", 1)];
     let schema = |own: &str| Signature::from_arities(carried.iter().copied().chain([(own, 1)]));
     let mut catalog = Catalog::new();
@@ -190,7 +190,11 @@ fn changing_residual_session() -> SharedSession {
         .add_mapping("m2", "b", "c", parse_constraints("C <= T3 - S; T4 - S <= T5").unwrap())
         .unwrap();
     catalog.add_mapping("m3", "c", "d", parse_constraints("C <= D").unwrap()).unwrap();
-    SharedSession::new(catalog)
+    catalog
+}
+
+fn changing_residual_session() -> SharedSession {
+    SharedSession::new(changing_residual_catalog())
 }
 
 #[test]
@@ -257,14 +261,19 @@ fn memo_hits_and_peeks_share_the_stored_segment() {
 fn segments_restored_from_a_sidecar_start_without_fingerprints() {
     let live = changing_residual_session();
     live.compose_path("a", "c").unwrap();
-    let sidecar = save_cache(&live.cache().collect());
+    let sidecar = save_cache(live.cache());
     let restored_cache = load_sidecar(&sidecar).cache;
     assert!(restored_cache.len() == 1);
-    for (_, entry) in restored_cache.iter() {
-        assert!(entry.chain.known_failures().is_empty(), "fingerprints are never persisted");
+    for (_, chain) in restored_cache.entries() {
+        assert!(chain.known_failures().is_empty(), "fingerprints are never persisted");
     }
-    let mut restored = changing_residual_session();
-    restored.restore_cache(restored_cache);
+    let restored = SharedSession::with_cache(
+        changing_residual_catalog(),
+        Registry::standard(),
+        SessionConfig::default(),
+        1,
+        restored_cache,
+    );
     let from_memory = live.compose_path("a", "d").unwrap();
     let from_sidecar = restored.compose_path("a", "d").unwrap();
     assert_eq!(from_sidecar.plan, from_memory.plan);

@@ -288,10 +288,9 @@ fn schema_name(catalog: &SharedCatalog, name: &str) -> Name {
 /// catalog's allocations, not copies.
 fn assert_memo_shares_catalog_names(session: &SharedSession, context: &str) {
     let catalog = session.catalog();
-    let memo = session.cache().collect();
+    let memo = session.cache().entries();
     assert!(!memo.is_empty(), "{context}: the memo is empty");
-    for (key, entry) in memo.iter() {
-        let chain = &entry.chain;
+    for (key, chain) in &memo {
         assert!(chain.provenance.is_none(), "{context}: {key:?} keeps an explicit provenance");
         for name in chain.path.iter() {
             assert!(
@@ -350,9 +349,9 @@ fn copy_chain(hops: usize) -> Catalog {
 
 /// Every live memo entry's provenance, read off the entries themselves.
 fn provenance_scan(session: &SharedSession) -> BTreeMap<MemoKey, BTreeSet<String>> {
-    let memo = session.cache().collect();
+    let memo = session.cache().entries();
     memo.iter()
-        .map(|(key, entry)| (*key, entry.chain.deps().into_iter().map(str::to_string).collect()))
+        .map(|(key, chain)| (*key, chain.deps().into_iter().map(str::to_string).collect()))
         .collect()
 }
 
@@ -367,12 +366,14 @@ fn dropped(
 /// The "what depends on m?" query agrees with a brute-force scan of every
 /// entry's flattened provenance.
 fn assert_dependents_match_scan(session: &SharedSession, mapping: &str) {
-    let memo = session.cache().collect();
-    let found: Vec<u64> = memo.dependents(mapping).iter().map(|chain| chain.hash).collect();
+    let cache = session.cache();
+    let found: Vec<u64> = cache.dependents(mapping).iter().map(|chain| chain.hash).collect();
+    let mut memo = cache.entries();
+    memo.sort_unstable_by_key(|(key, _)| *key);
     let scanned: Vec<u64> = memo
         .iter()
-        .filter(|(_, entry)| entry.chain.deps().contains(mapping))
-        .map(|(_, entry)| entry.chain.hash)
+        .filter(|(_, chain)| chain.deps().contains(mapping))
+        .map(|(_, chain)| chain.hash)
         .collect();
     assert_eq!(found, scanned, "dependents of {mapping}");
 }
@@ -406,15 +407,13 @@ fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
     const HOPS: usize = 8;
     let catalog = copy_chain(HOPS);
     let config = SessionConfig { cache_capacity: Some(8), ..SessionConfig::default() };
-    let mut session =
-        SharedSession::with_config(catalog.clone(), Registry::standard(), config.clone(), 1);
 
     // One sidecar-loaded entry whose `deps` line names a mapping off its
     // path: the m0 ∘ m1 segment, also depending on m5.
-    let warm = SharedSession::with_config(catalog, Registry::standard(), config, 1);
+    let warm = SharedSession::with_config(catalog.clone(), Registry::standard(), config.clone(), 1);
     let names: Vec<String> = (0..2).map(|i| format!("m{i}")).collect();
     let pair = warm.compose_names(&names).unwrap().chain;
-    let key = *warm.cache().collect().iter().next().unwrap().0;
+    let key = warm.cache().entries()[0].0;
     let path = pair.path.clone();
     let deps: Vec<Name> = ["m0", "m1", "m5"].into_iter().map(Name::from).collect();
     let explicit = ChainSegment {
@@ -428,7 +427,13 @@ fn invalidation_drops_exactly_what_a_provenance_scan_finds() {
     };
     let text = render_cache_entry(&key, &ComposedChain::from(explicit));
     assert!(text.contains("\ndeps m0 m1 m5\n"), "{text}");
-    session.restore_cache(load_sidecar(&text).cache);
+    let session = SharedSession::with_cache(
+        catalog,
+        Registry::standard(),
+        config,
+        1,
+        load_sidecar(&text).cache,
+    );
     session.cache().enable_journal();
     assert_eq!(provenance_scan(&session)[&key], ["m0", "m1", "m5"].map(String::from).into());
 
@@ -565,9 +570,8 @@ fn an_evicted_middle_segment_still_leads_to_its_descendants() {
         .unwrap();
         assert_eq!(folded.compose_calls, HOPS - 1);
         assert_eq!((cache.len(), cache.stats().evictions), (3, 2), "m0∘m1 and m0∘m1∘m2 evicted");
-        let deps = |cache: &mapping_composition::catalog::ShardedMemoCache| {
-            cache.collect().dependents(edited).len()
-        };
+        let deps =
+            |cache: &mapping_composition::catalog::ShardedMemoCache| cache.dependents(edited).len();
         assert_eq!(deps(&cache), expected, "dependents of {edited}");
         assert_eq!(cache.invalidate(edited), expected, "invalidating {edited}");
         assert_eq!(cache.len(), 3 - expected);
