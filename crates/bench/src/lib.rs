@@ -1593,11 +1593,13 @@ fn persistence_run(mappings: usize) -> PersistencePoint {
         rewrite += snapshot_bytes(&service);
     }
 
-    let pre_document = service.session().catalog().snapshot().to_document_string();
+    let pre_document =
+        service.session().catalog().read(mapcomp_catalog::Catalog::to_document_string);
     let pre_stats = service.session().cache().stats();
     drop(service);
     let reopened = open_persistent(&file, 1);
-    let recovered = reopened.session().catalog().snapshot().to_document_string() == pre_document
+    let recovered = reopened.session().catalog().read(mapcomp_catalog::Catalog::to_document_string)
+        == pre_document
         && reopened.session().cache().stats() == pre_stats;
     // The composed spans again, now served warm from the recovered memo.
     let before_reads = file_bytes(&sidecar);
@@ -1844,8 +1846,9 @@ fn replication_catchup_run(writes: usize) -> ReplicationCatchupPoint {
             follower.stop();
             apply.join().expect("apply thread").expect("apply loop");
         });
-        point.converged = leader.session().catalog().snapshot().to_document_string()
-            == follower.catalog_snapshot().to_document_string();
+        point.converged =
+            leader.session().catalog().read(mapcomp_catalog::Catalog::to_document_string)
+                == follower.catalog_snapshot().to_document_string();
 
         let closer = Client::connect(addr).expect("connect for shutdown");
         closer.call(Request::Shutdown).expect("shutdown accepted");

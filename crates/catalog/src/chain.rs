@@ -56,9 +56,11 @@ use crate::hash::{combine, hash_config, ContentHash};
 use crate::store::{Catalog, MappingEntry, Name};
 
 /// A source of single-link chain segments by mapping name. Implemented by
-/// the single-threaded [`Catalog`] and by the lock-striped
-/// [`crate::shared::SharedCatalog`], so the chain driver composes over
-/// either without caring which store backs it.
+/// the single-threaded [`Catalog`] and by [`crate::shared::SharedCatalog`],
+/// which runs the `Catalog` impl under its read guard, so the chain driver
+/// composes over either without caring which store backs it. Each call
+/// reads one state: a link's mapping and both its schemas come from the
+/// same revision of the catalog.
 pub trait LinkSource {
     /// Materialise the named mapping as a one-link chain.
     fn link(&self, name: &str) -> Result<ComposedChain, CatalogError>;
@@ -622,7 +624,7 @@ fn compose_pair_hashed(
 /// Compose a chain of catalog mappings (given by name, adjacent pairs must
 /// share a schema) through any [`LinkSource`], reusing and populating a
 /// shared [`ChainCache`]. Several workers may fold chains over one
-/// lock-striped store and one sharded cache at the same time. Cache
+/// shared store and one sharded cache at the same time. Cache
 /// entries may be evicted or invalidated by other workers between the probe
 /// and the fetch; the driver degrades to recomposing the affected run.
 pub fn compose_chain_with<S, C>(

@@ -13,7 +13,7 @@
 //!
 //! Both searches (and [`reachable`]) run over one structure, the graph
 //! index. [`crate::SharedCatalog`] maintains its index under the same write
-//! locks that edit its shards, so a served resolution costs in
+//! guard that edits its catalog, so a served resolution costs in
 //! proportion to the part of the graph it explores, never to the catalog.
 //! The single-threaded [`Catalog`] keeps no index: the free functions here
 //! build one from it on each call.
@@ -52,7 +52,7 @@ pub fn edge_cost(constraints: &ConstraintSet) -> u64 {
 /// every mapping) but never searched.
 ///
 /// [`crate::SharedCatalog`] keeps one index up to date under its write
-/// locks; [`resolve_path`], [`resolve_path_with`] and [`reachable`] build
+/// guard; [`resolve_path`], [`resolve_path_with`] and [`reachable`] build
 /// one from a [`Catalog`] on each call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct GraphIndex {

@@ -22,10 +22,10 @@
 //!   `(left-hash, right-hash, config-hash)`, with provenance-tracked
 //!   invalidation: editing one mapping drops exactly the cached segments
 //!   that depend on it.
-//! * [`shared`] — the session tying the pieces together: the lock-striped
-//!   [`SharedCatalog`] and the [`SharedSession`] over it, safe to share
-//!   across threads, with the parallel batch API and the instrumented
-//!   pairwise-composition counter.
+//! * [`shared`] — the session tying the pieces together: the
+//!   [`SharedCatalog`] (one catalog behind one `RwLock`) and the
+//!   [`SharedSession`] over it, safe to share across threads, with the
+//!   parallel batch API and the instrumented pairwise-composition counter.
 //! * [`session`] — what every session shares: [`SessionConfig`],
 //!   [`SessionStats`] and the analysis-report renderers.
 //! * [`replay`] — the schema-evolution simulator hooked into the catalog:
@@ -44,13 +44,13 @@
 //! Concurrent sessions share three structures, each with its own locking
 //! discipline (details in the [`shared`] module docs):
 //!
-//! * the **store** is striped into `RwLock` shards keyed by the content hash
-//!   of the entry name — the compose read path (path resolution, chain
-//!   materialisation) takes only read locks and never serialises readers;
-//!   multi-shard writers acquire locks in ascending shard order, so
-//!   deadlock is impossible; path resolution searches a composition-graph
-//!   index that writers update while still holding their shard locks (lock
-//!   order: shards, then index);
+//! * the **store** is one `RwLock` over the [`Catalog`] and the
+//!   composition-graph index it maintains — the compose read path (path
+//!   resolution, chain materialisation) shares the read guard, and every
+//!   writer updates the catalog and the index under one write guard; the
+//!   guard is a leaf lock: nothing else is locked while it is held, it is
+//!   never held across `compose()` or a memo lock, and no thread takes it
+//!   twice;
 //! * the **memo cache** — one type, [`cache::ShardedMemoCache`], which a
 //!   sidecar load replays into and a snapshot renders from — is striped
 //!   into per-segment mutex-guarded LRU segments keyed by memo-key hash,

@@ -1,38 +1,28 @@
-//! Concurrent shared-catalog sessions: a lock-striped store and a parallel
-//! batch-composition session, safe to share by reference across threads.
+//! Concurrent shared-catalog sessions: one catalog store behind one
+//! reader-writer lock, and a parallel batch-composition session, safe to
+//! share by reference across threads.
 //!
 //! # Concurrency model
 //!
-//! * **Store** — [`SharedCatalog`] stripes schemas and mappings across N
-//!   shards keyed by the FNV content hash of the entry name, each behind a
-//!   [`RwLock`]. Lookups and chain materialisation take single-shard *read*
-//!   locks, so the compose read path never serialises readers. Mapping
-//!   registration write-locks only the shards involved (acquired in
-//!   ascending shard order — the global lock discipline that makes deadlock
-//!   impossible); schema updates write-lock every shard because they rehash
-//!   the mappings that mention the schema, wherever those live.
-//! * **Graph index** — path resolution searches a composition-graph index
-//!   the store maintains behind its own [`RwLock`]. Every writer updates it inside
-//!   the same critical section as its shard write (lock order: shards, then
-//!   index), and a resolution holds only the index read lock, so it always
-//!   searches a consistent graph without copying it. The chain driver
-//!   probes the memo cache on each link's stored hash and endpoints
-//!   ([`SharedCatalog::mapping_edge`], one shard read, nothing cloned but
-//!   two names) and materialises only the links it composes. Chain
-//!   materialisation reads the mapping under one shard read lock, then its
-//!   two schemas, and recombines the schemas' stored hashes with the
-//!   entry's constraint hash; a mismatch with the entry's hash is a torn
-//!   read across an interleaved schema edit and is retried, so a segment's
-//!   hash can never disagree with its content. Nothing is rendered to
-//!   check it.
-//! * **Dry runs** — [`SharedCatalog::validate_document`] checks a document
-//!   against the live shards, reading only the schemas its mappings name;
-//!   no request copies the whole store ([`SharedCatalog::snapshot`] is for
-//!   persistence and replication).
+//! * **Store** — [`SharedCatalog`] is one [`RwLock`] over a single
+//!   [`Catalog`] and the composition-graph index it maintains. Every method
+//!   takes the guard once and calls the `Catalog` method under it: reads
+//!   (lookups, path resolution, link materialisation, dry runs) share the
+//!   read guard, and every mutator edits the catalog and updates the index
+//!   under one write guard, so a reader always sees both in one state. A
+//!   link reads its mapping and both schemas under one read guard, so its
+//!   hash always describes the content it carries. The chain driver probes
+//!   the memo cache on each link's stored hash and endpoints
+//!   ([`SharedCatalog::mapping_edge`], nothing cloned but two names) and
+//!   materialises only the links it composes.
+//! * **Lock rule** — the catalog guard is a leaf: no other lock is taken
+//!   while it is held, it is never held across `compose()` or a memo-cache
+//!   lock, and no thread takes it twice. A mutator reports whether its own
+//!   write changed an entry; the session invalidates the memo cache and
+//!   the analysis cache on that report after releasing the guard.
 //! * **Versions** — version counters live inside the entries and are only
-//!   advanced under the shard write locks, so concurrent writers cannot
-//!   lose increments. The rules that advance them are the single-threaded
-//!   store's, from [`crate::store`].
+//!   advanced under the write guard, so concurrent writers cannot lose
+//!   increments. The rules that advance them are [`Catalog`]'s own.
 //! * **Cache** — the memo cache is a [`ShardedMemoCache`]: per-segment
 //!   mutexes keyed by memo-key hash, merged statistics (see
 //!   [`crate::cache`]).
@@ -50,185 +40,159 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use mapcomp_algebra::{ConstraintSet, Document, Mapping, Signature};
+use mapcomp_algebra::{ConstraintSet, Document, Signature};
 use mapcomp_analysis::AnalysisReport;
 use mapcomp_compose::Registry;
 
 use crate::cache::ShardedMemoCache;
-use crate::chain::{
-    compose_chain_with, ChainResult, ChainSegment, ComposedChain, LinkSource, SegmentPath,
-};
+use crate::chain::{compose_chain_with, ChainResult, ComposedChain, LinkSource};
 use crate::error::CatalogError;
 use crate::graph::{edge_cost, GraphIndex, PathCost};
-use crate::hash::{combine_mapping_hash, hash_str, ContentHash};
+use crate::hash::ContentHash;
 use crate::session::{render_analysis_text, SessionConfig, SessionStats};
-use crate::store::{
-    rehash_touching, upsert_mapping, upsert_schema, validate_document, Catalog, MappingEntry, Name,
-    SchemaEntry,
-};
+use crate::store::{Catalog, MappingEntry, Name, SchemaEntry};
 
-/// One stripe of the shared store.
-#[derive(Debug, Default)]
-struct Shard {
-    schemas: BTreeMap<Name, SchemaEntry>,
-    mappings: BTreeMap<Name, MappingEntry>,
+/// What the lock guards: the catalog and its composition-graph index.
+#[derive(Debug)]
+struct Store {
+    catalog: Catalog,
+    index: GraphIndex,
 }
 
-fn read(shard: &RwLock<Shard>) -> RwLockReadGuard<'_, Shard> {
-    shard.read().unwrap_or_else(PoisonError::into_inner)
+impl Store {
+    fn new(catalog: Catalog) -> Self {
+        Store { index: GraphIndex::of(&catalog), catalog }
+    }
+
+    fn add_schema(&mut self, name: String, signature: Signature) -> (u64, Vec<String>) {
+        self.index.add_schema(&name);
+        self.catalog.add_schema(name, signature)
+    }
+
+    /// Re-index mapping `name` after a write that changed it.
+    fn index_mapping(&mut self, name: &str) {
+        if let Ok(entry) = self.catalog.mapping(name) {
+            let cost = edge_cost(&entry.constraints);
+            self.index.insert_mapping(name, &entry.source, &entry.target, cost);
+        }
+    }
+
+    fn upsert_mapping(
+        &mut self,
+        name: &str,
+        source: &str,
+        target: &str,
+        constraints: ConstraintSet,
+    ) -> Result<(u64, bool), CatalogError> {
+        let (version, changed) = self.catalog.upsert_mapping(name, source, target, constraints)?;
+        if changed {
+            self.index_mapping(name);
+        }
+        Ok((version, changed))
+    }
+
+    fn edit_mapping(
+        &mut self,
+        name: &str,
+        constraints: ConstraintSet,
+    ) -> Result<(u64, bool), CatalogError> {
+        let (version, changed) = self.catalog.edit_mapping(name, constraints)?;
+        if changed {
+            self.index_mapping(name);
+        }
+        Ok((version, changed))
+    }
+
+    fn remove_mapping(&mut self, name: &str) -> Option<MappingEntry> {
+        let removed = self.catalog.remove_mapping(name)?;
+        self.index.remove_mapping(name);
+        Some(removed)
+    }
 }
 
-fn write(shard: &RwLock<Shard>) -> RwLockWriteGuard<'_, Shard> {
-    shard.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A catalog striped across independently reader-writer-locked shards, safe
-/// to share by reference between concurrent sessions. See the module docs
-/// for the locking discipline.
+/// A catalog behind one reader-writer lock, safe to share by reference
+/// between concurrent sessions. See the module docs for the lock rule.
 #[derive(Debug)]
 pub struct SharedCatalog {
-    shards: Vec<RwLock<Shard>>,
-    /// The composition graph, updated under the shard write locks.
-    index: RwLock<GraphIndex>,
+    store: RwLock<Store>,
 }
 
 impl SharedCatalog {
-    /// Stripe a catalog across `shard_count` shards (at least one).
-    pub fn from_catalog(catalog: &Catalog, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        let mut shards: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
-        for entry in catalog.schemas() {
-            let shard = shard_index(&entry.name, shard_count);
-            shards[shard].schemas.insert(entry.name.clone(), entry.clone());
-        }
-        for entry in catalog.mappings() {
-            let shard = shard_index(&entry.name, shard_count);
-            shards[shard].mappings.insert(entry.name.clone(), entry.clone());
-        }
-        SharedCatalog {
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            index: RwLock::new(GraphIndex::of(catalog)),
-        }
+    /// Share `catalog`, indexing its composition graph once.
+    pub fn new(catalog: Catalog) -> Self {
+        SharedCatalog { store: RwLock::new(Store::new(catalog)) }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// The read guard (a leaf lock: see the module docs).
+    fn read_store(&self) -> RwLockReadGuard<'_, Store> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn shard_of(&self, name: &str) -> &RwLock<Shard> {
-        &self.shards[shard_index(name, self.shards.len())]
+    /// The write guard (a leaf lock: see the module docs).
+    fn write_store(&self) -> RwLockWriteGuard<'_, Store> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The index read lock; taken on its own, never under a shard lock.
-    fn index(&self) -> RwLockReadGuard<'_, GraphIndex> {
-        self.index.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The index write lock; callers hold their shard write locks already
-    /// (lock order: shards, then index).
-    fn index_mut(&self) -> RwLockWriteGuard<'_, GraphIndex> {
-        self.index.write().unwrap_or_else(PoisonError::into_inner)
+    /// Run `read` over the catalog under the read guard, without copying
+    /// it. `read` must take no other lock (the guard is a leaf).
+    pub fn read<R>(&self, read: impl FnOnce(&Catalog) -> R) -> R {
+        read(&self.read_store().catalog)
     }
 
     /// Number of registered schemas.
     pub fn schema_count(&self) -> usize {
-        self.shards.iter().map(|shard| read(shard).schemas.len()).sum()
+        self.read(Catalog::schema_count)
     }
 
     /// Number of registered mappings.
     pub fn mapping_count(&self) -> usize {
-        self.shards.iter().map(|shard| read(shard).mappings.len()).sum()
+        self.read(Catalog::mapping_count)
     }
 
-    /// Look up a schema (cloned out of its shard under a read lock).
+    /// Look up a schema (cloned out under the read guard).
     pub fn schema(&self, name: &str) -> Result<SchemaEntry, CatalogError> {
-        read(self.shard_of(name))
-            .schemas
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CatalogError::UnknownSchema(name.to_string()))
+        self.read(|catalog| catalog.schema(name).cloned())
     }
 
-    /// Look up a mapping (cloned out of its shard under a read lock).
+    /// Look up a mapping (cloned out under the read guard).
     pub fn mapping(&self, name: &str) -> Result<MappingEntry, CatalogError> {
-        read(self.shard_of(name))
-            .mappings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
+        self.read(|catalog| catalog.mapping(name).cloned())
     }
 
-    /// A schema's content hash, read under its shard lock without cloning
-    /// the entry.
+    /// A schema's content hash, read without cloning the entry.
     pub fn schema_hash(&self, name: &str) -> Option<ContentHash> {
-        read(self.shard_of(name)).schemas.get(name).map(|entry| entry.hash)
+        self.read(|catalog| catalog.schema(name).ok().map(|entry| entry.hash))
     }
 
     /// A mapping's [`MappingEntry::edge`] — content hash and endpoints —
-    /// read under its shard lock without cloning constraints or history.
+    /// read without cloning constraints or history.
     pub fn mapping_edge(&self, name: &str) -> Option<(ContentHash, Name, Name)> {
-        read(self.shard_of(name)).mappings.get(name).map(MappingEntry::edge)
+        self.read(|catalog| catalog.mapping(name).ok().map(MappingEntry::edge))
     }
 
-    /// A mapping's version, read under its shard lock without cloning the
-    /// entry.
+    /// A mapping's version, read without cloning the entry.
     pub fn mapping_version(&self, name: &str) -> Option<u64> {
-        read(self.shard_of(name)).mappings.get(name).map(|entry| entry.version)
+        self.read(|catalog| catalog.mapping(name).ok().map(|entry| entry.version))
     }
 
-    /// The dry run of [`Catalog::from_document`] against the live store:
-    /// returns the error ingesting `document` would fail with — an unknown
-    /// endpoint schema or an arity conflict between a mapping's endpoints,
-    /// for the first failing mapping in document order — reading only the
-    /// schemas its mappings name. Callers that need the verdict to still
-    /// hold at ingest serialise their writers around both steps.
+    /// [`Catalog::validate_document`] against the live store. Callers that
+    /// need the verdict to still hold at ingest serialise their writers
+    /// around both steps.
     pub fn validate_document(&self, document: &Document) -> Result<(), CatalogError> {
-        validate_document(document, |name| {
-            read(self.shard_of(name)).schemas.get(name).map(|entry| entry.signature.clone())
-        })
+        self.read(|catalog| catalog.validate_document(document))
     }
 
     /// Register or update a schema; returns the new version and the names of
     /// mappings whose content hash changed with it (the caller invalidates
-    /// their cache entries). Holds every shard write lock for the duration:
-    /// the schema edit and the rehash of every touching mapping are one
-    /// atomic step, which is what lets readers treat an entry's
-    /// hash-vs-schema consistency check as a retry condition rather than an
-    /// error.
+    /// their cache entries). The schema edit and the rehash of every
+    /// touching mapping are one step under the write guard.
     pub fn add_schema(&self, name: impl Into<String>, signature: Signature) -> (u64, Vec<String>) {
-        let name = name.into();
-        let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
-        let shard_count = guards.len();
-        let home = shard_index(&name, shard_count);
-        let (version, changed) = upsert_schema(&mut guards[home].schemas, &name, signature);
-        if !changed {
-            return (version, Vec::new());
-        }
-        if version == 1 {
-            self.index_mut().add_schema(&name);
-        }
-        // Rehash affected mappings across every shard.
-        let (schemas, mappings): (Vec<_>, Vec<_>) = guards
-            .iter_mut()
-            .map(|guard| {
-                let shard = &mut **guard;
-                (&shard.schemas, &mut shard.mappings)
-            })
-            .unzip();
-        let touched = rehash_touching(
-            mappings.into_iter().flat_map(|shard| shard.values_mut()),
-            &name,
-            |schema| schemas[shard_index(schema, shard_count)].get(schema).map(|e| e.hash),
-        );
-        (version, touched)
+        self.write_store().add_schema(name.into(), signature)
     }
 
     /// Register or update a mapping between two registered schemas; returns
     /// the new version (re-registering identical content and endpoints is a
     /// no-op; a re-point moves the mapping's graph edge).
-    /// Write-locks only the shards of the mapping and its two schemas, in
-    /// ascending shard order.
     pub fn add_mapping(
         &self,
         name: impl Into<String>,
@@ -236,49 +200,24 @@ impl SharedCatalog {
         target: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let name = name.into();
-        let shard_count = self.shards.len();
-        let mut involved: Vec<usize> =
-            [name.as_str(), source, target].iter().map(|n| shard_index(n, shard_count)).collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let mut guards: BTreeMap<usize, RwLockWriteGuard<'_, Shard>> =
-            involved.iter().map(|&index| (index, write(&self.shards[index]))).collect();
-        let schema = |schema: &str| -> Result<&SchemaEntry, CatalogError> {
-            guards[&shard_index(schema, shard_count)]
-                .schemas
-                .get(schema)
-                .ok_or_else(|| CatalogError::UnknownSchema(schema.to_string()))
-        };
-        let entry = MappingEntry::new(&name, schema(source)?, schema(target)?, constraints)?;
-        let home = guards.get_mut(&shard_index(&name, shard_count)).expect("home shard locked");
-        let (version, changed) = upsert_mapping(&mut home.mappings, entry);
-        if changed {
-            let cost = edge_cost(&home.mappings[name.as_str()].constraints);
-            self.index_mut().insert_mapping(&name, source, target, cost);
-        }
-        Ok(version)
+        Ok(self.write_store().upsert_mapping(&name.into(), source, target, constraints)?.0)
     }
 
     /// Replace the constraints of an existing mapping; returns the new
-    /// version.
+    /// version. The endpoints are read and the entry written under one
+    /// write guard, so a removal racing the edit makes it fail with
+    /// [`CatalogError::UnknownMapping`] rather than be undone.
     pub fn update_mapping(
         &self,
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let (_, source, target) = self
-            .mapping_edge(name)
-            .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
-        self.add_mapping(name, &source, &target, constraints)
+        Ok(self.write_store().edit_mapping(name, constraints)?.0)
     }
 
     /// Remove a mapping; returns its entry if it existed.
     pub fn remove_mapping(&self, name: &str) -> Option<MappingEntry> {
-        let mut shard = write(self.shard_of(name));
-        let removed = shard.mappings.remove(name)?;
-        self.index_mut().remove_mapping(name);
-        Some(removed)
+        self.write_store().remove_mapping(name)
     }
 
     /// Resolve a fewest-hops path over the maintained graph index.
@@ -287,117 +226,50 @@ impl SharedCatalog {
     }
 
     /// Resolve a path under an explicit [`PathCost`] over the maintained
-    /// graph index, holding only its read lock.
+    /// graph index, under the read guard.
     pub fn resolve_path_with(
         &self,
         from: &str,
         to: &str,
         cost: PathCost,
     ) -> Result<Vec<String>, CatalogError> {
-        self.index().resolve(from, to, cost)
+        self.read_store().index.resolve(from, to, cost)
     }
 
     /// Every mapping name, in name order (from the graph index).
     pub(crate) fn mapping_names(&self) -> Vec<String> {
-        self.index().mapping_names()
+        self.read_store().index.mapping_names()
     }
 
     /// Replace the entire store content with `catalog` — entries, versions
-    /// and history included — under all shard write locks at once, so
-    /// concurrent readers see either the old state or the new one in full.
-    /// This is the wholesale counterpart of [`SharedCatalog::from_catalog`],
-    /// used when a replication follower adopts a leader snapshot whose
-    /// history its own state has diverged from (version counters must be
-    /// taken verbatim, not re-derived by incremental upserts).
+    /// and history included — in one write, so concurrent readers see
+    /// either the old state or the new one in full. A replication follower
+    /// uses it to adopt a leader snapshot whose history its own state has
+    /// diverged from (version counters must be taken verbatim, not
+    /// re-derived by incremental upserts).
     pub fn restore(&self, catalog: &Catalog) {
-        let index = GraphIndex::of(catalog);
-        let mut guards: Vec<RwLockWriteGuard<'_, Shard>> = self.shards.iter().map(write).collect();
-        for guard in &mut guards {
-            guard.schemas.clear();
-            guard.mappings.clear();
-        }
-        let shard_count = guards.len();
-        for entry in catalog.schemas() {
-            let shard = shard_index(&entry.name, shard_count);
-            guards[shard].schemas.insert(entry.name.clone(), entry.clone());
-        }
-        for entry in catalog.mappings() {
-            let shard = shard_index(&entry.name, shard_count);
-            guards[shard].mappings.insert(entry.name.clone(), entry.clone());
-        }
-        *self.index_mut() = index;
+        let store = Store::new(catalog.clone());
+        // The superseded store is dropped after the guard is released.
+        let superseded = std::mem::replace(&mut *self.write_store(), store);
+        drop(superseded);
     }
 
-    /// Clone the whole store back into a single-threaded [`Catalog`]
-    /// (versions and history preserved), taken under all shard read locks.
+    /// Clone the whole store into an owned [`Catalog`] (versions and
+    /// history preserved). For reads that need no owned copy, use
+    /// [`SharedCatalog::read`].
     pub fn snapshot(&self) -> Catalog {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> = self.shards.iter().map(read).collect();
-        let mut catalog = Catalog::new();
-        for guard in &guards {
-            for entry in guard.schemas.values() {
-                catalog.insert_schema_entry(entry.clone());
-            }
-            for entry in guard.mappings.values() {
-                catalog.insert_mapping_entry(entry.clone());
-            }
-        }
-        catalog
+        self.read(Catalog::clone)
     }
 }
 
 impl LinkSource for SharedCatalog {
     fn link(&self, name: &str) -> Result<ComposedChain, CatalogError> {
-        loop {
-            // One shard read for the entry; released before the schema
-            // reads (a reader never holds two shard locks).
-            let (link_name, (hash, source, target), constraints, constraints_hash) = {
-                let shard = read(self.shard_of(name));
-                let entry = shard
-                    .mappings
-                    .get(name)
-                    .ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))?;
-                (
-                    entry.name.clone(),
-                    entry.edge(),
-                    entry.constraints.clone(),
-                    entry.constraints_hash,
-                )
-            };
-            let source_schema = self.schema(&source)?;
-            let target_schema = self.schema(&target)?;
-            // The three reads take their shard locks one at a time; an
-            // interleaved schema edit (which rehashes its mappings
-            // atomically) makes the entry's recorded hash disagree with the
-            // schema hashes just read — retry until the reads line up.
-            if combine_mapping_hash(source_schema.hash, target_schema.hash, constraints_hash)
-                != hash
-            {
-                continue;
-            }
-            return Ok(ChainSegment {
-                source,
-                target,
-                path: SegmentPath::link(link_name),
-                mapping: Mapping::new(
-                    source_schema.signature,
-                    target_schema.signature,
-                    constraints,
-                ),
-                residual: Signature::new(),
-                hash: hash.0,
-                provenance: None,
-            }
-            .into());
-        }
+        self.read(|catalog| catalog.link(name))
     }
 
     fn link_edge(&self, name: &str) -> Result<(ContentHash, Name, Name), CatalogError> {
-        self.mapping_edge(name).ok_or_else(|| CatalogError::UnknownMapping(name.to_string()))
+        self.read(|catalog| catalog.link_edge(name))
     }
-}
-
-fn shard_index(name: &str, shard_count: usize) -> usize {
-    (hash_str(name) % shard_count as u64) as usize
 }
 
 /// A catalog session: store + graph + chain driver + memo cache. Every
@@ -430,9 +302,9 @@ impl SharedSession {
     }
 
     /// Create a shared session with an explicit registry and configuration
-    /// and an empty memo cache. The store and cache are striped ~4 stripes
-    /// per worker (bounded), so workers composing disjoint chains rarely
-    /// meet on a lock.
+    /// and an empty memo cache. The cache is striped ~4 stripes per worker
+    /// (bounded), so workers composing disjoint chains rarely meet on a
+    /// memo lock.
     pub fn with_config(
         catalog: Catalog,
         registry: Registry,
@@ -458,7 +330,7 @@ impl SharedSession {
         let workers = workers.max(1);
         cache.bound(config.cache_capacity);
         SharedSession {
-            catalog: SharedCatalog::from_catalog(&catalog, ShardedMemoCache::segments_for(workers)),
+            catalog: SharedCatalog::new(catalog),
             registry,
             config,
             cache,
@@ -529,10 +401,10 @@ impl SharedSession {
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
         let name = name.into();
-        let before = self.catalog.mapping_edge(&name);
-        let version = self.catalog.add_mapping(name.clone(), source, target, constraints)?;
-        let after = self.catalog.mapping_edge(&name);
-        if before.is_some() && before != after {
+        let (version, changed) =
+            self.catalog.write_store().upsert_mapping(&name, source, target, constraints)?;
+        // A new mapping starts at version 1 and has nothing cached yet.
+        if changed && version > 1 {
             self.cache.invalidate(&name);
             self.drop_analysis(&name);
         }
@@ -546,9 +418,8 @@ impl SharedSession {
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<(u64, usize), CatalogError> {
-        let before = self.catalog.mapping_edge(name);
-        let version = self.catalog.update_mapping(name, constraints)?;
-        let dropped = if self.catalog.mapping_edge(name) != before {
+        let (version, changed) = self.catalog.write_store().edit_mapping(name, constraints)?;
+        let dropped = if changed {
             self.drop_analysis(name);
             self.cache.invalidate(name)
         } else {
@@ -585,9 +456,13 @@ impl SharedSession {
             }
         }
         for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.catalog.mapping_edge(name);
-            self.catalog.add_mapping(name.clone(), source, target, constraints.clone())?;
-            if before != self.catalog.mapping_edge(name) {
+            let (_, changed) = self.catalog.write_store().upsert_mapping(
+                name,
+                source,
+                target,
+                constraints.clone(),
+            )?;
+            if changed {
                 self.cache.invalidate(name);
                 self.drop_analysis(name);
                 touched.push(name.clone());
@@ -629,10 +504,10 @@ impl SharedSession {
                 }
             }
         }
-        // `link` retries torn reads, so the materialised mapping matches
-        // its hash even against concurrent edits; an edit racing this call
-        // may have replaced the content read above, so the report is keyed
-        // by the hash of what was analyzed.
+        // `link` reads the mapping and its schemas under one read guard, so
+        // the materialised mapping matches its hash; an edit racing this
+        // call may have replaced the content read above, so the report is
+        // keyed by the hash of what was analyzed.
         let chain = self.catalog.link(name)?;
         let hash = ContentHash(chain.hash);
         let report = Arc::new(mapcomp_analysis::analyze_mapping(&chain.mapping));
@@ -792,7 +667,7 @@ mod tests {
     #[test]
     fn shared_catalog_round_trips_through_snapshot() {
         let catalog = chain_catalog(4);
-        let shared = SharedCatalog::from_catalog(&catalog, 4);
+        let shared = SharedCatalog::new(catalog.clone());
         assert_eq!(shared.schema_count(), 5);
         assert_eq!(shared.mapping_count(), 4);
         assert_eq!(shared.mapping("m2").unwrap().hash, catalog.mapping("m2").unwrap().hash);
@@ -804,7 +679,7 @@ mod tests {
     #[test]
     fn shared_resolution_matches_single_threaded() {
         let catalog = chain_catalog(5);
-        let shared = SharedCatalog::from_catalog(&catalog, 3);
+        let shared = SharedCatalog::new(catalog.clone());
         assert_eq!(
             shared.resolve_path("v0", "v5").unwrap(),
             crate::graph::resolve_path(&catalog, "v0", "v5").unwrap()
@@ -833,7 +708,7 @@ mod tests {
         );
         // The index agrees with a catalog rebuilt from a snapshot.
         let snapshot = shared.snapshot();
-        assert_eq!(*shared.index(), GraphIndex::of(&snapshot));
+        assert_eq!(shared.read_store().index, GraphIndex::of(&snapshot));
         shared.remove_mapping("m1");
         assert!(matches!(shared.resolve_path("v0", "w"), Err(CatalogError::NoPath { .. })));
         assert_eq!(shared.mapping_names(), vec!["m0", "m2"]);
@@ -842,7 +717,7 @@ mod tests {
     #[test]
     fn shared_validation_matches_a_snapshot_ingest() {
         use mapcomp_algebra::parse_document;
-        let shared = SharedCatalog::from_catalog(&chain_catalog(3), 4);
+        let shared = SharedCatalog::new(chain_catalog(3));
         // The reference: ingest entry by entry with no dry run, the way
         // `from_document` applies a document, and keep the first error.
         let apply_in_order = |document: &Document| -> Result<(), CatalogError> {
@@ -889,9 +764,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_schema_update_rehashes_across_shards() {
-        let catalog = chain_catalog(3);
-        let shared = SharedCatalog::from_catalog(&catalog, 4);
+    fn shared_schema_update_rehashes_touching_mappings() {
+        let shared = SharedCatalog::new(chain_catalog(3));
         let before = shared.mapping("m1").unwrap().hash;
         let (version, touched) =
             shared.add_schema("v2", Signature::from_arities([("R2", 1), ("Extra", 2)]));

@@ -5,10 +5,9 @@
 //! constraint set over their union. Every entry carries a monotonically
 //! increasing version and a content hash ([`crate::hash`]); edits bump the
 //! version and change the hash, which is what drives memo-cache
-//! invalidation upstream. The versioning rules (`upsert_schema`,
-//! `rehash_touching`, `upsert_mapping`) are functions over entry maps, so
-//! the lock-striped [`crate::SharedCatalog`] applies exactly these rules to
-//! its shards.
+//! invalidation upstream. The concurrent [`crate::SharedCatalog`] holds one
+//! `Catalog` behind its reader-writer lock and calls these methods under
+//! it, so both stores apply the same versioning rules by construction.
 //!
 //! Catalogs round-trip through the plain-text document format of paper §4:
 //! [`Catalog::from_document`] ingests a parsed [`Document`], and
@@ -81,8 +80,8 @@ impl MappingEntry {
     /// against their signatures and hashed. This is the only place a
     /// mapping's content is rendered to be hashed; every later rehash
     /// recombines stored hashes. Its version and history are assigned when
-    /// it is stored (see [`upsert_mapping`]).
-    pub(crate) fn new(
+    /// it is stored (see [`Catalog::upsert_mapping`]).
+    fn new(
         name: &str,
         source: &SchemaEntry,
         target: &SchemaEntry,
@@ -160,23 +159,15 @@ impl Catalog {
         Ok(entry.to_mapping(&source.signature, &target.signature))
     }
 
-    /// Adopt a fully-formed schema entry, preserving its version and hash
-    /// (used when assembling a catalog snapshot from shared-catalog shards).
-    pub(crate) fn insert_schema_entry(&mut self, entry: SchemaEntry) {
-        self.schemas.insert(entry.name.clone(), entry);
-    }
-
-    /// Adopt a fully-formed mapping entry, preserving version, hash and
-    /// history (used when assembling a catalog snapshot from shared-catalog
-    /// shards).
-    pub(crate) fn insert_mapping_entry(&mut self, entry: MappingEntry) {
-        self.mappings.insert(entry.name.clone(), entry);
-    }
-
-    /// Register or update a schema; returns the new version. Updating an
-    /// existing schema bumps its version and rehashes every mapping that
-    /// touches it (their content includes the schema's signature). The names
-    /// of those re-hashed mappings are returned so a session can invalidate
+    /// Register or update a schema; returns the new version. The schema is
+    /// stored at version 1, or at the next version when its signature
+    /// differs from the registered one; an unchanged signature is a no-op.
+    /// An edited schema keeps its name's allocation, which the mappings
+    /// naming it share. An edit rehashes every mapping that touches the
+    /// schema (their content includes its signature), recombining stored
+    /// hashes without rendering anything; a changed hash bumps the
+    /// mapping's version and appends to its history. The names of those
+    /// rehashed mappings are returned, sorted, so a session can invalidate
     /// dependent cache entries.
     pub fn add_schema(
         &mut self,
@@ -184,14 +175,32 @@ impl Catalog {
         signature: Signature,
     ) -> (u64, Vec<String>) {
         let name = name.into();
-        let (version, changed) = upsert_schema(&mut self.schemas, &name, signature);
-        if !changed {
-            return (version, Vec::new());
+        let hash = hash_signature(&signature);
+        let (name, version) = match self.schemas.get(name.as_str()) {
+            Some(existing) if existing.hash == hash => return (existing.version, Vec::new()),
+            Some(existing) => (existing.name.clone(), existing.version + 1),
+            None => (Name::from(name), 1),
+        };
+        self.schemas
+            .insert(name.clone(), SchemaEntry { name: name.clone(), signature, version, hash });
+        let mut touched = Vec::new();
+        for entry in self.mappings.values_mut() {
+            if entry.source != name && entry.target != name {
+                continue;
+            }
+            let (Some(source), Some(target)) =
+                (self.schemas.get(&entry.source), self.schemas.get(&entry.target))
+            else {
+                continue;
+            };
+            let hash = combine_mapping_hash(source.hash, target.hash, entry.constraints_hash);
+            if hash != entry.hash {
+                entry.version += 1;
+                entry.hash = hash;
+                entry.history.push((entry.version, hash));
+                touched.push(entry.name.to_string());
+            }
         }
-        let schemas = &self.schemas;
-        let touched = rehash_touching(self.mappings.values_mut(), &name, |schema| {
-            schemas.get(schema).map(|entry| entry.hash)
-        });
         (version, touched)
     }
 
@@ -206,13 +215,43 @@ impl Catalog {
         target: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
-        let entry = MappingEntry::new(
-            &name.into(),
-            self.schema(source)?,
-            self.schema(target)?,
-            constraints,
-        )?;
-        Ok(upsert_mapping(&mut self.mappings, entry).0)
+        Ok(self.upsert_mapping(&name.into(), source, target, constraints)?.0)
+    }
+
+    /// [`Catalog::add_mapping`], also reporting whether this write changed
+    /// the entry's [`MappingEntry::edge`]. A new mapping starts at version 1
+    /// and an edit bumps the version; either way the stored
+    /// `(version, hash)` is appended to the history. An edit keeps the
+    /// name's allocation, so segments folded from the old version and the
+    /// new one share it.
+    pub(crate) fn upsert_mapping(
+        &mut self,
+        name: &str,
+        source: &str,
+        target: &str,
+        constraints: ConstraintSet,
+    ) -> Result<(u64, bool), CatalogError> {
+        let mut declared =
+            MappingEntry::new(name, self.schema(source)?, self.schema(target)?, constraints)?;
+        match self.mappings.get_mut(name) {
+            Some(existing)
+                if existing.hash == declared.hash
+                    && existing.source == declared.source
+                    && existing.target == declared.target =>
+            {
+                return Ok((existing.version, false))
+            }
+            Some(existing) => {
+                declared.name = existing.name.clone();
+                declared.version = existing.version + 1;
+                declared.history = std::mem::take(&mut existing.history);
+            }
+            None => declared.version = 1,
+        }
+        declared.history.push((declared.version, declared.hash));
+        let version = declared.version;
+        self.mappings.insert(declared.name.clone(), declared);
+        Ok((version, true))
     }
 
     /// Replace the constraints of an existing mapping (the "edit one link"
@@ -223,9 +262,21 @@ impl Catalog {
         name: &str,
         constraints: ConstraintSet,
     ) -> Result<u64, CatalogError> {
+        Ok(self.edit_mapping(name, constraints)?.0)
+    }
+
+    /// [`Catalog::update_mapping`], also reporting whether this write
+    /// changed the entry (see [`Catalog::upsert_mapping`]). The endpoints
+    /// are read and the entry written in one step, so nothing can move or
+    /// remove the mapping in between.
+    pub(crate) fn edit_mapping(
+        &mut self,
+        name: &str,
+        constraints: ConstraintSet,
+    ) -> Result<(u64, bool), CatalogError> {
         let entry = self.mapping(name)?;
         let (source, target) = (entry.source.clone(), entry.target.clone());
-        self.add_mapping(name, &source, &target, constraints)
+        self.upsert_mapping(name, &source, &target, constraints)
     }
 
     /// Remove a mapping; returns its entry if it existed.
@@ -237,28 +288,42 @@ impl Catalog {
     /// with the same names are updated (and their versions bumped if the
     /// content changed). Returns the names of added-or-updated mappings.
     ///
-    /// The document is checked first (the same dry run as
-    /// [`crate::SharedCatalog::validate_document`]), so a rejected document
-    /// leaves the catalog untouched.
+    /// The document is checked first ([`Catalog::validate_document`]), so a
+    /// rejected document leaves the catalog untouched.
     pub fn from_document(&mut self, document: &Document) -> Result<Vec<String>, CatalogError> {
-        validate_document(document, |name| {
-            self.schemas.get(name).map(|entry| entry.signature.clone())
-        })?;
+        self.validate_document(document)?;
         let mut touched = Vec::new();
         for (name, signature) in &document.schemas {
             let (_, rehashed) = self.add_schema(name.clone(), signature.clone());
             touched.extend(rehashed);
         }
         for (name, (source, target, constraints)) in &document.mappings {
-            let before = self.mappings.get(name.as_str()).map(MappingEntry::edge);
-            self.add_mapping(name.clone(), source, target, constraints.clone())?;
-            if before != Some(self.mapping(name)?.edge()) {
+            if self.upsert_mapping(name, source, target, constraints.clone())?.1 {
                 touched.push(name.clone());
             }
         }
         touched.sort();
         touched.dedup();
         Ok(touched)
+    }
+
+    /// The dry run of [`Catalog::from_document`]: returns the error ingesting
+    /// `document` would fail with, without applying it. Ingesting a document
+    /// can fail in only one way: a mapping whose source or target schema is
+    /// unknown, or whose endpoints disagree on the arity of a shared symbol.
+    /// Mappings are checked in document order, each endpoint resolving from
+    /// the document's own schemas first (ingest applies them before any
+    /// mapping), and the first failure is returned. The cost is
+    /// proportional to the document, not to the catalog.
+    pub fn validate_document(&self, document: &Document) -> Result<(), CatalogError> {
+        let resolve = |name: &str| match document.schemas.get(name) {
+            Some(signature) => Ok(signature),
+            None => self.schema(name).map(|entry| &entry.signature),
+        };
+        for (source, target, _) in document.mappings.values() {
+            check_endpoints(resolve(source)?, resolve(target)?)?;
+        }
+        Ok(())
     }
 
     /// Re-apply persisted version counters and hash history (see
@@ -323,115 +388,11 @@ impl Catalog {
     }
 }
 
-/// The schema version step: stores `signature` under `name` at version 1,
-/// or at the next version when it differs from the registered one; an
-/// unchanged signature is a no-op. An edited schema keeps its name's
-/// allocation, which the mappings naming it share. Returns the stored
-/// version and whether anything changed.
-pub(crate) fn upsert_schema(
-    schemas: &mut BTreeMap<Name, SchemaEntry>,
-    name: &str,
-    signature: Signature,
-) -> (u64, bool) {
-    let hash = hash_signature(&signature);
-    let (name, version) = match schemas.get(name) {
-        Some(existing) if existing.hash == hash => return (existing.version, false),
-        Some(existing) => (existing.name.clone(), existing.version + 1),
-        None => (Name::from(name), 1),
-    };
-    let entry = SchemaEntry { name: name.clone(), signature, version, hash };
-    schemas.insert(name, entry);
-    (version, true)
-}
-
-/// The rehash after a schema edit: every mapping with `schema` as an
-/// endpoint is rehashed over the schema hashes `hash_of` returns (mappings
-/// with an unregistered endpoint are skipped) — recombined from stored
-/// hashes, nothing rendered. A changed hash bumps the mapping's version and
-/// appends to its history. Returns the rehashed mapping names, sorted.
-pub(crate) fn rehash_touching<'m>(
-    mappings: impl Iterator<Item = &'m mut MappingEntry>,
-    schema: &str,
-    hash_of: impl Fn(&str) -> Option<ContentHash>,
-) -> Vec<String> {
-    let mut touched = Vec::new();
-    for entry in mappings.filter(|entry| &*entry.source == schema || &*entry.target == schema) {
-        let (Some(source), Some(target)) = (hash_of(&entry.source), hash_of(&entry.target)) else {
-            continue;
-        };
-        let hash = combine_mapping_hash(source, target, entry.constraints_hash);
-        if hash != entry.hash {
-            entry.version += 1;
-            entry.hash = hash;
-            entry.history.push((entry.version, hash));
-            touched.push(entry.name.to_string());
-        }
-    }
-    touched.sort();
-    touched
-}
-
-/// The mapping upsert: stores a [`MappingEntry::new`] declaration unless the
-/// registered entry has the same [`MappingEntry::edge`], which makes it a
-/// no-op. A new mapping starts at version 1 and an edit bumps the version;
-/// either way the stored `(version, hash)` is appended to the history. An
-/// edit keeps the name's allocation, so segments folded from the old
-/// version and the new one share it. Returns the stored version and whether
-/// anything changed.
-pub(crate) fn upsert_mapping(
-    mappings: &mut BTreeMap<Name, MappingEntry>,
-    mut declared: MappingEntry,
-) -> (u64, bool) {
-    match mappings.get_mut(&declared.name) {
-        Some(existing)
-            if existing.hash == declared.hash
-                && existing.source == declared.source
-                && existing.target == declared.target =>
-        {
-            return (existing.version, false)
-        }
-        Some(existing) => {
-            declared.name = existing.name.clone();
-            declared.version = existing.version + 1;
-            declared.history = std::mem::take(&mut existing.history);
-        }
-        None => declared.version = 1,
-    }
-    declared.history.push((declared.version, declared.hash));
-    let version = declared.version;
-    mappings.insert(declared.name.clone(), declared);
-    (version, true)
-}
-
 /// The endpoint check of a mapping: symbols its source and target schemas
 /// share must agree on arity (overlapping schemas are allowed:
 /// schema-evolution chains share every unchanged relation).
-pub(crate) fn check_endpoints(source: &Signature, target: &Signature) -> Result<(), CatalogError> {
+fn check_endpoints(source: &Signature, target: &Signature) -> Result<(), CatalogError> {
     source.union(target)?;
-    Ok(())
-}
-
-/// The dry run of [`Catalog::from_document`] against the schemas `lookup`
-/// returns. Ingesting a document can fail in only one way: a mapping whose
-/// source or target schema is unknown, or whose endpoints disagree on the
-/// arity of a shared symbol. Mappings are checked in document order, each
-/// endpoint resolving from the document's own schemas first (ingest applies
-/// them before any mapping), and the first failure is returned — the same
-/// error `from_document` would fail with. The cost is proportional to the
-/// document, not to the catalog behind `lookup`.
-pub(crate) fn validate_document(
-    document: &Document,
-    lookup: impl Fn(&str) -> Option<Signature>,
-) -> Result<(), CatalogError> {
-    let resolve = |name: &str| -> Result<Signature, CatalogError> {
-        match document.schemas.get(name) {
-            Some(signature) => Ok(signature.clone()),
-            None => lookup(name).ok_or_else(|| CatalogError::UnknownSchema(name.to_string())),
-        }
-    };
-    for (source, target, _) in document.mappings.values() {
-        check_endpoints(&resolve(source)?, &resolve(target)?)?;
-    }
     Ok(())
 }
 

@@ -419,9 +419,14 @@ impl LocalService {
     /// appended, so the rendering covers every `delta migrate` line a
     /// rewrite is about to discard.
     pub fn render_snapshot(&self, position: Position) -> (String, String, LineIndex, CacheStats) {
-        let catalog = self.session.catalog().snapshot();
+        // Rendered under the catalog's read guard, which is released before
+        // `write_cache` takes the memo locks (the guard is a leaf lock).
+        let (document, versions) = self
+            .session
+            .catalog()
+            .read(|catalog| (catalog.to_document_string(), VersionManifest::of(catalog).render()));
         let mut sidecar = render_generation_marker(position);
-        sidecar.push_str(&VersionManifest::of(&catalog).render());
+        sidecar.push_str(&versions);
         let (lines, stats) = write_cache(&mut sidecar, self.session.cache());
         // The migrations mutex is a leaf lock, held only for this loop.
         for ((from, to), session) in
@@ -433,7 +438,7 @@ impl LocalService {
                 sidecar.push('\n');
             }
         }
-        (catalog.to_document_string(), sidecar, lines, stats)
+        (document, sidecar, lines, stats)
     }
 
     /// Fold one replicated migration batch into its session's net source (a
@@ -738,22 +743,24 @@ impl LocalService {
     /// Capture the stats payload: catalog counts, per-mapping registration
     /// info, cumulative session statistics.
     pub fn stats_payload(&self) -> StatsPayload {
-        let catalog = self.session.catalog().snapshot();
-        let entries = catalog
-            .mappings()
-            .map(|entry| MappingInfo {
-                name: entry.name.to_string(),
-                source: entry.source.to_string(),
-                target: entry.target.to_string(),
-                version: entry.version,
-                hash: entry.hash.0,
-                constraints: entry.constraints.len(),
-                history: entry.history.iter().map(|&(v, h)| (v, h.0)).collect(),
-            })
-            .collect();
+        let (schemas, mappings, entries) = self.session.catalog().read(|catalog| {
+            let entries = catalog
+                .mappings()
+                .map(|entry| MappingInfo {
+                    name: entry.name.to_string(),
+                    source: entry.source.to_string(),
+                    target: entry.target.to_string(),
+                    version: entry.version,
+                    hash: entry.hash.0,
+                    constraints: entry.constraints.len(),
+                    history: entry.history.iter().map(|&(v, h)| (v, h.0)).collect(),
+                })
+                .collect();
+            (catalog.schema_count(), catalog.mapping_count(), entries)
+        });
         StatsPayload {
-            schemas: catalog.schema_count(),
-            mappings: catalog.mapping_count(),
+            schemas,
+            mappings,
             entries,
             session: self.session.stats(),
             cache_capacity: self.session.config().cache_capacity,

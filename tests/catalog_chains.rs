@@ -332,7 +332,7 @@ fn stored_hash_parts_recombine_before_and_after_schema_edits() {
         assert_stored_hashes_recombine(&catalog, &format!("{} after the edit", problem.id));
     }
 
-    // A replayed evolution catalog, edited through the lock-striped store.
+    // A replayed evolution catalog, edited through the shared store.
     let config = ScenarioConfig { schema_size: 6, edits: 10, seed: 7, ..ScenarioConfig::default() };
     let replay = replay_editing(&config).unwrap();
     let shared = replay.session.catalog();

@@ -310,7 +310,7 @@ fn parallel_batch_is_deterministic_across_worker_counts() {
 
 // ---------------------------------------------------------------------------
 // The maintained graph index: `SharedCatalog` updates its composition-graph
-// index under the same write locks as its shards. A rebuilt-from-snapshot
+// index under the same write guard as its catalog. A rebuilt-from-snapshot
 // resolution is the oracle for every sequential mutation, and a recorded
 // mutation log is the oracle for resolutions racing writers.
 // ---------------------------------------------------------------------------
@@ -359,7 +359,7 @@ fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
         for i in 0..4 {
             catalog.add_schema(format!("s{i}"), Signature::from_arities([(format!("R{i}"), 1)]));
         }
-        let shared = SharedCatalog::from_catalog(&catalog, 4);
+        let shared = SharedCatalog::new(catalog.clone());
         let mut checkpoint = shared.snapshot();
         // The single-threaded store takes every mutation too: both must
         // apply the same versioning rules.
@@ -483,7 +483,7 @@ fn resolutions_racing_re_points_and_removals_see_one_consistent_graph() {
         catalog.add_mapping(format!("m{k}"), &source, &target, index_constraints(k)).unwrap();
         initial.insert(format!("m{k}"), (source, target));
     }
-    let shared = SharedCatalog::from_catalog(&catalog, 4);
+    let shared = SharedCatalog::new(catalog);
     // states[k] is the graph after k mutations. Writers mutate and record
     // under `log`, so the states are totally ordered; `applied` is the
     // number of recorded states past the initial one.
@@ -561,6 +561,62 @@ fn resolutions_racing_re_points_and_removals_see_one_consistent_graph() {
 }
 
 // ---------------------------------------------------------------------------
+// An edit racing a removal: the edit reads the mapping's endpoints and writes
+// the new revision in one step, so it either lands before the removal or
+// fails with `UnknownMapping`. Either serial order leaves the mapping absent.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn an_update_racing_a_removal_never_resurrects_the_mapping() {
+    const ROUNDS: usize = 2_000;
+    let mut catalog = Catalog::new();
+    catalog.add_schema("a", Signature::from_arities([("R", 1)]));
+    catalog.add_schema("b", Signature::from_arities([("S", 1)]));
+    let session = catalog.with_workers(2);
+    let edited = parse_constraints("project[0](R) <= S").unwrap();
+    let barrier = std::sync::Barrier::new(2);
+    for round in 0..ROUNDS {
+        // Even rounds race the store's own methods, odd rounds the session's.
+        let store = round % 2 == 0;
+        session.add_mapping("m", "a", "b", parse_constraints("R <= S").unwrap()).unwrap();
+        let (updated, removed) = std::thread::scope(|scope| {
+            let (session, barrier, edited) = (&session, &barrier, &edited);
+            let update = scope.spawn(move || {
+                barrier.wait();
+                if store {
+                    session.catalog().update_mapping("m", edited.clone())
+                } else {
+                    session.update_mapping("m", edited.clone()).map(|(version, _)| version)
+                }
+            });
+            let remove = scope.spawn(move || {
+                barrier.wait();
+                if store {
+                    session.catalog().remove_mapping("m").is_some()
+                } else {
+                    session.remove_mapping("m").is_ok()
+                }
+            });
+            (update.join().unwrap(), remove.join().unwrap())
+        });
+        assert!(removed, "round {round}: the removal found no mapping");
+        assert!(
+            matches!(updated, Ok(2) | Err(CatalogError::UnknownMapping(_))),
+            "round {round}: the edit returned {updated:?}"
+        );
+        assert!(
+            session.catalog().mapping("m").is_err(),
+            "round {round}: the racing edit brought `m` back at {:?}",
+            session.catalog().mapping_version("m")
+        );
+        assert!(
+            matches!(session.catalog().resolve_path("a", "b"), Err(CatalogError::NoPath { .. })),
+            "round {round}: the graph index still holds `m`"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The analysis cache: a report is cached and returned under the content hash
 // of the mapping it analyzed, even while edits race the analysis.
 // ---------------------------------------------------------------------------
@@ -621,9 +677,9 @@ fn analysis_reports_match_their_hash_while_edits_race() {
 }
 
 // ---------------------------------------------------------------------------
-// Links racing schema edits: the shared store checks a link's consistency by
-// recombining stored hashes, so a link read across an interleaved schema edit
-// is retried, never returned with a hash that disagrees with its content.
+// Links racing schema edits: the shared store reads a link's mapping and both
+// its schemas under one read guard, so a link is never returned with a hash
+// that disagrees with its content.
 // ---------------------------------------------------------------------------
 
 /// The two signatures the writer flips the middle schema `mid` between.
@@ -678,16 +734,28 @@ fn links_racing_schema_edits_match_their_hash() {
 
     let session = flip_session(0, READERS + 1);
     let chain = vec!["up".to_string(), "down".to_string()];
+    // The writer flips until every reader is done (or has panicked), so
+    // every read races an edit, not only the first few.
+    let finished = AtomicUsize::new(0);
+    struct Finished<'a>(&'a AtomicUsize);
+    impl Drop for Finished<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
     std::thread::scope(|scope| {
-        let writer = &session;
+        let (writer, finished) = (&session, &finished);
         scope.spawn(move || {
-            for round in 0..ROUNDS {
-                writer.add_schema("mid", mid_signature((round + 1) % 2));
+            let mut round = 0;
+            while finished.load(Ordering::SeqCst) < READERS {
+                round += 1;
+                writer.add_schema("mid", mid_signature(round % 2));
             }
         });
         for reader in 0..READERS {
             let (session, chain, chain_hashes) = (&session, &chain, &chain_hashes);
             scope.spawn(move || {
+                let _finished = Finished(finished);
                 for round in 0..ROUNDS {
                     let context = format!("reader {reader} round {round}");
                     for name in ["up", "down"] {
