@@ -343,6 +343,7 @@ fn figure_8(scale: Scale) -> BenchDoc {
             ("memo_tree_nodes", point.memo_tree_nodes.into()),
             ("memo_nodes", point.memo_nodes.into()),
             ("memo_sidecar_bytes", point.memo_sidecar_bytes.into()),
+            ("memo_token_parts", point.memo_token_parts.into()),
             ("memo_name_allocs", point.memo_name_allocs.into()),
             ("memo_index_refs", point.memo_index_refs.into()),
             ("memo_path_refs", point.memo_path_refs.into()),
@@ -398,6 +399,7 @@ fn figure_8(scale: Scale) -> BenchDoc {
                 ("memo_index_refs", point.memo_index_refs.into()),
                 ("memo_path_refs", point.memo_path_refs.into()),
                 ("memo_sidecar_bytes", point.memo_sidecar_bytes.into()),
+                ("memo_token_parts", point.memo_token_parts.into()),
                 ("invalidated", point.invalidated.into()),
                 ("invalidate_ms", BenchValue::millis(point.invalidate_time)),
             ]

@@ -447,6 +447,9 @@ pub struct ChainCachePoint {
     /// Bytes of the memo's sidecar snapshot after the incremental
     /// recompose (`save_cache`): what a compaction writes for it.
     pub memo_sidecar_bytes: usize,
+    /// Document parts that snapshot writes as run tokens, copied from an
+    /// input's block instead of rendered ([`mapcomp_catalog::run_token_parts`]).
+    pub memo_token_parts: usize,
     /// Distinct name allocations the memo holds after the incremental
     /// recompose ([`memo_name_allocs`]): at most one per mapping and schema
     /// of the chain when every segment shares the catalog's names.
@@ -554,7 +557,7 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
     let incremental = session.compose_names(&path).expect("incremental chain composes");
     let incremental_time = started.elapsed();
     let (memo_tree_nodes, memo_nodes) = memo_node_counts(session.cache());
-    let memo_sidecar_bytes = mapcomp_catalog::save_cache(session.cache()).len();
+    let sidecar = mapcomp_catalog::save_cache(session.cache());
     let memo_name_allocs = memo_name_allocs(session.cache());
     let cache = session.cache();
 
@@ -574,7 +577,8 @@ fn chain_cache_point(edits: usize, seed: u64) -> Option<ChainCachePoint> {
         incremental_skips: incremental.unchanged_skips,
         memo_tree_nodes,
         memo_nodes,
-        memo_sidecar_bytes,
+        memo_sidecar_bytes: sidecar.len(),
+        memo_token_parts: mapcomp_catalog::run_token_parts(&sidecar),
         memo_name_allocs,
         memo_entries: cache.len(),
         memo_index_refs: cache.index_refs(),
@@ -620,6 +624,8 @@ pub struct LongChainPoint {
     pub memo_path_refs: usize,
     /// Bytes of the memo's sidecar snapshot after the fold.
     pub memo_sidecar_bytes: usize,
+    /// Document parts that snapshot writes as run tokens.
+    pub memo_token_parts: usize,
     /// Entries invalidating the first link drops: every prefix.
     pub invalidated: usize,
     /// Wall-clock time of that invalidation.
@@ -665,7 +671,7 @@ pub fn long_chain_experiment(scale: Scale) -> Vec<LongChainPoint> {
             let cache = session.cache();
             let (memo_entries, memo_index_refs, memo_path_refs) =
                 (cache.len(), cache.index_refs(), cache.path_refs());
-            let memo_sidecar_bytes = mapcomp_catalog::save_cache(cache).len();
+            let sidecar = mapcomp_catalog::save_cache(cache);
             let started = std::time::Instant::now();
             let invalidated = session.invalidate("m0");
             LongChainPoint {
@@ -675,7 +681,8 @@ pub fn long_chain_experiment(scale: Scale) -> Vec<LongChainPoint> {
                 memo_entries,
                 memo_index_refs,
                 memo_path_refs,
-                memo_sidecar_bytes,
+                memo_sidecar_bytes: sidecar.len(),
+                memo_token_parts: mapcomp_catalog::run_token_parts(&sidecar),
                 invalidated,
                 invalidate_time: started.elapsed(),
             }

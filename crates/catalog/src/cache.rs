@@ -53,8 +53,7 @@
 //! snapshot is atomic. The chain driver reaches the cache through the
 //! [`ChainCache`] shared-reference trait.
 
-use std::cmp::Reverse;
-use std::collections::{hash_map, BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{hash_map, BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use mapcomp_telemetry::metrics::{global, Counter};
@@ -243,8 +242,9 @@ struct DepIndex {
     /// Evicted entries that live entries were composed from, by segment
     /// hash: their key and the inputs their edges leave from.
     kept: HashMap<u64, (MemoKey, Box<[Input]>)>,
-    /// The segment hashes of the live entries.
-    live: HashSet<u64>,
+    /// The live entries by segment hash: what a consumer's key names an
+    /// input by ([`ShardedMemoCache::segment`]).
+    live: HashMap<u64, ComposedChain>,
     /// The live entries indexed under their provenance names although their
     /// path records a derivation: an input segment was not held when they
     /// were inserted.
@@ -255,7 +255,7 @@ impl DepIndex {
     /// Does the cache hold the segment with this hash, live or kept for the
     /// entries composed from it: can an entry be indexed under it?
     fn holds(&self, hash: u64) -> bool {
-        self.live.contains(&hash) || self.kept.contains_key(&hash)
+        self.live.contains_key(&hash) || self.kept.contains_key(&hash)
     }
 
     /// The inputs to index the entry `chain` under `key` by: its derivation
@@ -330,14 +330,14 @@ impl DepIndex {
     /// Index the entry `chain` inserted under `key`. `previous` is the live
     /// entry it replaced, if any; a kept entry under the key is live again.
     /// Edges the entry shares with what it replaces stay put.
-    fn inserted(&mut self, key: MemoKey, chain: &ChainSegment, previous: Option<&ChainSegment>) {
+    fn inserted(&mut self, key: MemoKey, chain: &ComposedChain, previous: Option<&ChainSegment>) {
         let hash = segment_hash(&key);
         let previous = match previous {
             Some(previous) => self.left(&key, previous),
             None => self.kept.remove(&hash).map(|(_, inputs)| inputs.into()).unwrap_or_default(),
         };
         let inputs = self.inputs_for(key, chain);
-        self.live.insert(hash);
+        self.live.insert(hash, chain.clone());
         for input in inputs.iter().filter(|input| !previous.contains(input)) {
             self.link(key, input);
         }
@@ -399,7 +399,7 @@ impl DepIndex {
             for key in consumers.keys() {
                 if seen.insert(*key) {
                     let hash = segment_hash(key);
-                    if self.live.contains(&hash) {
+                    if self.live.contains_key(&hash) {
                         found.push(*key);
                     }
                     pending.push(Input::Segment(hash));
@@ -833,6 +833,12 @@ impl ShardedMemoCache {
         names
     }
 
+    /// The live entry whose segment hash is `hash`: the input a consumer's
+    /// key names by it.
+    pub fn segment(&self, hash: u64) -> Option<ComposedChain> {
+        lock(&self.index).live.get(&hash).cloned()
+    }
+
     /// References the dependency index holds to entries: one per
     /// derivation edge, two for an entry composed from two inputs.
     pub fn index_refs(&self) -> usize {
@@ -919,34 +925,48 @@ impl ShardedMemoCache {
     /// the cumulative statistics, both read under every segment lock at
     /// once; the locks are held only while the entries are cloned (each an
     /// `Arc`). The order keeps each segment's LRU order, so replaying the
-    /// entries restores every segment's eviction order, and between
-    /// segments takes the entry with the shorter path first, so an entry
-    /// tends to follow the inputs it was composed from (what lets a
-    /// snapshot's `path` lines back-reference them).
+    /// entries restores every segment's eviction order. Between segments it
+    /// takes an entry none of whose input segments is still to come, so
+    /// that an entry follows the inputs it was composed from wherever the
+    /// segments' orders allow (what lets a snapshot's `path` lines and run
+    /// tokens refer to them); among those, and where no head is ready, the
+    /// entry with the shorter path first.
     pub(crate) fn snapshot(&self) -> (Vec<(MemoKey, ComposedChain)>, CacheStats) {
         let guards = self.lock_all();
         let stats = self.merged_stats(&guards);
-        let mut segments: Vec<_> = guards.iter().map(|guard| guard.iter_lru()).collect();
-        let mut heads = BinaryHeap::new();
-        let mut advance = |segment: usize, heads: &mut BinaryHeap<_>| {
-            if let Some((key, entry)) = segments[segment].next() {
-                heads.push(Reverse((entry.chain.path.len(), *key, segment)));
-            }
-        };
-        for segment in 0..guards.len() {
-            advance(segment, &mut heads);
-        }
-        let mut entries = Vec::with_capacity(guards.iter().map(|guard| guard.entries.len()).sum());
-        while let Some(Reverse((_, key, segment))) = heads.pop() {
-            entries.push((key, guards[segment].entries[&key].chain.clone()));
-            advance(segment, &mut heads);
+        let segments: Vec<Vec<(MemoKey, ComposedChain)>> = guards
+            .iter()
+            .map(|guard| guard.iter_lru().map(|(key, entry)| (*key, entry.chain.clone())).collect())
+            .collect();
+        drop(guards);
+        let mut pending: HashSet<u64> =
+            segments.iter().flatten().map(|(key, _)| segment_hash(key)).collect();
+        let mut heads: Vec<_> =
+            segments.into_iter().map(|segment| segment.into_iter().peekable()).collect();
+        let mut entries = Vec::with_capacity(pending.len());
+        loop {
+            let next = heads
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(segment, head)| {
+                    let (key, chain) = head.peek()?;
+                    let own = segment_hash(key);
+                    let waits =
+                        [key.0, key.1].iter().any(|input| *input != own && pending.contains(input));
+                    Some(((waits, chain.path.len(), *key), segment))
+                })
+                .min();
+            let Some((_, segment)) = next else { break };
+            let (key, chain) = heads[segment].next().expect("a head was peeked");
+            pending.remove(&segment_hash(&key));
+            entries.push((key, chain));
         }
         (entries, stats)
     }
 
     /// The live entries, in the order [`crate::persist::save_cache`] writes
-    /// them: each segment's least recently used first, the shorter path
-    /// first between segments.
+    /// them: each segment's least recently used first, an entry after its
+    /// inputs between segments where it can be.
     pub fn entries(&self) -> Vec<(MemoKey, ComposedChain)> {
         self.snapshot().0
     }
@@ -1183,6 +1203,31 @@ mod tests {
         assert_eq!(cache.invalidate("m0"), 1, "the suffix is indexed under m0 by name");
         assert!(cache.is_empty());
         assert_eq!(cache.index_refs(), 0, "the entry left by the edges it came in by");
+    }
+
+    #[test]
+    fn a_snapshot_writes_an_entry_after_its_input_in_another_stripe() {
+        // Two stripes: one holds C, composed from P; the other holds an
+        // unrelated longer entry Y, least recently used, then P. Taking the
+        // shorter path first between stripes would write C before P.
+        let cache = ShardedMemoCache::new(2, None);
+        let in_stripe = |stripe: usize, key: &dyn Fn(u64) -> MemoKey| {
+            (0..).map(key).find(|key| cache.segment_of(key) == stripe).unwrap()
+        };
+        let (m0, m1, m2) = (link("m0", 10), link("m1", 11), link("m2", 12));
+        let p_key = in_stripe(1, &|config| (10, 11, config));
+        let p = composed(&m0, &m1, p_key);
+        let c_key = in_stripe(0, &|config| (p.hash, 12, config));
+        let c = composed(&p, &m2, c_key);
+        let y_key = in_stripe(1, &|config| (100, 101, config));
+        let y_names: Vec<Name> = (0..6).map(|i| Name::from(format!("y{i}"))).collect();
+        let y = segment_along(y_names.iter().cloned().collect(), &y_names, segment_hash(&y_key));
+        cache.cache_insert(y_key, y);
+        cache.cache_insert(p_key, p);
+        cache.cache_insert(c_key, c);
+        let order: Vec<MemoKey> = cache.entries().into_iter().map(|(key, _)| key).collect();
+        assert_eq!(order, [y_key, p_key, c_key]);
+        assert!(cache.segment(segment_hash(&p_key)).is_some(), "a live entry is found by hash");
     }
 
     #[test]

@@ -565,17 +565,18 @@ fn compose_pair_hashed(
     // Symbols to eliminate: the intermediate schema plus residuals — except
     // symbols shared with an endpoint schema (evolution chains carry every
     // unchanged relation through; those are identity-linked, not
-    // existential intermediates).
+    // existential intermediates). Unique, in first-occurrence order; only
+    // the names kept are copied.
     let keep =
-        |name: &String| left.mapping.input.contains(name) || right.mapping.output.contains(name);
-    let mut symbols: Vec<String> = left.mapping.output.names();
-    symbols.extend(right.mapping.input.names());
-    symbols.extend(left.residual.names());
-    symbols.extend(right.residual.names());
-    symbols.retain(|name| !keep(name));
-    // Unique, preserving first-occurrence order.
+        |name: &str| left.mapping.input.contains(name) || right.mapping.output.contains(name);
     let mut seen = BTreeSet::new();
-    symbols.retain(|name| seen.insert(name.clone()));
+    let symbols: Vec<String> =
+        [&left.mapping.output, &right.mapping.input, &left.residual, &right.residual]
+            .into_iter()
+            .flat_map(|signature| signature.iter().map(|(name, _)| name))
+            .filter(|name| !keep(name) && seen.insert(*name))
+            .map(str::to_string)
+            .collect();
 
     let mut constraints = left.mapping.constraints.clone().into_vec();
     constraints.extend(right.mapping.constraints.clone().into_vec());
@@ -589,6 +590,13 @@ fn compose_pair_hashed(
         if let Some(info) = result.signature.get(name) {
             residual.add(name.clone(), info.clone());
         }
+    }
+    // A residual equal to an input's is that input's, shared like the
+    // endpoint schemas.
+    if let Some(input) =
+        [&left.residual, &right.residual].into_iter().find(|input| **input == residual)
+    {
+        residual = input.clone();
     }
 
     // The segment is stored and shared as is: no spare capacity.

@@ -19,8 +19,12 @@
 //! * **Memo entries** — a small header (the memo key, the segment hash,
 //!   endpoints, path, and the provenance when it is not the path) followed
 //!   by an embedded document holding the composed mapping and the residual
-//!   signature. A document line the file already holds raw, in an earlier
-//!   block, is written as an `@<hash16>` back-reference ([`LineIndex`],
+//!   signature. The document parts an entry keeps of one of its two inputs
+//!   (the same allocations), when an earlier block holds that input, are
+//!   written as run tokens copying the input's parts (`@L<first>+<count>`,
+//!   `@R…`), so an entry writes only what ELIMINATE rewrote. Any other
+//!   document line the file already holds raw, in an earlier block, is
+//!   written as an `@<hash16>` back-reference ([`LineIndex`],
 //!   [`EntryRenderer`]). So is the path of an entry's left input when an
 //!   earlier block holds it: the `path` line then lists only the names
 //!   after it (`path @<hash16> <m3>`), so a k-link fold writes O(k) path
@@ -556,8 +560,8 @@ pub struct SidecarState {
     /// Sequence number the next appended delta record should carry: the
     /// header's seq advanced past every positioned record seen since.
     pub next_seq: u64,
-    /// The document lines the file holds raw: what the next append to it
-    /// may back-reference ([`LineIndex`]).
+    /// The document lines the file holds raw and its entry blocks: what
+    /// the next append to it may back-reference or copy ([`LineIndex`]).
     pub lines: LineIndex,
 }
 
@@ -651,6 +655,12 @@ pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
     // path resolved: what `path @<hash16>` references resolve against. A
     // reference shares the referenced path's node.
     let mut paths: HashMap<u64, SegmentPath> = HashMap::new();
+    // The segment hashes of the complete blocks read so far whose path and
+    // run tokens resolved: what a run token may name ([`LineIndex`]).
+    let mut blocks: HashSet<u64> = HashSet::new();
+    // Segment hash → the entry the last block holding it loaded: what run
+    // tokens copy parts from. An entry evicted since still lends its parts.
+    let mut loaded: HashMap<u64, ComposedChain> = HashMap::new();
     // One allocation per distinct name across every entry loaded.
     let mut names: HashSet<Name> = HashSet::new();
     let mut name = |text: &str| -> Name {
@@ -753,32 +763,39 @@ pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
         }
         // References resolve against the raw lines of earlier complete
         // blocks only; this block's raw lines count from the next block on,
-        // whether or not its own entry survives.
-        let mut document_text = String::new();
+        // whether or not its own entry survives. A run token resolves
+        // against the entry an earlier block loaded.
+        let mut pieces = Vec::new();
         let mut resolved = true;
+        let mut runs_held = true;
         let mut fresh = Vec::new();
         for line in &block.document {
-            let text = match decode_document_line(line) {
+            match decode_document_line(line) {
                 DocumentLine::Raw(text) => {
                     if text.len() > REFERENCE_LEN {
                         fresh.push((hash_str(text), text));
                     }
-                    text
+                    pieces.push(Piece::Line(text));
                 }
                 DocumentLine::Reference(line_hash) => match raw_lines.get(&line_hash) {
-                    Some(text) => text,
-                    None => {
-                        resolved = false;
-                        continue;
-                    }
+                    Some(text) => pieces.push(Piece::Line(text)),
+                    None => resolved = false,
                 },
-                DocumentLine::Malformed => {
-                    resolved = false;
-                    continue;
+                DocumentLine::Run { side, first, count } => {
+                    let input = side.of(&key);
+                    runs_held &= blocks.contains(&input);
+                    let parts = loaded
+                        .get(&input)
+                        .zip(first.checked_add(count))
+                        .filter(|(input, end)| *end <= part_count(input));
+                    match parts {
+                        Some((input, end)) => pieces
+                            .extend((first..end).map(|index| Piece::Copy(input.clone(), index))),
+                        None => resolved = false,
+                    }
                 }
-            };
-            document_text.push_str(text);
-            document_text.push('\n');
+                DocumentLine::Malformed => resolved = false,
+            }
         }
         for (line_hash, text) in fresh {
             raw_lines.entry(line_hash).or_insert(text);
@@ -787,10 +804,13 @@ pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
             continue;
         };
         paths.insert(fingerprint, path.clone());
+        if runs_held {
+            blocks.insert(hash);
+        }
         let (true, Some(endpoints)) = (resolved, block.endpoints) else { continue };
         let mut ends = endpoints.split(" -> ");
         let (Some(source), Some(target)) = (ends.next(), ends.next()) else { continue };
-        let Some((mapping, residual)) = parse_chain_document(&document_text) else { continue };
+        let Some((mapping, residual)) = assemble_chain_document(&pieces) else { continue };
         // An absent `deps` line means the provenance is the path itself; a
         // present one is kept only where it differs.
         let provenance = block.deps.and_then(|deps| {
@@ -801,11 +821,16 @@ pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
         // segment the entry was composed from (a crash or a compaction can
         // leave its block out, or drop it before this one).
         let (source, target) = (name(source), name(target));
-        let chain = ChainSegment { source, target, path, mapping, residual, hash, provenance };
-        state.cache.cache_insert(key, chain.into());
+        let chain: ComposedChain =
+            ChainSegment { source, target, path, mapping, residual, hash, provenance }.into();
+        loaded.insert(hash, chain.clone());
+        state.cache.cache_insert(key, chain);
     }
-    state.lines =
-        LineIndex { hashes: raw_lines.into_keys().collect(), paths: paths.into_keys().collect() };
+    state.lines = LineIndex {
+        hashes: raw_lines.into_keys().collect(),
+        paths: paths.into_keys().collect(),
+        blocks,
+    };
     // The accumulated counters already include the insertions replayed
     // above; adopting them last keeps them cumulative rather than
     // double-counted. Without any, the replay's own counts are the
@@ -981,8 +1006,30 @@ enum DocumentLine<'t> {
     /// `@<hash16>`: the line whose FNV-1a 64 hash this is, written raw in
     /// an earlier block of the same file.
     Reference(u64),
+    /// `@L<first>` or `@L<first>+<count>` (`@R…` for the right input): the
+    /// `count` document parts from part `first` on of the entry's input
+    /// ([`part_at`]), held in an earlier block of the same file.
+    Run { side: Side, first: usize, count: usize },
     /// Any other line starting with a single `@`.
     Malformed,
+}
+
+/// The input of an entry a run token copies from: the segment whose hash
+/// is the first (left) or second (right) field of the entry's key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Left,
+    Right,
+}
+
+impl Side {
+    /// The segment hash the entry under `key` names this input by.
+    fn of(self, key: &MemoKey) -> u64 {
+        match self {
+            Side::Left => key.0,
+            Side::Right => key.1,
+        }
+    }
 }
 
 fn decode_document_line(line: &str) -> DocumentLine<'_> {
@@ -992,8 +1039,39 @@ fn decode_document_line(line: &str) -> DocumentLine<'_> {
         Some(hex) if hex.len() == 16 && hex.bytes().all(|byte| byte.is_ascii_hexdigit()) => {
             u64::from_str_radix(hex, 16).map_or(DocumentLine::Malformed, DocumentLine::Reference)
         }
-        Some(_) => DocumentLine::Malformed,
+        Some(token) => decode_run(token).unwrap_or(DocumentLine::Malformed),
     }
+}
+
+/// A run token without its `@`: a side letter, the first part's index and,
+/// for more than one part, `+` and the count, all decimal.
+fn decode_run(token: &str) -> Option<DocumentLine<'static>> {
+    let side = match token.as_bytes().first()? {
+        b'L' => Side::Left,
+        b'R' => Side::Right,
+        _ => return None,
+    };
+    let number = |digits: &str| {
+        (!digits.is_empty() && digits.bytes().all(|byte| byte.is_ascii_digit()))
+            .then(|| digits.parse::<usize>().ok())
+            .flatten()
+    };
+    let (first, count) = match token[1..].split_once('+') {
+        Some((first, count)) => (number(first)?, number(count).filter(|&count| count > 0)?),
+        None => (number(&token[1..])?, 1),
+    };
+    Some(DocumentLine::Run { side, first, count })
+}
+
+/// The number of document parts the run tokens of a sidecar text copy from
+/// earlier blocks instead of writing them.
+pub fn run_token_parts(text: &str) -> usize {
+    text.lines()
+        .map(|line| match decode_document_line(line) {
+            DocumentLine::Run { count, .. } => count,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// The document lines one sidecar file holds *raw* — written out inside a
@@ -1002,7 +1080,9 @@ fn decode_document_line(line: &str) -> DocumentLine<'_> {
 /// than a reference are never referenced and not recorded. By the same
 /// rule it records the path of every complete block whose `path` line
 /// resolves, by the fingerprint of the path's text: what a later block's
-/// `path` line may back-reference.
+/// `path` line may back-reference. And it records the segment hash of
+/// every complete block whose `path` line and run tokens resolve: the
+/// blocks a later block's run tokens may copy parts of.
 ///
 /// The index is a function of the file's bytes: [`load_sidecar`] builds it
 /// while loading, and [`LineIndex::absorb_text`] extends it by the same
@@ -1011,6 +1091,7 @@ fn decode_document_line(line: &str) -> DocumentLine<'_> {
 pub struct LineIndex {
     hashes: HashSet<u64>,
     paths: HashSet<u64>,
+    blocks: HashSet<u64>,
 }
 
 impl LineIndex {
@@ -1028,37 +1109,45 @@ impl LineIndex {
     }
 
     /// What `text` appended to the file `file` describes adds to it: the
-    /// raw lines and the paths of its complete blocks, a `path` reference
-    /// resolving against the file's paths too.
+    /// raw lines, the paths and the blocks of its complete blocks, a `path`
+    /// reference or a run token resolving against the file's too.
     fn added_by(file: &LineIndex, text: &str) -> LineIndex {
         let mut added = LineIndex::default();
         added.absorb(text, file);
         added
     }
 
-    /// [`LineIndex::absorb_text`], a `path` reference also resolving
-    /// against the paths `file` holds.
+    /// [`LineIndex::absorb_text`], a `path` reference or a run token also
+    /// resolving against what `file` holds.
     fn absorb(&mut self, text: &str, file: &LineIndex) {
         let mut lines = text.lines();
         let mut pending = None;
         while let Some(line) = pending.take().or_else(|| lines.next()) {
             let Some(rest) = line.trim().strip_prefix("entry ") else { continue };
-            if parse_entry_header(rest).is_none() {
-                continue;
-            }
+            let Some((key, hash)) = parse_entry_header(rest) else { continue };
             let block = read_entry_block(&mut lines, &mut pending);
             if !block.complete {
                 continue;
             }
             let held = |hash| self.holds_path(hash) || file.holds_path(hash);
-            if let Some(fingerprint) = path_field_fingerprint(block.path, held) {
-                self.paths.insert(fingerprint);
-            }
+            let path = path_field_fingerprint(block.path, held);
+            let mut runs_held = true;
             for line in block.document {
-                if let DocumentLine::Raw(text) = decode_document_line(line) {
-                    if text.len() > REFERENCE_LEN {
+                match decode_document_line(line) {
+                    DocumentLine::Raw(text) if text.len() > REFERENCE_LEN => {
                         self.hashes.insert(hash_str(text));
                     }
+                    DocumentLine::Run { side, .. } => {
+                        let input = side.of(&key);
+                        runs_held &= self.holds_block(input) || file.holds_block(input);
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(fingerprint) = path {
+                self.paths.insert(fingerprint);
+                if runs_held {
+                    self.blocks.insert(hash);
                 }
             }
         }
@@ -1074,6 +1163,12 @@ impl LineIndex {
         self.paths.contains(&fingerprint)
     }
 
+    /// Does a complete block, whose run tokens resolve, hold the segment
+    /// with this hash?
+    fn holds_block(&self, hash: u64) -> bool {
+        self.blocks.contains(&hash)
+    }
+
     /// Number of distinct raw lines recorded.
     pub fn len(&self) -> usize {
         self.hashes.len()
@@ -1084,22 +1179,41 @@ impl LineIndex {
         self.hashes.is_empty()
     }
 
-    /// Forget every line and path (the file was replaced).
+    /// Forget every line, path and block (the file was replaced).
     pub fn clear(&mut self) {
         self.hashes.clear();
         self.paths.clear();
+        self.blocks.clear();
+    }
+
+    /// Add everything `other` records.
+    fn extend(&mut self, other: LineIndex) {
+        self.hashes.extend(other.hashes);
+        self.paths.extend(other.paths);
+        self.blocks.extend(other.blocks);
     }
 }
 
 /// Renders `entry` blocks for one piece of a sidecar file — an appended
-/// chunk or a whole snapshot. A document line longer than a reference is
-/// written as `@<hash16>` when the file already holds it raw (`file`) or an
-/// earlier block of this piece wrote it raw; a raw line starting with `@`
-/// is written with one more. Every other line is written as it is.
+/// chunk or a whole snapshot.
 ///
-/// An entry's `path` line back-references its left input's path the same
-/// way, when the file or an earlier block holds it, and lists only the
-/// names after it.
+/// A document part the entry holds as the same storage as one of its two
+/// inputs — a schema, the mapping header or a constraint that ELIMINATE did
+/// not rewrite — is not rendered at all when the file or an earlier block
+/// of this piece holds that input's block: each contiguous run of such
+/// parts is written as one run token, `@L<first>` or `@L<first>+<count>`
+/// (`@R…` for the right input), naming the input by the segment hash in the
+/// entry's key. The input's chain is the one the renderer's cache holds
+/// under that hash ([`EntryRenderer::with_cache`]); without a cache nothing
+/// is written as a run.
+///
+/// Every other document line longer than a reference is written as
+/// `@<hash16>` when the file already holds it raw (`file`) or an earlier
+/// block of this piece wrote it raw; a raw line starting with `@` is
+/// written with one more. Every other line is written as it is. An entry's
+/// `path` line back-references its left input's path the same way, when
+/// the file or an earlier block holds it, and lists only the names after
+/// it.
 ///
 /// Memo segments share their schemas, constraint sides and paths by
 /// reference, so the renderer remembers the hash of each line it rendered
@@ -1110,12 +1224,17 @@ impl LineIndex {
 #[derive(Debug)]
 pub struct EntryRenderer<'a> {
     file: &'a LineIndex,
+    /// Where an input's chain is looked up by segment hash.
+    cache: Option<&'a ShardedMemoCache>,
     written: LineIndex,
     /// Line hash by the storage the line was rendered from: `None` for a
     /// part too short to reference or spread over several lines.
     rendered: HashMap<PartSource, (Option<u64>, PartPin)>,
     /// Path fingerprint and text length by path node.
     fingerprints: HashMap<usize, ((u64, usize), SegmentPath)>,
+    /// The current entry's inputs' parts by storage: which input holds
+    /// each and at what index. Refilled for every entry.
+    positions: HashMap<PartSource, (Side, usize)>,
 }
 
 impl<'a> EntryRenderer<'a> {
@@ -1124,10 +1243,29 @@ impl<'a> EntryRenderer<'a> {
     pub fn new(file: &'a LineIndex) -> Self {
         EntryRenderer {
             file,
+            cache: None,
             written: LineIndex::default(),
             rendered: HashMap::new(),
             fingerprints: HashMap::new(),
+            positions: HashMap::new(),
         }
+    }
+
+    /// Look the inputs of the entries up in `cache`, so that the parts an
+    /// entry keeps of an input whose block is held are written as run
+    /// tokens.
+    pub fn with_cache(mut self, cache: &'a ShardedMemoCache) -> Self {
+        self.cache = Some(cache);
+        self
+    }
+
+    /// The chain of the input with segment hash `hash`, when a held block
+    /// holds it and the cache knows it.
+    fn input(&self, hash: u64) -> Option<ComposedChain> {
+        if !(self.file.holds_block(hash) || self.written.holds_block(hash)) {
+            return None;
+        }
+        self.cache?.segment(hash).filter(|chain| chain.hash == hash)
     }
 
     /// The fingerprint and length of a path's text ([`path_text`]), read
@@ -1166,8 +1304,8 @@ impl<'a> EntryRenderer<'a> {
         self.file.contains(hash) || self.written.contains(hash)
     }
 
-    /// The raw lines the rendered blocks add to the file: what
-    /// [`LineIndex::absorb_text`] would record for the rendered text.
+    /// The raw lines, paths and blocks the rendered blocks add to the file:
+    /// what [`LineIndex::absorb_text`] would record for the rendered text.
     pub fn into_written(self) -> LineIndex {
         self.written
     }
@@ -1205,6 +1343,21 @@ impl<'a> EntryRenderer<'a> {
             let _ = writeln!(out, "deps {}", deps.join(" "));
         }
         out.push_str("begin-document\n");
+        let inputs = [self.input(key.0), self.input(key.1)];
+        let input = |side: Side| inputs[side as usize].as_ref();
+        self.positions.clear();
+        for side in [Side::Left, Side::Right] {
+            for (index, part) in
+                input(side).into_iter().flat_map(|input| document_parts(input)).enumerate()
+            {
+                if let Some(source) = part.source() {
+                    self.positions.entry(source).or_insert((side, index));
+                }
+            }
+        }
+        // The run of input parts the entry keeps, not yet written: its
+        // input, first index and length.
+        let mut run: Option<(Side, usize, usize)> = None;
         let mut fresh = Vec::new();
         // A document line that reads as a record or a block delimiter makes
         // the loader cut the block short, so none of its lines is recorded.
@@ -1214,6 +1367,20 @@ impl<'a> EntryRenderer<'a> {
         let mut text = String::new();
         for part in document_parts(chain) {
             let source = part.source();
+            if let Some(source) = source.filter(|_| !self.positions.is_empty()) {
+                if let Some((side, first, count)) = &mut run {
+                    let next = input(*side).and_then(|input| part_at(input, *first + *count));
+                    if next.and_then(|part| part.source()) == Some(source) {
+                        *count += 1;
+                        continue;
+                    }
+                }
+                if let Some(&(side, index)) = self.positions.get(&source) {
+                    push_run(out, run.replace((side, index, 1)));
+                    continue;
+                }
+            }
+            push_run(out, run.take());
             if let Some((Some(hash), _)) = source.as_ref().and_then(|key| self.rendered.get(key)) {
                 if self.holds(*hash) {
                     push_reference(out, *hash);
@@ -1252,13 +1419,28 @@ impl<'a> EntryRenderer<'a> {
             }
         }
         out.push_str("end-document\n");
-        // A block's raw lines and path can be referenced from the next block
-        // on.
+        // A block's raw lines, path and parts can be referenced from the
+        // next block on.
         if loads_whole {
             self.written.hashes.extend(fresh);
             self.written.paths.insert(path_fingerprint);
+            self.written.blocks.insert(chain.hash);
         }
     }
+}
+
+/// Append the run token of a run of input parts: `@L<first>` or
+/// `@L<first>+<count>` (`@R…` for the right input).
+fn push_run(out: &mut String, run: Option<(Side, usize, usize)>) {
+    let Some((side, first, count)) = run else { return };
+    out.push_str(match side {
+        Side::Left => "@L",
+        Side::Right => "@R",
+    });
+    let _ = match count {
+        1 => writeln!(out, "{first}"),
+        _ => writeln!(out, "{first}+{count}"),
+    };
 }
 
 /// Append the `@<hash16>` line referencing the line with this hash.
@@ -1280,6 +1462,9 @@ enum DocumentPart<'c> {
     Constraint(&'c mapcomp_algebra::Constraint),
     Close,
 }
+
+/// The mapping header line of a chain document.
+const MAPPING_HEADER: &str = "mapping __seg : __in -> __out {\n";
 
 /// The storage a document part renders from: parts with equal sources
 /// render to equal text (see [`EntryRenderer`]).
@@ -1303,7 +1488,7 @@ impl DocumentPart<'_> {
     fn write(&self, out: &mut String) {
         match self {
             DocumentPart::Schema(name, signature) => write_schema(out, name, signature),
-            DocumentPart::Header => out.push_str("mapping __seg : __in -> __out {\n"),
+            DocumentPart::Header => out.push_str(MAPPING_HEADER),
             DocumentPart::Constraint(constraint) => {
                 let _ = writeln!(out, "    {constraint};");
             }
@@ -1340,16 +1525,22 @@ impl DocumentPart<'_> {
     }
 }
 
-fn document_parts(chain: &ComposedChain) -> impl Iterator<Item = DocumentPart<'_>> {
-    [
-        DocumentPart::Schema("__in", &chain.mapping.input),
-        DocumentPart::Schema("__out", &chain.mapping.output),
-        DocumentPart::Schema("__residual", &chain.residual),
-        DocumentPart::Header,
-    ]
-    .into_iter()
-    .chain(chain.mapping.constraints.iter().map(DocumentPart::Constraint))
-    .chain([DocumentPart::Close])
+/// The parts of a chain's document, in document order.
+fn document_parts(chain: &ChainSegment) -> impl Iterator<Item = DocumentPart<'_>> {
+    (0..).map_while(|index| part_at(chain, index)).chain([DocumentPart::Close])
+}
+
+/// The document part at `index`: the `__in`, `__out` and `__residual`
+/// schemas, the mapping header, then one part per constraint. The closing
+/// brace has no index: a run token never copies it.
+fn part_at(chain: &ChainSegment, index: usize) -> Option<DocumentPart<'_>> {
+    Some(match index {
+        0 => DocumentPart::Schema("__in", &chain.mapping.input),
+        1 => DocumentPart::Schema("__out", &chain.mapping.output),
+        2 => DocumentPart::Schema("__residual", &chain.residual),
+        3 => DocumentPart::Header,
+        _ => DocumentPart::Constraint(chain.mapping.constraints.as_slice().get(index - 4)?),
+    })
 }
 
 /// Render a composed chain's *content* as a self-contained embeddable
@@ -1374,6 +1565,95 @@ pub fn parse_chain_document(text: &str) -> Option<(Mapping, Signature)> {
     let residual = document.schema("__residual").ok()?;
     let (_, _, constraints) = document.mappings.get("__seg")?;
     Some((Mapping::new(input.clone(), output.clone(), constraints.clone()), residual.clone()))
+}
+
+/// One document line of an entry as loaded: a line of text (written raw
+/// or referenced), or one part copied from an input's loaded entry by a
+/// run token.
+enum Piece<'t> {
+    Line(&'t str),
+    Copy(ComposedChain, usize),
+}
+
+/// Number of parts a run token may copy from a chain's document.
+fn part_count(chain: &ChainSegment) -> usize {
+    4 + chain.mapping.constraints.len()
+}
+
+/// The composed mapping and residual signature of a loaded entry document:
+/// [`parse_chain_document`] when every line is text. Parts copied by run
+/// tokens are shared with the input they were copied from, and the text
+/// around them is parsed as the whole parts it holds: schema lines before
+/// the mapping header, constraints after it, up to the closing brace on
+/// the last line. `None` when a part is out of place or a text does not
+/// parse.
+fn assemble_chain_document(pieces: &[Piece<'_>]) -> Option<(Mapping, Signature)> {
+    if pieces.iter().all(|piece| matches!(piece, Piece::Line(_))) {
+        let mut text = String::new();
+        for piece in pieces {
+            if let Piece::Line(line) = piece {
+                text.push_str(line);
+                text.push('\n');
+            }
+        }
+        return parse_chain_document(&text);
+    }
+    let (Piece::Line(close), body) = pieces.split_last()? else { return None };
+    if close.trim() != "}" {
+        return None;
+    }
+    let mut schema_text = String::new();
+    let mut copied_schemas = Vec::new();
+    let mut in_constraints = false;
+    let mut text = String::new();
+    let mut constraints = Vec::new();
+    // The constraints a text between copied parts holds, parsed.
+    fn flush(text: &mut String, constraints: &mut Vec<mapcomp_algebra::Constraint>) -> Option<()> {
+        if !text.is_empty() {
+            constraints.extend(mapcomp_algebra::parse_constraints(text).ok()?.into_vec());
+            text.clear();
+        }
+        Some(())
+    }
+    for piece in body {
+        match piece {
+            Piece::Line(line) if in_constraints => {
+                text.push_str(line);
+                text.push('\n');
+            }
+            Piece::Line(line) if line.trim() == MAPPING_HEADER.trim_end() => in_constraints = true,
+            Piece::Line(line) => {
+                schema_text.push_str(line);
+                schema_text.push('\n');
+            }
+            Piece::Copy(input, index) => match part_at(input, *index)? {
+                DocumentPart::Schema(name, signature) if !in_constraints => {
+                    copied_schemas.push((name, signature.clone()));
+                }
+                DocumentPart::Header if !in_constraints => in_constraints = true,
+                DocumentPart::Constraint(constraint) if in_constraints => {
+                    flush(&mut text, &mut constraints)?;
+                    constraints.push(constraint.clone());
+                }
+                _ => return None,
+            },
+        }
+    }
+    flush(&mut text, &mut constraints)?;
+    let document = parse_document(&schema_text).ok()?;
+    if !in_constraints || !document.mappings.is_empty() {
+        return None;
+    }
+    let mut schemas = document.schemas;
+    for (name, signature) in copied_schemas {
+        if schemas.insert(name.to_string(), signature).is_some() {
+            return None;
+        }
+    }
+    let (input, output) = (schemas.remove("__in")?, schemas.remove("__out")?);
+    let residual = schemas.remove("__residual")?;
+    constraints.shrink_to_fit();
+    Some((Mapping::new(input, output, ConstraintSet::from_constraints(constraints)), residual))
 }
 
 fn write_schema(out: &mut String, name: &str, sig: &Signature) {
@@ -1401,7 +1681,8 @@ pub fn render_cache_entry(key: &MemoKey, chain: &ComposedChain) -> String {
 
 /// Render the cache in the sidecar format. The rendering stands alone: a
 /// document line is back-referenced only when an earlier entry of the same
-/// rendering wrote it raw.
+/// rendering wrote it raw, and a run token copies only from an earlier
+/// entry of the same rendering.
 pub fn save_cache(cache: &ShardedMemoCache) -> String {
     let mut out = String::new();
     write_cache(&mut out, cache);
@@ -1423,7 +1704,7 @@ pub fn write_cache(out: &mut String, cache: &ShardedMemoCache) -> (LineIndex, Ca
     // session restoring this sidecar evicts in the same order the saving
     // session would have.
     let nothing = LineIndex::default();
-    let mut renderer = EntryRenderer::new(&nothing);
+    let mut renderer = EntryRenderer::new(&nothing).with_cache(cache);
     for (key, chain) in &entries {
         renderer.render(out, key, chain);
     }
@@ -1448,8 +1729,8 @@ pub fn write_cache(out: &mut String, cache: &ShardedMemoCache) -> (LineIndex, Ca
 /// a full snapshot rendering to compact the file.
 ///
 /// The writer keeps the [`LineIndex`] of the file — the document lines it
-/// holds raw — so that [`SidecarWriter::append_with`] can back-reference
-/// them. The index is a function of the file's bytes: loading the file
+/// holds raw and its entry blocks — so that [`SidecarWriter::append_with`]
+/// can back-reference and copy them. The index is a function of the file's bytes: loading the file
 /// ([`SidecarWriter::load_full`]) builds it, a successful append extends it
 /// by the appended text, a rewrite replaces it by the new file's, and it is
 /// cleared when another process replaced the file since this writer last
@@ -1595,17 +1876,20 @@ impl SidecarWriter {
     /// Render a chunk of sidecar lines and append it, under the writer
     /// mutex and the cross-process lock; returns the chunk. `render` writes
     /// the chunk's memo entries through the [`EntryRenderer`] it is handed,
-    /// which back-references the lines the file holds. It runs inside the
+    /// which back-references the lines the file holds and copies the parts
+    /// an entry keeps of an input the file holds, looked up in `cache`
+    /// ([`EntryRenderer::with_cache`]). It runs inside the
     /// critical section, after the file's [`LineIndex`] was checked against
     /// the file on disk, so the references resolve against exactly the
     /// lines the file holds. An empty chunk writes nothing. A chunk missing
     /// its final newline gets one.
     pub fn append_with(
         &self,
+        cache: &ShardedMemoCache,
         render: impl FnOnce(&mut EntryRenderer<'_>) -> String,
     ) -> std::io::Result<String> {
         self.append_chunk(|file| {
-            let mut entries = EntryRenderer::new(file);
+            let mut entries = EntryRenderer::new(file).with_cache(cache);
             let chunk = render(&mut entries);
             (chunk, entries.into_written())
         })
@@ -1657,8 +1941,7 @@ impl SidecarWriter {
             chunk.len()
         };
         file.flush()?;
-        lines.hashes.extend(added.hashes);
-        lines.paths.extend(added.paths);
+        lines.extend(added);
         *seen = file.metadata().ok().as_ref().and_then(FileSeen::of);
         self.telemetry.appends.incr();
         self.telemetry.append_bytes.add(written as u64);
@@ -2190,8 +2473,7 @@ mod tests {
         // the file would.
         let written = renderer.into_written();
         let mut extended = index.clone();
-        extended.hashes.extend(written.hashes);
-        extended.paths.extend(written.paths);
+        extended.extend(written);
         assert_eq!(extended, LineIndex::of_text(&format!("{snapshot}{chunk}")));
         let appended = load_sidecar(&format!("{snapshot}{chunk}"));
         assert_eq!(appended.cache.peek(key).unwrap().path, last.path);
@@ -2315,6 +2597,181 @@ mod tests {
             assert!(rendered.contains("\ndeps"), "{rendered}");
             let loaded = load_sidecar(&rendered).cache;
             assert_eq!(loaded.peek(&(1, 0, 0)).unwrap().deps(), chain.deps());
+        }
+    }
+
+    /// A session whose memo holds every prefix of the fold `s0 -> … ->
+    /// s{links}`, whose schemas all carry `K` and whose first link holds a
+    /// constraint over `K` that no elimination touches: every prefix keeps
+    /// it, as the same allocation, and the fold `s{links} -> …` of `right`
+    /// more links is memoised too.
+    fn carried_session(links: usize, right: usize) -> SharedSession {
+        let mut catalog = Catalog::new();
+        for i in 0..=links + right {
+            let relations = [(format!("R{i}"), 1), ("K".to_string(), 1)];
+            catalog.add_schema(format!("s{i}"), Signature::from_arities(relations));
+        }
+        for i in 0..links + right {
+            let kept = if i == 0 { "; select[#0 = 'kept'](K) <= K" } else { "" };
+            let constraints = parse_constraints(&format!("R{i} <= R{}{kept}", i + 1)).unwrap();
+            catalog
+                .add_mapping(link(i), &format!("s{i}"), &format!("s{}", i + 1), constraints)
+                .unwrap();
+        }
+        let session = SharedSession::new(catalog);
+        session.compose_path("s0", &format!("s{links}")).unwrap();
+        if right > 1 {
+            session.compose_path(&format!("s{links}"), &format!("s{}", links + right)).unwrap();
+        }
+        session
+    }
+
+    /// The key in a sidecar text's `entry` header line starting at `at`.
+    fn block_key(text: &str, at: usize) -> MemoKey {
+        let header = text[at..].lines().next().unwrap();
+        parse_entry_header(header.strip_prefix("entry ").unwrap()).unwrap().0
+    }
+
+    #[test]
+    fn kept_parts_are_written_as_run_tokens_and_load_back_shared() {
+        let session = carried_session(5, 0);
+        let cache = session.cache();
+        let snapshot = save_cache(cache);
+        // Every prefix after the first copies its input's `__in` schema,
+        // residual schema, header and kept constraint: the constraint's
+        // text is written once.
+        assert_eq!(run_token_parts(&snapshot), 3 * 4, "{snapshot}");
+        assert_eq!(snapshot.matches("'kept'").count(), 1, "{snapshot}");
+        assert!(snapshot.contains("\n@L0\n") && snapshot.contains("\n@L2+2\n"), "{snapshot}");
+        let state = load_sidecar(&snapshot);
+        assert_eq!(state.lines, LineIndex::of_text(&snapshot));
+        assert_eq!(state.cache.stats(), cache.stats());
+        for (key, chain) in cache.entries() {
+            let loaded = state.cache.peek(&key).unwrap();
+            assert_eq!(render_cache_entry(&key, &loaded), render_cache_entry(&key, &chain));
+        }
+        assert_eq!(save_cache(&state.cache), snapshot, "the loaded memo renders identically");
+        // A loaded prefix shares its input's kept parts, as the live one does.
+        let kept = |chain: &ComposedChain| {
+            let constraint =
+                chain.mapping.constraints.iter().find(|c| c.to_string().contains("kept"));
+            constraint.unwrap().clone()
+        };
+        let mut shared = 0;
+        for (key, chain) in state.cache.entries() {
+            let Some(input) = state.cache.segment(key.0) else { continue };
+            assert!(std::sync::Arc::ptr_eq(&kept(&chain).lhs, &kept(&input).lhs));
+            assert_eq!(chain.mapping.input.storage_addr(), input.mapping.input.storage_addr());
+            shared += 1;
+        }
+        assert_eq!(shared, 3);
+    }
+
+    #[test]
+    fn a_cut_inside_an_input_block_drops_it_and_the_entries_copying_from_it_only() {
+        // Prefixes of 2 to 5 links, each copying from the one before it,
+        // and the unrelated fold of the next two links.
+        let session = carried_session(5, 3);
+        let snapshot = save_cache(session.cache());
+        assert_eq!(session.cache().len(), 4 + 2);
+        // Cut the `<=` out of the two-link prefix's rewritten constraint: its
+        // block stays complete, but its document no longer parses.
+        let first = snapshot.find("    R0 <= R2;").unwrap();
+        let at = snapshot[..first].rfind("entry ").unwrap();
+        let cut_key = block_key(&snapshot, at);
+        let cut = format!("{}{}", &snapshot[..first + 7], &snapshot[first + 9..]);
+        let state = load_sidecar(&cut);
+        let mut survivors: Vec<MemoKey> =
+            state.cache.entries().into_iter().map(|(key, _)| key).collect();
+        survivors.sort_unstable();
+        // Only the unrelated entries, which copy from no prefix, survive.
+        let mut expected: Vec<MemoKey> = session
+            .cache()
+            .entries()
+            .into_iter()
+            .filter(|(_, chain)| chain.path.first().map(|name| &**name) != Some(link(0).as_str()))
+            .map(|(key, _)| key)
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(expected.len(), 2);
+        assert_eq!(survivors, expected);
+        assert!(!state.cache.cache_contains(&cut_key));
+        assert_eq!(state.lines, LineIndex::of_text(&cut));
+    }
+
+    #[test]
+    fn a_run_token_naming_an_absent_block_drops_its_entry_only() {
+        let session = carried_session(5, 0);
+        let snapshot = save_cache(session.cache());
+        // Rename the last block's left input to a segment no block holds.
+        let at = snapshot.rfind("entry ").unwrap();
+        let key = block_key(&snapshot, at);
+        let absent = (key.0 ^ 1, key.1, key.2);
+        let renamed =
+            snapshot[at..].replacen(&format!("{:016x}", key.0), &format!("{:016x}", absent.0), 1);
+        let text = format!("{}{renamed}", &snapshot[..at]);
+        let state = load_sidecar(&text);
+        assert_eq!(state.cache.len(), session.cache().len() - 1);
+        assert!(!state.cache.cache_contains(&absent));
+        assert!(!state.lines.holds_block(session.cache().peek(&key).unwrap().hash));
+        assert_eq!(state.lines, LineIndex::of_text(&text));
+    }
+
+    #[test]
+    fn appended_entries_copy_the_parts_of_inputs_the_file_holds() {
+        const LINKS: usize = 5;
+        let snapshot = save_cache(carried_session(LINKS, 0).cache());
+        // The next prefix, rendered for the file the snapshot is: its left
+        // input's block is held, and the cache knows the input.
+        let session = carried_session(LINKS + 1, 0);
+        let (key, last) = longest_entry(&session);
+        let index = LineIndex::of_text(&snapshot);
+        let mut chunk = String::new();
+        let mut renderer = EntryRenderer::new(&index).with_cache(session.cache());
+        renderer.render(&mut chunk, &key, &last);
+        // `__in`, the residual, the header and the kept constraint.
+        assert_eq!(run_token_parts(&chunk), 4, "{chunk}");
+        assert!(!chunk.contains("'kept'"), "{chunk}");
+        let written = renderer.into_written();
+        assert!(written.holds_block(last.hash));
+        let mut extended = index.clone();
+        extended.extend(written);
+        assert_eq!(extended, LineIndex::of_text(&format!("{snapshot}{chunk}")));
+        let appended = load_sidecar(&format!("{snapshot}{chunk}"));
+        assert_eq!(
+            render_cache_entry(&key, &appended.cache.peek(&key).unwrap()),
+            render_cache_entry(&key, &last)
+        );
+        // Alone, the chunk's tokens resolve to nothing; without a cache the
+        // renderer writes the parts.
+        assert!(load_sidecar(&chunk).cache.is_empty());
+        let mut plain = String::new();
+        EntryRenderer::new(&index).render(&mut plain, &key, &last);
+        assert_eq!(run_token_parts(&plain), 0);
+        // A replica appends the chunk verbatim: the block its tokens
+        // resolve to in the file, and its own, are held from then on.
+        let path = temp_sidecar("verbatim_blocks");
+        let writer = SidecarWriter::new(&path);
+        writer.append(&snapshot).unwrap();
+        writer.append(&chunk).unwrap();
+        assert_eq!(writer.state().lines, LineIndex::of_text(&format!("{snapshot}{chunk}")));
+        assert!(writer.state().lines.holds_block(last.hash));
+        assert!(!LineIndex::of_text(&chunk).holds_block(last.hash));
+        let _ = std::fs::remove_file(FileLock::for_file(&path).path());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn malformed_run_tokens_drop_their_entry() {
+        let session = carried_session(3, 0);
+        let snapshot = save_cache(session.cache());
+        assert!(snapshot.contains("\n@L5\n"), "{snapshot}");
+        let huge = format!("@L5+{}", usize::MAX);
+        for bad in ["@L99", "@L5+0", "@L+1", "@X5", "@L5+", "@L-1", "@L3", &huge] {
+            // A part out of range, a malformed token, or a part out of place
+            // (the header among the constraints).
+            let text = snapshot.replacen("\n@L5\n", &format!("\n{bad}\n"), 1);
+            assert_eq!(load_sidecar(&text).cache.len(), session.cache().len() - 1, "{bad}");
         }
     }
 

@@ -247,8 +247,8 @@ impl SharedCatalog {
     /// uses it to adopt a leader snapshot whose history its own state has
     /// diverged from (version counters must be taken verbatim, not
     /// re-derived by incremental upserts).
-    pub fn restore(&self, catalog: &Catalog) {
-        let store = Store::new(catalog.clone());
+    pub fn restore(&self, catalog: Catalog) {
+        let store = Store::new(catalog);
         // The superseded store is dropped after the guard is released.
         let superseded = std::mem::replace(&mut *self.write_store(), store);
         drop(superseded);
@@ -374,7 +374,7 @@ impl SharedSession {
     /// analysis report — they describe the superseded state. A replication
     /// follower calls this when it adopts a leader snapshot it cannot reach
     /// by incremental delta application.
-    pub fn restore_catalog(&self, catalog: &Catalog) {
+    pub fn restore_catalog(&self, catalog: Catalog) {
         self.catalog.restore(catalog);
         self.cache.clear();
         self.analysis.lock().unwrap_or_else(PoisonError::into_inner).clear();

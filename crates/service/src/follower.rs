@@ -36,7 +36,7 @@ use std::time::Duration;
 use mapcomp_algebra::parse_document;
 use mapcomp_catalog::{
     load_sidecar, parse_positioned_delta, render_generation_marker, restore_catalog, Catalog,
-    DeltaRecord, LineIndex, Position, SessionConfig, SidecarWriter,
+    DeltaRecord, Position, SessionConfig, SidecarWriter,
 };
 use mapcomp_compose::Registry;
 use mapcomp_telemetry::metrics::Gauge;
@@ -309,7 +309,7 @@ impl FollowerCore {
                     self.set_state(FollowerState::Bootstrapping);
                     link.send(&Request::Snapshot, None)?;
                     match link.read()? {
-                        Some(Ok(Response::Snapshot(payload))) => self.install_snapshot(&payload)?,
+                        Some(Ok(Response::Snapshot(payload))) => self.install_snapshot(payload)?,
                         Some(Ok(other)) => {
                             return Err(ServiceError::protocol(format!(
                                 "unexpected `{}` reply to snapshot",
@@ -441,25 +441,26 @@ impl FollowerCore {
     /// sources. The memo cache is cleared rather than imported — entries
     /// referencing dropped content would be unreachable anyway, and the
     /// verbatim sidecar warms the cache on the next restart.
-    fn install_snapshot(&self, payload: &SnapshotPayload) -> Result<(), ServiceError> {
-        let document = parse_document(&payload.document)
+    fn install_snapshot(&self, payload: SnapshotPayload) -> Result<(), ServiceError> {
+        let SnapshotPayload { position, document: document_text, sidecar } = payload;
+        let document = parse_document(&document_text)
             .map_err(|error| ServiceError::protocol(format!("malformed snapshot: {error}")))?;
-        let state = load_sidecar(&payload.sidecar);
+        let mut state = load_sidecar(&sidecar);
         let catalog = restore_catalog(&document, &state)?;
+        // The loader's line index is the sidecar's: it is a function of
+        // the file's bytes.
+        let lines = std::mem::take(&mut state.lines);
         self.sidecar
-            .rewrite_with_document(&self.catalog_file, || {
-                let lines = LineIndex::of_text(&payload.sidecar);
-                (payload.document.clone(), payload.sidecar.clone(), lines)
-            })
+            .rewrite_with_document(&self.catalog_file, || (document_text, sidecar, lines))
             .map_err(|error| {
                 ServiceError::transport(format!(
                     "cannot install snapshot at {}: {error}",
                     self.catalog_file.display()
                 ))
             })?;
-        self.service.session().restore_catalog(&catalog);
+        self.service.session().restore_catalog(catalog);
         self.service.replace_migrations(state.migrations);
-        self.note_progress(Some(payload.position), payload.position);
+        self.note_progress(Some(position), position);
         Ok(())
     }
 

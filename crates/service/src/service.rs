@@ -545,8 +545,9 @@ impl LocalService {
     /// statistics increment, as one contiguous chunk. Callers that changed
     /// no durable state (a memo hit) do not call this, so a statistics
     /// increment goes out alone only from [`LocalService::flush_counters`]
-    /// or a rare no-op write. Memo entries back-reference the document
-    /// lines the sidecar already holds; the chunk is rendered inside the
+    /// or a rare no-op write. Memo entries copy the parts they keep of
+    /// input entries the sidecar holds and back-reference the document
+    /// lines it already holds; the chunk is rendered inside the
     /// sidecar's write critical section, against its current line index.
     /// Every `delta` line is stamped with the next `(generation, seq)`
     /// position, and when replication is enabled the byte-exact chunk is
@@ -567,7 +568,7 @@ impl LocalService {
             let mut range: Option<(Position, Position)> = None;
             let mut drained = Vec::new();
             let mut now = state.last_stats;
-            let appended = persistence.sidecar.append_with(|entries| {
+            let appended = persistence.sidecar.append_with(self.session.cache(), |entries| {
                 let mut chunk = String::new();
                 let mut push_delta = |chunk: &mut String, record: &DeltaRecord| {
                     let first = range.map_or(position, |(first, _)| first);
@@ -600,7 +601,8 @@ impl LocalService {
                 }
                 // Live entries first, each after the inputs it was composed
                 // from (an input's path is shorter), so a `path` line can
-                // back-reference its left input's block; then the
+                // back-reference its left input's block and run tokens can
+                // copy the parts it keeps of its inputs; then the
                 // evictions, so replay keeps an evicted input's derivation
                 // edges for the entries composed from it. A concurrently
                 // removed entry simply isn't rendered; its removal event is

@@ -406,7 +406,7 @@ fn maintained_index_matches_a_rebuilt_snapshot_under_random_mutations() {
                 // Wholesale replacement by an earlier state.
                 _ => {
                     let previous = std::mem::replace(&mut checkpoint, shared.snapshot());
-                    shared.restore(&previous);
+                    shared.restore(previous.clone());
                     mirror = previous;
                     "restore".to_string()
                 }

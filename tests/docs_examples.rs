@@ -34,8 +34,8 @@ use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
     load_sidecar, parse_positioned_delta, render_chain_document, render_delta,
     render_generation_marker, render_mapping_decl, render_migration_snapshot,
-    render_positioned_delta, render_schema_decl, render_version_extension, save_cache, DeltaRecord,
-    Position,
+    render_positioned_delta, render_schema_decl, render_version_extension, run_token_parts,
+    save_cache, DeltaRecord, Position,
 };
 use mapping_composition::service::{
     decode_reply, decode_request, decode_request_frame, encode_reply, encode_request,
@@ -89,6 +89,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
     let mut positioned = 0usize;
     let mut headers = 0usize;
     let mut path_references = 0usize;
+    let mut run_tokens = 0usize;
     for block in &blocks {
         // The entry blocks of one example load together: a later block may
         // back-reference lines of an earlier one.
@@ -203,6 +204,9 @@ fn persistence_doc_sidecar_examples_round_trip() {
             // A back-referenced path loads as the whole path it names.
             path_references +=
                 entry_blocks.lines().filter(|line| line.starts_with("path @")).count();
+            // A run token loads as the parts of its input it copies, shared:
+            // re-rendered, the entry writes the same token again.
+            run_tokens += run_token_parts(&entry_blocks);
             for (_, chain) in cache.entries() {
                 let path = &chain.path;
                 assert!(path.iter().all(|name| !name.starts_with('@')), "{path:?} resolved");
@@ -238,6 +242,7 @@ fn persistence_doc_sidecar_examples_round_trip() {
     assert!(positioned >= 5, "the examples must cover every positioned delta kind");
     assert!(headers >= 1, "the examples must cover the generation header");
     assert!(path_references >= 1, "the examples must cover a back-referenced path");
+    assert!(run_tokens >= 1, "the examples must cover a run token");
 }
 
 #[test]

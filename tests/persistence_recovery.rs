@@ -16,8 +16,8 @@ use std::fmt::Write as _;
 use mapping_composition::algebra::parse_document;
 use mapping_composition::catalog::{
     load_sidecar, parse_positioned_delta, render_cache_entry, render_chain_document,
-    restore_catalog, strip_torn_tail, CacheStats, MemoKey, Position, SessionConfig, SidecarWriter,
-    VersionManifest,
+    restore_catalog, run_token_parts, strip_torn_tail, CacheStats, MemoKey, Position,
+    SessionConfig, SidecarWriter, VersionManifest,
 };
 use mapping_composition::compose::Registry;
 use mapping_composition::service::{
@@ -799,6 +799,123 @@ fn a_chunk_torn_inside_a_back_referencing_block_drops_that_entry_only() {
     let expected: Vec<_> = live.into_iter().filter(|(key, _)| *key != torn_key).collect();
     assert_eq!(memo_documents(&reopened), expected, "only the torn block's entry is dropped");
     assert_eq!(compose(&reopened, "v0", "v4"), 1, "the torn entry is recomposed alone");
+    cleanup(&file);
+}
+
+/// A chain whose schemas all carry `K` and whose first link also
+/// constrains `K`: no elimination touches that constraint, so every
+/// memoised prefix keeps it as the same allocation as its input does.
+fn carried_document(hops: usize) -> String {
+    let mut text = String::new();
+    for i in 0..=hops {
+        text.push_str(&format!("schema v{i} {{ K/1; R{i}/1; }}\n"));
+    }
+    for i in 0..hops {
+        let kept = if i == 0 { " select[#0 = 'kept'](K) <= K;" } else { "" };
+        let (from, to) = (i, i + 1);
+        text.push_str(&format!("mapping m{i} : v{from} -> v{to} {{ R{from} <= R{to};{kept} }}\n"));
+    }
+    text
+}
+
+/// Every live memo entry as `(key, its whole sidecar block)`, in key order.
+fn memo_blocks(service: &LocalService) -> Vec<(MemoKey, String)> {
+    let mut blocks: Vec<_> = service
+        .session()
+        .cache()
+        .entries()
+        .iter()
+        .map(|(key, chain)| (*key, render_cache_entry(key, chain)))
+        .collect();
+    blocks.sort_unstable();
+    blocks
+}
+
+/// Does every entry composed from a memoised input share that input's
+/// kept constraint? Returns how many entries were checked.
+fn kept_constraints_shared(service: &LocalService) -> usize {
+    let cache = service.session().cache();
+    let kept = |chain: &mapping_composition::catalog::ComposedChain| {
+        chain.mapping.constraints.iter().find(|c| c.to_string().contains("kept")).cloned()
+    };
+    let mut checked = 0;
+    for (key, chain) in cache.entries() {
+        let Some(input) = cache.segment(key.0) else { continue };
+        if let (Some(own), Some(inputs)) = (kept(&chain), kept(&input)) {
+            assert!(std::sync::Arc::ptr_eq(&own.lhs, &inputs.lhs), "{key:?}");
+            checked += 1;
+        }
+    }
+    checked
+}
+
+#[test]
+fn a_sidecar_of_run_tokens_reloads_every_entry_sharing_its_inputs_parts() {
+    let file = temp_catalog("run_tokens");
+    let service = open(&file);
+    service.call(Request::AddDocument { text: carried_document(6) }).unwrap();
+    // Two chunks: the second's prefixes copy from blocks of the first and
+    // of their own chunk.
+    assert_eq!(compose(&service, "v0", "v3"), 2);
+    assert_eq!(compose(&service, "v0", "v6"), 3);
+    compose(&service, "v2", "v5");
+    // Each later prefix copies its input's `__in` schema, residual schema,
+    // header and kept constraint; the three-link entry from `v2` copies
+    // all but the constraint.
+    let text = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+    assert_eq!(run_token_parts(&text), 4 * 4 + 3, "{text}");
+    assert_eq!(text.matches("'kept'").count(), 1, "the kept constraint is written once");
+    let live = memo_blocks(&service);
+    let committed = committed_state(&service);
+    assert_eq!(kept_constraints_shared(&service), 4);
+    drop(service); // kill: no shutdown, no compaction
+
+    let reopened = open(&file);
+    assert_eq!(memo_blocks(&reopened), live, "every entry is restored byte-identically");
+    assert_eq!(committed_state(&reopened), committed);
+    assert_eq!(kept_constraints_shared(&reopened), 4, "a loaded entry shares its input's parts");
+    assert_eq!(compose(&reopened, "v0", "v6"), 0);
+    // The compaction snapshot writes the same tokens, and loads the same.
+    assert!(matches!(reopened.call(Request::Compact), Ok(Response::Compacted { .. })));
+    let compacted = std::fs::read_to_string(sidecar_path(&file)).unwrap();
+    assert_eq!(run_token_parts(&compacted), 4 * 4 + 3, "{compacted}");
+    let committed = committed_state(&reopened);
+    drop(reopened);
+    let again = open(&file);
+    assert_eq!(memo_blocks(&again), live);
+    assert_eq!(committed_state(&again), committed);
+    assert_eq!(kept_constraints_shared(&again), 4);
+    cleanup(&file);
+}
+
+#[test]
+fn a_cut_inside_an_input_block_drops_the_entries_copying_from_it_and_nothing_else() {
+    let file = temp_catalog("cut_input");
+    let sidecar = sidecar_path(&file);
+    let service = open(&file);
+    service.call(Request::AddDocument { text: carried_document(5) }).unwrap();
+    assert_eq!(compose(&service, "v0", "v5"), 4);
+    assert_eq!(compose(&service, "v2", "v5"), 2);
+    let live = memo_documents(&service);
+    drop(service);
+
+    // Cut `<=` out of the first prefix's rewritten constraint: its block
+    // stays complete, but its document no longer parses.
+    let full = std::fs::read_to_string(&sidecar).unwrap();
+    let at = full.find("    R0 <= R2;").unwrap();
+    std::fs::write(&sidecar, format!("{}{}", &full[..at + 7], &full[at + 9..])).unwrap();
+
+    let reopened = open(&file);
+    // Every prefix from `v0` copies from the one before it, down to the cut
+    // one; the entries from `v2` copy from none of them.
+    let prefixes = |documents: &[(MemoKey, String)]| {
+        documents.iter().filter(|(_, document)| document.contains("R0 <=")).count()
+    };
+    let expected: Vec<_> =
+        live.iter().filter(|(_, document)| !document.contains("R0 <=")).cloned().collect();
+    assert_eq!((prefixes(&live), expected.len()), (4, 2));
+    assert_eq!(memo_documents(&reopened), expected, "only the cut block's consumers drop");
+    assert_eq!(compose(&reopened, "v0", "v5"), 2, "the prefixes recompose around the v2 run");
     cleanup(&file);
 }
 

@@ -20,7 +20,8 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use mapping_composition::catalog::{
-    load_sidecar, parse_positioned_delta, Catalog, Position, SessionConfig, VersionManifest,
+    load_sidecar, parse_positioned_delta, render_cache_entry, run_token_parts, Catalog, Position,
+    SessionConfig, VersionManifest,
 };
 use mapping_composition::compose::{Registry, Update};
 use mapping_composition::service::{
@@ -349,6 +350,59 @@ fn compaction_mid_subscription_neither_drops_nor_duplicates() {
             std::fs::read_to_string(sidecar_path(&temp_catalog_path("compact_follower")))
                 .expect("follower sidecar");
         assert_log_monotonic(&sidecar_text);
+    });
+}
+
+fn compose(service: &LocalService, from: &str, to: &str) {
+    match service.call(Request::ComposePath { from: from.into(), to: to.into() }) {
+        Ok(Response::Composed(_)) => {}
+        other => panic!("compose {from} -> {to} failed: {other:?}"),
+    }
+}
+
+/// Every memo entry a sidecar text loads, as its rendered block, in key
+/// order.
+fn loaded_blocks(sidecar: &str) -> Vec<String> {
+    let mut entries = load_sidecar(sidecar).cache.entries();
+    entries.sort_unstable_by_key(|(key, _)| *key);
+    entries.iter().map(|(key, chain)| render_cache_entry(key, chain)).collect()
+}
+
+#[test]
+fn chunks_of_run_tokens_stream_to_byte_identical_sidecars() {
+    let _serial = serial();
+    with_leader_and_follower("run_tokens", |leader, _addr, follower| {
+        await_convergence(leader, follower, Duration::from_secs(10));
+        let read = |tag: &str| {
+            std::fs::read_to_string(sidecar_path(&temp_catalog_path(tag))).expect("sidecar")
+        };
+        let (leader_start, follower_start) =
+            (read("run_tokens_leader").len(), read("run_tokens_follower").len());
+        // Every link carries `K`, and the first constrains it: each later
+        // prefix copies that constraint from its input's block.
+        let mut document = String::new();
+        for i in 0..=4 {
+            document.push_str(&format!("schema v{i} {{ K/1; R{i}/1; }}\n"));
+        }
+        for i in 0..4 {
+            let kept = if i == 0 { " select[#0 = 'kept'](K) <= K;" } else { "" };
+            let (from, to) = (i, i + 1);
+            document.push_str(&format!(
+                "mapping m{i} : v{from} -> v{to} {{ R{from} <= R{to};{kept} }}\n"
+            ));
+        }
+        add(leader, &document);
+        compose(leader, "v0", "v2");
+        compose(leader, "v0", "v4");
+        await_convergence(leader, follower, Duration::from_secs(10));
+        let (leader_text, follower_text) = (read("run_tokens_leader"), read("run_tokens_follower"));
+        let (streamed, applied) = (&leader_text[leader_start..], &follower_text[follower_start..]);
+        assert_eq!(run_token_parts(streamed), 2 * 4, "{streamed}");
+        assert_eq!(streamed, applied, "the follower appends the leader's chunks verbatim");
+        // Both files load every entry, with the same blocks.
+        let blocks = loaded_blocks(&leader_text);
+        assert_eq!(blocks.len(), 3);
+        assert_eq!(loaded_blocks(&follower_text), blocks);
     });
 }
 
