@@ -659,7 +659,12 @@ pub(crate) fn load_sidecar_for(text: &str, workers: usize) -> SidecarState {
     // run tokens resolved: what a run token may name ([`LineIndex`]).
     let mut blocks: HashSet<u64> = HashSet::new();
     // Segment hash → the entry the last block holding it loaded: what run
-    // tokens copy parts from. An entry evicted since still lends its parts.
+    // tokens copy parts from. An entry evicted since still lends its parts,
+    // so this is not the cache's live set: an input evicted and drained
+    // into one chunk, then re-inserted by another worker after the next
+    // chunk drained its events, is live while that chunk renders a consumer
+    // copying from it, and its new block comes later (the log
+    // `an_entry_whose_input_left_the_cache_first_is_indexed_by_name` builds).
     let mut loaded: HashMap<u64, ComposedChain> = HashMap::new();
     // One allocation per distinct name across every entry loaded.
     let mut names: HashSet<Name> = HashSet::new();
@@ -1204,8 +1209,7 @@ impl LineIndex {
 /// parts is written as one run token, `@L<first>` or `@L<first>+<count>`
 /// (`@R…` for the right input), naming the input by the segment hash in the
 /// entry's key. The input's chain is the one the renderer's cache holds
-/// under that hash ([`EntryRenderer::with_cache`]); without a cache nothing
-/// is written as a run.
+/// live under that hash.
 ///
 /// Every other document line longer than a reference is written as
 /// `@<hash16>` when the file already holds it raw (`file`) or an earlier
@@ -1225,7 +1229,7 @@ impl LineIndex {
 pub struct EntryRenderer<'a> {
     file: &'a LineIndex,
     /// Where an input's chain is looked up by segment hash.
-    cache: Option<&'a ShardedMemoCache>,
+    cache: &'a ShardedMemoCache,
     written: LineIndex,
     /// Line hash by the storage the line was rendered from: `None` for a
     /// part too short to reference or spread over several lines.
@@ -1238,25 +1242,18 @@ pub struct EntryRenderer<'a> {
 }
 
 impl<'a> EntryRenderer<'a> {
-    /// A renderer for text appended to a file holding the raw lines `file`
-    /// (an empty index for a snapshot, which stands alone).
-    pub fn new(file: &'a LineIndex) -> Self {
+    /// A renderer for text appended to a file holding the raw lines and
+    /// blocks `file` (an empty index for a snapshot, which stands alone),
+    /// looking the entries' inputs up in `cache`.
+    pub fn new(file: &'a LineIndex, cache: &'a ShardedMemoCache) -> Self {
         EntryRenderer {
             file,
-            cache: None,
+            cache,
             written: LineIndex::default(),
             rendered: HashMap::new(),
             fingerprints: HashMap::new(),
             positions: HashMap::new(),
         }
-    }
-
-    /// Look the inputs of the entries up in `cache`, so that the parts an
-    /// entry keeps of an input whose block is held are written as run
-    /// tokens.
-    pub fn with_cache(mut self, cache: &'a ShardedMemoCache) -> Self {
-        self.cache = Some(cache);
-        self
     }
 
     /// The chain of the input with segment hash `hash`, when a held block
@@ -1265,7 +1262,7 @@ impl<'a> EntryRenderer<'a> {
         if !(self.file.holds_block(hash) || self.written.holds_block(hash)) {
             return None;
         }
-        self.cache?.segment(hash).filter(|chain| chain.hash == hash)
+        self.cache.segment(hash).filter(|chain| chain.hash == hash)
     }
 
     /// The fingerprint and length of a path's text ([`path_text`]), read
@@ -1556,8 +1553,10 @@ pub fn render_chain_document(chain: &ComposedChain) -> String {
     out
 }
 
-/// Parse a [`render_chain_document`] rendering back into the composed
-/// mapping and the residual signature. Returns `None` for malformed text.
+/// Parse a [`render_chain_document`] rendering — a wire payload's
+/// document — back into the composed mapping and the residual signature.
+/// Returns `None` for malformed text. (A sidecar entry's document, which
+/// may copy parts by run tokens, is read by `assemble_chain_document`.)
 pub fn parse_chain_document(text: &str) -> Option<(Mapping, Signature)> {
     let document = parse_document(text).ok()?;
     let input = document.schema("__in").ok()?;
@@ -1580,24 +1579,13 @@ fn part_count(chain: &ChainSegment) -> usize {
     4 + chain.mapping.constraints.len()
 }
 
-/// The composed mapping and residual signature of a loaded entry document:
-/// [`parse_chain_document`] when every line is text. Parts copied by run
-/// tokens are shared with the input they were copied from, and the text
-/// around them is parsed as the whole parts it holds: schema lines before
-/// the mapping header, constraints after it, up to the closing brace on
-/// the last line. `None` when a part is out of place or a text does not
-/// parse.
+/// The composed mapping and residual signature of a loaded entry document,
+/// in the layout [`render_chain_document`] writes: schema lines before the
+/// mapping header, constraints after it, the closing brace on the last
+/// line. Parts copied by run tokens are shared with the input they were
+/// copied from, and the text around them is parsed as the whole parts it
+/// holds. `None` when a part is out of place or a text does not parse.
 fn assemble_chain_document(pieces: &[Piece<'_>]) -> Option<(Mapping, Signature)> {
-    if pieces.iter().all(|piece| matches!(piece, Piece::Line(_))) {
-        let mut text = String::new();
-        for piece in pieces {
-            if let Piece::Line(line) = piece {
-                text.push_str(line);
-                text.push('\n');
-            }
-        }
-        return parse_chain_document(&text);
-    }
     let (Piece::Line(close), body) = pieces.split_last()? else { return None };
     if close.trim() != "}" {
         return None;
@@ -1675,7 +1663,8 @@ fn write_schema(out: &mut String, name: &str, sig: &Signature) {
 /// refreshes — the entry on replay.
 pub fn render_cache_entry(key: &MemoKey, chain: &ComposedChain) -> String {
     let mut out = String::new();
-    EntryRenderer::new(&LineIndex::default()).render(&mut out, key, chain);
+    let nothing = ShardedMemoCache::new(1, None);
+    EntryRenderer::new(&LineIndex::default(), &nothing).render(&mut out, key, chain);
     out
 }
 
@@ -1704,7 +1693,7 @@ pub fn write_cache(out: &mut String, cache: &ShardedMemoCache) -> (LineIndex, Ca
     // session restoring this sidecar evicts in the same order the saving
     // session would have.
     let nothing = LineIndex::default();
-    let mut renderer = EntryRenderer::new(&nothing).with_cache(cache);
+    let mut renderer = EntryRenderer::new(&nothing, cache);
     for (key, chain) in &entries {
         renderer.render(out, key, chain);
     }
@@ -1877,19 +1866,18 @@ impl SidecarWriter {
     /// mutex and the cross-process lock; returns the chunk. `render` writes
     /// the chunk's memo entries through the [`EntryRenderer`] it is handed,
     /// which back-references the lines the file holds and copies the parts
-    /// an entry keeps of an input the file holds, looked up in `cache`
-    /// ([`EntryRenderer::with_cache`]). It runs inside the
-    /// critical section, after the file's [`LineIndex`] was checked against
-    /// the file on disk, so the references resolve against exactly the
-    /// lines the file holds. An empty chunk writes nothing. A chunk missing
-    /// its final newline gets one.
+    /// an entry keeps of an input the file holds, looked up in `cache`. It
+    /// runs inside the critical section, after the file's [`LineIndex`] was
+    /// checked against the file on disk, so the references resolve against
+    /// exactly the lines the file holds. An empty chunk writes nothing. A
+    /// chunk missing its final newline gets one.
     pub fn append_with(
         &self,
         cache: &ShardedMemoCache,
         render: impl FnOnce(&mut EntryRenderer<'_>) -> String,
     ) -> std::io::Result<String> {
         self.append_chunk(|file| {
-            let mut entries = EntryRenderer::new(file).with_cache(cache);
+            let mut entries = EntryRenderer::new(file, cache);
             let chunk = render(&mut entries);
             (chunk, entries.into_written())
         })
@@ -2344,7 +2332,7 @@ mod tests {
         let index = LineIndex::of_text(&snapshot);
         let mut chunk = String::new();
         let fresh = segment(&["m0", "m1"], "select[#0 = 'shared constant one'](S) <= T", 9);
-        let mut renderer = EntryRenderer::new(&index);
+        let mut renderer = EntryRenderer::new(&index, &cache);
         renderer.render(&mut chunk, &(9, 0, 0), &fresh);
         assert!(chunk.lines().any(|line| line.starts_with('@')), "{chunk}");
         // The renderer reports the raw lines it added, as a scan would.
@@ -2461,11 +2449,12 @@ mod tests {
 
         // Appended after a file that holds the prefixes, the next prefix
         // names only its link; alone, its reference resolves to nothing.
-        let (key, last) = longest_entry(&folded_session(LINKS + 1));
+        let longer = folded_session(LINKS + 1);
+        let (key, last) = longest_entry(&longer);
         let key = &key;
         let index = LineIndex::of_text(&snapshot);
         let mut chunk = String::new();
-        let mut renderer = EntryRenderer::new(&index);
+        let mut renderer = EntryRenderer::new(&index, longer.cache());
         renderer.render(&mut chunk, key, &last);
         assert!(chunk.contains(&format!(" {}\n", link(LINKS))), "{chunk}");
         assert!(!chunk.contains(&link(0)), "{chunk}");
@@ -2510,9 +2499,11 @@ mod tests {
     fn a_verbatim_append_records_the_paths_its_references_resolve_in_the_file() {
         const LINKS: usize = 6;
         let snapshot = save_cache(folded_session(LINKS).cache());
-        let (key, last) = longest_entry(&folded_session(LINKS + 1));
+        let longer = folded_session(LINKS + 1);
+        let (key, last) = longest_entry(&longer);
+        let index = LineIndex::of_text(&snapshot);
         let mut chunk = String::new();
-        EntryRenderer::new(&LineIndex::of_text(&snapshot)).render(&mut chunk, &key, &last);
+        EntryRenderer::new(&index, longer.cache()).render(&mut chunk, &key, &last);
         assert!(chunk.contains("\npath @"), "{chunk}");
         // A replica appends the leader's chunks verbatim: the path its
         // reference resolves to in the file is held from then on.
@@ -2727,7 +2718,7 @@ mod tests {
         let (key, last) = longest_entry(&session);
         let index = LineIndex::of_text(&snapshot);
         let mut chunk = String::new();
-        let mut renderer = EntryRenderer::new(&index).with_cache(session.cache());
+        let mut renderer = EntryRenderer::new(&index, session.cache());
         renderer.render(&mut chunk, &key, &last);
         // `__in`, the residual, the header and the kept constraint.
         assert_eq!(run_token_parts(&chunk), 4, "{chunk}");
@@ -2742,12 +2733,20 @@ mod tests {
             render_cache_entry(&key, &appended.cache.peek(&key).unwrap()),
             render_cache_entry(&key, &last)
         );
-        // Alone, the chunk's tokens resolve to nothing; without a cache the
-        // renderer writes the parts.
+        // Alone, the chunk's tokens resolve to nothing. Appended to a file
+        // that does not hold the input's block, the entry writes its parts.
         assert!(load_sidecar(&chunk).cache.is_empty());
+        let input = snapshot.find(&format!(" {:016x}\nendpoints", key.0)).unwrap();
+        let before = &snapshot[..snapshot[..input].rfind("entry ").unwrap()];
         let mut plain = String::new();
-        EntryRenderer::new(&index).render(&mut plain, &key, &last);
-        assert_eq!(run_token_parts(&plain), 0);
+        EntryRenderer::new(&LineIndex::of_text(before), session.cache())
+            .render(&mut plain, &key, &last);
+        assert_eq!(run_token_parts(&plain), 0, "{plain}");
+        let appended = load_sidecar(&format!("{before}{plain}"));
+        assert_eq!(
+            render_cache_entry(&key, &appended.cache.peek(&key).unwrap()),
+            render_cache_entry(&key, &last)
+        );
         // A replica appends the chunk verbatim: the block its tokens
         // resolve to in the file, and its own, are held from then on.
         let path = temp_sidecar("verbatim_blocks");
